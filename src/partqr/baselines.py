@@ -9,17 +9,6 @@ import numpy as np
 from .partition import RegressionTree, _values_of, build_cart, predict_tree_mean
 
 
-def fit_dt_mean(
-    X, y, max_depth: int, min_samples_split: int = 2, min_samples_leaf: int = 1
-) -> RegressionTree:
-    """CART tree whose leaves predict the mean of their training targets."""
-    return build_cart(X, y, max_depth, min_samples_split, min_samples_leaf)
-
-
-def predict_dt_mean(tree: RegressionTree, x) -> float:
-    return predict_tree_mean(tree, x)
-
-
 @dataclass
 class ForestModel:
     """Bagged CART trees; leaves keep row lists so QRF quantiles stay available.

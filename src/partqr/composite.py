@@ -8,6 +8,7 @@ intercept-only empirical quantiles (or the mean, for ridge).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,25 +93,48 @@ def _require(hyperparams: dict, key: str):
     return hyperparams[key]
 
 
-def _fit_quantile_table(matrix, ysub, levels, lam):
+def _leaf_digest(matrix: EncodedMatrix, ysub: np.ndarray) -> bytes:
+    """Content digest of one partition's quantile problem, less alpha and lam."""
+    h = hashlib.blake2b(repr(matrix.values.shape).encode(), digest_size=16)
+    for arr in (matrix.values, matrix.categorical_mask, ysub):
+        h.update(arr.tobytes())
+    return h.digest()
+
+
+def _fit_quantile_table(matrix, ysub, levels, lam, fit_cache: dict):
     if ysub.size < matrix.width + 2:
         return {a: ConstantModel(pinball_quantile(ysub, a)) for a in levels}
-    return {a: fit_quantile(matrix, ysub, a, lam) for a in levels}
+    leaf = _leaf_digest(matrix, ysub)
+    table = {}
+    for a in levels:
+        key = (leaf, a, lam)
+        if key not in fit_cache:
+            # Threads may race to one key; both solves give the same fit.
+            fit_cache[key] = fit_quantile(matrix, ysub, a, lam)
+        table[a] = fit_cache[key]
+    return table
 
 
-def fit_composite(kind: str, dataset: Dataset, hyperparams: dict) -> CompositeQuantileModel:
+def fit_composite(
+    kind: str, dataset: Dataset, hyperparams: dict, fit_cache: dict | None = None
+) -> CompositeQuantileModel:
     """Fit one of the four partitioned models on a preprocessed dataset.
 
     quantile_tree partitions on all encoded features via CART; the piecewise
     kinds cluster the one-hot categorical subspace with k-means; nn_qr only
     builds the neighborhood index and fits per query. Any partition with fewer
     than width+2 rows gets intercept-only fallback estimators.
+
+    `fit_cache`, when given, memoises the partition quantile fits by content
+    (encoded rows, categorical mask, targets, alpha, lam), so a grid search
+    solves each distinct partition problem once across its combinations.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if dataset.n_rows == 0:
         raise ValueError("empty dataset")
     hyperparams = dict(hyperparams)
+    fit_cache = {} if fit_cache is None else fit_cache
     lam = float(hyperparams.get("lam", 0.0))
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -146,7 +170,7 @@ def fit_composite(kind: str, dataset: Dataset, hyperparams: dict) -> CompositeQu
             rows = leaf.rows
             model.partition_rows[leaf.leaf_id] = rows
             model.estimators[leaf.leaf_id] = _fit_quantile_table(
-                matrix.subset(rows), y[rows], levels, lam
+                matrix.subset(rows), y[rows], levels, lam, fit_cache
             )
     elif kind in ("piecewise_qr", "piecewise_rr"):
         k = int(_require(hyperparams, "n_clusters"))
@@ -169,7 +193,7 @@ def fit_composite(kind: str, dataset: Dataset, hyperparams: dict) -> CompositeQu
                 else:
                     model.estimators[cid] = fit_ridge(sub, ysub, lam)
             else:
-                model.estimators[cid] = _fit_quantile_table(sub, ysub, levels, lam)
+                model.estimators[cid] = _fit_quantile_table(sub, ysub, levels, lam, fit_cache)
     else:  # nn_qr
         k = int(_require(hyperparams, "n_neighbors"))
         if not 1 <= k <= dataset.n_rows:

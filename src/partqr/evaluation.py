@@ -94,6 +94,49 @@ def _prepare_fold(train: Dataset, test: Dataset | None, caps: dict | None):
     return train, test, imputer, detail_caps
 
 
+@dataclass(frozen=True)
+class PreparedFold:
+    """One cross-validation fold after fold-local caps and imputation."""
+
+    train: Dataset
+    test_rows: list
+    actual: np.ndarray
+    seed: int
+    detail: FoldDetail
+
+
+def prepare_folds(
+    dataset: Dataset, k: int, seed: int, caps: dict | None = None
+) -> list[PreparedFold]:
+    """Split `dataset` into k folds and preprocess each one.
+
+    Tail caps remove training rows only; imputation medians come from the
+    training fold and are applied to its test fold.
+    """
+    folds = []
+    for fold_idx, (train_idx, test_idx) in enumerate(split_kfold(dataset, k, seed)):
+        train, test, imputer, cap_removed = _prepare_fold(
+            dataset.subset(train_idx), dataset.subset(test_idx), caps
+        )
+        rows = list(test.rows)
+        target_j = test.schema.index_of(test.schema.target)
+        folds.append(
+            PreparedFold(
+                train=train,
+                test_rows=rows,
+                actual=np.array([float(r[target_j]) for r in rows]),
+                seed=_fold_seed(seed, fold_idx),
+                detail=FoldDetail(
+                    n_train=train.n_rows,
+                    n_test=test.n_rows,
+                    numeric_fill=dict(imputer.numeric_fill),
+                    cap_removed=cap_removed,
+                ),
+            )
+        )
+    return folds
+
+
 def cross_validate(
     name: str,
     params: dict,
@@ -101,46 +144,36 @@ def cross_validate(
     k: int,
     seed: int,
     caps: dict | None = None,
+    *,
+    folds: list[PreparedFold] | None = None,
+    fit_cache: dict | None = None,
 ) -> CVResult:
-    """k-fold evaluation with fold-local preprocessing.
+    """k-fold evaluation with fold-local preprocessing (see `prepare_folds`).
 
-    Tail caps remove training rows only; imputation medians come from the
-    training fold and are applied to its test fold. Aggregates are computed
-    over the pooled test-set absolute errors, not per-fold averages.
+    Aggregates are computed over the pooled test-set absolute errors, not
+    per-fold averages. `folds`, when given, must come from
+    `prepare_folds(dataset, k, seed, caps)`; `fit_cache` memoises partition
+    quantile fits by content (see `fit_composite`). `grid_search` passes the
+    same folds and cache to every combination.
     """
-    folds = split_kfold(dataset, k, seed)
-    target_j = dataset.schema.index_of(dataset.schema.target)
+    if folds is None:
+        folds = prepare_folds(dataset, k, seed, caps)
     fold_metrics = []
     param_counts = []
-    details = []
-    preds, actuals, intervals = [], [], []
+    preds, intervals = [], []
     capable = name in QUANTILE_CAPABLE
-    for fold_idx, (train_idx, test_idx) in enumerate(folds):
-        train = dataset.subset(train_idx)
-        test = dataset.subset(test_idx)
-        train, test, imputer, cap_removed = _prepare_fold(train, test, caps)
-        fitted = fit_model(name, train, params, seed=_fold_seed(seed, fold_idx))
-        rows = list(test.rows)
-        pred = fitted.predict_point(rows)
-        actual = np.array([float(r[test.schema.index_of(test.schema.target)]) for r in rows])
+    for fold in folds:
+        fitted = fit_model(name, fold.train, params, seed=fold.seed, fit_cache=fit_cache)
+        pred = fitted.predict_point(fold.test_rows)
         fold_metrics.append(
-            {"median_ae": median_ae(pred, actual), "mean_ae": mean_ae(pred, actual)}
+            {"median_ae": median_ae(pred, fold.actual), "mean_ae": mean_ae(pred, fold.actual)}
         )
         param_counts.append(fitted.parameter_count())
-        details.append(
-            FoldDetail(
-                n_train=train.n_rows,
-                n_test=test.n_rows,
-                numeric_fill=dict(imputer.numeric_fill),
-                cap_removed=cap_removed,
-            )
-        )
         preds.append(pred)
-        actuals.append(actual)
         if capable:
-            intervals.append(fitted.predict_intervals(rows))
+            intervals.append(fitted.predict_intervals(fold.test_rows))
     pooled_pred = np.concatenate(preds)
-    pooled_actual = np.concatenate(actuals)
+    pooled_actual = np.concatenate([fold.actual for fold in folds])
     pooled_iv = np.vstack(intervals) if capable else None
     return CVResult(
         name=name,
@@ -153,7 +186,7 @@ def cross_validate(
         pooled_pred=pooled_pred,
         pooled_actual=pooled_actual,
         pooled_intervals=pooled_iv,
-        fold_details=details,
+        fold_details=[fold.detail for fold in folds],
     )
 
 
@@ -187,14 +220,24 @@ def grid_search(
     threads: int = 1,
 ) -> GridSearchResult:
     """Exhaustive search; lowest pooled Median AE wins, ties go to the smaller
-    model, then to grid order. The winner is refit on the full dataset."""
+    model, then to grid order. The winner is refit on the full dataset.
+
+    The folds are prepared once and shared by every combination, and the
+    partition quantile fits are memoised for the length of the search, so
+    identical partitions under different tree settings are solved once.
+    """
     grid = grid if grid else default_grid(name)
     combos = grid_combinations(grid)
     if not combos:
         raise ValueError("empty hyperparameter grid")
 
+    folds = prepare_folds(dataset, k, seed, caps)
+    fit_cache: dict = {}
+
     def evaluate(combo):
-        return cross_validate(name, combo, dataset, k, seed, caps)
+        return cross_validate(
+            name, combo, dataset, k, seed, caps, folds=folds, fit_cache=fit_cache
+        )
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 from scipy.optimize import linprog
 
 from .data import EncodedMatrix
@@ -163,9 +162,18 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
 def fit_quantile(X, y, alpha: float, lam: float) -> LinearQuantileModel:
     """Fit pinball loss + lam*L1 by linear programming (exact optimum).
 
-    The problem min sum_i rho_alpha(y_i - b0 - x_i b) + lam*||b||_1 is an LP in
-    the residual and coefficient splits; HiGHS solves it to optimality, so the
-    returned objective sits at the true minimum rather than a smoothed proxy.
+    The primal problem min sum_i rho_alpha(y_i - b0 - x_i b) + lam*||b||_1 is
+    an LP with n equality rows and 2n+2p+1 columns. HiGHS solves its dual
+    (Koenker & Bassett 1978; Koenker, *Quantile Regression*, 2005, ch. 6)
+    instead, which has n columns and only 1 + 2p rows:
+
+        max y'd  s.t.  1'd = 0,  |Xs'd| <= lam,  alpha-1 <= d <= alpha.
+
+    The primal solution is read from the dual's constraint marginals: the
+    intercept is the marginal of 1'd = 0 and each coefficient is the
+    difference of the marginals of its two rows Xs_j'd <= lam and
+    -Xs_j'd <= lam. Both problems share one optimum, so the returned
+    objective sits at the true minimum rather than a smoothed proxy.
     """
     values, indicator = _as_array(X)
     y = np.asarray(y, dtype=float)
@@ -196,27 +204,23 @@ def fit_quantile(X, y, alpha: float, lam: float) -> LinearQuantileModel:
             feature_scale=scale,
         )
 
-    # Variables: [b0, b+, b-, u, v]; residual split y - b0 - Xs.b = u - v.
-    eye = scipy.sparse.identity(n, format="csc")
-    Xsp = scipy.sparse.csc_matrix(Xs)
-    ones = scipy.sparse.csc_matrix(np.ones((n, 1)))
-    A_eq = scipy.sparse.hstack([ones, Xsp, -Xsp, eye, -eye], format="csc")
-    c = np.concatenate(
-        [
-            [0.0],
-            np.full(p_act, lam),
-            np.full(p_act, lam),
-            np.full(n, alpha),
-            np.full(n, 1.0 - alpha),
-        ]
+    # linprog minimizes, so the dual objective is -y'd and every marginal
+    # (d objective / d right-hand side) is the negated primal variable.
+    res = linprog(
+        -y,
+        A_ub=np.vstack([Xs.T, -Xs.T]),
+        b_ub=np.full(2 * p_act, float(lam)),
+        A_eq=np.ones((1, n)),
+        b_eq=[0.0],
+        bounds=(alpha - 1.0, alpha),
+        method="highs",
     )
-    bounds = [(None, None)] + [(0, None)] * (2 * p_act + 2 * n)
-    res = linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"quantile LP failed: {res.message}")
 
-    b0_std = float(res.x[0])
-    scaled = res.x[1 : 1 + p_act] - res.x[1 + p_act : 1 + 2 * p_act]
+    b0_std = -float(res.eqlin.marginals[0])
+    w = res.ineqlin.marginals
+    scaled = w[p_act:] - w[:p_act]
     coef = np.zeros(p)
     coef[active] = scaled / scale[active]
     intercept = b0_std - float(np.dot(center[active] / scale[active], scaled))

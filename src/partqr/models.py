@@ -15,10 +15,8 @@ import numpy as np
 from .baselines import (
     BoostedModel,
     ForestModel,
-    fit_dt_mean,
     fit_gb,
     fit_rf,
-    predict_dt_mean,
     predict_gb,
     predict_rf,
     qrf_predict,
@@ -31,7 +29,7 @@ from .composite import (
     predict_quantile,
 )
 from .data import CategoricalEncoding, Dataset, encode, encode_row
-from .partition import RegressionTree
+from .partition import RegressionTree, build_cart, predict_tree_mean
 
 MODEL_NAMES = (
     "ridge",
@@ -136,7 +134,7 @@ class BaselineFit:
 
     def _point_one(self, x: np.ndarray) -> float:
         if self.name == "decision_tree":
-            return predict_dt_mean(self.inner, x)
+            return predict_tree_mean(self.inner, x)
         if self.name == "random_forest":
             return predict_rf(self.inner, x)
         if self.name == "qrf":
@@ -163,10 +161,13 @@ class BaselineFit:
         return 1 + sum(2 * t.n_internal for t in self.inner.trees)
 
 
-def fit_model(name: str, dataset: Dataset, params: dict, seed: int = 0):
+def fit_model(
+    name: str, dataset: Dataset, params: dict, seed: int = 0, fit_cache: dict | None = None
+):
     """Fit one registry model; `seed` drives k-means starts and forest
     bootstraps. Cluster/neighbor counts are clamped to what the data admits so
-    the default grids stay usable on small categorical spaces."""
+    the default grids stay usable on small categorical spaces. `fit_cache` is
+    passed to `fit_composite` for the tree and cluster partitioned kinds."""
     if name not in MODEL_NAMES:
         raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
     params = dict(params)
@@ -191,12 +192,16 @@ def fit_model(name: str, dataset: Dataset, params: dict, seed: int = 0):
                 "min_samples_leaf": params.get("min_samples_leaf", 1),
                 "lam": params.get("lam", 0.0),
             },
+            fit_cache,
         )
         return CompositeFit(name, params, model)
     if name in ("piecewise_qr", "piecewise_rr"):
         k = min(int(params["n_clusters"]), _distinct_categorical_rows(dataset))
         model = fit_composite(
-            name, dataset, {"n_clusters": k, "lam": params.get("lam", 0.0), "seed": seed}
+            name,
+            dataset,
+            {"n_clusters": k, "lam": params.get("lam", 0.0), "seed": seed},
+            fit_cache,
         )
         return CompositeFit(name, params, model)
     if name == "nn_qr":
@@ -208,7 +213,7 @@ def fit_model(name: str, dataset: Dataset, params: dict, seed: int = 0):
 
     matrix, y, encoding = encode(dataset)
     if name == "decision_tree":
-        inner = fit_dt_mean(
+        inner = build_cart(
             matrix,
             y,
             max_depth=int(params["max_depth"]),

@@ -5,6 +5,8 @@ plain textbook formula, deliberately avoiding the implementation's code path.
 """
 
 import numpy as np
+import scipy.sparse
+from scipy.optimize import linprog
 
 
 def ridge_oracle(X, y, lam):
@@ -52,6 +54,37 @@ def quantile_grid_oracle(X, y, alpha, lam, resolution=15, zoom=7):
         lo = center - 2 * width
         hi = center + 2 * width
     return best
+
+
+def quantile_primal_oracle(X, y, alpha, lam, indicator=None):
+    """Optimum of pinball + lam*L1 from the primal LP in residual splits.
+
+    Numeric columns are centered and scaled to unit population variance,
+    indicator columns stay 0/1, and zero-variance columns are dropped, so the
+    penalty is the one `fit_quantile` applies. Variables are [b0, b+, b-, u, v]
+    with y - b0 - Xs.b = u - v; returns the LP's optimal value.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n = y.shape[0]
+    indicator = np.zeros(X.shape[1], dtype=bool) if indicator is None else np.asarray(indicator)
+    sd = X.std(axis=0)
+    active = sd > 0
+    center = np.where(indicator, 0.0, X.mean(axis=0))
+    scale = np.where(indicator | ~active, 1.0, sd)
+    Xs = (X[:, active] - center[active]) / scale[active]
+    p = Xs.shape[1]
+    eye = scipy.sparse.identity(n, format="csc")
+    Xsp = scipy.sparse.csc_matrix(Xs)
+    ones = scipy.sparse.csc_matrix(np.ones((n, 1)))
+    A_eq = scipy.sparse.hstack([ones, Xsp, -Xsp, eye, -eye], format="csc")
+    c = np.concatenate(
+        [[0.0], np.full(2 * p, lam), np.full(n, alpha), np.full(n, 1.0 - alpha)]
+    )
+    bounds = [(None, None)] + [(0, None)] * (2 * p + 2 * n)
+    res = linprog(c, A_eq=A_eq, b_eq=y, bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def node_sse(y):

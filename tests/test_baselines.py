@@ -4,35 +4,33 @@ import pytest
 from oracles import qrf_oracle
 
 from partqr.baselines import (
-    fit_dt_mean,
     fit_gb,
     fit_rf,
-    predict_dt_mean,
     predict_gb,
     predict_rf,
     qrf_predict,
     qrf_weights,
 )
-from partqr.partition import predict_tree_mean
+from partqr.partition import build_cart, predict_tree_mean
 
 
 class TestDtMean:
     def test_constant_target(self):
         X = np.arange(6.0).reshape(-1, 1)
-        tree = fit_dt_mean(X, np.full(6, 4.5), max_depth=3)
-        assert predict_dt_mean(tree, [2.0]) == 4.5
-        assert predict_dt_mean(tree, [99.0]) == 4.5
+        tree = build_cart(X, np.full(6, 4.5), max_depth=3)
+        assert predict_tree_mean(tree, [2.0]) == 4.5
+        assert predict_tree_mean(tree, [99.0]) == 4.5
 
     def test_step_data(self):
         X = np.arange(10.0).reshape(-1, 1)
         y = np.where(X[:, 0] < 5, 0.0, 10.0)
-        tree = fit_dt_mean(X, y, max_depth=1)
-        assert predict_dt_mean(tree, [1.0]) == 0.0
-        assert predict_dt_mean(tree, [9.0]) == 10.0
+        tree = build_cart(X, y, max_depth=1)
+        assert predict_tree_mean(tree, [1.0]) == 0.0
+        assert predict_tree_mean(tree, [9.0]) == 10.0
 
     def test_single_row(self):
-        tree = fit_dt_mean(np.array([[3.0]]), np.array([7.5]), max_depth=2)
-        assert predict_dt_mean(tree, [0.0]) == 7.5
+        tree = build_cart(np.array([[3.0]]), np.array([7.5]), max_depth=2)
+        assert predict_tree_mean(tree, [0.0]) == 7.5
 
 
 class TestRandomForest:
@@ -41,10 +39,10 @@ class TestRandomForest:
         X = rng.normal(size=(50, 3))
         y = rng.normal(size=50)
         forest = fit_rf(X, y, n_trees=1, seed=0, max_depth=3, bootstrap=False)
-        tree = fit_dt_mean(X, y, max_depth=3)
+        tree = build_cart(X, y, max_depth=3)
         for _ in range(10):
             x = rng.normal(size=3)
-            assert predict_rf(forest, x) == predict_dt_mean(tree, x)
+            assert predict_rf(forest, x) == predict_tree_mean(tree, x)
 
     def test_prediction_is_mean_of_trees(self):
         rng = np.random.default_rng(2)

@@ -189,6 +189,47 @@ class TestGridSearch:
         assert [e.median_ae for e in a.evaluations] == [e.median_ae for e in b.evaluations]
 
 
+def assert_same_evaluation(a: CVResult, b: CVResult):
+    assert a.params == b.params
+    assert a.median_ae == b.median_ae
+    assert a.mean_ae == b.mean_ae
+    assert a.param_counts == b.param_counts
+    assert a.pooled_pred.tobytes() == b.pooled_pred.tobytes()
+    assert a.pooled_intervals.tobytes() == b.pooled_intervals.tobytes()
+
+
+class TestGridSearchSharing:
+    """Shared folds and memoised partition fits change no evaluation."""
+
+    def dataset(self):
+        return generate_synthetic(SyntheticSpec(n_projects=160, seed=12, contamination=0.05))
+
+    @pytest.mark.parametrize(
+        "name,grid",
+        [
+            ("quantile_tree", {"lam": [0.0, 0.1], "max_depth": [1, 2], "min_samples_split": [10, 60]}),
+            ("piecewise_qr", {"lam": [0.01, 1.0], "n_clusters": [1, 2, 3]}),
+        ],
+    )
+    def test_matches_standalone_cross_validate(self, name, grid):
+        ds = self.dataset()
+        caps = {"target_days": 150.0}
+        result = grid_search(name, grid, ds, 4, seed=6, caps=caps)
+        combos = grid_combinations(grid)
+        assert len(result.evaluations) == len(combos)
+        for combo, shared in zip(combos, result.evaluations):
+            assert_same_evaluation(shared, cross_validate(name, combo, ds, 4, seed=6, caps=caps))
+
+    def test_quantile_tree_threads_same_answer(self):
+        ds = self.dataset()
+        grid = {"lam": [0.0, 0.1], "max_depth": [1, 2], "min_samples_split": [10, 60]}
+        a = grid_search("quantile_tree", grid, ds, 4, seed=6, threads=1)
+        b = grid_search("quantile_tree", grid, ds, 4, seed=6, threads=2)
+        assert a.best_params == b.best_params
+        for x, y in zip(a.evaluations, b.evaluations):
+            assert_same_evaluation(x, y)
+
+
 class TestSynthetic:
     def test_noiseless_linear_identifiable(self):
         spec = SyntheticSpec(

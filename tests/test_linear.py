@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quantile_grid_oracle, ridge_oracle
+from oracles import quantile_grid_oracle, quantile_primal_oracle, ridge_oracle
 
+from partqr.data import EncodedColumn, EncodedMatrix
 from partqr.linear import (
     fit_quantile,
     fit_ridge,
@@ -124,6 +125,35 @@ class TestQuantile:
                 model = fit_quantile(X, y, alpha, lam)
                 oracle = quantile_grid_oracle(X, y, alpha, lam)
                 assert model.objective <= oracle * (1 + 1e-4) + 1e-9
+
+    def test_dual_matches_primal_oracle(self):
+        rng = np.random.default_rng(17)
+        cases = []
+        # numeric columns on different scales; alpha*n is never an integer
+        X = rng.normal(size=(37, 3)) * np.array([1.0, 20.0, 0.2])
+        cases.append((X, X @ np.array([1.0, 0.1, -3.0]) + rng.standard_t(3, size=37), None))
+        # alpha*n is an integer at every level and the targets tie: many optimal vertices
+        X = rng.integers(0, 3, size=(40, 1)).astype(float)
+        cases.append((X, np.round(rng.normal(size=40)), None))
+        # one-hot indicators (one level never seen), a constant and a numeric column
+        levels = rng.integers(0, 3, size=50)
+        X = np.column_stack(
+            [(levels[:, None] == np.arange(4)).astype(float), np.full(50, 7.0), rng.normal(size=50)]
+        )
+        y = np.array([0.0, 5.0, 12.0])[levels] + 2.0 * X[:, 5] + rng.exponential(3.0, size=50)
+        indicator = np.array([True, True, True, True, False, False])
+        columns = tuple(
+            EncodedColumn("site", str(j), True) if ind else EncodedColumn(f"x{j}", None, False)
+            for j, ind in enumerate(indicator)
+        )
+        cases.append((EncodedMatrix(X, columns), y, indicator))
+        for X, y, indicator in cases:
+            values = X.values if isinstance(X, EncodedMatrix) else X
+            for lam in (0.0, 0.1, 1.0):
+                for alpha in (0.05, 0.5, 0.95):
+                    model = fit_quantile(X, y, alpha, lam)
+                    oracle = quantile_primal_oracle(values, y, alpha, lam, indicator)
+                    assert model.objective == pytest.approx(oracle, rel=1e-9)
 
     def test_subgradient_counts(self):
         rng = np.random.default_rng(13)
