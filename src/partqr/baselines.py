@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .partition import RegressionTree, _values_of, build_cart, predict_tree_mean
+from .partition import RegressionTree, _leaf, _values_of, build_cart, predict_tree_mean
 
 
 @dataclass
@@ -97,11 +97,7 @@ def qrf_weights(forest: ForestModel, x) -> np.ndarray:
     n = forest.y_train.shape[0]
     w = np.zeros(n)
     for tree, sample, cols in zip(forest.trees, forest.sample_indices, forest.feature_subsets):
-        node = tree.nodes[0]
-        xv = x[cols]
-        while not node.is_leaf:
-            node = tree.nodes[node.left if xv[node.feature] <= node.threshold else node.right]
-        members = np.unique(sample[node.rows])
+        members = np.unique(sample[_leaf(tree, x[cols]).rows])
         w[members] += 1.0 / members.size
     return w / forest.n_trees
 

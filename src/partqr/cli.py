@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
-from .data import Dataset, FeatureSchema, dataset_from_csv, read_csv
+from .data import Dataset, FeatureSchema, dataset_from_csv
 from .evaluation import SyntheticSpec, benchmark, generate_synthetic, grid_search
 from .models import DISPLAY_NAMES, MODEL_NAMES
 from .pipeline import (
@@ -218,29 +218,7 @@ def cmd_predict(args) -> int:
         fitted = load_model(args.model)
     with _Stage("read-input"):
         schema = fitted.model.schema if hasattr(fitted, "model") else fitted.schema
-        header, raw_rows = read_csv(args.input)
-        required = [
-            name for name, _ in schema.columns if name != schema.target
-        ]
-        missing = [name for name in required if name not in header]
-        if missing:
-            raise UserError(f"input is missing columns {missing}")
-        positions = {name: header.index(name) for name in header}
-        rows = []
-        for raw in raw_rows:
-            vals = []
-            for name, kind in schema.columns:
-                if name not in positions:
-                    vals.append(0.0 if kind == "numeric" else None)
-                    continue
-                v = raw[positions[name]] if positions[name] < len(raw) else ""
-                if v == "":
-                    vals.append(0.0 if name == schema.target else None)
-                elif kind == "numeric":
-                    vals.append(float(v))
-                else:
-                    vals.append(v)
-            rows.append(tuple(vals))
+        rows = dataset_from_csv(args.input, target=schema.target, schema=schema).rows
     with _Stage("predict"):
         intervals = fitted.predict_intervals(rows)
         if intervals is None:

@@ -1,9 +1,10 @@
 """Partition-plus-estimator models: quantile tree, piecewise QR/RR, nearest-neighbor QR.
 
 Each model routes an input to exactly one partition (tree leaf, cluster, or
-query-time neighborhood) and answers with that partition's fitted quantile or
-ridge estimator. Partitions too small to support a linear fit fall back to
-intercept-only empirical quantiles (or the mean, for ridge).
+query-time neighborhood from an exact scan of the training rows) and answers
+with that partition's fitted quantile or ridge estimator. Partitions too small
+to support a linear fit fall back to intercept-only empirical quantiles (or
+the mean, for ridge).
 """
 
 from __future__ import annotations
@@ -24,11 +25,9 @@ from .data import (
 from .linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
 from .partition import (
     ClusterPartition,
-    NeighborhoodIndex,
     RegressionTree,
     assign_cluster,
     build_cart,
-    build_neighborhood_index,
     fit_kmeans,
     knn_query,
     route,
@@ -65,7 +64,6 @@ class CompositeQuantileModel:
     hyperparams: dict
     tree: RegressionTree | None = None
     clusters: ClusterPartition | None = None
-    index: NeighborhoodIndex | None = None
     # partition id -> {alpha: estimator} for QR kinds, partition id -> estimator for RR
     estimators: dict = field(default_factory=dict)
     partition_rows: dict = field(default_factory=dict)
@@ -122,8 +120,9 @@ def fit_composite(
 
     quantile_tree partitions on all encoded features via CART; the piecewise
     kinds cluster the one-hot categorical subspace with k-means; nn_qr only
-    builds the neighborhood index and fits per query. Any partition with fewer
-    than width+2 rows gets intercept-only fallback estimators.
+    keeps the training rows and fits per query on its nearest neighbors. Any
+    partition with fewer than width+2 rows gets intercept-only fallback
+    estimators.
 
     `fit_cache`, when given, memoises the partition quantile fits by content
     (encoded rows, categorical mask, targets, alpha, lam), so a grid search
@@ -198,7 +197,6 @@ def fit_composite(
         k = int(_require(hyperparams, "n_neighbors"))
         if not 1 <= k <= dataset.n_rows:
             raise ValueError(f"n_neighbors {k} out of range 1..{dataset.n_rows}")
-        model.index = build_neighborhood_index(matrix.categorical_submatrix())
     return model
 
 
@@ -216,7 +214,10 @@ def _encode_input(model: CompositeQuantileModel, x) -> np.ndarray:
 
 
 def resolve_partition(model: CompositeQuantileModel, x) -> int:
-    """Partition id the raw row x falls in (tree leaf or cluster id)."""
+    """Partition id the raw row x falls in (tree leaf or cluster id).
+
+    A paper artefact for inspecting partitions: only tests call it.
+    """
     x_enc = _encode_input(model, x)
     if model.kind == "quantile_tree":
         return route(model.tree, x_enc)
@@ -228,7 +229,7 @@ def resolve_partition(model: CompositeQuantileModel, x) -> int:
 def _nn_predict(model: CompositeQuantileModel, x_enc: np.ndarray, alpha: float) -> float:
     cat_mask = model.categorical_mask
     k = int(model.hyperparams["n_neighbors"])
-    neighbors = knn_query(model.index, x_enc[cat_mask], k)
+    neighbors = knn_query(model.train_matrix.categorical_submatrix(), x_enc[cat_mask], k)
     rows = np.array([idx for idx, _ in neighbors])
     ysub = model.train_y[rows]
     if rows.size < model.width + 2:

@@ -309,21 +309,27 @@ def dataset_from_csv(
     overrides: dict[str, str] | None = None,
     weight_units: str = "days",
 ) -> Dataset:
-    """Load a CSV into a Dataset; empty cells become missing (None)."""
+    """Load a CSV into a Dataset; empty cells become missing (None).
+
+    With a schema (a prediction input), every schema column but the target
+    must be present; an absent target column reads as empty cells.
+    """
     header, raw_rows = read_csv(path, delimiter=delimiter)
     if schema is None:
         schema = infer_schema(header, raw_rows, target, overrides, weight_units)
     else:
-        missing = [name for name, _ in schema.columns if name not in header]
+        missing = [
+            name for name, _ in schema.columns if name not in header and name != schema.target
+        ]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-    positions = [header.index(name) for name, _ in schema.columns]
+    positions = [header.index(name) if name in header else None for name, _ in schema.columns]
     kinds = [kind for _, kind in schema.columns]
     rows = []
     for raw in raw_rows:
         vals = []
         for pos, kind in zip(positions, kinds):
-            v = raw[pos] if pos < len(raw) else ""
+            v = raw[pos] if pos is not None and pos < len(raw) else ""
             if v == "":
                 vals.append(None)
             elif kind == "numeric":

@@ -1,4 +1,4 @@
-"""Data partitioners: CART regression trees, k-means clusters, k-d tree neighborhoods.
+"""Data partitioners: CART regression trees, k-means clusters, nearest-neighbor scans.
 
 These produce the disjoint (or, for neighborhoods, per-query) row partitions
 that the composite models fit their per-partition estimators on. All three are
@@ -8,7 +8,6 @@ each one with a brute-force oracle.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,25 +168,25 @@ def build_cart(
     return RegressionTree(nodes, values.shape[1], max_depth, min_samples_split, min_samples_leaf)
 
 
-def route(tree: RegressionTree, x) -> int:
-    """Follow splits (x[feature] <= threshold goes left) to the leaf id."""
+def _leaf(tree: RegressionTree, x) -> TreeNode:
+    """Follow splits (x[feature] <= threshold goes left) to the leaf node."""
     x = np.asarray(x, dtype=float)
     if x.shape[0] != tree.n_features:
         raise ValueError(f"row width {x.shape[0]} does not match tree width {tree.n_features}")
     node = tree.nodes[0]
     while not node.is_leaf:
         node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-    return node.leaf_id
+    return node
+
+
+def route(tree: RegressionTree, x) -> int:
+    """Leaf id of the row x."""
+    return _leaf(tree, x).leaf_id
 
 
 def predict_tree_mean(tree: RegressionTree, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != tree.n_features:
-        raise ValueError("row width does not match tree width")
-    node = tree.nodes[0]
-    while not node.is_leaf:
-        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-    return node.value
+    """Mean training target of the leaf the row x falls in."""
+    return _leaf(tree, x).value
 
 
 @dataclass
@@ -282,100 +281,19 @@ def assign_cluster(partition: ClusterPartition, x_cat) -> int:
     return int(np.argmin(d2))
 
 
-@dataclass
-class KDNode:
-    dim: int = -1
-    value: float = float("nan")
-    left: int = -1
-    right: int = -1
-    bucket: np.ndarray | None = None
+def knn_query(points, x_cat, k: int) -> list[tuple[int, float]]:
+    """Exact k nearest rows of points, nondecreasing distance, ties by lower index.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.bucket is not None
-
-
-@dataclass
-class NeighborhoodIndex:
-    """k-d tree for exact nearest-neighbor queries over one-hot vectors.
-
-    Splits on the widest-spread dimension at the median (midpoint fallback
-    when the median fails to separate); buckets hold up to 16 points. One-hot
-    spaces tie constantly, so exactness, not speed, is the contract.
+    A stable sort of squared distances keeps equal distances in index order;
+    on one-hot rows the squared distances are small integers, so ties are exact.
     """
-
-    points: np.ndarray
-    nodes: list[KDNode]
-    bucket_size: int = 16
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
-
-
-def build_neighborhood_index(X_cat, bucket_size: int = 16) -> NeighborhoodIndex:
-    X = np.atleast_2d(np.asarray(X_cat, dtype=float))
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("empty data")
-    nodes: list[KDNode] = []
-
-    def grow(idx: np.ndarray) -> int:
-        me = len(nodes)
-        nodes.append(KDNode())
-        if idx.size <= bucket_size or X.shape[1] == 0:
-            nodes[me].bucket = np.sort(idx)
-            return me
-        sub = X[idx]
-        spread = sub.max(axis=0) - sub.min(axis=0)
-        dim = int(np.argmax(spread))
-        if spread[dim] == 0.0:
-            nodes[me].bucket = np.sort(idx)
-            return me
-        split = float(np.median(sub[:, dim]))
-        mask = sub[:, dim] <= split
-        if mask.all() or not mask.any():
-            split = float(0.5 * (sub[:, dim].min() + sub[:, dim].max()))
-            mask = sub[:, dim] <= split
-        nodes[me].dim = dim
-        nodes[me].value = split
-        nodes[me].left = grow(idx[mask])
-        nodes[me].right = grow(idx[~mask])
-        return me
-
-    grow(np.arange(n))
-    return NeighborhoodIndex(points=X, nodes=nodes, bucket_size=bucket_size)
-
-
-def knn_query(index: NeighborhoodIndex, x_cat, k: int) -> list[tuple[int, float]]:
-    """Exact k nearest training rows, nondecreasing distance, ties by lower index."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     x = np.asarray(x_cat, dtype=float)
-    if x.shape[0] != index.points.shape[1]:
-        raise ValueError("row width does not match index width")
-    n = index.n_points
+    if x.shape[0] != points.shape[1]:
+        raise ValueError("row width does not match point width")
+    n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"neighbor count {k} out of range 1..{n}")
-
-    heap: list[tuple[float, int]] = []  # (-d2, -idx); heap[0] is the worst kept
-
-    def visit(node_id: int) -> None:
-        node = index.nodes[node_id]
-        if node.is_leaf:
-            for idx in node.bucket:
-                diff = index.points[idx] - x
-                d2 = float(diff @ diff)
-                cand = (-d2, -int(idx))
-                if len(heap) < k:
-                    heapq.heappush(heap, cand)
-                elif cand > heap[0]:
-                    heapq.heapreplace(heap, cand)
-            return
-        near, far = (node.left, node.right) if x[node.dim] <= node.value else (node.right, node.left)
-        visit(near)
-        gap = x[node.dim] - node.value
-        if len(heap) < k or gap * gap <= -heap[0][0]:
-            visit(far)
-
-    visit(0)
-    found = sorted((-d2, -neg_idx) for d2, neg_idx in heap)
-    return [(idx, float(np.sqrt(max(d2, 0.0)))) for d2, idx in found]
+    d2 = ((points - x) ** 2).sum(axis=1)
+    nearest = np.argsort(d2, kind="stable")[:k]
+    return [(int(i), float(np.sqrt(d2[i]))) for i in nearest]

@@ -113,6 +113,29 @@ def _dated(recs) -> dict[str, date]:
     return out
 
 
+def _usable_projects(records, source: str, intermediates: list[str], target: str):
+    """Projects that date every listed milestone and complete no intermediate
+    after the target, in project-id order, as (project_id, records, dates,
+    durations): days from source to each intermediate, then to the target.
+
+    Returns them with an ExclusionReport counting the projects skipped for a
+    missing milestone or an ordering violation.
+    """
+    report = ExclusionReport()
+    kept = []
+    for project_id, recs in sorted(_projects_by_id(records).items()):
+        dates = _dated(recs)
+        if any(m not in dates for m in (source, *intermediates, target)):
+            report.missing_milestone += 1
+            continue
+        if any(dates[m] > dates[target] for m in intermediates):
+            report.ordering_violation += 1
+            continue
+        durations = tuple(float((dates[m] - dates[source]).days) for m in (*intermediates, target))
+        kept.append((project_id, recs, dates, durations))
+    return kept, report
+
+
 def intermediate_durations(
     records,
     source: str,
@@ -125,20 +148,8 @@ def intermediate_durations(
     an intermediate completes after the target (ordering violation). Skips are
     silent but counted.
     """
-    report = ExclusionReport()
-    rows = []
-    for _, recs in sorted(_projects_by_id(records).items()):
-        dates = _dated(recs)
-        needed = [source, *intermediates, target]
-        if any(m not in dates for m in needed):
-            report.missing_milestone += 1
-            continue
-        if any(dates[m] > dates[target] for m in intermediates):
-            report.ordering_violation += 1
-            continue
-        feats = tuple(float((dates[m] - dates[source]).days) for m in intermediates)
-        rows.append(feats + (float((dates[target] - dates[source]).days),))
-    return rows, report
+    projects, report = _usable_projects(records, source, intermediates, target)
+    return [durations for *_, durations in projects], report
 
 
 def prune_tail(dataset: Dataset, column: str, cap: float) -> tuple[Dataset, int]:
@@ -171,7 +182,10 @@ def _average_ranks(values: list[date]) -> list[float]:
 
 def rank_milestones(records) -> dict[str, list[str]]:
     """Typical milestone ordering per phase: sort by mean within-project rank
-    of the completion date, ties broken by name."""
+    of the completion date, ties broken by name.
+
+    A paper artefact (the milestone-ordering analysis): only tests call it.
+    """
     any_dated = False
     per_phase: dict[str, dict[str, list[float]]] = {}
     for _, recs in sorted(_projects_by_id(records).items()):
@@ -216,6 +230,10 @@ class GapMatrix:
 
 
 def gap_matrix(records) -> GapMatrix:
+    """Mean and median day gaps between every pair of dated milestones.
+
+    A paper artefact (the milestone-gap analysis): only tests call it.
+    """
     names = sorted({rec.milestone for rec in records})
     m = len(names)
     pos = {name: i for i, name in enumerate(names)}
@@ -443,23 +461,15 @@ def build_milestone_dataset(
     """Assemble the modeling table for one (source, target) milestone pair:
     site attributes, date/zip/climate features of the source completion, and
     intermediate durations in days."""
-    report = ExclusionReport()
     columns: list[tuple[str, str]] = [("project_id", "identifier")]
     cat_cols = ["city", "state", "region", "market", "zip2", "climate", "month", "quarter", "year"]
     columns += [(c, "categorical") for c in cat_cols]
     columns += [("latitude", "numeric"), ("longitude", "numeric")]
     columns += [(f"{m}_days", "numeric") for m in intermediates]
     columns += [("target_days", "numeric")]
+    projects, report = _usable_projects(records, source, intermediates, target)
     rows = []
-    for project_id, recs in sorted(_projects_by_id(records).items()):
-        dates = _dated(recs)
-        needed = [source, *intermediates, target]
-        if any(m not in dates for m in needed):
-            report.missing_milestone += 1
-            continue
-        if any(dates[m] > dates[target] for m in intermediates):
-            report.ordering_violation += 1
-            continue
+    for project_id, recs, dates, durations in projects:
         site = recs[0]
         month, quarter, year = derive_date_features(dates[source])
         row = [
@@ -476,9 +486,7 @@ def build_milestone_dataset(
             site.latitude,
             site.longitude,
         ]
-        row += [float((dates[m] - dates[source]).days) for m in intermediates]
-        row.append(float((dates[target] - dates[source]).days))
-        rows.append(tuple(row))
+        rows.append(tuple(row) + durations)
     schema = FeatureSchema(tuple(columns), target="target_days", weight_units="days")
     return Dataset(schema, tuple(rows)), report
 

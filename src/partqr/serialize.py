@@ -1,8 +1,8 @@
 """Versioned JSON model files; loading reproduces bit-identical predictions.
 
 Floats survive a JSON round-trip exactly (repr-based encoding), tree/centroid
-structures are stored verbatim, and the nn_qr neighborhood index is rebuilt
-deterministically from the stored training matrix.
+structures are stored verbatim, and nn_qr stores the training matrix its
+neighbor scans read.
 """
 
 from __future__ import annotations
@@ -16,12 +16,7 @@ from .composite import CompositeQuantileModel, ConstantModel
 from .data import CategoricalEncoding, EncodedColumn, EncodedMatrix, FeatureSchema
 from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit
-from .partition import (
-    ClusterPartition,
-    RegressionTree,
-    TreeNode,
-    build_neighborhood_index,
-)
+from .partition import ClusterPartition, RegressionTree, TreeNode
 
 FORMAT_VERSION = 1
 
@@ -180,7 +175,6 @@ def _composite_from_doc(doc: dict, schema, encoding, columns) -> CompositeQuanti
         values = np.array(doc["train_values"], dtype=float)
         model.train_matrix = EncodedMatrix(values, columns)
         model.train_y = np.array(doc["train_y"], dtype=float)
-        model.index = build_neighborhood_index(model.train_matrix.categorical_submatrix())
     return model
 
 

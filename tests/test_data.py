@@ -179,3 +179,14 @@ class TestCsv:
         path.write_text("a;b\n1;2\n", encoding="utf-8")
         ds = dataset_from_csv(path, target="b", delimiter=";")
         assert ds.rows == ((1.0, 2.0),)
+
+    def test_schema_without_target_column(self, tmp_path):
+        columns = (("site", "categorical"), ("size", "numeric"), ("days", "numeric"))
+        schema = FeatureSchema(columns, target="days")
+        path = tmp_path / "in.csv"
+        path.write_text("size,site\n3,a\n,b\n", encoding="utf-8")
+        ds = dataset_from_csv(path, target="days", schema=schema)
+        assert ds.rows == (("a", 3.0, None), ("b", None, None))
+        path.write_text("site,days\na,5\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match="size"):
+            dataset_from_csv(path, target="days", schema=schema)

@@ -6,7 +6,6 @@ from oracles import assert_tree_equals_oracle, cart_oracle, knn_scan, node_sse
 from partqr.partition import (
     assign_cluster,
     build_cart,
-    build_neighborhood_index,
     fit_kmeans,
     knn_query,
     predict_tree_mean,
@@ -228,47 +227,42 @@ class TestKnn:
     def test_query_at_training_point(self):
         rng = np.random.default_rng(16)
         P = rng.normal(size=(20, 3))
-        index = build_neighborhood_index(P)
-        got = knn_query(index, P[7], 1)
+        got = knn_query(P, P[7], 1)
         assert got[0][0] == 7 and got[0][1] == pytest.approx(0.0)
 
     def test_k_equals_n_returns_all(self):
         rng = np.random.default_rng(17)
         P = rng.normal(size=(12, 2))
-        index = build_neighborhood_index(P)
-        got = knn_query(index, rng.normal(size=2), 12)
+        got = knn_query(P, rng.normal(size=2), 12)
         assert sorted(i for i, _ in got) == list(range(12))
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(18)
         P = rng.normal(size=(50, 4))
-        index = build_neighborhood_index(P, bucket_size=4)
         for _ in range(25):
             x = rng.normal(size=4)
-            assert_same_neighbors(knn_query(index, x, 5), knn_scan(P, x, 5))
+            assert_same_neighbors(knn_query(P, x, 5), knn_scan(P, x, 5))
 
     def test_one_hot_ties_break_by_index(self):
         # many duplicate one-hot rows: ties must resolve to lower indices
         P = np.zeros((12, 3))
         P[np.arange(12), np.arange(12) % 3] = 1.0
-        index = build_neighborhood_index(P, bucket_size=2)
-        got = knn_query(index, [1.0, 0.0, 0.0], 4)
+        got = knn_query(P, [1.0, 0.0, 0.0], 4)
         assert_same_neighbors(got, knn_scan(P, np.array([1.0, 0.0, 0.0]), 4))
 
     def test_large_random_equals_scan(self):
         rng = np.random.default_rng(19)
         P = np.zeros((1000, 8))
         P[np.arange(1000), rng.integers(0, 8, 1000)] = 1.0
-        index = build_neighborhood_index(P)
         for _ in range(10):
             x = np.zeros(8)
             x[int(rng.integers(0, 8))] = 1.0
             k = int(rng.integers(1, 200))
-            assert_same_neighbors(knn_query(index, x, k), knn_scan(P, x, k))
+            assert_same_neighbors(knn_query(P, x, k), knn_scan(P, x, k))
 
     def test_k_out_of_range(self):
-        index = build_neighborhood_index(np.zeros((3, 2)))
+        P = np.zeros((3, 2))
         with pytest.raises(ValueError):
-            knn_query(index, [0.0, 0.0], 0)
+            knn_query(P, [0.0, 0.0], 0)
         with pytest.raises(ValueError):
-            knn_query(index, [0.0, 0.0], 4)
+            knn_query(P, [0.0, 0.0], 4)

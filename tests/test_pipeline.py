@@ -111,6 +111,31 @@ class TestIntermediateDurations:
         assert rows == []
         assert report.ordering_violation == 1
 
+    def test_matches_milestone_dataset(self):
+        records = [
+            rec("p1", "start", "2021-01-01"),
+            rec("p1", "mid", "2021-01-11"),
+            rec("p1", "late", "2021-01-20"),
+            rec("p1", "end", "2021-02-01"),
+            rec("p2", "start", "2021-01-05"),
+            rec("p2", "end", "2021-01-25"),
+            rec("p3", "start", "2021-02-01"),
+            rec("p3", "mid", "2021-04-01"),
+            rec("p3", "late", "2021-02-10"),
+            rec("p3", "end", "2021-03-01"),
+            rec("p4", "start", "2021-03-01"),
+            rec("p4", "mid", "2021-03-02"),
+            rec("p4", "late", "2021-03-09"),
+            rec("p4", "end", "2021-03-10"),
+        ]
+        rows, report = intermediate_durations(records, "start", ["mid", "late"], "end")
+        ds, ds_report = build_milestone_dataset(records, "start", ["mid", "late"], "end")
+        cols = [ds.schema.index_of(c) for c in ("mid_days", "late_days", "target_days")]
+        assert rows == [(10.0, 19.0, 31.0), (1.0, 8.0, 9.0)]
+        assert [tuple(r[j] for j in cols) for r in ds.rows] == rows
+        assert report == ds_report
+        assert (report.missing_milestone, report.ordering_violation) == (1, 1)
+
 
 class TestPruneTail:
     def make(self, values):
