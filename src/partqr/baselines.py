@@ -3,10 +3,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .partition import RegressionTree, _leaf, _values_of, build_cart, predict_tree_mean
+from .partition import (
+    RegressionTree,
+    _leaf,
+    _values_of,
+    build_cart,
+    predict_tree_mean,
+    presort,
+)
 
 
 @dataclass
@@ -14,7 +22,9 @@ class ForestModel:
     """Bagged CART trees; leaves keep row lists so QRF quantiles stay available.
 
     Per-tree randomness is derived from SeedSequence([seed, tree_index]), so
-    the forest is identical regardless of training order.
+    the forest is identical regardless of training order. The QRF lookup
+    tables (`y_order`, `leaf_members`) are derived from the fields on first
+    use and never serialised.
     """
 
     trees: list[RegressionTree]
@@ -24,6 +34,19 @@ class ForestModel:
     bootstrap: bool
     seed: int
     feature_fraction: float
+
+    @cached_property
+    def y_order(self) -> np.ndarray:
+        """Training rows in ascending target order, ties by row index."""
+        return np.argsort(self.y_train, kind="stable")
+
+    @cached_property
+    def leaf_members(self) -> list[dict[int, np.ndarray]]:
+        """Per tree, leaf id -> the distinct training rows in that leaf."""
+        return [
+            {leaf.leaf_id: np.unique(sample[leaf.rows]) for leaf in tree.leaf_nodes()}
+            for tree, sample in zip(self.trees, self.sample_indices)
+        ]
 
     @property
     def n_trees(self) -> int:
@@ -94,24 +117,32 @@ def qrf_weights(forest: ForestModel, x) -> np.ndarray:
     is ignored), so the weights of every query sum to 1.
     """
     x = np.asarray(x, dtype=float)
-    n = forest.y_train.shape[0]
-    w = np.zeros(n)
-    for tree, sample, cols in zip(forest.trees, forest.sample_indices, forest.feature_subsets):
-        members = np.unique(sample[_leaf(tree, x[cols]).rows])
-        w[members] += 1.0 / members.size
+    members = [
+        table[_leaf(tree, x[cols]).leaf_id]
+        for tree, cols, table in zip(forest.trees, forest.feature_subsets, forest.leaf_members)
+    ]
+    # bincount adds the shares tree by tree, in the order of the list
+    shares = np.repeat([1.0 / m.size for m in members], [m.size for m in members])
+    w = np.bincount(np.concatenate(members), weights=shares, minlength=forest.y_train.shape[0])
     return w / forest.n_trees
 
 
-def qrf_predict(forest: ForestModel, x, alpha: float) -> float:
-    """Weighted empirical quantile: smallest y whose cumulative weight >= alpha."""
-    if not 0 < alpha < 1:
+def qrf_predict(forest: ForestModel, x, alpha):
+    """Weighted empirical quantile: smallest y whose cumulative weight >= alpha.
+
+    `alpha` is one level or a sequence of levels (as `q` in `np.quantile`);
+    the weights are computed once per call. Returns a float for one level and
+    an array for a sequence.
+    """
+    levels = np.asarray(alpha, dtype=float)
+    if not np.all((levels > 0) & (levels < 1)):
         raise ValueError("alpha must lie in (0, 1)")
     w = qrf_weights(forest, x)
-    order = np.argsort(forest.y_train, kind="stable")
+    order = forest.y_order
     cum = np.cumsum(w[order])
-    pos = int(np.searchsorted(cum, alpha - 1e-12))
-    pos = min(pos, order.size - 1)
-    return float(forest.y_train[order[pos]])
+    pos = np.minimum(np.searchsorted(cum, levels - 1e-12), order.size - 1)
+    out = forest.y_train[order[pos]]
+    return float(out) if levels.ndim == 0 else out
 
 
 @dataclass
@@ -145,11 +176,14 @@ def fit_gb(
         raise ValueError("learning_rate must lie in (0, 1]")
 
     current = np.full(y.shape[0], float(np.mean(y)))
+    order = presort(values)  # X is the same at every stage; only the residuals change
     trees = []
     history = []
     for _ in range(n_stages):
         residuals = y - current
-        tree = build_cart(values, residuals, max_depth, min_samples_split, min_samples_leaf)
+        tree = build_cart(
+            values, residuals, max_depth, min_samples_split, min_samples_leaf, order=order
+        )
         for leaf in tree.leaf_nodes():
             current[leaf.rows] += learning_rate * leaf.value
         trees.append(tree)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -311,6 +312,9 @@ def dataset_from_csv(
 ) -> Dataset:
     """Load a CSV into a Dataset; empty cells become missing (None).
 
+    A numeric cell that is not a finite number (`nan`, `inf`, text) raises
+    SchemaError naming the path, the line and the column.
+
     With a schema (a prediction input), every schema column but the target
     must be present; an absent target column reads as empty cells.
     """
@@ -324,17 +328,27 @@ def dataset_from_csv(
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
     positions = [header.index(name) if name in header else None for name, _ in schema.columns]
-    kinds = [kind for _, kind in schema.columns]
     rows = []
-    for raw in raw_rows:
+    for line, raw in enumerate(raw_rows, start=2):  # the header is line 1
         vals = []
-        for pos, kind in zip(positions, kinds):
+        for pos, (name, kind) in zip(positions, schema.columns):
             v = raw[pos] if pos is not None and pos < len(raw) else ""
             if v == "":
                 vals.append(None)
             elif kind == "numeric":
-                vals.append(float(v))
+                vals.append(_finite_cell(v, f"{path}:{line}: column {name!r}"))
             else:
                 vals.append(v)
         rows.append(tuple(vals))
     return Dataset(schema, tuple(rows))
+
+
+def _finite_cell(text: str, where: str) -> float:
+    """A numeric cell as a float; `nan`, `inf` and non-numbers raise SchemaError."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise SchemaError(f"{where}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise SchemaError(f"{where}: non-finite value {text!r}")
+    return value

@@ -117,6 +117,19 @@ class CompositeFit:
         return count_parameters(self.model)
 
 
+# The lambdas look the predictors up at call time, so a wrapper installed on
+# the module attribute (a tracer, a test double) sees every call.
+_BASELINE_POINT = {
+    "decision_tree": lambda tree, x: predict_tree_mean(tree, x),
+    "random_forest": lambda forest, x: predict_rf(forest, x),
+    "qrf": lambda forest, x: qrf_predict(forest, x, 0.5),
+    "gradient_boosting": lambda model, x: predict_gb(model, x),
+}
+
+# lower, median, upper; nondecreasing, so the QRF quantiles come out ordered
+_INTERVAL_LEVELS = (0.05, 0.5, 0.95)
+
+
 @dataclass
 class BaselineFit:
     name: str
@@ -132,25 +145,16 @@ class BaselineFit:
     def _encode(self, row) -> np.ndarray:
         return encode_row(self.schema, self.encoding, row)
 
-    def _point_one(self, x: np.ndarray) -> float:
-        if self.name == "decision_tree":
-            return predict_tree_mean(self.inner, x)
-        if self.name == "random_forest":
-            return predict_rf(self.inner, x)
-        if self.name == "qrf":
-            return qrf_predict(self.inner, x, 0.5)
-        return predict_gb(self.inner, x)
-
     def predict_point(self, rows) -> np.ndarray:
-        return np.array([self._point_one(self._encode(r)) for r in rows])
+        point = _BASELINE_POINT[self.name]
+        return np.array([point(self.inner, self._encode(r)) for r in rows])
 
     def predict_intervals(self, rows) -> np.ndarray | None:
         if not self.quantile_capable:
             return None
         out = np.empty((len(rows), 3))
         for i, r in enumerate(rows):
-            x = self._encode(r)
-            out[i] = sorted(qrf_predict(self.inner, x, a) for a in (0.05, 0.5, 0.95))
+            out[i] = qrf_predict(self.inner, self._encode(r), _INTERVAL_LEVELS)
         return out
 
     def parameter_count(self) -> int | None:

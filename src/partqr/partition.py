@@ -73,44 +73,47 @@ class RegressionTree:
         return out
 
 
-def _node_sse(prefix_sum: float, prefix_sq: float, count: int) -> float:
-    return prefix_sq - prefix_sum * prefix_sum / count
+def presort(values: np.ndarray) -> np.ndarray:
+    """Row ids of each column in ascending value order, ties by row id: a (p, n) array."""
+    return np.ascontiguousarray(np.argsort(values, axis=0, kind="stable").T)
 
 
-def _best_split(values: np.ndarray, y: np.ndarray, rows: np.ndarray, min_samples_leaf: int):
-    """Scan all features/midpoints; returns (cost, feature, threshold) or None.
+def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
+    """Scan every feature and midpoint at once; returns (cost, feature, threshold) or None.
 
-    Ties keep the first candidate found, i.e. lowest feature index, then
-    lowest threshold.
+    Row j of xs and ys holds the node's feature-j values and targets in
+    ascending feature-j order, ties by row id. That is the order a per-node
+    stable argsort of the ascending row list gives, so the cumulative sums,
+    and with them the costs, are bitwise those of a one-feature-at-a-time
+    scan. Invalid cuts (inside a run of equal values, or leaving a child
+    below min_samples_leaf) cost inf. Ties keep the lowest feature index,
+    then the lowest threshold.
     """
-    n = rows.size
-    best = None
-    for j in range(values.shape[1]):
-        x = values[rows, j]
-        order = np.argsort(x, kind="stable")
-        xs = x[order]
-        ys = y[rows][order]
-        csum = np.cumsum(ys)
-        csq = np.cumsum(ys * ys)
-        total, total_sq = csum[-1], csq[-1]
-        cut = np.flatnonzero(xs[1:] > xs[:-1]) + 1  # left sizes at distinct boundaries
-        cut = cut[(cut >= min_samples_leaf) & (n - cut >= min_samples_leaf)]
-        if cut.size == 0:
-            continue
-        sum_l = csum[cut - 1]
-        sq_l = csq[cut - 1]
-        sse = (
-            sq_l
-            - sum_l * sum_l / cut
-            + (total_sq - sq_l)
-            - (total - sum_l) * (total - sum_l) / (n - cut)
-        )
-        k = int(np.argmin(sse))
-        cost = float(sse[k])
-        if best is None or cost < best[0]:
-            i = int(cut[k])
-            best = (cost, j, float(0.5 * (xs[i - 1] + xs[i])))
-    return best
+    n = xs.shape[1]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    total, total_sq = csum[:, -1:], csq[:, -1:]
+    cut = np.arange(1, n)  # left child sizes
+    sum_l = csum[:, :-1]
+    sq_l = csq[:, :-1]
+    sse = (
+        sq_l
+        - sum_l * sum_l / cut
+        + (total_sq - sq_l)
+        - (total - sum_l) * (total - sum_l) / (n - cut)
+    )
+    valid = xs[:, 1:] > xs[:, :-1]  # distinct boundaries
+    valid[:, : min_samples_leaf - 1] = False
+    valid[:, max(n - min_samples_leaf, 0) :] = False
+    usable = np.flatnonzero(valid.any(axis=1))
+    if usable.size == 0:
+        return None
+    sse[~valid] = np.inf
+    k = np.argmin(sse[usable], axis=1)
+    costs = sse[usable, k]
+    best = int(np.argmin(costs))
+    j, i = int(usable[best]), int(k[best]) + 1
+    return float(costs[best]), j, float(0.5 * (xs[j, i - 1] + xs[j, i]))
 
 
 def build_cart(
@@ -119,53 +122,80 @@ def build_cart(
     max_depth: int,
     min_samples_split: int = 2,
     min_samples_leaf: int = 1,
+    *,
+    order: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy CART: axis-aligned splits minimizing the children's summed SSE.
 
     Split candidates are midpoints between consecutive distinct sorted values;
     a node becomes a leaf when depth/size limits are hit or when no candidate
     reduces the SSE by more than 1e-12.
+
+    Each column is sorted once, at the root (`presort`; pass `order` to reuse
+    one sort across builds on the same X). A node holds its rows per feature
+    in that order, and a split hands each child the stable sub-sequence of
+    its rows, so every node sees each feature sorted by value, ties by row id,
+    exactly as a per-node stable sort of its ascending rows would give. Leaf
+    row lists stay ascending.
     """
     values = _values_of(X)
     y = np.asarray(y, dtype=float)
-    n = values.shape[0]
+    n, p = values.shape
     if n == 0:
         raise ValueError("empty data")
-    if values.shape[0] != y.shape[0]:
+    if n != y.shape[0]:
         raise ValueError("X and y row counts differ")
     if max_depth < 0 or min_samples_split < 2 or min_samples_leaf < 1:
         raise ValueError("invalid tree hyperparameters")
+    if order is None:
+        order = presort(values)
+    elif order.shape != (p, n):
+        raise ValueError(f"order has shape {order.shape}, expected {(p, n)}")
 
     nodes: list[TreeNode] = []
     leaf_counter = [0]
+    goes_left = np.empty(n, dtype=bool)
 
-    def grow(rows: np.ndarray, depth: int) -> int:
+    def splits(size: int, depth: int) -> bool:
+        return depth < max_depth and size >= min_samples_split
+
+    def grow(rows: np.ndarray, sorted_rows: np.ndarray | None, depth: int) -> int:
         idx = len(nodes)
         nodes.append(TreeNode())
         node = nodes[idx]
         node.value = float(np.mean(y[rows]))
         split = None
-        if depth < max_depth and rows.size >= min_samples_split:
+        if sorted_rows is not None:
             ysub = y[rows]
             parent_sse = float(np.sum(ysub * ysub) - rows.size * node.value**2)
-            cand = _best_split(values, y, rows, min_samples_leaf)
+            xs = np.take_along_axis(values.T, sorted_rows, axis=1)
+            cand = _best_split(xs, y[sorted_rows], min_samples_leaf)
             if cand is not None and parent_sse - cand[0] > _MIN_SSE_GAIN:
                 split = cand
         if split is None:
             node.leaf_id = leaf_counter[0]
             leaf_counter[0] += 1
-            node.rows = np.sort(rows)
+            node.rows = rows
             return idx
         _, feature, threshold = split
         node.feature = feature
         node.threshold = threshold
         mask = values[rows, feature] <= threshold
-        node.left = grow(rows[mask], depth + 1)
-        node.right = grow(rows[~mask], depth + 1)
+        goes_left[rows] = mask  # by row id, read back in each feature's order
+        to_left = goes_left[sorted_rows]
+
+        def child(keep_rows, keep_sorted) -> int:
+            sub = rows[keep_rows]
+            if not splits(sub.size, depth + 1):
+                return grow(sub, None, depth + 1)
+            return grow(sub, sorted_rows[keep_sorted].reshape(p, sub.size), depth + 1)
+
+        node.left = child(mask, to_left)
+        node.right = child(~mask, ~to_left)
         return idx
 
-    grow(np.arange(n), 0)
-    return RegressionTree(nodes, values.shape[1], max_depth, min_samples_split, min_samples_leaf)
+    grow(np.arange(n), order if splits(n, 0) else None, 0)
+    return RegressionTree(nodes, p, max_depth, min_samples_split, min_samples_leaf)
 
 
 def _leaf(tree: RegressionTree, x) -> TreeNode:

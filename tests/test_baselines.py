@@ -11,7 +11,13 @@ from partqr.baselines import (
     qrf_predict,
     qrf_weights,
 )
+from partqr.data import encode_row
+from partqr.evaluation import SyntheticSpec, generate_synthetic
+from partqr.models import fit_model
 from partqr.partition import build_cart, predict_tree_mean
+from partqr.serialize import load_model, save_model
+
+LEVELS = (0.05, 0.5, 0.95)
 
 
 class TestDtMean:
@@ -155,8 +161,34 @@ class TestQrf:
             qs = [qrf_predict(forest, x, a) for a in np.linspace(0.05, 0.95, 10)]
             assert all(a <= b for a, b in zip(qs, qs[1:]))
 
+    def test_levels_match_oracle(self):
+        rng = np.random.default_rng(12)
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        y = np.round(rng.normal(size=60), 1)  # tied targets
+        forest = fit_rf(X, y, n_trees=5, seed=4, max_depth=4)
+        for _ in range(15):
+            x = np.round(rng.normal(size=3), 1)
+            got = qrf_predict(forest, x, LEVELS)
+            assert got.tolist() == [qrf_oracle(forest, x, a) for a in LEVELS]
+            assert isinstance(qrf_predict(forest, x, 0.5), float)
+
+    def test_baseline_fit_matches_oracle_across_save_load(self, tmp_path):
+        train = generate_synthetic(SyntheticSpec(n_projects=120, seed=21))
+        rows = generate_synthetic(SyntheticSpec(n_projects=25, seed=22)).rows
+        fit = fit_model("qrf", train, {"max_depth": 4, "min_samples_split": 10, "n_trees": 8}, seed=3)
+        save_model(tmp_path / "qrf.json", fit)
+        for model in (fit, load_model(tmp_path / "qrf.json")):
+            point = model.predict_point(rows)
+            intervals = model.predict_intervals(rows)
+            for i, row in enumerate(rows):
+                x = encode_row(model.schema, model.encoding, row)
+                assert point[i] == qrf_oracle(model.inner, x, 0.5)
+                assert intervals[i].tolist() == [qrf_oracle(model.inner, x, a) for a in LEVELS]
+
     def test_alpha_range(self):
         X = np.arange(6.0).reshape(-1, 1)
         forest = fit_rf(X, np.arange(6.0), n_trees=1, seed=0, max_depth=1)
         with pytest.raises(ValueError):
             qrf_predict(forest, [1.0], 0.0)
+        with pytest.raises(ValueError):
+            qrf_predict(forest, [1.0], (0.5, 1.0))

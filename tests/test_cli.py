@@ -63,6 +63,18 @@ class TestTrain:
         main(["train", "--config", str(config)])
         assert (tmp_path / "model.json").read_bytes() == first
 
+    def test_inf_cell_exit_2_at_ingest(self, tmp_path, synth_csv, capsys):
+        lines = synth_csv.read_text(encoding="utf-8").splitlines()
+        cells = lines[4].split(",")
+        cells[lines[0].split(",").index("step2_days")] = "inf"
+        lines[4] = ",".join(cells)
+        synth_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, synth_csv)
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "'ingest'" in err and f"{synth_csv}:5: column 'step2_days'" in err
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestPredict:
     def make_model(self, tmp_path, synth_csv):
@@ -134,6 +146,20 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--input", str(inp)]) == 2
         err = capsys.readouterr().err
         assert "step1_days" in err
+
+    def test_nan_cell_exit_2(self, tmp_path, synth_csv, capsys):
+        model = self.make_model(tmp_path, synth_csv)
+        inp = tmp_path / "in.csv"
+        inp.write_text(
+            "site_category,step1_days,step2_days,step3_days,step4_days\n"
+            "metro,10,20,30,15\n"
+            "metro,10,nan,30,15\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
+        assert f"{inp}:3: column 'step2_days'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBenchmarkCommand:
@@ -334,7 +360,13 @@ class TestMilestoneFlow:
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        assert main(["train", "--config", str(path)]) == 0
+        # the milestone rows carry no city, market, region or coordinates
+        with pytest.warns(UserWarning, match="entirely missing") as record:
+            assert main(["train", "--config", str(path)]) == 0
+        assert {str(w.message) for w in record} == {
+            f"column {name!r} is entirely missing; dropping it"
+            for name in ("city", "latitude", "longitude", "market", "region")
+        }
         fitted = load_model(tmp_path / "m.json")
         schema = fitted.model.schema
         assert schema.target == "target_days"

@@ -3,6 +3,7 @@ import pytest
 
 from oracles import assert_tree_equals_oracle, cart_oracle, knn_scan, node_sse
 
+from partqr.baselines import fit_gb
 from partqr.partition import (
     assign_cluster,
     build_cart,
@@ -91,6 +92,60 @@ class TestCart:
             build_cart(X, np.arange(4.0), max_depth=-1)
         with pytest.raises(ValueError):
             build_cart(X, np.arange(4.0), max_depth=2, min_samples_split=1)
+
+
+def tie_heavy_design(kind, rng):
+    """Designs with many equal values per column, as a presort must order them."""
+    n = 90
+    if kind == "rounded":
+        X = np.round(rng.normal(size=(n, 3)), 1)
+    elif kind == "one_hot":  # five levels, so no two indicators split a node alike
+        X = np.column_stack([np.eye(5)[rng.integers(0, 5, n)], rng.uniform(size=n)])
+    else:  # a bootstrap resample of a rounded design: duplicated rows
+        X = np.round(rng.normal(size=(n, 3)), 1)[rng.integers(0, n, n)]
+    y = rng.normal(size=n) + X @ rng.normal(size=X.shape[1])
+    return X, y
+
+
+def assert_same_tree(a, b):
+    assert len(a.nodes) == len(b.nodes)
+    for na, nb in zip(a.nodes, b.nodes):
+        assert (na.feature, na.left, na.right, na.leaf_id) == (nb.feature, nb.left, nb.right, nb.leaf_id)
+        assert na.value == nb.value
+        assert na.threshold == nb.threshold or (np.isnan(na.threshold) and np.isnan(nb.threshold))
+        assert (na.rows is None) == (nb.rows is None)
+        if na.rows is not None:
+            assert na.rows.tolist() == nb.rows.tolist()
+
+
+class TestCartPresort:
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    @pytest.mark.parametrize("kind", ["rounded", "one_hot", "bootstrap"])
+    def test_tie_heavy_designs_match_oracle(self, kind, min_samples_leaf):
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            X, y = tie_heavy_design(kind, rng)
+            params = dict(max_depth=3, min_samples_split=8, min_samples_leaf=min_samples_leaf)
+            tree = build_cart(X, y, **params)
+            assert_tree_equals_oracle(tree, cart_oracle(X, y, **params))
+            assert all(np.all(np.diff(leaf.rows) > 0) for leaf in tree.leaf_nodes())
+
+    def test_boosting_stages_equal_fresh_builds(self):
+        # every stage shares one presort; each must equal a build that sorts for itself
+        rng = np.random.default_rng(13)
+        X, y = tie_heavy_design("rounded", rng)
+        model = fit_gb(X, y, n_stages=12, learning_rate=0.3, max_depth=3, min_samples_leaf=2)
+        current = np.full(y.shape[0], float(np.mean(y)))
+        for tree in model.trees:
+            fresh = build_cart(X, y - current, 3, 2, 2)
+            assert_same_tree(tree, fresh)
+            for leaf in fresh.leaf_nodes():
+                current[leaf.rows] += 0.3 * leaf.value
+
+    def test_order_shape_checked(self):
+        X = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError, match="order has shape"):
+            build_cart(X, np.arange(6.0), max_depth=2, order=np.zeros((6, 2), dtype=int))
 
 
 class TestRoute:
