@@ -7,6 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .data import encoded_stack
 from .partition import (
     RegressionTree,
     _leaf,
@@ -41,12 +42,20 @@ class ForestModel:
         return np.argsort(self.y_train, kind="stable")
 
     @cached_property
-    def leaf_members(self) -> list[dict[int, np.ndarray]]:
-        """Per tree, leaf id -> the distinct training rows in that leaf."""
-        return [
-            {leaf.leaf_id: np.unique(sample[leaf.rows]) for leaf in tree.leaf_nodes()}
-            for tree, sample in zip(self.trees, self.sample_indices)
-        ]
+    def leaf_members(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per tree, the distinct training rows of each leaf as (ptr, ranks):
+        leaf l holds the rows y_order[ranks[ptr[l]:ptr[l + 1]]]."""
+        n = self.y_train.shape[0]
+        rank = np.empty(n, dtype=np.intp)
+        rank[self.y_order] = np.arange(n)
+        tables = []
+        for tree, sample in zip(self.trees, self.sample_indices):
+            leaves = tree.leaf_nodes()
+            # one key per distinct (leaf, row) pair, sorted by leaf
+            pairs = [leaf.leaf_id * n + rank[sample[leaf.rows]] for leaf in leaves]
+            keys = np.unique(np.concatenate(pairs))
+            tables.append((np.searchsorted(keys, np.arange(len(leaves) + 1) * n), keys % n))
+        return tables
 
     @property
     def n_trees(self) -> int:
@@ -101,48 +110,92 @@ def fit_rf(
     )
 
 
-def predict_rf(forest: ForestModel, x) -> float:
-    """Arithmetic mean of the member trees' predictions."""
-    x = np.asarray(x, dtype=float)
-    preds = [
-        predict_tree_mean(tree, x[cols]) for tree, cols in zip(forest.trees, forest.feature_subsets)
+def predict_rf(forest: ForestModel, x):
+    """Arithmetic mean of the member trees' predictions, for one row or per row of a stack.
+
+    Each row's predictions sit contiguously, so its mean is summed as the
+    one-row mean is.
+    """
+    X, one = encoded_stack(x)
+    preds = np.empty((X.shape[0], forest.n_trees))
+    for t, (tree, cols) in enumerate(zip(forest.trees, forest.feature_subsets)):
+        preds[:, t] = predict_tree_mean(tree, X[:, cols])
+    means = np.mean(preds, axis=1)
+    return float(means[0]) if one else means
+
+
+def _leaf_ids(forest: ForestModel, X: np.ndarray) -> np.ndarray:
+    """Leaf id of each row of the 2-D X in each tree: a (trees, rows) array."""
+    ids = [
+        tree.arrays.leaf_id[_leaf(tree, X[:, cols])]
+        for tree, cols in zip(forest.trees, forest.feature_subsets)
     ]
-    return float(np.mean(preds))
+    return np.array(ids, dtype=np.intp).reshape(forest.n_trees, X.shape[0])
+
+
+def _ranked_weights(forest: ForestModel, leaf_ids: np.ndarray) -> np.ndarray:
+    """QRF weights of each query over the training rows in ascending target
+    order (`y_order`), built tree by tree from the queries' (trees, rows) leaf ids."""
+    queries = np.arange(leaf_ids.shape[1])
+    w = np.zeros((queries.size, forest.y_train.shape[0]))
+    for leaf, (ptr, ranks) in zip(leaf_ids, forest.leaf_members):
+        start, size = ptr[leaf], ptr[leaf + 1] - ptr[leaf]
+        # the members of each query's leaf, one query after another; a
+        # (query, member) pair occurs once per tree, so += adds every share
+        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+        members = ranks[np.repeat(start, size) + offset]
+        w[np.repeat(queries, size), members] += np.repeat(1.0 / size, size)
+    w /= forest.n_trees
+    return w
 
 
 def qrf_weights(forest: ForestModel, x) -> np.ndarray:
     """Per-training-row weights: average over trees of 1/leaf-size membership.
 
     Leaf membership is by distinct original row index (bootstrap multiplicity
-    is ignored), so the weights of every query sum to 1.
+    is ignored), so the weights of every query sum to 1. One row gives a
+    vector; a stack gives one row of weights per query. Each weight adds its
+    shares in tree order, for one row as for a stack.
     """
-    x = np.asarray(x, dtype=float)
-    members = [
-        table[_leaf(tree, x[cols]).leaf_id]
-        for tree, cols, table in zip(forest.trees, forest.feature_subsets, forest.leaf_members)
-    ]
-    # bincount adds the shares tree by tree, in the order of the list
-    shares = np.repeat([1.0 / m.size for m in members], [m.size for m in members])
-    w = np.bincount(np.concatenate(members), weights=shares, minlength=forest.y_train.shape[0])
-    return w / forest.n_trees
+    X, one = encoded_stack(x)
+    w = np.empty((X.shape[0], forest.y_train.shape[0]))
+    w[:, forest.y_order] = _ranked_weights(forest, _leaf_ids(forest, X))
+    return w[0] if one else w
+
+
+# weight cells (128 KiB of float64) per block of query rows: bounds the (rows,
+# training rows) weight matrix. Blocks of 1 MiB raised the peak RSS of the
+# ensemble-grid benchmark by 2.7 MB; the walk runs once per batch either way.
+_QRF_BLOCK_CELLS = 1 << 14
 
 
 def qrf_predict(forest: ForestModel, x, alpha):
     """Weighted empirical quantile: smallest y whose cumulative weight >= alpha.
 
     `alpha` is one level or a sequence of levels (as `q` in `np.quantile`);
-    the weights are computed once per call. Returns a float for one level and
-    an array for a sequence.
+    the weights are computed once per row. One row and one level give a
+    float; a stack adds a leading row axis, a sequence a trailing level axis.
     """
     levels = np.asarray(alpha, dtype=float)
     if not np.all((levels > 0) & (levels < 1)):
         raise ValueError("alpha must lie in (0, 1)")
-    w = qrf_weights(forest, x)
+    X, one = encoded_stack(x)
+    leaf_ids = _leaf_ids(forest, X)
     order = forest.y_order
-    cum = np.cumsum(w[order])
-    pos = np.minimum(np.searchsorted(cum, levels - 1e-12), order.size - 1)
-    out = forest.y_train[order[pos]]
-    return float(out) if levels.ndim == 0 else out
+    out = np.empty((X.shape[0], levels.size))
+    step = max(1, _QRF_BLOCK_CELLS // order.size)
+    for start in range(0, X.shape[0], step):
+        cum = _ranked_weights(forest, leaf_ids[:, start : start + step])
+        np.cumsum(cum, axis=1, out=cum)
+        for j, level in enumerate(levels.reshape(-1)):
+            # the cumulative weights are nondecreasing, so counting those
+            # below the level finds the position np.searchsorted finds
+            pos = np.minimum((cum < level - 1e-12).sum(axis=1), order.size - 1)
+            out[start : start + step, j] = forest.y_train[order[pos]]
+    out = out.reshape(X.shape[:1] + levels.shape)
+    if one:
+        out = out[0]
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -196,9 +249,13 @@ def fit_gb(
     )
 
 
-def predict_gb(model: BoostedModel, x) -> float:
-    x = np.asarray(x, dtype=float)
-    out = model.init
+def predict_gb(model: BoostedModel, x):
+    """init + lr * sum of the stage trees, for one row (a float) or per row of a stack.
+
+    The stages are added one by one, in the order of the one-row sum.
+    """
+    X, one = encoded_stack(x)
+    out = np.full(X.shape[0], model.init)
     for tree in model.trees:
-        out += model.learning_rate * predict_tree_mean(tree, x)
-    return float(out)
+        out += model.learning_rate * predict_tree_mean(tree, X)
+    return float(out[0]) if one else out

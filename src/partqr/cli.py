@@ -224,6 +224,15 @@ def cmd_predict(args) -> int:
         if intervals is None:
             point = fitted.predict_point(rows)
             intervals = np.column_stack([point, point, point])
+        # The input is validated at read time, so a non-finite forecast is an
+        # internal fault: exit 1 (RuntimeError) before any file is written.
+        bad = np.flatnonzero(~np.isfinite(intervals).all(axis=1))
+        if bad.size:
+            i = int(bad[0])
+            raise RuntimeError(
+                f"{args.input}:{i + 2}: non-finite forecast {intervals[i].tolist()} "
+                f"for input row {i + 1}"
+            )
     with _Stage("write"):
         out = args.output or "predictions.csv"
         with open(out, "w", newline="", encoding="utf-8") as fh:

@@ -35,6 +35,8 @@ from .partition import (
 
 KINDS = ("quantile_tree", "piecewise_qr", "piecewise_rr", "nn_qr")
 DEFAULT_LEVELS = (0.05, 0.5, 0.95)
+# lower, median, upper of a prediction interval
+INTERVAL_LEVELS = (0.05, 0.5, 0.95)
 PARAM_COUNT_NA = None  # printed as "NA" in reports
 
 
@@ -180,8 +182,7 @@ def fit_composite(
             max_iter=int(hyperparams.get("max_iter", 300)),
         )
         model.clusters = clusters
-        x_cat = matrix.categorical_submatrix()
-        assignments = np.array([assign_cluster(clusters, row) for row in x_cat])
+        assignments = assign_cluster(clusters, matrix.categorical_submatrix())
         for cid in range(clusters.k):
             rows = np.flatnonzero(assignments == cid)
             model.partition_rows[cid] = rows
@@ -200,15 +201,15 @@ def fit_composite(
     return model
 
 
-def _estimate(estimator, x_enc: np.ndarray) -> float:
+def _estimate(estimator, X: np.ndarray):
     if isinstance(estimator, ConstantModel):
         return estimator.value
-    return predict_linear(estimator, x_enc)
+    return predict_linear(estimator, X)
 
 
 def _encode_input(model: CompositeQuantileModel, x) -> np.ndarray:
     x_enc = encode_row(model.schema, model.encoding, x)
-    if x_enc.shape[0] != model.width:
+    if x_enc.shape[-1] != model.width:
         raise ValueError("encoded row width does not match model")
     return x_enc
 
@@ -226,57 +227,83 @@ def resolve_partition(model: CompositeQuantileModel, x) -> int:
     raise ValueError("nn_qr has no fixed partitions")
 
 
-def _nn_predict(model: CompositeQuantileModel, x_enc: np.ndarray, alpha: float) -> float:
-    cat_mask = model.categorical_mask
+def _nn_predict(model: CompositeQuantileModel, X: np.ndarray, levels) -> np.ndarray:
+    """nn_qr answers for every row of X and level: an (n, levels) array.
+
+    The neighbours depend only on a row's categorical part, so the rows that
+    share a categorical pattern share one neighbourhood fit per level.
+    """
     k = int(model.hyperparams["n_neighbors"])
-    neighbors = knn_query(model.train_matrix.categorical_submatrix(), x_enc[cat_mask], k)
-    rows = np.array([idx for idx, _ in neighbors])
-    ysub = model.train_y[rows]
-    if rows.size < model.width + 2:
-        return pinball_quantile(ysub, alpha)
-    fitted = fit_quantile(
-        model.train_matrix.subset(rows), ysub, alpha, float(model.hyperparams.get("lam", 0.0))
-    )
-    return predict_linear(fitted, x_enc)
+    lam = float(model.hyperparams.get("lam", 0.0))
+    points = model.train_matrix.categorical_submatrix()
+    patterns, group = np.unique(X[:, model.categorical_mask], axis=0, return_inverse=True)
+    out = np.empty((X.shape[0], len(levels)))
+    for g, pattern in enumerate(patterns):
+        rows = np.flatnonzero(group == g)
+        neighbors = np.array([idx for idx, _ in knn_query(points, pattern, k)])
+        ysub = model.train_y[neighbors]
+        for j, alpha in enumerate(levels):
+            if neighbors.size < model.width + 2:
+                out[rows, j] = pinball_quantile(ysub, alpha)
+            else:
+                fitted = fit_quantile(model.train_matrix.subset(neighbors), ysub, alpha, lam)
+                out[rows, j] = predict_linear(fitted, X[rows])
+    return out
 
 
-def predict_quantile(model: CompositeQuantileModel, x, alpha: float) -> float:
-    """Quantile prediction for a raw row: the single active partition's estimate.
+def _fitted_level(model: CompositeQuantileModel, alpha: float) -> float:
+    matches = [a for a in model.levels if abs(a - alpha) < 1e-12]
+    if not matches:
+        raise ValueError(f"alpha {alpha} not among fitted levels {model.levels}")
+    return matches[0]
+
+
+def predict_quantile(model: CompositeQuantileModel, x, alpha):
+    """Quantile prediction for a raw row or a stack of raw rows: the active
+    partition's estimate.
+
+    `alpha` is one level or a sequence of levels. One row and one level give
+    a float; a stack adds a leading row axis, a sequence a trailing level
+    axis. Each partition evaluates its block of rows for every level at once.
 
     nn_qr fits a fresh quantile regression on the query's neighbors, so it
     accepts any alpha in (0, 1); the pre-fit kinds only answer their fitted
     levels (piecewise_rr answers its ridge point prediction at alpha=0.5).
     """
-    alpha = float(alpha)
+    shape = np.shape(alpha)
+    levels = [float(a) for a in np.reshape(alpha, -1)]
     x_enc = _encode_input(model, x)
+    X = np.atleast_2d(x_enc)
     if model.kind == "nn_qr":
-        if not 0 < alpha < 1:
+        if not all(0 < a < 1 for a in levels):
             raise ValueError("alpha must lie in (0, 1)")
-        return _nn_predict(model, x_enc, alpha)
-
-    matches = [a for a in model.levels if abs(a - alpha) < 1e-12]
-    if not matches:
-        raise ValueError(f"alpha {alpha} not among fitted levels {model.levels}")
-    alpha = matches[0]
-
-    if model.kind == "quantile_tree":
-        pid = route(model.tree, x_enc)
+        out = _nn_predict(model, X, levels)
     else:
-        pid = assign_cluster(model.clusters, x_enc[model.categorical_mask])
-    est = model.estimators[pid]
-    if model.kind == "piecewise_rr":
-        return _estimate(est, x_enc)
-    return _estimate(est[alpha], x_enc)
+        levels = [_fitted_level(model, a) for a in levels]
+        if model.kind == "quantile_tree":
+            pid = route(model.tree, X)
+        else:
+            pid = assign_cluster(model.clusters, X[:, model.categorical_mask])
+        out = np.full((X.shape[0], len(levels)), np.nan)
+        for p, est in model.estimators.items():
+            rows = np.flatnonzero(pid == p)
+            if rows.size:
+                block = X[rows]
+                for j, a in enumerate(levels):
+                    out[rows, j] = _estimate(est if model.kind == "piecewise_rr" else est[a], block)
+    out = out.reshape(X.shape[:1] + shape)
+    if x_enc.ndim == 1:
+        out = out[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def predict_interval(model: CompositeQuantileModel, x) -> PredictionInterval:
-    """(0.05, 0.5, 0.95) predictions with crossing repaired by sorting."""
-    needed = (0.05, 0.5, 0.95)
+    """(0.05, 0.5, 0.95) predictions for one raw row, with crossing repaired by sorting."""
     if model.kind != "nn_qr":
-        for a in needed:
+        for a in INTERVAL_LEVELS:
             if not any(abs(lv - a) < 1e-12 for lv in model.levels):
                 raise ValueError("model was not fitted with levels (0.05, 0.5, 0.95)")
-    lower, median, upper = sorted(predict_quantile(model, x, a) for a in needed)
+    lower, median, upper = np.sort(predict_quantile(model, x, INTERVAL_LEVELS)).tolist()
     return PredictionInterval(lower=lower, median=median, upper=upper)
 
 

@@ -183,29 +183,8 @@ def encode(
     if encoding is None:
         encoding = fit_encoding(dataset)
     schema = dataset.schema
-    n = dataset.n_rows
+    values = encode_row(schema, encoding, dataset.rows)
     columns = _encoded_columns(schema, encoding)
-    values = np.zeros((n, len(columns)), dtype=float)
-
-    j = 0
-    for name in schema.predictors():
-        raw = dataset.column(name)
-        if any(v is None for v in raw):
-            raise ValueError(f"missing values in column {name!r}; impute first")
-        if schema.kind_of(name) == "categorical":
-            level_index = {lv: idx for idx, lv in enumerate(encoding.levels_for(name))}
-            width = len(level_index)
-            for i, v in enumerate(raw):
-                idx = level_index.get(str(v))
-                if idx is not None:
-                    values[i, j + idx] = 1.0
-            j += width
-        else:
-            try:
-                values[:, j] = np.array([float(v) for v in raw])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"non-numeric value in numeric column {name!r}") from exc
-            j += 1
 
     target_raw = dataset.column(schema.target)
     if any(v is None for v in target_raw):
@@ -217,27 +196,60 @@ def encode(
     return EncodedMatrix(values, columns), y, encoding
 
 
-def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, row: Sequence) -> np.ndarray:
-    """Encode one raw row (ordered per schema) into the design-matrix layout."""
-    if len(row) != len(schema.columns):
-        raise SchemaError(f"row has {len(row)} values, expected {len(schema.columns)}")
-    out = []
+def _is_raw_row(rows) -> bool:
+    """A raw row holds cells (text, numbers, None); a stack holds rows.
+
+    An empty sequence is a stack of no rows: a schema has at least two columns.
+    """
+    return len(rows) > 0 and not isinstance(rows[0], (tuple, list, np.ndarray))
+
+
+def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows: Sequence) -> np.ndarray:
+    """Encode one raw row (ordered per schema) or a stack of them into the
+    design-matrix layout: a vector for one row, an (n, width) matrix for a
+    stack. This is the one place predictors are one-hot encoded; `encode`
+    builds its matrix here. An unseen level encodes to all zeros; a missing
+    or non-numeric cell raises ValueError naming the column.
+    """
+    one = _is_raw_row(rows)
+    stack = [rows] if one else rows
+    expected = len(schema.columns)
+    for row in stack:
+        if len(row) != expected:
+            raise SchemaError(f"row has {len(row)} values, expected {expected}")
+    values = np.zeros((len(stack), len(_encoded_columns(schema, encoding))))
+    j = 0
     for name in schema.predictors():
-        v = row[schema.index_of(name)]
-        if v is None:
+        pos = schema.index_of(name)
+        raw = [row[pos] for row in stack]
+        if any(v is None for v in raw):
             raise ValueError(f"missing value in column {name!r}")
         if schema.kind_of(name) == "categorical":
-            lv = encoding.levels_for(name)
-            vec = np.zeros(len(lv))
-            s = str(v)
-            for idx, level in enumerate(lv):
-                if level == s:
-                    vec[idx] = 1.0
-                    break
-            out.append(vec)
+            levels = encoding.levels_for(name)
+            level_index = {lv: idx for idx, lv in enumerate(levels)}
+            codes = np.array([level_index.get(str(v), -1) for v in raw], dtype=np.intp)
+            hit = np.flatnonzero(codes >= 0)
+            values[hit, j + codes[hit]] = 1.0
+            j += len(levels)
         else:
-            out.append(np.array([float(v)]))
-    return np.concatenate(out) if out else np.zeros(0)
+            try:
+                values[:, j] = [float(v) for v in raw]
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"non-numeric value in numeric column {name!r}") from exc
+            j += 1
+    return values[0] if one else values
+
+
+def encoded_stack(x) -> tuple[np.ndarray, bool]:
+    """One encoded row (1-D) or a stack of rows (2-D) as a C-contiguous 2-D
+    float array, and whether it was one row.
+
+    The prediction functions take either form and answer one row with a
+    scalar, a stack with a vector. C order keeps every row contiguous, which
+    the bit-identity of `np.vecdot` with a one-row dot product relies on.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.ascontiguousarray(np.atleast_2d(x)), x.ndim == 1
 
 
 def split_kfold(dataset: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

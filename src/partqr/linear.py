@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .data import EncodedMatrix
+from .data import EncodedMatrix, encoded_stack
 
 
 @dataclass(frozen=True)
@@ -237,12 +237,20 @@ def fit_quantile(X, y, alpha: float, lam: float) -> LinearQuantileModel:
     )
 
 
-def predict_linear(model, x) -> float:
-    """Evaluate beta0 + x.beta for a single encoded row."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != model.coef.shape:
-        raise ValueError(f"row width {x.shape} does not match model width {model.coef.shape}")
-    return float(model.intercept + x @ model.coef)
+def predict_linear(model, x):
+    """Evaluate beta0 + x.beta for one encoded row (a float) or each row of a stack.
+
+    `np.vecdot` over C-ordered rows gives every row bitwise its one-row dot
+    product `x @ coef`; a matrix-vector product (`X @ coef`) can differ from it
+    in the last ulp.
+    """
+    X, one = encoded_stack(x)
+    if X.shape[1:] != model.coef.shape:
+        raise ValueError(
+            f"row width {X.shape[1:]} does not match model width {model.coef.shape}"
+        )
+    out = model.intercept + np.vecdot(X, model.coef)
+    return float(out[0]) if one else out
 
 
 def quantile_objective(model: LinearQuantileModel, X, y) -> float:

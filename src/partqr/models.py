@@ -22,10 +22,10 @@ from .baselines import (
     qrf_predict,
 )
 from .composite import (
+    INTERVAL_LEVELS,
     CompositeQuantileModel,
     count_parameters,
     fit_composite,
-    predict_interval,
     predict_quantile,
 )
 from .data import CategoricalEncoding, Dataset, encode, encode_row
@@ -102,16 +102,13 @@ class CompositeFit:
         return self.model.kind != "piecewise_rr"
 
     def predict_point(self, rows) -> np.ndarray:
-        return np.array([predict_quantile(self.model, r, 0.5) for r in rows])
+        return predict_quantile(self.model, rows, 0.5)
 
     def predict_intervals(self, rows) -> np.ndarray | None:
+        """(lower, median, upper) per row, with crossing repaired by sorting."""
         if not self.quantile_capable:
             return None
-        out = np.empty((len(rows), 3))
-        for i, r in enumerate(rows):
-            iv = predict_interval(self.model, r)
-            out[i] = (iv.lower, iv.median, iv.upper)
-        return out
+        return np.sort(predict_quantile(self.model, rows, INTERVAL_LEVELS), axis=1)
 
     def parameter_count(self) -> int | None:
         return count_parameters(self.model)
@@ -126,9 +123,6 @@ _BASELINE_POINT = {
     "gradient_boosting": lambda model, x: predict_gb(model, x),
 }
 
-# lower, median, upper; nondecreasing, so the QRF quantiles come out ordered
-_INTERVAL_LEVELS = (0.05, 0.5, 0.95)
-
 
 @dataclass
 class BaselineFit:
@@ -142,20 +136,17 @@ class BaselineFit:
     def quantile_capable(self) -> bool:
         return self.name == "qrf"
 
-    def _encode(self, row) -> np.ndarray:
-        return encode_row(self.schema, self.encoding, row)
+    def _encode(self, rows) -> np.ndarray:
+        return encode_row(self.schema, self.encoding, rows)
 
     def predict_point(self, rows) -> np.ndarray:
-        point = _BASELINE_POINT[self.name]
-        return np.array([point(self.inner, self._encode(r)) for r in rows])
+        return _BASELINE_POINT[self.name](self.inner, self._encode(rows))
 
     def predict_intervals(self, rows) -> np.ndarray | None:
         if not self.quantile_capable:
             return None
-        out = np.empty((len(rows), 3))
-        for i, r in enumerate(rows):
-            out[i] = qrf_predict(self.inner, self._encode(r), _INTERVAL_LEVELS)
-        return out
+        # the levels are nondecreasing, so the QRF quantiles come out ordered
+        return qrf_predict(self.inner, self._encode(rows), INTERVAL_LEVELS)
 
     def parameter_count(self) -> int | None:
         if isinstance(self.inner, RegressionTree):

@@ -9,10 +9,11 @@ each one with a brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .data import EncodedMatrix
+from .data import EncodedMatrix, encoded_stack
 
 _MIN_SSE_GAIN = 1e-12
 
@@ -38,9 +39,24 @@ class TreeNode:
         return self.left < 0
 
 
+@dataclass(frozen=True)
+class TreeArrays:
+    """The nodes of a tree as parallel arrays, indexed by node id."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    leaf_id: np.ndarray
+    value: np.ndarray
+
+
 @dataclass
 class RegressionTree:
-    """CART tree over an encoded design matrix; leaves keep their row lists."""
+    """CART tree over an encoded design matrix; leaves keep their row lists.
+
+    `arrays` is derived from the nodes on first use and never serialised.
+    """
 
     nodes: list[TreeNode]
     n_features: int
@@ -58,6 +74,18 @@ class RegressionTree:
     @property
     def n_internal(self) -> int:
         return sum(1 for nd in self.nodes if not nd.is_leaf)
+
+    @cached_property
+    def arrays(self) -> TreeArrays:
+        nodes = self.nodes
+        return TreeArrays(
+            feature=np.array([nd.feature for nd in nodes], dtype=np.intp),
+            threshold=np.array([nd.threshold for nd in nodes], dtype=float),
+            left=np.array([nd.left for nd in nodes], dtype=np.intp),
+            right=np.array([nd.right for nd in nodes], dtype=np.intp),
+            leaf_id=np.array([nd.leaf_id for nd in nodes], dtype=np.intp),
+            value=np.array([nd.value for nd in nodes], dtype=float),
+        )
 
     @property
     def depth(self) -> int:
@@ -198,25 +226,37 @@ def build_cart(
     return RegressionTree(nodes, p, max_depth, min_samples_split, min_samples_leaf)
 
 
-def _leaf(tree: RegressionTree, x) -> TreeNode:
-    """Follow splits (x[feature] <= threshold goes left) to the leaf node."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[0] != tree.n_features:
-        raise ValueError(f"row width {x.shape[0]} does not match tree width {tree.n_features}")
-    node = tree.nodes[0]
-    while not node.is_leaf:
-        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+def _leaf(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+    """Node id of the leaf each row of the 2-D X falls in.
+
+    x[feature] <= threshold goes left. Every row still at an inner node
+    moves down one level per step, so the loop runs once per tree level.
+    """
+    if X.shape[1] != tree.n_features:
+        raise ValueError(f"row width {X.shape[1]} does not match tree width {tree.n_features}")
+    a = tree.arrays
+    node = np.zeros(X.shape[0], dtype=np.intp)
+    todo = np.flatnonzero(a.left[node] >= 0)
+    while todo.size:
+        at = node[todo]
+        goes_left = X[todo, a.feature[at]] <= a.threshold[at]
+        node[todo] = np.where(goes_left, a.left[at], a.right[at])
+        todo = todo[a.left[node[todo]] >= 0]
     return node
 
 
-def route(tree: RegressionTree, x) -> int:
-    """Leaf id of the row x."""
-    return _leaf(tree, x).leaf_id
+def route(tree: RegressionTree, x):
+    """Leaf id of one encoded row (an int), or of each row of a stack (an array)."""
+    X, one = encoded_stack(x)
+    ids = tree.arrays.leaf_id[_leaf(tree, X)]
+    return int(ids[0]) if one else ids
 
 
-def predict_tree_mean(tree: RegressionTree, x) -> float:
-    """Mean training target of the leaf the row x falls in."""
-    return _leaf(tree, x).value
+def predict_tree_mean(tree: RegressionTree, x):
+    """Mean training target of the leaf one row falls in (a float), or per row of a stack."""
+    X, one = encoded_stack(x)
+    means = tree.arrays.value[_leaf(tree, X)]
+    return float(means[0]) if one else means
 
 
 @dataclass
@@ -302,13 +342,17 @@ def fit_kmeans(
     return ClusterPartition(centroids=centroids, n_iter=it, objective_history=tuple(history))
 
 
-def assign_cluster(partition: ClusterPartition, x_cat) -> int:
-    """Nearest centroid by Euclidean distance; ties go to the lowest index."""
-    x = np.asarray(x_cat, dtype=float)
-    if x.shape[0] != partition.centroids.shape[1]:
+def assign_cluster(partition: ClusterPartition, x_cat):
+    """Nearest centroid by Euclidean distance; ties go to the lowest index.
+
+    One row gives an int, a stack an array of cluster ids. Each row's
+    distances are bitwise those of its one-row call.
+    """
+    X, one = encoded_stack(x_cat)
+    if X.shape[1] != partition.centroids.shape[1]:
         raise ValueError("row width does not match centroid width")
-    d2 = _sq_distances(x[None, :], partition.centroids)[0]
-    return int(np.argmin(d2))
+    ids = np.argmin(_sq_distances(X, partition.centroids), axis=1)
+    return int(ids[0]) if one else ids
 
 
 def knn_query(points, x_cat, k: int) -> list[tuple[int, float]]:

@@ -15,7 +15,7 @@ from datetime import date, datetime, timezone
 import numpy as np
 from scipy.stats import chi2
 
-from .data import Dataset, FeatureSchema
+from .data import Dataset, FeatureSchema, _finite_cell
 
 
 @dataclass(frozen=True)
@@ -506,7 +506,11 @@ GWA_CORES = "CPU cores"
 
 
 def read_gwa_trace(path, delimiter: str = ";") -> dict[str, list]:
-    """One VM KPI trace as {column: values}; numeric columns parsed to float."""
+    """One VM KPI trace as {column: values}; numeric columns parsed to float.
+
+    A cell that is not a finite number raises SchemaError naming the path,
+    the line and the column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         header = [h.strip() for h in next(reader)]
@@ -518,7 +522,8 @@ def read_gwa_trace(path, delimiter: str = ";") -> dict[str, list]:
                 continue
             for h, v in zip(header, row):
                 v = v.strip()
-                data[h].append(float(v) if v not in ("",) else None)
+                where = f"{path}:{reader.line_num}: column {h!r}"
+                data[h].append(_finite_cell(v, where) if v else None)
     return data
 
 

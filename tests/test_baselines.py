@@ -3,6 +3,7 @@ import pytest
 
 from oracles import qrf_oracle
 
+from partqr import baselines
 from partqr.baselines import (
     fit_gb,
     fit_rf,
@@ -59,6 +60,20 @@ class TestRandomForest:
         member = [predict_tree_mean(t, x[c]) for t, c in zip(forest.trees, forest.feature_subsets)]
         assert predict_rf(forest, x) == pytest.approx(float(np.mean(member)))
 
+    def test_stack_equals_one_row_calls(self):
+        # 37 trees, so the mean's pairwise summation runs past one unrolled block
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(80, 4))
+        forest = fit_rf(X, rng.normal(size=80), n_trees=37, seed=2, max_depth=4, feature_fraction=0.75)
+        queries = rng.normal(size=(60, 4))
+        want = [
+            float(np.mean([predict_tree_mean(t, x[c]) for t, c in zip(forest.trees, forest.feature_subsets)]))
+            for x in queries
+        ]
+        assert [predict_rf(forest, x) for x in queries] == want
+        assert predict_rf(forest, queries).tolist() == want
+        assert predict_rf(forest, np.zeros((0, 4))).shape == (0,)
+
     def test_fixed_seed_bit_identical(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 3))
@@ -98,6 +113,21 @@ class TestGradientBoosting:
         y = rng.normal(size=20)
         model = fit_gb(X, y, n_stages=1, learning_rate=1.0, max_depth=0)
         assert predict_gb(model, rng.normal(size=2)) == pytest.approx(float(np.mean(y)))
+
+    def test_stack_equals_one_row_calls(self):
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(90, 3))
+        model = fit_gb(X, rng.normal(size=90), n_stages=30, learning_rate=0.1, max_depth=3)
+        queries = rng.normal(size=(50, 3))
+        want = []
+        for x in queries:
+            out = model.init
+            for tree in model.trees:
+                out += model.learning_rate * predict_tree_mean(tree, x)
+            want.append(out)
+        assert [predict_gb(model, x) for x in queries] == want
+        assert predict_gb(model, queries).tolist() == want
+        assert predict_gb(model, np.zeros((0, 3))).shape == (0,)
 
     def test_training_sse_monotone(self):
         rng = np.random.default_rng(7)
@@ -171,6 +201,27 @@ class TestQrf:
             got = qrf_predict(forest, x, LEVELS)
             assert got.tolist() == [qrf_oracle(forest, x, a) for a in LEVELS]
             assert isinstance(qrf_predict(forest, x, 0.5), float)
+
+    @pytest.mark.parametrize("block_cells", [1 << 20, 100])
+    def test_stack_equals_one_row_calls_and_oracle(self, monkeypatch, block_cells):
+        # a small block size splits the batch into blocks of 2 rows
+        monkeypatch.setattr(baselines, "_QRF_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(15)
+        X = np.round(rng.normal(size=(50, 3)), 1)
+        forest = fit_rf(X, np.round(rng.normal(size=50), 1), n_trees=6, seed=1, max_depth=4)
+        queries = np.round(rng.normal(size=(31, 3)), 1)
+        weights = qrf_weights(forest, queries)
+        assert weights.shape == (31, 50)
+        for i, x in enumerate(queries):
+            assert weights[i].tolist() == qrf_weights(forest, x).tolist()
+        got = qrf_predict(forest, queries, LEVELS)
+        median = qrf_predict(forest, queries, 0.5)
+        assert got.shape == (31, 3) and median.shape == (31,)
+        for i, x in enumerate(queries):
+            want = [qrf_oracle(forest, x, a) for a in LEVELS]
+            assert got[i].tolist() == qrf_predict(forest, x, LEVELS).tolist() == want
+            assert median[i] == qrf_predict(forest, x, 0.5) == want[1]
+        assert qrf_predict(forest, np.zeros((0, 3)), LEVELS).shape == (0, 3)
 
     def test_baseline_fit_matches_oracle_across_save_load(self, tmp_path):
         train = generate_synthetic(SyntheticSpec(n_projects=120, seed=21))

@@ -161,6 +161,32 @@ class TestPredict:
         assert f"{inp}:3: column 'step2_days'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_forecast_exit_1_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        class Broken:
+            """A fitted model whose forecast for every row but the first is NaN."""
+
+            schema = generate_synthetic(SyntheticSpec(n_projects=10, seed=3)).schema
+
+            def predict_intervals(self, rows):
+                out = np.ones((len(rows), 3))
+                out[1:, 1] = np.nan
+                return out
+
+        monkeypatch.setattr("partqr.cli.load_model", lambda path: Broken())
+        inp = tmp_path / "in.csv"
+        inp.write_text(
+            "site_category,step1_days,step2_days,step3_days,step4_days\n"
+            "metro,10,20,30,15\n"
+            "metro,11,20,30,15\n"
+            "metro,12,20,30,15\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert main(["predict", "--model", "m.json", "--input", str(inp), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{inp}:3: non-finite forecast" in err and "input row 2" in err
+        assert not out.exists()
+
 
 class TestBenchmarkCommand:
     def test_three_model_report(self, tmp_path, synth_csv, capsys):

@@ -205,3 +205,20 @@ class TestPredictLinear:
         model = fit_ridge(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError):
             predict_linear(model, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            predict_linear(model, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("width", range(1, 13))
+    def test_stack_equals_one_row_dot(self, width):
+        # every row of a stack gets bitwise its one-row dot product x @ coef,
+        # whatever the memory order of the stack
+        rng = np.random.default_rng(width)
+        X = rng.normal(size=(40, width)) * rng.choice([1e-3, 1.0, 1e3], size=width)
+        X[:, ::2] = rng.integers(0, 2, size=X[:, ::2].shape)  # indicator columns
+        y = X @ rng.normal(size=width) + rng.normal(size=40)
+        for model in (fit_ridge(X, y, 0.1), fit_quantile(X, y, 0.3, 0.1)):
+            want = [float(model.intercept + x @ model.coef) for x in X]
+            assert [predict_linear(model, x) for x in X] == want
+            assert predict_linear(model, X).tolist() == want
+            assert predict_linear(model, np.asfortranarray(X)).tolist() == want
+        assert predict_linear(model, np.zeros((0, width))).shape == (0,)

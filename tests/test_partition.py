@@ -176,6 +176,31 @@ class TestRoute:
         assert predict_tree_mean(tree, [2.0]) == 0.0
         assert predict_tree_mean(tree, [8.0]) == 10.0
 
+    def test_stack_equals_one_row_calls_and_node_walk(self):
+        rng = np.random.default_rng(16)
+        X = np.round(rng.normal(size=(200, 4)), 1)
+        tree = build_cart(X, rng.normal(size=200), max_depth=6, min_samples_split=4)
+        # fresh rows, training rows and rows sitting exactly on a threshold
+        queries = np.vstack([np.round(rng.normal(size=(100, 4)), 1), X[:50]])
+        for nd in tree.nodes[:5]:
+            if not nd.is_leaf:
+                q = queries[0].copy()
+                q[nd.feature] = nd.threshold
+                queries = np.vstack([queries, q])
+        walked = []
+        for x in queries:
+            node = tree.nodes[0]
+            while not node.is_leaf:
+                node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+            walked.append(node)
+        ids, means = route(tree, queries), predict_tree_mean(tree, queries)
+        assert ids.tolist() == [route(tree, x) for x in queries] == [nd.leaf_id for nd in walked]
+        assert means.tolist() == [predict_tree_mean(tree, x) for x in queries]
+        assert means.tolist() == [nd.value for nd in walked]
+        assert route(tree, np.zeros((0, 4))).shape == (0,)
+        with pytest.raises(ValueError, match="row width 3"):
+            route(tree, np.zeros((2, 3)))
+
 
 def lloyd_oracle(X, init, max_iter=300):
     """Plain Lloyd iteration from given centroids, lowest-index tie-breaks."""
@@ -271,6 +296,20 @@ class TestAssign:
         part = fit_kmeans(np.array([[1.0, 0.0], [0.0, 1.0]]), 2, seed=0)
         with pytest.raises(ValueError):
             assign_cluster(part, [1.0])
+        with pytest.raises(ValueError):
+            assign_cluster(part, np.zeros((3, 1)))
+
+    def test_stack_equals_one_row_calls(self):
+        # one-hot rows against fractional centroids, as fit_composite assigns them
+        rng = np.random.default_rng(17)
+        X = np.zeros((300, 7))
+        X[np.arange(300), rng.integers(0, 7, 300)] = 1.0
+        X[np.arange(300), rng.integers(0, 7, 300)] = 1.0
+        for k in (1, 2, 3, 5):
+            part = fit_kmeans(X, k, seed=k)
+            got = assign_cluster(part, X)
+            assert got.tolist() == [assign_cluster(part, x) for x in X]
+        assert assign_cluster(part, np.zeros((0, 7))).shape == (0,)
 
 
 def assert_same_neighbors(got, want):

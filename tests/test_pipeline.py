@@ -1,9 +1,10 @@
+import re
 from datetime import date
 
 import numpy as np
 import pytest
 
-from partqr.data import Dataset, FeatureSchema
+from partqr.data import Dataset, FeatureSchema, SchemaError
 from partqr.pipeline import (
     MilestoneRecord,
     attach_climate,
@@ -18,6 +19,7 @@ from partqr.pipeline import (
     lag_features,
     load_climate_table,
     prune_tail,
+    read_gwa_trace,
     rank_milestones,
     read_milestone_csv,
     select_categorical,
@@ -337,6 +339,28 @@ class TestLagFeatures:
         for row in ds.rows:
             lags = {row[j] for j in lag_cols}
             assert all(v < 500 for v in lags) or all(v > 500 for v in lags)
+
+
+class TestReadGwaTrace:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "busy"])
+    def test_bad_cell_names_line_and_column(self, tmp_path, cell):
+        path = tmp_path / "vm.csv"
+        path.write_text(
+            "Timestamp [ms];CPU cores;CPU usage [MHZ]\n"
+            "1600000000000;4;100\n"
+            f"1600000300000;4;{cell}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:3: column 'CPU usage [MHZ]'")):
+            read_gwa_trace(path)
+
+    def test_empty_cell_reads_as_missing(self, tmp_path):
+        path = tmp_path / "vm.csv"
+        path.write_text(
+            "Timestamp [ms];CPU cores;CPU usage [MHZ]\n1600000000000;;100.5\n", encoding="utf-8"
+        )
+        assert read_gwa_trace(path)["CPU cores"] == [None]
+        assert read_gwa_trace(path)["CPU usage [MHZ]"] == [100.5]
 
 
 class TestImpute:
