@@ -4,13 +4,15 @@ A batch must answer every row bitwise as a call with that row alone does,
 before and after a save/load round trip, whatever else is in the batch.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from partqr import composite
 from partqr.data import encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
-from partqr.models import MODEL_NAMES, fit_model
+from partqr.models import DISPLAY_NAMES, MODEL_NAMES, default_grid, fit_model
 from partqr.serialize import model_from_json, model_to_json
 
 PARAMS = {
@@ -24,6 +26,21 @@ PARAMS = {
     "piecewise_qr": {"lam": 0.1, "n_clusters": 3},
     "piecewise_rr": {"lam": 0.1, "n_clusters": 3},
     "nn_qr": {"lam": 0.1, "n_neighbors": 40},
+}
+
+# sha256 of model_to_json for each fit of the `fitted` fixture, recorded
+# before the registry refactor: the model file bytes may not move.
+GOLDEN_DIGESTS = {
+    "ridge": "9cf4a77039505bce242fe0140a6788302393b5350c912e9f08ee90caf3f41a1c",
+    "quantile": "aa2507c41463087fce3c209e61848558e4a64e420b4103ca6a2c045ccaaa3a83",
+    "decision_tree": "a5360f1fef19f10ccdd4dd37be66e1fa51e55bf5d81578dde9399517713c41b5",
+    "random_forest": "61bc0a15f390787688ab69f08d7bafe4b87c07ee35dcbf715f90e473e4107d80",
+    "qrf": "422b68d5e5708aa44edf34fb64f2d56da1334c15fd7b9504ea6fdd3ecb95db27",
+    "gradient_boosting": "6e328a0b9bd9f4afddc63d8b5ae961f6bb35c2acc461fe2ed535218d5eed47c2",
+    "quantile_tree": "971fb79729ef9dc36b95f0a0c0f30b879bd685d47cba39f89a7e3ef21f925547",
+    "piecewise_qr": "780dc85f2fb86694971ff47b97b5019e6fba65174879d7145381c9533fdd9faf",
+    "piecewise_rr": "05c7a013a04e48b9e2c274c4ab618746ac6d0c2b66f3b3eee5e7f9aa3955ad5a",
+    "nn_qr": "3923c94836437c499648527051e79ca966b2d13f1b5f47d9fb25e66a52921462",
 }
 
 
@@ -63,6 +80,15 @@ def test_batch_equals_one_row_calls(fitted, rows, name):
     assert fit.predict_point(rows[::-1]).tolist() == point[::-1].tolist()
     if intervals is not None:
         assert (intervals[:, :-1] <= intervals[:, 1:]).all()
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_registry_entry_and_golden_bytes(fitted, name):
+    assert DISPLAY_NAMES[name]
+    assert default_grid(name)
+    text = model_to_json(fitted[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+    assert model_to_json(model_from_json(text)) == text
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
