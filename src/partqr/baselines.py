@@ -61,6 +61,9 @@ class ForestModel:
     def n_trees(self) -> int:
         return len(self.trees)
 
+    def parameter_count(self) -> int:
+        return sum(t.parameter_count() for t in self.trees)
+
 
 def fit_rf(
     X,
@@ -210,6 +213,9 @@ class BoostedModel:
     @property
     def n_stages(self) -> int:
         return len(self.trees)
+
+    def parameter_count(self) -> int:
+        return 1 + sum(t.parameter_count() for t in self.trees)
 
 
 def fit_gb(

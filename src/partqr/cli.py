@@ -17,7 +17,7 @@ import numpy as np
 from .config import ConfigError, RunConfig, load_config
 from .data import Dataset, FeatureSchema, dataset_from_csv
 from .evaluation import SyntheticSpec, benchmark, generate_synthetic, grid_search
-from .models import DISPLAY_NAMES, MODEL_NAMES
+from .models import MODEL_NAMES, MODELS
 from .pipeline import (
     build_gwa_dataset,
     build_milestone_dataset,
@@ -167,8 +167,6 @@ def cmd_train(args) -> int:
         dataset = _apply_selection(dataset, cfg)
     with _Stage("grid-search"):
         name = cfg.model.name
-        if name not in MODEL_NAMES:
-            raise UserError(f"unknown model {name!r}; choose from {MODEL_NAMES}")
         result = grid_search(
             name,
             cfg.model.grid or None,
@@ -183,7 +181,7 @@ def cmd_train(args) -> int:
         save_model(model_path, result.final_model)
         report = {
             "model": name,
-            "display_name": DISPLAY_NAMES[name],
+            "display_name": MODELS[name].display_name,
             "best_params": result.best_params,
             "cv": {
                 "median_ae": result.best_cv.median_ae,
@@ -217,8 +215,7 @@ def cmd_predict(args) -> int:
     with _Stage("load-model"):
         fitted = load_model(args.model)
     with _Stage("read-input"):
-        schema = fitted.model.schema if hasattr(fitted, "model") else fitted.schema
-        rows = dataset_from_csv(args.input, target=schema.target, schema=schema).rows
+        rows = dataset_from_csv(args.input, target=fitted.schema.target, schema=fitted.schema).rows
     with _Stage("predict"):
         intervals = fitted.predict_intervals(rows)
         if intervals is None:
@@ -326,16 +323,11 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     with _Stage("load-model"):
         fitted = load_model(args.model)
-    schema = fitted.model.schema if hasattr(fitted, "model") else fitted.schema
-    print(f"model: {DISPLAY_NAMES.get(fitted.name, fitted.name)} ({fitted.name})")
-    print(f"target: {schema.target} [{schema.weight_units}]")
+    print(f"model: {MODELS[fitted.name].display_name} ({fitted.name})")
+    print(f"target: {fitted.schema.target} [{fitted.schema.weight_units}]")
     print(f"params: {json.dumps(fitted.params, sort_keys=True)}")
-    if hasattr(fitted, "model"):
-        model = fitted.model
-        print(f"kind: {model.kind}")
-        if model.n_partitions is not None:
-            print(f"partitions: {model.n_partitions}")
-        print(f"quantile levels: {list(model.levels)}")
+    for line in fitted.describe():
+        print(line)
     count = fitted.parameter_count()
     print(f"parameter count: {'NA' if count is None else count}")
     return 0

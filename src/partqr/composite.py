@@ -34,7 +34,6 @@ from .partition import (
 )
 
 KINDS = ("quantile_tree", "piecewise_qr", "piecewise_rr", "nn_qr")
-DEFAULT_LEVELS = (0.05, 0.5, 0.95)
 # lower, median, upper of a prediction interval
 INTERVAL_LEVELS = (0.05, 0.5, 0.95)
 PARAM_COUNT_NA = None  # printed as "NA" in reports
@@ -139,12 +138,7 @@ def fit_composite(
     lam = float(hyperparams.get("lam", 0.0))
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    if kind == "piecewise_rr":
-        levels = (0.5,)
-    else:
-        levels = tuple(float(a) for a in hyperparams.get("levels", DEFAULT_LEVELS))
-        if any(not 0 < a < 1 for a in levels):
-            raise ValueError("quantile levels must lie in (0, 1)")
+    levels = (0.5,) if kind == "piecewise_rr" else INTERVAL_LEVELS
 
     matrix, y, encoding = encode(dataset)
     model = CompositeQuantileModel(
@@ -214,17 +208,21 @@ def _encode_input(model: CompositeQuantileModel, x) -> np.ndarray:
     return x_enc
 
 
+def _partition_ids(model: CompositeQuantileModel, X: np.ndarray):
+    """Tree leaf or cluster id of an encoded row (an int) or stack (a vector)."""
+    if model.kind == "quantile_tree":
+        return route(model.tree, X)
+    if model.kind == "nn_qr":
+        raise ValueError("nn_qr has no fixed partitions")
+    return assign_cluster(model.clusters, X[..., model.categorical_mask])
+
+
 def resolve_partition(model: CompositeQuantileModel, x) -> int:
     """Partition id the raw row x falls in (tree leaf or cluster id).
 
     A paper artefact for inspecting partitions: only tests call it.
     """
-    x_enc = _encode_input(model, x)
-    if model.kind == "quantile_tree":
-        return route(model.tree, x_enc)
-    if model.kind in ("piecewise_qr", "piecewise_rr"):
-        return assign_cluster(model.clusters, x_enc[model.categorical_mask])
-    raise ValueError("nn_qr has no fixed partitions")
+    return _partition_ids(model, _encode_input(model, x))
 
 
 def _nn_predict(model: CompositeQuantileModel, X: np.ndarray, levels) -> np.ndarray:
@@ -280,10 +278,7 @@ def predict_quantile(model: CompositeQuantileModel, x, alpha):
         out = _nn_predict(model, X, levels)
     else:
         levels = [_fitted_level(model, a) for a in levels]
-        if model.kind == "quantile_tree":
-            pid = route(model.tree, X)
-        else:
-            pid = assign_cluster(model.clusters, X[:, model.categorical_mask])
+        pid = _partition_ids(model, X)
         out = np.full((X.shape[0], len(levels)), np.nan)
         for p, est in model.estimators.items():
             rows = np.flatnonzero(pid == p)
@@ -299,10 +294,6 @@ def predict_quantile(model: CompositeQuantileModel, x, alpha):
 
 def predict_interval(model: CompositeQuantileModel, x) -> PredictionInterval:
     """(0.05, 0.5, 0.95) predictions for one raw row, with crossing repaired by sorting."""
-    if model.kind != "nn_qr":
-        for a in INTERVAL_LEVELS:
-            if not any(abs(lv - a) < 1e-12 for lv in model.levels):
-                raise ValueError("model was not fitted with levels (0.05, 0.5, 0.95)")
     lower, median, upper = np.sort(predict_quantile(model, x, INTERVAL_LEVELS)).tolist()
     return PredictionInterval(lower=lower, median=median, upper=upper)
 
@@ -320,7 +311,7 @@ def count_parameters(model: CompositeQuantileModel) -> int | None:
         return PARAM_COUNT_NA
     total = 0
     if model.tree is not None:
-        total += 2 * model.tree.n_internal
+        total += model.tree.parameter_count()
     for est in model.estimators.values():
         if model.kind == "piecewise_rr":
             total += _estimator_params(est)

@@ -348,19 +348,19 @@ def dataset_from_csv(
             if v == "":
                 vals.append(None)
             elif kind == "numeric":
-                vals.append(_finite_cell(v, f"{path}:{line}: column {name!r}"))
+                vals.append(_finite_cell(v, path, line, name))
             else:
                 vals.append(v)
         rows.append(tuple(vals))
     return Dataset(schema, tuple(rows))
 
 
-def _finite_cell(text: str, where: str) -> float:
+def _finite_cell(text: str, path, line: int, column: str) -> float:
     """A numeric cell as a float; `nan`, `inf` and non-numbers raise SchemaError."""
     try:
         value = float(text)
     except ValueError:
-        raise SchemaError(f"{where}: {text!r} is not a number") from None
+        raise SchemaError(f"{path}:{line}: column {column!r}: {text!r} is not a number") from None
     if not math.isfinite(value):
-        raise SchemaError(f"{where}: non-finite value {text!r}")
+        raise SchemaError(f"{path}:{line}: column {column!r}: non-finite value {text!r}")
     return value

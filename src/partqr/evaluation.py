@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .data import Dataset, FeatureSchema, split_kfold
-from .models import DISPLAY_NAMES, QUANTILE_CAPABLE, default_grid, fit_model
+from .models import fit_model, model_spec
 from .pipeline import fit_imputer, prune_tail
 
 
@@ -161,7 +161,7 @@ def cross_validate(
     fold_metrics = []
     param_counts = []
     preds, intervals = [], []
-    capable = name in QUANTILE_CAPABLE
+    capable = model_spec(name).quantile_capable
     for fold in folds:
         fitted = fit_model(name, fold.train, params, seed=fold.seed, fit_cache=fit_cache)
         pred = fitted.predict_point(fold.test_rows)
@@ -226,8 +226,7 @@ def grid_search(
     partition quantile fits are memoised for the length of the search, so
     identical partitions under different tree settings are solved once.
     """
-    grid = grid if grid else default_grid(name)
-    combos = grid_combinations(grid)
+    combos = grid_combinations(grid or model_spec(name).grid)
     if not combos:
         raise ValueError("empty hyperparameter grid")
 
@@ -490,7 +489,7 @@ def benchmark(
         reports.append(
             ModelReport(
                 name=name,
-                display_name=DISPLAY_NAMES[name],
+                display_name=model_spec(name).display_name,
                 median_ae=cv.median_ae,
                 mean_ae=cv.mean_ae,
                 param_count=result.final_model.parameter_count(),

@@ -75,6 +75,10 @@ class RegressionTree:
     def n_internal(self) -> int:
         return sum(1 for nd in self.nodes if not nd.is_leaf)
 
+    def parameter_count(self) -> int:
+        """Two parameters (feature, threshold) per internal node."""
+        return 2 * self.n_internal
+
     @cached_property
     def arrays(self) -> TreeArrays:
         nodes = self.nodes

@@ -326,7 +326,7 @@ def lag_features(values, lag_count: int) -> list[tuple]:
     """Rows (y_{t-1}, ..., y_{t-L}, y_t) for t > L; the first L rows drop out."""
     if lag_count < 1:
         raise ValueError("lag_count must be at least 1")
-    vals = [float(v) for v in values]
+    vals = [None if v is None else float(v) for v in values]
     if len(vals) <= lag_count:
         raise ValueError(f"series of length {len(vals)} too short for {lag_count} lags")
     rows = []
@@ -429,6 +429,10 @@ def read_milestone_csv(path, delimiter: str = ",") -> list[MilestoneRecord]:
                 v = row.get(key, "")
                 return v if v not in ("", None) else None
 
+            def coordinate(key):
+                v = get(key)
+                return None if v is None else _finite_cell(v, path, reader.line_num, key)
+
             records.append(
                 MilestoneRecord(
                     project_id=row["project_id"],
@@ -441,8 +445,8 @@ def read_milestone_csv(path, delimiter: str = ",") -> list[MilestoneRecord]:
                     state=get("state"),
                     region=get("region"),
                     market=get("market"),
-                    latitude=float(get("latitude")) if get("latitude") else None,
-                    longitude=float(get("longitude")) if get("longitude") else None,
+                    latitude=coordinate("latitude"),
+                    longitude=coordinate("longitude"),
                     zip_code=get("zip"),
                     nature=get("nature"),
                     technology=get("technology"),
@@ -522,8 +526,7 @@ def read_gwa_trace(path, delimiter: str = ";") -> dict[str, list]:
                 continue
             for h, v in zip(header, row):
                 v = v.strip()
-                where = f"{path}:{reader.line_num}: column {h!r}"
-                data[h].append(_finite_cell(v, where) if v else None)
+                data[h].append(_finite_cell(v, path, reader.line_num, h) if v else None)
     return data
 
 
@@ -547,7 +550,7 @@ def build_gwa_dataset(paths, lag_count: int = 3, delimiter: str = ";") -> Datase
         if len(target_vals) <= lag_count:
             continue
         stamps = data[GWA_TIMESTAMP]
-        for t in range(lag_count, len(target_vals)):
+        for t, lags in enumerate(lag_features(target_vals, lag_count), start=lag_count):
             dt = datetime.fromtimestamp(stamps[t] / 1000.0, tz=timezone.utc)
             row = [
                 str(path),
@@ -556,9 +559,7 @@ def build_gwa_dataset(paths, lag_count: int = 3, delimiter: str = ";") -> Datase
                 None if data.get(GWA_CORES, [None])[t] is None else str(int(data[GWA_CORES][t])),
             ]
             row += [data[c][t] for c in present]
-            row += [target_vals[t - i] for i in range(1, lag_count + 1)]
-            row.append(target_vals[t])
-            all_rows.append((present, tuple(row)))
+            all_rows.append((present, tuple(row) + lags))
     if numeric_present is None or not all_rows:
         raise ValueError("no usable trace rows")
     columns += [(c, "numeric") for c in numeric_present]

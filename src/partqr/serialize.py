@@ -15,13 +15,13 @@ from .baselines import BoostedModel, ForestModel
 from .composite import CompositeQuantileModel, ConstantModel
 from .data import CategoricalEncoding, EncodedColumn, EncodedMatrix, FeatureSchema
 from .linear import LinearQuantileModel, RidgeModel
-from .models import BaselineFit, CompositeFit
+from .models import BaselineFit, CompositeFit, model_spec
 from .partition import ClusterPartition, RegressionTree, TreeNode
 
 FORMAT_VERSION = 1
 
 
-def _tree_to_doc(tree: RegressionTree, with_rows: bool) -> dict:
+def _tree_to_doc(tree: RegressionTree, with_rows: bool = True) -> dict:
     nodes = []
     for nd in tree.nodes:
         doc = {
@@ -116,7 +116,9 @@ def _estimator_from_doc(doc: dict):
     )
 
 
-def _composite_to_doc(model: CompositeQuantileModel) -> dict:
+def _composite_to_doc(fit: CompositeFit) -> tuple[list, dict]:
+    """The (encoded columns, payload) documents of a composite fit."""
+    model = fit.model
     doc = {
         "kind": model.kind,
         "levels": list(model.levels),
@@ -131,24 +133,17 @@ def _composite_to_doc(model: CompositeQuantileModel) -> dict:
             for pid, table in model.estimators.items()
         }
     if model.tree is not None:
-        doc["tree"] = _tree_to_doc(model.tree, with_rows=True)
+        doc["tree"] = _tree_to_doc(model.tree)
     if model.clusters is not None:
         doc["centroids"] = model.clusters.centroids.tolist()
     if model.kind == "nn_qr":
         doc["train_values"] = model.train_matrix.values.tolist()
         doc["train_y"] = model.train_y.tolist()
-    return doc
+    return [[c.source, c.level, c.from_categorical] for c in model.columns], doc
 
 
-def _columns_to_doc(columns) -> list:
-    return [[c.source, c.level, c.from_categorical] for c in columns]
-
-
-def _columns_from_doc(doc) -> tuple:
-    return tuple(EncodedColumn(src, lv, bool(flag)) for src, lv, flag in doc)
-
-
-def _composite_from_doc(doc: dict, schema, encoding, columns) -> CompositeQuantileModel:
+def _composite_from_doc(name, params, schema, encoding, columns, doc) -> CompositeFit:
+    columns = tuple(EncodedColumn(src, lv, bool(flag)) for src, lv, flag in columns)
     model = CompositeQuantileModel(
         kind=doc["kind"],
         schema=schema,
@@ -175,50 +170,43 @@ def _composite_from_doc(doc: dict, schema, encoding, columns) -> CompositeQuanti
         values = np.array(doc["train_values"], dtype=float)
         model.train_matrix = EncodedMatrix(values, columns)
         model.train_y = np.array(doc["train_y"], dtype=float)
-    return model
+    return CompositeFit(name, params, model)
 
 
-def _baseline_to_doc(fit: BaselineFit) -> dict:
-    inner = fit.inner
-    if isinstance(inner, RegressionTree):
-        return {"tree": _tree_to_doc(inner, with_rows=True)}
-    if isinstance(inner, ForestModel):
-        return {
-            "forest": {
-                "trees": [_tree_to_doc(t, with_rows=True) for t in inner.trees],
-                "sample_indices": [[int(i) for i in s] for s in inner.sample_indices],
-                "feature_subsets": [[int(i) for i in s] for s in inner.feature_subsets],
-                "y_train": inner.y_train.tolist(),
-                "bootstrap": inner.bootstrap,
-                "seed": inner.seed,
-                "feature_fraction": inner.feature_fraction,
-            }
-        }
+def _forest_to_doc(forest: ForestModel) -> dict:
     return {
-        "boosted": {
-            "init": inner.init,
-            "learning_rate": inner.learning_rate,
-            "trees": [_tree_to_doc(t, with_rows=False) for t in inner.trees],
-            "sse_history": list(inner.sse_history),
-        }
+        "trees": [_tree_to_doc(t) for t in forest.trees],
+        "sample_indices": [[int(i) for i in s] for s in forest.sample_indices],
+        "feature_subsets": [[int(i) for i in s] for s in forest.feature_subsets],
+        "y_train": forest.y_train.tolist(),
+        "bootstrap": forest.bootstrap,
+        "seed": forest.seed,
+        "feature_fraction": forest.feature_fraction,
     }
 
 
-def _baseline_from_doc(doc: dict):
-    if "tree" in doc:
-        return _tree_from_doc(doc["tree"])
-    if "forest" in doc:
-        f = doc["forest"]
-        return ForestModel(
-            trees=[_tree_from_doc(t) for t in f["trees"]],
-            sample_indices=[np.array(s, dtype=int) for s in f["sample_indices"]],
-            feature_subsets=[np.array(s, dtype=int) for s in f["feature_subsets"]],
-            y_train=np.array(f["y_train"], dtype=float),
-            bootstrap=f["bootstrap"],
-            seed=f["seed"],
-            feature_fraction=f["feature_fraction"],
-        )
-    b = doc["boosted"]
+def _forest_from_doc(f: dict) -> ForestModel:
+    return ForestModel(
+        trees=[_tree_from_doc(t) for t in f["trees"]],
+        sample_indices=[np.array(s, dtype=int) for s in f["sample_indices"]],
+        feature_subsets=[np.array(s, dtype=int) for s in f["feature_subsets"]],
+        y_train=np.array(f["y_train"], dtype=float),
+        bootstrap=f["bootstrap"],
+        seed=f["seed"],
+        feature_fraction=f["feature_fraction"],
+    )
+
+
+def _boosted_to_doc(model: BoostedModel) -> dict:
+    return {
+        "init": model.init,
+        "learning_rate": model.learning_rate,
+        "trees": [_tree_to_doc(t, with_rows=False) for t in model.trees],
+        "sse_history": list(model.sse_history),
+    }
+
+
+def _boosted_from_doc(b: dict) -> BoostedModel:
     return BoostedModel(
         init=b["init"],
         trees=[_tree_from_doc(t) for t in b["trees"]],
@@ -227,32 +215,44 @@ def _baseline_from_doc(doc: dict):
     )
 
 
+def _baseline_codec(to_doc, from_doc):
+    """A baseline stores its fitted ensemble and no encoded columns."""
+
+    def write(fit: BaselineFit):
+        return None, to_doc(fit.inner)
+
+    def read(name, params, schema, encoding, columns, doc) -> BaselineFit:
+        return BaselineFit(name, params, schema, encoding, from_doc(doc))
+
+    return write, read
+
+
+# payload key (the registry's `ModelSpec.payload`) -> (write, read): `write(fit)`
+# gives the (encoded columns, payload) documents, `read` rebuilds the fit
+_PAYLOADS = {
+    "composite": (_composite_to_doc, _composite_from_doc),
+    "tree": _baseline_codec(_tree_to_doc, _tree_from_doc),
+    "forest": _baseline_codec(_forest_to_doc, _forest_from_doc),
+    "boosted": _baseline_codec(_boosted_to_doc, _boosted_from_doc),
+}
+
+
 def model_to_json(fit) -> str:
     """Serialize a fitted registry model to the versioned JSON envelope."""
-    if isinstance(fit, CompositeFit):
-        schema = fit.model.schema
-        encoding = fit.model.encoding
-        columns = fit.model.columns
-        payload = {"composite": _composite_to_doc(fit.model)}
-    elif isinstance(fit, BaselineFit):
-        schema = fit.schema
-        encoding = fit.encoding
-        columns = None
-        payload = _baseline_to_doc(fit)
-    else:
-        raise TypeError(f"cannot serialize {type(fit).__name__}")
+    key = model_spec(fit.name).payload
+    columns, payload = _PAYLOADS[key][0](fit)
     doc = {
         "format_version": FORMAT_VERSION,
         "model_name": fit.name,
         "params": fit.params,
         "schema": {
-            "columns": [[n, k] for n, k in schema.columns],
-            "target": schema.target,
-            "weight_units": schema.weight_units,
+            "columns": [[n, k] for n, k in fit.schema.columns],
+            "target": fit.schema.target,
+            "weight_units": fit.schema.weight_units,
         },
-        "encoding": [[col, list(levels)] for col, levels in encoding.levels],
-        "columns": None if columns is None else _columns_to_doc(columns),
-        "payload": payload,
+        "encoding": [[col, list(levels)] for col, levels in fit.encoding.levels],
+        "columns": columns,
+        "payload": {key: payload},
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -262,6 +262,8 @@ def model_from_json(text: str):
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
+    name = doc["model_name"]
+    key = model_spec(name).payload
     schema = FeatureSchema(
         tuple((n, k) for n, k in doc["schema"]["columns"]),
         target=doc["schema"]["target"],
@@ -270,13 +272,8 @@ def model_from_json(text: str):
     encoding = CategoricalEncoding(
         tuple((col, tuple(levels)) for col, levels in doc["encoding"])
     )
-    payload = doc["payload"]
-    if "composite" in payload:
-        columns = _columns_from_doc(doc["columns"])
-        model = _composite_from_doc(payload["composite"], schema, encoding, columns)
-        return CompositeFit(doc["model_name"], doc["params"], model)
-    inner = _baseline_from_doc(payload)
-    return BaselineFit(doc["model_name"], doc["params"], schema, encoding, inner)
+    read = _PAYLOADS[key][1]
+    return read(name, doc["params"], schema, encoding, doc["columns"], doc["payload"][key])
 
 
 def save_model(path, fit) -> None:

@@ -75,6 +75,13 @@ class TestTrain:
         assert "'ingest'" in err and f"{synth_csv}:5: column 'step2_days'" in err
         assert not (tmp_path / "model.json").exists()
 
+    @pytest.mark.parametrize("grid", [{}, {"lam": [0.1]}])
+    def test_unknown_model_exit_2(self, tmp_path, synth_csv, capsys, grid):
+        config = write_config(tmp_path, synth_csv, model={"name": "lasso", "grid": grid})
+        assert main(["train", "--config", str(config)]) == 2
+        assert "'grid-search': unknown model 'lasso'" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
 
 class TestPredict:
     def make_model(self, tmp_path, synth_csv):
@@ -397,6 +404,25 @@ class TestMilestoneFlow:
         schema = fitted.model.schema
         assert schema.target == "target_days"
         assert "climate" in [n for n, _ in schema.columns]
+
+    def test_non_finite_coordinate_exit_2(self, tmp_path, capsys):
+        data, _ = self.write_inputs(tmp_path)
+        lines = data.read_text(encoding="utf-8").splitlines()
+        lines = [lines[0] + ",latitude"] + [line + ",47.6" for line in lines[1:]]
+        lines[4] = lines[4].replace(",47.6", ",nan")
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = {
+            "data": {"path": str(data), "format": "milestone-csv"},
+            "pipeline": {"source_milestone": "start", "target_milestone": "end"},
+            "model": {"name": "ridge", "grid": {"lam": [0.1]}},
+            "cv": {"folds": 4, "seed": 2},
+            "output": {"model_path": str(tmp_path / "m.json")},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["train", "--config", str(path)]) == 2
+        assert f"{data}:5: column 'latitude': non-finite value 'nan'" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestPointModelPredict:

@@ -12,7 +12,7 @@ import pytest
 from partqr import composite
 from partqr.data import encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
-from partqr.models import DISPLAY_NAMES, MODEL_NAMES, default_grid, fit_model
+from partqr.models import MODEL_NAMES, MODELS, fit_model
 from partqr.serialize import model_from_json, model_to_json
 
 PARAMS = {
@@ -84,11 +84,17 @@ def test_batch_equals_one_row_calls(fitted, rows, name):
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_registry_entry_and_golden_bytes(fitted, name):
-    assert DISPLAY_NAMES[name]
-    assert default_grid(name)
+    assert MODELS[name].display_name
+    assert MODELS[name].grid
     text = model_to_json(fitted[name])
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
     assert model_to_json(model_from_json(text)) == text
+
+
+def test_unknown_model_name_in_file_fails_naming_it(fitted):
+    text = model_to_json(fitted["ridge"]).replace('"model_name": "ridge"', '"model_name": "lasso"')
+    with pytest.raises(ValueError, match="unknown model 'lasso'"):
+        model_from_json(text)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

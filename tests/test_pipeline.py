@@ -321,6 +321,9 @@ class TestLagFeatures:
         with pytest.raises(ValueError):
             lag_features([1, 2, 3], 3)
 
+    def test_blank_cell_passes_through(self):
+        assert lag_features([1, None, 3, 4], 2) == [(None, 1.0, 3.0), (3.0, None, 4.0)]
+
     def test_no_cross_series_mixing(self, tmp_path):
         header = "Timestamp [ms];CPU cores;CPU capacity provisioned [MHZ];CPU usage [MHZ]"
         t0 = 1_600_000_000_000
@@ -402,6 +405,21 @@ class TestImpute:
 
 
 class TestMilestoneCsv:
+    @pytest.mark.parametrize("column", ["latitude", "longitude"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "north"])
+    def test_bad_coordinate_names_line_and_column(self, tmp_path, column, cell):
+        path = tmp_path / "m.csv"
+        good = {"latitude": "32.7", "longitude": "-96.8"}
+        bad = {**good, column: cell}
+        path.write_text(
+            "project_id,site_id,milestone,actual_date,latitude,longitude\n"
+            f"p1,s1,start,2021-01-01,{good['latitude']},{good['longitude']}\n"
+            f"p1,s1,end,2021-02-01,{bad['latitude']},{bad['longitude']}\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:3: column {column!r}")):
+            read_milestone_csv(path)
+
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text(
