@@ -226,7 +226,8 @@ def grid_search(
     partition quantile fits are memoised for the length of the search, so
     identical partitions under different tree settings are solved once.
     """
-    combos = grid_combinations(grid or model_spec(name).grid)
+    spec = model_spec(name)  # an unknown name fails before any fold is prepared
+    combos = grid_combinations(grid or spec.grid)
     if not combos:
         raise ValueError("empty hyperparameter grid")
 

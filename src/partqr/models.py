@@ -112,8 +112,7 @@ class BaselineFit(_RegistryFit):
 # call time, so a wrapper installed on the module attribute (a tracer, a test
 # double) sees every call.
 def _composite(kind: str, settings: Callable) -> Callable:
-    """Builder of a partitioned model; `settings(dataset, params, seed)` gives
-    `fit_composite` its hyperparameters besides lam."""
+    """Builder of a partitioned model: lam plus `settings(dataset, params, seed)`."""
 
     def build(name, dataset, params, seed, fit_cache):
         hyperparams = {"lam": params.get("lam", 0.0), **settings(dataset, params, seed)}

@@ -227,8 +227,7 @@ def _baseline_codec(to_doc, from_doc):
     return write, read
 
 
-# payload key (the registry's `ModelSpec.payload`) -> (write, read): `write(fit)`
-# gives the (encoded columns, payload) documents, `read` rebuilds the fit
+# `ModelSpec.payload` -> (write(fit) -> (encoded columns, payload), read(...) -> fit)
 _PAYLOADS = {
     "composite": (_composite_to_doc, _composite_from_doc),
     "tree": _baseline_codec(_tree_to_doc, _tree_from_doc),
