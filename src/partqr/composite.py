@@ -104,14 +104,13 @@ def _fit_quantile_table(matrix, ysub, levels, lam, fit_cache: dict):
     if ysub.size < matrix.width + 2:
         return {a: ConstantModel(pinball_quantile(ysub, a)) for a in levels}
     leaf = _leaf_digest(matrix, ysub)
-    table = {}
-    for a in levels:
-        key = (leaf, a, lam)
-        if key not in fit_cache:
-            # Threads may race to one key; both solves give the same fit.
-            fit_cache[key] = fit_quantile(matrix, ysub, a, lam)
-        table[a] = fit_cache[key]
-    return table
+    # a tuple, not a list: perfbench's tracer hashes the levels it is passed
+    missing = tuple(a for a in levels if (leaf, a, lam) not in fit_cache)
+    if missing:
+        # Threads may race to one key; both solves give the same fit.
+        for a, fit in zip(missing, fit_quantile(matrix, ysub, missing, lam)):
+            fit_cache[leaf, a, lam] = fit
+    return {a: fit_cache[leaf, a, lam] for a in levels}
 
 
 def fit_composite(

@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
+
+try:  # HiGHS's own binding, shipped inside scipy since 1.15
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # pragma: no cover - depends on the installed scipy
+    raise ImportError(
+        "partqr needs a scipy release that ships scipy.optimize._highspy (1.15 or later)"
+    ) from exc
 
 from .data import EncodedMatrix, encoded_stack
 
@@ -159,8 +165,37 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
     )
 
 
-def fit_quantile(X, y, alpha: float, lam: float) -> LinearQuantileModel:
+def _dual_lp(Xs: np.ndarray, y: np.ndarray, lam: float):
+    """The quantile dual as a column-wise HighsLp: rows Xs', -Xs', then 1'.
+
+    Zeros are left out of the column-wise matrix and the column bounds are
+    placeholders that each level replaces before its solve.
+    """
+    n, p = Xs.shape
+    dense = np.hstack([Xs, -Xs, np.ones((n, 1))])  # row i is column i of the LP
+    cols, rows = np.nonzero(dense)
+    lp = _highs.HighsLp()
+    lp.num_col_ = n
+    lp.num_row_ = 2 * p + 1
+    lp.col_cost_ = -y
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.zeros(n)
+    lp.row_lower_ = np.append(np.full(2 * p, -_highs.kHighsInf), 0.0)
+    lp.row_upper_ = np.append(np.full(2 * p, float(lam)), 0.0)
+    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+    lp.a_matrix_.num_col_ = n
+    lp.a_matrix_.num_row_ = 2 * p + 1
+    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.bincount(cols, minlength=n))).astype(np.int32)
+    lp.a_matrix_.index_ = rows.astype(np.int32)
+    lp.a_matrix_.value_ = dense[cols, rows]
+    return lp
+
+
+def fit_quantile(X, y, alpha, lam: float):
     """Fit pinball loss + lam*L1 by linear programming (exact optimum).
+
+    `alpha` is one level or a sequence of levels: one level gives a
+    LinearQuantileModel, a sequence gives a list with one model per level.
 
     The primal problem min sum_i rho_alpha(y_i - b0 - x_i b) + lam*||b||_1 is
     an LP with n equality rows and 2n+2p+1 columns. HiGHS solves its dual
@@ -169,12 +204,22 @@ def fit_quantile(X, y, alpha: float, lam: float) -> LinearQuantileModel:
 
         max y'd  s.t.  1'd = 0,  |Xs'd| <= lam,  alpha-1 <= d <= alpha.
 
-    The primal solution is read from the dual's constraint marginals: the
-    intercept is the marginal of 1'd = 0 and each coefficient is the
-    difference of the marginals of its two rows Xs_j'd <= lam and
-    -Xs_j'd <= lam. Both problems share one optimum, so the returned
-    objective sits at the true minimum rather than a smoothed proxy.
+    The primal solution is read from the dual's row duals: the intercept is
+    the negated dual of 1'd = 0 and each coefficient is the difference of the
+    duals of its two rows Xs_j'd <= lam and -Xs_j'd <= lam. Both problems
+    share one optimum, so the returned objective sits at the true minimum
+    rather than a smoothed proxy.
+
+    The dual is built once per call, and the levels only move its column
+    bounds. Each level is still solved cold: the solver's basis is cleared
+    before every run, so a level's answer is the one a call for that level
+    alone gives. A warm start from the previous level's basis would be faster
+    but can stop at another optimal vertex when the optimum is not unique
+    (tied targets, alpha*n an integer), which would make a fit depend on the
+    levels solved before it.
     """
+    one = np.ndim(alpha) == 0
+    levels = [float(a) for a in np.reshape(alpha, -1)]
     values, indicator = _as_array(X)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -182,7 +227,7 @@ def fit_quantile(X, y, alpha: float, lam: float) -> LinearQuantileModel:
         raise ValueError("empty data")
     if values.shape[0] != n:
         raise ValueError("X and y row counts differ")
-    if not 0.0 < alpha < 1.0:
+    if not all(0.0 < a < 1.0 for a in levels):
         raise ValueError("alpha must lie in (0, 1)")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
@@ -190,51 +235,54 @@ def fit_quantile(X, y, alpha: float, lam: float) -> LinearQuantileModel:
     Xs, active, center, scale = _standardize(values, indicator)
     p_act = Xs.shape[1]
     p = values.shape[1]
-
+    fits = []
     if p_act == 0:
-        b0 = pinball_quantile(y, alpha)
-        obj = pinball_total(y - b0, alpha)
-        return LinearQuantileModel(
-            alpha=float(alpha),
-            coef=np.zeros(p),
-            intercept=float(b0),
-            lam=float(lam),
-            objective=obj,
-            scaled_coef=np.zeros(0),
-            feature_scale=scale,
+        for a in levels:
+            b0 = pinball_quantile(y, a)
+            fits.append(
+                LinearQuantileModel(
+                    alpha=a,
+                    coef=np.zeros(p),
+                    intercept=float(b0),
+                    lam=float(lam),
+                    objective=pinball_total(y - b0, a),
+                    scaled_coef=np.zeros(0),
+                    feature_scale=scale,
+                )
+            )
+        return fits[0] if one else fits
+
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.passModel(_dual_lp(Xs, y, lam))
+    every_col = np.arange(n, dtype=np.int32)
+    for a in levels:
+        highs.changeColsBounds(n, every_col, np.full(n, a - 1.0), np.full(n, a))
+        highs.clearSolver()
+        highs.run()
+        status = highs.getModelStatus()
+        if status != _highs.HighsModelStatus.kOptimal:
+            raise RuntimeError(f"quantile LP failed: {highs.modelStatusToString(status)}")
+        # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
+        w = np.asarray(highs.getSolution().row_dual)
+        b0_std = -float(w[2 * p_act])
+        scaled = w[p_act : 2 * p_act] - w[:p_act]
+        coef = np.zeros(p)
+        coef[active] = scaled / scale[active]
+        intercept = b0_std - float(np.dot(center[active] / scale[active], scaled))
+        residuals = y - intercept - values @ coef
+        fits.append(
+            LinearQuantileModel(
+                alpha=a,
+                coef=coef,
+                intercept=float(intercept),
+                lam=float(lam),
+                objective=pinball_total(residuals, a) + lam * float(np.sum(np.abs(scaled))),
+                scaled_coef=scaled,
+                feature_scale=scale,
+            )
         )
-
-    # linprog minimizes, so the dual objective is -y'd and every marginal
-    # (d objective / d right-hand side) is the negated primal variable.
-    res = linprog(
-        -y,
-        A_ub=np.vstack([Xs.T, -Xs.T]),
-        b_ub=np.full(2 * p_act, float(lam)),
-        A_eq=np.ones((1, n)),
-        b_eq=[0.0],
-        bounds=(alpha - 1.0, alpha),
-        method="highs",
-    )
-    if res.status != 0:
-        raise RuntimeError(f"quantile LP failed: {res.message}")
-
-    b0_std = -float(res.eqlin.marginals[0])
-    w = res.ineqlin.marginals
-    scaled = w[p_act:] - w[:p_act]
-    coef = np.zeros(p)
-    coef[active] = scaled / scale[active]
-    intercept = b0_std - float(np.dot(center[active] / scale[active], scaled))
-    residuals = y - intercept - values @ coef
-    obj = pinball_total(residuals, alpha) + lam * float(np.sum(np.abs(scaled)))
-    return LinearQuantileModel(
-        alpha=float(alpha),
-        coef=coef,
-        intercept=float(intercept),
-        lam=float(lam),
-        objective=obj,
-        scaled_coef=scaled,
-        feature_scale=scale,
-    )
+    return fits[0] if one else fits
 
 
 def predict_linear(model, x):

@@ -271,6 +271,8 @@ def model_from_json(text: str):
     encoding = CategoricalEncoding(
         tuple((col, tuple(levels)) for col, levels in doc["encoding"])
     )
+    if key not in doc["payload"]:
+        raise ValueError(f"model {name!r} needs a {key!r} payload, which the file lacks")
     read = _PAYLOADS[key][1]
     return read(name, doc["params"], schema, encoding, doc["columns"], doc["payload"][key])
 

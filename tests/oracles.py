@@ -87,6 +87,51 @@ def quantile_primal_oracle(X, y, alpha, lam, indicator=None):
     return float(res.fun)
 
 
+def quantile_dual_linprog(X, y, alpha, lam, indicator=None):
+    """`fit_quantile`'s dual LP solved by `scipy.optimize.linprog`, one level
+    per call: returns (coef, intercept, objective).
+
+    Standardizes column by column as `fit_quantile` does (numeric columns
+    centered and scaled to unit population variance, indicators 0/1,
+    zero-variance columns dropped) and maps the dual's constraint marginals
+    back to the original units by the same arithmetic, so on the same vertex
+    the three results agree with `fit_quantile` bit for bit.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    indicator = np.zeros(p, dtype=bool) if indicator is None else np.asarray(indicator)
+    center, scale, active = np.zeros(p), np.ones(p), np.zeros(p, dtype=bool)
+    for j in range(p):
+        sd = float(np.std(X[:, j]))
+        if sd > 0:
+            active[j] = True
+            if not indicator[j]:
+                center[j], scale[j] = float(np.mean(X[:, j])), sd
+    Xs = (X[:, active] - center[active]) / scale[active]
+    k = Xs.shape[1]
+    res = linprog(
+        -y,
+        A_ub=np.vstack([Xs.T, -Xs.T]),
+        b_ub=np.full(2 * k, float(lam)),
+        A_eq=np.ones((1, n)),
+        b_eq=[0.0],
+        bounds=(alpha - 1.0, alpha),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    w = res.ineqlin.marginals
+    scaled = w[k:] - w[:k]
+    coef = np.zeros(p)
+    coef[active] = scaled / scale[active]
+    intercept = -float(res.eqlin.marginals[0]) - float(
+        np.dot(center[active] / scale[active], scaled)
+    )
+    r = y - intercept - X @ coef
+    pinball = float(np.sum(alpha * np.maximum(r, 0.0) + (1.0 - alpha) * np.maximum(-r, 0.0)))
+    return coef, intercept, pinball + lam * float(np.sum(np.abs(scaled)))
+
+
 def node_sse(y):
     return float(np.sum((y - np.mean(y)) ** 2)) if y.size else 0.0
 

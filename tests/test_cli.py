@@ -450,3 +450,15 @@ class TestInspect:
         assert "Quantile Tree" in out
         assert "parameter count:" in out
         assert "partitions:" in out
+
+    def test_payload_mismatch_exit_2(self, tmp_path, synth_csv, capsys):
+        grid = {"max_depth": [2], "min_samples_split": [10]}
+        config = write_config(tmp_path, synth_csv, model={"name": "decision_tree", "grid": grid})
+        assert main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "model.json"
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"model_name": "decision_tree"', '"model_name": "ridge"'), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["inspect", "--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "'load-model': model 'ridge' needs a 'composite' payload" in err

@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quantile_grid_oracle, quantile_primal_oracle, ridge_oracle
+from oracles import quantile_dual_linprog, quantile_grid_oracle, quantile_primal_oracle, ridge_oracle
+from test_composite import toy_dataset
 
-from partqr.data import EncodedColumn, EncodedMatrix
+from partqr import linear
+from partqr.data import EncodedColumn, EncodedMatrix, encode
 from partqr.linear import (
+    LinearQuantileModel,
     fit_quantile,
     fit_ridge,
     pinball_quantile,
@@ -183,6 +186,70 @@ class TestQuantile:
             fit_quantile(X, y, 0.5, -0.1)
         with pytest.raises(ValueError):
             fit_quantile(np.zeros((0, 1)), np.zeros(0), 0.5, 0.0)
+
+
+def _level_cases():
+    """Designs whose quantile LPs have many optimal vertices."""
+    rng = np.random.default_rng(29)
+    quartiles = (0.25, 0.5, 0.75)  # alpha*n is an integer at n = 40
+    lams = (0.0, 0.1, 1.0)
+    X = np.round(rng.normal(size=(40, 2)) * 2)
+    y = np.round(X @ np.array([1.0, -0.5]) + rng.normal(size=40))
+    yield "rounded", X, y, quartiles, lams
+    X = rng.integers(0, 2, size=(40, 3)).astype(float)
+    yield "binary", X, X @ np.array([2.0, 0.0, -1.0]) + rng.integers(0, 2, size=40), quartiles, lams
+    X = rng.normal(size=(40, 2))
+    yield "tied_y", X, rng.integers(0, 3, size=40).astype(float), (0.05, 0.5, 0.95), lams
+    matrix, y, _ = encode(toy_dataset(60, seed=5))
+    yield "toy_60_5", matrix, y, (0.05, 0.5, 0.95), (0.0,)
+
+
+class TestLevelSequence:
+    """fit_quantile over a sequence of levels solves every level cold."""
+
+    @staticmethod
+    def _bits(coef, intercept, objective):
+        return coef.tobytes(), np.float64(intercept).tobytes(), np.float64(objective).tobytes()
+
+    @pytest.mark.parametrize(
+        "X, y, levels, lams", [pytest.param(*case[1:], id=case[0]) for case in _level_cases()]
+    )
+    def test_sequence_equals_scalar_calls_and_linprog(self, X, y, levels, lams):
+        values = X.values if isinstance(X, EncodedMatrix) else X
+        indicator = X.categorical_mask if isinstance(X, EncodedMatrix) else None
+        for lam in lams:
+            want = {
+                a: self._bits(*quantile_dual_linprog(values, y, a, lam, indicator)) for a in levels
+            }
+            for order in (levels, levels[::-1]):
+                fits = fit_quantile(X, y, order, lam)
+                assert [f.alpha for f in fits] == list(order)
+                for a, fit in zip(order, fits):
+                    assert self._bits(fit.coef, fit.intercept, fit.objective) == want[a], (a, lam)
+                    one = fit_quantile(X, y, a, lam)
+                    assert self._bits(one.coef, one.intercept, one.objective) == want[a], (a, lam)
+
+    def test_return_shapes(self):
+        X = np.arange(12.0).reshape(-1, 1)
+        y = np.arange(12.0) % 5
+        assert isinstance(fit_quantile(X, y, 0.5, 0.0), LinearQuantileModel)
+        assert [f.alpha for f in fit_quantile(X, y, [0.5], 0.0)] == [0.5]
+        constant = fit_quantile(np.zeros((12, 1)), y, (0.2, 0.8), 0.0)
+        assert [f.intercept for f in constant] == [pinball_quantile(y, 0.2), pinball_quantile(y, 0.8)]
+        with pytest.raises(ValueError, match="alpha"):
+            fit_quantile(X, y, (0.5, 1.0), 0.0)
+
+    def test_non_optimal_status_raises(self, monkeypatch):
+        highs = linear._highs
+
+        class Infeasible(highs._Highs):
+            def getModelStatus(self):
+                return highs.HighsModelStatus.kInfeasible
+
+        monkeypatch.setattr(highs, "_Highs", Infeasible)
+        X = np.arange(12.0).reshape(-1, 1)
+        with pytest.raises(RuntimeError, match="quantile LP failed: Infeasible"):
+            fit_quantile(X, X[:, 0] % 5, 0.5, 0.0)
 
 
 class TestPredictLinear:

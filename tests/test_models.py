@@ -97,6 +97,14 @@ def test_unknown_model_name_in_file_fails_naming_it(fitted):
         model_from_json(text)
 
 
+def test_model_name_payload_mismatch_names_both(fitted):
+    text = model_to_json(fitted["decision_tree"]).replace(
+        '"model_name": "decision_tree"', '"model_name": "ridge"'
+    )
+    with pytest.raises(ValueError, match="model 'ridge' needs a 'composite' payload"):
+        model_from_json(text)
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_empty_batch_shapes(fitted, name):
     fit = fitted[name]
