@@ -20,16 +20,17 @@ from .partition import (
 
 @dataclass
 class ForestModel:
-    """Bagged CART trees; leaves keep row lists so QRF quantiles stay available.
+    """Bagged CART trees, plus the leaf of each in-bag training row for QRF.
 
     Per-tree randomness is derived from SeedSequence([seed, tree_index]), so
-    the forest is identical regardless of training order. The QRF lookup
-    tables (`y_order`, `leaf_members`) are derived from the fields on first
-    use and never serialised.
+    the forest is identical regardless of training order. `in_bag_leaf[t]`
+    holds, per training row, its leaf id in tree t, or -1 when the row is out
+    of tree t's bootstrap. The QRF lookup tables (`y_order`, `leaf_members`)
+    are derived from the fields on first use and never serialised.
     """
 
     trees: list[RegressionTree]
-    sample_indices: list[np.ndarray]
+    in_bag_leaf: list[np.ndarray]
     feature_subsets: list[np.ndarray]
     y_train: np.ndarray
     bootstrap: bool
@@ -49,12 +50,10 @@ class ForestModel:
         rank = np.empty(n, dtype=np.intp)
         rank[self.y_order] = np.arange(n)
         tables = []
-        for tree, sample in zip(self.trees, self.sample_indices):
-            leaves = tree.leaf_nodes()
-            # one key per distinct (leaf, row) pair, sorted by leaf
-            pairs = [leaf.leaf_id * n + rank[sample[leaf.rows]] for leaf in leaves]
-            keys = np.unique(np.concatenate(pairs))
-            tables.append((np.searchsorted(keys, np.arange(len(leaves) + 1) * n), keys % n))
+        for tree, leaf in zip(self.trees, self.in_bag_leaf):
+            # one key per in-bag row, sorted by leaf, then by rank
+            keys = np.sort((leaf * n + rank)[leaf >= 0])
+            tables.append((np.searchsorted(keys, np.arange(tree.n_leaves + 1) * n), keys % n))
         return tables
 
     @property
@@ -86,7 +85,7 @@ def fit_rf(
     if not 0 < feature_fraction <= 1:
         raise ValueError("feature_fraction must lie in (0, 1]")
 
-    trees, samples, subsets = [], [], []
+    trees, in_bag, subsets = [], [], []
     n_feat = max(1, int(round(feature_fraction * p)))
     for t in range(n_trees):
         rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
@@ -99,12 +98,16 @@ def fit_rf(
         tree = build_cart(
             values[np.ix_(sample, cols)], y[sample], max_depth, min_samples_split, min_samples_leaf
         )
+        leaf_of = np.full(n, -1, dtype=np.intp)
+        for leaf in tree.leaf_nodes():
+            # copies of a row are one design row, so they share a leaf
+            leaf_of[sample[leaf.rows]] = leaf.leaf_id
         trees.append(tree)
-        samples.append(sample)
+        in_bag.append(leaf_of)
         subsets.append(cols)
     return ForestModel(
         trees=trees,
-        sample_indices=samples,
+        in_bag_leaf=in_bag,
         feature_subsets=subsets,
         y_train=y,
         bootstrap=bootstrap,
@@ -203,7 +206,11 @@ def qrf_predict(forest: ForestModel, x, alpha):
 
 @dataclass
 class BoostedModel:
-    """Stagewise squared-loss boosting: F_m = F_{m-1} + lr * tree(residuals)."""
+    """Stagewise squared-loss boosting: F_m = F_{m-1} + lr * tree(residuals).
+
+    `sse_history`, the training SSE after each stage, is a fit diagnostic:
+    model files do not store it, so a loaded model has none.
+    """
 
     init: float
     trees: list[RegressionTree]

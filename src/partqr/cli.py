@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RunConfig, load_config
 from .data import Dataset, FeatureSchema, dataset_from_csv
 from .evaluation import SyntheticSpec, benchmark, generate_synthetic, grid_search
 from .models import MODEL_NAMES, MODELS
@@ -55,7 +55,7 @@ class _StageError(Exception):
         super().__init__(f"error in stage '{stage}': {cause}")
         self.stage = stage
         self.user = user if user is not None else isinstance(
-            cause, (ConfigError, FileNotFoundError, ValueError, KeyError)
+            cause, (FileNotFoundError, ValueError, KeyError)
         )
 
 
@@ -234,8 +234,8 @@ def cmd_predict(args) -> int:
         out = args.output or "predictions.csv"
         with open(out, "w", newline="", encoding="utf-8") as fh:
             fh.write("lower,median,upper\n")
-            for lo, med, hi in intervals:
-                fh.write(f"{repr(float(lo))},{repr(float(med))},{repr(float(hi))}\n")
+            for lo, med, hi in intervals.tolist():
+                fh.write(f"{lo!r},{med!r},{hi!r}\n")
         print(f"{len(rows)} predictions written to {out}")
     return 0
 
@@ -283,10 +283,8 @@ def cmd_benchmark(args) -> int:
                 path = os.path.join(cfg.output.bounds_dir, f"bounds_{m.name}.csv")
                 with open(path, "w", newline="", encoding="utf-8") as fh:
                     fh.write("lower,actual,upper\n")
-                    for (lo, _, hi), actual in zip(m.bounds, m.bounds_actual):
-                        fh.write(
-                            f"{repr(float(lo))},{repr(float(actual))},{repr(float(hi))}\n"
-                        )
+                    for (lo, _, hi), actual in zip(m.bounds.tolist(), m.bounds_actual.tolist()):
+                        fh.write(f"{lo!r},{actual!r},{hi!r}\n")
     return 0
 
 
@@ -375,9 +373,6 @@ def main(argv=None) -> int:
     except _StageError as exc:
         print(str(exc), file=sys.stderr)
         return 2 if exc.user else 1
-    except ConfigError as exc:
-        print(f"error in stage 'config': {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -65,9 +65,8 @@ class CompositeQuantileModel:
     hyperparams: dict
     tree: RegressionTree | None = None
     clusters: ClusterPartition | None = None
-    # partition id -> {alpha: estimator} for QR kinds, partition id -> estimator for RR
+    # partition id -> {alpha: estimator}; piecewise_rr fits alpha 0.5 only
     estimators: dict = field(default_factory=dict)
-    partition_rows: dict = field(default_factory=dict)
     train_matrix: EncodedMatrix | None = None
     train_y: np.ndarray | None = None
 
@@ -161,10 +160,8 @@ def fit_composite(
         )
         model.tree = tree
         for leaf in tree.leaf_nodes():
-            rows = leaf.rows
-            model.partition_rows[leaf.leaf_id] = rows
             model.estimators[leaf.leaf_id] = _fit_quantile_table(
-                matrix.subset(rows), y[rows], levels, lam, fit_cache
+                matrix.subset(leaf.rows), y[leaf.rows], levels, lam, fit_cache
             )
     elif kind in ("piecewise_qr", "piecewise_rr"):
         k = int(_require(hyperparams, "n_clusters"))
@@ -178,13 +175,12 @@ def fit_composite(
         assignments = assign_cluster(clusters, matrix.categorical_submatrix())
         for cid in range(clusters.k):
             rows = np.flatnonzero(assignments == cid)
-            model.partition_rows[cid] = rows
             sub, ysub = matrix.subset(rows), y[rows]
             if kind == "piecewise_rr":
                 if ysub.size < matrix.width + 2:
-                    model.estimators[cid] = ConstantModel(float(np.mean(ysub)))
+                    model.estimators[cid] = {0.5: ConstantModel(float(np.mean(ysub)))}
                 else:
-                    model.estimators[cid] = fit_ridge(sub, ysub, lam)
+                    model.estimators[cid] = {0.5: fit_ridge(sub, ysub, lam)}
             else:
                 model.estimators[cid] = _fit_quantile_table(sub, ysub, levels, lam, fit_cache)
     else:  # nn_qr
@@ -228,7 +224,7 @@ def _nn_predict(model: CompositeQuantileModel, X: np.ndarray, levels) -> np.ndar
     """nn_qr answers for every row of X and level: an (n, levels) array.
 
     The neighbours depend only on a row's categorical part, so the rows that
-    share a categorical pattern share one neighbourhood fit per level.
+    share a categorical pattern share one neighbourhood fit of all levels.
     """
     k = int(model.hyperparams["n_neighbors"])
     lam = float(model.hyperparams.get("lam", 0.0))
@@ -238,13 +234,10 @@ def _nn_predict(model: CompositeQuantileModel, X: np.ndarray, levels) -> np.ndar
     for g, pattern in enumerate(patterns):
         rows = np.flatnonzero(group == g)
         neighbors = np.array([idx for idx, _ in knn_query(points, pattern, k)])
-        ysub = model.train_y[neighbors]
+        sub, ysub = model.train_matrix.subset(neighbors), model.train_y[neighbors]
+        table = _fit_quantile_table(sub, ysub, levels, lam, {})
         for j, alpha in enumerate(levels):
-            if neighbors.size < model.width + 2:
-                out[rows, j] = pinball_quantile(ysub, alpha)
-            else:
-                fitted = fit_quantile(model.train_matrix.subset(neighbors), ysub, alpha, lam)
-                out[rows, j] = predict_linear(fitted, X[rows])
+            out[rows, j] = _estimate(table[alpha], X[rows])
     return out
 
 
@@ -279,12 +272,12 @@ def predict_quantile(model: CompositeQuantileModel, x, alpha):
         levels = [_fitted_level(model, a) for a in levels]
         pid = _partition_ids(model, X)
         out = np.full((X.shape[0], len(levels)), np.nan)
-        for p, est in model.estimators.items():
+        for p, table in model.estimators.items():
             rows = np.flatnonzero(pid == p)
             if rows.size:
                 block = X[rows]
                 for j, a in enumerate(levels):
-                    out[rows, j] = _estimate(est if model.kind == "piecewise_rr" else est[a], block)
+                    out[rows, j] = _estimate(table[a], block)
     out = out.reshape(X.shape[:1] + shape)
     if x_enc.ndim == 1:
         out = out[0]
@@ -311,9 +304,6 @@ def count_parameters(model: CompositeQuantileModel) -> int | None:
     total = 0
     if model.tree is not None:
         total += model.tree.parameter_count()
-    for est in model.estimators.values():
-        if model.kind == "piecewise_rr":
-            total += _estimator_params(est)
-        else:
-            total += sum(_estimator_params(e) for e in est.values())
+    for table in model.estimators.values():
+        total += sum(_estimator_params(e) for e in table.values())
     return total

@@ -53,7 +53,8 @@ class TreeArrays:
 
 @dataclass
 class RegressionTree:
-    """CART tree over an encoded design matrix; leaves keep their row lists.
+    """CART tree over an encoded design matrix; a fitted tree's leaves keep
+    their row lists, which model files do not store.
 
     `arrays` is derived from the nodes on first use and never serialised.
     """

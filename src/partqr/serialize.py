@@ -1,8 +1,10 @@
 """Versioned JSON model files; loading reproduces bit-identical predictions.
 
-Floats survive a JSON round-trip exactly (repr-based encoding), tree/centroid
-structures are stored verbatim, and nn_qr stores the training matrix its
-neighbor scans read.
+A file holds what prediction reads and nothing else. Floats survive a JSON
+round-trip exactly (repr-based encoding), tree/centroid structures are stored
+verbatim, a forest stores the leaf of each in-bag training row, and nn_qr
+stores the training matrix its neighbor scans read. Training-row lists and
+fit diagnostics stay on the fitted object.
 """
 
 from __future__ import annotations
@@ -18,13 +20,12 @@ from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit, model_spec
 from .partition import ClusterPartition, RegressionTree, TreeNode
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
-def _tree_to_doc(tree: RegressionTree, with_rows: bool = True) -> dict:
-    nodes = []
-    for nd in tree.nodes:
-        doc = {
+def _tree_to_doc(tree: RegressionTree) -> dict:
+    nodes = [
+        {
             "feature": nd.feature,
             "threshold": nd.threshold,
             "left": nd.left,
@@ -32,9 +33,8 @@ def _tree_to_doc(tree: RegressionTree, with_rows: bool = True) -> dict:
             "leaf_id": nd.leaf_id,
             "value": nd.value,
         }
-        if with_rows and nd.is_leaf:
-            doc["rows"] = [int(i) for i in nd.rows]
-        nodes.append(doc)
+        for nd in tree.nodes
+    ]
     return {
         "nodes": nodes,
         "n_features": tree.n_features,
@@ -45,20 +45,17 @@ def _tree_to_doc(tree: RegressionTree, with_rows: bool = True) -> dict:
 
 
 def _tree_from_doc(doc: dict) -> RegressionTree:
-    nodes = []
-    for nd in doc["nodes"]:
-        rows = nd.get("rows")
-        nodes.append(
-            TreeNode(
-                feature=nd["feature"],
-                threshold=nd["threshold"],
-                left=nd["left"],
-                right=nd["right"],
-                leaf_id=nd["leaf_id"],
-                rows=None if rows is None else np.array(rows, dtype=int),
-                value=nd["value"],
-            )
+    nodes = [
+        TreeNode(
+            feature=nd["feature"],
+            threshold=nd["threshold"],
+            left=nd["left"],
+            right=nd["right"],
+            leaf_id=nd["leaf_id"],
+            value=nd["value"],
         )
+        for nd in doc["nodes"]
+    ]
     return RegressionTree(
         nodes,
         doc["n_features"],
@@ -123,11 +120,8 @@ def _composite_to_doc(fit: CompositeFit) -> tuple[list, dict]:
         "kind": model.kind,
         "levels": list(model.levels),
         "hyperparams": model.hyperparams,
-        "partition_rows": {str(pid): [int(i) for i in rows] for pid, rows in model.partition_rows.items()},
     }
-    if model.kind == "piecewise_rr":
-        doc["estimators"] = {str(pid): _estimator_to_doc(est) for pid, est in model.estimators.items()}
-    elif model.kind != "nn_qr":
+    if model.kind != "nn_qr":
         doc["estimators"] = {
             str(pid): {repr(a): _estimator_to_doc(est) for a, est in table.items()}
             for pid, table in model.estimators.items()
@@ -152,12 +146,7 @@ def _composite_from_doc(name, params, schema, encoding, columns, doc) -> Composi
         levels=tuple(doc["levels"]),
         hyperparams=doc["hyperparams"],
     )
-    model.partition_rows = {
-        int(pid): np.array(rows, dtype=int) for pid, rows in doc["partition_rows"].items()
-    }
-    if doc["kind"] == "piecewise_rr":
-        model.estimators = {int(p): _estimator_from_doc(d) for p, d in doc["estimators"].items()}
-    elif doc["kind"] != "nn_qr":
+    if doc["kind"] != "nn_qr":
         model.estimators = {
             int(p): {float(a): _estimator_from_doc(d) for a, d in table.items()}
             for p, table in doc["estimators"].items()
@@ -176,7 +165,7 @@ def _composite_from_doc(name, params, schema, encoding, columns, doc) -> Composi
 def _forest_to_doc(forest: ForestModel) -> dict:
     return {
         "trees": [_tree_to_doc(t) for t in forest.trees],
-        "sample_indices": [[int(i) for i in s] for s in forest.sample_indices],
+        "in_bag_leaf": [leaf.tolist() for leaf in forest.in_bag_leaf],
         "feature_subsets": [[int(i) for i in s] for s in forest.feature_subsets],
         "y_train": forest.y_train.tolist(),
         "bootstrap": forest.bootstrap,
@@ -188,7 +177,7 @@ def _forest_to_doc(forest: ForestModel) -> dict:
 def _forest_from_doc(f: dict) -> ForestModel:
     return ForestModel(
         trees=[_tree_from_doc(t) for t in f["trees"]],
-        sample_indices=[np.array(s, dtype=int) for s in f["sample_indices"]],
+        in_bag_leaf=[np.array(leaf, dtype=np.intp) for leaf in f["in_bag_leaf"]],
         feature_subsets=[np.array(s, dtype=int) for s in f["feature_subsets"]],
         y_train=np.array(f["y_train"], dtype=float),
         bootstrap=f["bootstrap"],
@@ -201,8 +190,7 @@ def _boosted_to_doc(model: BoostedModel) -> dict:
     return {
         "init": model.init,
         "learning_rate": model.learning_rate,
-        "trees": [_tree_to_doc(t, with_rows=False) for t in model.trees],
-        "sse_history": list(model.sse_history),
+        "trees": [_tree_to_doc(t) for t in model.trees],
     }
 
 
@@ -211,7 +199,6 @@ def _boosted_from_doc(b: dict) -> BoostedModel:
         init=b["init"],
         trees=[_tree_from_doc(t) for t in b["trees"]],
         learning_rate=b["learning_rate"],
-        sse_history=tuple(b["sse_history"]),
     )
 
 

@@ -191,15 +191,19 @@ def knn_scan(points, x, k):
 
 
 def qrf_oracle(forest, x, alpha):
-    """Independent Meinshausen weight accumulation and quantile lookup."""
+    """Independent Meinshausen weight accumulation and quantile lookup.
+
+    A leaf's members are the training rows that `in_bag_leaf` places in it,
+    so the oracle reads a loaded forest as it reads a fitted one.
+    """
     n = forest.y_train.shape[0]
     w = np.zeros(n)
-    for tree, sample, cols in zip(forest.trees, forest.sample_indices, forest.feature_subsets):
+    for tree, in_bag, cols in zip(forest.trees, forest.in_bag_leaf, forest.feature_subsets):
         node = tree.nodes[0]
         xv = np.asarray(x, dtype=float)[cols]
         while not node.is_leaf:
             node = tree.nodes[node.left if xv[node.feature] <= node.threshold else node.right]
-        members = sorted(set(sample[node.rows].tolist()))
+        members = np.flatnonzero(in_bag == node.leaf_id).tolist()
         for i in members:
             w[i] += 1.0 / (len(members) * forest.n_trees)
     order = np.argsort(forest.y_train, kind="stable")

@@ -15,7 +15,7 @@ from partqr.baselines import (
 from partqr.data import encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.models import fit_model
-from partqr.partition import build_cart, predict_tree_mean
+from partqr.partition import build_cart, predict_tree_mean, route
 from partqr.serialize import load_model, save_model
 
 LEVELS = (0.05, 0.5, 0.95)
@@ -92,8 +92,8 @@ class TestRandomForest:
                 assert na.threshold == nb.threshold or (
                     np.isnan(na.threshold) and np.isnan(nb.threshold)
                 )
-        for sa, sb in zip(a.sample_indices, b.sample_indices):
-            assert sa.tolist() == sb.tolist()
+        for la, lb in zip(a.in_bag_leaf, b.in_bag_leaf):
+            assert la.tolist() == lb.tolist()
 
     def test_seed_independent_of_training_order(self):
         rng = np.random.default_rng(5)
@@ -103,7 +103,29 @@ class TestRandomForest:
         # tree t of a smaller forest must equal tree t of the bigger one
         small = fit_rf(X, y, n_trees=2, seed=9, max_depth=2)
         for t in range(2):
-            assert full.sample_indices[t].tolist() == small.sample_indices[t].tolist()
+            assert full.in_bag_leaf[t].tolist() == small.in_bag_leaf[t].tolist()
+            # leaf means weigh each row by its bootstrap multiplicity
+            assert [nd.value for nd in full.trees[t].nodes] == [
+                nd.value for nd in small.trees[t].nodes
+            ]
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    def test_in_bag_leaf_is_redrawn_bootstrap_routed(self, bootstrap):
+        rng = np.random.default_rng(15)
+        n, seed = 70, 21
+        X = np.round(rng.normal(size=(n, 4)), 1)  # rounded, so rows tie on features
+        forest = fit_rf(
+            X, rng.normal(size=n), 6, seed, max_depth=4, bootstrap=bootstrap, feature_fraction=0.75
+        )
+        for t, (tree, leaf, cols) in enumerate(
+            zip(forest.trees, forest.in_bag_leaf, forest.feature_subsets)
+        ):
+            draw = np.random.default_rng(np.random.SeedSequence([seed, t]))
+            sample = draw.integers(0, n, size=n) if bootstrap else np.arange(n)
+            in_bag = np.flatnonzero(leaf >= 0)
+            assert in_bag.tolist() == np.unique(sample).tolist()
+            assert np.all(leaf[leaf < 0] == -1)
+            assert leaf[in_bag].tolist() == route(tree, X[np.ix_(in_bag, cols)]).tolist()
 
 
 class TestGradientBoosting:

@@ -168,6 +168,24 @@ class TestPredict:
         assert f"{inp}:3: column 'step2_days'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_version_1_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
+        model = self.make_model(tmp_path, synth_csv)
+        text = model.read_text(encoding="utf-8")
+        assert '"format_version": 2' in text
+        model.write_text(text.replace('"format_version": 2', '"format_version": 1'), encoding="utf-8")
+        inp = tmp_path / "in.csv"
+        inp.write_text(
+            "site_category,step1_days,step2_days,step3_days,step4_days\nmetro,10,20,30,15\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "error in stage 'load-model': unsupported model format_version 1" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_non_finite_forecast_exit_1_writes_nothing(self, tmp_path, capsys, monkeypatch):
         class Broken:
             """A fitted model whose forecast for every row but the first is NaN."""

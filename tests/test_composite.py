@@ -10,7 +10,8 @@ from partqr.composite import (
     resolve_partition,
 )
 from partqr.data import Dataset, FeatureSchema, encode
-from partqr.linear import fit_quantile, predict_linear
+from partqr.linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
+from partqr.partition import assign_cluster, route
 from partqr.serialize import model_from_json, model_to_json
 from partqr.models import fit_model
 
@@ -24,6 +25,15 @@ def toy_dataset(n=60, seed=0, categories=("A", "B", "C")):
         (("site", "categorical"), ("dur", "numeric"), ("y", "numeric")), target="y"
     )
     return Dataset(schema, tuple((c, float(a), float(b)) for c, a, b in zip(cat, x, y)))
+
+
+def partition_rows(model):
+    """Training rows of each partition, found by routing the training matrix."""
+    if model.tree is not None:
+        pid = route(model.tree, model.train_matrix.values)
+    else:
+        pid = assign_cluster(model.clusters, model.train_matrix.categorical_submatrix())
+    return {p: np.flatnonzero(pid == p) for p in model.estimators}
 
 
 class TestFitComposite:
@@ -45,16 +55,35 @@ class TestFitComposite:
         for kind, hp in (
             ("quantile_tree", {"max_depth": 3, "min_samples_split": 5}),
             ("piecewise_qr", {"n_clusters": 3}),
+            ("piecewise_rr", {"n_clusters": 3, "lam": 0.5}),
         ):
             model = fit_composite(kind, ds, hp)
-            seen = np.concatenate(list(model.partition_rows.values()))
+            parts = partition_rows(model)
+            seen = np.concatenate(list(parts.values()))
             assert sorted(seen.tolist()) == list(range(80))
+            if model.tree is not None:
+                assert all(
+                    parts[leaf.leaf_id].tolist() == leaf.rows.tolist()
+                    for leaf in model.tree.leaf_nodes()
+                )
+            # each partition's estimators are the fits of exactly its routed rows
+            for pid, rows in parts.items():
+                sub, ysub = model.train_matrix.subset(rows), model.train_y[rows]
+                rr = kind == "piecewise_rr"
+                for alpha, est in model.estimators[pid].items():
+                    if rows.size < model.width + 2:
+                        want = float(np.mean(ysub)) if rr else pinball_quantile(ysub, alpha)
+                        assert est == ConstantModel(want)
+                    else:
+                        want = fit_ridge(sub, ysub, 0.5) if rr else fit_quantile(sub, ysub, alpha, 0.0)
+                        assert np.array_equal(est.coef, want.coef)
+                        assert est.intercept == want.intercept
 
     def test_small_partitions_get_fallback(self):
         ds = toy_dataset(12)
         model = fit_composite("quantile_tree", ds, {"max_depth": 4, "min_samples_split": 2})
         smalls = [
-            pid for pid, rows in model.partition_rows.items() if rows.size < model.width + 2
+            pid for pid, rows in partition_rows(model).items() if rows.size < model.width + 2
         ]
         assert smalls, "expected at least one small leaf in this configuration"
         for pid in smalls:

@@ -5,6 +5,7 @@ before and after a save/load round trip, whatever else is in the batch.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -28,19 +29,19 @@ PARAMS = {
     "nn_qr": {"lam": 0.1, "n_neighbors": 40},
 }
 
-# sha256 of model_to_json for each fit of the `fitted` fixture, recorded
-# before the registry refactor: the model file bytes may not move.
+# sha256 of model_to_json for each fit of the `fitted` fixture, recorded when
+# model files moved to format 2: the model file bytes may not move.
 GOLDEN_DIGESTS = {
-    "ridge": "9cf4a77039505bce242fe0140a6788302393b5350c912e9f08ee90caf3f41a1c",
-    "quantile": "aa2507c41463087fce3c209e61848558e4a64e420b4103ca6a2c045ccaaa3a83",
-    "decision_tree": "a5360f1fef19f10ccdd4dd37be66e1fa51e55bf5d81578dde9399517713c41b5",
-    "random_forest": "61bc0a15f390787688ab69f08d7bafe4b87c07ee35dcbf715f90e473e4107d80",
-    "qrf": "422b68d5e5708aa44edf34fb64f2d56da1334c15fd7b9504ea6fdd3ecb95db27",
-    "gradient_boosting": "6e328a0b9bd9f4afddc63d8b5ae961f6bb35c2acc461fe2ed535218d5eed47c2",
-    "quantile_tree": "971fb79729ef9dc36b95f0a0c0f30b879bd685d47cba39f89a7e3ef21f925547",
-    "piecewise_qr": "780dc85f2fb86694971ff47b97b5019e6fba65174879d7145381c9533fdd9faf",
-    "piecewise_rr": "05c7a013a04e48b9e2c274c4ab618746ac6d0c2b66f3b3eee5e7f9aa3955ad5a",
-    "nn_qr": "3923c94836437c499648527051e79ca966b2d13f1b5f47d9fb25e66a52921462",
+    "ridge": "3d02d98dc3df1a3da2476365bbc385cfbba98a7edc065c5119ed1ce0771362ab",
+    "quantile": "38fbf69802716319f6bd58b8dab96fd6096d9198217a331c14be47f7f7c37f34",
+    "decision_tree": "3443d78b25bd54bcf4c208124192ec95ff528de9e5ea42e14448009389cad60b",
+    "random_forest": "ba64e8780c587cfb8637b574e589939c5e0eda949189f05deef3cea78ee68e63",
+    "qrf": "75e984c5d135dcdf0cb9968329bbaef2a14b952e34b6084fcdea1c9163b2c6c9",
+    "gradient_boosting": "32bda3cfb91087cb493090f06fec6e10eb7c4f74aa93abd94a71d702e9266a4e",
+    "quantile_tree": "43c942fa47dfd6558f00f890ca1bb33fb8f7e052d471baa0e177ea7433061238",
+    "piecewise_qr": "500c4cb1af74d9db70caf5217de93629603ddf91fb190dd509c4879e6697371e",
+    "piecewise_rr": "01d3b6f0432dc1a17888be753803b24837899f6896f6a3be273204c2e943f301",
+    "nn_qr": "01f8a1ed732db7cfe77829acd54cef928f9602e0eb03d11c5e2e27a0672ab9e1",
 }
 
 
@@ -82,6 +83,15 @@ def test_batch_equals_one_row_calls(fitted, rows, name):
         assert (intervals[:, :-1] <= intervals[:, 1:]).all()
 
 
+def _keys(doc) -> set:
+    """Every key of a parsed JSON document, at any depth."""
+    if isinstance(doc, dict):
+        return set(doc).union(*(_keys(v) for v in doc.values()))
+    if isinstance(doc, list):
+        return set().union(*(_keys(v) for v in doc))
+    return set()
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_registry_entry_and_golden_bytes(fitted, name):
     assert MODELS[name].display_name
@@ -89,6 +99,14 @@ def test_registry_entry_and_golden_bytes(fitted, name):
     text = model_to_json(fitted[name])
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
     assert model_to_json(model_from_json(text)) == text
+    # a model file holds what prediction reads: no training-row lists, no fit history
+    assert not _keys(json.loads(text)) & {"rows", "partition_rows", "sample_indices", "sse_history"}
+
+
+def test_version_1_file_fails_naming_its_version(fitted):
+    text = model_to_json(fitted["qrf"]).replace('"format_version": 2', '"format_version": 1')
+    with pytest.raises(ValueError, match="unsupported model format_version 1"):
+        model_from_json(text)
 
 
 def test_unknown_model_name_in_file_fails_naming_it(fitted):
@@ -139,7 +157,7 @@ def test_unseen_level_encodes_to_zeros(fitted, rows):
     assert fit.predict_point([_unseen(rows[0])])[0] == want
 
 
-def test_nn_qr_fits_once_per_pattern_and_level(fitted, rows, monkeypatch):
+def test_nn_qr_fits_once_per_pattern(fitted, rows, monkeypatch):
     calls = []
     fit_quantile = composite.fit_quantile
 
@@ -151,7 +169,7 @@ def test_nn_qr_fits_once_per_pattern_and_level(fitted, rows, monkeypatch):
     patterns = len({r[0] for r in rows})  # three seen levels and one unseen
     assert patterns == 4
     fitted["nn_qr"].predict_intervals(rows)
-    assert len(calls) == patterns * 3
+    assert calls == [composite.INTERVAL_LEVELS] * patterns
     calls.clear()
     fitted["nn_qr"].predict_point(rows)
-    assert calls == [0.5] * patterns
+    assert calls == [(0.5,)] * patterns
