@@ -11,6 +11,7 @@ from .data import encoded_stack
 from .partition import (
     RegressionTree,
     _leaf,
+    _prune,
     _values_of,
     build_cart,
     predict_tree_mean,
@@ -25,8 +26,10 @@ class ForestModel:
     Per-tree randomness is derived from SeedSequence([seed, tree_index]), so
     the forest is identical regardless of training order. `in_bag_leaf[t]`
     holds, per training row, its leaf id in tree t, or -1 when the row is out
-    of tree t's bootstrap. The QRF lookup tables (`y_order`, `leaf_members`)
-    are derived from the fields on first use and never serialised.
+    of tree t's bootstrap. The trees keep no leaf rows: those would index a
+    bootstrap sample the forest does not keep. The QRF lookup tables
+    (`y_order`, `leaf_members`) are derived from the fields on first use and
+    never serialised.
     """
 
     trees: list[RegressionTree]
@@ -64,6 +67,12 @@ class ForestModel:
         return sum(t.parameter_count() for t in self.trees)
 
 
+def _bootstrap(seed: int, t: int, n: int, bootstrap: bool):
+    """Tree t's generator and its sample of the n training rows, drawn first."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
+    return rng, (rng.integers(0, n, size=n) if bootstrap else np.arange(n))
+
+
 def fit_rf(
     X,
     y,
@@ -88,8 +97,7 @@ def fit_rf(
     trees, in_bag, subsets = [], [], []
     n_feat = max(1, int(round(feature_fraction * p)))
     for t in range(n_trees):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, t]))
-        sample = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
+        rng, sample = _bootstrap(seed, t, n, bootstrap)
         cols = (
             np.sort(rng.choice(p, size=n_feat, replace=False))
             if n_feat < p
@@ -102,6 +110,7 @@ def fit_rf(
         for leaf in tree.leaf_nodes():
             # copies of a row are one design row, so they share a leaf
             leaf_of[sample[leaf.rows]] = leaf.leaf_id
+            leaf.rows = None
         trees.append(tree)
         in_bag.append(leaf_of)
         subsets.append(cols)
@@ -113,6 +122,39 @@ def fit_rf(
         bootstrap=bootstrap,
         seed=seed,
         feature_fraction=feature_fraction,
+    )
+
+
+def prune_forest(
+    forest: ForestModel, n_trees: int, max_depth: int, min_samples_split: int = 2
+) -> ForestModel:
+    """The forest `fit_rf` grows with these settings and `forest`'s others,
+    cut from `forest`, which must be grown with at least as many trees, at
+    least as deep and with at most this split size.
+
+    Tree t depends only on (seed, t), so the first n_trees trees are the
+    smaller forest's, each pruned (`partition.prune`, with leaf sizes counted
+    over tree t's redrawn bootstrap); a row's leaf becomes the leaf of the
+    cut tree that holds it. `forest` is not changed.
+    """
+    if not 1 <= n_trees <= forest.n_trees:
+        raise ValueError(f"cannot cut {n_trees} trees from a forest of {forest.n_trees}")
+    n = forest.y_train.shape[0]
+    trees, in_bag = [], []
+    for t, (tree, leaf) in enumerate(zip(forest.trees[:n_trees], forest.in_bag_leaf)):
+        _, sample = _bootstrap(forest.seed, t, n, forest.bootstrap)
+        sizes = np.bincount(leaf[sample], minlength=tree.n_leaves)
+        cut, leaf_map = _prune(tree, max_depth, min_samples_split, sizes)
+        trees.append(cut)
+        in_bag.append(np.where(leaf >= 0, leaf_map[leaf], -1))
+    return ForestModel(
+        trees=trees,
+        in_bag_leaf=in_bag,
+        feature_subsets=forest.feature_subsets[:n_trees],
+        y_train=forest.y_train,
+        bootstrap=forest.bootstrap,
+        seed=forest.seed,
+        feature_fraction=forest.feature_fraction,
     )
 
 
@@ -259,6 +301,22 @@ def fit_gb(
         trees=trees,
         learning_rate=learning_rate,
         sse_history=tuple(history),
+    )
+
+
+def first_stages(model: BoostedModel, n_stages: int) -> BoostedModel:
+    """The `fit_gb` run of n_stages stages with `model`'s other settings.
+
+    Stage m depends only on the stages before it (Friedman 2001), so the
+    first n_stages trees and training SSEs are the shorter run's.
+    """
+    if not 1 <= n_stages <= model.n_stages:
+        raise ValueError(f"cannot cut {n_stages} stages from a run of {model.n_stages}")
+    return BoostedModel(
+        init=model.init,
+        trees=model.trees[:n_stages],
+        learning_rate=model.learning_rate,
+        sse_history=model.sse_history[:n_stages],
     )
 
 

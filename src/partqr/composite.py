@@ -19,7 +19,7 @@ from .data import (
     Dataset,
     EncodedColumn,
     EncodedMatrix,
-    encode,
+    encode_once,
     encode_row,
 )
 from .linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
@@ -113,7 +113,12 @@ def _fit_quantile_table(matrix, ysub, levels, lam, fit_cache: dict):
 
 
 def fit_composite(
-    kind: str, dataset: Dataset, hyperparams: dict, fit_cache: dict | None = None
+    kind: str,
+    dataset: Dataset,
+    hyperparams: dict,
+    fit_cache: dict | None = None,
+    *,
+    tree: RegressionTree | None = None,
 ) -> CompositeQuantileModel:
     """Fit one of the four partitioned models on a preprocessed dataset.
 
@@ -125,20 +130,23 @@ def fit_composite(
 
     `fit_cache`, when given, memoises the partition quantile fits by content
     (encoded rows, categorical mask, targets, alpha, lam), so a grid search
-    solves each distinct partition problem once across its combinations.
+    solves each distinct partition problem once across its combinations, and
+    encodes the dataset once. `tree`, when given, is quantile_tree's CART
+    tree of that encoding under hyperparams' tree settings (a grid search
+    cuts it from a deeper tree, see `models`); otherwise it is grown here.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
     if dataset.n_rows == 0:
         raise ValueError("empty dataset")
     hyperparams = dict(hyperparams)
-    fit_cache = {} if fit_cache is None else fit_cache
     lam = float(hyperparams.get("lam", 0.0))
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     levels = (0.5,) if kind == "piecewise_rr" else INTERVAL_LEVELS
 
-    matrix, y, encoding = encode(dataset)
+    matrix, y, encoding, _ = encode_once(dataset, fit_cache)
+    fit_cache = {} if fit_cache is None else fit_cache
     model = CompositeQuantileModel(
         kind=kind,
         schema=dataset.schema,
@@ -151,13 +159,14 @@ def fit_composite(
     )
 
     if kind == "quantile_tree":
-        tree = build_cart(
-            matrix,
-            y,
-            max_depth=int(_require(hyperparams, "max_depth")),
-            min_samples_split=int(hyperparams.get("min_samples_split", 2)),
-            min_samples_leaf=int(hyperparams.get("min_samples_leaf", 1)),
-        )
+        if tree is None:
+            tree = build_cart(
+                matrix,
+                y,
+                max_depth=int(_require(hyperparams, "max_depth")),
+                min_samples_split=int(hyperparams.get("min_samples_split", 2)),
+                min_samples_leaf=int(hyperparams.get("min_samples_leaf", 1)),
+            )
         model.tree = tree
         for leaf in tree.leaf_nodes():
             model.estimators[leaf.leaf_id] = _fit_quantile_table(

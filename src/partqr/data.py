@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -194,6 +197,60 @@ def encode(
     except (TypeError, ValueError) as exc:
         raise ValueError("target column is not numeric") from exc
     return EncodedMatrix(values, columns), y, encoding
+
+
+class _Slot:
+    """One entry of a search-wide cache: made by its first caller while
+    callers that come meanwhile wait, and dropped after `uses` calls."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.value = None
+        self.uses_left = None
+
+
+def shared(cache: dict | None, key, make, uses=None):
+    """`make()`, made once per `key` of a search-wide `cache` and shared by
+    later calls from any thread; with no cache, made afresh.
+
+    `uses()`, when given, is asked once, as the value is made, for the number
+    of calls the value serves in all; the last of them drops the entry, and a
+    call after that makes the value again.
+    """
+    if cache is None:
+        return make()
+    slot = cache.setdefault(key, _Slot())
+    with slot.lock:
+        if slot.value is None:
+            slot.value = make()
+            slot.uses_left = None if uses is None else uses()
+        value = slot.value
+        if slot.uses_left is not None:
+            slot.uses_left -= 1
+            if slot.uses_left <= 0 and cache.get(key) is slot:
+                del cache[key]
+    return value
+
+
+def encode_once(
+    dataset: Dataset, cache: dict | None
+) -> tuple[EncodedMatrix, np.ndarray, CategoricalEncoding, bytes]:
+    """`encode(dataset)` and a content digest of its matrix values and target,
+    made once per dataset object for as long as the object lives (see `shared`)."""
+
+    def make():
+        matrix, y, encoding = encode(dataset)
+        h = hashlib.blake2b(repr(matrix.values.shape).encode(), digest_size=16)
+        h.update(matrix.values.tobytes())
+        h.update(y.tobytes())
+        return matrix, y, encoding, h.digest()
+
+    key = ("encoded", id(dataset))
+    if cache is not None and key not in cache:
+        # the entry goes when the dataset does, so no other object takes its id
+        # meanwhile; threads that race here register the same removal twice
+        weakref.finalize(dataset, cache.pop, key, None)
+    return shared(cache, key, make)
 
 
 def _is_raw_row(rows) -> bool:

@@ -13,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from .data import Dataset, FeatureSchema, split_kfold
-from .models import fit_model, model_spec
+from .models import fit_model, model_spec, record_grid
 from .pipeline import fit_imputer, prune_tail
 
 
@@ -152,9 +152,9 @@ def cross_validate(
 
     Aggregates are computed over the pooled test-set absolute errors, not
     per-fold averages. `folds`, when given, must come from
-    `prepare_folds(dataset, k, seed, caps)`; `fit_cache` memoises partition
-    quantile fits by content (see `fit_composite`). `grid_search` passes the
-    same folds and cache to every combination.
+    `prepare_folds(dataset, k, seed, caps)`; `fit_cache` memoises encodings,
+    grown tree structures and partition quantile fits (see `fit_model`).
+    `grid_search` passes the same folds and cache to every combination.
     """
     if folds is None:
         folds = prepare_folds(dataset, k, seed, caps)
@@ -210,6 +210,15 @@ def _selection_key(index: int, cv: CVResult):
     return (cv.median_ae, float("inf") if has_na else total, index)
 
 
+def _search_combinations(name: str, grid: dict[str, list] | None) -> list[dict]:
+    """The combinations a search of `name` runs: `grid`'s, or its default
+    grid's; an unknown name or an empty grid raises ValueError."""
+    combos = grid_combinations(grid or model_spec(name).grid)
+    if not combos:
+        raise ValueError("empty hyperparameter grid")
+    return combos
+
+
 def grid_search(
     name: str,
     grid: dict[str, list] | None,
@@ -218,21 +227,24 @@ def grid_search(
     seed: int,
     caps: dict | None = None,
     threads: int = 1,
+    *,
+    fit_cache: dict | None = None,
 ) -> GridSearchResult:
     """Exhaustive search; lowest pooled Median AE wins, ties go to the smaller
     model, then to grid order. The winner is refit on the full dataset.
 
-    The folds are prepared once and shared by every combination, and the
-    partition quantile fits are memoised for the length of the search, so
-    identical partitions under different tree settings are solved once.
+    The folds are prepared and encoded once and shared by every combination.
+    Each fold, and the refit's dataset, grows one tree, forest or boosting
+    run that every combination is cut from (see `models.record_grid`), and
+    the partition quantile fits are memoised, so identical partitions under
+    different settings are solved once. All of it lives in `fit_cache`, a
+    fresh dict unless the caller shares one across searches (`benchmark`
+    does); entries are keyed by content, so sharing changes no result.
     """
-    spec = model_spec(name)  # an unknown name fails before any fold is prepared
-    combos = grid_combinations(grid or spec.grid)
-    if not combos:
-        raise ValueError("empty hyperparameter grid")
-
+    combos = _search_combinations(name, grid)  # before any fold is prepared
     folds = prepare_folds(dataset, k, seed, caps)
-    fit_cache: dict = {}
+    fit_cache = {} if fit_cache is None else fit_cache
+    record_grid(fit_cache, name, combos)
 
     def evaluate(combo):
         return cross_validate(
@@ -248,7 +260,7 @@ def grid_search(
     best_i = min(range(len(combos)), key=lambda i: _selection_key(i, evaluations[i]))
     best_params = combos[best_i]
     train, _, _, _ = _prepare_fold(dataset, None, caps)
-    final_model = fit_model(name, train, best_params, seed=_fold_seed(seed, k))
+    final_model = fit_model(name, train, best_params, seed=_fold_seed(seed, k), fit_cache=fit_cache)
     return GridSearchResult(
         name=name,
         best_params=best_params,
@@ -481,11 +493,18 @@ def benchmark(
 
     Rows keep the input order; numbers come from the winning combination's
     pooled cross-validation run, parameter counts from the full-data refit.
+    The searches share one fit cache, so a search whose trees another has
+    grown on the same folds (qrf after random_forest) cuts them from there.
     """
     grids = grids or {}
     reports = []
+    fit_cache: dict = {}
     for name in model_names:
-        result = grid_search(name, grids.get(name), dataset, k, seed, caps, threads=threads)
+        record_grid(fit_cache, name, _search_combinations(name, grids.get(name)))
+    for name in model_names:
+        result = grid_search(
+            name, grids.get(name), dataset, k, seed, caps, threads=threads, fit_cache=fit_cache
+        )
         cv = result.best_cv
         reports.append(
             ModelReport(

@@ -14,7 +14,15 @@ from typing import Callable
 
 import numpy as np
 
-from .baselines import fit_gb, fit_rf, predict_gb, predict_rf, qrf_predict
+from .baselines import (
+    fit_gb,
+    fit_rf,
+    first_stages,
+    predict_gb,
+    predict_rf,
+    prune_forest,
+    qrf_predict,
+)
 from .composite import (
     INTERVAL_LEVELS,
     CompositeQuantileModel,
@@ -22,14 +30,33 @@ from .composite import (
     fit_composite,
     predict_quantile,
 )
-from .data import CategoricalEncoding, Dataset, encode, encode_row
-from .partition import build_cart, predict_tree_mean
+from .data import CategoricalEncoding, Dataset, encode_once, encode_row, shared
+from .partition import build_cart, predict_tree_mean, prune
+
+
+@dataclass(frozen=True)
+class _Growth:
+    """How a tree, forest or boosting run is grown once and cut per combination.
+
+    `settings(params)` gives the keyword arguments of `grow(X, y, seed, ...)`.
+    `widest` maps each setting a cut can lower to how a grid's values combine
+    into the one grown structure that covers them all, and `cut(grown,
+    settings)` cuts the structure of `settings` from it. The other settings
+    change what grows, so they key the grown structure as they are.
+    """
+
+    tag: str
+    settings: Callable
+    grow: Callable
+    cut: Callable
+    widest: dict
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     """One registry model; `build(name, dataset, params, seed, fit_cache)` returns
-    its fit, and `point(inner, X)` is a baseline's point forecast."""
+    its fit, `point(inner, X)` is a baseline's point forecast, and `growth`
+    grows and cuts its tree structure, if it has one."""
 
     display_name: str
     grid: dict
@@ -37,6 +64,7 @@ class ModelSpec:
     build: Callable
     payload: str = "composite"  # the model file's payload key
     point: Callable | None = None
+    growth: _Growth | None = None
 
 
 class _RegistryFit:
@@ -108,6 +136,67 @@ class BaselineFit(_RegistryFit):
         return self.inner.parameter_count()
 
 
+def record_grid(fit_cache: dict, name: str, combos) -> None:
+    """Tell the fits that share `fit_cache` which combinations a search of
+    `name` asks for.
+
+    Each dataset then grows, once, the tree, forest or boosting run that the
+    recorded combinations are all cut from. The cache drops it after as many
+    fits as the recorded grids hold combinations cut from it, which is every
+    fit on a cross-validation fold; a full-data refit fits only the winner,
+    so its structure stays for the life of the cache.
+    """
+    fit_cache.setdefault("grids", {})[name] = tuple(combos)
+
+
+def _widest(growth: _Growth, combos) -> dict:
+    """Each setting a cut can lower at its widest over `combos`."""
+    return {
+        key: widest(growth.settings(c)[key] for c in combos)
+        for key, widest in growth.widest.items()
+    } if combos else {}
+
+
+def _reach(growth: _Growth, settings: dict, wide: dict) -> dict:
+    """`settings`, each one a cut can lower widened to cover `wide`."""
+    return {
+        **settings,
+        **{k: growth.widest[k](settings[k], w) for k, w in wide.items()},
+    }
+
+
+def _grown(name, dataset, params, seed, fit_cache):
+    """The tree structure of `name` under `params` on `dataset`, and the
+    dataset's encoding.
+
+    The structure that covers `params` and every combination recorded for
+    `name` is grown once per encoded dataset, seed and growth settings, and
+    kept in `fit_cache` for the fits of every recorded search that cut it;
+    `params`' own structure is cut from it.
+    """
+    growth = MODELS[name].growth
+    matrix, y, encoding, digest = encode_once(dataset, fit_cache)
+    grids = {} if fit_cache is None else fit_cache.get("grids", {})
+    own = growth.settings(params)
+    reach = _reach(growth, own, _widest(growth, grids.get(name, ())))
+
+    def uses() -> int:
+        n = 0
+        for other, combos in list(grids.items()):
+            if MODELS[other].growth is growth:
+                wide = _widest(growth, combos)
+                n += sum(_reach(growth, growth.settings(c), wide) == reach for c in combos)
+        return n
+
+    grown = shared(
+        fit_cache,
+        (growth.tag, digest, seed, *sorted(reach.items())),
+        lambda: growth.grow(matrix, y, seed, **reach),
+        uses,
+    )
+    return (grown if reach == own else growth.cut(grown, own)), encoding
+
+
 # Builders and point forecasts look the fitting and predicting functions up at
 # call time, so a wrapper installed on the module attribute (a tracer, a test
 # double) sees every call.
@@ -116,7 +205,12 @@ def _composite(kind: str, settings: Callable) -> Callable:
 
     def build(name, dataset, params, seed, fit_cache):
         hyperparams = {"lam": params.get("lam", 0.0), **settings(dataset, params, seed)}
-        return CompositeFit(name, params, fit_composite(kind, dataset, hyperparams, fit_cache))
+        tree = None
+        if MODELS[name].growth is not None:
+            tree, _ = _grown(name, dataset, params, seed, fit_cache)
+        return CompositeFit(
+            name, params, fit_composite(kind, dataset, hyperparams, fit_cache, tree=tree)
+        )
 
     return build
 
@@ -145,15 +239,10 @@ def _neighbors(dataset, params, seed) -> dict:
     return {"n_neighbors": min(int(params["n_neighbors"]), dataset.n_rows)}
 
 
-def _baseline(fit_inner: Callable) -> Callable:
-    """Builder of a tree ensemble; `fit_inner(matrix, y, params, seed)` fits it."""
-
-    def build(name, dataset, params, seed, fit_cache):
-        matrix, y, encoding = encode(dataset)
-        inner = fit_inner(matrix, y, params, seed)
-        return BaselineFit(name, params, dataset.schema, encoding, inner)
-
-    return build
+def _baseline(name, dataset, params, seed, fit_cache):
+    """Builder of a tree ensemble."""
+    inner, encoding = _grown(name, dataset, params, seed, fit_cache)
+    return BaselineFit(name, params, dataset.schema, encoding, inner)
 
 
 def _tree_settings(params) -> dict:
@@ -164,31 +253,38 @@ def _tree_settings(params) -> dict:
     }
 
 
-def _fit_tree(matrix, y, params, seed):
-    return build_cart(matrix, y, **_tree_settings(params))
-
-
-def _fit_forest(matrix, y, params, seed):
-    return fit_rf(
-        matrix,
-        y,
-        n_trees=int(params.get("n_trees", 100)),
-        seed=seed,
-        bootstrap=bool(params.get("bootstrap", True)),
-        feature_fraction=float(params.get("feature_fraction", 1.0)),
+_CART = _Growth(
+    "cart",
+    _tree_settings,
+    lambda X, y, seed, **kw: build_cart(X, y, **kw),
+    lambda tree, s: prune(tree, s["max_depth"], s["min_samples_split"]),
+    {"max_depth": max, "min_samples_split": min},
+)
+_FOREST = _Growth(
+    "forest",
+    lambda params: {
+        "n_trees": int(params.get("n_trees", 100)),
+        "bootstrap": bool(params.get("bootstrap", True)),
+        "feature_fraction": float(params.get("feature_fraction", 1.0)),
         **_tree_settings(params),
-    )
-
-
-def _fit_boosted(matrix, y, params, seed):
-    return fit_gb(
-        matrix,
-        y,
-        n_stages=int(params["n_stages"]),
-        learning_rate=float(params["learning_rate"]),
+    },
+    lambda X, y, seed, **kw: fit_rf(X, y, seed=seed, **kw),
+    lambda forest, s: prune_forest(forest, s["n_trees"], s["max_depth"], s["min_samples_split"]),
+    {"n_trees": max, "max_depth": max, "min_samples_split": min},
+)
+# depth, split size and learning rate change every residual after the first
+# stage, so only the stage count is cut
+_BOOSTED = _Growth(
+    "boosted",
+    lambda params: {
+        "n_stages": int(params["n_stages"]),
+        "learning_rate": float(params["learning_rate"]),
         **_tree_settings({"max_depth": 4, **params}),
-    )
-
+    },
+    lambda X, y, seed, **kw: fit_gb(X, y, **kw),
+    lambda model, s: first_stages(model, s["n_stages"]),
+    {"n_stages": max},
+)
 
 _LAMBDAS = {"lam": [0.001, 0.01, 0.1, 1.0, 10.0]}
 _TREES = {"max_depth": [2, 4, 6, 8], "min_samples_split": [10, 30, 100]}
@@ -201,23 +297,24 @@ MODELS = {
         "Quantile Regressor", _LAMBDAS, True, _composite("piecewise_qr", _global)
     ),
     "decision_tree": ModelSpec(
-        "Decision Tree Regressor", _TREES, False, _baseline(_fit_tree), "tree",
-        lambda tree, X: predict_tree_mean(tree, X),
+        "Decision Tree Regressor", _TREES, False, _baseline, "tree",
+        lambda tree, X: predict_tree_mean(tree, X), _CART,
     ),
     "random_forest": ModelSpec(
-        "Random Forest Regressor", _TREES, False, _baseline(_fit_forest), "forest",
-        lambda forest, X: predict_rf(forest, X),
+        "Random Forest Regressor", _TREES, False, _baseline, "forest",
+        lambda forest, X: predict_rf(forest, X), _FOREST,
     ),
     "qrf": ModelSpec(
-        "QRF", _TREES, True, _baseline(_fit_forest), "forest",
-        lambda forest, X: qrf_predict(forest, X, 0.5),
+        "QRF", _TREES, True, _baseline, "forest",
+        lambda forest, X: qrf_predict(forest, X, 0.5), _FOREST,
     ),
     "gradient_boosting": ModelSpec(
         "Gradient Boosting Regressor", {"n_stages": [50, 100], "learning_rate": [0.05, 0.1]},
-        False, _baseline(_fit_boosted), "boosted", lambda boosted, X: predict_gb(boosted, X),
+        False, _baseline, "boosted", lambda boosted, X: predict_gb(boosted, X), _BOOSTED,
     ),
     "quantile_tree": ModelSpec(
-        "Quantile Tree", {**_LAMBDAS, **_TREES}, True, _composite("quantile_tree", _tree_partition)
+        "Quantile Tree", {**_LAMBDAS, **_TREES}, True,
+        _composite("quantile_tree", _tree_partition), growth=_CART,
     ),
     "piecewise_qr": ModelSpec(
         "Piecewise QR", _CLUSTERS, True, _composite("piecewise_qr", _clusters)
@@ -244,5 +341,7 @@ def fit_model(
     name: str, dataset: Dataset, params: dict, seed: int = 0, fit_cache: dict | None = None
 ):
     """Fit one registry model; `seed` drives k-means starts and forest
-    bootstraps, and `fit_cache` memoises composite partition quantile fits."""
+    bootstraps. `fit_cache`, a search-wide dict, memoises the dataset's
+    encoding, the grown trees, forests and boosting runs (see `record_grid`)
+    and the composite partition quantile fits."""
     return model_spec(name).build(name, dataset, dict(params), seed, fit_cache)

@@ -24,7 +24,7 @@ def _values_of(X) -> np.ndarray:
     return np.atleast_2d(np.asarray(X, dtype=float))
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     feature: int = -1
     threshold: float = float("nan")
@@ -54,7 +54,7 @@ class TreeArrays:
 @dataclass
 class RegressionTree:
     """CART tree over an encoded design matrix; a fitted tree's leaves keep
-    their row lists, which model files do not store.
+    their row lists (a forest's trees excepted), which model files do not store.
 
     `arrays` is derived from the nodes on first use and never serialised.
     """
@@ -229,6 +229,83 @@ def build_cart(
 
     grow(np.arange(n), order if splits(n, 0) else None, 0)
     return RegressionTree(nodes, p, max_depth, min_samples_split, min_samples_leaf)
+
+
+def prune(tree: RegressionTree, max_depth: int, min_samples_split: int = 2) -> RegressionTree:
+    """The tree `build_cart` grows with these two settings, cut from `tree`.
+
+    CART picks a node's split without reading max_depth or
+    min_samples_split, so a tree grown deeper, or with a smaller split size,
+    holds the smaller tree at its top (the nested subtrees of a maximal tree,
+    Breiman, Friedman, Olshen & Stone 1984, ch. 3). Cutting it below depth
+    `max_depth` and at every node with fewer than `min_samples_split` rows
+    gives `build_cart`'s tree node for node: nodes and leaves renumbered in
+    its depth-first order, a cut node's rows ascending, and the requested
+    settings recorded. `tree` must be a fitted tree grown on the same data
+    with the same min_samples_leaf, at least this deep and with at most this
+    split size; it is not changed.
+    """
+    return _prune(tree, max_depth, min_samples_split)[0]
+
+
+def _prune(
+    tree: RegressionTree,
+    max_depth: int,
+    min_samples_split: int,
+    leaf_sizes: np.ndarray | None = None,
+):
+    """`prune`, and the new leaf id of each of `tree`'s leaf ids.
+
+    A tree whose leaves keep no rows (a forest's) gives its row count per
+    leaf id in `leaf_sizes`, and its cut leaves keep no rows either.
+    """
+    if max_depth < 0 or min_samples_split < 2:
+        raise ValueError("invalid tree hyperparameters")
+    if max_depth > tree.max_depth or min_samples_split < tree.min_samples_split:
+        raise ValueError(
+            f"cannot cut depth {max_depth}, split {min_samples_split} from a tree grown "
+            f"to depth {tree.max_depth}, split {tree.min_samples_split}"
+        )
+    old = tree.nodes
+    # depth-first numbering puts node i's subtree at old[i:end[i]]
+    end = [0] * len(old)
+    size = [0] * len(old)
+    for i in range(len(old) - 1, -1, -1):
+        nd = old[i]
+        if nd.is_leaf:
+            end[i] = i + 1
+            size[i] = nd.rows.size if leaf_sizes is None else int(leaf_sizes[nd.leaf_id])
+        else:
+            end[i], size[i] = end[nd.right], size[nd.left] + size[nd.right]
+    nodes: list[TreeNode] = []
+    leaf_map = np.empty(tree.n_leaves, dtype=np.intp)
+    n_leaves = 0
+
+    def keep(i: int, depth: int) -> int:
+        nonlocal n_leaves
+        nd = old[i]
+        idx = len(nodes)
+        if not nd.is_leaf and depth < max_depth and size[i] >= min_samples_split:
+            node = TreeNode(feature=nd.feature, threshold=nd.threshold, value=nd.value)
+            nodes.append(node)
+            node.left = keep(nd.left, depth + 1)
+            node.right = keep(nd.right, depth + 1)
+            return idx
+        below = [d for d in old[i : end[i]] if d.is_leaf]
+        for d in below:
+            leaf_map[d.leaf_id] = n_leaves
+        if nd.is_leaf or leaf_sizes is not None:
+            rows = nd.rows
+        else:
+            rows = np.sort(np.concatenate([d.rows for d in below]))
+        nodes.append(TreeNode(leaf_id=n_leaves, rows=rows, value=nd.value))
+        n_leaves += 1
+        return idx
+
+    keep(0, 0)
+    return RegressionTree(
+        nodes, tree.n_features, max_depth, min_samples_split, tree.min_samples_leaf
+    ), leaf_map
 
 
 def _leaf(tree: RegressionTree, X: np.ndarray) -> np.ndarray:

@@ -354,13 +354,14 @@ class Imputer:
         ]
         new_schema = FeatureSchema(tuple(keep), schema.target, schema.weight_units)
         target_j = schema.index_of(schema.target)
+        cells = [(schema.index_of(name), name, kind) for name, kind in keep]
         rows = []
         for row in dataset.rows:
             if row[target_j] is None:
                 continue
             vals = []
-            for name, kind in keep:
-                v = row[schema.index_of(name)]
+            for j, name, kind in cells:
+                v = row[j]
                 if v is None:
                     v = self.numeric_fill[name] if kind == "numeric" else "missing"
                 vals.append(v)

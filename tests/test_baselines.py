@@ -5,10 +5,12 @@ from oracles import qrf_oracle
 
 from partqr import baselines
 from partqr.baselines import (
+    first_stages,
     fit_gb,
     fit_rf,
     predict_gb,
     predict_rf,
+    prune_forest,
     qrf_predict,
     qrf_weights,
 )
@@ -17,6 +19,7 @@ from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.models import fit_model
 from partqr.partition import build_cart, predict_tree_mean, route
 from partqr.serialize import load_model, save_model
+from test_partition import assert_equal_trees, tie_heavy_design
 
 LEVELS = (0.05, 0.5, 0.95)
 
@@ -126,6 +129,55 @@ class TestRandomForest:
             assert in_bag.tolist() == np.unique(sample).tolist()
             assert np.all(leaf[leaf < 0] == -1)
             assert leaf[in_bag].tolist() == route(tree, X[np.ix_(in_bag, cols)]).tolist()
+
+
+class TestPrefixes:
+    """A forest's first trees, pruned, and a boosting run's first stages are
+    the smaller fits, compared by ==."""
+
+    @pytest.mark.parametrize(
+        "bootstrap,feature_fraction", [(True, 1.0), (False, 1.0), (True, 0.5), (False, 0.7)]
+    )
+    def test_pruned_forest_prefix_equals_fit_rf(self, bootstrap, feature_fraction):
+        rng = np.random.default_rng(41)
+        X, y = tie_heavy_design("rounded", rng)
+        kw = dict(seed=17, bootstrap=bootstrap, feature_fraction=feature_fraction, min_samples_leaf=2)
+        grown = fit_rf(X, y, 6, max_depth=6, min_samples_split=4, **kw)
+        for n_trees, depth, split in [(6, 6, 4), (6, 2, 4), (3, 4, 12), (1, 0, 4), (4, 6, 30)]:
+            want = fit_rf(X, y, n_trees, max_depth=depth, min_samples_split=split, **kw)
+            got = prune_forest(grown, n_trees, depth, split)
+            assert got.n_trees == n_trees
+            for a, b in zip(got.trees, want.trees):
+                assert_equal_trees(a, b)
+            assert [v.tolist() for v in got.in_bag_leaf] == [v.tolist() for v in want.in_bag_leaf]
+            assert [c.tolist() for c in got.feature_subsets] == [
+                c.tolist() for c in want.feature_subsets
+            ]
+            assert got.y_train.tolist() == want.y_train.tolist()
+            assert (got.bootstrap, got.seed, got.feature_fraction) == (
+                want.bootstrap,
+                want.seed,
+                want.feature_fraction,
+            )
+            for (pa, ra), (pb, rb) in zip(got.leaf_members, want.leaf_members):
+                assert pa.tolist() == pb.tolist() and ra.tolist() == rb.tolist()
+        with pytest.raises(ValueError, match="cannot cut 7 trees"):
+            prune_forest(grown, 7, 6, 4)
+
+    def test_boosting_prefix_equals_fit_gb(self):
+        rng = np.random.default_rng(42)
+        X, y = tie_heavy_design("bootstrap", rng)
+        grown = fit_gb(X, y, 15, 0.3, max_depth=3, min_samples_split=5, min_samples_leaf=2)
+        for n_stages in (1, 7, 15):
+            want = fit_gb(X, y, n_stages, 0.3, max_depth=3, min_samples_split=5, min_samples_leaf=2)
+            got = first_stages(grown, n_stages)
+            assert (got.init, got.learning_rate) == (want.init, want.learning_rate)
+            assert got.sse_history == want.sse_history
+            assert got.n_stages == n_stages
+            for a, b in zip(got.trees, want.trees):
+                assert_equal_trees(a, b)
+        with pytest.raises(ValueError, match="cannot cut 16 stages"):
+            first_stages(grown, 16)
 
 
 class TestGradientBoosting:

@@ -1,3 +1,8 @@
+import gc
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +14,10 @@ from partqr.data import (
     SchemaError,
     dataset_from_csv,
     encode,
+    encode_once,
     encode_row,
     fit_encoding,
+    shared,
     split_kfold,
 )
 
@@ -110,6 +117,53 @@ class TestEncode:
     def test_levels_insensitive_to_row_order(self, order):
         ds = make_dataset([(c, 0.0) for c in order])
         assert fit_encoding(ds).levels == (("cat", ("A", "B", "C", "D")),)
+
+
+class TestSharedCache:
+    def test_threads_make_each_value_once_and_drop_it_after_its_uses(self):
+        cache, made = {}, []
+        keys, uses = 12, 6
+
+        def make(key):
+            made.append(key)
+            time.sleep(0.002)  # let other threads arrive while it is made
+            return [key]
+
+        def work(key):
+            return shared(cache, key, lambda: make(key), lambda: uses)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(work, [k for k in range(keys) for _ in range(uses)], timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        assert sorted(made) == list(range(keys))
+        for k in range(keys):
+            values = got[k * uses : (k + 1) * uses]
+            assert values == [[k]] * uses and all(v is values[0] for v in values)
+        assert cache == {}
+        assert work(0) == [0] and made.count(0) == 2  # a call after the last use makes it again
+
+    def test_no_cache_makes_afresh(self):
+        assert shared(None, "k", lambda: [1]) is not shared(None, "k", lambda: [1])
+
+    def test_encode_once_per_dataset_object_while_it_lives(self):
+        cache = {}
+        ds = make_dataset([("A", 1.0), ("B", 2.0), ("A", 4.0)])
+        first = encode_once(ds, cache)
+        assert encode_once(ds, cache) is first
+        matrix, y, encoding = encode(ds)
+        assert first[0].values.tobytes() == matrix.values.tobytes()
+        assert first[1].tobytes() == y.tobytes() and first[2] == encoding
+        twin = make_dataset(ds.rows)
+        assert encode_once(twin, cache) is not first  # another object, encoded anew
+        assert encode_once(twin, cache)[3] == first[3]  # same content, same digest
+        assert len(cache) == 2
+        del ds, twin
+        gc.collect()
+        assert cache == {}
 
 
 class TestKFold:

@@ -6,6 +6,7 @@ import pytest
 from partqr.data import Dataset, FeatureSchema
 from partqr.evaluation import (
     CVResult,
+    EvaluationReport,
     SyntheticSpec,
     _fold_seed,
     _selection_key,
@@ -193,9 +194,51 @@ def assert_same_evaluation(a: CVResult, b: CVResult):
     assert a.params == b.params
     assert a.median_ae == b.median_ae
     assert a.mean_ae == b.mean_ae
+    assert a.coverage_pct == b.coverage_pct
+    assert a.fold_metrics == b.fold_metrics
     assert a.param_counts == b.param_counts
     assert a.pooled_pred.tobytes() == b.pooled_pred.tobytes()
-    assert a.pooled_intervals.tobytes() == b.pooled_intervals.tobytes()
+    assert a.pooled_actual.tobytes() == b.pooled_actual.tobytes()
+    assert (a.pooled_intervals is None) == (b.pooled_intervals is None)
+    if a.pooled_intervals is not None:
+        assert a.pooled_intervals.tobytes() == b.pooled_intervals.tobytes()
+
+
+# grids with two depths, two split sizes and two tree or stage counts, so
+# every combination but one is cut from a larger tree structure
+TREE_GRIDS = {
+    "decision_tree": {"max_depth": [2, 4], "min_samples_split": [10, 40]},
+    "random_forest": {"max_depth": [2, 4], "min_samples_split": [10, 40], "n_trees": [3, 5]},
+    "qrf": {
+        "max_depth": [2, 4],
+        "min_samples_split": [10, 40],
+        "n_trees": [3, 5],
+        "feature_fraction": [0.6],
+    },
+    "gradient_boosting": {
+        "n_stages": [4, 8],
+        "learning_rate": [0.1, 0.3],
+        "max_depth": [2, 3],
+        "min_samples_split": [10, 40],
+    },
+}
+
+
+def count_cart_builds(monkeypatch) -> list:
+    """Count build_cart calls at every module that binds it, as perfbench's tracer does."""
+    from partqr import baselines, composite, models, partition
+
+    calls = []
+    original = partition.build_cart
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (partition, baselines, models, composite):
+        assert module.build_cart is original
+        monkeypatch.setattr(module, "build_cart", counted)
+    return calls
 
 
 class TestGridSearchSharing:
@@ -209,6 +252,7 @@ class TestGridSearchSharing:
         [
             ("quantile_tree", {"lam": [0.0, 0.1], "max_depth": [1, 2], "min_samples_split": [10, 60]}),
             ("piecewise_qr", {"lam": [0.01, 1.0], "n_clusters": [1, 2, 3]}),
+            *TREE_GRIDS.items(),
         ],
     )
     def test_matches_standalone_cross_validate(self, name, grid):
@@ -228,6 +272,40 @@ class TestGridSearchSharing:
         assert a.best_params == b.best_params
         for x, y in zip(a.evaluations, b.evaluations):
             assert_same_evaluation(x, y)
+
+    def test_random_forest_threads_same_answer(self, monkeypatch):
+        ds = self.dataset()
+        a = grid_search("random_forest", TREE_GRIDS["random_forest"], ds, 4, seed=6, threads=1)
+        calls = count_cart_builds(monkeypatch)
+        b = grid_search("random_forest", TREE_GRIDS["random_forest"], ds, 4, seed=6, threads=2)
+        assert a.best_params == b.best_params
+        for x, y in zip(a.evaluations, b.evaluations):
+            assert_same_evaluation(x, y)
+        assert a.final_model.parameter_count() == b.final_model.parameter_count()
+        # threads asking for a forest being grown wait for it
+        assert len(calls) == (4 + 1) * 5
+
+    @pytest.mark.parametrize("name,trees", [("decision_tree", 1), ("random_forest", 5)])
+    def test_one_growth_per_fold_and_refit(self, monkeypatch, name, trees):
+        calls = count_cart_builds(monkeypatch)
+        grid_search(name, TREE_GRIDS[name], self.dataset(), 4, seed=6)
+        # 4 folds and the refit each grow the largest structure once
+        assert len(calls) == (4 + 1) * trees
+
+    def test_benchmark_shares_forests_across_searches(self, monkeypatch):
+        ds = self.dataset()
+        grids = {"random_forest": TREE_GRIDS["random_forest"], "qrf": TREE_GRIDS["random_forest"]}
+        calls = count_cart_builds(monkeypatch)
+        both = benchmark(ds, ["random_forest", "qrf"], grids=grids, k=4, seed=6)
+        assert len(calls) == (4 + 1) * 5  # qrf cuts random_forest's forests
+        rf = benchmark(ds, ["random_forest"], grids=grids, k=4, seed=6)
+        qrf = benchmark(ds, ["qrf"], grids=grids, k=4, seed=6)
+        joined = EvaluationReport(rf.models + qrf.models, rf.k, rf.seed, rf.n_rows, rf.weight_units)
+        assert both.to_json() == joined.to_json()
+        for a, b in zip(both.models, joined.models):
+            assert (a.bounds is None) == (b.bounds is None)
+            if a.bounds is not None:
+                assert a.bounds.tobytes() == b.bounds.tobytes()
 
 
 class TestSynthetic:

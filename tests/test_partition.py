@@ -10,6 +10,7 @@ from partqr.partition import (
     fit_kmeans,
     knn_query,
     predict_tree_mean,
+    prune,
     route,
 )
 
@@ -146,6 +147,66 @@ class TestCartPresort:
         X = np.arange(12.0).reshape(6, 2)
         with pytest.raises(ValueError, match="order has shape"):
             build_cart(X, np.arange(6.0), max_depth=2, order=np.zeros((6, 2), dtype=int))
+
+
+def assert_equal_trees(a, b):
+    """Node for node by ==: order, features, thresholds, children, leaf ids,
+    values and ascending leaf rows, and the settings each tree records."""
+    assert (a.n_features, a.max_depth, a.min_samples_split, a.min_samples_leaf) == (
+        b.n_features,
+        b.max_depth,
+        b.min_samples_split,
+        b.min_samples_leaf,
+    )
+    assert_same_tree(a, b)
+    for leaf in a.leaf_nodes():
+        assert leaf.rows is None or np.all(np.diff(leaf.rows) > 0)
+
+
+def prune_design(kind, rng):
+    if kind == "normal":
+        X = rng.normal(size=(120, 3))
+        return X, rng.normal(size=120) + X @ rng.normal(size=3)
+    if kind == "zero_one":
+        X = rng.integers(0, 2, size=(120, 4)).astype(float)
+        return X, rng.normal(size=120) + X @ rng.normal(size=4)
+    return tie_heavy_design(kind, rng)
+
+
+class TestPrune:
+    """A tree grown deeper, or with a smaller split size, holds the tree of
+    any smaller settings at its top (CART's nested subtrees)."""
+
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    @pytest.mark.parametrize("kind", ["rounded", "zero_one", "normal", "one_hot", "bootstrap"])
+    def test_equals_fresh_build(self, kind, min_samples_leaf):
+        rng = np.random.default_rng(31)
+        for _ in range(2):
+            X, y = prune_design(kind, rng)
+            grown = build_cart(X, y, 7, 4, min_samples_leaf)
+            for depth in range(8):
+                for split in (4, 5, 9, 20, 60):
+                    want = build_cart(X, y, depth, split, min_samples_leaf)
+                    assert_equal_trees(prune(grown, depth, split), want)
+
+    def test_leaves_cached_tree_unchanged(self):
+        X, y = prune_design("rounded", np.random.default_rng(32))
+        grown = build_cart(X, y, 6, 2)
+        fresh = build_cart(X, y, 6, 2)
+        cut = prune(grown, 2, 30)
+        assert len(cut.nodes) < len(grown.nodes)
+        assert_equal_trees(grown, fresh)
+        assert_equal_trees(prune(grown, 6, 2), fresh)
+
+    def test_cannot_grow(self):
+        X, y = prune_design("normal", np.random.default_rng(33))
+        grown = build_cart(X, y, 3, 10)
+        with pytest.raises(ValueError, match="cannot cut depth 4"):
+            prune(grown, 4, 10)
+        with pytest.raises(ValueError, match="cannot cut"):
+            prune(grown, 3, 5)
+        with pytest.raises(ValueError, match="invalid tree hyperparameters"):
+            prune(grown, 2, 1)
 
 
 class TestRoute:

@@ -403,6 +403,56 @@ class TestImpute:
         out = impute(ds)
         assert out.n_rows == 2
 
+    def test_transform_matches_per_cell_reference(self):
+        # numeric and categorical fills, a dropped column between kept ones,
+        # a missing-target row and an id column, all in one set
+        schema = FeatureSchema(
+            (
+                ("site", "identifier"),
+                ("region", "categorical"),
+                ("gone", "numeric"),
+                ("y", "numeric"),
+                ("days", "numeric"),
+            ),
+            target="y",
+        )
+        rng = np.random.default_rng(3)
+        rows = []
+        for i in range(40):
+            region = None if i % 7 == 0 else str(rng.choice(["east", "west"]))
+            days = None if i % 5 == 1 else float(rng.normal())
+            y = None if i % 9 == 4 else float(i)
+            rows.append((f"s{i}", region, None, y, days))
+        ds = Dataset(schema, tuple(rows))
+        with pytest.warns(UserWarning):
+            imputer = fit_imputer(ds)
+
+        def reference(dataset):
+            keep = [(n, k) for n, k in dataset.schema.columns if n not in imputer.dropped_columns]
+            target_j = dataset.schema.index_of(dataset.schema.target)
+            out = []
+            for row in dataset.rows:
+                if row[target_j] is None:
+                    continue
+                vals = []
+                for name, kind in keep:
+                    v = row[dataset.schema.index_of(name)]
+                    if v is None:
+                        v = imputer.numeric_fill[name] if kind == "numeric" else "missing"
+                    vals.append(v)
+                out.append(tuple(vals))
+            return tuple(keep), tuple(out)
+
+        got = imputer.transform(ds)
+        keep, want_rows = reference(ds)
+        assert imputer.dropped_columns == ("gone",)
+        assert got.schema.columns == keep
+        assert got.schema.target == "y"
+        assert got.rows == want_rows
+        assert got.n_rows == 40 - imputer.dropped_target_rows == 36
+        assert {r[1] for r in got.rows} == {"east", "west", "missing"}
+        assert sum(r[3] == imputer.numeric_fill["days"] for r in got.rows) >= 7
+
 
 class TestMilestoneCsv:
     @pytest.mark.parametrize("column", ["latitude", "longitude"])
