@@ -300,14 +300,3 @@ def predict_linear(model, x):
     out = model.intercept + np.vecdot(X, model.coef)
     return float(out[0]) if one else out
 
-
-def quantile_objective(model: LinearQuantileModel, X, y) -> float:
-    """Recompute the penalized objective of a fitted quantile model.
-
-    A paper artefact for checking fits against the objective: only tests call it.
-    """
-    values, _ = _as_array(X)
-    residuals = np.asarray(y, dtype=float) - model.intercept - values @ model.coef
-    return pinball_total(residuals, model.alpha) + model.lam * float(
-        np.sum(np.abs(model.scaled_coef))
-    )

@@ -205,6 +205,8 @@ def _composite(kind: str, settings: Callable) -> Callable:
 
     def build(name, dataset, params, seed, fit_cache):
         hyperparams = {"lam": params.get("lam", 0.0), **settings(dataset, params, seed)}
+        # a fit of its own still encodes the dataset once for the tree and the leaves
+        fit_cache = {} if fit_cache is None else fit_cache
         tree = None
         if MODELS[name].growth is not None:
             tree, _ = _grown(name, dataset, params, seed, fit_cache)

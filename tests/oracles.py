@@ -87,6 +87,14 @@ def quantile_primal_oracle(X, y, alpha, lam, indicator=None):
     return float(res.fun)
 
 
+def quantile_objective(model, X, y):
+    """The penalized objective of a fitted linear quantile model, recomputed
+    from its coefficients: pinball loss plus lam * ||scaled_coef||_1."""
+    r = np.asarray(y, dtype=float) - model.intercept - np.asarray(X, dtype=float) @ model.coef
+    pinball = np.sum(np.where(r >= 0, model.alpha * r, (model.alpha - 1.0) * r))
+    return float(pinball) + model.lam * float(np.sum(np.abs(model.scaled_coef)))
+
+
 def quantile_dual_linprog(X, y, alpha, lam, indicator=None):
     """`fit_quantile`'s dual LP solved by `scipy.optimize.linprog`, one level
     per call: returns (coef, intercept, objective).

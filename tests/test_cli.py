@@ -75,6 +75,20 @@ class TestTrain:
         assert "'ingest'" in err and f"{synth_csv}:5: column 'step2_days'" in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_chi_square_screen_keeps_determinant_drops_independent(self, tmp_path):
+        # crew sets the target quartile; every (crew, vendor) pair occurs 10
+        # times, so vendor's table against the quartiles is uniform (p = 1)
+        lines = ["crew,vendor,size,target_days"]
+        for i in range(160):
+            crew = i % 4
+            lines.append(f"{'abcd'[crew]},{'wxyz'[(i // 4) % 4]},{i % 9},{10 * crew + (i % 7) / 10}")
+        data = tmp_path / "planted.csv"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, data, pipeline={"categorical_p_threshold": 0.05})
+        assert main(["train", "--config", str(config)]) == 0
+        columns = [name for name, _ in load_model(tmp_path / "model.json").schema.columns]
+        assert "crew" in columns and "vendor" not in columns
+
     @pytest.mark.parametrize("grid", [{}, {"lam": [0.1]}])
     def test_unknown_model_exit_2(self, tmp_path, synth_csv, capsys, grid):
         config = write_config(tmp_path, synth_csv, model={"name": "lasso", "grid": grid})

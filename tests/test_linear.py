@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import quantile_dual_linprog, quantile_grid_oracle, quantile_primal_oracle, ridge_oracle
+from oracles import (
+    quantile_dual_linprog,
+    quantile_grid_oracle,
+    quantile_objective,
+    quantile_primal_oracle,
+    ridge_oracle,
+)
 from test_composite import toy_dataset
 
 from partqr import linear
@@ -15,7 +21,6 @@ from partqr.linear import (
     pinball_quantile,
     pinball_total,
     predict_linear,
-    quantile_objective,
 )
 
 

@@ -1,5 +1,9 @@
+import os
 import re
+import subprocess
+import sys
 from datetime import date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,6 +310,61 @@ class TestSelectCategorical:
     def test_single_level_dropped(self):
         ds = self.make(["a"] * 40, np.arange(40.0))
         assert select_categorical(ds, "y", 0.99) == []
+
+
+class TestChiSquarePValue:
+    """p is scipy.stats.chi2.sf(stat, dof) bit for bit; scipy.stats is the
+    oracle here and is imported by no module of partqr."""
+
+    def assert_oracle(self, table):
+        from scipy.stats import chi2
+
+        stat, dof, p = chi_square_statistic(table)
+        assert p.hex() == float(chi2.sf(stat, dof)).hex()
+        return stat, p
+
+    @pytest.mark.parametrize("shape", [(r, c) for r in range(2, 7) for c in range(2, 5)])
+    def test_random_tables(self, shape):
+        rng = np.random.default_rng(shape[0] * 10 + shape[1])
+        for _ in range(20):
+            self.assert_oracle(rng.integers(1, 60, size=shape))
+
+    def test_independent_table(self):
+        stat, p = self.assert_oracle(4 * np.outer([1, 2, 3], [2, 5]))
+        assert stat == 0.0 and p == 1.0
+
+    @pytest.mark.parametrize("count", [40, 5000])
+    def test_extreme_table_underflows(self, count):
+        _, p = self.assert_oracle(np.diag([count] * 4))
+        assert p < 1e-40
+
+
+def test_partqr_never_imports_scipy_stats():
+    """A process that imports the CLI, screens a categorical column and solves
+    a quantile LP has not loaded scipy.stats (about 0.5 s of start-up)."""
+    script = """
+import sys
+import numpy as np
+import partqr, partqr.cli
+from partqr.data import Dataset, FeatureSchema
+from partqr.linear import fit_quantile
+from partqr.pipeline import select_categorical
+
+schema = FeatureSchema((("c", "categorical"), ("y", "numeric")), target="y")
+select_categorical(Dataset(schema, tuple(("ab"[i % 2], float(i)) for i in range(40))), "y")
+rng = np.random.default_rng(0)
+fit_quantile(rng.normal(size=(30, 2)), rng.normal(size=30), 0.5, 0.1)
+loaded = sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+if loaded:
+    print("scipy.stats loaded:", loaded)
+    sys.exit(1)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 class TestLagFeatures:
