@@ -251,9 +251,6 @@ def cmd_benchmark(args) -> int:
         dataset = _apply_selection(dataset, cfg)
     with _Stage("benchmark"):
         names = cfg.models or list(MODEL_NAMES)
-        unknown = [n for n in names if n not in MODEL_NAMES]
-        if unknown:
-            raise UserError(f"unknown models {unknown}; choose from {MODEL_NAMES}")
         # config model.grid applies when a single model is benchmarked;
         # otherwise every model runs its default grid
         grids = {names[0]: cfg.model.grid} if len(names) == 1 and cfg.model.grid else {}

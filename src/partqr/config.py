@@ -10,6 +10,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .models import MODEL_NAMES
+
 DATA_FORMATS = ("milestone-csv", "gwa-trace", "generic-csv")
 
 
@@ -108,6 +110,9 @@ def load_config(path) -> RunConfig:
         output=_build(OutputConfig, doc.get("output", {}), "output"),
         threads=int(doc.get("threads", 1)),
     )
+    unknown = [name for name in cfg.models if name not in MODEL_NAMES]
+    if unknown:  # before the data path, so a bad name is named first
+        raise ConfigError(f"unknown models {unknown}; choose from {MODEL_NAMES}")
     if cfg.data.format not in DATA_FORMATS:
         raise ConfigError(f"data.format must be one of {DATA_FORMATS}")
     if not os.path.exists(cfg.data.path):

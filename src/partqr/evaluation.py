@@ -96,7 +96,8 @@ def _prepare_fold(train: Dataset, test: Dataset | None, caps: dict | None):
 
 @dataclass(frozen=True)
 class PreparedFold:
-    """One cross-validation fold after fold-local caps and imputation."""
+    """One cross-validation fold after fold-local caps and imputation; the
+    refit's dataset, the last entry of `prepare_search`, has no test rows."""
 
     train: Dataset
     test_rows: list
@@ -135,6 +136,22 @@ def prepare_folds(
             )
         )
     return folds
+
+
+def prepare_search(
+    dataset: Dataset, k: int, seed: int, caps: dict | None = None
+) -> list[PreparedFold]:
+    """`prepare_folds`' k folds, then the whole dataset capped and imputed
+    the same way: a fold with no test rows, for the winner's refit."""
+    train, _, imputer, cap_removed = _prepare_fold(dataset, None, caps)
+    refit = PreparedFold(
+        train=train,
+        test_rows=[],
+        actual=np.empty(0),
+        seed=_fold_seed(seed, k),
+        detail=FoldDetail(train.n_rows, 0, dict(imputer.numeric_fill), cap_removed),
+    )
+    return prepare_folds(dataset, k, seed, caps) + [refit]
 
 
 def cross_validate(
@@ -228,27 +245,31 @@ def grid_search(
     caps: dict | None = None,
     threads: int = 1,
     *,
+    folds: list[PreparedFold] | None = None,
     fit_cache: dict | None = None,
 ) -> GridSearchResult:
     """Exhaustive search; lowest pooled Median AE wins, ties go to the smaller
     model, then to grid order. The winner is refit on the full dataset.
 
-    The folds are prepared and encoded once and shared by every combination.
-    Each fold, and the refit's dataset, grows one tree, forest or boosting
-    run that every combination is cut from (see `models.record_grid`), and
-    the partition quantile fits are memoised, so identical partitions under
-    different settings are solved once. All of it lives in `fit_cache`, a
-    fresh dict unless the caller shares one across searches (`benchmark`
-    does); entries are keyed by content, so sharing changes no result.
+    The folds and the refit's dataset are prepared and encoded once and
+    shared by every combination; `folds`, when given, must come from
+    `prepare_search(dataset, k, seed, caps)` (`benchmark` prepares them once
+    for all its searches). Each fold, and the refit's dataset, grows one
+    tree, forest or boosting run that every combination is cut from (see
+    `models.record_grid`), and the partition quantile fits are memoised, so
+    identical partitions under different settings are solved once. All of
+    it lives in `fit_cache`, a fresh dict unless the caller shares one
+    across searches (`benchmark` does); entries are keyed by content, so
+    sharing changes no result.
     """
     combos = _search_combinations(name, grid)  # before any fold is prepared
-    folds = prepare_folds(dataset, k, seed, caps)
+    *cv_folds, refit = prepare_search(dataset, k, seed, caps) if folds is None else folds
     fit_cache = {} if fit_cache is None else fit_cache
     record_grid(fit_cache, name, combos)
 
     def evaluate(combo):
         return cross_validate(
-            name, combo, dataset, k, seed, caps, folds=folds, fit_cache=fit_cache
+            name, combo, dataset, k, seed, caps, folds=cv_folds, fit_cache=fit_cache
         )
 
     if threads > 1:
@@ -259,8 +280,7 @@ def grid_search(
 
     best_i = min(range(len(combos)), key=lambda i: _selection_key(i, evaluations[i]))
     best_params = combos[best_i]
-    train, _, _, _ = _prepare_fold(dataset, None, caps)
-    final_model = fit_model(name, train, best_params, seed=_fold_seed(seed, k), fit_cache=fit_cache)
+    final_model = fit_model(name, refit.train, best_params, seed=refit.seed, fit_cache=fit_cache)
     return GridSearchResult(
         name=name,
         best_params=best_params,
@@ -493,17 +513,21 @@ def benchmark(
 
     Rows keep the input order; numbers come from the winning combination's
     pooled cross-validation run, parameter counts from the full-data refit.
-    The searches share one fit cache, so a search whose trees another has
-    grown on the same folds (qrf after random_forest) cuts them from there.
+    Every name and grid is checked first. The folds and the refit's dataset
+    are then prepared, imputed and encoded once, and every search shares
+    them and one fit cache, so a search whose trees another has grown on the
+    same folds (qrf after random_forest) cuts them from there.
     """
     grids = grids or {}
     reports = []
     fit_cache: dict = {}
     for name in model_names:
         record_grid(fit_cache, name, _search_combinations(name, grids.get(name)))
+    folds = prepare_search(dataset, k, seed, caps)
     for name in model_names:
         result = grid_search(
-            name, grids.get(name), dataset, k, seed, caps, threads=threads, fit_cache=fit_cache
+            name, grids.get(name), dataset, k, seed, caps, threads=threads,
+            folds=folds, fit_cache=fit_cache,
         )
         cv = result.best_cv
         reports.append(

@@ -112,41 +112,45 @@ def presort(values: np.ndarray) -> np.ndarray:
 
 
 def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
-    """Scan every feature and midpoint at once; returns (cost, feature, threshold) or None.
+    """Best (cost, feature, threshold) over the valid cuts of every feature, or None.
 
     Row j of xs and ys holds the node's feature-j values and targets in
     ascending feature-j order, ties by row id. That is the order a per-node
-    stable argsort of the ascending row list gives, so the cumulative sums,
-    and with them the costs, are bitwise those of a one-feature-at-a-time
-    scan. Invalid cuts (inside a run of equal values, or leaving a child
-    below min_samples_leaf) cost inf. Ties keep the lowest feature index,
-    then the lowest threshold.
+    stable argsort of the ascending row list gives, so the cumulative sums
+    are bitwise those of a one-feature-at-a-time scan. A cut is valid
+    between two distinct values and when it leaves both children at least
+    min_samples_leaf rows; a one-hot column has at most one. Only valid cuts
+    are scored, each by the expression, in the order of operations, that a
+    scan of all p * (n - 1) positions uses, so every cost is bitwise that
+    scan's. One argmin over the (feature, cut) pairs in row-major order
+    keeps the lowest feature index, then the lowest threshold, among equal
+    costs.
     """
-    n = xs.shape[1]
-    csum = np.cumsum(ys, axis=1)
-    csq = np.cumsum(ys * ys, axis=1)
-    total, total_sq = csum[:, -1:], csq[:, -1:]
-    cut = np.arange(1, n)  # left child sizes
-    sum_l = csum[:, :-1]
-    sq_l = csq[:, :-1]
+    p, n = xs.shape
+    # position i of row j cuts after xs[j, i]; the last position cuts off nothing
+    valid = np.empty((p, n), dtype=bool)
+    np.greater(xs[:, 1:], xs[:, :-1], out=valid[:, :-1])  # distinct boundaries
+    valid[:, : min_samples_leaf - 1] = False
+    valid[:, max(n - min_samples_leaf, 0) :] = False
+    at = valid.ravel().nonzero()[0]  # flat j * n + i, row-major
+    if at.size == 0:
+        return None
+    csum = ys.cumsum(axis=1)
+    csq = (ys * ys).cumsum(axis=1)
+    cut = at % n + 1  # left child sizes
+    right = n - cut
+    end = at + right  # each pair's row end, where the totals are
+    total, total_sq = csum.take(end), csq.take(end)
+    sum_l, sq_l = csum.take(at), csq.take(at)
     sse = (
         sq_l
         - sum_l * sum_l / cut
         + (total_sq - sq_l)
-        - (total - sum_l) * (total - sum_l) / (n - cut)
+        - (total - sum_l) * (total - sum_l) / right
     )
-    valid = xs[:, 1:] > xs[:, :-1]  # distinct boundaries
-    valid[:, : min_samples_leaf - 1] = False
-    valid[:, max(n - min_samples_leaf, 0) :] = False
-    usable = np.flatnonzero(valid.any(axis=1))
-    if usable.size == 0:
-        return None
-    sse[~valid] = np.inf
-    k = np.argmin(sse[usable], axis=1)
-    costs = sse[usable, k]
-    best = int(np.argmin(costs))
-    j, i = int(usable[best]), int(k[best]) + 1
-    return float(costs[best]), j, float(0.5 * (xs[j, i - 1] + xs[j, i]))
+    best = int(sse.argmin())
+    j, i = divmod(int(at[best]), n)
+    return float(sse[best]), j, float(0.5 * (xs[j, i] + xs[j, i + 1]))
 
 
 def build_cart(
@@ -166,10 +170,12 @@ def build_cart(
 
     Each column is sorted once, at the root (`presort`; pass `order` to reuse
     one sort across builds on the same X). A node holds its rows per feature
-    in that order, and a split hands each child the stable sub-sequence of
-    its rows, so every node sees each feature sorted by value, ties by row id,
-    exactly as a per-node stable sort of its ascending rows would give. Leaf
-    row lists stay ascending.
+    in that order, with their feature values (`xs`), and a split hands each
+    child the stable sub-sequence of both, so every node sees each feature
+    sorted by value, ties by row id, exactly as a per-node stable sort of its
+    ascending rows would give. `_best_split` scores only a node's valid cut
+    positions, and every tree is bitwise the one a scan of all positions
+    grows. Leaf row lists stay ascending.
     """
     values = _values_of(X)
     y = np.asarray(y, dtype=float)
@@ -192,16 +198,17 @@ def build_cart(
     def splits(size: int, depth: int) -> bool:
         return depth < max_depth and size >= min_samples_split
 
-    def grow(rows: np.ndarray, sorted_rows: np.ndarray | None, depth: int) -> int:
+    def grow(
+        rows: np.ndarray, sorted_rows: np.ndarray | None, xs: np.ndarray | None, depth: int
+    ) -> int:
         idx = len(nodes)
         nodes.append(TreeNode())
         node = nodes[idx]
-        node.value = float(np.mean(y[rows]))
+        ysub = y[rows]
+        node.value = float(np.add.reduce(ysub) / rows.size)  # bitwise np.mean
         split = None
         if sorted_rows is not None:
-            ysub = y[rows]
-            parent_sse = float(np.sum(ysub * ysub) - rows.size * node.value**2)
-            xs = np.take_along_axis(values.T, sorted_rows, axis=1)
+            parent_sse = float(np.add.reduce(ysub * ysub) - rows.size * node.value**2)
             cand = _best_split(xs, y[sorted_rows], min_samples_leaf)
             if cand is not None and parent_sse - cand[0] > _MIN_SSE_GAIN:
                 split = cand
@@ -220,14 +227,19 @@ def build_cart(
         def child(keep_rows, keep_sorted) -> int:
             sub = rows[keep_rows]
             if not splits(sub.size, depth + 1):
-                return grow(sub, None, depth + 1)
-            return grow(sub, sorted_rows[keep_sorted].reshape(p, sub.size), depth + 1)
+                return grow(sub, None, None, depth + 1)
+            shape = (p, sub.size)
+            sub_sorted = sorted_rows[keep_sorted].reshape(shape)
+            return grow(sub, sub_sorted, xs[keep_sorted].reshape(shape), depth + 1)
 
         node.left = child(mask, to_left)
         node.right = child(~mask, ~to_left)
         return idx
 
-    grow(np.arange(n), order if splits(n, 0) else None, 0)
+    if splits(n, 0):
+        grow(np.arange(n), order, np.take_along_axis(values.T, order, axis=1), 0)
+    else:
+        grow(np.arange(n), None, None, 0)
     return RegressionTree(nodes, p, max_depth, min_samples_split, min_samples_leaf)
 
 

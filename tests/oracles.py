@@ -144,6 +144,43 @@ def node_sse(y):
     return float(np.sum((y - np.mean(y)) ** 2)) if y.size else 0.0
 
 
+def split_scan_oracle(xs, ys, min_samples_leaf):
+    """CART's split search scored at all p * (n - 1) cut positions of a node.
+
+    Row j of xs and ys holds the node's feature-j values and targets in
+    ascending feature-j order, ties by row id. Every position gets the SSE
+    of its two children; invalid cuts (inside a run of equal values, or
+    leaving a child below min_samples_leaf) are then set to inf. The argmin
+    per feature, then across features, keeps the lowest feature and then
+    the lowest threshold. Returns (cost, feature, threshold) or None.
+    """
+    n = xs.shape[1]
+    csum = np.cumsum(ys, axis=1)
+    csq = np.cumsum(ys * ys, axis=1)
+    total, total_sq = csum[:, -1:], csq[:, -1:]
+    cut = np.arange(1, n)
+    sum_l = csum[:, :-1]
+    sq_l = csq[:, :-1]
+    sse = (
+        sq_l
+        - sum_l * sum_l / cut
+        + (total_sq - sq_l)
+        - (total - sum_l) * (total - sum_l) / (n - cut)
+    )
+    valid = xs[:, 1:] > xs[:, :-1]
+    valid[:, : min_samples_leaf - 1] = False
+    valid[:, max(n - min_samples_leaf, 0) :] = False
+    usable = np.flatnonzero(valid.any(axis=1))
+    if usable.size == 0:
+        return None
+    sse[~valid] = np.inf
+    k = np.argmin(sse[usable], axis=1)
+    costs = sse[usable, k]
+    best = int(np.argmin(costs))
+    j, i = int(usable[best]), int(k[best]) + 1
+    return float(costs[best]), j, float(0.5 * (xs[j, i - 1] + xs[j, i]))
+
+
 def cart_oracle(X, y, max_depth, min_samples_split=2, min_samples_leaf=1):
     """Exhaustive split enumeration with naive per-candidate SSE."""
 

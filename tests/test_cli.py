@@ -280,6 +280,13 @@ class TestBenchmarkCommand:
         main(["benchmark", "--config", str(config)])
         assert (tmp_path / "report.json").read_bytes() == first
 
+    def test_unknown_model_exit_2_before_ingest(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "missing.csv", models=["ridge", "nope"])
+        assert main(["benchmark", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "'config'" in err and "'nope'" in err
+        assert "missing.csv" not in err
+
 
 class TestGwaBenchmark:
     def write_traces(self, tmp_path):

@@ -307,6 +307,47 @@ class TestGridSearchSharing:
             if a.bounds is not None:
                 assert a.bounds.tobytes() == b.bounds.tobytes()
 
+    def test_benchmark_prepares_each_fold_once(self, monkeypatch):
+        from partqr import evaluation
+
+        ds = self.dataset()
+        names = ["ridge", "decision_tree", "gradient_boosting"]
+        caps = {"target_days": 150.0}
+        imputed, searches = [], []
+        fit_imputer_, grid_search_ = evaluation.fit_imputer, evaluation.grid_search
+
+        def counted(*args, **kwargs):
+            imputed.append(1)
+            return fit_imputer_(*args, **kwargs)
+
+        def recorded(*args, **kwargs):
+            searches.append(grid_search_(*args, **kwargs))
+            return searches[-1]
+
+        monkeypatch.setattr(evaluation, "fit_imputer", counted)
+        monkeypatch.setattr(evaluation, "grid_search", recorded)
+        report = benchmark(ds, names, k=4, caps=caps)
+        assert len(imputed) == 4 + 1  # the folds and the refit's dataset, not per search
+        shared = list(searches)
+        alone = [benchmark(ds, [name], k=4, caps=caps) for name in names]
+        assert len(searches) == 2 * len(names)
+        joined = EvaluationReport(
+            [r.models[0] for r in alone], report.k, report.seed, report.n_rows, report.weight_units
+        )
+        assert report.to_json() == joined.to_json()
+        for a, b in zip(report.models, joined.models):
+            assert (a.bounds is None) == (b.bounds is None)
+            if a.bounds is not None:
+                assert a.bounds.tobytes() == b.bounds.tobytes()
+                assert a.bounds_actual.tobytes() == b.bounds_actual.tobytes()
+        for a, b in zip(shared, searches[len(names) :]):
+            assert a.best_params == b.best_params
+            assert a.best_cv.fold_details == b.best_cv.fold_details
+            assert a.final_model.parameter_count() == b.final_model.parameter_count()
+            for x, y in zip(a.evaluations, b.evaluations):
+                assert_same_evaluation(x, y)
+        assert any(sum(d.cap_removed.values()) for d in shared[0].best_cv.fold_details)
+
 
 class TestSynthetic:
     def test_noiseless_linear_identifiable(self):

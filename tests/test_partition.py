@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
 
-from oracles import assert_tree_equals_oracle, cart_oracle, knn_scan, node_sse
+from oracles import (
+    assert_tree_equals_oracle,
+    cart_oracle,
+    knn_scan,
+    node_sse,
+    split_scan_oracle,
+)
 
 from partqr.baselines import fit_gb
 from partqr.partition import (
+    _best_split,
     assign_cluster,
     build_cart,
     fit_kmeans,
@@ -147,6 +154,62 @@ class TestCartPresort:
         X = np.arange(12.0).reshape(6, 2)
         with pytest.raises(ValueError, match="order has shape"):
             build_cart(X, np.arange(6.0), max_depth=2, order=np.zeros((6, 2), dtype=int))
+
+
+def node_view(X, y, rows):
+    """A node's (xs, ys) as `build_cart` hands them to `_best_split`: each
+    feature's values and targets in ascending value order, ties by row id."""
+    rows = np.sort(rows)
+    sorted_rows = rows[np.argsort(X[rows], axis=0, kind="stable")].T
+    return np.take_along_axis(X.T, sorted_rows, axis=1), y[sorted_rows]
+
+
+def assert_same_split(got, want):
+    """Bit for bit: the cost's bytes, the feature and the threshold's bytes."""
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[1] == want[1]
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+class TestSplitSearch:
+    """Scoring only the valid cut positions gives the full scan's answer."""
+
+    @pytest.mark.parametrize("kind", ["rounded", "one_hot", "bootstrap"])
+    def test_random_nodes_equal_full_scan(self, kind):
+        rng = np.random.default_rng(41)
+        for _ in range(3):
+            X, y = tie_heavy_design(kind, rng)
+            n = X.shape[0]
+            for size in range(2, n + 1):
+                rows = rng.choice(n, size=size, replace=False)
+                xs, ys = node_view(X, y, rows)
+                for leaf in (1, 3, n // 2):
+                    assert_same_split(_best_split(xs, ys, leaf), split_scan_oracle(xs, ys, leaf))
+
+    def test_no_valid_cut_is_none(self):
+        rng = np.random.default_rng(42)
+        X = np.tile(rng.normal(size=3), (6, 1))  # six equal rows
+        xs, ys = node_view(X, rng.normal(size=6), np.arange(6))
+        assert _best_split(xs, ys, 1) is None
+        assert split_scan_oracle(xs, ys, 1) is None
+        X, y = tie_heavy_design("rounded", rng)
+        xs, ys = node_view(X, y, np.arange(10))
+        assert _best_split(xs, ys, 6) is None  # no cut leaves two children of 6
+        assert split_scan_oracle(xs, ys, 6) is None
+
+    def test_valid_cuts_only_on_one_hot_columns(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            # a constant numeric column after five indicators: at most five cuts
+            X = np.column_stack([np.eye(5)[rng.integers(0, 5, n)], np.full(n, 0.25)])
+            y = np.round(rng.normal(size=n), 1)
+            xs, ys = node_view(X, y, np.arange(n))
+            got = _best_split(xs, ys, 1)
+            assert_same_split(got, split_scan_oracle(xs, ys, 1))
+            assert got is None or (got[1] < 5 and got[2] == 0.5)
 
 
 def assert_equal_trees(a, b):
