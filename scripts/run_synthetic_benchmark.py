@@ -32,7 +32,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--contamination", type=float, default=0.05, help="long-tail probability")
     parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--full", action="store_true", help="use the full default grids")
     parser.add_argument(
         "--models", nargs="*", default=list(MODEL_NAMES), help="subset of models to run"
@@ -45,14 +44,7 @@ def main() -> int:
     print(f"generated {dataset.n_rows} projects (seed {args.seed})")
 
     grids = {} if args.full else TRIMMED_GRIDS
-    report = benchmark(
-        dataset,
-        args.models,
-        grids=grids,
-        k=args.folds,
-        seed=args.seed,
-        threads=args.threads,
-    )
+    report = benchmark(dataset, args.models, grids=grids, k=args.folds, seed=args.seed)
     print()
     print(report.to_text())
     if args.report_json:

@@ -159,8 +159,6 @@ def write_dataset_csv(dataset: Dataset, path) -> None:
 def cmd_train(args) -> int:
     with _Stage("config"):
         cfg = load_config(args.config)
-        if args.threads:
-            cfg.threads = args.threads
     with _Stage("ingest"):
         dataset = _load_dataset(cfg)
     with _Stage("feature-selection"):
@@ -174,7 +172,6 @@ def cmd_train(args) -> int:
             cfg.cv.folds,
             cfg.cv.seed,
             caps=cfg.pipeline.tail_caps or None,
-            threads=cfg.threads,
         )
     with _Stage("write"):
         model_path = cfg.output.model_path or "model.json"
@@ -243,8 +240,6 @@ def cmd_predict(args) -> int:
 def cmd_benchmark(args) -> int:
     with _Stage("config"):
         cfg = load_config(args.config)
-        if args.threads:
-            cfg.threads = args.threads
     with _Stage("ingest"):
         dataset = _load_dataset(cfg)
     with _Stage("feature-selection"):
@@ -261,7 +256,6 @@ def cmd_benchmark(args) -> int:
             k=cfg.cv.folds,
             seed=cfg.cv.seed,
             caps=cfg.pipeline.tail_caps or None,
-            threads=cfg.threads,
         )
     with _Stage("write"):
         text = report.to_text()
@@ -337,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="grid-search one model and write a model file")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--threads", type=int, default=0)
     p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="prediction intervals for a CSV of rows")
@@ -348,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("benchmark", help="cross-validated model comparison table")
     p_bench.add_argument("--config", required=True)
-    p_bench.add_argument("--threads", type=int, default=0)
     p_bench.set_defaults(func=cmd_benchmark)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic cascading-delay dataset")

@@ -106,7 +106,6 @@ def _fit_quantile_table(matrix, ysub, levels, lam, fit_cache: dict):
     # a tuple, not a list: perfbench's tracer hashes the levels it is passed
     missing = tuple(a for a in levels if (leaf, a, lam) not in fit_cache)
     if missing:
-        # Threads may race to one key; both solves give the same fit.
         for a, fit in zip(missing, fit_quantile(matrix, ysub, missing, lam)):
             fit_cache[leaf, a, lam] = fit
     return {a: fit_cache[leaf, a, lam] for a in levels}

@@ -1,7 +1,8 @@
 """Run configuration: a JSON file validated into dataclasses.
 
 The seed is mandatory (no wall-clock default) so every command is reproducible
-byte for byte; command-line flags override file values.
+byte for byte. Unknown keys and wrong-typed values are rejected here, naming
+the key, before any data is read.
 """
 
 from __future__ import annotations
@@ -75,7 +76,17 @@ class RunConfig:
     models: list[str] = field(default_factory=list)
     cv: CVConfig = field(default_factory=CVConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
-    threads: int = 1
+
+
+SECTIONS = {
+    "data": DataConfig,
+    "pipeline": PipelineConfig,
+    "model": ModelConfig,
+    "cv": CVConfig,
+    "output": OutputConfig,
+}
+# `threads` is no field: searches run serially, and the key accepts only 1
+TOP_LEVEL_KEYS = (*SECTIONS, "models", "threads")
 
 
 def _build(cls, doc: dict, where: str):
@@ -84,6 +95,11 @@ def _build(cls, doc: dict, where: str):
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
     return cls(**doc)
+
+
+def _require_int(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, not {value!r}")
 
 
 def load_config(path) -> RunConfig:
@@ -96,22 +112,43 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})")
 
-    if "data" not in doc or "path" not in doc["data"]:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: a config must be a JSON object")
+    unknown = set(doc) - set(TOP_LEVEL_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)}; choose from {list(TOP_LEVEL_KEYS)}")
+    for key in SECTIONS:
+        if not isinstance(doc.get(key, {}), dict):
+            raise ConfigError(f"{key} must be a JSON object, not {doc[key]!r}")
+    if "path" not in doc.get("data", {}):
         raise ConfigError("config requires data.path")
-    if "cv" not in doc or "seed" not in doc["cv"]:
+    if "seed" not in doc.get("cv", {}):
         raise ConfigError("config requires cv.seed (reproducibility is mandatory)")
 
+    models = doc.get("models", [])
+    if not isinstance(models, list) or not all(isinstance(m, str) for m in models):
+        raise ConfigError(f"models must be a list of model names, not {models!r}")
     cfg = RunConfig(
-        data=_build(DataConfig, doc["data"], "data"),
-        pipeline=_build(PipelineConfig, doc.get("pipeline", {}), "pipeline"),
-        model=_build(ModelConfig, doc.get("model", {}), "model"),
-        models=list(doc.get("models", [])),
-        cv=_build(CVConfig, doc["cv"], "cv"),
-        output=_build(OutputConfig, doc.get("output", {}), "output"),
-        threads=int(doc.get("threads", 1)),
+        models=list(models),
+        **{key: _build(cls, doc.get(key, {}), key) for key, cls in SECTIONS.items()},
     )
+    _require_int(cfg.cv.folds, "cv.folds")
+    _require_int(cfg.cv.seed, "cv.seed")
+    _require_int(cfg.pipeline.lag_count, "pipeline.lag_count")
+    threads = doc.get("threads", 1)
+    _require_int(threads, "threads")
+    if threads != 1:
+        raise ConfigError(f"threads is {threads}: searches run serially, so threads must be 1")
+    if not isinstance(cfg.model.grid, dict):
+        raise ConfigError(f"model.grid must be a JSON object, not {cfg.model.grid!r}")
+    for key, values in cfg.model.grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"model.grid.{key} must be a non-empty list, not {values!r}")
+    # names before the data path, so a bad name is named first
+    if cfg.model.name not in MODEL_NAMES:
+        raise ConfigError(f"unknown model {cfg.model.name!r}; choose from {MODEL_NAMES}")
     unknown = [name for name in cfg.models if name not in MODEL_NAMES]
-    if unknown:  # before the data path, so a bad name is named first
+    if unknown:
         raise ConfigError(f"unknown models {unknown}; choose from {MODEL_NAMES}")
     if cfg.data.format not in DATA_FORMATS:
         raise ConfigError(f"data.format must be one of {DATA_FORMATS}")
@@ -121,6 +158,4 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"climate table does not exist: {cfg.pipeline.climate_table}")
     if cfg.cv.folds < 2:
         raise ConfigError("cv.folds must be at least 2")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be at least 1")
     return cfg

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import threading
 import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -199,19 +198,9 @@ def encode(
     return EncodedMatrix(values, columns), y, encoding
 
 
-class _Slot:
-    """One entry of a search-wide cache: made by its first caller while
-    callers that come meanwhile wait, and dropped after `uses` calls."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.value = None
-        self.uses_left = None
-
-
 def shared(cache: dict | None, key, make, uses=None):
     """`make()`, made once per `key` of a search-wide `cache` and shared by
-    later calls from any thread; with no cache, made afresh.
+    later calls; with no cache, made afresh.
 
     `uses()`, when given, is asked once, as the value is made, for the number
     of calls the value serves in all; the last of them drops the entry, and a
@@ -219,17 +208,14 @@ def shared(cache: dict | None, key, make, uses=None):
     """
     if cache is None:
         return make()
-    slot = cache.setdefault(key, _Slot())
-    with slot.lock:
-        if slot.value is None:
-            slot.value = make()
-            slot.uses_left = None if uses is None else uses()
-        value = slot.value
-        if slot.uses_left is not None:
-            slot.uses_left -= 1
-            if slot.uses_left <= 0 and cache.get(key) is slot:
-                del cache[key]
-    return value
+    if key not in cache:
+        cache[key] = [make(), None if uses is None else uses()]
+    entry = cache[key]
+    if entry[1] is not None:
+        entry[1] -= 1
+        if entry[1] <= 0:
+            del cache[key]
+    return entry[0]
 
 
 def encode_once(
@@ -247,8 +233,7 @@ def encode_once(
 
     key = ("encoded", id(dataset))
     if cache is not None and key not in cache:
-        # the entry goes when the dataset does, so no other object takes its id
-        # meanwhile; threads that race here register the same removal twice
+        # the entry goes when the dataset does, so no other object takes its id meanwhile
         weakref.finalize(dataset, cache.pop, key, None)
     return shared(cache, key, make)
 
@@ -379,7 +364,8 @@ def dataset_from_csv(
     overrides: dict[str, str] | None = None,
     weight_units: str = "days",
 ) -> Dataset:
-    """Load a CSV into a Dataset; empty cells become missing (None).
+    """Load a CSV into a Dataset; empty cells become missing (None), and rows
+    whose cells are all empty are skipped.
 
     A numeric cell that is not a finite number (`nan`, `inf`, text) raises
     SchemaError naming the path, the line and the column.
@@ -399,6 +385,8 @@ def dataset_from_csv(
     positions = [header.index(name) if name in header else None for name, _ in schema.columns]
     rows = []
     for line, raw in enumerate(raw_rows, start=2):  # the header is line 1
+        if not any(raw):
+            continue
         vals = []
         for pos, (name, kind) in zip(positions, schema.columns):
             v = raw[pos] if pos is not None and pos < len(raw) else ""

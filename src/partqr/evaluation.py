@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -243,7 +242,6 @@ def grid_search(
     k: int,
     seed: int,
     caps: dict | None = None,
-    threads: int = 1,
     *,
     folds: list[PreparedFold] | None = None,
     fit_cache: dict | None = None,
@@ -266,18 +264,10 @@ def grid_search(
     *cv_folds, refit = prepare_search(dataset, k, seed, caps) if folds is None else folds
     fit_cache = {} if fit_cache is None else fit_cache
     record_grid(fit_cache, name, combos)
-
-    def evaluate(combo):
-        return cross_validate(
-            name, combo, dataset, k, seed, caps, folds=cv_folds, fit_cache=fit_cache
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            evaluations = list(pool.map(evaluate, combos))
-    else:
-        evaluations = [evaluate(c) for c in combos]
-
+    evaluations = [
+        cross_validate(name, c, dataset, k, seed, caps, folds=cv_folds, fit_cache=fit_cache)
+        for c in combos
+    ]
     best_i = min(range(len(combos)), key=lambda i: _selection_key(i, evaluations[i]))
     best_params = combos[best_i]
     final_model = fit_model(name, refit.train, best_params, seed=refit.seed, fit_cache=fit_cache)
@@ -517,7 +507,11 @@ def benchmark(
     are then prepared, imputed and encoded once, and every search shares
     them and one fit cache, so a search whose trees another has grown on the
     same folds (qrf after random_forest) cuts them from there.
+
+    Searches run serially; `threads` accepts only 1.
     """
+    if threads != 1:
+        raise ValueError(f"threads={threads!r}: searches run serially, so threads must be 1")
     grids = grids or {}
     reports = []
     fit_cache: dict = {}
@@ -526,8 +520,7 @@ def benchmark(
     folds = prepare_search(dataset, k, seed, caps)
     for name in model_names:
         result = grid_search(
-            name, grids.get(name), dataset, k, seed, caps, threads=threads,
-            folds=folds, fit_cache=fit_cache,
+            name, grids.get(name), dataset, k, seed, caps, folds=folds, fit_cache=fit_cache
         )
         cv = result.best_cv
         reports.append(

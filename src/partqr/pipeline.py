@@ -15,7 +15,7 @@ from datetime import date, datetime, timezone
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import Dataset, FeatureSchema, _finite_cell
+from .data import Dataset, FeatureSchema, SchemaError, _finite_cell
 
 
 @dataclass(frozen=True)
@@ -26,7 +26,6 @@ class MilestoneRecord:
     site_id: str
     milestone: str
     phase: str | None = None
-    planned_date: date | None = None
     actual_date: date | None = None
     city: str | None = None
     state: str | None = None
@@ -35,8 +34,6 @@ class MilestoneRecord:
     latitude: float | None = None
     longitude: float | None = None
     zip_code: str | None = None
-    nature: str | None = None
-    technology: str | None = None
 
 
 def parse_date(value) -> date:
@@ -74,7 +71,7 @@ def load_climate_table(path) -> dict[str, str]:
             raise ValueError(f"{path}: expected header 'region,climate'")
         for row in reader:
             if len(row) != 2:
-                raise ValueError(f"{path}: malformed row {row!r}")
+                raise ValueError(f"{path}:{reader.line_num}: malformed row {row!r}")
             table[row[0]] = row[1]
     return table
 
@@ -399,27 +396,13 @@ def impute(dataset: Dataset) -> Dataset:
     return fit_imputer(dataset).transform(dataset)
 
 
-MILESTONE_CSV_COLUMNS = (
-    "project_id",
-    "site_id",
-    "milestone",
-    "phase",
-    "planned_date",
-    "actual_date",
-    "city",
-    "state",
-    "region",
-    "market",
-    "latitude",
-    "longitude",
-    "zip",
-    "nature",
-    "technology",
-)
-
-
 def read_milestone_csv(path, delimiter: str = ",") -> list[MilestoneRecord]:
-    """Load milestone records; only project_id/site_id/milestone are mandatory."""
+    """Load milestone records; only project_id/site_id/milestone are mandatory,
+    and columns that no record field reads are ignored.
+
+    A bad `actual_date`, `latitude` or `longitude` cell raises SchemaError
+    naming the path, the line and the column.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         required = {"project_id", "site_id", "milestone"}
@@ -436,14 +419,25 @@ def read_milestone_csv(path, delimiter: str = ",") -> list[MilestoneRecord]:
                 v = get(key)
                 return None if v is None else _finite_cell(v, path, reader.line_num, key)
 
+            def actual_date():
+                v = get("actual_date")
+                if v is None:
+                    return None
+                try:
+                    return parse_date(v)
+                except ValueError:
+                    raise SchemaError(
+                        f"{path}:{reader.line_num}: column 'actual_date': "
+                        f"{v!r} is not a YYYY-MM-DD date"
+                    ) from None
+
             records.append(
                 MilestoneRecord(
                     project_id=row["project_id"],
                     site_id=row["site_id"],
                     milestone=row["milestone"],
                     phase=get("phase"),
-                    planned_date=parse_date(get("planned_date")) if get("planned_date") else None,
-                    actual_date=parse_date(get("actual_date")) if get("actual_date") else None,
+                    actual_date=actual_date(),
                     city=get("city"),
                     state=get("state"),
                     region=get("region"),
@@ -451,8 +445,6 @@ def read_milestone_csv(path, delimiter: str = ",") -> list[MilestoneRecord]:
                     latitude=coordinate("latitude"),
                     longitude=coordinate("longitude"),
                     zip_code=get("zip"),
-                    nature=get("nature"),
-                    technology=get("technology"),
                 )
             )
     return records

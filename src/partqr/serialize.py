@@ -243,11 +243,20 @@ def model_to_json(fit) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+# the envelope keys `model_to_json` writes
+_ENVELOPE = ("format_version", "model_name", "params", "schema", "encoding", "columns", "payload")
+
+
 def model_from_json(text: str):
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a model file holds a JSON object, not a JSON {type(doc).__name__}")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version {version!r}")
+    missing = [key for key in _ENVELOPE if key not in doc]
+    if missing:
+        raise ValueError(f"model file lacks the keys {missing}")
     name = doc["model_name"]
     key = model_spec(name).payload
     schema = FeatureSchema(

@@ -93,8 +93,53 @@ class TestTrain:
     def test_unknown_model_exit_2(self, tmp_path, synth_csv, capsys, grid):
         config = write_config(tmp_path, synth_csv, model={"name": "lasso", "grid": grid})
         assert main(["train", "--config", str(config)]) == 2
-        assert "'grid-search': unknown model 'lasso'" in capsys.readouterr().err
+        assert "'config': unknown model 'lasso'" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    def test_unknown_model_named_before_missing_data(self, tmp_path, capsys):
+        config = write_config(tmp_path, tmp_path / "missing.csv", model={"name": "lasso"})
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "'config': unknown model 'lasso'" in err and "missing.csv" not in err
+
+    def test_misspelt_key_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys, monkeypatch):
+        config = write_config(tmp_path, synth_csv)
+        doc = json.loads(config.read_text(encoding="utf-8"))
+        doc["outptu"] = doc.pop("output")
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", str(config)]) == 2
+        assert "'config': unknown keys ['outptu']" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_config_threads_2_exit_2(self, tmp_path, synth_csv, capsys):
+        config = write_config(tmp_path, synth_csv, threads=2)
+        assert main(["train", "--config", str(config)]) == 2
+        assert "'config': threads is 2: searches run serially" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_threads_flag_is_refused(self, tmp_path, synth_csv, capsys, command):
+        config = write_config(tmp_path, synth_csv)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(config), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+
+    def test_blank_rows_change_nothing(self, tmp_path, synth_csv):
+        config = write_config(tmp_path, synth_csv, output={
+            "model_path": str(tmp_path / "model.json"),
+            "fit_report": str(tmp_path / "report.json"),
+        })
+        assert main(["train", "--config", str(config)]) == 0
+        plain = [(tmp_path / n).read_bytes() for n in ("model.json", "report.json")]
+        lines = synth_csv.read_text(encoding="utf-8").splitlines()
+        blank = ",,,,,"
+        synth_csv.write_text(
+            "\n".join(lines[:3] + ["", blank] + lines[3:] + [""]) + "\n", encoding="utf-8"
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        assert [(tmp_path / n).read_bytes() for n in ("model.json", "report.json")] == plain
 
 
 class TestPredict:
@@ -167,6 +212,27 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--input", str(inp)]) == 2
         err = capsys.readouterr().err
         assert "step1_days" in err
+
+    def test_blank_input_rows_skipped(self, tmp_path, synth_csv):
+        model = self.make_model(tmp_path, synth_csv)
+        inp = tmp_path / "in.csv"
+        header = "site_category,step1_days,step2_days,step3_days,step4_days\n"
+        rows = ["metro,10,20,30,15\n", "remote,12,18,25,16\n"]
+        inp.write_text(header + "".join(rows), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 0
+        plain = out.read_bytes()
+        inp.write_text(header + rows[0] + "\n,,,,\n" + rows[1] + "\n", encoding="utf-8")
+        assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 0
+        assert out.read_bytes() == plain
+
+    def test_non_object_model_file_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[1, 2]\n", encoding="utf-8")
+        inp = tmp_path / "in.csv"
+        inp.write_text("a\n1\n", encoding="utf-8")
+        assert main(["predict", "--model", str(model), "--input", str(inp)]) == 2
+        assert "'load-model': a model file holds a JSON object" in capsys.readouterr().err
 
     def test_nan_cell_exit_2(self, tmp_path, synth_csv, capsys):
         model = self.make_model(tmp_path, synth_csv)

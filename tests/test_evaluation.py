@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import numpy as np
@@ -181,14 +182,6 @@ class TestGridSearch:
         # grid order breaks the remaining tie
         assert _selection_key(0, big) < _selection_key(2, fake(1.0, [500, 500]))
 
-    def test_threads_same_answer(self):
-        ds = leaky_dataset(40)
-        grid = {"max_depth": [1, 2], "min_samples_split": [2, 5]}
-        a = grid_search("decision_tree", grid, ds, 4, seed=1, threads=1)
-        b = grid_search("decision_tree", grid, ds, 4, seed=1, threads=4)
-        assert a.best_params == b.best_params
-        assert [e.median_ae for e in a.evaluations] == [e.median_ae for e in b.evaluations]
-
 
 def assert_same_evaluation(a: CVResult, b: CVResult):
     assert a.params == b.params
@@ -264,33 +257,19 @@ class TestGridSearchSharing:
         for combo, shared in zip(combos, result.evaluations):
             assert_same_evaluation(shared, cross_validate(name, combo, ds, 4, seed=6, caps=caps))
 
-    def test_quantile_tree_threads_same_answer(self):
-        ds = self.dataset()
-        grid = {"lam": [0.0, 0.1], "max_depth": [1, 2], "min_samples_split": [10, 60]}
-        a = grid_search("quantile_tree", grid, ds, 4, seed=6, threads=1)
-        b = grid_search("quantile_tree", grid, ds, 4, seed=6, threads=2)
-        assert a.best_params == b.best_params
-        for x, y in zip(a.evaluations, b.evaluations):
-            assert_same_evaluation(x, y)
-
-    def test_random_forest_threads_same_answer(self, monkeypatch):
-        ds = self.dataset()
-        a = grid_search("random_forest", TREE_GRIDS["random_forest"], ds, 4, seed=6, threads=1)
-        calls = count_cart_builds(monkeypatch)
-        b = grid_search("random_forest", TREE_GRIDS["random_forest"], ds, 4, seed=6, threads=2)
-        assert a.best_params == b.best_params
-        for x, y in zip(a.evaluations, b.evaluations):
-            assert_same_evaluation(x, y)
-        assert a.final_model.parameter_count() == b.final_model.parameter_count()
-        # threads asking for a forest being grown wait for it
-        assert len(calls) == (4 + 1) * 5
-
     @pytest.mark.parametrize("name,trees", [("decision_tree", 1), ("random_forest", 5)])
     def test_one_growth_per_fold_and_refit(self, monkeypatch, name, trees):
         calls = count_cart_builds(monkeypatch)
         grid_search(name, TREE_GRIDS[name], self.dataset(), 4, seed=6)
         # 4 folds and the refit each grow the largest structure once
         assert len(calls) == (4 + 1) * trees
+
+    def test_benchmark_refuses_threads_other_than_1(self):
+        with pytest.raises(ValueError, match="searches run serially"):
+            benchmark(self.dataset(), ["ridge"], k=4, seed=6, threads=2)
+
+    def test_grid_search_takes_no_threads(self):
+        assert "threads" not in inspect.signature(grid_search).parameters
 
     def test_benchmark_shares_forests_across_searches(self, monkeypatch):
         ds = self.dataset()

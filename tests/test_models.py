@@ -6,6 +6,7 @@ before and after a save/load round trip, whatever else is in the batch.
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ def test_unknown_model_name_in_file_fails_naming_it(fitted):
     text = model_to_json(fitted["ridge"]).replace('"model_name": "ridge"', '"model_name": "lasso"')
     with pytest.raises(ValueError, match="unknown model 'lasso'"):
         model_from_json(text)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "7", '"model"'])
+def test_non_object_file_fails_saying_so(text):
+    with pytest.raises(ValueError, match="a model file holds a JSON object"):
+        model_from_json(text)
+
+
+@pytest.mark.parametrize("key", ["schema", "payload", "model_name"])
+def test_file_lacking_a_key_fails_naming_it(fitted, key):
+    doc = json.loads(model_to_json(fitted["ridge"]))
+    del doc[key]
+    with pytest.raises(ValueError, match=re.escape(f"model file lacks the keys [{key!r}]")):
+        model_from_json(json.dumps(doc))
 
 
 def test_model_name_payload_mismatch_names_both(fitted):

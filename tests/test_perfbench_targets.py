@@ -6,6 +6,8 @@ leave the traced benchmark without a target fails here in well under a second.
 
 import ast
 import importlib
+import importlib.util
+import inspect
 from pathlib import Path
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -36,3 +38,45 @@ def test_every_tracer_target_exists():
         if not found:
             missing.append(f"partqr.{module_name}.{qualname}")
     assert not missing, f"traced benchmark targets missing: {missing}"
+
+
+# The benchmark's workloads drive the program through a config file and a
+# library call; a stricter config check or a changed signature must fail here,
+# not silently inside a benchmark run.
+WORKLOADS = TRACER.with_name("workloads.py")
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_qtree_grid_config_loads(tmp_path):
+    from partqr.config import load_config
+
+    workloads = _workloads()
+    workloads.QtreeGrid(str(tmp_path), seed=301).setup(workloads.Ledger())
+    cfg = load_config(tmp_path / "config.json")
+    assert cfg.model.name == "quantile_tree"
+
+
+def test_ensemble_grid_call_binds_to_benchmark():
+    from partqr.evaluation import SyntheticSpec, benchmark, generate_synthetic
+
+    tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
+    (call,) = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "benchmark"
+    ]
+    keywords = {kw.arg: kw.value for kw in call.keywords}
+    assert set(keywords) == {"grids", "k", "seed", "threads"}
+    inspect.signature(benchmark).bind(*call.args, **keywords)
+    threads = ast.literal_eval(keywords["threads"])
+    dataset = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
+    report = benchmark(dataset, ["ridge"], grids={"ridge": {"lam": [0.1]}}, k=2, seed=1, threads=threads)
+    assert [m.name for m in report.models] == ["ridge"]

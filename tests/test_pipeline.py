@@ -89,6 +89,12 @@ class TestClimate:
         with pytest.raises(ValueError):
             load_climate_table(path)
 
+    def test_malformed_row_names_its_line(self, tmp_path):
+        path = tmp_path / "climate.csv"
+        path.write_text("region,climate\nTX,hot\nWA,marine,wet\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed row")):
+            load_climate_table(path)
+
 
 class TestIntermediateDurations:
     def test_date_arithmetic(self):
@@ -528,6 +534,29 @@ class TestMilestoneCsv:
         )
         with pytest.raises(SchemaError, match=re.escape(f"{path}:3: column {column!r}")):
             read_milestone_csv(path)
+
+    def test_bad_actual_date_names_line_and_column(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "project_id,site_id,milestone,actual_date\n"
+            "p1,s1,start,2020-12-01\n"
+            "p1,s1,end,2020-13-01\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:3: column 'actual_date'")):
+            read_milestone_csv(path)
+
+    def test_unread_columns_are_not_parsed(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "project_id,site_id,milestone,planned_date,actual_date,nature,technology\n"
+            "p1,s1,start,not-a-date,2021-01-01,new,5G\n",
+            encoding="utf-8",
+        )
+        (record,) = read_milestone_csv(path)
+        assert record.actual_date == date(2021, 1, 1)
+        fields = set(MilestoneRecord.__dataclass_fields__)
+        assert not fields & {"planned_date", "nature", "technology"}
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "m.csv"
