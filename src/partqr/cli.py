@@ -21,6 +21,7 @@ from .models import MODEL_NAMES, MODELS
 from .pipeline import (
     build_gwa_dataset,
     build_milestone_dataset,
+    fill_rows,
     load_climate_table,
     read_milestone_csv,
     select_categorical,
@@ -213,6 +214,8 @@ def cmd_predict(args) -> int:
         fitted = load_model(args.model)
     with _Stage("read-input"):
         rows = dataset_from_csv(args.input, target=fitted.schema.target, schema=fitted.schema).rows
+        # empty cells are filled as the training data's were
+        rows = fill_rows(fitted.schema, fitted.fill, rows)
     with _Stage("predict"):
         intervals = fitted.predict_intervals(rows)
         if intervals is None:
@@ -231,8 +234,7 @@ def cmd_predict(args) -> int:
         out = args.output or "predictions.csv"
         with open(out, "w", newline="", encoding="utf-8") as fh:
             fh.write("lower,median,upper\n")
-            for lo, med, hi in intervals.tolist():
-                fh.write(f"{lo!r},{med!r},{hi!r}\n")
+            fh.writelines("%r,%r,%r\n" % tuple(r) for r in intervals.tolist())
         print(f"{len(rows)} predictions written to {out}")
     return 0
 

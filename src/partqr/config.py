@@ -102,6 +102,11 @@ def _require_int(value, where: str) -> None:
         raise ConfigError(f"{where} must be an integer, not {value!r}")
 
 
+def _require_number(value, where: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, not {value!r}")
+
+
 def load_config(path) -> RunConfig:
     """Parse and validate a JSON run configuration file."""
     try:
@@ -135,6 +140,13 @@ def load_config(path) -> RunConfig:
     _require_int(cfg.cv.folds, "cv.folds")
     _require_int(cfg.cv.seed, "cv.seed")
     _require_int(cfg.pipeline.lag_count, "pipeline.lag_count")
+    for key in ("numeric_r_threshold", "categorical_p_threshold"):
+        if getattr(cfg.pipeline, key) is not None:
+            _require_number(getattr(cfg.pipeline, key), f"pipeline.{key}")
+    if not isinstance(cfg.pipeline.tail_caps, dict):
+        raise ConfigError(f"pipeline.tail_caps must be a JSON object, not {cfg.pipeline.tail_caps!r}")
+    for col, cap in cfg.pipeline.tail_caps.items():
+        _require_number(cap, f"pipeline.tail_caps.{col}")
     threads = doc.get("threads", 1)
     _require_int(threads, "threads")
     if threads != 1:

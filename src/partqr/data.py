@@ -382,22 +382,41 @@ def dataset_from_csv(
         ]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
-    positions = [header.index(name) if name in header else None for name, _ in schema.columns]
-    rows = []
+    lines, raws = [], []
     for line, raw in enumerate(raw_rows, start=2):  # the header is line 1
-        if not any(raw):
+        if any(raw):
+            lines.append(line)
+            raws.append(raw)
+    # one column at a time, then back to rows; of several bad cells, the error
+    # names the first in row-major order: lowest line, then leftmost column
+    columns, bad = [], []
+    for j, (name, kind) in enumerate(schema.columns):
+        if name in header:
+            pos = header.index(name)
+            cells = [raw[pos] if pos < len(raw) else "" for raw in raws]
+        else:  # an absent target column
+            cells = [""] * len(raws)
+        if kind != "numeric":
+            columns.append([c or None for c in cells])
             continue
-        vals = []
-        for pos, (name, kind) in zip(positions, schema.columns):
-            v = raw[pos] if pos is not None and pos < len(raw) else ""
-            if v == "":
-                vals.append(None)
-            elif kind == "numeric":
-                vals.append(_finite_cell(v, path, line, name))
-            else:
-                vals.append(v)
-        rows.append(tuple(vals))
-    return Dataset(schema, tuple(rows))
+        try:
+            values = [float(c) if c else None for c in cells]
+            finite = np.isfinite([v for v in values if v is not None]).all()
+        except ValueError:
+            finite = False
+        if finite:
+            columns.append(values)
+            continue
+        for i, c in enumerate(cells):
+            if c:
+                try:
+                    _finite_cell(c, path, lines[i], name)
+                except SchemaError as exc:
+                    bad.append((i, j, exc))
+                    break
+    if bad:
+        raise min(bad)[2]
+    return Dataset(schema, tuple(zip(*columns)))
 
 
 def _finite_cell(text: str, path, line: int, column: str) -> float:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -13,7 +13,7 @@ from scipy.special import log_ndtr, ndtr, ndtri
 
 from .data import Dataset, FeatureSchema, split_kfold
 from .models import fit_model, model_spec, record_grid
-from .pipeline import fit_imputer, prune_tail
+from .pipeline import fill_values, fit_imputer, prune_tail
 
 
 def median_ae(pred, actual) -> float:
@@ -141,7 +141,9 @@ def prepare_search(
     dataset: Dataset, k: int, seed: int, caps: dict | None = None
 ) -> list[PreparedFold]:
     """`prepare_folds`' k folds, then the whole dataset capped and imputed
-    the same way: a fold with no test rows, for the winner's refit."""
+    the same way: a fold with no test rows, for the winner's refit. Every
+    tail cap is checked against the schema before any fold is prepared."""
+    _check_caps(dataset.schema, caps)
     train, _, imputer, cap_removed = _prepare_fold(dataset, None, caps)
     refit = PreparedFold(
         train=train,
@@ -235,6 +237,17 @@ def _search_combinations(name: str, grid: dict[str, list] | None) -> list[dict]:
     return combos
 
 
+def _check_caps(schema: FeatureSchema, caps: dict | None) -> None:
+    """Every tail cap must name a column of `schema`; else ValueError naming both."""
+    names = [name for name, _ in schema.columns]
+    for col, cap in (caps or {}).items():
+        if col not in names:
+            raise ValueError(
+                f"tail cap {col!r} (cap {cap!r}) names a missing column: "
+                f"the data has no column {col!r}, only {names}"
+            )
+
+
 def grid_search(
     name: str,
     grid: dict[str, list] | None,
@@ -247,7 +260,8 @@ def grid_search(
     fit_cache: dict | None = None,
 ) -> GridSearchResult:
     """Exhaustive search; lowest pooled Median AE wins, ties go to the smaller
-    model, then to grid order. The winner is refit on the full dataset.
+    model, then to grid order. The winner is refit on the full dataset, and
+    the refit keeps what its imputation filled empty cells with (`fill`).
 
     The folds and the refit's dataset are prepared and encoded once and
     shared by every combination; `folds`, when given, must come from
@@ -270,7 +284,10 @@ def grid_search(
     ]
     best_i = min(range(len(combos)), key=lambda i: _selection_key(i, evaluations[i]))
     best_params = combos[best_i]
-    final_model = fit_model(name, refit.train, best_params, seed=refit.seed, fit_cache=fit_cache)
+    final_model = replace(
+        fit_model(name, refit.train, best_params, seed=refit.seed, fit_cache=fit_cache),
+        fill=fill_values(refit.train.schema, refit.detail.numeric_fill),
+    )
     return GridSearchResult(
         name=name,
         best_params=best_params,

@@ -25,14 +25,18 @@ from .data import EncodedMatrix, encoded_stack
 
 @dataclass(frozen=True)
 class RidgeModel:
-    """beta0 + x.beta minimizing ||y - beta0 - X.beta||^2 + lam*||beta_std||^2."""
+    """beta0 + x.beta minimizing ||y - beta0 - X.beta||^2 + lam*||beta_std||^2.
+
+    `predict_linear` reads coef and intercept only. The other fields record
+    the fit; a fitted model has them and a loaded one does without (None).
+    """
 
     coef: np.ndarray
     intercept: float
-    lam: float
-    scaled_coef: np.ndarray = field(repr=False)
-    feature_center: np.ndarray = field(repr=False)
-    feature_scale: np.ndarray = field(repr=False)
+    lam: float | None = None
+    scaled_coef: np.ndarray | None = field(default=None, repr=False)
+    feature_center: np.ndarray | None = field(default=None, repr=False)
+    feature_scale: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -41,16 +45,17 @@ class LinearQuantileModel:
 
     `objective` is the optimized value: total pinball loss of the stored
     (coef, intercept) plus lam * ||scaled_coef||_1 (penalty applies in the
-    standardized coordinates where the fit ran).
+    standardized coordinates where the fit ran). Like `RidgeModel`, a
+    loaded model keeps only what prediction reads: alpha, coef, intercept.
     """
 
     alpha: float
     coef: np.ndarray
     intercept: float
-    lam: float
-    objective: float
-    scaled_coef: np.ndarray = field(repr=False)
-    feature_scale: np.ndarray = field(repr=False)
+    lam: float | None = None
+    objective: float | None = None
+    scaled_coef: np.ndarray | None = field(default=None, repr=False)
+    feature_scale: np.ndarray | None = field(default=None, repr=False)
 
 
 def pinball_loss(residuals: np.ndarray, alpha: float) -> np.ndarray:

@@ -9,7 +9,7 @@ instead of failing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -68,7 +68,14 @@ class ModelSpec:
 
 
 class _RegistryFit:
-    """What both fit classes read from their registry entry, by `self.name`."""
+    """What both fit classes read from their registry entry, by `self.name`.
+
+    A fit's `fill` maps each predictor column to what its empty cells became
+    in the training data (`pipeline.fill_values`: a numeric column's median,
+    a categorical column's level "missing"): `grid_search` sets it on its
+    refit, model files keep it, and `partqr predict` fills its input with it.
+    A fit made without imputation has none, so its input must be complete.
+    """
 
     @property
     def quantile_capable(self) -> bool:
@@ -84,6 +91,7 @@ class CompositeFit(_RegistryFit):
     name: str
     params: dict
     model: CompositeQuantileModel
+    fill: dict = field(default_factory=dict)
 
     @property
     def schema(self):
@@ -119,6 +127,7 @@ class BaselineFit(_RegistryFit):
     schema: object
     encoding: CategoricalEncoding
     inner: object  # RegressionTree | ForestModel | BoostedModel
+    fill: dict = field(default_factory=dict)
 
     def _encode(self, rows) -> np.ndarray:
         return encode_row(self.schema, self.encoding, rows)

@@ -50,13 +50,27 @@ class TreeArrays:
     leaf_id: np.ndarray
     value: np.ndarray
 
+    @classmethod
+    def from_lists(cls, feature, threshold, left, right, leaf_id, value) -> "TreeArrays":
+        """The arrays of per-node sequences: node ids and features as intp,
+        thresholds and values as float."""
+        return cls(
+            feature=np.array(feature, dtype=np.intp),
+            threshold=np.array(threshold, dtype=float),
+            left=np.array(left, dtype=np.intp),
+            right=np.array(right, dtype=np.intp),
+            leaf_id=np.array(leaf_id, dtype=np.intp),
+            value=np.array(value, dtype=float),
+        )
+
 
 @dataclass
 class RegressionTree:
     """CART tree over an encoded design matrix; a fitted tree's leaves keep
     their row lists (a forest's trees excepted), which model files do not store.
 
-    `arrays` is derived from the nodes on first use and never serialised.
+    `arrays` is derived from the nodes on first use; a loaded tree gets it
+    from the arrays its model file stores.
     """
 
     nodes: list[TreeNode]
@@ -83,13 +97,13 @@ class RegressionTree:
     @cached_property
     def arrays(self) -> TreeArrays:
         nodes = self.nodes
-        return TreeArrays(
-            feature=np.array([nd.feature for nd in nodes], dtype=np.intp),
-            threshold=np.array([nd.threshold for nd in nodes], dtype=float),
-            left=np.array([nd.left for nd in nodes], dtype=np.intp),
-            right=np.array([nd.right for nd in nodes], dtype=np.intp),
-            leaf_id=np.array([nd.leaf_id for nd in nodes], dtype=np.intp),
-            value=np.array([nd.value for nd in nodes], dtype=float),
+        return TreeArrays.from_lists(
+            feature=[nd.feature for nd in nodes],
+            threshold=[nd.threshold for nd in nodes],
+            left=[nd.left for nd in nodes],
+            right=[nd.right for nd in nodes],
+            leaf_id=[nd.leaf_id for nd in nodes],
+            value=[nd.value for nd in nodes],
         )
 
     @property

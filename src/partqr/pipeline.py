@@ -353,19 +353,33 @@ class Imputer:
         ]
         new_schema = FeatureSchema(tuple(keep), schema.target, schema.weight_units)
         target_j = schema.index_of(schema.target)
-        cells = [(schema.index_of(name), name, kind) for name, kind in keep]
-        rows = []
-        for row in dataset.rows:
-            if row[target_j] is None:
-                continue
-            vals = []
-            for j, name, kind in cells:
-                v = row[j]
-                if v is None:
-                    v = self.numeric_fill[name] if kind == "numeric" else "missing"
-                vals.append(v)
-            rows.append(tuple(vals))
-        return Dataset(new_schema, tuple(rows))
+        rows = [row for row in dataset.rows if row[target_j] is not None]
+        if self.dropped_columns:
+            cells = [schema.index_of(name) for name, _ in keep]
+            rows = [tuple([row[j] for j in cells]) for row in rows]
+        fill = fill_values(new_schema, self.numeric_fill)
+        return Dataset(new_schema, tuple(fill_rows(new_schema, fill, rows)))
+
+
+def fill_values(schema: FeatureSchema, numeric_fill: dict[str, float]) -> dict:
+    """What an empty predictor cell of `schema` becomes, by column: a numeric
+    column's training median from `numeric_fill`, a categorical column the
+    level "missing"."""
+    return {
+        name: numeric_fill[name] if kind == "numeric" else "missing"
+        for name, kind in schema.columns
+        if name != schema.target
+    }
+
+
+def fill_rows(schema: FeatureSchema, fill: dict, rows) -> list[tuple]:
+    """`rows` with each empty cell of a column that `fill` names set to its
+    fill value; cells of other columns stay empty, and no row is dropped."""
+    values = [fill.get(name) for name, _ in schema.columns]
+    return [
+        row if None not in row else tuple([d if v is None else v for v, d in zip(row, values)])
+        for row in rows
+    ]
 
 
 def fit_imputer(dataset: Dataset) -> Imputer:

@@ -1,9 +1,13 @@
 """Versioned JSON model files; loading reproduces bit-identical predictions.
 
-A file holds what prediction reads and nothing else. Floats survive a JSON
-round-trip exactly (repr-based encoding), tree/centroid structures are stored
-verbatim, a forest stores the leaf of each in-bag training row, and nn_qr
-stores the training matrix its neighbor scans read. Training-row lists and
+A file holds what prediction reads and nothing else, as compact JSON with
+sorted keys. Floats survive a JSON round-trip exactly (repr-based encoding).
+A tree is stored as the parallel arrays prediction walks plus its settings,
+a linear estimator as its coefficients and intercept (and a quantile
+estimator's level), centroids verbatim; a forest stores the leaf of each
+in-bag training row, and nn_qr the training matrix its neighbor scans read.
+The envelope keeps what filled the training data's empty cells (`fill`),
+so `partqr predict` fills its input the same way. Training-row lists and
 fit diagnostics stay on the fitted object.
 """
 
@@ -18,99 +22,51 @@ from .composite import CompositeQuantileModel, ConstantModel
 from .data import CategoricalEncoding, EncodedColumn, EncodedMatrix, FeatureSchema
 from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit, model_spec
-from .partition import ClusterPartition, RegressionTree, TreeNode
+from .partition import ClusterPartition, RegressionTree, TreeArrays, TreeNode
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+
+# a tree's nodes, stored as parallel arrays indexed by node id
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id", "value")
+_TREE_SETTINGS = ("n_features", "max_depth", "min_samples_split", "min_samples_leaf")
 
 
 def _tree_to_doc(tree: RegressionTree) -> dict:
-    nodes = [
-        {
-            "feature": nd.feature,
-            "threshold": nd.threshold,
-            "left": nd.left,
-            "right": nd.right,
-            "leaf_id": nd.leaf_id,
-            "value": nd.value,
-        }
-        for nd in tree.nodes
-    ]
-    return {
-        "nodes": nodes,
-        "n_features": tree.n_features,
-        "max_depth": tree.max_depth,
-        "min_samples_split": tree.min_samples_split,
-        "min_samples_leaf": tree.min_samples_leaf,
-    }
+    arrays = tree.arrays
+    doc = {key: getattr(arrays, key).tolist() for key in _TREE_ARRAYS}
+    return doc | {key: getattr(tree, key) for key in _TREE_SETTINGS}
 
 
 def _tree_from_doc(doc: dict) -> RegressionTree:
+    lists = [doc[key] for key in _TREE_ARRAYS]
     nodes = [
-        TreeNode(
-            feature=nd["feature"],
-            threshold=nd["threshold"],
-            left=nd["left"],
-            right=nd["right"],
-            leaf_id=nd["leaf_id"],
-            value=nd["value"],
-        )
-        for nd in doc["nodes"]
+        TreeNode(feature=f, threshold=t, left=lo, right=hi, leaf_id=leaf, value=v)
+        for f, t, lo, hi, leaf, v in zip(*lists)
     ]
-    return RegressionTree(
-        nodes,
-        doc["n_features"],
-        doc["max_depth"],
-        doc["min_samples_split"],
-        doc["min_samples_leaf"],
-    )
+    tree = RegressionTree(nodes, *(doc[key] for key in _TREE_SETTINGS))
+    # the arrays prediction walks, made from the stored lists, not from the nodes
+    tree.arrays = TreeArrays.from_lists(*lists)
+    return tree
 
 
 def _estimator_to_doc(est) -> dict:
+    """The fields `predict_linear` reads; the fit's diagnostics stay on the fitted object."""
     if isinstance(est, ConstantModel):
         return {"type": "constant", "value": est.value}
+    doc = {"coef": est.coef.tolist(), "intercept": est.intercept}
     if isinstance(est, RidgeModel):
-        return {
-            "type": "ridge",
-            "coef": est.coef.tolist(),
-            "intercept": est.intercept,
-            "lam": est.lam,
-            "scaled_coef": est.scaled_coef.tolist(),
-            "feature_center": est.feature_center.tolist(),
-            "feature_scale": est.feature_scale.tolist(),
-        }
-    return {
-        "type": "quantile",
-        "alpha": est.alpha,
-        "coef": est.coef.tolist(),
-        "intercept": est.intercept,
-        "lam": est.lam,
-        "objective": est.objective,
-        "scaled_coef": est.scaled_coef.tolist(),
-        "feature_scale": est.feature_scale.tolist(),
-    }
+        return {"type": "ridge", **doc}
+    return {"type": "quantile", "alpha": est.alpha, **doc}
 
 
 def _estimator_from_doc(doc: dict):
     if doc["type"] == "constant":
         return ConstantModel(value=doc["value"])
+    coef = np.array(doc["coef"], dtype=float)
     if doc["type"] == "ridge":
-        return RidgeModel(
-            coef=np.array(doc["coef"], dtype=float),
-            intercept=doc["intercept"],
-            lam=doc["lam"],
-            scaled_coef=np.array(doc["scaled_coef"], dtype=float),
-            feature_center=np.array(doc["feature_center"], dtype=float),
-            feature_scale=np.array(doc["feature_scale"], dtype=float),
-        )
-    return LinearQuantileModel(
-        alpha=doc["alpha"],
-        coef=np.array(doc["coef"], dtype=float),
-        intercept=doc["intercept"],
-        lam=doc["lam"],
-        objective=doc["objective"],
-        scaled_coef=np.array(doc["scaled_coef"], dtype=float),
-        feature_scale=np.array(doc["feature_scale"], dtype=float),
-    )
+        return RidgeModel(coef=coef, intercept=doc["intercept"])
+    return LinearQuantileModel(alpha=doc["alpha"], coef=coef, intercept=doc["intercept"])
 
 
 def _composite_to_doc(fit: CompositeFit) -> tuple[list, dict]:
@@ -239,12 +195,22 @@ def model_to_json(fit) -> str:
         "encoding": [[col, list(levels)] for col, levels in fit.encoding.levels],
         "columns": columns,
         "payload": {key: payload},
+        "fill": fit.fill,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 # the envelope keys `model_to_json` writes
-_ENVELOPE = ("format_version", "model_name", "params", "schema", "encoding", "columns", "payload")
+_ENVELOPE = (
+    "format_version",
+    "model_name",
+    "params",
+    "schema",
+    "encoding",
+    "columns",
+    "payload",
+    "fill",
+)
 
 
 def model_from_json(text: str):
@@ -270,7 +236,26 @@ def model_from_json(text: str):
     if key not in doc["payload"]:
         raise ValueError(f"model {name!r} needs a {key!r} payload, which the file lacks")
     read = _PAYLOADS[key][1]
-    return read(name, doc["params"], schema, encoding, doc["columns"], doc["payload"][key])
+    fit = read(name, doc["params"], schema, encoding, doc["columns"], doc["payload"][key])
+    fit.fill = _fill_from_doc(doc["fill"], schema)
+    return fit
+
+
+def _fill_from_doc(fill, schema: FeatureSchema) -> dict:
+    """The stored `fill`, checked: a JSON object mapping predictor columns to
+    a number (numeric column) or a string (categorical column)."""
+    if not isinstance(fill, dict):
+        raise ValueError(f"model file key 'fill' must be a JSON object, not {fill!r}")
+    kinds = dict(schema.columns)
+    for col, value in fill.items():
+        kind = kinds.get(col) if col != schema.target else None
+        want = (int, float) if kind == "numeric" else str
+        if kind is None or isinstance(value, bool) or not isinstance(value, want):
+            raise ValueError(
+                f"model file key 'fill' holds {col!r}: {value!r}, which is not "
+                "a predictor column with a value of its kind"
+            )
+    return fill
 
 
 def save_model(path, fit) -> None:

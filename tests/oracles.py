@@ -258,3 +258,34 @@ def qrf_oracle(forest, x, alpha):
         if acc >= alpha - 1e-12:
             return float(forest.y_train[i])
     return float(forest.y_train[order[-1]])
+
+
+def csv_cells_oracle(header, raw_rows, schema, path):
+    """A CSV's dataset rows, read one cell at a time: rows whose cells are all
+    empty are skipped, an empty or absent cell is None, a numeric cell is a
+    float. Returns (rows, None), or (None, message) for the first cell, in
+    row-major order, that is not a finite number."""
+    import math
+
+    rows = []
+    for line, raw in enumerate(raw_rows, start=2):
+        if not any(raw):
+            continue
+        vals = []
+        for name, kind in schema.columns:
+            pos = header.index(name) if name in header else None
+            v = raw[pos] if pos is not None and pos < len(raw) else ""
+            if v == "":
+                vals.append(None)
+            elif kind != "numeric":
+                vals.append(v)
+            else:
+                try:
+                    x = float(v)
+                except ValueError:
+                    return None, f"{path}:{line}: column {name!r}: {v!r} is not a number"
+                if not math.isfinite(x):
+                    return None, f"{path}:{line}: column {name!r}: non-finite value {v!r}"
+                vals.append(x)
+        rows.append(tuple(vals))
+    return tuple(rows), None

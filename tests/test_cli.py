@@ -5,7 +5,8 @@ import pytest
 
 from partqr.cli import main, write_dataset_csv
 from partqr.evaluation import SyntheticSpec, generate_synthetic, mixture_quantile
-from partqr.serialize import load_model
+from partqr.models import fit_model
+from partqr.serialize import load_model, save_model
 
 
 @pytest.fixture
@@ -45,6 +46,14 @@ class TestTrain:
         config = write_config(tmp_path, tmp_path / "nope.csv")
         assert main(["train", "--config", str(config)]) == 2
         assert "nope.csv" in capsys.readouterr().err
+
+    def test_cap_on_missing_column_exit_2(self, tmp_path, synth_csv, capsys):
+        config = write_config(tmp_path, synth_csv, pipeline={"tail_caps": {"nope": 5}})
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'grid-search': tail cap 'nope' (cap 5) names a missing column" in err
+        assert "the data has no column 'nope'" in err
+        assert not (tmp_path / "model.json").exists()
 
     def test_seed_required(self, tmp_path, synth_csv, capsys):
         doc = {
@@ -226,6 +235,52 @@ class TestPredict:
         assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 0
         assert out.read_bytes() == plain
 
+    def test_empty_cells_filled_as_in_training(self, tmp_path, synth_csv):
+        lines = synth_csv.read_text(encoding="utf-8").splitlines()
+        header = lines[0].split(",")
+        site, step2 = header.index("site_category"), header.index("step2_days")
+        rows = [line.split(",") for line in lines[1:]]
+        for row in rows[::10]:
+            row[step2] = ""
+        rows[5][site] = ""
+        synth_csv.write_text("\n".join([lines[0]] + [",".join(r) for r in rows]) + "\n", encoding="utf-8")
+        model = self.make_model(tmp_path, synth_csv)
+        # the refit imputes the whole training set: its median, not a fold's
+        median = float(np.median([float(r[step2]) for r in rows if r[step2]]))
+        fill = json.loads(model.read_text(encoding="utf-8"))["fill"]
+        assert fill["step2_days"] == median and fill["site_category"] == "missing"
+        inp, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        header = "site_category,step1_days,step2_days,step3_days,step4_days\n"
+        outputs = []
+        for body in (
+            "metro,10,,30,15\n,12,18,25,16\n",
+            f"metro,10,{median!r},30,15\nmissing,12,18,25,16\n",
+            f"metro,10,{median + 40!r},30,15\nmissing,12,18,25,16\n",
+        ):
+            inp.write_text(header + body, encoding="utf-8")
+            assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1] != outputs[2]  # the filled value is read
+        assert len(outputs[0].splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "row, column", [("metro,10,,30,15", "step2_days"), (",10,20,30,15", "site_category")]
+    )
+    def test_empty_cell_without_stored_fill_exit_2(self, tmp_path, capsys, row, column):
+        train = generate_synthetic(SyntheticSpec(n_projects=60, seed=3))
+        model = tmp_path / "model.json"
+        save_model(model, fit_model("ridge", train, {"lam": 0.1}))
+        assert json.loads(model.read_text(encoding="utf-8"))["fill"] == {}
+        inp = tmp_path / "in.csv"
+        inp.write_text(
+            f"site_category,step1_days,step2_days,step3_days,step4_days\n{row}\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
+        assert f"missing value in column {column!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_non_object_model_file_exit_2(self, tmp_path, capsys):
         model = tmp_path / "model.json"
         model.write_text("[1, 2]\n", encoding="utf-8")
@@ -249,10 +304,17 @@ class TestPredict:
         assert not out.exists()
 
     def test_version_1_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
+        self.check_old_version_refused(tmp_path, synth_csv, capsys, 1)
+
+    def test_version_2_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
+        self.check_old_version_refused(tmp_path, synth_csv, capsys, 2)
+
+    def check_old_version_refused(self, tmp_path, synth_csv, capsys, version):
         model = self.make_model(tmp_path, synth_csv)
-        text = model.read_text(encoding="utf-8")
-        assert '"format_version": 2' in text
-        model.write_text(text.replace('"format_version": 2', '"format_version": 1'), encoding="utf-8")
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        assert doc["format_version"] == 3
+        doc["format_version"] = version
+        model.write_text(json.dumps(doc), encoding="utf-8")
         inp = tmp_path / "in.csv"
         inp.write_text(
             "site_category,step1_days,step2_days,step3_days,step4_days\nmetro,10,20,30,15\n",
@@ -262,7 +324,7 @@ class TestPredict:
         capsys.readouterr()
         assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
         captured = capsys.readouterr()
-        assert "error in stage 'load-model': unsupported model format_version 1" in captured.err
+        assert f"error in stage 'load-model': unsupported model format_version {version}" in captured.err
         assert captured.out == ""
         assert not out.exists()
 
@@ -271,6 +333,7 @@ class TestPredict:
             """A fitted model whose forecast for every row but the first is NaN."""
 
             schema = generate_synthetic(SyntheticSpec(n_projects=10, seed=3)).schema
+            fill = {}
 
             def predict_intervals(self, rows):
                 out = np.ones((len(rows), 3))
@@ -561,8 +624,10 @@ class TestInspect:
         config = write_config(tmp_path, synth_csv, model={"name": "decision_tree", "grid": grid})
         assert main(["train", "--config", str(config)]) == 0
         path = tmp_path / "model.json"
-        text = path.read_text(encoding="utf-8")
-        path.write_text(text.replace('"model_name": "decision_tree"', '"model_name": "ridge"'), encoding="utf-8")
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["model_name"] == "decision_tree"
+        doc["model_name"] = "ridge"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         capsys.readouterr()
         assert main(["inspect", "--model", str(path)]) == 2
         err = capsys.readouterr().err

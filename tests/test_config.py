@@ -88,3 +88,37 @@ def test_grid_not_an_object(tmp_path):
 def test_models_not_a_list_of_names(tmp_path, models):
     rejects(write(tmp_path, models=models), "models must be a list of model names")
 
+
+
+@pytest.mark.parametrize("value", ["0.5", True, [0.5]])
+def test_numeric_r_threshold_not_a_number(tmp_path, value):
+    rejects(
+        write(tmp_path, pipeline__numeric_r_threshold=value),
+        "pipeline.numeric_r_threshold must be a number",
+    )
+
+
+@pytest.mark.parametrize("value", ["0.05", False])
+def test_categorical_p_threshold_not_a_number(tmp_path, value):
+    rejects(
+        write(tmp_path, pipeline__categorical_p_threshold=value),
+        "pipeline.categorical_p_threshold must be a number",
+    )
+
+
+@pytest.mark.parametrize("value", ["12", True, None])
+def test_tail_cap_not_a_number(tmp_path, value):
+    rejects(write(tmp_path, pipeline__tail_caps={"y": value}), "pipeline.tail_caps.y must be a number")
+
+
+def test_tail_caps_not_an_object(tmp_path):
+    rejects(write(tmp_path, pipeline__tail_caps=[["y", 12]]), "pipeline.tail_caps must be a JSON object")
+
+
+def test_numeric_thresholds_and_caps_accept_ints_and_floats(tmp_path):
+    path = write(
+        tmp_path,
+        pipeline={"numeric_r_threshold": 0, "categorical_p_threshold": 0.05, "tail_caps": {"y": 12}},
+    )
+    pl = load_config(path).pipeline
+    assert (pl.numeric_r_threshold, pl.categorical_p_threshold, pl.tail_caps) == (0, 0.05, {"y": 12})

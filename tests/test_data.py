@@ -1,3 +1,4 @@
+import csv
 import gc
 
 import numpy as np
@@ -17,6 +18,8 @@ from partqr.data import (
     shared,
     split_kfold,
 )
+
+from oracles import csv_cells_oracle
 
 
 def make_dataset(rows, columns=(("cat", "categorical"), ("y", "numeric")), target="y"):
@@ -245,3 +248,45 @@ class TestCsv:
         path.write_text("site,days\na,5\n\nb,inf\n", encoding="utf-8")
         with pytest.raises(SchemaError, match=r"d\.csv:4: column 'days'"):
             dataset_from_csv(path, target="days")
+
+    def test_first_bad_cell_in_row_major_order(self, tmp_path):
+        columns = (("a", "numeric"), ("b", "numeric"), ("c", "numeric"), ("d", "numeric"))
+        schema = FeatureSchema(columns, target="d")
+        path = tmp_path / "in.csv"
+        # later columns fail on earlier lines: the lowest line wins, then the leftmost column
+        path.write_text("c,b,a\n1,2,3\nx,2,3\n1,inf,nope\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"in\.csv:3: column 'c': 'x' is not a number"):
+            dataset_from_csv(path, target="d", schema=schema)
+        path.write_text("c,b,a\n1,2,3\n1,nan,x\n", encoding="utf-8")
+        with pytest.raises(SchemaError, match=r"in\.csv:3: column 'a': 'x' is not a number"):
+            dataset_from_csv(path, target="d", schema=schema)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_cell_by_cell_reader(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        schema = FeatureSchema(
+            (("s", "categorical"), ("a", "numeric"), ("b", "numeric"), ("y", "numeric")), target="y"
+        )
+        header = [str(h) for h in rng.permutation(["s", "a", "b", "y", "extra"])[: rng.integers(3, 6)]]
+        if not {"s", "a", "b"} <= set(header):
+            header += [h for h in ("s", "a", "b") if h not in header]
+        cells = ["", "", "1.5", "-2", "1e3", "7", "x", "nan", "inf"]
+        weights = np.array([4, 4, 6, 6, 6, 6, 1, 1, 1], dtype=float)
+        if seed % 2:
+            weights[-3:] = 0  # half the files hold numbers only
+        raw_rows = [  # short, full and overlong rows
+            [str(c) for c in rng.choice(cells, size=rng.integers(0, len(header) + 3), p=weights / weights.sum())]
+            for _ in range(rng.integers(0, 12))
+        ]
+        path = tmp_path / "in.csv"
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + raw_rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *raw_rows = list(csv.reader(fh))  # what read_csv sees
+        want, error = csv_cells_oracle(header, raw_rows, schema, path)
+        if error is None:
+            assert dataset_from_csv(path, target="y", schema=schema).rows == want
+        else:
+            with pytest.raises(SchemaError) as info:
+                dataset_from_csv(path, target="y", schema=schema)
+            assert str(info.value) == error

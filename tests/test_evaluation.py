@@ -1,9 +1,11 @@
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
 
+from partqr import evaluation
 from partqr.data import Dataset, FeatureSchema
 from partqr.evaluation import (
     CVResult,
@@ -158,6 +160,22 @@ class TestGridSearch:
         result = grid_search("decision_tree", grid, ds, 4, seed=1)
         assert len(result.evaluations) == 6
         assert grid_combinations(grid)[0] == {"max_depth": 1, "min_samples_split": 2}
+
+    @pytest.mark.parametrize("search", ["grid_search", "benchmark"])
+    def test_cap_on_missing_column_named_before_any_fold(self, monkeypatch, search):
+        def unprepared(*args, **kwargs):
+            raise AssertionError("a fold was prepared")
+
+        monkeypatch.setattr(evaluation, "_prepare_fold", unprepared)
+        monkeypatch.setattr(evaluation, "prepare_folds", unprepared)
+        ds = leaky_dataset(40)
+        columns = [name for name, _ in ds.schema.columns]
+        want = f"tail cap 'nope' (cap 5) names a missing column: the data has no column 'nope', only {columns}"
+        with pytest.raises(ValueError, match=re.escape(want)):
+            if search == "grid_search":
+                grid_search("ridge", {"lam": [0.1]}, ds, 4, seed=1, caps={"y": 50.0, "nope": 5})
+            else:
+                benchmark(ds, ["ridge"], k=4, seed=1, caps={"nope": 5})
 
     def test_tie_breaks_to_smaller_model(self):
         def fake(median, counts):

@@ -31,19 +31,24 @@ PARAMS = {
 }
 
 # sha256 of model_to_json for each fit of the `fitted` fixture, recorded when
-# model files moved to format 2: the model file bytes may not move.
+# model files moved to format 3: the model file bytes may not move.
 GOLDEN_DIGESTS = {
-    "ridge": "3d02d98dc3df1a3da2476365bbc385cfbba98a7edc065c5119ed1ce0771362ab",
-    "quantile": "38fbf69802716319f6bd58b8dab96fd6096d9198217a331c14be47f7f7c37f34",
-    "decision_tree": "3443d78b25bd54bcf4c208124192ec95ff528de9e5ea42e14448009389cad60b",
-    "random_forest": "ba64e8780c587cfb8637b574e589939c5e0eda949189f05deef3cea78ee68e63",
-    "qrf": "75e984c5d135dcdf0cb9968329bbaef2a14b952e34b6084fcdea1c9163b2c6c9",
-    "gradient_boosting": "32bda3cfb91087cb493090f06fec6e10eb7c4f74aa93abd94a71d702e9266a4e",
-    "quantile_tree": "43c942fa47dfd6558f00f890ca1bb33fb8f7e052d471baa0e177ea7433061238",
-    "piecewise_qr": "500c4cb1af74d9db70caf5217de93629603ddf91fb190dd509c4879e6697371e",
-    "piecewise_rr": "01d3b6f0432dc1a17888be753803b24837899f6896f6a3be273204c2e943f301",
-    "nn_qr": "01f8a1ed732db7cfe77829acd54cef928f9602e0eb03d11c5e2e27a0672ab9e1",
+    "ridge": "737a60a12dac97c7e92546e7c87e3d1eee640453a40e1ba6c1d608c152f91f50",
+    "quantile": "2bcdbb63981f664a2efdc4403d3c42538c6890465bfa67cecb6a139409f90c8f",
+    "decision_tree": "64adbc8a1f8fecf41204b8186e547a900c63dab359b308baf8c6a517b0c6a0bb",
+    "random_forest": "a270809de8e3790753499d6ecfc10b39d643f01c8bc8c36070ccf793232e9649",
+    "qrf": "78be21b9848d13e967d51de40b1536f56fe9d0bf2d0a9a08d86e705da064bec3",
+    "gradient_boosting": "4dc3ae0796cb8dd2037cd3dad059b0fda91e6ddd07d3a9a316a9ded5528b8311",
+    "quantile_tree": "2eac3ab7f9cb96435e0a5109ba9d9b3012de6c167e06a8940feadc22c8dfd08e",
+    "piecewise_qr": "fa39cbefa3812397741c165adb1107809fad96f09cee0ab6a7fcd2811f76912d",
+    "piecewise_rr": "bee6b29c08a2773aa62c51523ab6246d7c02f9ed1fccc28bc87eb0ef46f52e1d",
+    "nn_qr": "cdec8bcaa28c5b0e57c02a288949bb88467b2013b4433d8526fc4b022696419a",
 }
+
+
+TREE_MODELS = (
+    "decision_tree", "random_forest", "qrf", "gradient_boosting", "quantile_tree",
+)
 
 
 def _unseen(row, level="lunar"):
@@ -104,16 +109,78 @@ def test_registry_entry_and_golden_bytes(fitted, name):
     assert not _keys(json.loads(text)) & {"rows", "partition_rows", "sample_indices", "sse_history"}
 
 
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_file_is_its_own_compact_redump(fitted, name):
+    text = model_to_json(fitted[name])
+    doc = json.loads(text)
+    assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+    assert doc["format_version"] == 3 and doc["fill"] == {}
+
+
+def _subdocs(doc, has):
+    """Every JSON object inside `doc`, at any depth, that holds the key `has`."""
+    if isinstance(doc, dict):
+        return [doc] * (has in doc) + [d for v in doc.values() for d in _subdocs(v, has)]
+    if isinstance(doc, list):
+        return [d for v in doc for d in _subdocs(v, has)]
+    return []
+
+
+# what prediction reads of each estimator and tree
+ESTIMATOR_KEYS = {
+    "quantile": {"type", "alpha", "coef", "intercept"},
+    "ridge": {"type", "coef", "intercept"},
+    "constant": {"type", "value"},
+}
+TREE_KEYS = {
+    "feature", "threshold", "left", "right", "leaf_id", "value",
+    "n_features", "max_depth", "min_samples_split", "min_samples_leaf",
+}
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_estimators_and_trees_hold_only_what_prediction_reads(fitted, name):
+    doc = json.loads(model_to_json(fitted[name]))
+    estimators = _subdocs(doc["payload"], "type")
+    assert bool(estimators) == (MODELS[name].payload == "composite" and name != "nn_qr")
+    for est in estimators:
+        assert set(est) == ESTIMATOR_KEYS[est["type"]]
+    trees = _subdocs(doc["payload"], "leaf_id")
+    assert bool(trees) == (name in TREE_MODELS)
+    for tree in trees:
+        assert set(tree) == TREE_KEYS
+        assert len({len(tree[key]) for key in ("feature", "threshold", "left", "right", "leaf_id", "value")}) == 1
+
+
+def test_loaded_estimators_do_without_fit_records(fitted):
+    fit, loaded = fitted["quantile"], model_from_json(model_to_json(fitted["quantile"]))
+    for alpha, est in loaded.model.estimators[0].items():
+        assert est.lam is est.objective is est.scaled_coef is est.feature_scale is None
+        own = fit.model.estimators[0][alpha]
+        assert (est.alpha, est.intercept, est.coef.tobytes()) == (own.alpha, own.intercept, own.coef.tobytes())
+        assert own.lam == 0.1 and own.objective is not None
+
+
+def _edited(fit, **changes) -> str:
+    """`fit`'s model file with some envelope keys changed."""
+    doc = json.loads(model_to_json(fit))
+    assert all(key in doc for key in changes)
+    return json.dumps({**doc, **changes})
+
+
 def test_version_1_file_fails_naming_its_version(fitted):
-    text = model_to_json(fitted["qrf"]).replace('"format_version": 2', '"format_version": 1')
     with pytest.raises(ValueError, match="unsupported model format_version 1"):
-        model_from_json(text)
+        model_from_json(_edited(fitted["qrf"], format_version=1))
+
+
+def test_version_2_file_fails_naming_its_version(fitted):
+    with pytest.raises(ValueError, match="unsupported model format_version 2"):
+        model_from_json(_edited(fitted["qrf"], format_version=2))
 
 
 def test_unknown_model_name_in_file_fails_naming_it(fitted):
-    text = model_to_json(fitted["ridge"]).replace('"model_name": "ridge"', '"model_name": "lasso"')
     with pytest.raises(ValueError, match="unknown model 'lasso'"):
-        model_from_json(text)
+        model_from_json(_edited(fitted["ridge"], model_name="lasso"))
 
 
 @pytest.mark.parametrize("text", ["[1, 2]", "7", '"model"'])
@@ -130,12 +197,19 @@ def test_file_lacking_a_key_fails_naming_it(fitted, key):
         model_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "fill", [[1.0], "x", {"step1_days": "12"}, {"step1_days": True}, {"site_category": 3}, {"nope": 1.0}]
+)
+def test_malformed_fill_fails_naming_the_key(fitted, fill):
+    doc = json.loads(model_to_json(fitted["ridge"]))
+    doc["fill"] = fill
+    with pytest.raises(ValueError, match="model file key 'fill'"):
+        model_from_json(json.dumps(doc))
+
+
 def test_model_name_payload_mismatch_names_both(fitted):
-    text = model_to_json(fitted["decision_tree"]).replace(
-        '"model_name": "decision_tree"', '"model_name": "ridge"'
-    )
     with pytest.raises(ValueError, match="model 'ridge' needs a 'composite' payload"):
-        model_from_json(text)
+        model_from_json(_edited(fitted["decision_tree"], model_name="ridge"))
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

@@ -468,9 +468,11 @@ class TestImpute:
         out = impute(ds)
         assert out.n_rows == 2
 
-    def test_transform_matches_per_cell_reference(self):
-        # numeric and categorical fills, a dropped column between kept ones,
-        # a missing-target row and an id column, all in one set
+    @staticmethod
+    def transform_case(drop: bool):
+        """A set with numeric and categorical gaps, a missing-target row and an
+        id column; with `drop`, also an all-missing column between kept ones.
+        Returns the fitted imputer, its transform and a per-cell reference."""
         schema = FeatureSchema(
             (
                 ("site", "identifier"),
@@ -487,29 +489,31 @@ class TestImpute:
             region = None if i % 7 == 0 else str(rng.choice(["east", "west"]))
             days = None if i % 5 == 1 else float(rng.normal())
             y = None if i % 9 == 4 else float(i)
-            rows.append((f"s{i}", region, None, y, days))
+            rows.append((f"s{i}", region, None if drop else float(i % 3), y, days))
         ds = Dataset(schema, tuple(rows))
-        with pytest.warns(UserWarning):
+        if drop:
+            with pytest.warns(UserWarning):
+                imputer = fit_imputer(ds)
+        else:
             imputer = fit_imputer(ds)
 
-        def reference(dataset):
-            keep = [(n, k) for n, k in dataset.schema.columns if n not in imputer.dropped_columns]
-            target_j = dataset.schema.index_of(dataset.schema.target)
-            out = []
-            for row in dataset.rows:
-                if row[target_j] is None:
-                    continue
-                vals = []
-                for name, kind in keep:
-                    v = row[dataset.schema.index_of(name)]
-                    if v is None:
-                        v = imputer.numeric_fill[name] if kind == "numeric" else "missing"
-                    vals.append(v)
-                out.append(tuple(vals))
-            return tuple(keep), tuple(out)
+        keep = [(n, k) for n, k in schema.columns if n not in imputer.dropped_columns]
+        target_j = schema.index_of(schema.target)
+        out = []
+        for row in ds.rows:
+            if row[target_j] is None:
+                continue
+            vals = []
+            for name, kind in keep:
+                v = row[schema.index_of(name)]
+                if v is None:
+                    v = imputer.numeric_fill[name] if kind == "numeric" else "missing"
+                vals.append(v)
+            out.append(tuple(vals))
+        return imputer, imputer.transform(ds), tuple(keep), tuple(out)
 
-        got = imputer.transform(ds)
-        keep, want_rows = reference(ds)
+    def test_transform_matches_per_cell_reference(self):
+        imputer, got, keep, want_rows = self.transform_case(drop=True)
         assert imputer.dropped_columns == ("gone",)
         assert got.schema.columns == keep
         assert got.schema.target == "y"
@@ -517,6 +521,13 @@ class TestImpute:
         assert got.n_rows == 40 - imputer.dropped_target_rows == 36
         assert {r[1] for r in got.rows} == {"east", "west", "missing"}
         assert sum(r[3] == imputer.numeric_fill["days"] for r in got.rows) >= 7
+
+    def test_transform_without_dropped_column_matches_reference(self):
+        imputer, got, keep, want_rows = self.transform_case(drop=False)
+        assert imputer.dropped_columns == ()
+        assert got.schema.columns == keep and len(keep) == 5
+        assert got.rows == want_rows
+        assert sum(r[4] == imputer.numeric_fill["days"] for r in got.rows) >= 7
 
 
 class TestMilestoneCsv:
