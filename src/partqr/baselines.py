@@ -107,10 +107,10 @@ def fit_rf(
             values[np.ix_(sample, cols)], y[sample], max_depth, min_samples_split, min_samples_leaf
         )
         leaf_of = np.full(n, -1, dtype=np.intp)
-        for leaf in tree.leaf_nodes():
+        for leaf, rows in enumerate(tree.leaf_rows):
             # copies of a row are one design row, so they share a leaf
-            leaf_of[sample[leaf.rows]] = leaf.leaf_id
-            leaf.rows = None
+            leaf_of[sample[rows]] = leaf
+        tree.leaf_rows = None
         trees.append(tree)
         in_bag.append(leaf_of)
         subsets.append(cols)
@@ -175,7 +175,7 @@ def predict_rf(forest: ForestModel, x):
 def _leaf_ids(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Leaf id of each row of the 2-D X in each tree: a (trees, rows) array."""
     ids = [
-        tree.arrays.leaf_id[_leaf(tree, X[:, cols])]
+        tree.leaf_id[_leaf(tree, X[:, cols])]
         for tree, cols in zip(forest.trees, forest.feature_subsets)
     ]
     return np.array(ids, dtype=np.intp).reshape(forest.n_trees, X.shape[0])
@@ -292,8 +292,9 @@ def fit_gb(
         tree = build_cart(
             values, residuals, max_depth, min_samples_split, min_samples_leaf, order=order
         )
-        for leaf in tree.leaf_nodes():
-            current[leaf.rows] += learning_rate * leaf.value
+        # leaf ids follow node order, so the leaves' values come in leaf id order
+        for rows, value in zip(tree.leaf_rows, tree.value[tree.left < 0]):
+            current[rows] += learning_rate * value
         trees.append(tree)
         history.append(float(np.sum((y - current) ** 2)))
     return BoostedModel(

@@ -167,9 +167,9 @@ def fit_composite(
                 min_samples_leaf=int(hyperparams.get("min_samples_leaf", 1)),
             )
         model.tree = tree
-        for leaf in tree.leaf_nodes():
-            model.estimators[leaf.leaf_id] = _fit_quantile_table(
-                matrix.subset(leaf.rows), y[leaf.rows], levels, lam, fit_cache
+        for leaf, rows in enumerate(tree.leaf_rows):
+            model.estimators[leaf] = _fit_quantile_table(
+                matrix.subset(rows), y[rows], levels, lam, fit_cache
             )
     elif kind in ("piecewise_qr", "piecewise_rr"):
         k = int(_require(hyperparams, "n_clusters"))

@@ -328,34 +328,6 @@ def read_csv(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def infer_schema(
-    header: list[str],
-    rows: list[list[str]],
-    target: str,
-    overrides: dict[str, str] | None = None,
-    weight_units: str = "days",
-) -> FeatureSchema:
-    """Infer column kinds: numeric if every non-empty value parses as a decimal."""
-    overrides = overrides or {}
-    columns = []
-    for j, name in enumerate(header):
-        if name in overrides:
-            columns.append((name, overrides[name]))
-            continue
-        numeric = True
-        for row in rows:
-            v = row[j] if j < len(row) else ""
-            if v == "":
-                continue
-            try:
-                float(v)
-            except ValueError:
-                numeric = False
-                break
-        columns.append((name, "numeric" if numeric else "categorical"))
-    return FeatureSchema(tuple(columns), target=target, weight_units=weight_units)
-
-
 def dataset_from_csv(
     path,
     target: str,
@@ -371,43 +343,58 @@ def dataset_from_csv(
     SchemaError naming the path, the line and the column.
 
     With a schema (a prediction input), every schema column but the target
-    must be present; an absent target column reads as empty cells.
+    must be present; an absent target column reads as empty cells. Without
+    one, a column is numeric when every non-empty cell parses as a float,
+    so a `nan` cell still makes it numeric and then fails; otherwise it is
+    categorical. `overrides` names kinds that win over the inferred ones.
     """
     header, raw_rows = read_csv(path, delimiter=delimiter)
     if schema is None:
-        schema = infer_schema(header, raw_rows, target, overrides, weight_units)
+        overrides = overrides or {}
+        columns = [(name, overrides.get(name)) for name in header]  # None: infer
     else:
         missing = [
             name for name, _ in schema.columns if name not in header and name != schema.target
         ]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
+        columns = schema.columns
     lines, raws = [], []
     for line, raw in enumerate(raw_rows, start=2):  # the header is line 1
         if any(raw):
             lines.append(line)
             raws.append(raw)
-    # one column at a time, then back to rows; of several bad cells, the error
-    # names the first in row-major order: lowest line, then leftmost column
-    columns, bad = [], []
+
+    def cells_of(name: str) -> list[str]:
+        if name not in header:  # an absent target column
+            return [""] * len(raws)
+        pos = header.index(name)
+        return [raw[pos] if pos < len(raw) else "" for raw in raws]
+
+    # one column at a time: its floats, if every non-empty cell parses
+    floats = {}
+    for name, kind in columns:
+        if kind in (None, "numeric"):
+            try:
+                floats[name] = [float(c) if c else None for c in cells_of(name)]
+            except ValueError:
+                pass
+    if schema is None:  # built, and its errors raised, before any cell's
+        inferred = {name: "numeric" if name in floats else "categorical" for name in header}
+        kinds = [inferred[name] if kind is None else kind for name, kind in columns]
+        schema = FeatureSchema(tuple(zip(header, kinds)), target=target, weight_units=weight_units)
+    # back to rows; of several bad cells, the error names the first in
+    # row-major order: lowest line, then leftmost column
+    values, bad = [], []
     for j, (name, kind) in enumerate(schema.columns):
-        if name in header:
-            pos = header.index(name)
-            cells = [raw[pos] if pos < len(raw) else "" for raw in raws]
-        else:  # an absent target column
-            cells = [""] * len(raws)
         if kind != "numeric":
-            columns.append([c or None for c in cells])
+            values.append([c or None for c in cells_of(name)])
             continue
-        try:
-            values = [float(c) if c else None for c in cells]
-            finite = np.isfinite([v for v in values if v is not None]).all()
-        except ValueError:
-            finite = False
-        if finite:
-            columns.append(values)
+        column = floats.get(name)
+        if column is not None and np.isfinite([v for v in column if v is not None]).all():
+            values.append(column)
             continue
-        for i, c in enumerate(cells):
+        for i, c in enumerate(cells_of(name)):
             if c:
                 try:
                     _finite_cell(c, path, lines[i], name)
@@ -416,7 +403,7 @@ def dataset_from_csv(
                     break
     if bad:
         raise min(bad)[2]
-    return Dataset(schema, tuple(zip(*columns)))
+    return Dataset(schema, tuple(zip(*values)))
 
 
 def _finite_cell(text: str, path, line: int, column: str) -> float:

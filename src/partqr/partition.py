@@ -9,13 +9,14 @@ each one with a brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from .data import EncodedMatrix, encoded_stack
 
 _MIN_SSE_GAIN = 1e-12
+# a tree's per-node arrays, in the order `RegressionTree` takes them
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id", "value")
 
 
 def _values_of(X) -> np.ndarray:
@@ -24,24 +25,19 @@ def _values_of(X) -> np.ndarray:
     return np.atleast_2d(np.asarray(X, dtype=float))
 
 
-@dataclass(slots=True)
-class TreeNode:
-    feature: int = -1
-    threshold: float = float("nan")
-    left: int = -1
-    right: int = -1
-    leaf_id: int = -1
-    rows: np.ndarray | None = None
-    value: float = float("nan")
+@dataclass
+class RegressionTree:
+    """CART tree over an encoded design matrix, as parallel arrays indexed by node id.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.left < 0
+    Nodes are numbered depth first: a node, then its left subtree, then its
+    right one. An inner node splits on x[feature] <= threshold (left) against
+    x > threshold (right); a leaf has left == right == -1, feature -1 and a
+    NaN threshold. `leaf_id` numbers the leaves 0..L-1 in node order and is
+    -1 at inner nodes; `value` is each node's mean training target.
 
-
-@dataclass(frozen=True)
-class TreeArrays:
-    """The nodes of a tree as parallel arrays, indexed by node id."""
+    `leaf_rows[l]` holds leaf l's ascending training rows. A forest's trees
+    and loaded trees keep none (None): model files do not store them.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -49,75 +45,75 @@ class TreeArrays:
     right: np.ndarray
     leaf_id: np.ndarray
     value: np.ndarray
-
-    @classmethod
-    def from_lists(cls, feature, threshold, left, right, leaf_id, value) -> "TreeArrays":
-        """The arrays of per-node sequences: node ids and features as intp,
-        thresholds and values as float."""
-        return cls(
-            feature=np.array(feature, dtype=np.intp),
-            threshold=np.array(threshold, dtype=float),
-            left=np.array(left, dtype=np.intp),
-            right=np.array(right, dtype=np.intp),
-            leaf_id=np.array(leaf_id, dtype=np.intp),
-            value=np.array(value, dtype=float),
-        )
-
-
-@dataclass
-class RegressionTree:
-    """CART tree over an encoded design matrix; a fitted tree's leaves keep
-    their row lists (a forest's trees excepted), which model files do not store.
-
-    `arrays` is derived from the nodes on first use; a loaded tree gets it
-    from the arrays its model file stores.
-    """
-
-    nodes: list[TreeNode]
     n_features: int
     max_depth: int
     min_samples_split: int
     min_samples_leaf: int
+    leaf_rows: list[np.ndarray] | None = None
 
-    def leaf_nodes(self) -> list[TreeNode]:
-        return [nd for nd in self.nodes if nd.is_leaf]
+    def __post_init__(self):
+        # node ids and features as intp, thresholds and values as float
+        self.feature = np.asarray(self.feature, dtype=np.intp)
+        self.threshold = np.asarray(self.threshold, dtype=float)
+        self.left = np.asarray(self.left, dtype=np.intp)
+        self.right = np.asarray(self.right, dtype=np.intp)
+        self.leaf_id = np.asarray(self.leaf_id, dtype=np.intp)
+        self.value = np.asarray(self.value, dtype=float)
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for nd in self.nodes if nd.is_leaf)
-
-    @property
-    def n_internal(self) -> int:
-        return sum(1 for nd in self.nodes if not nd.is_leaf)
+        return int(np.count_nonzero(self.left < 0))
 
     def parameter_count(self) -> int:
         """Two parameters (feature, threshold) per internal node."""
-        return 2 * self.n_internal
-
-    @cached_property
-    def arrays(self) -> TreeArrays:
-        nodes = self.nodes
-        return TreeArrays.from_lists(
-            feature=[nd.feature for nd in nodes],
-            threshold=[nd.threshold for nd in nodes],
-            left=[nd.left for nd in nodes],
-            right=[nd.right for nd in nodes],
-            leaf_id=[nd.leaf_id for nd in nodes],
-            value=[nd.value for nd in nodes],
-        )
+        return 2 * (self.left.size - self.n_leaves)
 
     @property
     def depth(self) -> int:
-        depths = {0: 0}
-        out = 0
-        for i, nd in enumerate(self.nodes):
-            d = depths[i]
-            if nd.is_leaf:
-                out = max(out, d)
-            else:
-                depths[nd.left] = d + 1
-                depths[nd.right] = d + 1
-        return out
+        # a child's id exceeds its parent's, so one pass in node order sees each parent first
+        depths = np.zeros(self.left.size, dtype=np.intp)
+        for i in np.flatnonzero(self.left >= 0).tolist():
+            depths[self.left[i]] = depths[self.right[i]] = depths[i] + 1
+        return int(depths.max())
+
+
+def check_tree(tree: RegressionTree) -> None:
+    """Raise ValueError unless `tree`'s arrays form a tree that prediction can walk.
+
+    The six node arrays are one-dimensional, of one length n >= 1. A leaf
+    has left == right == -1; an inner node i has both children in (i, n),
+    and every node but the root is the child of exactly one node, so every
+    walk from the root ends at a leaf. Inner nodes split on a feature in
+    [0, n_features), and the leaves carry leaf ids 0..L-1 in node order.
+    A loaded tree comes from outside input and is checked before use.
+    """
+    shapes = {key: getattr(tree, key).shape for key in NODE_ARRAYS}
+    n = tree.value.size
+    if set(shapes.values()) != {(n,)} or n == 0:
+        raise ValueError(f"tree node arrays must be non-empty, flat and of one length: {shapes}")
+    if not isinstance(tree.n_features, int) or tree.n_features < 0:
+        raise ValueError(f"tree n_features must be a count, not {tree.n_features!r}")
+    leaf = tree.left == -1
+    inner = np.flatnonzero(~leaf)
+    children = np.concatenate([tree.left[inner], tree.right[inner]])
+    parents = np.concatenate([inner, inner])
+    if (tree.right[leaf] != -1).any() or ((children <= parents) | (children >= n)).any():
+        raise ValueError("tree children must follow their parent within the node arrays")
+    if (np.bincount(children, minlength=n)[1:] != 1).any():
+        raise ValueError("tree nodes other than the root must each have exactly one parent")
+    if ((tree.feature[inner] < 0) | (tree.feature[inner] >= tree.n_features)).any():
+        raise ValueError(f"tree split features must lie in [0, {tree.n_features})")
+    if not np.array_equal(tree.leaf_id[leaf], np.arange(np.count_nonzero(leaf))):
+        raise ValueError("tree leaf ids must number the leaves 0, 1, ... in node order")
+
+
+def _add_node(nodes: dict, value: float, feature=-1, threshold=np.nan, leaf_id=-1) -> int:
+    """Append a node, its children not yet set, to the lists of `nodes`
+    (one per `NODE_ARRAYS` key); its node id."""
+    idx = len(nodes["value"])
+    for key, v in zip(NODE_ARRAYS, (feature, threshold, -1, -1, leaf_id, value)):
+        nodes[key].append(v)
+    return idx
 
 
 def presort(values: np.ndarray) -> np.ndarray:
@@ -205,8 +201,8 @@ def build_cart(
     elif order.shape != (p, n):
         raise ValueError(f"order has shape {order.shape}, expected {(p, n)}")
 
-    nodes: list[TreeNode] = []
-    leaf_counter = [0]
+    nodes = {key: [] for key in NODE_ARRAYS}
+    leaf_rows: list[np.ndarray] = []
     goes_left = np.empty(n, dtype=bool)
 
     def splits(size: int, depth: int) -> bool:
@@ -215,25 +211,19 @@ def build_cart(
     def grow(
         rows: np.ndarray, sorted_rows: np.ndarray | None, xs: np.ndarray | None, depth: int
     ) -> int:
-        idx = len(nodes)
-        nodes.append(TreeNode())
-        node = nodes[idx]
         ysub = y[rows]
-        node.value = float(np.add.reduce(ysub) / rows.size)  # bitwise np.mean
+        mean = float(np.add.reduce(ysub) / rows.size)  # bitwise np.mean
         split = None
         if sorted_rows is not None:
-            parent_sse = float(np.add.reduce(ysub * ysub) - rows.size * node.value**2)
+            parent_sse = float(np.add.reduce(ysub * ysub) - rows.size * mean**2)
             cand = _best_split(xs, y[sorted_rows], min_samples_leaf)
             if cand is not None and parent_sse - cand[0] > _MIN_SSE_GAIN:
                 split = cand
         if split is None:
-            node.leaf_id = leaf_counter[0]
-            leaf_counter[0] += 1
-            node.rows = rows
-            return idx
+            leaf_rows.append(rows)
+            return _add_node(nodes, mean, leaf_id=len(leaf_rows) - 1)
         _, feature, threshold = split
-        node.feature = feature
-        node.threshold = threshold
+        idx = _add_node(nodes, mean, feature, threshold)
         mask = values[rows, feature] <= threshold
         goes_left[rows] = mask  # by row id, read back in each feature's order
         to_left = goes_left[sorted_rows]
@@ -246,15 +236,16 @@ def build_cart(
             sub_sorted = sorted_rows[keep_sorted].reshape(shape)
             return grow(sub, sub_sorted, xs[keep_sorted].reshape(shape), depth + 1)
 
-        node.left = child(mask, to_left)
-        node.right = child(~mask, ~to_left)
+        nodes["left"][idx] = child(mask, to_left)
+        nodes["right"][idx] = child(~mask, ~to_left)
         return idx
 
     if splits(n, 0):
         grow(np.arange(n), order, np.take_along_axis(values.T, order, axis=1), 0)
     else:
         grow(np.arange(n), None, None, 0)
-    return RegressionTree(nodes, p, max_depth, min_samples_split, min_samples_leaf)
+    settings = (p, max_depth, min_samples_split, min_samples_leaf)
+    return RegressionTree(*nodes.values(), *settings, leaf_rows)
 
 
 def prune(tree: RegressionTree, max_depth: int, min_samples_split: int = 2) -> RegressionTree:
@@ -292,46 +283,44 @@ def _prune(
             f"cannot cut depth {max_depth}, split {min_samples_split} from a tree grown "
             f"to depth {tree.max_depth}, split {tree.min_samples_split}"
         )
-    old = tree.nodes
-    # depth-first numbering puts node i's subtree at old[i:end[i]]
-    end = [0] * len(old)
-    size = [0] * len(old)
-    for i in range(len(old) - 1, -1, -1):
-        nd = old[i]
-        if nd.is_leaf:
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    leaf_id, value = tree.leaf_id.tolist(), tree.value.tolist()
+    rows_of = tree.leaf_rows if leaf_sizes is None else None
+    if rows_of is not None:
+        leaf_sizes = [rows.size for rows in rows_of]
+    # depth-first numbering puts node i's subtree at nodes i..end[i] - 1
+    end = [0] * len(left)
+    size = [0] * len(left)
+    for i in range(len(left) - 1, -1, -1):
+        if left[i] < 0:
             end[i] = i + 1
-            size[i] = nd.rows.size if leaf_sizes is None else int(leaf_sizes[nd.leaf_id])
+            size[i] = int(leaf_sizes[leaf_id[i]])
         else:
-            end[i], size[i] = end[nd.right], size[nd.left] + size[nd.right]
-    nodes: list[TreeNode] = []
+            end[i], size[i] = end[right[i]], size[left[i]] + size[right[i]]
+    cut = {key: [] for key in NODE_ARRAYS}
+    cut_rows = None if rows_of is None else []
     leaf_map = np.empty(tree.n_leaves, dtype=np.intp)
     n_leaves = 0
 
     def keep(i: int, depth: int) -> int:
         nonlocal n_leaves
-        nd = old[i]
-        idx = len(nodes)
-        if not nd.is_leaf and depth < max_depth and size[i] >= min_samples_split:
-            node = TreeNode(feature=nd.feature, threshold=nd.threshold, value=nd.value)
-            nodes.append(node)
-            node.left = keep(nd.left, depth + 1)
-            node.right = keep(nd.right, depth + 1)
+        if left[i] >= 0 and depth < max_depth and size[i] >= min_samples_split:
+            idx = _add_node(cut, value[i], feature[i], threshold[i])
+            cut["left"][idx] = keep(left[i], depth + 1)
+            cut["right"][idx] = keep(right[i], depth + 1)
             return idx
-        below = [d for d in old[i : end[i]] if d.is_leaf]
-        for d in below:
-            leaf_map[d.leaf_id] = n_leaves
-        if nd.is_leaf or leaf_sizes is not None:
-            rows = nd.rows
-        else:
-            rows = np.sort(np.concatenate([d.rows for d in below]))
-        nodes.append(TreeNode(leaf_id=n_leaves, rows=rows, value=nd.value))
+        below = [leaf_id[d] for d in range(i, end[i]) if left[d] < 0]
+        leaf_map[below] = n_leaves
+        if cut_rows is not None:
+            rows = [rows_of[leaf] for leaf in below]
+            cut_rows.append(rows[0] if left[i] < 0 else np.sort(np.concatenate(rows)))
         n_leaves += 1
-        return idx
+        return _add_node(cut, value[i], leaf_id=n_leaves - 1)
 
     keep(0, 0)
-    return RegressionTree(
-        nodes, tree.n_features, max_depth, min_samples_split, tree.min_samples_leaf
-    ), leaf_map
+    settings = (tree.n_features, max_depth, min_samples_split, tree.min_samples_leaf)
+    return RegressionTree(*cut.values(), *settings, cut_rows), leaf_map
 
 
 def _leaf(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
@@ -342,28 +331,27 @@ def _leaf(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     """
     if X.shape[1] != tree.n_features:
         raise ValueError(f"row width {X.shape[1]} does not match tree width {tree.n_features}")
-    a = tree.arrays
     node = np.zeros(X.shape[0], dtype=np.intp)
-    todo = np.flatnonzero(a.left[node] >= 0)
+    todo = np.flatnonzero(tree.left[node] >= 0)
     while todo.size:
         at = node[todo]
-        goes_left = X[todo, a.feature[at]] <= a.threshold[at]
-        node[todo] = np.where(goes_left, a.left[at], a.right[at])
-        todo = todo[a.left[node[todo]] >= 0]
+        goes_left = X[todo, tree.feature[at]] <= tree.threshold[at]
+        node[todo] = np.where(goes_left, tree.left[at], tree.right[at])
+        todo = todo[tree.left[node[todo]] >= 0]
     return node
 
 
 def route(tree: RegressionTree, x):
     """Leaf id of one encoded row (an int), or of each row of a stack (an array)."""
     X, one = encoded_stack(x)
-    ids = tree.arrays.leaf_id[_leaf(tree, X)]
+    ids = tree.leaf_id[_leaf(tree, X)]
     return int(ids[0]) if one else ids
 
 
 def predict_tree_mean(tree: RegressionTree, x):
     """Mean training target of the leaf one row falls in (a float), or per row of a stack."""
     X, one = encoded_stack(x)
-    means = tree.arrays.value[_leaf(tree, X)]
+    means = tree.value[_leaf(tree, X)]
     return float(means[0]) if one else means
 
 

@@ -22,31 +22,22 @@ from .composite import CompositeQuantileModel, ConstantModel
 from .data import CategoricalEncoding, EncodedColumn, EncodedMatrix, FeatureSchema
 from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit, model_spec
-from .partition import ClusterPartition, RegressionTree, TreeArrays, TreeNode
+from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_tree
 
 FORMAT_VERSION = 3
 
 
-# a tree's nodes, stored as parallel arrays indexed by node id
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id", "value")
 _TREE_SETTINGS = ("n_features", "max_depth", "min_samples_split", "min_samples_leaf")
 
 
 def _tree_to_doc(tree: RegressionTree) -> dict:
-    arrays = tree.arrays
-    doc = {key: getattr(arrays, key).tolist() for key in _TREE_ARRAYS}
+    doc = {key: getattr(tree, key).tolist() for key in NODE_ARRAYS}
     return doc | {key: getattr(tree, key) for key in _TREE_SETTINGS}
 
 
 def _tree_from_doc(doc: dict) -> RegressionTree:
-    lists = [doc[key] for key in _TREE_ARRAYS]
-    nodes = [
-        TreeNode(feature=f, threshold=t, left=lo, right=hi, leaf_id=leaf, value=v)
-        for f, t, lo, hi, leaf, v in zip(*lists)
-    ]
-    tree = RegressionTree(nodes, *(doc[key] for key in _TREE_SETTINGS))
-    # the arrays prediction walks, made from the stored lists, not from the nodes
-    tree.arrays = TreeArrays.from_lists(*lists)
+    tree = RegressionTree(*(doc[key] for key in NODE_ARRAYS + _TREE_SETTINGS))
+    check_tree(tree)
     return tree
 
 
@@ -109,6 +100,12 @@ def _composite_from_doc(name, params, schema, encoding, columns, doc) -> Composi
         }
     if "tree" in doc:
         model.tree = _tree_from_doc(doc["tree"])
+        # prediction looks up the estimators of the leaf id a row routes to
+        if set(model.estimators) != set(range(model.tree.n_leaves)):
+            raise ValueError(
+                f"estimators are keyed {sorted(model.estimators)}, "
+                f"not by the tree's leaf ids 0..{model.tree.n_leaves - 1}"
+            )
     if "centroids" in doc:
         model.clusters = ClusterPartition(centroids=np.array(doc["centroids"], dtype=float))
     if doc["kind"] == "nn_qr":
@@ -131,7 +128,7 @@ def _forest_to_doc(forest: ForestModel) -> dict:
 
 
 def _forest_from_doc(f: dict) -> ForestModel:
-    return ForestModel(
+    forest = ForestModel(
         trees=[_tree_from_doc(t) for t in f["trees"]],
         in_bag_leaf=[np.array(leaf, dtype=np.intp) for leaf in f["in_bag_leaf"]],
         feature_subsets=[np.array(s, dtype=int) for s in f["feature_subsets"]],
@@ -140,6 +137,16 @@ def _forest_from_doc(f: dict) -> ForestModel:
         seed=f["seed"],
         feature_fraction=f["feature_fraction"],
     )
+    # QRF weights read each training row's leaf id in each tree, or -1 out of bag
+    if not len(forest.in_bag_leaf) == len(forest.feature_subsets) == forest.n_trees:
+        raise ValueError("a forest needs one in_bag_leaf and one feature_subsets list per tree")
+    for t, (tree, leaf) in enumerate(zip(forest.trees, forest.in_bag_leaf)):
+        if leaf.shape != forest.y_train.shape or ((leaf < -1) | (leaf >= tree.n_leaves)).any():
+            raise ValueError(
+                f"in_bag_leaf {t} must hold one entry per y_train row, "
+                f"each in [-1, {tree.n_leaves})"
+            )
+    return forest
 
 
 def _boosted_to_doc(model: BoostedModel) -> dict:
@@ -236,7 +243,10 @@ def model_from_json(text: str):
     if key not in doc["payload"]:
         raise ValueError(f"model {name!r} needs a {key!r} payload, which the file lacks")
     read = _PAYLOADS[key][1]
-    fit = read(name, doc["params"], schema, encoding, doc["columns"], doc["payload"][key])
+    try:
+        fit = read(name, doc["params"], schema, encoding, doc["columns"], doc["payload"][key])
+    except ValueError as exc:
+        raise ValueError(f"model file payload {key!r}: {exc}") from exc
     fit.fill = _fill_from_doc(doc["fill"], schema)
     return fit
 

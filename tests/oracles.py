@@ -215,18 +215,19 @@ def cart_oracle(X, y, max_depth, min_samples_split=2, min_samples_leaf=1):
 
 
 def assert_tree_equals_oracle(tree, oracle_node, node_id=0):
-    node = tree.nodes[node_id]
+    left, right = tree.left.tolist(), tree.right.tolist()
     if "feature" not in oracle_node:
-        assert node.is_leaf, f"node {node_id}: expected a leaf"
-        assert node.rows.tolist() == oracle_node["rows"]
+        assert left[node_id] < 0, f"node {node_id}: expected a leaf"
+        leaf = tree.leaf_id.tolist()[node_id]
+        assert tree.leaf_rows[leaf].tolist() == oracle_node["rows"]
         return
-    assert not node.is_leaf, f"node {node_id}: expected an internal node"
-    assert node.feature == oracle_node["feature"]
-    assert abs(node.threshold - oracle_node["threshold"]) <= 1e-12 * max(
+    assert left[node_id] >= 0, f"node {node_id}: expected an internal node"
+    assert tree.feature.tolist()[node_id] == oracle_node["feature"]
+    assert abs(tree.threshold.tolist()[node_id] - oracle_node["threshold"]) <= 1e-12 * max(
         1.0, abs(oracle_node["threshold"])
     )
-    assert_tree_equals_oracle(tree, oracle_node["left"], node.left)
-    assert_tree_equals_oracle(tree, oracle_node["right"], node.right)
+    assert_tree_equals_oracle(tree, oracle_node["left"], left[node_id])
+    assert_tree_equals_oracle(tree, oracle_node["right"], right[node_id])
 
 
 def knn_scan(points, x, k):
@@ -244,11 +245,13 @@ def qrf_oracle(forest, x, alpha):
     n = forest.y_train.shape[0]
     w = np.zeros(n)
     for tree, in_bag, cols in zip(forest.trees, forest.in_bag_leaf, forest.feature_subsets):
-        node = tree.nodes[0]
-        xv = np.asarray(x, dtype=float)[cols]
-        while not node.is_leaf:
-            node = tree.nodes[node.left if xv[node.feature] <= node.threshold else node.right]
-        members = np.flatnonzero(in_bag == node.leaf_id).tolist()
+        feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+        left, right = tree.left.tolist(), tree.right.tolist()
+        xv = np.asarray(x, dtype=float)[cols].tolist()
+        node = 0
+        while left[node] >= 0:
+            node = left[node] if xv[feature[node]] <= threshold[node] else right[node]
+        members = np.flatnonzero(in_bag == tree.leaf_id.tolist()[node]).tolist()
         for i in members:
             w[i] += 1.0 / (len(members) * forest.n_trees)
     order = np.argsort(forest.y_train, kind="stable")
@@ -258,6 +261,27 @@ def qrf_oracle(forest, x, alpha):
         if acc >= alpha - 1e-12:
             return float(forest.y_train[i])
     return float(forest.y_train[order[-1]])
+
+
+def csv_kinds_oracle(header, raw_rows, overrides=None):
+    """The (name, kind) of each header column, read one cell at a time: its
+    override if it has one, else numeric when every non-empty cell parses as
+    a float (`nan` and `inf` do), else categorical."""
+    columns = []
+    for j, name in enumerate(header):
+        if overrides and name in overrides:
+            columns.append((name, overrides[name]))
+            continue
+        numeric = True
+        for raw in raw_rows:
+            v = raw[j] if j < len(raw) else ""
+            if v != "":
+                try:
+                    float(v)
+                except ValueError:
+                    numeric = False
+        columns.append((name, "numeric" if numeric else "categorical"))
+    return tuple(columns)
 
 
 def csv_cells_oracle(header, raw_rows, schema, path):

@@ -84,17 +84,11 @@ class TestRandomForest:
         a = fit_rf(X, y, n_trees=5, seed=11, max_depth=4)
         b = fit_rf(X, y, n_trees=5, seed=11, max_depth=4)
         for ta, tb in zip(a.trees, b.trees):
-            assert len(ta.nodes) == len(tb.nodes)
-            for na, nb in zip(ta.nodes, tb.nodes):
-                assert (na.feature, na.left, na.right, na.leaf_id) == (
-                    nb.feature,
-                    nb.left,
-                    nb.right,
-                    nb.leaf_id,
-                )
-                assert na.threshold == nb.threshold or (
-                    np.isnan(na.threshold) and np.isnan(nb.threshold)
-                )
+            assert len(ta.value) == len(tb.value)
+            for key in ("feature", "left", "right", "leaf_id"):
+                assert getattr(ta, key).tolist() == getattr(tb, key).tolist()
+            for na, nb in zip(ta.threshold.tolist(), tb.threshold.tolist()):
+                assert na == nb or (np.isnan(na) and np.isnan(nb))
         for la, lb in zip(a.in_bag_leaf, b.in_bag_leaf):
             assert la.tolist() == lb.tolist()
 
@@ -108,9 +102,7 @@ class TestRandomForest:
         for t in range(2):
             assert full.in_bag_leaf[t].tolist() == small.in_bag_leaf[t].tolist()
             # leaf means weigh each row by its bootstrap multiplicity
-            assert [nd.value for nd in full.trees[t].nodes] == [
-                nd.value for nd in small.trees[t].nodes
-            ]
+            assert full.trees[t].value.tolist() == small.trees[t].value.tolist()
 
     @pytest.mark.parametrize("bootstrap", [True, False])
     def test_in_bag_leaf_is_redrawn_bootstrap_routed(self, bootstrap):

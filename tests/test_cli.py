@@ -1,4 +1,10 @@
+import copy
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +12,7 @@ import pytest
 from partqr.cli import main, write_dataset_csv
 from partqr.evaluation import SyntheticSpec, generate_synthetic, mixture_quantile
 from partqr.models import fit_model
-from partqr.serialize import load_model, save_model
+from partqr.serialize import load_model, model_to_json, save_model
 
 
 @pytest.fixture
@@ -353,6 +359,130 @@ class TestPredict:
         assert main(["predict", "--model", "m.json", "--input", str(inp), "--output", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"{inp}:3: non-finite forecast" in err and "input row 2" in err
+        assert not out.exists()
+
+
+# Model files are outside input: each edit below breaks one tree, or a
+# table indexed by leaf id, of a model file that `partqr predict` must refuse
+# at load time (exit 2) without writing anything.
+def _cycle(payload):
+    """An inner node below the root takes the root, its ancestor, as left child."""
+    tree = payload["tree"]
+    inner = next(i for i in range(1, len(tree["left"])) if tree["left"][i] >= 0)
+    tree["left"][inner] = 0
+
+
+def _child_out_of_range(payload):
+    payload["tree"]["right"][0] = 999
+
+
+def _shared_child(payload):
+    tree = payload["tree"]
+    tree["right"][0] = tree["left"][0]
+
+
+def _feature_out_of_range(payload):
+    tree = payload["forest"]["trees"][1]
+    tree["feature"][0] = 999
+
+
+def _short_value(payload):
+    payload["boosted"]["trees"][3]["value"].pop()
+
+
+def _leaf_ids_out_of_order(payload):
+    ids = payload["boosted"]["trees"][0]["leaf_id"]
+    first, second = [i for i, leaf in enumerate(ids) if leaf >= 0][:2]
+    ids[first], ids[second] = ids[second], ids[first]
+
+
+def _leaf_without_estimators(payload):
+    estimators = payload["composite"]["estimators"]
+    del estimators[max(estimators, key=int)]
+
+
+def _tree_without_feature_subset(payload):
+    payload["forest"]["feature_subsets"].pop()
+
+
+def _short_in_bag_leaf(payload):
+    payload["forest"]["in_bag_leaf"][2].pop()
+
+
+def _in_bag_leaf_past_last_leaf(payload):
+    forest = payload["forest"]
+    n_leaves = forest["trees"][0]["left"].count(-1)
+    forest["in_bag_leaf"][0][5] = n_leaves
+
+
+MALFORMED = {  # case -> (model, payload key, edit, what the error says)
+    "child_out_of_range": ("decision_tree", "tree", _child_out_of_range, "children must follow"),
+    "shared_child": ("decision_tree", "tree", _shared_child, "exactly one parent"),
+    "feature_out_of_range": ("random_forest", "forest", _feature_out_of_range, "features must lie in"),
+    "short_value": ("gradient_boosting", "boosted", _short_value, "of one length"),
+    "leaf_ids_out_of_order": ("gradient_boosting", "boosted", _leaf_ids_out_of_order, "leaf ids must"),
+    "leaf_without_estimators": ("quantile_tree", "composite", _leaf_without_estimators, "estimators are keyed"),
+    "tree_without_feature_subset": (
+        "random_forest", "forest", _tree_without_feature_subset, "one feature_subsets list per tree"
+    ),
+    "short_in_bag_leaf": ("qrf", "forest", _short_in_bag_leaf, "in_bag_leaf 2 must"),
+    "in_bag_leaf_past_last_leaf": ("qrf", "forest", _in_bag_leaf_past_last_leaf, "in_bag_leaf 0 must"),
+}
+MALFORMED_PARAMS = {
+    "decision_tree": {"max_depth": 4, "min_samples_split": 10},
+    "random_forest": {"max_depth": 3, "min_samples_split": 10, "n_trees": 4},
+    "qrf": {"max_depth": 3, "min_samples_split": 10, "n_trees": 4},
+    "gradient_boosting": {"n_stages": 5, "learning_rate": 0.1},
+    "quantile_tree": {"lam": 0.1, "max_depth": 2, "min_samples_split": 20},
+}
+
+
+class TestMalformedTreeFile:
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        """Each model's file as a parsed document, and a prediction input."""
+        ds = generate_synthetic(SyntheticSpec(n_projects=150, seed=3))
+        docs = {
+            name: json.loads(model_to_json(fit_model(name, ds, params, seed=4)))
+            for name, params in MALFORMED_PARAMS.items()
+        }
+        inp = tmp_path_factory.mktemp("malformed") / "in.csv"
+        write_dataset_csv(generate_synthetic(SyntheticSpec(n_projects=20, seed=5)), inp)
+        return docs, inp
+
+    def write_edited(self, tmp_path, files, name, edit):
+        docs, _ = files
+        doc = copy.deepcopy(docs[name])
+        edit(doc["payload"])
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_exit_2_at_load_naming_the_payload(self, tmp_path, files, capsys, case):
+        name, key, edit, says = MALFORMED[case]
+        model = self.write_edited(tmp_path, files, name, edit)
+        out = tmp_path / "out.csv"
+        args = ["predict", "--model", str(model), "--input", str(files[1]), "--output", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error in stage 'load-model': model file payload {key!r}:" in err and says in err
+        assert not out.exists()
+
+    def test_cyclic_tree_fails_within_seconds(self, tmp_path, files):
+        # a walk of this tree never reaches a leaf, so it must not get past loading
+        model = self.write_edited(tmp_path, files, "decision_tree", _cycle)
+        out = tmp_path / "out.csv"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        start = time.monotonic()
+        done = subprocess.run(
+            [sys.executable, "-m", "partqr.cli", "predict", "--model", str(model),
+             "--input", str(files[1]), "--output", str(out)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=60,
+        )
+        assert time.monotonic() - start < 20
+        assert done.returncode == 2, done.stderr
+        assert "error in stage 'load-model': model file payload 'tree':" in done.stderr
         assert not out.exists()
 
 

@@ -63,8 +63,8 @@ class TestFitComposite:
             assert sorted(seen.tolist()) == list(range(80))
             if model.tree is not None:
                 assert all(
-                    parts[leaf.leaf_id].tolist() == leaf.rows.tolist()
-                    for leaf in model.tree.leaf_nodes()
+                    parts[leaf].tolist() == rows.tolist()
+                    for leaf, rows in enumerate(model.tree.leaf_rows)
                 )
             # each partition's estimators are the fits of exactly its routed rows
             for pid, rows in parts.items():
@@ -280,7 +280,7 @@ class TestCountParameters:
             tuple(tuple(map(float, row)) + (float(t),) for row, t in zip(X, y)),
         )
         model = fit_composite("quantile_tree", ds, {"max_depth": 2, "min_samples_split": 10})
-        assert model.tree.n_internal == 3 and model.tree.n_leaves == 4
+        assert np.count_nonzero(model.tree.left >= 0) == 3 and model.tree.n_leaves == 4
         assert count_parameters(model) == 3 * 2 + 4 * 3 * 6
 
     def test_fallback_counts_one_per_level(self):

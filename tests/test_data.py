@@ -19,7 +19,7 @@ from partqr.data import (
     split_kfold,
 )
 
-from oracles import csv_cells_oracle
+from oracles import csv_cells_oracle, csv_kinds_oracle
 
 
 def make_dataset(rows, columns=(("cat", "categorical"), ("y", "numeric")), target="y"):
@@ -289,4 +289,22 @@ class TestCsv:
         else:
             with pytest.raises(SchemaError) as info:
                 dataset_from_csv(path, target="y", schema=schema)
+            assert str(info.value) == error
+        # no schema: the kinds are inferred, overrides win, and a schema error
+        # comes before any cell's
+        overrides = {"s": "numeric", "a": "categorical"} if seed % 4 >= 2 else None
+        try:
+            inferred = FeatureSchema(csv_kinds_oracle(header, raw_rows, overrides), target="y")
+        except SchemaError as exc:
+            with pytest.raises(SchemaError) as info:
+                dataset_from_csv(path, target="y", overrides=overrides)
+            assert str(info.value) == str(exc)
+            return
+        want, error = csv_cells_oracle(header, raw_rows, inferred, path)
+        if error is None:
+            ds = dataset_from_csv(path, target="y", overrides=overrides)
+            assert (ds.schema, ds.rows) == (inferred, want)
+        else:
+            with pytest.raises(SchemaError) as info:
+                dataset_from_csv(path, target="y", overrides=overrides)
             assert str(info.value) == error

@@ -15,6 +15,7 @@ from partqr import composite
 from partqr.data import encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.models import MODEL_NAMES, MODELS, fit_model
+from partqr.partition import NODE_ARRAYS
 from partqr.serialize import model_from_json, model_to_json
 
 PARAMS = {
@@ -150,6 +151,30 @@ def test_estimators_and_trees_hold_only_what_prediction_reads(fitted, name):
     for tree in trees:
         assert set(tree) == TREE_KEYS
         assert len({len(tree[key]) for key in ("feature", "threshold", "left", "right", "leaf_id", "value")}) == 1
+
+
+def _trees(fit) -> list:
+    """The CART trees of a fitted (or loaded) tree model."""
+    if fit.name == "quantile_tree":
+        return [fit.model.tree]
+    if fit.name == "decision_tree":
+        return [fit.inner]
+    return fit.inner.trees
+
+
+@pytest.mark.parametrize("name", TREE_MODELS)
+def test_loaded_trees_equal_fitted_trees(fitted, name):
+    fit = fitted[name]
+    pairs = list(zip(_trees(fit), _trees(model_from_json(model_to_json(fit))), strict=True))
+    for own, back in pairs:
+        for key in NODE_ARRAYS:
+            a, b = getattr(own, key), getattr(back, key)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        settings = ("n_features", "max_depth", "min_samples_split", "min_samples_leaf")
+        assert [getattr(own, key) for key in settings] == [getattr(back, key) for key in settings]
+        # model files keep no training rows; a forest's trees drop theirs when fitted
+        assert back.leaf_rows is None
+        assert (own.leaf_rows is None) == (name in ("random_forest", "qrf"))
 
 
 def test_loaded_estimators_do_without_fit_records(fitted):

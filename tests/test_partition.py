@@ -1,3 +1,5 @@
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
@@ -22,26 +24,34 @@ from partqr.partition import (
 )
 
 
+Node = namedtuple("Node", "feature threshold left right leaf_id value")
+
+
+def nodes_of(tree):
+    """Each node of a tree as a Node of plain Python values, read from its arrays."""
+    return [Node(*node) for node in zip(*(getattr(tree, key).tolist() for key in Node._fields))]
+
+
 class TestCart:
     def test_constant_target_single_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
         tree = build_cart(X, np.full(8, 3.0), max_depth=5)
-        assert tree.n_leaves == 1 and tree.n_internal == 0
+        assert tree.n_leaves == 1 and np.count_nonzero(tree.left >= 0) == 0
 
     def test_depth_zero_root_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
         tree = build_cart(X, np.arange(8.0), max_depth=0)
         assert tree.n_leaves == 1
-        assert tree.nodes[0].rows.tolist() == list(range(8))
+        assert tree.leaf_rows[tree.leaf_id[0]].tolist() == list(range(8))
 
     def test_step_data_split(self):
         X = np.arange(10.0).reshape(-1, 1)
         y = np.where(X[:, 0] < 5, 0.0, 10.0)
         tree = build_cart(X, y, max_depth=1)
-        assert tree.nodes[0].feature == 0
-        assert tree.nodes[0].threshold == pytest.approx(4.5)
-        left, right = tree.nodes[tree.nodes[0].left], tree.nodes[tree.nodes[0].right]
-        assert node_sse(y[left.rows]) == 0.0 and node_sse(y[right.rows]) == 0.0
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(4.5)
+        left, right = (tree.leaf_rows[tree.leaf_id[child]] for child in (tree.left[0], tree.right[0]))
+        assert node_sse(y[left]) == 0.0 and node_sse(y[right]) == 0.0
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(4)
@@ -59,7 +69,7 @@ class TestCart:
         X = rng.normal(size=(60, 3))
         y = rng.normal(size=60)
         tree = build_cart(X, y, max_depth=4, min_samples_split=4)
-        seen = np.concatenate([leaf.rows for leaf in tree.leaf_nodes()])
+        seen = np.concatenate(tree.leaf_rows)
         assert sorted(seen.tolist()) == list(range(60))
 
     def test_every_split_strictly_reduces_node_sse(self):
@@ -68,14 +78,16 @@ class TestCart:
         y = rng.normal(size=80)
         tree = build_cart(X, y, max_depth=5, min_samples_split=4)
 
+        nodes = nodes_of(tree)
+
         def rows_of(node_id):
-            node = tree.nodes[node_id]
-            if node.is_leaf:
-                return node.rows
+            node = nodes[node_id]
+            if node.left < 0:
+                return tree.leaf_rows[node.leaf_id]
             return np.concatenate([rows_of(node.left), rows_of(node.right)])
 
-        for node_id, node in enumerate(tree.nodes):
-            if node.is_leaf:
+        for node_id, node in enumerate(nodes):
+            if node.left < 0:
                 continue
             parent = rows_of(node_id)
             left, right = rows_of(node.left), rows_of(node.right)
@@ -86,7 +98,7 @@ class TestCart:
         X = rng.normal(size=(50, 2))
         y = rng.normal(size=50)
         tree = build_cart(X, y, max_depth=8, min_samples_split=2, min_samples_leaf=5)
-        assert all(leaf.rows.size >= 5 for leaf in tree.leaf_nodes())
+        assert all(rows.size >= 5 for rows in tree.leaf_rows)
 
     def test_depth_limit(self):
         rng = np.random.default_rng(8)
@@ -116,14 +128,17 @@ def tie_heavy_design(kind, rng):
 
 
 def assert_same_tree(a, b):
-    assert len(a.nodes) == len(b.nodes)
-    for na, nb in zip(a.nodes, b.nodes):
+    nodes_a, nodes_b = nodes_of(a), nodes_of(b)
+    assert len(nodes_a) == len(nodes_b)
+    for na, nb in zip(nodes_a, nodes_b):
         assert (na.feature, na.left, na.right, na.leaf_id) == (nb.feature, nb.left, nb.right, nb.leaf_id)
         assert na.value == nb.value
         assert na.threshold == nb.threshold or (np.isnan(na.threshold) and np.isnan(nb.threshold))
-        assert (na.rows is None) == (nb.rows is None)
-        if na.rows is not None:
-            assert na.rows.tolist() == nb.rows.tolist()
+    assert (a.leaf_rows is None) == (b.leaf_rows is None)
+    if a.leaf_rows is not None:
+        assert len(a.leaf_rows) == len(b.leaf_rows)
+        for rows_a, rows_b in zip(a.leaf_rows, b.leaf_rows):
+            assert rows_a.tolist() == rows_b.tolist()
 
 
 class TestCartPresort:
@@ -136,7 +151,7 @@ class TestCartPresort:
             params = dict(max_depth=3, min_samples_split=8, min_samples_leaf=min_samples_leaf)
             tree = build_cart(X, y, **params)
             assert_tree_equals_oracle(tree, cart_oracle(X, y, **params))
-            assert all(np.all(np.diff(leaf.rows) > 0) for leaf in tree.leaf_nodes())
+            assert all(np.all(np.diff(rows) > 0) for rows in tree.leaf_rows)
 
     def test_boosting_stages_equal_fresh_builds(self):
         # every stage shares one presort; each must equal a build that sorts for itself
@@ -147,8 +162,9 @@ class TestCartPresort:
         for tree in model.trees:
             fresh = build_cart(X, y - current, 3, 2, 2)
             assert_same_tree(tree, fresh)
-            for leaf in fresh.leaf_nodes():
-                current[leaf.rows] += 0.3 * leaf.value
+            for nd in nodes_of(fresh):
+                if nd.left < 0:
+                    current[fresh.leaf_rows[nd.leaf_id]] += 0.3 * nd.value
 
     def test_order_shape_checked(self):
         X = np.arange(12.0).reshape(6, 2)
@@ -222,8 +238,8 @@ def assert_equal_trees(a, b):
         b.min_samples_leaf,
     )
     assert_same_tree(a, b)
-    for leaf in a.leaf_nodes():
-        assert leaf.rows is None or np.all(np.diff(leaf.rows) > 0)
+    for rows in a.leaf_rows or []:
+        assert np.all(np.diff(rows) > 0)
 
 
 def prune_design(kind, rng):
@@ -257,7 +273,7 @@ class TestPrune:
         grown = build_cart(X, y, 6, 2)
         fresh = build_cart(X, y, 6, 2)
         cut = prune(grown, 2, 30)
-        assert len(cut.nodes) < len(grown.nodes)
+        assert len(cut.value) < len(grown.value)
         assert_equal_trees(grown, fresh)
         assert_equal_trees(prune(grown, 6, 2), fresh)
 
@@ -282,8 +298,8 @@ class TestRoute:
         X = np.arange(10.0).reshape(-1, 1)
         y = np.where(X[:, 0] < 5, 0.0, 10.0)
         tree = build_cart(X, y, max_depth=1)
-        left_id = tree.nodes[tree.nodes[0].left].leaf_id
-        right_id = tree.nodes[tree.nodes[0].right].leaf_id
+        left_id = tree.leaf_id[tree.left[0]]
+        right_id = tree.leaf_id[tree.right[0]]
         assert route(tree, [3.0]) == left_id
         assert route(tree, [7.0]) == right_id
         assert route(tree, [4.5]) == left_id  # boundary goes left
@@ -306,16 +322,17 @@ class TestRoute:
         tree = build_cart(X, rng.normal(size=200), max_depth=6, min_samples_split=4)
         # fresh rows, training rows and rows sitting exactly on a threshold
         queries = np.vstack([np.round(rng.normal(size=(100, 4)), 1), X[:50]])
-        for nd in tree.nodes[:5]:
-            if not nd.is_leaf:
+        nodes = nodes_of(tree)
+        for nd in nodes[:5]:
+            if nd.left >= 0:
                 q = queries[0].copy()
                 q[nd.feature] = nd.threshold
                 queries = np.vstack([queries, q])
         walked = []
         for x in queries:
-            node = tree.nodes[0]
-            while not node.is_leaf:
-                node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
+            node = nodes[0]
+            while node.left >= 0:
+                node = nodes[node.left if x[node.feature] <= node.threshold else node.right]
             walked.append(node)
         ids, means = route(tree, queries), predict_tree_mean(tree, queries)
         assert ids.tolist() == [route(tree, x) for x in queries] == [nd.leaf_id for nd in walked]
