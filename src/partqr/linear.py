@@ -170,30 +170,98 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
     )
 
 
-def _dual_lp(Xs: np.ndarray, y: np.ndarray, lam: float):
+# HiGHS's primal and dual feasibility tolerance: a vertex whose basic values
+# or nonbasic duals come this close to a bound or to zero counts as degenerate.
+_DEGENERATE_TOL = 1e-7
+
+
+def _dual_lp(Xs: np.ndarray, y: np.ndarray, lam: float, ranged: bool = False):
     """The quantile dual as a column-wise HighsLp: rows Xs', -Xs', then 1'.
 
-    Zeros are left out of the column-wise matrix and the column bounds are
-    placeholders that each level replaces before its solve.
+    With `ranged` each pair Xs_j'd <= lam, -Xs_j'd <= lam is one ranged row
+    -lam <= Xs_j'd <= lam, so the rows are Xs', then 1'. That is the LP HiGHS's
+    presolve makes of the full one. Zeros are left out of the column-wise
+    matrix and the column bounds are placeholders that each level replaces
+    before its solve.
     """
     n, p = Xs.shape
-    dense = np.hstack([Xs, -Xs, np.ones((n, 1))])  # row i is column i of the LP
+    blocks = [Xs, np.ones((n, 1))] if ranged else [Xs, -Xs, np.ones((n, 1))]
+    dense = np.hstack(blocks)  # row i is column i of the LP
+    m = dense.shape[1]
     cols, rows = np.nonzero(dense)
     lp = _highs.HighsLp()
     lp.num_col_ = n
-    lp.num_row_ = 2 * p + 1
+    lp.num_row_ = m
     lp.col_cost_ = -y
     lp.col_lower_ = np.zeros(n)
     lp.col_upper_ = np.zeros(n)
-    lp.row_lower_ = np.append(np.full(2 * p, -_highs.kHighsInf), 0.0)
-    lp.row_upper_ = np.append(np.full(2 * p, float(lam)), 0.0)
+    lp.row_lower_ = np.append(np.full(m - 1, -float(lam) if ranged else -_highs.kHighsInf), 0.0)
+    lp.row_upper_ = np.append(np.full(m - 1, float(lam)), 0.0)
     lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
     lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = 2 * p + 1
+    lp.a_matrix_.num_row_ = m
     lp.a_matrix_.start_ = np.append(0, np.cumsum(np.bincount(cols, minlength=n))).astype(np.int32)
-    lp.a_matrix_.index_ = rows.astype(np.int32)
-    lp.a_matrix_.value_ = dense[cols, rows]
+    # these two bind as Python sequences, which convert faster from lists
+    lp.a_matrix_.index_ = rows.tolist()
+    lp.a_matrix_.value_ = dense[cols, rows].tolist()
     return lp
+
+
+def _solver(lp, **options):
+    """A silent HiGHS instance holding `lp`, with the given options set."""
+    highs = _highs._Highs()
+    highs.setOptionValue("output_flag", False)
+    for name, value in options.items():
+        highs.setOptionValue(name, value)
+    highs.passModel(lp)
+    return highs
+
+
+def _run(highs) -> None:
+    """Solve; raise unless HiGHS reports an optimum."""
+    highs.run()
+    status = highs.getModelStatus()
+    if status != _highs.HighsModelStatus.kOptimal:
+        raise RuntimeError(f"quantile LP failed: {highs.modelStatusToString(status)}")
+
+
+def _full_basis(ranged, a: float, lam: float):
+    """The basis of the full dual at the optimal vertex of the ranged one, or
+    None when that vertex is degenerate.
+
+    A nondegenerate vertex has p+1 variables strictly inside their bounds
+    (columns inside (a-1, a), ranged rows inside (-lam, lam)) and a nonzero
+    reduced cost or dual on every other one. Its full-dual basis is then the
+    only optimal one: an interior ranged row makes both of its rows basic, a
+    ranged row at a bound makes the one row that its dual's sign names
+    nonbasic at lam, and the 1'd = 0 row keeps its status.
+
+    Nonbasic variables sit exactly at a bound, so when p+1 variables are
+    inside, they are the p+1 basic ones, and the ranged basis already holds
+    the column statuses: basic inside, kLower or kUpper at a bound. Only the
+    row statuses are rebuilt.
+    """
+    solution = ranged.getSolution()
+    d = np.asarray(solution.col_value)
+    reduced = np.asarray(solution.col_dual)
+    p = ranged.getNumRow() - 1
+    activity = np.asarray(solution.row_value)[:p]
+    row_dual = np.asarray(solution.row_dual)[:p]
+    tol = _DEGENERATE_TOL
+    col_inside = (d > a - 1.0 + tol) & (d < a - tol)
+    row_inside = (activity > -lam + tol) & (activity < lam - tol)
+    if np.count_nonzero(col_inside) + np.count_nonzero(row_inside) != p + 1:
+        return None
+    if np.any(np.abs(reduced[~col_inside]) <= tol) or np.any(np.abs(row_dual[~row_inside]) <= tol):
+        return None
+    basic, upper = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kUpper
+    # a ranged row at a bound keeps Xs_j'd <= lam nonbasic when its dual is
+    # negative (activity at +lam), else -Xs_j'd <= lam; the other row is basic
+    plus = [basic if inside or dual > 0 else upper for inside, dual in zip(row_inside, row_dual)]
+    minus = [basic if inside or dual < 0 else upper for inside, dual in zip(row_inside, row_dual)]
+    basis = ranged.getBasis()
+    basis.row_status = plus + minus + [basis.row_status[p]]
+    return basis
 
 
 def fit_quantile(X, y, alpha, lam: float):
@@ -211,17 +279,30 @@ def fit_quantile(X, y, alpha, lam: float):
 
     The primal solution is read from the dual's row duals: the intercept is
     the negated dual of 1'd = 0 and each coefficient is the difference of the
-    duals of its two rows Xs_j'd <= lam and -Xs_j'd <= lam. Both problems
-    share one optimum, so the returned objective sits at the true minimum
-    rather than a smoothed proxy.
+    duals of its two rows Xs_j'd <= lam and -Xs_j'd <= lam. Strong duality
+    makes the dual's optimum the primal's, so the returned objective sits at
+    the true minimum rather than a smoothed proxy.
 
-    The dual is built once per call, and the levels only move its column
-    bounds. Each level is still solved cold: the solver's basis is cleared
-    before every run, so a level's answer is the one a call for that level
-    alone gives. A warm start from the previous level's basis would be faster
-    but can stop at another optimal vertex when the optimum is not unique
-    (tied targets, alpha*n an integer), which would make a fit depend on the
-    levels solved before it.
+    Both duals are built once per call, and the levels only move their column
+    bounds. Each level runs two solves, both from a cleared basis, so a
+    level's answer is the one a call for that level alone gives:
+
+    1. The ranged dual, with one row -lam <= Xs_j'd <= lam per column pair
+       and HiGHS's presolve off, finds the optimal vertex. It is the LP that
+       presolve makes of the full dual, at the cost of its simplex alone.
+    2. The full dual is run from that vertex's basis (`_full_basis`). HiGHS
+       skips presolve for a valid basis and confirms it without an
+       iteration, and the row duals are read from this solve.
+
+    A nondegenerate vertex has exactly one optimal basis, the one HiGHS's
+    presolve, solve and postsolve of the full dual end at, so its row duals
+    match that path bit for bit. A degenerate vertex (tied targets, alpha*n
+    an integer) can have several, and another basis could give other
+    coefficients; such a level falls back to that path: the full dual
+    solved cold, without a basis. For the same reason no level starts
+    from the previous level's basis: a warm start can stop at another
+    optimal vertex, which would make a fit depend on the levels solved
+    before it.
     """
     one = np.ndim(alpha) == 0
     levels = [float(a) for a in np.reshape(alpha, -1)]
@@ -257,17 +338,19 @@ def fit_quantile(X, y, alpha, lam: float):
             )
         return fits[0] if one else fits
 
-    highs = _highs._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.passModel(_dual_lp(Xs, y, lam))
+    ranged = _solver(_dual_lp(Xs, y, lam, ranged=True), presolve="off")
+    highs = _solver(_dual_lp(Xs, y, lam))
     every_col = np.arange(n, dtype=np.int32)
     for a in levels:
-        highs.changeColsBounds(n, every_col, np.full(n, a - 1.0), np.full(n, a))
-        highs.clearSolver()
-        highs.run()
-        status = highs.getModelStatus()
-        if status != _highs.HighsModelStatus.kOptimal:
-            raise RuntimeError(f"quantile LP failed: {highs.modelStatusToString(status)}")
+        lower, upper = np.full(n, a - 1.0), np.full(n, a)
+        for solver in (ranged, highs):
+            solver.changeColsBounds(n, every_col, lower, upper)
+            solver.clearSolver()
+        _run(ranged)
+        basis = _full_basis(ranged, a, float(lam))
+        if basis is not None:
+            highs.setBasis(basis)
+        _run(highs)
         # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
         w = np.asarray(highs.getSolution().row_dual)
         b0_std = -float(w[2 * p_act])

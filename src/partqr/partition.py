@@ -84,7 +84,8 @@ def check_tree(tree: RegressionTree) -> None:
     has left == right == -1; an inner node i has both children in (i, n),
     and every node but the root is the child of exactly one node, so every
     walk from the root ends at a leaf. Inner nodes split on a feature in
-    [0, n_features), and the leaves carry leaf ids 0..L-1 in node order.
+    [0, n_features) at a finite threshold, and the leaves carry leaf ids
+    0..L-1 in node order and a finite value.
     A loaded tree comes from outside input and is checked before use.
     """
     shapes = {key: getattr(tree, key).shape for key in NODE_ARRAYS}
@@ -105,6 +106,10 @@ def check_tree(tree: RegressionTree) -> None:
         raise ValueError(f"tree split features must lie in [0, {tree.n_features})")
     if not np.array_equal(tree.leaf_id[leaf], np.arange(np.count_nonzero(leaf))):
         raise ValueError("tree leaf ids must number the leaves 0, 1, ... in node order")
+    if not np.isfinite(tree.value[leaf]).all():
+        raise ValueError("tree key 'value' must be finite at every leaf")
+    if not np.isfinite(tree.threshold[inner]).all():
+        raise ValueError("tree key 'threshold' must be finite at every inner node")
 
 
 def _add_node(nodes: dict, value: float, feature=-1, threshold=np.nan, leaf_id=-1) -> int:

@@ -28,6 +28,7 @@ FORMAT_VERSION = 3
 
 
 _TREE_SETTINGS = ("n_features", "max_depth", "min_samples_split", "min_samples_leaf")
+_TREE_IDS = ("feature", "left", "right", "leaf_id")
 
 
 def _tree_to_doc(tree: RegressionTree) -> dict:
@@ -36,7 +37,14 @@ def _tree_to_doc(tree: RegressionTree) -> dict:
 
 
 def _tree_from_doc(doc: dict) -> RegressionTree:
-    tree = RegressionTree(*(doc[key] for key in NODE_ARRAYS + _TREE_SETTINGS))
+    for key in _TREE_IDS:  # a float or bool id would be truncated to an int
+        ids = doc[key]
+        if not isinstance(ids, list) or set(map(type, ids)) - {int}:
+            raise ValueError(f"tree key {key!r} must be a list of JSON integers")
+    try:
+        tree = RegressionTree(*(doc[key] for key in NODE_ARRAYS + _TREE_SETTINGS))
+    except OverflowError as exc:
+        raise ValueError(f"tree ids must fit a machine integer: {exc}") from exc
     check_tree(tree)
     return tree
 

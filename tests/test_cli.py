@@ -415,6 +415,33 @@ def _in_bag_leaf_past_last_leaf(payload):
     forest["in_bag_leaf"][0][5] = n_leaves
 
 
+def _nan_last_leaf(payload):
+    tree = payload["tree"]
+    tree["value"][max(i for i, left in enumerate(tree["left"]) if left == -1)] = float("nan")
+
+
+def _infinite_threshold(payload):
+    payload["forest"]["trees"][2]["threshold"][0] = float("inf")
+
+
+def _half_feature(payload):
+    payload["tree"]["feature"][0] += 0.5
+
+
+def _float_leaf_id(payload):
+    ids = payload["boosted"]["trees"][1]["leaf_id"]
+    ids[ids.index(0)] = 0.0
+
+
+def _bool_child(payload):
+    tree = payload["composite"]["tree"]
+    tree["right"][0] = True
+
+
+def _huge_child(payload):
+    payload["tree"]["right"][0] = 2**70
+
+
 MALFORMED = {  # case -> (model, payload key, edit, what the error says)
     "child_out_of_range": ("decision_tree", "tree", _child_out_of_range, "children must follow"),
     "shared_child": ("decision_tree", "tree", _shared_child, "exactly one parent"),
@@ -427,6 +454,12 @@ MALFORMED = {  # case -> (model, payload key, edit, what the error says)
     ),
     "short_in_bag_leaf": ("qrf", "forest", _short_in_bag_leaf, "in_bag_leaf 2 must"),
     "in_bag_leaf_past_last_leaf": ("qrf", "forest", _in_bag_leaf_past_last_leaf, "in_bag_leaf 0 must"),
+    "nan_leaf_value": ("decision_tree", "tree", _nan_last_leaf, "'value' must be finite"),
+    "infinite_threshold": ("random_forest", "forest", _infinite_threshold, "'threshold' must be finite"),
+    "half_feature": ("decision_tree", "tree", _half_feature, "'feature' must be a list of JSON integers"),
+    "float_leaf_id": ("gradient_boosting", "boosted", _float_leaf_id, "'leaf_id' must be a list"),
+    "bool_child": ("quantile_tree", "composite", _bool_child, "'right' must be a list of JSON integers"),
+    "huge_child": ("decision_tree", "tree", _huge_child, "ids must fit a machine integer"),
 }
 MALFORMED_PARAMS = {
     "decision_tree": {"max_depth": 4, "min_samples_split": 10},

@@ -257,6 +257,83 @@ class TestLevelSequence:
             fit_quantile(X, X[:, 0] % 5, 0.5, 0.0)
 
 
+SWEEP_KINDS = ("continuous", "rounded", "binary", "one_hot", "tied_y")
+SWEEP_LAMS = (0.0, 0.01, 0.1, 1.0)
+
+
+def _sweep_design(kind, rng):
+    """(X, y) of one seeded design: an EncodedMatrix where columns are indicators."""
+    n, p = int(rng.integers(10, 70)), int(rng.integers(1, 4))
+    if kind == "continuous":
+        X = rng.normal(size=(n, p)) * rng.uniform(0.2, 20.0, size=p)
+        return X, X @ rng.normal(size=p) + rng.standard_t(3, size=n)
+    if kind == "rounded":
+        X = np.round(rng.normal(size=(n, p)) * 2)
+        return X, np.round(X @ rng.normal(size=p) + rng.normal(size=n))
+    if kind == "tied_y":
+        return rng.normal(size=(n, p)), rng.integers(0, 3, size=n).astype(float)
+    if kind == "binary":
+        X = rng.integers(0, 2, size=(n, p)).astype(float)
+        y = X @ rng.normal(size=p) + rng.integers(0, 3, size=n)
+    else:  # one-hot levels: the columns sum to the intercept's column
+        levels = rng.integers(0, p + 1, size=n)
+        X = (levels[:, None] == np.arange(p + 1)).astype(float)
+        y = 1.5 * levels + rng.normal(size=n)
+    columns = tuple(EncodedColumn("site", str(j), True) for j in range(X.shape[1]))
+    return EncodedMatrix(X, columns), y
+
+
+class TestVertexSweep:
+    """fit_quantile finds its vertex on the ranged dual and confirms it on the
+    full one, or falls back to a cold solve of the full one when the vertex
+    is degenerate. Either way its bits are those of the presolved cold solve
+    that `quantile_dual_linprog` makes."""
+
+    def test_bits_equal_presolved_cold_solve(self):
+        rng = np.random.default_rng(61)
+        levels = (0.05, 0.5, 0.95)
+        compared = 0
+        for i in range(100):
+            kind, lam = SWEEP_KINDS[i % 5], SWEEP_LAMS[(i // 5) % 4]
+            X, y = _sweep_design(kind, rng)
+            values = X.values if isinstance(X, EncodedMatrix) else X
+            indicator = X.categorical_mask if isinstance(X, EncodedMatrix) else None
+            if not np.any(np.std(values, axis=0) > 0):
+                continue  # no active column: the pinball_quantile path, not an LP
+            for a, fit in zip(levels, fit_quantile(X, y, levels, lam)):
+                want = quantile_dual_linprog(values, y, a, lam, indicator)
+                got = (fit.coef, fit.intercept, fit.objective)
+                assert TestLevelSequence._bits(*got) == TestLevelSequence._bits(*want), (
+                    i, kind, lam, a,
+                )
+                compared += 1
+        assert compared >= 250
+
+    def test_fast_path_and_fallback_both_taken(self, monkeypatch):
+        taken = []
+        full_basis = linear._full_basis
+
+        def spy(*args):
+            basis = full_basis(*args)
+            taken.append("fallback" if basis is None else "fast")
+            return basis
+
+        monkeypatch.setattr(linear, "_full_basis", spy)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(45, 2))
+        y = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
+        fit_quantile(X, y, (0.1, 0.5, 0.9), 0.1)
+        assert taken == ["fast"] * 3
+        taken.clear()
+        tied = rng.integers(0, 3, size=45).astype(float)
+        fit = fit_quantile(X, tied, 0.5, 0.0)
+        assert taken == ["fallback"]
+        want = quantile_dual_linprog(X, tied, 0.5, 0.0)
+        assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
+            TestLevelSequence._bits(*want)
+        )
+
+
 class TestPredictLinear:
     def test_arithmetic(self):
         model = fit_ridge(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
