@@ -1,16 +1,15 @@
-"""Record seeded perfbench runs and Tier-1 of one or more checkouts as BENCH_<tag>.json.
+"""Record seeded perfbench runs and Tier-1 of two checkouts as BENCH_<tag>.json.
 
-    python scripts/bench_record.py --checkout base=../base --checkout head=. \
-        --seeds 301-310 --seconds 15 --out-dir .
+    python scripts/bench_record.py --checkout base=../base --checkout head=. --out-dir .
 
-Each `--checkout TAG=PATH` names the root of a checkout of this repository.
-For every workload and seed the checkouts run `perfbench/run.py` one after
-another, as child processes from their own roots, in turn order A B, then
-B A for the next seed, so that runs of two checkouts alternate on one
-machine. The script reads only what a run prints: the first line (nproc and
-versions) and the last one (the JSON result). It never imports partqr and
-never passes a run anything but the documented flags, so it cannot change a
-measured value or a check.
+The two `--checkout TAG=PATH` options name the roots of two checkouts of this
+repository. For every workload in WORKLOADS and seed in SEEDS the checkouts
+run `perfbench/run.py --seconds SECONDS` one after the other, as child
+processes from their own roots, in turn order A B, then B A for the next
+seed, so that their runs alternate on one machine. The script reads only
+what a run prints: the first line (nproc and versions) and the last one (the
+JSON result). It never imports partqr and never passes a run anything but
+the documented flags, so it cannot change a measured value or a check.
 
 One traced run (`--trace 1`) per workload at the first seed records the
 per-layer metrics, among them every `.calls` count. Tier-1 then runs once per
@@ -33,20 +32,13 @@ import sys
 import time
 
 WORKLOADS = ("qtree-grid", "ensemble-grid", "predict-batch")
+SEEDS = tuple(range(301, 311))
+SECONDS = 15
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 _HEADER = re.compile(
     r"nproc (?P<nproc>\d+), python (?P<python>\S+), numpy (?P<numpy>\S+), scipy (?P<scipy>\S+)$"
 )
 _SUMMARY = re.compile(r"(\d+) (passed|failed|skipped|errors?|xfailed|xpassed)")
-
-
-def _seeds(text: str) -> list[int]:
-    """'301-310' or '301,303' (or both, comma-separated) as a list of seeds."""
-    seeds = []
-    for part in text.split(","):
-        first, _, last = part.partition("-")
-        seeds.extend(range(int(first), int(last or first) + 1))
-    return seeds
 
 
 def _checkout(text: str) -> tuple[str, str]:
@@ -62,11 +54,11 @@ def _git(root: str, *args: str) -> str:
 
 
 def _source_sha256(root: str) -> str:
-    """One digest of every file under src/, by relative path and content."""
+    """One digest of every file under src/ but __pycache__, by relative path and content."""
     digest = hashlib.sha256()
     src = os.path.join(root, "src")
-    for folder, dirs, files in sorted(os.walk(src)):
-        dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+    for folder, dirs, files in os.walk(src):
+        dirs[:] = sorted(d for d in dirs if d != "__pycache__")  # in place, so walk skips them
         for name in sorted(files):
             path = os.path.join(folder, name)
             digest.update(os.path.relpath(path, src).encode() + b"\0")
@@ -75,10 +67,10 @@ def _source_sha256(root: str) -> str:
     return digest.hexdigest()
 
 
-def run_perfbench(root: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_perfbench(root: str, workload: str, seed: int, trace: int) -> dict:
     """One `perfbench/run.py` child process: its header fields and JSON result."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", str(trace)]
+            "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     if done.returncode != 0 or not lines:
@@ -116,8 +108,8 @@ def _medians(seeds: dict) -> dict:
     return {name: statistics.median(s["metrics"][name] for s in seeds.values()) for name in names}
 
 
-def record(checkouts, workloads, seeds, seconds, log=print) -> dict:
-    """Run everything and return one BENCH document per checkout tag."""
+def record(checkouts, log=print) -> dict:
+    """Run everything for the two (tag, root) checkouts; one BENCH document per tag."""
     docs = {}
     for tag, root in checkouts:
         docs[tag] = {
@@ -126,14 +118,14 @@ def record(checkouts, workloads, seeds, seconds, log=print) -> dict:
             "dirty": bool(_git(root, "status", "--porcelain", "--", "src")),
             "source_sha256": _source_sha256(root),
             "recorded_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-            "paired_with": [t for t, _ in checkouts if t != tag],
-            "command": f"perfbench/run.py --seconds {seconds:g}",
+            "paired_with": next(t for t, _ in checkouts if t != tag),
+            "command": f"perfbench/run.py --seconds {SECONDS}",
             "workloads": {},
         }
-    for workload in workloads:
-        for i, seed in enumerate(seeds):
+    for workload in WORKLOADS:
+        for i, seed in enumerate(SEEDS):
             for tag, root in checkouts if i % 2 == 0 else checkouts[::-1]:
-                run = run_perfbench(root, workload, seed, seconds, 0)
+                run = run_perfbench(root, workload, seed, 0)
                 docs[tag].update(run.pop("machine"))
                 docs[tag]["workloads"].setdefault(workload, {"seeds": {}})["seeds"][str(seed)] = run
                 log(f"{tag} {workload} {seed}: wall_ref {run['metrics']['wall_ref']:.3f} correct {run['correct']}")
@@ -141,9 +133,9 @@ def record(checkouts, workloads, seeds, seconds, log=print) -> dict:
             entry = docs[tag]["workloads"][workload]
             entry["median"] = _medians(entry["seeds"])
         for tag, root in checkouts:
-            run = run_perfbench(root, workload, seeds[0], seconds, 1)
+            run = run_perfbench(root, workload, SEEDS[0], 1)
             run.pop("machine")
-            docs[tag]["workloads"][workload]["traced"] = {"seed": seeds[0], **run}
+            docs[tag]["workloads"][workload]["traced"] = {"seed": SEEDS[0], **run}
             log(f"{tag} {workload} traced: correct {run['correct']}")
     for tag, root in checkouts:
         docs[tag]["tier1"] = run_tier1(root)
@@ -154,18 +146,14 @@ def record(checkouts, workloads, seeds, seconds, log=print) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--checkout", type=_checkout, action="append", required=True,
-                        metavar="TAG=PATH", help="a checkout to run; repeat to alternate several")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("301-310"))
-    parser.add_argument("--seconds", type=float, default=15.0)
+                        metavar="TAG=PATH", help="one of the two checkouts to alternate; give it twice")
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
     tags = [tag for tag, _ in args.checkout]
-    if len(set(tags)) != len(tags):
-        parser.error(f"checkout tags must differ: {tags}")
+    if len(tags) != 2 or tags[0] == tags[1]:
+        parser.error(f"give --checkout exactly twice, with two different tags: {tags}")
 
-    docs = record(args.checkout, args.workloads, args.seeds, args.seconds,
-                  log=lambda line: print(line, file=sys.stderr, flush=True))
+    docs = record(args.checkout, log=lambda line: print(line, file=sys.stderr, flush=True))
     for tag, doc in docs.items():
         path = os.path.join(args.out_dir, f"BENCH_{tag}.json")
         with open(path, "w", encoding="utf-8") as fh:

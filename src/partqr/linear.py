@@ -207,12 +207,12 @@ def _dual_lp(Xs: np.ndarray, y: np.ndarray, lam: float, ranged: bool = False):
     return lp
 
 
-def _solver(lp, **options):
-    """A silent HiGHS instance holding `lp`, with the given options set."""
+def _solver(lp, presolve: bool = True):
+    """A silent HiGHS instance holding `lp`, with presolve on or off."""
     highs = _highs._Highs()
     highs.setOptionValue("output_flag", False)
-    for name, value in options.items():
-        highs.setOptionValue(name, value)
+    if not presolve:
+        highs.setOptionValue("presolve", "off")
     highs.passModel(lp)
     return highs
 
@@ -284,8 +284,8 @@ def fit_quantile(X, y, alpha, lam: float):
     the true minimum rather than a smoothed proxy.
 
     Both duals are built once per call, and the levels only move their column
-    bounds. Each level runs two solves, both from a cleared basis, so a
-    level's answer is the one a call for that level alone gives:
+    bounds. Each level with lam > 0 runs two solves, both from a cleared
+    basis, so a level's answer is the one a call for that level alone gives:
 
     1. The ranged dual, with one row -lam <= Xs_j'd <= lam per column pair
        and HiGHS's presolve off, finds the optimal vertex. It is the LP that
@@ -299,10 +299,12 @@ def fit_quantile(X, y, alpha, lam: float):
     match that path bit for bit. A degenerate vertex (tied targets, alpha*n
     an integer) can have several, and another basis could give other
     coefficients; such a level falls back to that path: the full dual
-    solved cold, without a basis. For the same reason no level starts
-    from the previous level's basis: a warm start can stop at another
-    optimal vertex, which would make a fit depend on the levels solved
-    before it.
+    solved cold, without a basis. At lam = 0 every level takes that path
+    without the ranged solve: both rows of each pair then sit at their
+    bound for every feasible d, so the full dual's row duals are never the
+    only optimal ones. For the same reason no level starts from the
+    previous level's basis: a warm start can stop at another optimal
+    vertex, which would make a fit depend on the levels solved before it.
     """
     one = np.ndim(alpha) == 0
     levels = [float(a) for a in np.reshape(alpha, -1)]
@@ -338,18 +340,20 @@ def fit_quantile(X, y, alpha, lam: float):
             )
         return fits[0] if one else fits
 
-    ranged = _solver(_dual_lp(Xs, y, lam, ranged=True), presolve="off")
     highs = _solver(_dual_lp(Xs, y, lam))
+    ranged = _solver(_dual_lp(Xs, y, lam, ranged=True), presolve=False) if lam > 0 else None
     every_col = np.arange(n, dtype=np.int32)
     for a in levels:
         lower, upper = np.full(n, a - 1.0), np.full(n, a)
-        for solver in (ranged, highs):
-            solver.changeColsBounds(n, every_col, lower, upper)
-            solver.clearSolver()
-        _run(ranged)
-        basis = _full_basis(ranged, a, float(lam))
-        if basis is not None:
-            highs.setBasis(basis)
+        highs.changeColsBounds(n, every_col, lower, upper)
+        highs.clearSolver()
+        if ranged is not None:
+            ranged.changeColsBounds(n, every_col, lower, upper)
+            ranged.clearSolver()
+            _run(ranged)
+            basis = _full_basis(ranged, a, float(lam))
+            if basis is not None:
+                highs.setBasis(basis)
         _run(highs)
         # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
         w = np.asarray(highs.getSolution().row_dual)

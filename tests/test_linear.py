@@ -324,14 +324,15 @@ class TestVertexSweep:
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
         fit_quantile(X, y, (0.1, 0.5, 0.9), 0.1)
         assert taken == ["fast"] * 3
-        taken.clear()
         tied = rng.integers(0, 3, size=45).astype(float)
-        fit = fit_quantile(X, tied, 0.5, 0.0)
-        assert taken == ["fallback"]
-        want = quantile_dual_linprog(X, tied, 0.5, 0.0)
-        assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
-            TestLevelSequence._bits(*want)
-        )
+        for lam, path in ((0.1, ["fallback"]), (0.0, [])):  # lam = 0 skips the ranged solve
+            taken.clear()
+            fit = fit_quantile(X, tied, 0.5, lam)
+            assert taken == path
+            want = quantile_dual_linprog(X, tied, 0.5, lam)
+            assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
+                TestLevelSequence._bits(*want)
+            )
 
 
 class TestPredictLinear:
