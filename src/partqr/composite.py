@@ -127,12 +127,13 @@ def fit_composite(
     partition with fewer than width+2 rows gets intercept-only fallback
     estimators.
 
-    `fit_cache`, when given, memoises the partition quantile fits by content
-    (encoded rows, categorical mask, targets, alpha, lam), so a grid search
-    solves each distinct partition problem once across its combinations, and
-    encodes the dataset once. `tree`, when given, is quantile_tree's CART
-    tree of that encoding under hyperparams' tree settings (a grid search
-    cuts it from a deeper tree, see `models`); otherwise it is grown here.
+    `fit_cache`, when given, is one fold's (see `evaluation._score_folds`);
+    it memoises the partition quantile fits by content (encoded rows,
+    categorical mask, targets, alpha, lam), so a grid search solves each
+    distinct partition problem once per fold, and encodes the dataset once.
+    `tree`, when given, is quantile_tree's CART tree of that encoding under
+    hyperparams' tree settings (a grid search cuts it from a deeper tree,
+    see `models`); otherwise it is grown here.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown model kind {kind!r}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -198,44 +197,31 @@ def encode(
     return EncodedMatrix(values, columns), y, encoding
 
 
-def shared(cache: dict | None, key, make, uses=None):
-    """`make()`, made once per `key` of a search-wide `cache` and shared by
-    later calls; with no cache, made afresh.
-
-    `uses()`, when given, is asked once, as the value is made, for the number
-    of calls the value serves in all; the last of them drops the entry, and a
-    call after that makes the value again.
-    """
+def shared(cache: dict | None, key, make):
+    """`make()`, made once per `key` of a fold's `cache` and shared by later
+    calls; with no cache, made afresh. The value lives as long as the cache."""
     if cache is None:
         return make()
     if key not in cache:
-        cache[key] = [make(), None if uses is None else uses()]
-    entry = cache[key]
-    if entry[1] is not None:
-        entry[1] -= 1
-        if entry[1] <= 0:
-            del cache[key]
-    return entry[0]
+        cache[key] = make()
+    return cache[key]
 
 
 def encode_once(
     dataset: Dataset, cache: dict | None
 ) -> tuple[EncodedMatrix, np.ndarray, CategoricalEncoding, bytes]:
     """`encode(dataset)` and a content digest of its matrix values and target,
-    made once per dataset object for as long as the object lives (see `shared`)."""
+    made once per dataset object and cache (see `shared`)."""
 
     def make():
         matrix, y, encoding = encode(dataset)
         h = hashlib.blake2b(repr(matrix.values.shape).encode(), digest_size=16)
         h.update(matrix.values.tobytes())
         h.update(y.tobytes())
-        return matrix, y, encoding, h.digest()
+        # the entry holds its dataset, so no other object takes its id while the cache lives
+        return dataset, (matrix, y, encoding, h.digest())
 
-    key = ("encoded", id(dataset))
-    if cache is not None and key not in cache:
-        # the entry goes when the dataset does, so no other object takes its id meanwhile
-        weakref.finalize(dataset, cache.pop, key, None)
-    return shared(cache, key, make)
+    return shared(cache, ("encoded", id(dataset)), make)[1]
 
 
 def _is_raw_row(rows) -> bool:

@@ -155,6 +155,31 @@ def prepare_search(
     return prepare_folds(dataset, k, seed, caps) + [refit]
 
 
+def _score(name: str, params: dict, fold: PreparedFold, fit_cache: dict | None):
+    """Fit `name` on `fold` and score its test rows: (point forecasts,
+    intervals or None, parameter count)."""
+    fitted = fit_model(name, fold.train, params, seed=fold.seed, fit_cache=fit_cache)
+    pred = fitted.predict_point(fold.test_rows)
+    capable = model_spec(name).quantile_capable
+    intervals = fitted.predict_intervals(fold.test_rows) if capable else None
+    return pred, intervals, fitted.parameter_count()
+
+
+def _score_folds(searches: dict[str, list[dict]], folds: list[PreparedFold]) -> dict:
+    """`_score` of each combination of each search ({name: combos}) on each
+    fold, as {name: [per-fold scores of each combination]}. The folds run one
+    by one; each one's fits share a fresh fit cache (see `models.fit_model`),
+    dropped when the fold is done, so qrf cuts random_forest's forests."""
+    scores = {name: [[] for _ in combos] for name, combos in searches.items()}
+    for fold in folds:
+        fit_cache: dict = {}
+        for name, combos in searches.items():
+            record_grid(fit_cache, name, combos)
+            for params, per_fold in zip(combos, scores[name]):
+                per_fold.append(_score(name, params, fold, fit_cache))
+    return scores
+
+
 def cross_validate(
     name: str,
     params: dict,
@@ -164,43 +189,35 @@ def cross_validate(
     caps: dict | None = None,
     *,
     folds: list[PreparedFold] | None = None,
-    fit_cache: dict | None = None,
+    scores: list[tuple] | None = None,
 ) -> CVResult:
     """k-fold evaluation with fold-local preprocessing (see `prepare_folds`).
 
     Aggregates are computed over the pooled test-set absolute errors, not
     per-fold averages. `folds`, when given, must come from
-    `prepare_folds(dataset, k, seed, caps)`; `fit_cache` memoises encodings,
-    grown tree structures and partition quantile fits (see `fit_model`).
-    `grid_search` passes the same folds and cache to every combination.
+    `prepare_folds(dataset, k, seed, caps)`. `scores`, each fold's `_score`
+    (`grid_search` passes those of `_score_folds`), are only pooled here;
+    without them each fold is fitted and scored on its own, with no cache.
     """
     if folds is None:
         folds = prepare_folds(dataset, k, seed, caps)
-    fold_metrics = []
-    param_counts = []
-    preds, intervals = [], []
-    capable = model_spec(name).quantile_capable
-    for fold in folds:
-        fitted = fit_model(name, fold.train, params, seed=fold.seed, fit_cache=fit_cache)
-        pred = fitted.predict_point(fold.test_rows)
-        fold_metrics.append(
-            {"median_ae": median_ae(pred, fold.actual), "mean_ae": mean_ae(pred, fold.actual)}
-        )
-        param_counts.append(fitted.parameter_count())
-        preds.append(pred)
-        if capable:
-            intervals.append(fitted.predict_intervals(fold.test_rows))
+    if scores is None:
+        scores = [_score(name, params, fold, None) for fold in folds]
+    preds, intervals, param_counts = zip(*scores)
     pooled_pred = np.concatenate(preds)
     pooled_actual = np.concatenate([fold.actual for fold in folds])
-    pooled_iv = np.vstack(intervals) if capable else None
+    pooled_iv = None if intervals[0] is None else np.vstack(intervals)
     return CVResult(
         name=name,
         params=dict(params),
-        fold_metrics=fold_metrics,
+        fold_metrics=[
+            {"median_ae": median_ae(pred, fold.actual), "mean_ae": mean_ae(pred, fold.actual)}
+            for pred, fold in zip(preds, folds)
+        ],
         median_ae=median_ae(pooled_pred, pooled_actual),
         mean_ae=mean_ae(pooled_pred, pooled_actual),
-        coverage_pct=interval_coverage(pooled_iv, pooled_actual) if capable else None,
-        param_counts=param_counts,
+        coverage_pct=None if pooled_iv is None else interval_coverage(pooled_iv, pooled_actual),
+        param_counts=list(param_counts),
         pooled_pred=pooled_pred,
         pooled_actual=pooled_actual,
         pooled_intervals=pooled_iv,
@@ -258,6 +275,7 @@ def grid_search(
     *,
     folds: list[PreparedFold] | None = None,
     fit_cache: dict | None = None,
+    scores: list[list[tuple]] | None = None,
 ) -> GridSearchResult:
     """Exhaustive search; lowest pooled Median AE wins, ties go to the smaller
     model, then to grid order. The winner is refit on the full dataset, and
@@ -266,24 +284,25 @@ def grid_search(
     The folds and the refit's dataset are prepared and encoded once and
     shared by every combination; `folds`, when given, must come from
     `prepare_search(dataset, k, seed, caps)` (`benchmark` prepares them once
-    for all its searches). Each fold, and the refit's dataset, grows one
-    tree, forest or boosting run that every combination is cut from (see
-    `models.record_grid`), and the partition quantile fits are memoised, so
-    identical partitions under different settings are solved once. All of
-    it lives in `fit_cache`, a fresh dict unless the caller shares one
-    across searches (`benchmark` does); entries are keyed by content, so
-    sharing changes no result.
+    for all its searches). The combinations are scored fold by fold
+    (`_score_folds`) unless their `scores` are given (`benchmark` scores all
+    its searches at once). The refit cuts the winner from the grid's widest
+    tree, forest or boosting run, grown in `fit_cache`: a fresh dict unless
+    the caller shares one across refits (`benchmark` does); entries are
+    keyed by content, so sharing changes no result.
     """
     combos = _search_combinations(name, grid)  # before any fold is prepared
     *cv_folds, refit = prepare_search(dataset, k, seed, caps) if folds is None else folds
-    fit_cache = {} if fit_cache is None else fit_cache
-    record_grid(fit_cache, name, combos)
+    if scores is None:
+        scores = _score_folds({name: combos}, cv_folds)[name]
     evaluations = [
-        cross_validate(name, c, dataset, k, seed, caps, folds=cv_folds, fit_cache=fit_cache)
-        for c in combos
+        cross_validate(name, c, dataset, k, seed, caps, folds=cv_folds, scores=s)
+        for c, s in zip(combos, scores)
     ]
     best_i = min(range(len(combos)), key=lambda i: _selection_key(i, evaluations[i]))
     best_params = combos[best_i]
+    fit_cache = {} if fit_cache is None else fit_cache
+    record_grid(fit_cache, name, combos)
     final_model = replace(
         fit_model(name, refit.train, best_params, seed=refit.seed, fit_cache=fit_cache),
         fill=fill_values(refit.train.schema, refit.detail.numeric_fill),
@@ -521,23 +540,24 @@ def benchmark(
     Rows keep the input order; numbers come from the winning combination's
     pooled cross-validation run, parameter counts from the full-data refit.
     Every name and grid is checked first. The folds and the refit's dataset
-    are then prepared, imputed and encoded once, and every search shares
-    them and one fit cache, so a search whose trees another has grown on the
-    same folds (qrf after random_forest) cuts them from there.
+    are then prepared, imputed and encoded once, every search is scored on
+    them in one fold-by-fold pass (`_score_folds`), and the refits share one
+    fit cache.
 
     Searches run serially; `threads` accepts only 1.
     """
     if threads != 1:
         raise ValueError(f"threads={threads!r}: searches run serially, so threads must be 1")
     grids = grids or {}
-    reports = []
-    fit_cache: dict = {}
-    for name in model_names:
-        record_grid(fit_cache, name, _search_combinations(name, grids.get(name)))
+    searches = {name: _search_combinations(name, grids.get(name)) for name in model_names}
     folds = prepare_search(dataset, k, seed, caps)
+    scores = _score_folds(searches, folds[:-1])
+    refit_cache: dict = {}
+    reports = []
     for name in model_names:
         result = grid_search(
-            name, grids.get(name), dataset, k, seed, caps, folds=folds, fit_cache=fit_cache
+            name, grids.get(name), dataset, k, seed, caps,
+            folds=folds, fit_cache=refit_cache, scores=scores[name],
         )
         cv = result.best_cv
         reports.append(

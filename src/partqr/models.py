@@ -146,14 +146,12 @@ class BaselineFit(_RegistryFit):
 
 
 def record_grid(fit_cache: dict, name: str, combos) -> None:
-    """Tell the fits that share `fit_cache` which combinations a search of
-    `name` asks for.
+    """Tell the fits that share `fit_cache`, one fold's cache, which
+    combinations a search of `name` asks for.
 
-    Each dataset then grows, once, the tree, forest or boosting run that the
-    recorded combinations are all cut from. The cache drops it after as many
-    fits as the recorded grids hold combinations cut from it, which is every
-    fit on a cross-validation fold; a full-data refit fits only the winner,
-    so its structure stays for the life of the cache.
+    The fold's dataset then grows, once, the tree, forest or boosting run
+    that the recorded combinations are all cut from; it lives as long as the
+    cache, which `evaluation` drops when the fold is done.
     """
     fit_cache.setdefault("grids", {})[name] = tuple(combos)
 
@@ -180,28 +178,18 @@ def _grown(name, dataset, params, seed, fit_cache):
 
     The structure that covers `params` and every combination recorded for
     `name` is grown once per encoded dataset, seed and growth settings, and
-    kept in `fit_cache` for the fits of every recorded search that cut it;
-    `params`' own structure is cut from it.
+    kept in `fit_cache` for every fit cut from it, `name`'s and any other
+    search's of the same growth; `params`' own structure is cut from it.
     """
     growth = MODELS[name].growth
     matrix, y, encoding, digest = encode_once(dataset, fit_cache)
     grids = {} if fit_cache is None else fit_cache.get("grids", {})
     own = growth.settings(params)
     reach = _reach(growth, own, _widest(growth, grids.get(name, ())))
-
-    def uses() -> int:
-        n = 0
-        for other, combos in list(grids.items()):
-            if MODELS[other].growth is growth:
-                wide = _widest(growth, combos)
-                n += sum(_reach(growth, growth.settings(c), wide) == reach for c in combos)
-        return n
-
     grown = shared(
         fit_cache,
         (growth.tag, digest, seed, *sorted(reach.items())),
         lambda: growth.grow(matrix, y, seed, **reach),
-        uses,
     )
     return (grown if reach == own else growth.cut(grown, own)), encoding
 
@@ -352,7 +340,7 @@ def fit_model(
     name: str, dataset: Dataset, params: dict, seed: int = 0, fit_cache: dict | None = None
 ):
     """Fit one registry model; `seed` drives k-means starts and forest
-    bootstraps. `fit_cache`, a search-wide dict, memoises the dataset's
+    bootstraps. `fit_cache`, one fold's dict, memoises the dataset's
     encoding, the grown trees, forests and boosting runs (see `record_grid`)
-    and the composite partition quantile fits."""
+    and the composite partition quantile fits for every fit on that fold."""
     return model_spec(name).build(name, dataset, dict(params), seed, fit_cache)

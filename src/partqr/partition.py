@@ -92,7 +92,7 @@ def check_tree(tree: RegressionTree) -> None:
     n = tree.value.size
     if set(shapes.values()) != {(n,)} or n == 0:
         raise ValueError(f"tree node arrays must be non-empty, flat and of one length: {shapes}")
-    if not isinstance(tree.n_features, int) or tree.n_features < 0:
+    if type(tree.n_features) is not int or tree.n_features < 0:
         raise ValueError(f"tree n_features must be a count, not {tree.n_features!r}")
     leaf = tree.left == -1
     inner = np.flatnonzero(~leaf)

@@ -41,6 +41,10 @@ def _tree_from_doc(doc: dict) -> RegressionTree:
         ids = doc[key]
         if not isinstance(ids, list) or set(map(type, ids)) - {int}:
             raise ValueError(f"tree key {key!r} must be a list of JSON integers")
+    for key in _TREE_SETTINGS:  # a bool is an int to Python, not to JSON
+        value = doc[key]
+        if type(value) is not int or value < 0:
+            raise ValueError(f"tree key {key!r} must be a non-negative JSON integer, not {value!r}")
     try:
         tree = RegressionTree(*(doc[key] for key in NODE_ARRAYS + _TREE_SETTINGS))
     except OverflowError as exc:

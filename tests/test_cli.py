@@ -442,6 +442,22 @@ def _huge_child(payload):
     payload["tree"]["right"][0] = 2**70
 
 
+def _deep_max_depth(payload):
+    payload["tree"]["max_depth"] = "deep"
+
+
+def _null_min_samples_leaf(payload):
+    payload["forest"]["trees"][1]["min_samples_leaf"] = None
+
+
+def _negative_min_samples_split(payload):
+    payload["composite"]["tree"]["min_samples_split"] = -5
+
+
+def _bool_n_features(payload):
+    payload["boosted"]["trees"][2]["n_features"] = True
+
+
 MALFORMED = {  # case -> (model, payload key, edit, what the error says)
     "child_out_of_range": ("decision_tree", "tree", _child_out_of_range, "children must follow"),
     "shared_child": ("decision_tree", "tree", _shared_child, "exactly one parent"),
@@ -460,6 +476,18 @@ MALFORMED = {  # case -> (model, payload key, edit, what the error says)
     "float_leaf_id": ("gradient_boosting", "boosted", _float_leaf_id, "'leaf_id' must be a list"),
     "bool_child": ("quantile_tree", "composite", _bool_child, "'right' must be a list of JSON integers"),
     "huge_child": ("decision_tree", "tree", _huge_child, "ids must fit a machine integer"),
+    "deep_max_depth": (
+        "decision_tree", "tree", _deep_max_depth, "'max_depth' must be a non-negative JSON integer"
+    ),
+    "null_min_samples_leaf": (
+        "random_forest", "forest", _null_min_samples_leaf, "'min_samples_leaf' must be a non-negative"
+    ),
+    "negative_min_samples_split": (
+        "quantile_tree", "composite", _negative_min_samples_split, "'min_samples_split' must be a non"
+    ),
+    "bool_n_features": (
+        "gradient_boosting", "boosted", _bool_n_features, "'n_features' must be a non-negative"
+    ),
 }
 MALFORMED_PARAMS = {
     "decision_tree": {"max_depth": 4, "min_samples_split": 10},

@@ -1,5 +1,6 @@
 import csv
 import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -120,30 +121,25 @@ class TestEncode:
 
 
 class TestSharedCache:
-    def test_makes_each_value_once_and_drops_it_after_its_uses(self):
+    def test_makes_each_value_once_per_key(self):
         cache, made = {}, []
-        keys, uses = 4, 3
 
         def make(key):
             made.append(key)
             return [key]
 
         def call(key):
-            return shared(cache, key, lambda: make(key), lambda: uses)
+            return shared(cache, key, lambda: make(key))
 
-        # interleaved calls: every key's value is made by its first call
-        got = [call(k) for _ in range(uses) for k in range(keys)]
-        assert made == list(range(keys))
-        for k in range(keys):
-            values = got[k::keys]
-            assert values == [[k]] * uses and all(v is values[0] for v in values)
-        assert cache == {}
-        assert call(0) == [0] and made.count(0) == 2  # a call after the last use makes it again
+        got = [call(k) for _ in range(3) for k in range(4)]
+        assert made == list(range(4))
+        assert all(v is got[k] for k in range(4) for v in got[k::4])
+        assert cache == {k: [k] for k in range(4)}
 
     def test_no_cache_makes_afresh(self):
         assert shared(None, "k", lambda: [1]) is not shared(None, "k", lambda: [1])
 
-    def test_encode_once_per_dataset_object_while_it_lives(self):
+    def test_encode_once_per_dataset_object_per_cache(self):
         cache = {}
         ds = make_dataset([("A", 1.0), ("B", 2.0), ("A", 4.0)])
         first = encode_once(ds, cache)
@@ -151,13 +147,20 @@ class TestSharedCache:
         matrix, y, encoding = encode(ds)
         assert first[0].values.tobytes() == matrix.values.tobytes()
         assert first[1].tobytes() == y.tobytes() and first[2] == encoding
+        assert encode_once(ds, {}) is not first  # another cache, encoded anew
         twin = make_dataset(ds.rows)
         assert encode_once(twin, cache) is not first  # another object, encoded anew
         assert encode_once(twin, cache)[3] == first[3]  # same content, same digest
         assert len(cache) == 2
+        refs = [weakref.ref(ds), weakref.ref(twin)]
         del ds, twin
         gc.collect()
-        assert cache == {}
+        # the entries keep their datasets, so no other object takes their ids
+        assert all(ref() is not None for ref in refs)
+        assert encode_once(refs[0](), cache) is first
+        cache.clear()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestKFold:

@@ -1,6 +1,8 @@
+import gc
 import inspect
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -303,6 +305,37 @@ class TestGridSearchSharing:
             assert (a.bounds is None) == (b.bounds is None)
             if a.bounds is not None:
                 assert a.bounds.tobytes() == b.bounds.tobytes()
+
+    def test_benchmark_frees_each_folds_structures_before_the_next_fold(self, monkeypatch):
+        from partqr import models
+
+        grown = []  # (index of the fold, weakref to a grown tree or forest)
+        datasets = []  # the training set of each fold in turn, then the refits'
+        for attr in ("build_cart", "fit_rf"):
+            original = getattr(models, attr)
+
+            def growing(*args, original=original, **kwargs):
+                structure = original(*args, **kwargs)
+                grown.append((len(datasets) - 1, weakref.ref(structure)))
+                return structure
+
+            monkeypatch.setattr(models, attr, growing)
+        fit_model_ = evaluation.fit_model
+
+        def fitting(name, dataset, *args, **kwargs):
+            if not datasets or datasets[-1] is not dataset:
+                gc.collect()
+                alive = [fold for fold, ref in grown if ref() is not None]
+                assert not alive, f"fold {len(datasets)} starts with structures of folds {alive}"
+                datasets.append(dataset)
+            return fit_model_(name, dataset, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "fit_model", fitting)
+        grids = {name: TREE_GRIDS[name] for name in ("decision_tree", "random_forest", "qrf")}
+        benchmark(self.dataset(), list(grids), grids=grids, k=4, seed=6)
+        assert len(datasets) == 4 + 1  # every fold's fits run together, then the refits
+        # per fold and refit: the deepest tree and two forests (qrf's feature fraction differs)
+        assert [fold for fold, _ in grown] == [f for f in range(5) for _ in range(3)]
 
     def test_benchmark_prepares_each_fold_once(self, monkeypatch):
         from partqr import evaluation

@@ -1,4 +1,5 @@
 from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from partqr.partition import (
     _best_split,
     assign_cluster,
     build_cart,
+    check_tree,
     fit_kmeans,
     knn_query,
     predict_tree_mean,
@@ -33,6 +35,14 @@ def nodes_of(tree):
 
 
 class TestCart:
+    @pytest.mark.parametrize("n_features", [True, -1, 2.0])
+    def test_check_tree_refuses_a_width_that_is_not_a_count(self, n_features):
+        X = np.arange(8.0).reshape(-1, 2)
+        tree = build_cart(X, np.arange(4.0), max_depth=2)
+        check_tree(tree)
+        with pytest.raises(ValueError, match="n_features must be a count"):
+            check_tree(replace(tree, n_features=n_features))
+
     def test_constant_target_single_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
         tree = build_cart(X, np.full(8, 3.0), max_depth=5)
