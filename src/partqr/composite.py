@@ -9,7 +9,6 @@ the mean, for ridge).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,22 +90,17 @@ def _require(hyperparams: dict, key: str):
     return hyperparams[key]
 
 
-def _leaf_digest(matrix: EncodedMatrix, ysub: np.ndarray) -> bytes:
-    """Content digest of one partition's quantile problem, less alpha and lam."""
-    h = hashlib.blake2b(repr(matrix.values.shape).encode(), digest_size=16)
-    for arr in (matrix.values, matrix.categorical_mask, ysub):
-        h.update(arr.tobytes())
-    return h.digest()
-
-
-def _fit_quantile_table(matrix, ysub, levels, lam, fit_cache: dict):
-    if ysub.size < matrix.width + 2:
-        return {a: ConstantModel(pinball_quantile(ysub, a)) for a in levels}
-    leaf = _leaf_digest(matrix, ysub)
+def _fit_quantile_table(matrix, y, rows: np.ndarray, levels, lam, fit_cache: dict):
+    """{alpha: estimator} of the partition `rows` of `matrix` and `y`; its fits
+    are keyed by `rows`, since `fit_cache` serves one training set."""
+    if rows.size < matrix.width + 2:
+        return {a: ConstantModel(pinball_quantile(y[rows], a)) for a in levels}
+    leaf = rows.tobytes()
     # a tuple, not a list: perfbench's tracer hashes the levels it is passed
     missing = tuple(a for a in levels if (leaf, a, lam) not in fit_cache)
     if missing:
-        for a, fit in zip(missing, fit_quantile(matrix, ysub, missing, lam)):
+        fits = fit_quantile(matrix.subset(rows), y[rows], missing, lam)
+        for a, fit in zip(missing, fits):
             fit_cache[leaf, a, lam] = fit
     return {a: fit_cache[leaf, a, lam] for a in levels}
 
@@ -127,10 +121,11 @@ def fit_composite(
     partition with fewer than width+2 rows gets intercept-only fallback
     estimators.
 
-    `fit_cache`, when given, is one fold's (see `evaluation._score_folds`);
-    it memoises the partition quantile fits by content (encoded rows,
-    categorical mask, targets, alpha, lam), so a grid search solves each
-    distinct partition problem once per fold, and encodes the dataset once.
+    `fit_cache`, when given, serves the fits of one training set, `dataset`
+    (one fold's, see `evaluation._score_folds`, or the refit's): it encodes
+    the dataset once and memoises the partition quantile fits by partition
+    rows, alpha and lam, so a grid search solves each partition once per
+    fold. Without one, the fit gets a fresh dict.
     `tree`, when given, is quantile_tree's CART tree of that encoding under
     hyperparams' tree settings (a grid search cuts it from a deeper tree,
     see `models`); otherwise it is grown here.
@@ -145,8 +140,8 @@ def fit_composite(
         raise ValueError("lam must be nonnegative")
     levels = (0.5,) if kind == "piecewise_rr" else INTERVAL_LEVELS
 
-    matrix, y, encoding, _ = encode_once(dataset, fit_cache)
     fit_cache = {} if fit_cache is None else fit_cache
+    matrix, y, encoding = encode_once(dataset, fit_cache)
     model = CompositeQuantileModel(
         kind=kind,
         schema=dataset.schema,
@@ -169,9 +164,7 @@ def fit_composite(
             )
         model.tree = tree
         for leaf, rows in enumerate(tree.leaf_rows):
-            model.estimators[leaf] = _fit_quantile_table(
-                matrix.subset(rows), y[rows], levels, lam, fit_cache
-            )
+            model.estimators[leaf] = _fit_quantile_table(matrix, y, rows, levels, lam, fit_cache)
     elif kind in ("piecewise_qr", "piecewise_rr"):
         k = int(_require(hyperparams, "n_clusters"))
         clusters = fit_kmeans(
@@ -184,14 +177,12 @@ def fit_composite(
         assignments = assign_cluster(clusters, matrix.categorical_submatrix())
         for cid in range(clusters.k):
             rows = np.flatnonzero(assignments == cid)
-            sub, ysub = matrix.subset(rows), y[rows]
-            if kind == "piecewise_rr":
-                if ysub.size < matrix.width + 2:
-                    model.estimators[cid] = {0.5: ConstantModel(float(np.mean(ysub)))}
-                else:
-                    model.estimators[cid] = {0.5: fit_ridge(sub, ysub, lam)}
+            if kind == "piecewise_qr":
+                model.estimators[cid] = _fit_quantile_table(matrix, y, rows, levels, lam, fit_cache)
+            elif rows.size < matrix.width + 2:
+                model.estimators[cid] = {0.5: ConstantModel(float(np.mean(y[rows])))}
             else:
-                model.estimators[cid] = _fit_quantile_table(sub, ysub, levels, lam, fit_cache)
+                model.estimators[cid] = {0.5: fit_ridge(matrix.subset(rows), y[rows], lam)}
     else:  # nn_qr
         k = int(_require(hyperparams, "n_neighbors"))
         if not 1 <= k <= dataset.n_rows:
@@ -243,8 +234,7 @@ def _nn_predict(model: CompositeQuantileModel, X: np.ndarray, levels) -> np.ndar
     for g, pattern in enumerate(patterns):
         rows = np.flatnonzero(group == g)
         neighbors = np.array([idx for idx, _ in knn_query(points, pattern, k)])
-        sub, ysub = model.train_matrix.subset(neighbors), model.train_y[neighbors]
-        table = _fit_quantile_table(sub, ysub, levels, lam, {})
+        table = _fit_quantile_table(model.train_matrix, model.train_y, neighbors, levels, lam, {})
         for j, alpha in enumerate(levels):
             out[rows, j] = _estimate(table[alpha], X[rows])
     return out

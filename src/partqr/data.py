@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -197,31 +196,23 @@ def encode(
     return EncodedMatrix(values, columns), y, encoding
 
 
-def shared(cache: dict | None, key, make):
-    """`make()`, made once per `key` of a fold's `cache` and shared by later
-    calls; with no cache, made afresh. The value lives as long as the cache."""
-    if cache is None:
-        return make()
+def shared(cache: dict, key, make):
+    """`make()`, made once per `key` of a fit cache and shared by later calls;
+    the value lives as long as the cache."""
     if key not in cache:
         cache[key] = make()
     return cache[key]
 
 
 def encode_once(
-    dataset: Dataset, cache: dict | None
-) -> tuple[EncodedMatrix, np.ndarray, CategoricalEncoding, bytes]:
-    """`encode(dataset)` and a content digest of its matrix values and target,
-    made once per dataset object and cache (see `shared`)."""
-
-    def make():
-        matrix, y, encoding = encode(dataset)
-        h = hashlib.blake2b(repr(matrix.values.shape).encode(), digest_size=16)
-        h.update(matrix.values.tobytes())
-        h.update(y.tobytes())
-        # the entry holds its dataset, so no other object takes its id while the cache lives
-        return dataset, (matrix, y, encoding, h.digest())
-
-    return shared(cache, ("encoded", id(dataset)), make)[1]
+    dataset: Dataset, cache: dict
+) -> tuple[EncodedMatrix, np.ndarray, CategoricalEncoding]:
+    """`encode(dataset)`, made once per cache (see `shared`). A fit cache
+    serves one training set, the first dataset it sees; another raises
+    RuntimeError."""
+    if cache.setdefault("dataset", dataset) is not dataset:
+        raise RuntimeError("a fit cache serves one training set, and this is another")
+    return shared(cache, "encoded", lambda: encode(dataset))
 
 
 def _is_raw_row(rows) -> bool:

@@ -80,19 +80,6 @@ def _fold_seed(seed: int, fold: int) -> int:
     return int(np.random.SeedSequence([seed, fold]).generate_state(1)[0])
 
 
-def _prepare_fold(train: Dataset, test: Dataset | None, caps: dict | None):
-    detail_caps: dict[str, int] = {}
-    if caps:
-        for col, cap in caps.items():
-            train, removed = prune_tail(train, col, float(cap))
-            detail_caps[col] = removed
-    imputer = fit_imputer(train)
-    train = imputer.transform(train)
-    if test is not None:
-        test = imputer.transform(test)
-    return train, test, imputer, detail_caps
-
-
 @dataclass(frozen=True)
 class PreparedFold:
     """One cross-validation fold after fold-local caps and imputation; the
@@ -105,36 +92,38 @@ class PreparedFold:
     detail: FoldDetail
 
 
+def _prepare_fold(train: Dataset, test: Dataset | None, caps: dict | None, seed: int):
+    """`train` capped and imputed, and `test`, if any, imputed with the
+    training medians, as a PreparedFold fitted with `seed`."""
+    cap_removed: dict[str, int] = {}
+    for col, cap in (caps or {}).items():
+        train, cap_removed[col] = prune_tail(train, col, float(cap))
+    imputer = fit_imputer(train)
+    train = imputer.transform(train)
+    rows = [] if test is None else list(imputer.transform(test).rows)
+    target_j = train.schema.index_of(train.schema.target)
+    return PreparedFold(
+        train=train,
+        test_rows=rows,
+        actual=np.array([float(r[target_j]) for r in rows]),
+        seed=seed,
+        detail=FoldDetail(train.n_rows, len(rows), dict(imputer.numeric_fill), cap_removed),
+    )
+
+
 def prepare_folds(
     dataset: Dataset, k: int, seed: int, caps: dict | None = None
 ) -> list[PreparedFold]:
     """Split `dataset` into k folds and preprocess each one.
 
-    Tail caps remove training rows only; imputation medians come from the
-    training fold and are applied to its test fold.
+    Tail caps, checked first, remove training rows only; imputation medians
+    come from the training fold and are applied to its test fold.
     """
-    folds = []
-    for fold_idx, (train_idx, test_idx) in enumerate(split_kfold(dataset, k, seed)):
-        train, test, imputer, cap_removed = _prepare_fold(
-            dataset.subset(train_idx), dataset.subset(test_idx), caps
-        )
-        rows = list(test.rows)
-        target_j = test.schema.index_of(test.schema.target)
-        folds.append(
-            PreparedFold(
-                train=train,
-                test_rows=rows,
-                actual=np.array([float(r[target_j]) for r in rows]),
-                seed=_fold_seed(seed, fold_idx),
-                detail=FoldDetail(
-                    n_train=train.n_rows,
-                    n_test=test.n_rows,
-                    numeric_fill=dict(imputer.numeric_fill),
-                    cap_removed=cap_removed,
-                ),
-            )
-        )
-    return folds
+    _check_caps(dataset.schema, caps)
+    return [
+        _prepare_fold(dataset.subset(train), dataset.subset(test), caps, _fold_seed(seed, i))
+        for i, (train, test) in enumerate(split_kfold(dataset, k, seed))
+    ]
 
 
 def prepare_search(
@@ -144,14 +133,7 @@ def prepare_search(
     the same way: a fold with no test rows, for the winner's refit. Every
     tail cap is checked against the schema before any fold is prepared."""
     _check_caps(dataset.schema, caps)
-    train, _, imputer, cap_removed = _prepare_fold(dataset, None, caps)
-    refit = PreparedFold(
-        train=train,
-        test_rows=[],
-        actual=np.empty(0),
-        seed=_fold_seed(seed, k),
-        detail=FoldDetail(train.n_rows, 0, dict(imputer.numeric_fill), cap_removed),
-    )
+    refit = _prepare_fold(dataset, None, caps, _fold_seed(seed, k))
     return prepare_folds(dataset, k, seed, caps) + [refit]
 
 
@@ -168,8 +150,9 @@ def _score(name: str, params: dict, fold: PreparedFold, fit_cache: dict | None):
 def _score_folds(searches: dict[str, list[dict]], folds: list[PreparedFold]) -> dict:
     """`_score` of each combination of each search ({name: combos}) on each
     fold, as {name: [per-fold scores of each combination]}. The folds run one
-    by one; each one's fits share a fresh fit cache (see `models.fit_model`),
-    dropped when the fold is done, so qrf cuts random_forest's forests."""
+    by one; each one's fits share a fresh fit cache that serves that fold's
+    training set only (see `models.fit_model`) and is dropped when the fold
+    is done, so qrf cuts random_forest's forests."""
     scores = {name: [[] for _ in combos] for name, combos in searches.items()}
     for fold in folds:
         fit_cache: dict = {}
@@ -247,22 +230,33 @@ def _selection_key(index: int, cv: CVResult):
 
 def _search_combinations(name: str, grid: dict[str, list] | None) -> list[dict]:
     """The combinations a search of `name` runs: `grid`'s, or its default
-    grid's; an unknown name or an empty grid raises ValueError."""
-    combos = grid_combinations(grid or model_spec(name).grid)
+    grid's. An unknown name, an empty grid or a hyperparameter that `name`'s
+    builder does not read raises ValueError."""
+    spec = model_spec(name)
+    for key in grid or {}:
+        if key not in spec.hyperparams:
+            raise ValueError(f"unknown hyperparameter {key!r} in the grid of {name!r}: "
+                             f"it reads only {list(spec.hyperparams)}")
+    combos = grid_combinations(grid or spec.grid)
     if not combos:
         raise ValueError("empty hyperparameter grid")
     return combos
 
 
 def _check_caps(schema: FeatureSchema, caps: dict | None) -> None:
-    """Every tail cap must name a column of `schema`; else ValueError naming both."""
-    names = [name for name, _ in schema.columns]
+    """Every tail cap must name a numeric column of `schema` and be
+    positive; else ValueError naming the column, its kind and the cap."""
+    kinds = dict(schema.columns)
     for col, cap in (caps or {}).items():
-        if col not in names:
-            raise ValueError(
-                f"tail cap {col!r} (cap {cap!r}) names a missing column: "
-                f"the data has no column {col!r}, only {names}"
-            )
+        if col not in kinds:
+            fault = f"names a missing column: the data has no column {col!r}, only {list(kinds)}"
+        elif kinds[col] != "numeric":
+            fault = f"names a {kinds[col]} column: only numeric columns can be capped"
+        elif not float(cap) > 0:
+            fault = f"on the numeric column {col!r}: a cap must be positive"
+        else:
+            continue
+        raise ValueError(f"tail cap {col!r} (cap {cap!r}) {fault}")
 
 
 def grid_search(
@@ -288,8 +282,8 @@ def grid_search(
     (`_score_folds`) unless their `scores` are given (`benchmark` scores all
     its searches at once). The refit cuts the winner from the grid's widest
     tree, forest or boosting run, grown in `fit_cache`: a fresh dict unless
-    the caller shares one across refits (`benchmark` does); entries are
-    keyed by content, so sharing changes no result.
+    the caller shares one across refits (`benchmark` does). A fit cache
+    serves one training set, so a shared one must only see the refit's.
     """
     combos = _search_combinations(name, grid)  # before any fold is prepared
     *cv_folds, refit = prepare_search(dataset, k, seed, caps) if folds is None else folds

@@ -55,11 +55,13 @@ class _Growth:
 @dataclass(frozen=True)
 class ModelSpec:
     """One registry model; `build(name, dataset, params, seed, fit_cache)` returns
-    its fit, `point(inner, X)` is a baseline's point forecast, and `growth`
-    grows and cuts its tree structure, if it has one."""
+    its fit and reads only the `hyperparams` names, the only ones a grid may
+    use; `point(inner, X)` is a baseline's point forecast, and `growth` grows
+    and cuts its tree structure, if it has one."""
 
     display_name: str
     grid: dict
+    hyperparams: tuple[str, ...]
     quantile_capable: bool
     build: Callable
     payload: str = "composite"  # the model file's payload key
@@ -177,18 +179,18 @@ def _grown(name, dataset, params, seed, fit_cache):
     dataset's encoding.
 
     The structure that covers `params` and every combination recorded for
-    `name` is grown once per encoded dataset, seed and growth settings, and
-    kept in `fit_cache` for every fit cut from it, `name`'s and any other
-    search's of the same growth; `params`' own structure is cut from it.
+    `name` is grown once per seed and growth settings, and kept in
+    `fit_cache`, which serves one training set, for every fit cut from it,
+    `name`'s and any other search's of the same growth; `params`' own
+    structure is cut from it.
     """
     growth = MODELS[name].growth
-    matrix, y, encoding, digest = encode_once(dataset, fit_cache)
-    grids = {} if fit_cache is None else fit_cache.get("grids", {})
+    matrix, y, encoding = encode_once(dataset, fit_cache)
     own = growth.settings(params)
-    reach = _reach(growth, own, _widest(growth, grids.get(name, ())))
+    reach = _reach(growth, own, _widest(growth, fit_cache.get("grids", {}).get(name, ())))
     grown = shared(
         fit_cache,
-        (growth.tag, digest, seed, *sorted(reach.items())),
+        (growth.tag, seed, *sorted(reach.items())),
         lambda: growth.grow(matrix, y, seed, **reach),
     )
     return (grown if reach == own else growth.cut(grown, own)), encoding
@@ -202,8 +204,6 @@ def _composite(kind: str, settings: Callable) -> Callable:
 
     def build(name, dataset, params, seed, fit_cache):
         hyperparams = {"lam": params.get("lam", 0.0), **settings(dataset, params, seed)}
-        # a fit of its own still encodes the dataset once for the tree and the leaves
-        fit_cache = {} if fit_cache is None else fit_cache
         tree = None
         if MODELS[name].growth is not None:
             tree, _ = _grown(name, dataset, params, seed, fit_cache)
@@ -288,42 +288,49 @@ _BOOSTED = _Growth(
 _LAMBDAS = {"lam": [0.001, 0.01, 0.1, 1.0, 10.0]}
 _TREES = {"max_depth": [2, 4, 6, 8], "min_samples_split": [10, 30, 100]}
 _CLUSTERS = {**_LAMBDAS, "n_clusters": [2, 4, 8, 16]}
+# what `_tree_settings` and the growths' settings read
+_TREE_KEYS = ("max_depth", "min_samples_split", "min_samples_leaf")
+_FOREST_KEYS = ("n_trees", "bootstrap", "feature_fraction", *_TREE_KEYS)
+_CLUSTER_KEYS = ("lam", "n_clusters")
 
 # Report rows and `benchmark`'s default model list follow this order.
 MODELS = {
-    "ridge": ModelSpec("Ridge Regressor", _LAMBDAS, False, _composite("piecewise_rr", _global)),
+    "ridge": ModelSpec(
+        "Ridge Regressor", _LAMBDAS, ("lam",), False, _composite("piecewise_rr", _global)
+    ),
     "quantile": ModelSpec(
-        "Quantile Regressor", _LAMBDAS, True, _composite("piecewise_qr", _global)
+        "Quantile Regressor", _LAMBDAS, ("lam",), True, _composite("piecewise_qr", _global)
     ),
     "decision_tree": ModelSpec(
-        "Decision Tree Regressor", _TREES, False, _baseline, "tree",
+        "Decision Tree Regressor", _TREES, _TREE_KEYS, False, _baseline, "tree",
         lambda tree, X: predict_tree_mean(tree, X), _CART,
     ),
     "random_forest": ModelSpec(
-        "Random Forest Regressor", _TREES, False, _baseline, "forest",
+        "Random Forest Regressor", _TREES, _FOREST_KEYS, False, _baseline, "forest",
         lambda forest, X: predict_rf(forest, X), _FOREST,
     ),
     "qrf": ModelSpec(
-        "QRF", _TREES, True, _baseline, "forest",
+        "QRF", _TREES, _FOREST_KEYS, True, _baseline, "forest",
         lambda forest, X: qrf_predict(forest, X, 0.5), _FOREST,
     ),
     "gradient_boosting": ModelSpec(
         "Gradient Boosting Regressor", {"n_stages": [50, 100], "learning_rate": [0.05, 0.1]},
-        False, _baseline, "boosted", lambda boosted, X: predict_gb(boosted, X), _BOOSTED,
+        ("n_stages", "learning_rate", *_TREE_KEYS), False, _baseline, "boosted",
+        lambda boosted, X: predict_gb(boosted, X), _BOOSTED,
     ),
     "quantile_tree": ModelSpec(
-        "Quantile Tree", {**_LAMBDAS, **_TREES}, True,
+        "Quantile Tree", {**_LAMBDAS, **_TREES}, ("lam", *_TREE_KEYS), True,
         _composite("quantile_tree", _tree_partition), growth=_CART,
     ),
     "piecewise_qr": ModelSpec(
-        "Piecewise QR", _CLUSTERS, True, _composite("piecewise_qr", _clusters)
+        "Piecewise QR", _CLUSTERS, _CLUSTER_KEYS, True, _composite("piecewise_qr", _clusters)
     ),
     "piecewise_rr": ModelSpec(
-        "Piecewise RR", _CLUSTERS, False, _composite("piecewise_rr", _clusters)
+        "Piecewise RR", _CLUSTERS, _CLUSTER_KEYS, False, _composite("piecewise_rr", _clusters)
     ),
     "nn_qr": ModelSpec(
-        "Nearest Neighbor QR", {**_LAMBDAS, "n_neighbors": [25, 50, 100]}, True,
-        _composite("nn_qr", _neighbors),
+        "Nearest Neighbor QR", {**_LAMBDAS, "n_neighbors": [25, 50, 100]}, ("lam", "n_neighbors"),
+        True, _composite("nn_qr", _neighbors),
     ),
 }
 MODEL_NAMES = tuple(MODELS)
@@ -340,7 +347,8 @@ def fit_model(
     name: str, dataset: Dataset, params: dict, seed: int = 0, fit_cache: dict | None = None
 ):
     """Fit one registry model; `seed` drives k-means starts and forest
-    bootstraps. `fit_cache`, one fold's dict, memoises the dataset's
-    encoding, the grown trees, forests and boosting runs (see `record_grid`)
-    and the composite partition quantile fits for every fit on that fold."""
+    bootstraps. `fit_cache` (a fresh dict if None) serves the fits of one
+    training set, `dataset`: it memoises its encoding, the grown trees, forests
+    and boosting runs (see `record_grid`) and the partition quantile fits."""
+    fit_cache = {} if fit_cache is None else fit_cache
     return model_spec(name).build(name, dataset, dict(params), seed, fit_cache)

@@ -61,6 +61,28 @@ class TestTrain:
         assert "the data has no column 'nope'" in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_cap_on_categorical_column_exit_2(self, tmp_path, synth_csv, capsys):
+        config = write_config(tmp_path, synth_csv, pipeline={"tail_caps": {"site_category": 5}})
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert (
+            "error in stage 'grid-search': tail cap 'site_category' (cap 5) names a "
+            "categorical column: only numeric columns can be capped"
+        ) in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_unknown_grid_name_exit_2(self, tmp_path, synth_csv, capsys, command):
+        config = write_config(
+            tmp_path, synth_csv, models=["ridge"], model={"name": "ridge", "grid": {"lamda": [0.1]}},
+            output={"model_path": str(tmp_path / "model.json"),
+                    "report_json": str(tmp_path / "report.json")},
+        )
+        assert main([command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown hyperparameter 'lamda' in the grid of 'ridge': it reads only ['lam']" in err
+        assert not (tmp_path / "model.json").exists() and not (tmp_path / "report.json").exists()
+
     def test_seed_required(self, tmp_path, synth_csv, capsys):
         doc = {
             "data": {"path": str(synth_csv), "format": "generic-csv", "target": "target_days"},

@@ -1,6 +1,4 @@
 import csv
-import gc
-import weakref
 
 import numpy as np
 import pytest
@@ -136,9 +134,6 @@ class TestSharedCache:
         assert all(v is got[k] for k in range(4) for v in got[k::4])
         assert cache == {k: [k] for k in range(4)}
 
-    def test_no_cache_makes_afresh(self):
-        assert shared(None, "k", lambda: [1]) is not shared(None, "k", lambda: [1])
-
     def test_encode_once_per_dataset_object_per_cache(self):
         cache = {}
         ds = make_dataset([("A", 1.0), ("B", 2.0), ("A", 4.0)])
@@ -147,20 +142,13 @@ class TestSharedCache:
         matrix, y, encoding = encode(ds)
         assert first[0].values.tobytes() == matrix.values.tobytes()
         assert first[1].tobytes() == y.tobytes() and first[2] == encoding
-        assert encode_once(ds, {}) is not first  # another cache, encoded anew
+        fresh = encode_once(ds, {})  # another cache, encoded anew
+        assert fresh is not first and fresh[0].values.tobytes() == matrix.values.tobytes()
+        # a cache serves one training set: even an equal second dataset is refused
         twin = make_dataset(ds.rows)
-        assert encode_once(twin, cache) is not first  # another object, encoded anew
-        assert encode_once(twin, cache)[3] == first[3]  # same content, same digest
-        assert len(cache) == 2
-        refs = [weakref.ref(ds), weakref.ref(twin)]
-        del ds, twin
-        gc.collect()
-        # the entries keep their datasets, so no other object takes their ids
-        assert all(ref() is not None for ref in refs)
-        assert encode_once(refs[0](), cache) is first
-        cache.clear()
-        gc.collect()
-        assert all(ref() is None for ref in refs)
+        with pytest.raises(RuntimeError, match="one training set"):
+            encode_once(twin, cache)
+        assert encode_once(ds, cache) is first
 
 
 class TestKFold:

@@ -27,7 +27,7 @@ from partqr.evaluation import (
     mixture_quantile,
     synthetic_true_quantile_rows,
 )
-from partqr.models import fit_model
+from partqr.models import MODELS, fit_model, model_spec
 from partqr.pipeline import fit_imputer, prune_tail
 from partqr.data import split_kfold
 
@@ -173,11 +173,52 @@ class TestGridSearch:
         ds = leaky_dataset(40)
         columns = [name for name, _ in ds.schema.columns]
         want = f"tail cap 'nope' (cap 5) names a missing column: the data has no column 'nope', only {columns}"
+        synth = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
+        cases = [
+            (ds, {"y": 50.0, "nope": 5}, want),
+            # a categorical column, which `prune_tail` cannot read as numbers
+            (synth, {"step1_days": 50.0, "site_category": 5},
+             "tail cap 'site_category' (cap 5) names a categorical column: "
+             "only numeric columns can be capped"),
+            (synth, {"step1_days": 50.0, "target_days": 0},
+             "tail cap 'target_days' (cap 0) on the numeric column 'target_days': "
+             "a cap must be positive"),
+            (synth, {"step2_days": -2.5},
+             "tail cap 'step2_days' (cap -2.5) on the numeric column 'step2_days': "
+             "a cap must be positive"),
+        ]
+        for data, caps, message in cases:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                if search == "grid_search":
+                    grid_search("ridge", {"lam": [0.1]}, data, 4, seed=1, caps=caps)
+                else:
+                    benchmark(data, ["ridge"], k=4, seed=1, caps=caps)
+
+    @pytest.mark.parametrize(
+        "name, grid, key",
+        [
+            ("ridge", {"lamda": [0.1, 100.0]}, "lamda"),
+            ("decision_tree", {"max_depth": [2], "min_sample_split": [10, 30]}, "min_sample_split"),
+            ("qrf", {"max_depth": [2], "n_clusters": [2]}, "n_clusters"),
+        ],
+    )
+    def test_unknown_hyperparameter_named_before_any_fold(self, monkeypatch, name, grid, key):
+        def unprepared(*args, **kwargs):
+            raise AssertionError("a fold was prepared")
+
+        monkeypatch.setattr(evaluation, "_prepare_fold", unprepared)
+        monkeypatch.setattr(evaluation, "prepare_folds", unprepared)
+        ds = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
+        accepted = list(model_spec(name).hyperparams)
+        want = f"unknown hyperparameter {key!r} in the grid of {name!r}: it reads only {accepted}"
         with pytest.raises(ValueError, match=re.escape(want)):
-            if search == "grid_search":
-                grid_search("ridge", {"lam": [0.1]}, ds, 4, seed=1, caps={"y": 50.0, "nope": 5})
-            else:
-                benchmark(ds, ["ridge"], k=4, seed=1, caps={"nope": 5})
+            grid_search(name, grid, ds, 4, seed=1)
+        with pytest.raises(ValueError, match=re.escape(want)):
+            benchmark(ds, ["ridge", name], grids={name: grid}, k=4, seed=1)
+
+    def test_every_default_grid_uses_only_accepted_names(self):
+        for name, spec in MODELS.items():
+            assert set(spec.grid) <= set(spec.hyperparams), name
 
     def test_tie_breaks_to_smaller_model(self):
         def fake(median, counts):
@@ -254,6 +295,21 @@ def count_cart_builds(monkeypatch) -> list:
     return calls
 
 
+def count_quantile_fits(monkeypatch) -> list:
+    """Count the partition quantile fits, at the one module that calls fit_quantile."""
+    from partqr import composite
+
+    calls = []
+    original = composite.fit_quantile
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(composite, "fit_quantile", counted)
+    return calls
+
+
 class TestGridSearchSharing:
     """Shared folds and memoised partition fits change no evaluation."""
 
@@ -305,6 +361,20 @@ class TestGridSearchSharing:
             assert (a.bounds is None) == (b.bounds is None)
             if a.bounds is not None:
                 assert a.bounds.tobytes() == b.bounds.tobytes()
+
+    def test_benchmark_shares_partition_fits_across_searches(self, monkeypatch):
+        calls = count_quantile_fits(monkeypatch)
+        grids = {"quantile": {"lam": [0.1]}, "piecewise_qr": {"lam": [0.1], "n_clusters": [1]}}
+        benchmark(self.dataset(), list(grids), grids=grids, k=4, seed=6)
+        # one partition of every row: one fit per fold and one for the shared refit
+        assert len(calls) == 4 + 1
+
+    def test_combinations_cut_to_one_tree_share_its_leaf_fits(self, monkeypatch):
+        calls = count_quantile_fits(monkeypatch)
+        grid = {"lam": [0.1], "max_depth": [1], "min_samples_split": [2, 3]}
+        result = grid_search("quantile_tree", grid, self.dataset(), 4, seed=6)
+        assert result.final_model.model.n_partitions == 2
+        assert len(calls) == 2 * (4 + 1)  # two leaves on each fold and the refit
 
     def test_benchmark_frees_each_folds_structures_before_the_next_fold(self, monkeypatch):
         from partqr import models

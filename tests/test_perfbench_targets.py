@@ -80,3 +80,23 @@ def test_ensemble_grid_call_binds_to_benchmark():
     dataset = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
     report = benchmark(dataset, ["ridge"], grids={"ridge": {"lam": [0.1]}}, k=2, seed=1, threads=threads)
     assert [m.name for m in report.models] == ["ridge"]
+
+
+def test_workload_hyperparameters_are_ones_the_models_read():
+    """A grid name a model does not read fails its search, so a registry edit
+    that drops one would make every operation of a workload fail."""
+    from partqr.models import MODELS
+
+    workloads = _workloads()
+    used = {"quantile_tree": [workloads.QTREE_GRID]}
+    for source in (workloads.ENSEMBLE_GRIDS, workloads.PREDICT_PARAMS):
+        for name, params in source.items():
+            used.setdefault(name, []).append(params)
+    unknown = [
+        f"{name}.{key}"
+        for name, all_params in used.items()
+        for params in all_params
+        for key in params
+        if key not in MODELS[name].hyperparams
+    ]
+    assert not unknown, f"benchmark workloads use hyperparameters no model reads: {unknown}"
