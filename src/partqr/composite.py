@@ -18,8 +18,8 @@ from .data import (
     Dataset,
     EncodedColumn,
     EncodedMatrix,
+    as_encoded,
     encode_once,
-    encode_row,
 )
 from .linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
 from .partition import (
@@ -197,7 +197,7 @@ def _estimate(estimator, X: np.ndarray):
 
 
 def _encode_input(model: CompositeQuantileModel, x) -> np.ndarray:
-    x_enc = encode_row(model.schema, model.encoding, x)
+    x_enc = as_encoded(model.schema, model.encoding, x)
     if x_enc.shape[-1] != model.width:
         raise ValueError("encoded row width does not match model")
     return x_enc

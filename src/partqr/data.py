@@ -125,10 +125,17 @@ class EncodedColumn:
 
 @dataclass(frozen=True)
 class EncodedMatrix:
-    """Dense design matrix with a map back to the source schema columns."""
+    """Dense design matrix with a map back to the source schema columns.
+
+    Its length is its row count, so a prediction method takes it where it
+    takes a stack of raw rows (see `as_encoded`).
+    """
 
     values: np.ndarray
     columns: tuple[EncodedColumn, ...]
+
+    def __len__(self) -> int:
+        return self.values.shape[0]
 
     @property
     def n_rows(self) -> int:
@@ -257,6 +264,17 @@ def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows: Seque
                 raise ValueError(f"non-numeric value in numeric column {name!r}") from exc
             j += 1
     return values[0] if one else values
+
+
+def as_encoded(schema: FeatureSchema, encoding: CategoricalEncoding, rows) -> np.ndarray:
+    """Raw rows (one or a stack) encoded by `encode_row`, or the values of an
+    EncodedMatrix already in the layout of `schema` and `encoding`, as they
+    are; a matrix with other columns raises ValueError."""
+    if not isinstance(rows, EncodedMatrix):
+        return encode_row(schema, encoding, rows)
+    if rows.columns != _encoded_columns(schema, encoding):
+        raise ValueError("encoded columns do not match the model's")
+    return rows.values
 
 
 def encoded_stack(x) -> tuple[np.ndarray, bool]:

@@ -11,8 +11,16 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from .data import Dataset, FeatureSchema, split_kfold
-from .models import fit_model, model_spec, record_grid
+from .data import (
+    Dataset,
+    EncodedMatrix,
+    FeatureSchema,
+    encode_once,
+    encode_row,
+    shared,
+    split_kfold,
+)
+from .models import check_hyperparams, fit_model, model_spec, record_grid
 from .pipeline import fill_values, fit_imputer, prune_tail
 
 
@@ -137,13 +145,27 @@ def prepare_search(
     return prepare_folds(dataset, k, seed, caps) + [refit]
 
 
-def _score(name: str, params: dict, fold: PreparedFold, fit_cache: dict | None):
+def _test_matrix(fold: PreparedFold, fit_cache: dict) -> EncodedMatrix:
+    """`fold`'s test rows in the encoding of its training set, encoded once
+    per fit cache and read by every combination's forecasts."""
+    matrix, _, encoding = encode_once(fold.train, fit_cache)
+    return shared(
+        fit_cache,
+        "test",
+        lambda: EncodedMatrix(
+            encode_row(fold.train.schema, encoding, fold.test_rows), matrix.columns
+        ),
+    )
+
+
+def _score(name: str, params: dict, fold: PreparedFold, fit_cache: dict):
     """Fit `name` on `fold` and score its test rows: (point forecasts,
     intervals or None, parameter count)."""
     fitted = fit_model(name, fold.train, params, seed=fold.seed, fit_cache=fit_cache)
-    pred = fitted.predict_point(fold.test_rows)
+    test = _test_matrix(fold, fit_cache)
+    pred = fitted.predict_point(test)
     capable = model_spec(name).quantile_capable
-    intervals = fitted.predict_intervals(fold.test_rows) if capable else None
+    intervals = fitted.predict_intervals(test) if capable else None
     return pred, intervals, fitted.parameter_count()
 
 
@@ -180,12 +202,12 @@ def cross_validate(
     per-fold averages. `folds`, when given, must come from
     `prepare_folds(dataset, k, seed, caps)`. `scores`, each fold's `_score`
     (`grid_search` passes those of `_score_folds`), are only pooled here;
-    without them each fold is fitted and scored on its own, with no cache.
+    without them each fold is fitted and scored on its own, with a fresh cache.
     """
     if folds is None:
         folds = prepare_folds(dataset, k, seed, caps)
     if scores is None:
-        scores = [_score(name, params, fold, None) for fold in folds]
+        scores = [_score(name, params, fold, {}) for fold in folds]
     preds, intervals, param_counts = zip(*scores)
     pooled_pred = np.concatenate(preds)
     pooled_actual = np.concatenate([fold.actual for fold in folds])
@@ -232,11 +254,7 @@ def _search_combinations(name: str, grid: dict[str, list] | None) -> list[dict]:
     """The combinations a search of `name` runs: `grid`'s, or its default
     grid's. An unknown name, an empty grid or a hyperparameter that `name`'s
     builder does not read raises ValueError."""
-    spec = model_spec(name)
-    for key in grid or {}:
-        if key not in spec.hyperparams:
-            raise ValueError(f"unknown hyperparameter {key!r} in the grid of {name!r}: "
-                             f"it reads only {list(spec.hyperparams)}")
+    spec = check_hyperparams(name, grid or {}, "in the grid of")
     combos = grid_combinations(grid or spec.grid)
     if not combos:
         raise ValueError("empty hyperparameter grid")

@@ -8,6 +8,7 @@ coefficients are mapped back to the original units before being stored.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,46 +176,64 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
 _DEGENERATE_TOL = 1e-7
 
 
-def _dual_lp(Xs: np.ndarray, y: np.ndarray, lam: float, ranged: bool = False):
-    """The quantile dual as a column-wise HighsLp: rows Xs', -Xs', then 1'.
+def _dual_model(Xs: np.ndarray, nonzero: np.ndarray, y: np.ndarray, lam: float, a: float,
+                ranged: bool):
+    """`passModel`'s arguments for the quantile dual at level `a`: an LP with
+    the columns d_i in [a-1, a], whose column i is row i of [Xs, -Xs, 1], so
+    its rows are Xs'd <= lam, -Xs'd <= lam, then 1'd = 0.
 
-    With `ranged` each pair Xs_j'd <= lam, -Xs_j'd <= lam is one ranged row
-    -lam <= Xs_j'd <= lam, so the rows are Xs', then 1'. That is the LP HiGHS's
-    presolve makes of the full one. Zeros are left out of the column-wise
-    matrix and the column bounds are placeholders that each level replaces
-    before its solve.
+    With `ranged` column i is row i of [Xs, 1], and each pair of rows is one
+    ranged row -lam <= Xs_j'd <= lam: the LP HiGHS's presolve makes of the
+    full one. `nonzero` is Xs's nonzero pattern; the column-wise matrix
+    leaves the zeros out.
     """
     n, p = Xs.shape
-    blocks = [Xs, np.ones((n, 1))] if ranged else [Xs, -Xs, np.ones((n, 1))]
-    dense = np.hstack(blocks)  # row i is column i of the LP
+    if ranged:
+        dense, mask = np.hstack([Xs, np.ones((n, 1))]), np.hstack([nonzero, np.ones((n, 1), bool)])
+        row_lower = np.append(np.full(p, -lam), 0.0)
+    else:
+        dense = np.hstack([Xs, -Xs, np.ones((n, 1))])
+        mask = np.hstack([nonzero, nonzero, np.ones((n, 1), bool)])
+        row_lower = np.append(np.full(2 * p, -_highs.kHighsInf), 0.0)
     m = dense.shape[1]
-    cols, rows = np.nonzero(dense)
-    lp = _highs.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = m
-    lp.col_cost_ = -y
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.zeros(n)
-    lp.row_lower_ = np.append(np.full(m - 1, -float(lam) if ranged else -_highs.kHighsInf), 0.0)
-    lp.row_upper_ = np.append(np.full(m - 1, float(lam)), 0.0)
-    lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.start_ = np.append(0, np.cumsum(np.bincount(cols, minlength=n))).astype(np.int32)
-    # these two bind as Python sequences, which convert faster from lists
-    lp.a_matrix_.index_ = rows.tolist()
-    lp.a_matrix_.value_ = dense[cols, rows].tolist()
-    return lp
+    start = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(mask, axis=1), out=start[1:])
+    index = np.nonzero(mask)[1].astype(np.int32)
+    return (
+        n, m, int(start[n]), _highs.MatrixFormat.kColwise, _highs.ObjSense.kMinimize, 0.0,
+        -y, np.full(n, a - 1.0), np.full(n, a), row_lower, np.append(np.full(m - 1, lam), 0.0),
+        start, index, dense[mask], np.zeros(n, dtype=np.int32),  # every column continuous
+    )
 
 
-def _solver(lp, presolve: bool = True):
-    """A silent HiGHS instance holding `lp`, with presolve on or off."""
-    highs = _highs._Highs()
-    highs.setOptionValue("output_flag", False)
-    if not presolve:
-        highs.setOptionValue("presolve", "off")
-    highs.passModel(lp)
+_instances = threading.local()
+
+
+def _instance(presolve: bool):
+    """This thread's silent HiGHS instance with presolve on or off, made on
+    first use and reused by every later fit: each fit passes it a new model,
+    which clears the last one's LP, basis and solution.
+
+    An instance of a class other than `_highs._Highs` (replaced by a test
+    double) is made again.
+    """
+    key = "presolve" if presolve else "no_presolve"
+    highs = getattr(_instances, key, None)
+    if type(highs) is not _highs._Highs:
+        highs = _highs._Highs()
+        highs.setOptionValue("output_flag", False)
+        if not presolve:
+            highs.setOptionValue("presolve", "off")
+        setattr(_instances, key, highs)
     return highs
+
+
+def _ok(status, call: str) -> None:
+    """Raise unless a HiGHS call was accepted. On a reused instance a rejected
+    model, bound change or basis leaves the previous one in place, so a solve
+    after it would answer another LP."""
+    if status == _highs.HighsStatus.kError:
+        raise RuntimeError(f"quantile LP failed: HiGHS rejected {call}")
 
 
 def _run(highs) -> None:
@@ -283,16 +302,21 @@ def fit_quantile(X, y, alpha, lam: float):
     makes the dual's optimum the primal's, so the returned objective sits at
     the true minimum rather than a smoothed proxy.
 
-    Both duals are built once per call, and the levels only move their column
-    bounds. Each level with lam > 0 runs two solves, both from a cleared
-    basis, so a level's answer is the one a call for that level alone gives:
+    Both duals are passed once per call, as arrays with the first level's
+    column bounds (`_dual_model`), to the thread's two reused HiGHS instances
+    (`_instance`), and later levels only move their column bounds. Each
+    level with lam > 0 runs two solves, both from a cleared basis, so a
+    level's answer is the one a call for that level alone gives:
 
     1. The ranged dual, with one row -lam <= Xs_j'd <= lam per column pair
        and HiGHS's presolve off, finds the optimal vertex. It is the LP that
        presolve makes of the full dual, at the cost of its simplex alone.
     2. The full dual is run from that vertex's basis (`_full_basis`). HiGHS
        skips presolve for a valid basis and confirms it without an
-       iteration, and the row duals are read from this solve.
+       iteration, and the row duals are read from this solve. A
+       confirmation that iterates started from a basis that was not the
+       optimal one, and the level is solved again cold, as in the fallback
+       below.
 
     A nondegenerate vertex has exactly one optimal basis, the one HiGHS's
     presolve, solve and postsolve of the full dual end at, so its row duals
@@ -340,21 +364,38 @@ def fit_quantile(X, y, alpha, lam: float):
             )
         return fits[0] if one else fits
 
-    highs = _solver(_dual_lp(Xs, y, lam))
-    ranged = _solver(_dual_lp(Xs, y, lam, ranged=True), presolve=False) if lam > 0 else None
+    lam = float(lam)
+    nonzero = Xs != 0.0
+    highs = _instance(presolve=True)
+    model = _dual_model(Xs, nonzero, y, lam, levels[0], ranged=False)
+    _ok(highs.passModel(*model), "passModel")
+    ranged = None
+    if lam > 0:
+        ranged = _instance(presolve=False)
+        model = _dual_model(Xs, nonzero, y, lam, levels[0], ranged=True)
+        _ok(ranged.passModel(*model), "passModel")
     every_col = np.arange(n, dtype=np.int32)
-    for a in levels:
-        lower, upper = np.full(n, a - 1.0), np.full(n, a)
-        highs.changeColsBounds(n, every_col, lower, upper)
-        highs.clearSolver()
+    for i, a in enumerate(levels):
+        if i > 0:  # the first level's bounds came with the models
+            lower, upper = np.full(n, a - 1.0), np.full(n, a)
+            _ok(highs.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
+            highs.clearSolver()
+            if ranged is not None:
+                _ok(ranged.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
+                ranged.clearSolver()
+        basis = None
         if ranged is not None:
-            ranged.changeColsBounds(n, every_col, lower, upper)
-            ranged.clearSolver()
             _run(ranged)
-            basis = _full_basis(ranged, a, float(lam))
-            if basis is not None:
-                highs.setBasis(basis)
-        _run(highs)
+            basis = _full_basis(ranged, a, lam)
+        if basis is not None:
+            _ok(highs.setBasis(basis), "setBasis")
+            _run(highs)
+            if highs.getInfoValue("simplex_iteration_count")[1] != 0:
+                # the basis was not the optimal one: solve the full dual cold
+                highs.clearSolver()
+                basis = None
+        if basis is None:
+            _run(highs)
         # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
         w = np.asarray(highs.getSolution().row_dual)
         b0_std = -float(w[2 * p_act])

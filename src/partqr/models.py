@@ -30,7 +30,7 @@ from .composite import (
     fit_composite,
     predict_quantile,
 )
-from .data import CategoricalEncoding, Dataset, encode_once, encode_row, shared
+from .data import CategoricalEncoding, Dataset, as_encoded, encode_once, shared
 from .partition import build_cart, predict_tree_mean, prune
 
 
@@ -132,7 +132,7 @@ class BaselineFit(_RegistryFit):
     fill: dict = field(default_factory=dict)
 
     def _encode(self, rows) -> np.ndarray:
-        return encode_row(self.schema, self.encoding, rows)
+        return as_encoded(self.schema, self.encoding, rows)
 
     def predict_point(self, rows) -> np.ndarray:
         return MODELS[self.name].point(self.inner, self._encode(rows))
@@ -343,12 +343,27 @@ def model_spec(name: str) -> ModelSpec:
     return MODELS[name]
 
 
+def check_hyperparams(name: str, keys, where: str = "of") -> ModelSpec:
+    """The registry entry of `name`, once every name in `keys` is one its
+    builder reads (`ModelSpec.hyperparams`); another raises ValueError naming
+    the key, `where` it came from, the model and the accepted names."""
+    spec = model_spec(name)
+    for key in keys:
+        if key not in spec.hyperparams:
+            raise ValueError(f"unknown hyperparameter {key!r} {where} {name!r}: "
+                             f"it reads only {list(spec.hyperparams)}")
+    return spec
+
+
 def fit_model(
     name: str, dataset: Dataset, params: dict, seed: int = 0, fit_cache: dict | None = None
 ):
     """Fit one registry model; `seed` drives k-means starts and forest
-    bootstraps. `fit_cache` (a fresh dict if None) serves the fits of one
-    training set, `dataset`: it memoises its encoding, the grown trees, forests
-    and boosting runs (see `record_grid`) and the partition quantile fits."""
+    bootstraps, and a name in `params` that the model does not read raises
+    ValueError (see `check_hyperparams`). `fit_cache` (a fresh dict if None)
+    serves the fits of one training set, `dataset`: it memoises its encoding,
+    the grown trees, forests and boosting runs (see `record_grid`) and the
+    partition quantile fits."""
+    spec = check_hyperparams(name, params)
     fit_cache = {} if fit_cache is None else fit_cache
-    return model_spec(name).build(name, dataset, dict(params), seed, fit_cache)
+    return spec.build(name, dataset, dict(params), seed, fit_cache)

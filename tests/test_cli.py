@@ -83,6 +83,21 @@ class TestTrain:
         assert "unknown hyperparameter 'lamda' in the grid of 'ridge': it reads only ['lam']" in err
         assert not (tmp_path / "model.json").exists() and not (tmp_path / "report.json").exists()
 
+    def test_rejected_quantile_lp_exit_1(self, tmp_path, synth_csv, capsys, monkeypatch):
+        from partqr import linear
+
+        highs = linear._highs
+
+        class Rejecting(highs._Highs):
+            def passModel(self, *args):
+                return highs.HighsStatus.kError
+
+        monkeypatch.setattr(highs, "_Highs", Rejecting)
+        config = write_config(tmp_path, synth_csv)
+        assert main(["train", "--config", str(config)]) == 1
+        assert "quantile LP failed: HiGHS rejected passModel" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
     def test_seed_required(self, tmp_path, synth_csv, capsys):
         doc = {
             "data": {"path": str(synth_csv), "format": "generic-csv", "target": "target_days"},

@@ -376,6 +376,29 @@ class TestGridSearchSharing:
         assert result.final_model.model.n_partitions == 2
         assert len(calls) == 2 * (4 + 1)  # two leaves on each fold and the refit
 
+    @pytest.mark.parametrize("name", ["quantile_tree", "decision_tree"])
+    def test_each_folds_test_rows_encoded_once(self, monkeypatch, name):
+        from partqr import data
+
+        encoded = []
+        encode_row_ = data.encode_row
+
+        def counted(schema, encoding, rows):
+            encoded.append(len(rows))
+            return encode_row_(schema, encoding, rows)
+
+        monkeypatch.setattr(data, "encode_row", counted)
+        monkeypatch.setattr(evaluation, "encode_row", counted)
+        grid = {"max_depth": [1, 2], "min_samples_split": [10, 60]}
+        if name == "quantile_tree":
+            grid["lam"] = [0.1, 1.0]
+        ds = self.dataset()
+        grid_search(name, grid, ds, 4, seed=6)
+        # each fold's training set and test rows, then the refit's training set
+        folds = split_kfold(ds, 4, 6)
+        want = [n for train, test in folds for n in (len(train), len(test))] + [ds.n_rows]
+        assert encoded == want
+
     def test_benchmark_frees_each_folds_structures_before_the_next_fold(self, monkeypatch):
         from partqr import models
 

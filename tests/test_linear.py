@@ -335,6 +335,105 @@ class TestVertexSweep:
             )
 
 
+def _leaf_design(kind, rng):
+    """(X, y) of one seeded design of a grid search's leaf size: n in
+    [300, 900], 1-3 columns; two_regime's first column, when it has two or
+    more, is the region's indicator."""
+    n, p = int(rng.integers(300, 901)), int(rng.integers(1, 4))
+    if kind == "continuous":
+        X = rng.normal(size=(n, p)) * rng.uniform(0.2, 20.0, size=p)
+        return X, X @ rng.normal(size=p) + rng.standard_t(3, size=n)
+    if kind == "tied_y":
+        return rng.normal(size=(n, p)), rng.integers(0, 3, size=n).astype(float)
+    east = rng.random(n) < 0.5
+    x = rng.uniform(0, 8, size=(n, p))
+    y = np.where(east, x[:, 0], 10 - x[:, 0]) + rng.standard_normal(n) * np.where(east, 0.5, 1.5)
+    if p == 1:
+        return x, y
+    X = np.column_stack([east.astype(float), x[:, : p - 1]])
+    columns = (EncodedColumn("region", "east", True),) + tuple(
+        EncodedColumn(f"x{j}", None, False) for j in range(p - 1)
+    )
+    return EncodedMatrix(X, columns), y
+
+
+class TestReusedSolvers:
+    """Every fit passes its LPs to the same two HiGHS instances, so a call
+    that HiGHS rejects or a fit that leaves state behind must not reach the
+    next fit's answer."""
+
+    @pytest.mark.parametrize("call", ["passModel", "changeColsBounds", "setBasis"])
+    def test_rejected_call_raises(self, monkeypatch, call):
+        highs = linear._highs
+
+        class Rejecting(highs._Highs):
+            pass
+
+        setattr(Rejecting, call, lambda self, *args: highs.HighsStatus.kError)
+        monkeypatch.setattr(highs, "_Highs", Rejecting)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(45, 2))
+        y = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
+        with pytest.raises(RuntimeError, match=f"HiGHS rejected {call}"):
+            fit_quantile(X, y, (0.1, 0.5), 0.1)
+        monkeypatch.undo()  # the real class again: the rejecting instances are replaced
+        want = quantile_dual_linprog(X, y, 0.5, 0.1)
+        fit = fit_quantile(X, y, 0.5, 0.1)
+        assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
+            TestLevelSequence._bits(*want)
+        )
+
+    def test_wrong_basis_is_solved_again_cold(self, monkeypatch):
+        # every level is confirmed from the first level's basis: HiGHS must
+        # iterate away from it, and the level is then solved cold
+        full_basis = linear._full_basis
+        bases = []
+
+        def stale(*args):
+            bases.append(full_basis(*args))
+            return bases[0]
+
+        monkeypatch.setattr(linear, "_full_basis", stale)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(300, 2))
+        y = X @ np.array([1.0, -2.0]) + rng.normal(size=300)
+        levels = (0.05, 0.5, 0.95)
+        for a, fit in zip(levels, fit_quantile(X, y, levels, 0.1)):
+            want = quantile_dual_linprog(X, y, a, 0.1)
+            assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
+                TestLevelSequence._bits(*want)
+            ), a
+        assert len(bases) == 3 and all(b is not None for b in bases)
+
+    def test_bits_equal_presolved_cold_solve_at_leaf_size(self, monkeypatch):
+        # tied targets (the cold fallback) between the other designs, so state
+        # a fit left in a reused instance would show in the next fit
+        taken = []
+        full_basis = linear._full_basis
+
+        def spy(*args):
+            basis = full_basis(*args)
+            taken.append(basis is not None)
+            return basis
+
+        monkeypatch.setattr(linear, "_full_basis", spy)
+        rng = np.random.default_rng(67)
+        levels = (0.05, 0.5, 0.95)
+        kinds = ("continuous", "tied_y", "two_regime", "tied_y")
+        for i in range(16):
+            kind, lam = kinds[i % 4], (0.01, 1.0)[(i // 4) % 2]
+            X, y = _leaf_design(kind, rng)
+            values = X.values if isinstance(X, EncodedMatrix) else X
+            indicator = X.categorical_mask if isinstance(X, EncodedMatrix) else None
+            for a, fit in zip(levels, fit_quantile(X, y, levels, lam)):
+                want = quantile_dual_linprog(values, y, a, lam, indicator)
+                got = (fit.coef, fit.intercept, fit.objective)
+                assert TestLevelSequence._bits(*got) == TestLevelSequence._bits(*want), (
+                    i, kind, lam, a,
+                )
+        assert len(taken) == 48 and True in taken and False in taken
+
+
 class TestPredictLinear:
     def test_arithmetic(self):
         model = fit_ridge(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from partqr import composite
-from partqr.data import encode_row
+from partqr.data import Dataset, EncodedMatrix, encode, encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.models import MODEL_NAMES, MODELS, fit_model
 from partqr.partition import NODE_ARRAYS
@@ -88,6 +88,32 @@ def test_batch_equals_one_row_calls(fitted, rows, name):
     assert fit.predict_point(rows[::-1]).tolist() == point[::-1].tolist()
     if intervals is not None:
         assert (intervals[:, :-1] <= intervals[:, 1:]).all()
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_encoded_matrix_equals_raw_rows(fitted, rows, name):
+    # a grid search hands each fold's test rows over encoded once
+    fit = fitted[name]
+    matrix, _, _ = encode(Dataset(fit.schema, tuple(rows)), fit.encoding)
+    assert len(matrix) == len(rows)
+    assert fit.predict_point(matrix).tobytes() == fit.predict_point(rows).tobytes()
+    intervals = fit.predict_intervals(matrix)
+    if intervals is None:
+        assert fit.predict_intervals(rows) is None
+    else:
+        assert intervals.tobytes() == fit.predict_intervals(rows).tobytes()
+    shuffled = EncodedMatrix(matrix.values, matrix.columns[::-1])
+    with pytest.raises(ValueError, match="encoded columns do not match the model's"):
+        fit.predict_point(shuffled)
+
+
+def test_unknown_hyperparameter_named_before_fitting():
+    train = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
+    want = "unknown hyperparameter 'lamda' of 'ridge': it reads only ['lam']"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        fit_model("ridge", train, {"lamda": 100.0})
+    with pytest.raises(ValueError, match="'min_sample_split' of 'decision_tree'"):
+        fit_model("decision_tree", train, {"max_depth": 2, "min_sample_split": 5})
 
 
 def _keys(doc) -> set:

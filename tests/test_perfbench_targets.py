@@ -100,3 +100,14 @@ def test_workload_hyperparameters_are_ones_the_models_read():
         if key not in MODELS[name].hyperparams
     ]
     assert not unknown, f"benchmark workloads use hyperparameters no model reads: {unknown}"
+
+
+def test_predict_batch_params_fit():
+    """`predict-batch` fits its models with `fit_model`, which refuses a name
+    the model does not read."""
+    from partqr.evaluation import SyntheticSpec, generate_synthetic
+    from partqr.models import fit_model
+
+    train = generate_synthetic(SyntheticSpec(n_projects=60, seed=1))
+    for name, params in _workloads().PREDICT_PARAMS.items():
+        assert fit_model(name, train, params, seed=1).name == name
