@@ -138,10 +138,6 @@ class EncodedMatrix:
         return self.values.shape[0]
 
     @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
     def width(self) -> int:
         return self.values.shape[1]
 
