@@ -11,11 +11,13 @@ what a run prints: the first line (nproc and versions) and the last one (the
 JSON result). It never imports partqr and never passes a run anything but
 the documented flags, so it cannot change a measured value or a check.
 
-One traced run (`--trace 1`) per workload at the first seed records the
-per-layer metrics, among them every `.calls` count. Tier-1 then runs once per
-checkout. Each checkout's file holds its commit, nproc, the Python, numpy
+Traced runs (`--trace 1`) at each of the first three seeds, TRACED_SEEDS,
+record the per-layer metrics, among them every `.calls` count; they
+alternate between the checkouts as the timed runs do. Tier-1 then runs once
+per checkout. Each checkout's file holds its commit, nproc, the Python, numpy
 and scipy versions, the per-seed end-to-end metrics and their medians, the
-traced metrics, and Tier-1's pass, fail and skip counts with its wall time.
+per-seed traced metrics and their medians, and Tier-1's pass, fail and skip
+counts with its wall time.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import time
 
 WORKLOADS = ("qtree-grid", "ensemble-grid", "predict-batch")
 SEEDS = tuple(range(301, 311))
+TRACED_SEEDS = SEEDS[:3]
 SECONDS = 15
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 _HEADER = re.compile(
@@ -129,14 +132,17 @@ def record(checkouts, log=print) -> dict:
                 docs[tag].update(run.pop("machine"))
                 docs[tag]["workloads"].setdefault(workload, {"seeds": {}})["seeds"][str(seed)] = run
                 log(f"{tag} {workload} {seed}: wall_ref {run['metrics']['wall_ref']:.3f} correct {run['correct']}")
+        for i, seed in enumerate(TRACED_SEEDS):
+            for tag, root in checkouts if i % 2 == 0 else checkouts[::-1]:
+                run = run_perfbench(root, workload, seed, 1)
+                run.pop("machine")
+                entry = docs[tag]["workloads"][workload]
+                entry.setdefault("traced", {"seeds": {}})["seeds"][str(seed)] = run
+                log(f"{tag} {workload} {seed} traced: correct {run['correct']}")
         for tag, _ in checkouts:
             entry = docs[tag]["workloads"][workload]
             entry["median"] = _medians(entry["seeds"])
-        for tag, root in checkouts:
-            run = run_perfbench(root, workload, SEEDS[0], 1)
-            run.pop("machine")
-            docs[tag]["workloads"][workload]["traced"] = {"seed": SEEDS[0], **run}
-            log(f"{tag} {workload} traced: correct {run['correct']}")
+            entry["traced"]["median"] = _medians(entry["traced"]["seeds"])
     for tag, root in checkouts:
         docs[tag]["tier1"] = run_tier1(root)
         log(f"{tag} tier-1: {docs[tag]['tier1']['summary']}")

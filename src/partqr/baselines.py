@@ -46,18 +46,20 @@ class ForestModel:
         return np.argsort(self.y_train, kind="stable")
 
     @cached_property
-    def leaf_members(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per tree, the distinct training rows of each leaf as (ptr, ranks):
-        leaf l holds the rows y_order[ranks[ptr[l]:ptr[l + 1]]]."""
+    def leaf_members(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every tree's leaves in one table, as (first, ptr, ranks): leaf l of
+        tree t is table leaf g = first[t] + l, which holds the distinct
+        training rows y_order[ranks[ptr[g]:ptr[g + 1]]]."""
         n = self.y_train.shape[0]
         rank = np.empty(n, dtype=np.intp)
         rank[self.y_order] = np.arange(n)
-        tables = []
-        for tree, leaf in zip(self.trees, self.in_bag_leaf):
-            # one key per in-bag row, sorted by leaf, then by rank
-            keys = np.sort((leaf * n + rank)[leaf >= 0])
-            tables.append((np.searchsorted(keys, np.arange(tree.n_leaves + 1) * n), keys % n))
-        return tables
+        sizes = np.array([tree.n_leaves for tree in self.trees], dtype=np.intp)
+        first = np.cumsum(sizes) - sizes
+        # one key per in-bag (tree, row), sorted by table leaf, then by rank
+        keys = np.sort(np.concatenate([
+            ((leaf + f) * n + rank)[leaf >= 0] for leaf, f in zip(self.in_bag_leaf, first)
+        ]))
+        return first, np.searchsorted(keys, np.arange(sizes.sum() + 1) * n), keys % n
 
     @property
     def n_trees(self) -> int:
@@ -183,16 +185,19 @@ def _leaf_ids(forest: ForestModel, X: np.ndarray) -> np.ndarray:
 
 def _ranked_weights(forest: ForestModel, leaf_ids: np.ndarray) -> np.ndarray:
     """QRF weights of each query over the training rows in ascending target
-    order (`y_order`), built tree by tree from the queries' (trees, rows) leaf ids."""
-    queries = np.arange(leaf_ids.shape[1])
-    w = np.zeros((queries.size, forest.y_train.shape[0]))
-    for leaf, (ptr, ranks) in zip(leaf_ids, forest.leaf_members):
-        start, size = ptr[leaf], ptr[leaf + 1] - ptr[leaf]
-        # the members of each query's leaf, one query after another; a
-        # (query, member) pair occurs once per tree, so += adds every share
-        offset = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-        members = ranks[np.repeat(start, size) + offset]
-        w[np.repeat(queries, size), members] += np.repeat(1.0 / size, size)
+    order (`y_order`), from the queries' (trees, rows) leaf ids, all trees at once."""
+    first, ptr, ranks = forest.leaf_members
+    n_queries, n = leaf_ids.shape[1], forest.y_train.shape[0]
+    # tree-major: the table leaf of each (tree, query) pair, tree after tree
+    leaf = (leaf_ids + first[:, None]).reshape(-1)
+    start, size = ptr[leaf], ptr[leaf + 1] - ptr[leaf]
+    # the members of each pair's leaf, one pair after another
+    members = ranks[np.arange(size.sum()) + np.repeat(start - (np.cumsum(size) - size), size)]
+    cells = np.repeat(np.tile(np.arange(n_queries) * n, leaf_ids.shape[0]), size) + members
+    w = np.zeros((n_queries, n))
+    # ufunc.at adds a repeated cell's shares in index order, so each weight
+    # adds its shares in tree order; a (query, member) pair occurs once per tree
+    np.add.at(w.reshape(-1), cells, np.repeat(1.0 / size, size))
     w /= forest.n_trees
     return w
 

@@ -79,9 +79,11 @@ class Dataset:
 
     def __post_init__(self):
         width = len(self.schema.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise SchemaError(f"row {i} has {len(row)} values, expected {width}")
+        # the widths are checked at C level; the rows are walked only to
+        # name the first bad one
+        if set(map(len, self.rows)) - {width}:
+            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
+            raise SchemaError(f"row {i} has {len(row)} values, expected {width}")
 
     @property
     def n_rows(self) -> int:

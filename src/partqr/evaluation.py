@@ -160,12 +160,13 @@ def _test_matrix(fold: PreparedFold, fit_cache: dict) -> EncodedMatrix:
 
 def _score(name: str, params: dict, fold: PreparedFold, fit_cache: dict):
     """Fit `name` on `fold` and score its test rows: (point forecasts,
-    intervals or None, parameter count)."""
+    intervals or None, parameter count). A model whose interval median is
+    its point forecast (`ModelSpec.median_is_point`) predicts once."""
+    spec = model_spec(name)
     fitted = fit_model(name, fold.train, params, seed=fold.seed, fit_cache=fit_cache)
     test = _test_matrix(fold, fit_cache)
-    pred = fitted.predict_point(test)
-    capable = model_spec(name).quantile_capable
-    intervals = fitted.predict_intervals(test) if capable else None
+    intervals = fitted.predict_intervals(test) if spec.quantile_capable else None
+    pred = intervals[:, 1] if spec.median_is_point else fitted.predict_point(test)
     return pred, intervals, fitted.parameter_count()
 
 

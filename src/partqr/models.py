@@ -57,7 +57,10 @@ class ModelSpec:
     """One registry model; `build(name, dataset, params, seed, fit_cache)` returns
     its fit and reads only the `hyperparams` names, the only ones a grid may
     use; `point(inner, X)` is a baseline's point forecast, and `growth` grows
-    and cuts its tree structure, if it has one."""
+    and cuts its tree structure, if it has one. `median_is_point` says that
+    the middle column of the fit's `predict_intervals` is its `predict_point`
+    forecast, bit for bit, so scoring predicts once: true of qrf, whose
+    quantiles come out unsorted, not of a composite, which sorts them."""
 
     display_name: str
     grid: dict
@@ -67,6 +70,7 @@ class ModelSpec:
     payload: str = "composite"  # the model file's payload key
     point: Callable | None = None
     growth: _Growth | None = None
+    median_is_point: bool = False
 
 
 class _RegistryFit:
@@ -311,7 +315,7 @@ MODELS = {
     ),
     "qrf": ModelSpec(
         "QRF", _TREES, _FOREST_KEYS, True, _baseline, "forest",
-        lambda forest, X: qrf_predict(forest, X, 0.5), _FOREST,
+        lambda forest, X: qrf_predict(forest, X, 0.5), _FOREST, median_is_point=True,
     ),
     "gradient_boosting": ModelSpec(
         "Gradient Boosting Regressor", {"n_stages": [50, 100], "learning_rate": [0.05, 0.1]},

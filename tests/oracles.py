@@ -236,6 +236,17 @@ def knn_scan(points, x, k):
     return [(int(i), float(d[i])) for i in order]
 
 
+def _forest_leaf(tree, cols, x):
+    """Leaf id of the encoded row x in one forest tree, by a walk from the root."""
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+    left, right = tree.left.tolist(), tree.right.tolist()
+    xv = np.asarray(x, dtype=float)[cols].tolist()
+    node = 0
+    while left[node] >= 0:
+        node = left[node] if xv[feature[node]] <= threshold[node] else right[node]
+    return tree.leaf_id.tolist()[node]
+
+
 def qrf_oracle(forest, x, alpha):
     """Independent Meinshausen weight accumulation and quantile lookup.
 
@@ -245,13 +256,7 @@ def qrf_oracle(forest, x, alpha):
     n = forest.y_train.shape[0]
     w = np.zeros(n)
     for tree, in_bag, cols in zip(forest.trees, forest.in_bag_leaf, forest.feature_subsets):
-        feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-        left, right = tree.left.tolist(), tree.right.tolist()
-        xv = np.asarray(x, dtype=float)[cols].tolist()
-        node = 0
-        while left[node] >= 0:
-            node = left[node] if xv[feature[node]] <= threshold[node] else right[node]
-        members = np.flatnonzero(in_bag == tree.leaf_id.tolist()[node]).tolist()
+        members = np.flatnonzero(in_bag == _forest_leaf(tree, cols, x)).tolist()
         for i in members:
             w[i] += 1.0 / (len(members) * forest.n_trees)
     order = np.argsort(forest.y_train, kind="stable")
@@ -261,6 +266,42 @@ def qrf_oracle(forest, x, alpha):
         if acc >= alpha - 1e-12:
             return float(forest.y_train[i])
     return float(forest.y_train[order[-1]])
+
+
+def qrf_weights_by_tree(forest, X):
+    """QRF weights of each row of the 2-D X over the training rows, added
+    tree by tree: tree t adds 1/|leaf| to every member of the row's leaf,
+    and the sums are divided by the number of trees at the end.
+
+    The shares of one weight meet in tree order, so the float bits of every
+    weight are fixed; they are the bits `baselines.qrf_weights` must give.
+    """
+    n = forest.y_train.shape[0]
+    w = np.zeros((len(X), n))
+    for tree, in_bag, cols in zip(forest.trees, forest.in_bag_leaf, forest.feature_subsets):
+        for i, x in enumerate(X):
+            members = np.flatnonzero(in_bag == _forest_leaf(tree, cols, x))
+            w[i, members] += 1.0 / members.size
+    w /= forest.n_trees
+    return w
+
+
+def qrf_quantiles_by_tree(forest, X, levels):
+    """Per row of the 2-D X and level, the smallest training target whose
+    cumulative `qrf_weights_by_tree` weight, summed in ascending target
+    order (ties by row index), reaches the level less 1e-12."""
+    order = np.argsort(forest.y_train, kind="stable")
+    out = np.empty((len(X), len(levels)))
+    for i, w in enumerate(qrf_weights_by_tree(forest, X)):
+        for j, alpha in enumerate(levels):
+            acc, pick = 0.0, order[-1]
+            for row in order:
+                acc += w[row]
+                if acc >= alpha - 1e-12:
+                    pick = row
+                    break
+            out[i, j] = forest.y_train[pick]
+    return out
 
 
 def csv_kinds_oracle(header, raw_rows, overrides=None):

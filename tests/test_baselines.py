@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oracles import qrf_oracle
+from oracles import qrf_oracle, qrf_quantiles_by_tree, qrf_weights_by_tree
 
 from partqr import baselines
 from partqr.baselines import (
@@ -151,8 +153,8 @@ class TestPrefixes:
                 want.seed,
                 want.feature_fraction,
             )
-            for (pa, ra), (pb, rb) in zip(got.leaf_members, want.leaf_members):
-                assert pa.tolist() == pb.tolist() and ra.tolist() == rb.tolist()
+            # the flat leaf-member table, compared whole: (first, ptr, ranks)
+            assert [a.tolist() for a in got.leaf_members] == [b.tolist() for b in want.leaf_members]
         with pytest.raises(ValueError, match="cannot cut 7 trees"):
             prune_forest(grown, 7, 6, 4)
 
@@ -301,6 +303,36 @@ class TestQrf:
                 x = encode_row(model.schema, model.encoding, row)
                 assert point[i] == qrf_oracle(model.inner, x, 0.5)
                 assert intervals[i].tolist() == [qrf_oracle(model.inner, x, a) for a in LEVELS]
+
+    @pytest.mark.parametrize("bootstrap", [True, False])
+    @pytest.mark.parametrize("block_cells", [1 << 20, 100])
+    def test_bits_equal_tree_by_tree(self, monkeypatch, bootstrap, block_cells):
+        # 100 cells over 50 training rows: blocks of 2 query rows
+        monkeypatch.setattr(baselines, "_QRF_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(23)
+        X = np.round(rng.normal(size=(50, 5)), 1)
+        y = np.round(rng.gamma(2.0, 2.0, size=50))  # tied targets
+        forest = fit_rf(
+            X, y, 14, seed=8, max_depth=5, bootstrap=bootstrap, feature_fraction=0.6
+        )
+        queries = np.round(rng.normal(size=(25, 5)), 1)
+        want = qrf_weights_by_tree(forest, queries)
+        assert qrf_weights(forest, queries).tobytes() == want.tobytes()
+        got = qrf_predict(forest, queries, LEVELS)
+        assert got.tobytes() == qrf_quantiles_by_tree(forest, queries, LEVELS).tobytes()
+        # the same forest with its trees in reverse order adds the same shares
+        # in another order: some weights differ in their last bits, so these
+        # data tell a tree-order sum from any other
+        backward = replace(
+            forest,
+            trees=forest.trees[::-1],
+            in_bag_leaf=forest.in_bag_leaf[::-1],
+            feature_subsets=forest.feature_subsets[::-1],
+        )
+        assert qrf_weights_by_tree(backward, queries).tobytes() != want.tobytes()
+        empty = np.zeros((0, 5))
+        assert qrf_weights(forest, empty).shape == (0, 50)
+        assert qrf_predict(forest, empty, LEVELS).shape == (0, 3)
 
     def test_alpha_range(self):
         X = np.arange(6.0).reshape(-1, 1)

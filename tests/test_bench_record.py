@@ -1,0 +1,85 @@
+"""`scripts/bench_record.py` with its child processes replaced by canned runs."""
+
+import importlib.util
+import statistics
+import subprocess
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_record.py"
+# a metric value per seed whose median is not the first seed's
+VALUES = {301: 5.0, 302: 1.0, 303: 3.0, 304: 9.0}
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def recorded(monkeypatch, tmp_path):
+    """The documents `record` makes of two checkouts, "a" and "b", and the
+    (tag, workload, seed, trace) of every perfbench run, in order."""
+    script = load_script()
+    roots = {"a": str(tmp_path / "a"), "b": str(tmp_path / "b")}
+    tags = {root: tag for tag, root in roots.items()}
+    runs = []
+
+    def run_perfbench(root, workload, seed, trace):
+        runs.append((tags[root], workload, seed, trace))
+        value = VALUES.get(seed, 0.0) + (0.5 if tags[root] == "b" else 0.0) + 100 * trace
+        return {
+            "machine": {"nproc": 2, "python": "3", "numpy": "2", "scipy": "1"},
+            "correct": True,
+            "failed": 0,
+            "attempted": 1,
+            "metrics": {"wall_ref": value, "calls": 10 * trace},
+        }
+
+    def no_child(*args, **kwargs):
+        raise AssertionError(f"a child process started: {args}")
+
+    monkeypatch.setattr(script, "run_perfbench", run_perfbench)
+    monkeypatch.setattr(script, "run_tier1", lambda root: {"passed": 1, "summary": "1 passed"})
+    monkeypatch.setattr(script, "_git", lambda root, *args: "")  # reads the commit through git
+    for name in ("run", "Popen", "call", "check_call", "check_output"):
+        monkeypatch.setattr(subprocess, name, no_child)
+    docs = script.record(list(roots.items()), log=lambda line: None)
+    return script, docs, runs
+
+
+def test_runs_alternate_the_checkouts(recorded):
+    script, _, runs = recorded
+    for workload in script.WORKLOADS:
+        for trace, seeds in ((0, script.SEEDS), (1, script.TRACED_SEEDS)):
+            got = [(tag, seed) for tag, w, seed, t in runs if w == workload and t == trace]
+            want = [
+                (tag, seed)
+                for i, seed in enumerate(seeds)
+                for tag in ("ab" if i % 2 == 0 else "ba")
+            ]
+            assert got == want
+    assert script.TRACED_SEEDS == (301, 302, 303)
+
+
+def test_traced_runs_keep_every_seed_and_their_medians(recorded):
+    script, docs, _ = recorded
+    for tag, shift in (("a", 0.0), ("b", 0.5)):
+        for workload in script.WORKLOADS:
+            traced = docs[tag]["workloads"][workload]["traced"]
+            assert sorted(traced["seeds"]) == ["301", "302", "303"]
+            for seed, run in traced["seeds"].items():
+                assert "machine" not in run and run["correct"]
+                assert run["metrics"]["wall_ref"] == VALUES[int(seed)] + shift + 100
+            want = statistics.median(VALUES[s] + shift + 100 for s in (301, 302, 303))
+            assert traced["median"] == {"wall_ref": want, "calls": 10}
+            timed = docs[tag]["workloads"][workload]
+            assert len(timed["seeds"]) == len(script.SEEDS)
+            assert timed["median"]["wall_ref"] == statistics.median(
+                VALUES.get(s, 0.0) + shift for s in script.SEEDS
+            )
+        assert docs[tag]["tier1"]["passed"] == 1
+        assert docs[tag]["nproc"] == 2

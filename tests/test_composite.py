@@ -321,3 +321,37 @@ class TestSerialization:
             )
         assert loaded.parameter_count() == fitted.parameter_count()
         assert model_to_json(loaded) == text
+
+
+class TestHashableLevels:
+    """perfbench's tracer keys each `fit_quantile` call by a hash of its
+    arguments, so the levels it is passed must be hashable: a tuple or a
+    float, never a list."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("quantile_tree", {"max_depth": 2, "min_samples_split": 10, "lam": 0.1}),
+            ("piecewise_qr", {"n_clusters": 3, "lam": 0.01}),
+            ("quantile", {"lam": 0.1}),
+            ("nn_qr", {"n_neighbors": 15, "lam": 0.1}),
+        ],
+    )
+    def test_fit_quantile_gets_hashable_alpha(self, monkeypatch, name, params):
+        from partqr import composite
+
+        seen = []
+
+        def hashing(X, y, alpha, lam):
+            hash(alpha)  # raises TypeError for a list
+            seen.append(alpha)
+            return fit_quantile(X, y, alpha, lam)
+
+        monkeypatch.setattr(composite, "fit_quantile", hashing)
+        fitted = fit_model(name, toy_dataset(80, seed=9), params, seed=3)
+        fitted_calls = len(seen)
+        rows = list(toy_dataset(10, seed=10).rows)
+        fitted.predict_point(rows)
+        fitted.predict_intervals(rows)
+        # nn_qr solves its LPs when it predicts, the others when they fit
+        assert (len(seen) > fitted_calls) if name == "nn_qr" else (fitted_calls > 0)

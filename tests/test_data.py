@@ -56,6 +56,18 @@ class TestSchema:
         )
         assert schema.predictors() == ["city", "x"]
 
+    @pytest.mark.parametrize(
+        "bad,width,message",
+        [(0, 1, "row 0 has 1 values, expected 2"), (3, 3, "row 3 has 3 values, expected 2")],
+    )
+    def test_row_width_error_names_first_bad_row(self, bad, width, message):
+        rows = [("a", 1.0)] * 6
+        rows[bad] = ("a", 1.0, 2.0)[:width]
+        rows[5] = ("a",)  # a later bad row is not the one named
+        with pytest.raises(SchemaError, match=f"^{message}$"):
+            make_dataset(rows)
+        assert make_dataset([("a", 1.0)] * 6).subset([5, 0]).n_rows == 2
+
 
 class TestEncode:
     def test_unit_indicators(self):

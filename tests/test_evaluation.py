@@ -143,6 +143,40 @@ class TestCrossValidate:
             assert detail.numeric_fill == pytest.approx(imputer.numeric_fill)
 
 
+class TestScore:
+    """`_score` predicts each fit once where its interval median is its point forecast."""
+
+    @pytest.mark.parametrize(
+        "name,params",
+        [
+            ("qrf", {"max_depth": 6, "min_samples_split": 10, "n_trees": 12}),
+            ("quantile_tree", {"lam": 0.1, "max_depth": 2, "min_samples_split": 10}),
+            ("piecewise_qr", {"lam": 0.1, "n_clusters": 3}),
+            ("nn_qr", {"lam": 0.1, "n_neighbors": 30}),
+        ],
+    )
+    def test_point_forecast_is_predict_point(self, monkeypatch, name, params):
+        from partqr import models
+
+        ds = generate_synthetic(SyntheticSpec(n_projects=160, seed=12, contamination=0.05))
+        fold = evaluation.prepare_folds(ds, 4, seed=6)[1]
+        calls = []
+        for cls in (models.BaselineFit, models.CompositeFit):
+            original = cls.predict_point
+
+            def counted(self, rows, original=original):
+                calls.append(len(rows))
+                return original(self, rows)
+
+            monkeypatch.setattr(cls, "predict_point", counted)
+        pred, intervals, _ = evaluation._score(name, params, fold, {})
+        once = model_spec(name).median_is_point
+        assert calls == ([] if once else [len(fold.test_rows)])
+        want = fit_model(name, fold.train, params, seed=fold.seed).predict_point(fold.test_rows)
+        assert pred.tobytes() == want.tobytes()
+        assert intervals.shape == (len(fold.test_rows), 3)
+
+
 class TestGridSearch:
     def test_singleton_grid_wins(self):
         ds = leaky_dataset(40)
