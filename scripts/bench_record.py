@@ -111,6 +111,14 @@ def _medians(seeds: dict) -> dict:
     return {name: statistics.median(s["metrics"][name] for s in seeds.values()) for name in names}
 
 
+def _alternate(checkouts, seeds):
+    """(seed, tag, root) for every seed and checkout, in turn order A B, then
+    B A for the next seed."""
+    for i, seed in enumerate(seeds):
+        for tag, root in checkouts if i % 2 == 0 else checkouts[::-1]:
+            yield seed, tag, root
+
+
 def record(checkouts, log=print) -> dict:
     """Run everything for the two (tag, root) checkouts; one BENCH document per tag."""
     docs = {}
@@ -126,19 +134,17 @@ def record(checkouts, log=print) -> dict:
             "workloads": {},
         }
     for workload in WORKLOADS:
-        for i, seed in enumerate(SEEDS):
-            for tag, root in checkouts if i % 2 == 0 else checkouts[::-1]:
-                run = run_perfbench(root, workload, seed, 0)
-                docs[tag].update(run.pop("machine"))
-                docs[tag]["workloads"].setdefault(workload, {"seeds": {}})["seeds"][str(seed)] = run
-                log(f"{tag} {workload} {seed}: wall_ref {run['metrics']['wall_ref']:.3f} correct {run['correct']}")
-        for i, seed in enumerate(TRACED_SEEDS):
-            for tag, root in checkouts if i % 2 == 0 else checkouts[::-1]:
-                run = run_perfbench(root, workload, seed, 1)
-                run.pop("machine")
-                entry = docs[tag]["workloads"][workload]
-                entry.setdefault("traced", {"seeds": {}})["seeds"][str(seed)] = run
-                log(f"{tag} {workload} {seed} traced: correct {run['correct']}")
+        for seed, tag, root in _alternate(checkouts, SEEDS):
+            run = run_perfbench(root, workload, seed, 0)
+            docs[tag].update(run.pop("machine"))
+            docs[tag]["workloads"].setdefault(workload, {"seeds": {}})["seeds"][str(seed)] = run
+            log(f"{tag} {workload} {seed}: wall_ref {run['metrics']['wall_ref']:.3f} correct {run['correct']}")
+        for seed, tag, root in _alternate(checkouts, TRACED_SEEDS):
+            run = run_perfbench(root, workload, seed, 1)
+            run.pop("machine")
+            entry = docs[tag]["workloads"][workload]
+            entry.setdefault("traced", {"seeds": {}})["seeds"][str(seed)] = run
+            log(f"{tag} {workload} {seed} traced: correct {run['correct']}")
         for tag, _ in checkouts:
             entry = docs[tag]["workloads"][workload]
             entry["median"] = _medians(entry["seeds"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from partqr import composite
 from partqr.composite import (
     ConstantModel,
     count_parameters,
@@ -338,8 +339,6 @@ class TestHashableLevels:
         ],
     )
     def test_fit_quantile_gets_hashable_alpha(self, monkeypatch, name, params):
-        from partqr import composite
-
         seen = []
 
         def hashing(X, y, alpha, lam):
