@@ -7,12 +7,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import encoded_stack
+from .data import design_arrays, encoded_stack
 from .partition import (
     RegressionTree,
     _leaf,
     _prune,
-    _values_of,
     build_cart,
     predict_tree_mean,
     presort,
@@ -88,7 +87,7 @@ def fit_rf(
 ) -> ForestModel:
     """Random forest: each tree fits a bootstrap resample (n draws with
     replacement); feature subsampling is per tree and off by default."""
-    values = _values_of(X)
+    values, _ = design_arrays(X)
     y = np.asarray(y, dtype=float)
     n, p = values.shape
     if n_trees < 1:
@@ -281,7 +280,7 @@ def fit_gb(
     min_samples_split: int = 2,
     min_samples_leaf: int = 1,
 ) -> BoostedModel:
-    values = _values_of(X)
+    values, _ = design_arrays(X)
     y = np.asarray(y, dtype=float)
     if n_stages < 1:
         raise ValueError("n_stages must be at least 1")

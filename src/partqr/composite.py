@@ -16,10 +16,11 @@ import numpy as np
 from .data import (
     CategoricalEncoding,
     Dataset,
-    EncodedColumn,
     EncodedMatrix,
     as_encoded,
+    categorical_mask,
     encode_once,
+    encoded_columns,
 )
 from .linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
 from .partition import (
@@ -59,7 +60,6 @@ class CompositeQuantileModel:
     kind: str
     schema: object
     encoding: CategoricalEncoding
-    columns: tuple[EncodedColumn, ...]
     levels: tuple[float, ...]
     hyperparams: dict
     tree: RegressionTree | None = None
@@ -75,13 +75,14 @@ class CompositeQuantileModel:
             return None
         return len(self.estimators)
 
+    # the encoded layout is derived from the schema and encoding, never stored
     @property
     def width(self) -> int:
-        return len(self.columns)
+        return len(encoded_columns(self.schema, self.encoding))
 
     @property
     def categorical_mask(self) -> np.ndarray:
-        return np.array([c.from_categorical for c in self.columns], dtype=bool)
+        return categorical_mask(encoded_columns(self.schema, self.encoding))
 
 
 def _require(hyperparams: dict, key: str):
@@ -146,7 +147,6 @@ def fit_composite(
         kind=kind,
         schema=dataset.schema,
         encoding=encoding,
-        columns=matrix.columns,
         levels=levels,
         hyperparams=hyperparams,
         train_matrix=matrix,
@@ -196,13 +196,6 @@ def _estimate(estimator, X: np.ndarray):
     return predict_linear(estimator, X)
 
 
-def _encode_input(model: CompositeQuantileModel, x) -> np.ndarray:
-    x_enc = as_encoded(model.schema, model.encoding, x)
-    if x_enc.shape[-1] != model.width:
-        raise ValueError("encoded row width does not match model")
-    return x_enc
-
-
 def _partition_ids(model: CompositeQuantileModel, X: np.ndarray):
     """Tree leaf or cluster id of an encoded row (an int) or stack (a vector)."""
     if model.kind == "quantile_tree":
@@ -217,7 +210,7 @@ def resolve_partition(model: CompositeQuantileModel, x) -> int:
 
     A paper artefact for inspecting partitions: only tests call it.
     """
-    return _partition_ids(model, _encode_input(model, x))
+    return _partition_ids(model, as_encoded(model.schema, model.encoding, x))
 
 
 def _nn_predict(model: CompositeQuantileModel, X: np.ndarray, levels) -> np.ndarray:
@@ -261,7 +254,7 @@ def predict_quantile(model: CompositeQuantileModel, x, alpha):
     """
     shape = np.shape(alpha)
     levels = [float(a) for a in np.reshape(alpha, -1)]
-    x_enc = _encode_input(model, x)
+    x_enc = as_encoded(model.schema, model.encoding, x)
     X = np.atleast_2d(x_enc)
     if model.kind == "nn_qr":
         if not all(0 < a < 1 for a in levels):

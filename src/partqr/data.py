@@ -107,10 +107,6 @@ class CategoricalEncoding:
 
     levels: tuple[tuple[str, tuple[str, ...]], ...]
 
-    @property
-    def width(self) -> int:
-        return sum(len(lv) for _, lv in self.levels)
-
     def levels_for(self, column: str) -> tuple[str, ...]:
         for col, lv in self.levels:
             if col == column:
@@ -145,7 +141,7 @@ class EncodedMatrix:
 
     @property
     def categorical_mask(self) -> np.ndarray:
-        return np.array([c.from_categorical for c in self.columns], dtype=bool)
+        return categorical_mask(self.columns)
 
     def categorical_submatrix(self) -> np.ndarray:
         return self.values[:, self.categorical_mask]
@@ -163,7 +159,22 @@ def fit_encoding(dataset: Dataset) -> CategoricalEncoding:
     return CategoricalEncoding(tuple(levels))
 
 
-def _encoded_columns(schema: FeatureSchema, encoding: CategoricalEncoding):
+def categorical_mask(columns: Sequence[EncodedColumn]) -> np.ndarray:
+    """Which of the encoded `columns` are one-hot indicators."""
+    return np.array([c.from_categorical for c in columns], dtype=bool)
+
+
+def design_arrays(X) -> tuple[np.ndarray, np.ndarray]:
+    """(values, indicator mask) of an EncodedMatrix, or of a plain array, all numeric."""
+    if isinstance(X, EncodedMatrix):
+        return X.values, X.categorical_mask
+    values = np.atleast_2d(np.asarray(X, dtype=float))
+    return values, np.zeros(values.shape[1], dtype=bool)
+
+
+def encoded_columns(schema: FeatureSchema, encoding: CategoricalEncoding):
+    """The one encoded layout: each predictor in schema order, a numeric one
+    as a column and a categorical one as an indicator per level of `encoding`."""
     cols = []
     for name in schema.predictors():
         if schema.kind_of(name) == "categorical":
@@ -189,7 +200,7 @@ def encode(
         encoding = fit_encoding(dataset)
     schema = dataset.schema
     values = encode_row(schema, encoding, dataset.rows)
-    columns = _encoded_columns(schema, encoding)
+    columns = encoded_columns(schema, encoding)
 
     target_raw = dataset.column(schema.target)
     if any(v is None for v in target_raw):
@@ -241,7 +252,7 @@ def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows: Seque
     for row in stack:
         if len(row) != expected:
             raise SchemaError(f"row has {len(row)} values, expected {expected}")
-    values = np.zeros((len(stack), len(_encoded_columns(schema, encoding))))
+    values = np.zeros((len(stack), len(encoded_columns(schema, encoding))))
     j = 0
     for name in schema.predictors():
         pos = schema.index_of(name)
@@ -270,7 +281,7 @@ def as_encoded(schema: FeatureSchema, encoding: CategoricalEncoding, rows) -> np
     are; a matrix with other columns raises ValueError."""
     if not isinstance(rows, EncodedMatrix):
         return encode_row(schema, encoding, rows)
-    if rows.columns != _encoded_columns(schema, encoding):
+    if rows.columns != encoded_columns(schema, encoding):
         raise ValueError("encoded columns do not match the model's")
     return rows.values
 

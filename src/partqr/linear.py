@@ -21,7 +21,7 @@ except ImportError as exc:  # pragma: no cover - depends on the installed scipy
         "partqr needs a scipy release that ships scipy.optimize._highspy (1.15 or later)"
     ) from exc
 
-from .data import EncodedMatrix, encoded_stack
+from .data import design_arrays, encoded_stack
 
 
 @dataclass(frozen=True)
@@ -87,14 +87,6 @@ def pinball_quantile(y, alpha: float) -> float:
     return float(ys[idx - 1])
 
 
-def _as_array(X) -> tuple[np.ndarray, np.ndarray]:
-    """Return (values, from_categorical mask); plain arrays are all-numeric."""
-    if isinstance(X, EncodedMatrix):
-        return X.values, X.categorical_mask
-    arr = np.atleast_2d(np.asarray(X, dtype=float))
-    return arr, np.zeros(arr.shape[1], dtype=bool)
-
-
 def _standardize(values: np.ndarray, is_indicator: np.ndarray):
     """Center/scale numeric columns; keep indicators 0/1; drop constant columns.
 
@@ -126,7 +118,7 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
     design; a jitter of 1e-10*trace/p is added when lam=0 leaves the Gram
     matrix rank-deficient.
     """
-    values, indicator = _as_array(X)
+    values, indicator = design_arrays(X)
     y = np.asarray(y, dtype=float)
     if values.shape[0] == 0:
         raise ValueError("empty data")
@@ -332,7 +324,7 @@ def fit_quantile(X, y, alpha, lam: float):
     """
     one = np.ndim(alpha) == 0
     levels = [float(a) for a in np.reshape(alpha, -1)]
-    values, indicator = _as_array(X)
+    values, indicator = design_arrays(X)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
     if n == 0:

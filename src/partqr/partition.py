@@ -12,17 +12,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import EncodedMatrix, encoded_stack
+from .data import design_arrays, encoded_stack
 
 _MIN_SSE_GAIN = 1e-12
 # a tree's per-node arrays, in the order `RegressionTree` takes them
 NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id", "value")
-
-
-def _values_of(X) -> np.ndarray:
-    if isinstance(X, EncodedMatrix):
-        return X.values
-    return np.atleast_2d(np.asarray(X, dtype=float))
 
 
 @dataclass
@@ -192,7 +186,7 @@ def build_cart(
     positions, and every tree is bitwise the one a scan of all positions
     grows. Leaf row lists stay ascending.
     """
-    values = _values_of(X)
+    values, _ = design_arrays(X)
     y = np.asarray(y, dtype=float)
     n, p = values.shape
     if n == 0:

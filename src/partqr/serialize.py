@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import BoostedModel, ForestModel
 from .composite import CompositeQuantileModel, ConstantModel
-from .data import CategoricalEncoding, EncodedColumn, EncodedMatrix, FeatureSchema
+from .data import CategoricalEncoding, EncodedMatrix, FeatureSchema, encoded_columns
 from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit, model_spec
 from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_tree
@@ -72,8 +72,7 @@ def _estimator_from_doc(doc: dict):
     return LinearQuantileModel(alpha=doc["alpha"], coef=coef, intercept=doc["intercept"])
 
 
-def _composite_to_doc(fit: CompositeFit) -> tuple[list, dict]:
-    """The (encoded columns, payload) documents of a composite fit."""
+def _composite_to_doc(fit: CompositeFit) -> dict:
     model = fit.model
     doc = {
         "kind": model.kind,
@@ -92,16 +91,14 @@ def _composite_to_doc(fit: CompositeFit) -> tuple[list, dict]:
     if model.kind == "nn_qr":
         doc["train_values"] = model.train_matrix.values.tolist()
         doc["train_y"] = model.train_y.tolist()
-    return [[c.source, c.level, c.from_categorical] for c in model.columns], doc
+    return doc
 
 
-def _composite_from_doc(name, params, schema, encoding, columns, doc) -> CompositeFit:
-    columns = tuple(EncodedColumn(src, lv, bool(flag)) for src, lv, flag in columns)
+def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
     model = CompositeQuantileModel(
         kind=doc["kind"],
         schema=schema,
         encoding=encoding,
-        columns=columns,
         levels=tuple(doc["levels"]),
         hyperparams=doc["hyperparams"],
     )
@@ -121,8 +118,12 @@ def _composite_from_doc(name, params, schema, encoding, columns, doc) -> Composi
     if "centroids" in doc:
         model.clusters = ClusterPartition(centroids=np.array(doc["centroids"], dtype=float))
     if doc["kind"] == "nn_qr":
-        values = np.array(doc["train_values"], dtype=float)
-        model.train_matrix = EncodedMatrix(values, columns)
+        columns, rows = encoded_columns(schema, encoding), doc["train_values"]
+        if not isinstance(rows, list) or any(
+            not isinstance(r, list) or len(r) != len(columns) for r in rows
+        ):
+            raise ValueError(f"'train_values' rows must hold the {len(columns)} encoded columns")
+        model.train_matrix = EncodedMatrix(np.array(rows, dtype=float), columns)
         model.train_y = np.array(doc["train_y"], dtype=float)
     return CompositeFit(name, params, model)
 
@@ -178,18 +179,15 @@ def _boosted_from_doc(b: dict) -> BoostedModel:
 
 
 def _baseline_codec(to_doc, from_doc):
-    """A baseline stores its fitted ensemble and no encoded columns."""
+    """A baseline stores its fitted ensemble."""
 
-    def write(fit: BaselineFit):
-        return None, to_doc(fit.inner)
-
-    def read(name, params, schema, encoding, columns, doc) -> BaselineFit:
+    def read(name, params, schema, encoding, doc) -> BaselineFit:
         return BaselineFit(name, params, schema, encoding, from_doc(doc))
 
-    return write, read
+    return lambda fit: to_doc(fit.inner), read
 
 
-# `ModelSpec.payload` -> (write(fit) -> (encoded columns, payload), read(...) -> fit)
+# `ModelSpec.payload` -> (write(fit) -> payload, read(...) -> fit)
 _PAYLOADS = {
     "composite": (_composite_to_doc, _composite_from_doc),
     "tree": _baseline_codec(_tree_to_doc, _tree_from_doc),
@@ -198,10 +196,17 @@ _PAYLOADS = {
 }
 
 
+def _columns_doc(key: str, schema: FeatureSchema, encoding: CategoricalEncoding):
+    """The envelope's `columns`: a composite's `encoded_columns` as [source,
+    level, from_categorical] triples, null for a baseline."""
+    if key != "composite":
+        return None
+    return [[c.source, c.level, c.from_categorical] for c in encoded_columns(schema, encoding)]
+
+
 def model_to_json(fit) -> str:
     """Serialize a fitted registry model to the versioned JSON envelope."""
     key = model_spec(fit.name).payload
-    columns, payload = _PAYLOADS[key][0](fit)
     doc = {
         "format_version": FORMAT_VERSION,
         "model_name": fit.name,
@@ -212,8 +217,8 @@ def model_to_json(fit) -> str:
             "weight_units": fit.schema.weight_units,
         },
         "encoding": [[col, list(levels)] for col, levels in fit.encoding.levels],
-        "columns": columns,
-        "payload": {key: payload},
+        "columns": _columns_doc(key, fit.schema, fit.encoding),
+        "payload": {key: _PAYLOADS[key][0](fit)},
         "fill": fit.fill,
     }
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
@@ -254,9 +259,13 @@ def model_from_json(text: str):
     )
     if key not in doc["payload"]:
         raise ValueError(f"model {name!r} needs a {key!r} payload, which the file lacks")
+    columns = _columns_doc(key, schema, encoding)
+    if json.dumps(doc["columns"]) != json.dumps(columns):
+        want = "null" if columns is None else "the encoded layout of its schema and encoding"
+        raise ValueError(f"model file key 'columns' must be {want}")
     read = _PAYLOADS[key][1]
     try:
-        fit = read(name, doc["params"], schema, encoding, doc["columns"], doc["payload"][key])
+        fit = read(name, doc["params"], schema, encoding, doc["payload"][key])
     except ValueError as exc:
         raise ValueError(f"model file payload {key!r}: {exc}") from exc
     fit.fill = _fill_from_doc(doc["fill"], schema)

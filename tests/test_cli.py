@@ -584,6 +584,82 @@ class TestMalformedTreeFile:
         assert not out.exists()
 
 
+def _swap(columns, i, j):
+    columns[i], columns[j] = columns[j], columns[i]
+
+
+# one edit each of a composite file's `columns`, laid out as [site_category
+# metro, remote, suburban indicators, then step1..step4_days]
+LAYOUT_EDITS = {
+    "flip_flag": lambda c: c[3].__setitem__(2, True),
+    "rename_source": lambda c: c[4].__setitem__(0, "step9_days"),
+    "rename_level": lambda c: c[0].__setitem__(1, "rural"),
+    "drop_column": lambda c: c.pop(),
+    "add_column": lambda c: c.append(["step5_days", None, False]),
+    "swap_columns": lambda c: _swap(c, 2, 3),
+}
+COMPOSITE_PARAMS = {
+    "quantile_tree": {"lam": 0.1, "max_depth": 2, "min_samples_split": 20},
+    "piecewise_qr": {"lam": 0.1, "n_clusters": 2},
+    "piecewise_rr": {"lam": 0.1, "n_clusters": 2},
+    "nn_qr": {"lam": 0.1, "n_neighbors": 25},
+}
+
+
+class TestEncodedLayout:
+    """A composite's `columns` key repeats the layout its schema and encoding
+    imply; a file that disagrees must not load, or it would route its rows on
+    other indicator columns than it was fitted on."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        ds = generate_synthetic(SyntheticSpec(n_projects=150, seed=3))
+        docs = {
+            name: json.loads(model_to_json(fit_model(name, ds, params, seed=4)))
+            for name, params in COMPOSITE_PARAMS.items()
+        }
+        inp = tmp_path_factory.mktemp("layout") / "in.csv"
+        write_dataset_csv(generate_synthetic(SyntheticSpec(n_projects=20, seed=5)), inp)
+        return docs, inp
+
+    def predict_edited(self, tmp_path, files, name, edit):
+        docs, inp = files
+        doc = copy.deepcopy(docs[name])
+        edit(doc)
+        model, out = tmp_path / "model.json", tmp_path / "out.csv"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)])
+        return code, out
+
+    @pytest.mark.parametrize("name", COMPOSITE_PARAMS)
+    @pytest.mark.parametrize("case", LAYOUT_EDITS)
+    def test_edited_columns_exit_2_at_load(self, tmp_path, files, capsys, name, case):
+        code, out = self.predict_edited(
+            tmp_path, files, name, lambda doc: LAYOUT_EDITS[case](doc["columns"])
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'load-model': model file key 'columns' must be" in err
+        assert not out.exists()
+
+    def test_short_train_values_exit_2_at_load(self, tmp_path, files, capsys):
+        def short_rows(doc):
+            for row in doc["payload"]["composite"]["train_values"]:
+                row.pop()
+
+        code, out = self.predict_edited(tmp_path, files, "nn_qr", short_rows)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'load-model': model file payload 'composite':" in err
+        assert "'train_values'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", COMPOSITE_PARAMS)
+    def test_unedited_file_predicts(self, tmp_path, files, name):
+        code, out = self.predict_edited(tmp_path, files, name, lambda doc: None)
+        assert code == 0 and out.exists()
+
+
 class TestBenchmarkCommand:
     def test_three_model_report(self, tmp_path, synth_csv, capsys):
         config = write_config(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from partqr import composite
-from partqr.data import Dataset, EncodedMatrix, encode, encode_row
+from partqr.data import Dataset, EncodedMatrix, encode, encode_row, encoded_columns
 from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.models import MODEL_NAMES, MODELS, fit_model
 from partqr.partition import NODE_ARRAYS
@@ -105,6 +105,21 @@ def test_encoded_matrix_equals_raw_rows(fitted, rows, name):
     shuffled = EncodedMatrix(matrix.values, matrix.columns[::-1])
     with pytest.raises(ValueError, match="encoded columns do not match the model's"):
         fit.predict_point(shuffled)
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_columns_key_is_the_layout(fitted, name):
+    # a composite's file repeats its encoded layout; a baseline's holds null
+    fit = fitted[name]
+    written = json.loads(model_to_json(fit))["columns"]
+    if MODELS[name].payload != "composite":
+        assert written is None
+        return
+    layout = encoded_columns(fit.schema, fit.encoding)
+    assert layout == fit.model.train_matrix.columns  # the matrix it was fitted on
+    assert written == [[c.source, c.level, c.from_categorical] for c in layout]
+    assert fit.model.width == len(layout)
+    assert fit.model.categorical_mask.tolist() == [c.from_categorical for c in layout]
 
 
 def test_unknown_hyperparameter_named_before_fitting():
@@ -227,6 +242,22 @@ def test_version_1_file_fails_naming_its_version(fitted):
 def test_version_2_file_fails_naming_its_version(fitted):
     with pytest.raises(ValueError, match="unsupported model format_version 2"):
         model_from_json(_edited(fitted["qrf"], format_version=2))
+
+
+@pytest.mark.parametrize("name", ["decision_tree", "qrf", "gradient_boosting"])
+def test_baseline_columns_must_be_null(fitted, name):
+    columns = json.loads(model_to_json(fitted["ridge"]))["columns"]
+    for edited in ([], columns):
+        with pytest.raises(ValueError, match="model file key 'columns' must be null"):
+            model_from_json(_edited(fitted[name], columns=edited))
+
+
+def test_composite_columns_compared_as_json(fitted):
+    # 1 == True to Python, but the file's flag must be the JSON literal true
+    doc = json.loads(model_to_json(fitted["quantile"]))
+    doc["columns"][0][2] = 1
+    with pytest.raises(ValueError, match="model file key 'columns' must be the encoded layout"):
+        model_from_json(json.dumps(doc))
 
 
 def test_unknown_model_name_in_file_fails_naming_it(fitted):
