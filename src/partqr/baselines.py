@@ -219,6 +219,25 @@ def qrf_weights(forest: ForestModel, x) -> np.ndarray:
 # training rows) weight matrix. Blocks of 1 MiB raised the peak RSS of the
 # ensemble-grid benchmark by 2.7 MB; the walk runs once per batch either way.
 _QRF_BLOCK_CELLS = 1 << 14
+# leaf members of a block's (tree, query) pairs: bounds `_ranked_weights`'
+# index arrays, which grow with trees x leaf size. A row over it is a block.
+_QRF_BLOCK_MEMBERS = 1 << 17
+
+
+def _blocks(forest: ForestModel, leaf_ids: np.ndarray):
+    """(start, stop) of consecutive query blocks of at most `_QRF_BLOCK_CELLS`
+    weight cells and `_QRF_BLOCK_MEMBERS` leaf members, or of one row."""
+    first, ptr, _ = forest.leaf_members
+    leaf = leaf_ids + first[:, None]
+    reach = np.cumsum((ptr[leaf + 1] - ptr[leaf]).sum(axis=0))  # members of rows 0..i
+    step = max(1, _QRF_BLOCK_CELLS // forest.y_train.shape[0])
+    start = 0
+    while start < reach.size:
+        before = reach[start - 1] if start else 0
+        fits = int(np.searchsorted(reach, before + _QRF_BLOCK_MEMBERS, side="right"))
+        stop = max(start + 1, min(start + step, fits))
+        yield start, stop
+        start = stop
 
 
 def qrf_predict(forest: ForestModel, x, alpha):
@@ -235,15 +254,15 @@ def qrf_predict(forest: ForestModel, x, alpha):
     leaf_ids = _leaf_ids(forest, X)
     order = forest.y_order
     out = np.empty((X.shape[0], levels.size))
-    step = max(1, _QRF_BLOCK_CELLS // order.size)
-    for start in range(0, X.shape[0], step):
-        cum = _ranked_weights(forest, leaf_ids[:, start : start + step])
+    # a row's weights do not depend on the rows blocked with it
+    for start, stop in _blocks(forest, leaf_ids):
+        cum = _ranked_weights(forest, leaf_ids[:, start:stop])
         np.cumsum(cum, axis=1, out=cum)
         for j, level in enumerate(levels.reshape(-1)):
             # the cumulative weights are nondecreasing, so counting those
             # below the level finds the position np.searchsorted finds
             pos = np.minimum((cum < level - 1e-12).sum(axis=1), order.size - 1)
-            out[start : start + step, j] = forest.y_train[order[pos]]
+            out[start:stop, j] = forest.y_train[order[pos]]
     out = out.reshape(X.shape[:1] + levels.shape)
     if one:
         out = out[0]

@@ -253,10 +253,12 @@ def _selection_key(index: int, cv: CVResult):
 
 def _search_combinations(name: str, grid: dict[str, list] | None) -> list[dict]:
     """The combinations a search of `name` runs: `grid`'s, or its default
-    grid's. An unknown name, an empty grid or a hyperparameter that `name`'s
-    builder does not read raises ValueError."""
-    spec = check_hyperparams(name, grid or {}, "in the grid of")
-    combos = grid_combinations(grid or spec.grid)
+    grid's. An unknown name, an empty grid, or a hyperparameter that `name`'s
+    builder does not read or whose value has the wrong type (see
+    `check_hyperparams`) raises ValueError."""
+    combos = grid_combinations(grid or model_spec(name).grid)
+    for combo in combos:
+        check_hyperparams(name, combo, "in the grid of")
     if not combos:
         raise ValueError("empty hyperparameter grid")
     return combos

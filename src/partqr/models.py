@@ -222,24 +222,16 @@ def _global(dataset, params, seed) -> dict:
     return {"n_clusters": 1, "seed": seed}
 
 
-def _tree_partition(dataset, params, seed) -> dict:
-    return {
-        "max_depth": params["max_depth"],
-        "min_samples_split": params.get("min_samples_split", 2),
-        "min_samples_leaf": params.get("min_samples_leaf", 1),
-    }
-
-
 # Cluster and neighbour counts are clamped to what the data admits, so the
 # default grids stay usable on small categorical spaces.
 def _clusters(dataset, params, seed) -> dict:
     cols = [dataset.column(c) for c in dataset.schema.categorical_predictors()]
     distinct = len({tuple(str(v) for v in combo) for combo in zip(*cols)}) if cols else 1
-    return {"n_clusters": min(int(params["n_clusters"]), distinct), "seed": seed}
+    return {"n_clusters": min(params["n_clusters"], distinct), "seed": seed}
 
 
 def _neighbors(dataset, params, seed) -> dict:
-    return {"n_neighbors": min(int(params["n_neighbors"]), dataset.n_rows)}
+    return {"n_neighbors": min(params["n_neighbors"], dataset.n_rows)}
 
 
 def _baseline(name, dataset, params, seed, fit_cache):
@@ -250,9 +242,9 @@ def _baseline(name, dataset, params, seed, fit_cache):
 
 def _tree_settings(params) -> dict:
     return {
-        "max_depth": int(params["max_depth"]),
-        "min_samples_split": int(params.get("min_samples_split", 2)),
-        "min_samples_leaf": int(params.get("min_samples_leaf", 1)),
+        "max_depth": params["max_depth"],
+        "min_samples_split": params.get("min_samples_split", 2),
+        "min_samples_leaf": params.get("min_samples_leaf", 1),
     }
 
 
@@ -266,8 +258,9 @@ _CART = _Growth(
 _FOREST = _Growth(
     "forest",
     lambda params: {
-        "n_trees": int(params.get("n_trees", 100)),
-        "bootstrap": bool(params.get("bootstrap", True)),
+        "n_trees": params.get("n_trees", 100),
+        "bootstrap": params.get("bootstrap", True),
+        # the file stores a float, so an integer grid value is cast
         "feature_fraction": float(params.get("feature_fraction", 1.0)),
         **_tree_settings(params),
     },
@@ -280,8 +273,8 @@ _FOREST = _Growth(
 _BOOSTED = _Growth(
     "boosted",
     lambda params: {
-        "n_stages": int(params["n_stages"]),
-        "learning_rate": float(params["learning_rate"]),
+        "n_stages": params["n_stages"],
+        "learning_rate": float(params["learning_rate"]),  # stored as a float, as above
         **_tree_settings({"max_depth": 4, **params}),
     },
     lambda X, y, seed, **kw: fit_gb(X, y, **kw),
@@ -324,7 +317,8 @@ MODELS = {
     ),
     "quantile_tree": ModelSpec(
         "Quantile Tree", {**_LAMBDAS, **_TREES}, ("lam", *_TREE_KEYS), True,
-        _composite("quantile_tree", _tree_partition), growth=_CART,
+        _composite("quantile_tree", lambda dataset, params, seed: _tree_settings(params)),
+        growth=_CART,
     ),
     "piecewise_qr": ModelSpec(
         "Piecewise QR", _CLUSTERS, _CLUSTER_KEYS, True, _composite("piecewise_qr", _clusters)
@@ -347,15 +341,40 @@ def model_spec(name: str) -> ModelSpec:
     return MODELS[name]
 
 
-def check_hyperparams(name: str, keys, where: str = "of") -> ModelSpec:
-    """The registry entry of `name`, once every name in `keys` is one its
-    builder reads (`ModelSpec.hyperparams`); another raises ValueError naming
-    the key, `where` it came from, the model and the accepted names."""
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the JSON type of each hyperparameter's values; a bool is an int to Python, not to JSON
+_HYPERPARAM_TYPES = {
+    **dict.fromkeys(
+        ("max_depth", "min_samples_split", "min_samples_leaf", "n_trees", "n_stages",
+         "n_clusters", "n_neighbors"),
+        ("an integer", _is_int),
+    ),
+    **dict.fromkeys(("lam", "learning_rate", "feature_fraction"), ("a number", _is_number)),
+    "bootstrap": ("true or false", lambda value: isinstance(value, bool)),
+}
+
+
+def check_hyperparams(name: str, params: dict, where: str = "of") -> ModelSpec:
+    """The registry entry of `name`, once every name in `params` is one its
+    builder reads (`ModelSpec.hyperparams`) and every value has its JSON
+    type; else ValueError naming the key, `where` it came from and the model,
+    and the accepted names or the value."""
     spec = model_spec(name)
-    for key in keys:
+    for key, value in params.items():
         if key not in spec.hyperparams:
             raise ValueError(f"unknown hyperparameter {key!r} {where} {name!r}: "
                              f"it reads only {list(spec.hyperparams)}")
+        kind, check = _HYPERPARAM_TYPES[key]
+        if not check(value):
+            raise ValueError(f"hyperparameter {key!r} {where} {name!r} must be {kind}, "
+                             f"not {value!r}")
     return spec
 
 

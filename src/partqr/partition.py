@@ -8,6 +8,7 @@ each one with a brute-force oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,7 +160,11 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
     )
     best = int(sse.argmin())
     j, i = divmod(int(at[best]), n)
-    return float(sse[best]), j, float(0.5 * (xs[j, i] + xs[j, i + 1]))
+    a, b = float(xs[j, i]), float(xs[j, i + 1])
+    # the midpoint, unless it rounds onto b (adjacent doubles) or overflows:
+    # `x <= threshold` must send a's rows left and b's right, as scored
+    threshold = a / 2 + b / 2
+    return float(sse[best]), j, a if threshold == b or math.isinf(threshold) else threshold
 
 
 def build_cart(
@@ -173,9 +178,11 @@ def build_cart(
 ) -> RegressionTree:
     """Greedy CART: axis-aligned splits minimizing the children's summed SSE.
 
-    Split candidates are midpoints between consecutive distinct sorted values;
-    a node becomes a leaf when depth/size limits are hit or when no candidate
-    reduces the SSE by more than 1e-12.
+    Split candidates lie between consecutive distinct sorted values a < b.
+    The threshold is the midpoint a / 2 + b / 2, or a itself when that
+    rounds to b (a and b adjacent doubles) or overflows, so `x <= threshold`
+    always separates a from b. A node becomes a leaf when depth/size limits
+    are hit or when no candidate reduces the SSE by more than 1e-12.
 
     Each column is sorted once, at the root (`presort`; pass `order` to reuse
     one sort across builds on the same X). A node holds its rows per feature

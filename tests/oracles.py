@@ -4,6 +4,8 @@ Each oracle recomputes the quantity under test by direct enumeration or the
 plain textbook formula, deliberately avoiding the implementation's code path.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse
 from scipy.optimize import linprog
@@ -144,6 +146,16 @@ def node_sse(y):
     return float(np.sum((y - np.mean(y)) ** 2)) if y.size else 0.0
 
 
+def cut_between(a, b):
+    """The threshold between two sorted distinct values a < b: their midpoint,
+    summed from halves so it cannot overflow, if it lies strictly between
+    them, else a. So `x <= threshold` sends a left and b right even when a
+    and b are adjacent doubles."""
+    a, b = float(a), float(b)
+    mid = math.fsum((a / 2, b / 2))
+    return mid if a < mid < b else a
+
+
 def split_scan_oracle(xs, ys, min_samples_leaf):
     """CART's split search scored at all p * (n - 1) cut positions of a node.
 
@@ -152,7 +164,8 @@ def split_scan_oracle(xs, ys, min_samples_leaf):
     of its two children; invalid cuts (inside a run of equal values, or
     leaving a child below min_samples_leaf) are then set to inf. The argmin
     per feature, then across features, keeps the lowest feature and then
-    the lowest threshold. Returns (cost, feature, threshold) or None.
+    the lowest threshold (`cut_between`). Returns (cost, feature, threshold)
+    or None.
     """
     n = xs.shape[1]
     csum = np.cumsum(ys, axis=1)
@@ -178,7 +191,7 @@ def split_scan_oracle(xs, ys, min_samples_leaf):
     costs = sse[usable, k]
     best = int(np.argmin(costs))
     j, i = int(usable[best]), int(k[best]) + 1
-    return float(costs[best]), j, float(0.5 * (xs[j, i - 1] + xs[j, i]))
+    return float(costs[best]), j, cut_between(xs[j, i - 1], xs[j, i])
 
 
 def cart_oracle(X, y, max_depth, min_samples_split=2, min_samples_leaf=1):
@@ -189,7 +202,7 @@ def cart_oracle(X, y, max_depth, min_samples_split=2, min_samples_leaf=1):
         for j in range(X.shape[1]):
             vals = np.sort(np.unique(X[rows, j]))
             for a, b in zip(vals, vals[1:]):
-                thr = 0.5 * (a + b)
+                thr = cut_between(a, b)
                 left = rows[X[rows, j] <= thr]
                 right = rows[X[rows, j] > thr]
                 if len(left) < min_samples_leaf or len(right) < min_samples_leaf:
@@ -223,9 +236,8 @@ def assert_tree_equals_oracle(tree, oracle_node, node_id=0):
         return
     assert left[node_id] >= 0, f"node {node_id}: expected an internal node"
     assert tree.feature.tolist()[node_id] == oracle_node["feature"]
-    assert abs(tree.threshold.tolist()[node_id] - oracle_node["threshold"]) <= 1e-12 * max(
-        1.0, abs(oracle_node["threshold"])
-    )
+    # bit for bit: between adjacent doubles any tolerance would hide a wrong side
+    assert tree.threshold.tolist()[node_id] == oracle_node["threshold"]
     assert_tree_equals_oracle(tree, oracle_node["left"], left[node_id])
     assert_tree_equals_oracle(tree, oracle_node["right"], right[node_id])
 

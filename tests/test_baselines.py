@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -333,6 +334,36 @@ class TestQrf:
         empty = np.zeros((0, 5))
         assert qrf_weights(forest, empty).shape == (0, 50)
         assert qrf_predict(forest, empty, LEVELS).shape == (0, 3)
+
+    @pytest.fixture(scope="class")
+    def shallow(self):
+        """A 960-row, 100-tree, depth-2 forest (the default grid's shallowest
+        depth and the default tree count) and 240 queries: about 45,000 leaf
+        members per query."""
+        rng = np.random.default_rng(29)
+        forest = fit_rf(rng.normal(size=(960, 4)), rng.gamma(2.0, 2.0, size=960), 100, seed=2,
+                        max_depth=2)
+        return forest, rng.normal(size=(240, 4))
+
+    def test_block_members_bound_peak_memory(self, shallow):
+        forest, queries = shallow
+        forest.leaf_members  # built once per forest, not per call
+        tracemalloc.start()
+        try:
+            qrf_predict(forest, queries, LEVELS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 18.2 MB when a block was bounded by its weight cells alone
+        assert peak < 5 * 2**20
+
+    def test_one_member_cap_keeps_every_bit(self, monkeypatch, shallow):
+        # every query then exceeds the cap and is a block of its own
+        forest, queries = shallow
+        want = qrf_predict(forest, queries, LEVELS)
+        monkeypatch.setattr(baselines, "_QRF_BLOCK_MEMBERS", 1)
+        assert qrf_predict(forest, queries, LEVELS).tobytes() == want.tobytes()
+        assert qrf_predict(forest, queries[:0], LEVELS).shape == (0, 3)
 
     def test_alpha_range(self):
         X = np.arange(6.0).reshape(-1, 1)

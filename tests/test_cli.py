@@ -83,6 +83,27 @@ class TestTrain:
         assert "unknown hyperparameter 'lamda' in the grid of 'ridge': it reads only ['lam']" in err
         assert not (tmp_path / "model.json").exists() and not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "name, grid, key, value, kind",
+        [
+            ("decision_tree", {"max_depth": [2.5]}, "max_depth", "2.5", "an integer"),
+            ("decision_tree", {"max_depth": ["3"]}, "max_depth", "'3'", "an integer"),
+            ("random_forest", {"max_depth": [2], "n_trees": [2.9]}, "n_trees", "2.9", "an integer"),
+            ("gradient_boosting", {"n_stages": [5.5], "learning_rate": [0.1]}, "n_stages", "5.5",
+             "an integer"),
+            ("ridge", {"lam": ["0.1"]}, "lam", "'0.1'", "a number"),
+            ("nn_qr", {"lam": [0.1], "n_neighbors": [True]}, "n_neighbors", "True", "an integer"),
+        ],
+    )
+    def test_wrong_typed_grid_value_exit_2(self, tmp_path, synth_csv, capsys, name, grid, key,
+                                           value, kind):
+        config = write_config(tmp_path, synth_csv, model={"name": name, "grid": grid})
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert (f"error in stage 'grid-search': hyperparameter {key!r} in the grid of {name!r} "
+                f"must be {kind}, not {value}") in err
+        assert not (tmp_path / "model.json").exists()
+
     def test_rejected_quantile_lp_exit_1(self, tmp_path, synth_csv, capsys, monkeypatch):
         from partqr import linear
 
@@ -582,6 +603,38 @@ class TestMalformedTreeFile:
         assert done.returncode == 2, done.stderr
         assert "error in stage 'load-model': model file payload 'tree':" in done.stderr
         assert not out.exists()
+
+
+ADJACENT_GRIDS = {
+    "decision_tree": {"max_depth": [6], "min_samples_split": [2]},
+    "random_forest": {"max_depth": [8], "min_samples_split": [2], "n_trees": [5]},
+    "qrf": {"max_depth": [8], "min_samples_split": [2], "n_trees": [5]},
+    "gradient_boosting": {
+        "n_stages": [5], "learning_rate": [0.1], "max_depth": [6], "min_samples_split": [2],
+    },
+    "quantile_tree": {"lam": [0.1], "max_depth": [6], "min_samples_split": [2]},
+}
+
+
+@pytest.mark.parametrize("name", ADJACENT_GRIDS)
+def test_adjacent_double_predictor_trains_and_predicts(tmp_path, capsys, name):
+    # start_day takes eight adjacent doubles, 1e15 + k/8: a midpoint between
+    # two of them rounds onto the upper one, which must not empty a leaf
+    lines = ["site,start_day,target_days"]
+    for i in range(400):
+        k = i % 8
+        lines.append(f"{'ab'[i // 8 % 2]},{1e15 + k / 8!r},{10 * k + (i * 37 % 11) / 10}")
+    data = tmp_path / "adjacent.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    config = write_config(
+        tmp_path, data, model={"name": name, "grid": ADJACENT_GRIDS[name]}, cv={"folds": 3, "seed": 2}
+    )
+    assert main(["train", "--config", str(config)]) == 0, capsys.readouterr().err
+    out = tmp_path / "out.csv"
+    args = ["predict", "--model", str(tmp_path / "model.json"), "--input", str(data)]
+    assert main(args + ["--output", str(out)]) == 0, capsys.readouterr().err
+    forecasts = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert forecasts.shape == (400, 3) and np.isfinite(forecasts).all()
 
 
 def _swap(columns, i, j):

@@ -250,6 +250,29 @@ class TestGridSearch:
         with pytest.raises(ValueError, match=re.escape(want)):
             benchmark(ds, ["ridge", name], grids={name: grid}, k=4, seed=1)
 
+    @pytest.mark.parametrize(
+        "name, grid, want",
+        [
+            ("decision_tree", {"max_depth": [2, 2.5]}, "'max_depth' in the grid of "
+             "'decision_tree' must be an integer, not 2.5"),
+            ("qrf", {"max_depth": [2], "bootstrap": [True, 0]}, "'bootstrap' in the grid of "
+             "'qrf' must be true or false, not 0"),
+            ("ridge", {"lam": [0.1, "1"]}, "'lam' in the grid of 'ridge' must be a number, not '1'"),
+        ],
+    )
+    def test_wrong_typed_hyperparameter_named_before_any_fold(self, monkeypatch, name, grid, want):
+        # the last combination is the bad one: every combination is checked
+        def unprepared(*args, **kwargs):
+            raise AssertionError("a fold was prepared")
+
+        monkeypatch.setattr(evaluation, "_prepare_fold", unprepared)
+        monkeypatch.setattr(evaluation, "prepare_folds", unprepared)
+        ds = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
+        with pytest.raises(ValueError, match=re.escape(f"hyperparameter {want}")):
+            grid_search(name, grid, ds, 4, seed=1)
+        with pytest.raises(ValueError, match=re.escape(f"hyperparameter {want}")):
+            benchmark(ds, ["ridge", name], grids={name: grid}, k=4, seed=1)
+
     def test_every_default_grid_uses_only_accepted_names(self):
         for name, spec in MODELS.items():
             assert set(spec.grid) <= set(spec.hyperparams), name

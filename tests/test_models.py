@@ -131,6 +131,22 @@ def test_unknown_hyperparameter_named_before_fitting():
         fit_model("decision_tree", train, {"max_depth": 2, "min_sample_split": 5})
 
 
+@pytest.mark.parametrize(
+    "name, params, want",
+    [
+        ("decision_tree", {"max_depth": 2.0}, "'max_depth' of 'decision_tree' must be an integer"),
+        ("random_forest", {"max_depth": 2, "n_trees": True}, "'n_trees' of 'random_forest' must be"),
+        ("gradient_boosting", {"n_stages": 5, "learning_rate": "0.1"},
+         "'learning_rate' of 'gradient_boosting' must be a number, not '0.1'"),
+        ("qrf", {"max_depth": 2, "bootstrap": 1}, "'bootstrap' of 'qrf' must be true or false"),
+    ],
+)
+def test_wrong_typed_hyperparameter_named_before_fitting(name, params, want):
+    train = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
+    with pytest.raises(ValueError, match=re.escape(f"hyperparameter {want}")):
+        fit_model(name, train, params)
+
+
 def _keys(doc) -> set:
     """Every key of a parsed JSON document, at any depth."""
     if isinstance(doc, dict):

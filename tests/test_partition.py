@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     assert_tree_equals_oracle,
@@ -236,6 +238,95 @@ class TestSplitSearch:
             got = _best_split(xs, ys, 1)
             assert_same_split(got, split_scan_oracle(xs, ys, 1))
             assert got is None or (got[1] < 5 and got[2] == 0.5)
+
+
+def assert_cuts_separate(tree, X, min_samples_leaf=1):
+    """Every inner node sends at least `min_samples_leaf` training rows each
+    way by `x <= threshold`, and those are exactly the rows the builder put
+    in its children: each leaf holds the rows routing sends it, and a finite
+    mean."""
+    nodes = nodes_of(tree)
+
+    def walk(node_id, rows):
+        node = nodes[node_id]
+        if node.left < 0:
+            assert tree.leaf_rows[node.leaf_id].tolist() == rows.tolist()
+            assert np.isfinite(node.value)
+            return
+        goes_left = X[rows, node.feature] <= node.threshold
+        assert min(goes_left.sum(), (~goes_left).sum()) >= min_samples_leaf
+        walk(node.left, rows[goes_left])
+        walk(node.right, rows[~goes_left])
+
+    walk(0, np.arange(X.shape[0]))
+
+
+def ulps_above(x, steps):
+    """x moved up by each count of `steps` adjacent doubles."""
+    out = np.full(len(steps), float(x))
+    for _ in range(max(steps, default=0)):
+        out = np.where(np.asarray(steps) > 0, np.nextafter(out, np.inf), out)
+        steps = [max(k - 1, 0) for k in steps]
+    return out
+
+
+BIG = np.finfo(float).max
+
+
+class TestAdjacentValues:
+    """A threshold between adjacent doubles a < b must not round onto b, and
+    one between huge values must not overflow: either way `x <= threshold`
+    would apply another split than the one scored."""
+
+    def test_point_three_against_a_tenth_plus_a_fifth(self):
+        a, b = 0.3, 0.1 + 0.2
+        assert np.nextafter(a, 1.0) == b
+        X = np.array([[a], [a], [b], [b]])
+        tree = build_cart(X, [0.0, 0.0, 10.0, 10.0], max_depth=1)
+        assert tree.threshold[0] == a
+        assert [rows.tolist() for rows in tree.leaf_rows] == [[0, 1], [2, 3]]
+        assert tree.value[tree.leaf_id >= 0].tolist() == [0.0, 10.0]
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            1e15 + np.arange(8) / 8,  # eight adjacent doubles
+            ulps_above(0.3, [0, 1, 2, 3]),
+            np.array([1.6e308, 1.7e308, -1.7e308, -1.6e308]),
+            np.array([np.nextafter(BIG, 0), BIG, -BIG, np.nextafter(-BIG, 0)]),
+            np.array([0.0, 5e-324, 1e-323, -5e-324]),  # subnormals
+        ],
+        ids=["1e15+k/8", "0.3+ulps", "1.7e308", "max_double", "subnormal"],
+    )
+    @pytest.mark.parametrize("min_samples_leaf", [1, 3])
+    def test_trees_separate_what_they_scored(self, column, min_samples_leaf):
+        rng = np.random.default_rng(5)
+        X = np.repeat(column, 6)[:, None]
+        y = np.repeat(np.arange(column.size) * 10.0, 6) + rng.normal(size=X.shape[0])
+        params = dict(max_depth=6, min_samples_leaf=min_samples_leaf)
+        tree = build_cart(X, y, **params)
+        assert tree.n_leaves == column.size
+        assert_cuts_separate(tree, X, min_samples_leaf)
+        assert_tree_equals_oracle(tree, cart_oracle(X, y, **params))
+        assert np.isfinite(tree.threshold[tree.left >= 0]).all()
+        xs, ys = node_view(X, y, np.arange(X.shape[0]))
+        got = _best_split(xs, ys, min_samples_leaf)
+        assert_same_split(got, split_scan_oracle(xs, ys, min_samples_leaf))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        base=st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True),
+        cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), min_size=2, max_size=40),
+        min_samples_leaf=st.integers(1, 3),
+    )
+    def test_columns_a_few_ulps_apart(self, base, cells, min_samples_leaf):
+        steps, targets = zip(*cells)
+        X = ulps_above(base, list(steps))[:, None]
+        y = np.array(targets, dtype=float)
+        params = dict(max_depth=4, min_samples_leaf=min_samples_leaf)
+        tree = build_cart(X, y, **params)
+        assert_cuts_separate(tree, X, min_samples_leaf)
+        assert_tree_equals_oracle(tree, cart_oracle(X, y, **params))
 
 
 def assert_equal_trees(a, b):

@@ -83,9 +83,10 @@ def test_ensemble_grid_call_binds_to_benchmark():
 
 
 def test_workload_hyperparameters_are_ones_the_models_read():
-    """A grid name a model does not read fails its search, so a registry edit
-    that drops one would make every operation of a workload fail."""
-    from partqr.models import MODELS
+    """A grid name a model does not read, or a value of a type it refuses,
+    fails its search, so a registry edit that drops a name or tightens a type
+    would make every operation of a workload fail."""
+    from partqr.models import MODELS, check_hyperparams
 
     workloads = _workloads()
     used = {"quantile_tree": [workloads.QTREE_GRID]}
@@ -100,6 +101,14 @@ def test_workload_hyperparameters_are_ones_the_models_read():
         if key not in MODELS[name].hyperparams
     ]
     assert not unknown, f"benchmark workloads use hyperparameters no model reads: {unknown}"
+    # a grid lists values; a predict-batch entry is one value per name
+    grids = {"quantile_tree": workloads.QTREE_GRID, **workloads.ENSEMBLE_GRIDS}
+    for name, grid in grids.items():
+        for key, values in grid.items():
+            for value in values:
+                check_hyperparams(name, {key: value}, "in the workload grid of")
+    for name, params in workloads.PREDICT_PARAMS.items():
+        check_hyperparams(name, params, "in the predict-batch params of")
 
 
 def test_predict_batch_params_fit():
