@@ -125,6 +125,8 @@ def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
             raise ValueError(f"'train_values' rows must hold the {len(columns)} encoded columns")
         model.train_matrix = EncodedMatrix(np.array(rows, dtype=float), columns)
         model.train_y = np.array(doc["train_y"], dtype=float)
+        if model.train_y.shape != (len(rows),):  # a target per training row, in order
+            raise ValueError(f"'train_y' must hold one target per 'train_values' row ({len(rows)})")
     return CompositeFit(name, params, model)
 
 

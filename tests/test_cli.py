@@ -707,6 +707,16 @@ class TestEncodedLayout:
         assert "'train_values'" in err
         assert not out.exists()
 
+    def test_short_train_y_exit_2_at_load(self, tmp_path, files, capsys):
+        # a target fewer would pair the later training rows with other targets
+        code, out = self.predict_edited(
+            tmp_path, files, "nn_qr", lambda doc: doc["payload"]["composite"]["train_y"].pop(3)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error in stage 'load-model': model file payload 'composite': 'train_y'" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("name", COMPOSITE_PARAMS)
     def test_unedited_file_predicts(self, tmp_path, files, name):
         code, out = self.predict_edited(tmp_path, files, name, lambda doc: None)
