@@ -637,19 +637,35 @@ def test_adjacent_double_predictor_trains_and_predicts(tmp_path, capsys, name):
     assert forecasts.shape == (400, 3) and np.isfinite(forecasts).all()
 
 
-def _swap(columns, i, j):
-    columns[i], columns[j] = columns[j], columns[i]
+# A composite file's `columns` here: the site_category indicators metro,
+# remote and suburban, then step1_days .. step4_days.
+def _flip_flag(columns):
+    columns[3][2] = True  # step1_days read as an indicator
 
 
-# one edit each of a composite file's `columns`, laid out as [site_category
-# metro, remote, suburban indicators, then step1..step4_days]
+def _rename_source(columns):
+    columns[4][0] = "step9_days"
+
+
+def _rename_level(columns):
+    columns[0][1] = "rural"
+
+
+def _drop_column(columns):
+    columns.pop()
+
+
+def _add_column(columns):
+    columns.append(["step5_days", None, False])
+
+
+def _swap_columns(columns):
+    columns[2], columns[3] = columns[3], columns[2]
+
+
 LAYOUT_EDITS = {
-    "flip_flag": lambda c: c[3].__setitem__(2, True),
-    "rename_source": lambda c: c[4].__setitem__(0, "step9_days"),
-    "rename_level": lambda c: c[0].__setitem__(1, "rural"),
-    "drop_column": lambda c: c.pop(),
-    "add_column": lambda c: c.append(["step5_days", None, False]),
-    "swap_columns": lambda c: _swap(c, 2, 3),
+    edit.__name__[1:]: edit
+    for edit in (_flip_flag, _rename_source, _rename_level, _drop_column, _add_column, _swap_columns)
 }
 COMPOSITE_PARAMS = {
     "quantile_tree": {"lam": 0.1, "max_depth": 2, "min_samples_split": 20},

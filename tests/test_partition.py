@@ -1,3 +1,4 @@
+import math
 from collections import namedtuple
 from dataclasses import replace
 
@@ -263,11 +264,13 @@ def assert_cuts_separate(tree, X, min_samples_leaf=1):
 
 def ulps_above(x, steps):
     """x moved up by each count of `steps` adjacent doubles."""
-    out = np.full(len(steps), float(x))
-    for _ in range(max(steps, default=0)):
-        out = np.where(np.asarray(steps) > 0, np.nextafter(out, np.inf), out)
-        steps = [max(k - 1, 0) for k in steps]
-    return out
+    out = []
+    for k in steps:
+        value = float(x)
+        for _ in range(k):
+            value = math.nextafter(value, math.inf)
+        out.append(value)
+    return np.array(out)
 
 
 BIG = np.finfo(float).max
