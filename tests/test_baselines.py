@@ -354,7 +354,6 @@ class TestQrf:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 18.2 MB when a block was bounded by its weight cells alone
         assert peak < 5 * 2**20
 
     def test_one_member_cap_keeps_every_bit(self, monkeypatch, shallow):
