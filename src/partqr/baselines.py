@@ -28,16 +28,18 @@ class ForestModel:
     of tree t's bootstrap. The trees keep no leaf rows: those would index a
     bootstrap sample the forest does not keep. The QRF lookup tables
     (`y_order`, `leaf_members`) are derived from the fields on first use and
-    never serialised.
+    never serialised. The mean reads the trees and their feature subsets,
+    QRF also `in_bag_leaf` and `y_train`; only `prune_forest` reads the
+    growth settings. A loaded forest leaves what its model does not read None.
     """
 
     trees: list[RegressionTree]
-    in_bag_leaf: list[np.ndarray]
     feature_subsets: list[np.ndarray]
-    y_train: np.ndarray
-    bootstrap: bool
-    seed: int
-    feature_fraction: float
+    in_bag_leaf: list[np.ndarray] | None = None
+    y_train: np.ndarray | None = None
+    bootstrap: bool | None = None
+    seed: int | None = None
+    feature_fraction: float | None = None
 
     @cached_property
     def y_order(self) -> np.ndarray:

@@ -57,17 +57,25 @@ class ConstantModel:
 
 @dataclass
 class CompositeQuantileModel:
+    """Prediction reads the partition and `estimators`, or nn_qr's training
+    matrix, targets and `hyperparams`; a loaded model of another kind has no
+    `hyperparams` (None)."""
+
     kind: str
     schema: object
     encoding: CategoricalEncoding
-    levels: tuple[float, ...]
-    hyperparams: dict
+    hyperparams: dict | None = None
     tree: RegressionTree | None = None
     clusters: ClusterPartition | None = None
     # partition id -> {alpha: estimator}; piecewise_rr fits alpha 0.5 only
     estimators: dict = field(default_factory=dict)
     train_matrix: EncodedMatrix | None = None
     train_y: np.ndarray | None = None
+
+    @property
+    def levels(self) -> tuple[float, ...]:
+        """The quantile levels the kind fits: piecewise_rr its ridge fit at 0.5."""
+        return (0.5,) if self.kind == "piecewise_rr" else INTERVAL_LEVELS
 
     @property
     def n_partitions(self) -> int | None:
@@ -139,7 +147,6 @@ def fit_composite(
     lam = float(hyperparams.get("lam", 0.0))
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    levels = (0.5,) if kind == "piecewise_rr" else INTERVAL_LEVELS
 
     fit_cache = {} if fit_cache is None else fit_cache
     matrix, y, encoding = encode_once(dataset, fit_cache)
@@ -147,11 +154,11 @@ def fit_composite(
         kind=kind,
         schema=dataset.schema,
         encoding=encoding,
-        levels=levels,
         hyperparams=hyperparams,
         train_matrix=matrix,
         train_y=y,
     )
+    levels = model.levels
 
     if kind == "quantile_tree":
         if tree is None:

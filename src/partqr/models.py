@@ -56,11 +56,12 @@ class _Growth:
 class ModelSpec:
     """One registry model; `build(name, dataset, params, seed, fit_cache)` returns
     its fit and reads only the `hyperparams` names, the only ones a grid may
-    use; `point(inner, X)` is a baseline's point forecast, and `growth` grows
-    and cuts its tree structure, if it has one. `median_is_point` says that
-    the middle column of the fit's `predict_intervals` is its `predict_point`
-    forecast, bit for bit, so scoring predicts once: true of qrf, whose
-    quantiles come out unsorted, not of a composite, which sorts them."""
+    use; `kind` is a composite's kind, `point(inner, X)` a baseline's point
+    forecast, and `growth` grows and cuts its tree structure, if it has one.
+    `median_is_point` says that the middle column of the fit's
+    `predict_intervals` is its `predict_point` forecast, bit for bit, so
+    scoring predicts once: true of qrf, whose quantiles come out unsorted,
+    not of a composite, which sorts them."""
 
     display_name: str
     grid: dict
@@ -71,6 +72,7 @@ class ModelSpec:
     point: Callable | None = None
     growth: _Growth | None = None
     median_is_point: bool = False
+    kind: str | None = None
 
 
 class _RegistryFit:
@@ -203,17 +205,16 @@ def _grown(name, dataset, params, seed, fit_cache):
 # Builders and point forecasts look the fitting and predicting functions up at
 # call time, so a wrapper installed on the module attribute (a tracer, a test
 # double) sees every call.
-def _composite(kind: str, settings: Callable) -> Callable:
-    """Builder of a partitioned model: lam plus `settings(dataset, params, seed)`."""
+def _composite(settings: Callable) -> Callable:
+    """Builder of the entry's composite `kind`: lam plus `settings(dataset, params, seed)`."""
 
     def build(name, dataset, params, seed, fit_cache):
         hyperparams = {"lam": params.get("lam", 0.0), **settings(dataset, params, seed)}
         tree = None
         if MODELS[name].growth is not None:
             tree, _ = _grown(name, dataset, params, seed, fit_cache)
-        return CompositeFit(
-            name, params, fit_composite(kind, dataset, hyperparams, fit_cache, tree=tree)
-        )
+        model = fit_composite(MODELS[name].kind, dataset, hyperparams, fit_cache, tree=tree)
+        return CompositeFit(name, params, model)
 
     return build
 
@@ -260,8 +261,7 @@ _FOREST = _Growth(
     lambda params: {
         "n_trees": params.get("n_trees", 100),
         "bootstrap": params.get("bootstrap", True),
-        # the file stores a float, so an integer grid value is cast
-        "feature_fraction": float(params.get("feature_fraction", 1.0)),
+        "feature_fraction": params.get("feature_fraction", 1.0),
         **_tree_settings(params),
     },
     lambda X, y, seed, **kw: fit_rf(X, y, seed=seed, **kw),
@@ -274,7 +274,8 @@ _BOOSTED = _Growth(
     "boosted",
     lambda params: {
         "n_stages": params["n_stages"],
-        "learning_rate": float(params["learning_rate"]),  # stored as a float, as above
+        # the file stores a float, so an integer grid value is cast
+        "learning_rate": float(params["learning_rate"]),
         **_tree_settings({"max_depth": 4, **params}),
     },
     lambda X, y, seed, **kw: fit_gb(X, y, **kw),
@@ -293,10 +294,10 @@ _CLUSTER_KEYS = ("lam", "n_clusters")
 # Report rows and `benchmark`'s default model list follow this order.
 MODELS = {
     "ridge": ModelSpec(
-        "Ridge Regressor", _LAMBDAS, ("lam",), False, _composite("piecewise_rr", _global)
+        "Ridge Regressor", _LAMBDAS, ("lam",), False, _composite(_global), kind="piecewise_rr"
     ),
     "quantile": ModelSpec(
-        "Quantile Regressor", _LAMBDAS, ("lam",), True, _composite("piecewise_qr", _global)
+        "Quantile Regressor", _LAMBDAS, ("lam",), True, _composite(_global), kind="piecewise_qr"
     ),
     "decision_tree": ModelSpec(
         "Decision Tree Regressor", _TREES, _TREE_KEYS, False, _baseline, "tree",
@@ -307,7 +308,7 @@ MODELS = {
         lambda forest, X: predict_rf(forest, X), _FOREST,
     ),
     "qrf": ModelSpec(
-        "QRF", _TREES, _FOREST_KEYS, True, _baseline, "forest",
+        "QRF", _TREES, _FOREST_KEYS, True, _baseline, "qrf",
         lambda forest, X: qrf_predict(forest, X, 0.5), _FOREST, median_is_point=True,
     ),
     "gradient_boosting": ModelSpec(
@@ -317,18 +318,18 @@ MODELS = {
     ),
     "quantile_tree": ModelSpec(
         "Quantile Tree", {**_LAMBDAS, **_TREES}, ("lam", *_TREE_KEYS), True,
-        _composite("quantile_tree", lambda dataset, params, seed: _tree_settings(params)),
-        growth=_CART,
+        _composite(lambda dataset, params, seed: _tree_settings(params)),
+        kind="quantile_tree", growth=_CART,
     ),
     "piecewise_qr": ModelSpec(
-        "Piecewise QR", _CLUSTERS, _CLUSTER_KEYS, True, _composite("piecewise_qr", _clusters)
+        "Piecewise QR", _CLUSTERS, _CLUSTER_KEYS, True, _composite(_clusters), kind="piecewise_qr"
     ),
     "piecewise_rr": ModelSpec(
-        "Piecewise RR", _CLUSTERS, _CLUSTER_KEYS, False, _composite("piecewise_rr", _clusters)
+        "Piecewise RR", _CLUSTERS, _CLUSTER_KEYS, False, _composite(_clusters), kind="piecewise_rr"
     ),
     "nn_qr": ModelSpec(
         "Nearest Neighbor QR", {**_LAMBDAS, "n_neighbors": [25, 50, 100]}, ("lam", "n_neighbors"),
-        True, _composite("nn_qr", _neighbors),
+        True, _composite(_neighbors), kind="nn_qr",
     ),
 }
 MODEL_NAMES = tuple(MODELS)

@@ -30,8 +30,11 @@ class RegressionTree:
     NaN threshold. `leaf_id` numbers the leaves 0..L-1 in node order and is
     -1 at inner nodes; `value` is each node's mean training target.
 
-    `leaf_rows[l]` holds leaf l's ascending training rows. A forest's trees
-    and loaded trees keep none (None): model files do not store them.
+    `n_features` is the tree's width. The growth settings (`max_depth`,
+    `min_samples_split`, `min_samples_leaf`) are read only by `prune`, and
+    `leaf_rows[l]` holds leaf l's ascending training rows. A loaded tree has
+    its width from its model file's layout and none of these (None); a
+    forest's trees keep no leaf rows.
     """
 
     feature: np.ndarray
@@ -41,9 +44,9 @@ class RegressionTree:
     leaf_id: np.ndarray
     value: np.ndarray
     n_features: int
-    max_depth: int
-    min_samples_split: int
-    min_samples_leaf: int
+    max_depth: int | None = None
+    min_samples_split: int | None = None
+    min_samples_leaf: int | None = None
     leaf_rows: list[np.ndarray] | None = None
 
     def __post_init__(self):

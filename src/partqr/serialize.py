@@ -1,14 +1,21 @@
 """Versioned JSON model files; loading reproduces bit-identical predictions.
 
-A file holds what prediction reads and nothing else, as compact JSON with
-sorted keys. Floats survive a JSON round-trip exactly (repr-based encoding).
-A tree is stored as the parallel arrays prediction walks plus its settings,
-a linear estimator as its coefficients and intercept (and a quantile
-estimator's level), centroids verbatim; a forest stores the leaf of each
-in-bag training row, and nn_qr the training matrix its neighbor scans read.
-The envelope keeps what filled the training data's empty cells (`fill`),
-so `partqr predict` fills its input the same way. Training-row lists and
-fit diagnostics stay on the fitted object.
+A file holds what `partqr predict` and `partqr inspect` read and nothing
+else, as compact JSON with sorted keys. Floats survive a JSON round-trip
+exactly (repr-based encoding). A tree is stored as the six node arrays
+prediction walks, a linear estimator as its coefficients and intercept,
+centroids verbatim; a qrf forest adds the leaf of each in-bag training row
+and the training targets, and nn_qr stores the training matrix its neighbor
+scans read and its lam and n_neighbors. The envelope keeps the params that
+`inspect` prints, the schema and encoding, and what filled the training
+data's empty cells (`fill`), so `partqr predict` fills its input the same way.
+
+Everything else is derived on load from the one source it was copied from:
+a composite's kind from the registry, its levels from its kind, an
+estimator's level from its table key, and a tree's width from the encoded
+layout (`data.encoded_columns`) or, in a forest, from its feature subset.
+Training-row lists, growth settings and fit diagnostics stay on the fitted
+object; a loaded one has None there.
 """
 
 from __future__ import annotations
@@ -24,29 +31,23 @@ from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit, model_spec
 from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_tree
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
-_TREE_SETTINGS = ("n_features", "max_depth", "min_samples_split", "min_samples_leaf")
 _TREE_IDS = ("feature", "left", "right", "leaf_id")
 
 
 def _tree_to_doc(tree: RegressionTree) -> dict:
-    doc = {key: getattr(tree, key).tolist() for key in NODE_ARRAYS}
-    return doc | {key: getattr(tree, key) for key in _TREE_SETTINGS}
+    return {key: getattr(tree, key).tolist() for key in NODE_ARRAYS}
 
 
-def _tree_from_doc(doc: dict) -> RegressionTree:
+def _tree_from_doc(doc: dict, width: int) -> RegressionTree:
     for key in _TREE_IDS:  # a float or bool id would be truncated to an int
         ids = doc[key]
         if not isinstance(ids, list) or set(map(type, ids)) - {int}:
             raise ValueError(f"tree key {key!r} must be a list of JSON integers")
-    for key in _TREE_SETTINGS:  # a bool is an int to Python, not to JSON
-        value = doc[key]
-        if type(value) is not int or value < 0:
-            raise ValueError(f"tree key {key!r} must be a non-negative JSON integer, not {value!r}")
     try:
-        tree = RegressionTree(*(doc[key] for key in NODE_ARRAYS + _TREE_SETTINGS))
+        tree = RegressionTree(*(doc[key] for key in NODE_ARRAYS), width)
     except OverflowError as exc:
         raise ValueError(f"tree ids must fit a machine integer: {exc}") from exc
     check_tree(tree)
@@ -58,57 +59,51 @@ def _estimator_to_doc(est) -> dict:
     if isinstance(est, ConstantModel):
         return {"type": "constant", "value": est.value}
     doc = {"coef": est.coef.tolist(), "intercept": est.intercept}
-    if isinstance(est, RidgeModel):
-        return {"type": "ridge", **doc}
-    return {"type": "quantile", "alpha": est.alpha, **doc}
+    return {"type": "ridge" if isinstance(est, RidgeModel) else "quantile", **doc}
 
 
-def _estimator_from_doc(doc: dict):
+def _estimator_from_doc(doc: dict, alpha: float):
+    """The estimator of level `alpha`, the key of its table."""
     if doc["type"] == "constant":
         return ConstantModel(value=doc["value"])
     coef = np.array(doc["coef"], dtype=float)
     if doc["type"] == "ridge":
         return RidgeModel(coef=coef, intercept=doc["intercept"])
-    return LinearQuantileModel(alpha=doc["alpha"], coef=coef, intercept=doc["intercept"])
+    return LinearQuantileModel(alpha=alpha, coef=coef, intercept=doc["intercept"])
 
 
 def _composite_to_doc(fit: CompositeFit) -> dict:
     model = fit.model
+    if model.kind == "nn_qr":  # its neighbour fits read lam and n_neighbors
+        return {
+            "hyperparams": {key: model.hyperparams[key] for key in ("lam", "n_neighbors")},
+            "train_values": model.train_matrix.values.tolist(),
+            "train_y": model.train_y.tolist(),
+        }
     doc = {
-        "kind": model.kind,
-        "levels": list(model.levels),
-        "hyperparams": model.hyperparams,
-    }
-    if model.kind != "nn_qr":
-        doc["estimators"] = {
+        "estimators": {
             str(pid): {repr(a): _estimator_to_doc(est) for a, est in table.items()}
             for pid, table in model.estimators.items()
         }
+    }
     if model.tree is not None:
         doc["tree"] = _tree_to_doc(model.tree)
     if model.clusters is not None:
         doc["centroids"] = model.clusters.centroids.tolist()
-    if model.kind == "nn_qr":
-        doc["train_values"] = model.train_matrix.values.tolist()
-        doc["train_y"] = model.train_y.tolist()
     return doc
 
 
 def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
-    model = CompositeQuantileModel(
-        kind=doc["kind"],
-        schema=schema,
-        encoding=encoding,
-        levels=tuple(doc["levels"]),
-        hyperparams=doc["hyperparams"],
-    )
-    if doc["kind"] != "nn_qr":
+    model = CompositeQuantileModel(model_spec(name).kind, schema, encoding)
+    if model.kind == "nn_qr":
+        model.hyperparams = doc["hyperparams"]
+    else:
         model.estimators = {
-            int(p): {float(a): _estimator_from_doc(d) for a, d in table.items()}
+            int(p): {float(a): _estimator_from_doc(d, float(a)) for a, d in table.items()}
             for p, table in doc["estimators"].items()
         }
     if "tree" in doc:
-        model.tree = _tree_from_doc(doc["tree"])
+        model.tree = _tree_from_doc(doc["tree"], model.width)
         # prediction looks up the estimators of the leaf id a row routes to
         if set(model.estimators) != set(range(model.tree.n_leaves)):
             raise ValueError(
@@ -117,7 +112,7 @@ def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
             )
     if "centroids" in doc:
         model.clusters = ClusterPartition(centroids=np.array(doc["centroids"], dtype=float))
-    if doc["kind"] == "nn_qr":
+    if model.kind == "nn_qr":
         columns, rows = encoded_columns(schema, encoding), doc["train_values"]
         if not isinstance(rows, list) or any(
             not isinstance(r, list) or len(r) != len(columns) for r in rows
@@ -133,28 +128,31 @@ def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
 def _forest_to_doc(forest: ForestModel) -> dict:
     return {
         "trees": [_tree_to_doc(t) for t in forest.trees],
-        "in_bag_leaf": [leaf.tolist() for leaf in forest.in_bag_leaf],
         "feature_subsets": [[int(i) for i in s] for s in forest.feature_subsets],
-        "y_train": forest.y_train.tolist(),
-        "bootstrap": forest.bootstrap,
-        "seed": forest.seed,
-        "feature_fraction": forest.feature_fraction,
     }
 
 
-def _forest_from_doc(f: dict) -> ForestModel:
-    forest = ForestModel(
-        trees=[_tree_from_doc(t) for t in f["trees"]],
-        in_bag_leaf=[np.array(leaf, dtype=np.intp) for leaf in f["in_bag_leaf"]],
-        feature_subsets=[np.array(s, dtype=int) for s in f["feature_subsets"]],
-        y_train=np.array(f["y_train"], dtype=float),
-        bootstrap=f["bootstrap"],
-        seed=f["seed"],
-        feature_fraction=f["feature_fraction"],
-    )
-    # QRF weights read each training row's leaf id in each tree, or -1 out of bag
-    if not len(forest.in_bag_leaf) == len(forest.feature_subsets) == forest.n_trees:
-        raise ValueError("a forest needs one in_bag_leaf and one feature_subsets list per tree")
+def _forest_from_doc(f: dict, width: int) -> ForestModel:
+    if len(f["feature_subsets"]) != len(f["trees"]):
+        raise ValueError("a forest needs one feature_subsets list per tree")
+    subsets = [np.array(s, dtype=int) for s in f["feature_subsets"]]
+    trees = [_tree_from_doc(t, len(s)) for t, s in zip(f["trees"], subsets)]
+    return ForestModel(trees=trees, feature_subsets=subsets)
+
+
+def _qrf_to_doc(forest: ForestModel) -> dict:
+    """The forest plus what QRF weights read: each training row's leaf id in
+    each tree, or -1 out of bag, and the training targets."""
+    in_bag = [leaf.tolist() for leaf in forest.in_bag_leaf]
+    return _forest_to_doc(forest) | {"in_bag_leaf": in_bag, "y_train": forest.y_train.tolist()}
+
+
+def _qrf_from_doc(f: dict, width: int) -> ForestModel:
+    forest = _forest_from_doc(f, width)
+    forest.in_bag_leaf = [np.array(leaf, dtype=np.intp) for leaf in f["in_bag_leaf"]]
+    forest.y_train = np.array(f["y_train"], dtype=float)
+    if len(forest.in_bag_leaf) != forest.n_trees:
+        raise ValueError("a forest needs one in_bag_leaf list per tree")
     for t, (tree, leaf) in enumerate(zip(forest.trees, forest.in_bag_leaf)):
         if leaf.shape != forest.y_train.shape or ((leaf < -1) | (leaf >= tree.n_leaves)).any():
             raise ValueError(
@@ -172,19 +170,20 @@ def _boosted_to_doc(model: BoostedModel) -> dict:
     }
 
 
-def _boosted_from_doc(b: dict) -> BoostedModel:
+def _boosted_from_doc(b: dict, width: int) -> BoostedModel:
     return BoostedModel(
         init=b["init"],
-        trees=[_tree_from_doc(t) for t in b["trees"]],
+        trees=[_tree_from_doc(t, width) for t in b["trees"]],
         learning_rate=b["learning_rate"],
     )
 
 
 def _baseline_codec(to_doc, from_doc):
-    """A baseline stores its fitted ensemble."""
+    """A baseline stores its fitted ensemble, of the encoded layout's width."""
 
     def read(name, params, schema, encoding, doc) -> BaselineFit:
-        return BaselineFit(name, params, schema, encoding, from_doc(doc))
+        width = len(encoded_columns(schema, encoding))
+        return BaselineFit(name, params, schema, encoding, from_doc(doc, width))
 
     return lambda fit: to_doc(fit.inner), read
 
@@ -194,16 +193,9 @@ _PAYLOADS = {
     "composite": (_composite_to_doc, _composite_from_doc),
     "tree": _baseline_codec(_tree_to_doc, _tree_from_doc),
     "forest": _baseline_codec(_forest_to_doc, _forest_from_doc),
+    "qrf": _baseline_codec(_qrf_to_doc, _qrf_from_doc),
     "boosted": _baseline_codec(_boosted_to_doc, _boosted_from_doc),
 }
-
-
-def _columns_doc(key: str, schema: FeatureSchema, encoding: CategoricalEncoding):
-    """The envelope's `columns`: a composite's `encoded_columns` as [source,
-    level, from_categorical] triples, null for a baseline."""
-    if key != "composite":
-        return None
-    return [[c.source, c.level, c.from_categorical] for c in encoded_columns(schema, encoding)]
 
 
 def model_to_json(fit) -> str:
@@ -219,7 +211,6 @@ def model_to_json(fit) -> str:
             "weight_units": fit.schema.weight_units,
         },
         "encoding": [[col, list(levels)] for col, levels in fit.encoding.levels],
-        "columns": _columns_doc(key, fit.schema, fit.encoding),
         "payload": {key: _PAYLOADS[key][0](fit)},
         "fill": fit.fill,
     }
@@ -233,7 +224,6 @@ _ENVELOPE = (
     "params",
     "schema",
     "encoding",
-    "columns",
     "payload",
     "fill",
 )
@@ -261,10 +251,6 @@ def model_from_json(text: str):
     )
     if key not in doc["payload"]:
         raise ValueError(f"model {name!r} needs a {key!r} payload, which the file lacks")
-    columns = _columns_doc(key, schema, encoding)
-    if json.dumps(doc["columns"]) != json.dumps(columns):
-        want = "null" if columns is None else "the encoded layout of its schema and encoding"
-        raise ValueError(f"model file key 'columns' must be {want}")
     read = _PAYLOADS[key][1]
     try:
         fit = read(name, doc["params"], schema, encoding, doc["payload"][key])

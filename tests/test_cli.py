@@ -373,10 +373,13 @@ class TestPredict:
     def test_version_2_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
         self.check_old_version_refused(tmp_path, synth_csv, capsys, 2)
 
+    def test_version_3_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
+        self.check_old_version_refused(tmp_path, synth_csv, capsys, 3)
+
     def check_old_version_refused(self, tmp_path, synth_csv, capsys, version):
         model = self.make_model(tmp_path, synth_csv)
         doc = json.loads(model.read_text(encoding="utf-8"))
-        assert doc["format_version"] == 3
+        assert doc["format_version"] == 4
         doc["format_version"] = version
         model.write_text(json.dumps(doc), encoding="utf-8")
         inp = tmp_path / "in.csv"
@@ -464,11 +467,11 @@ def _tree_without_feature_subset(payload):
 
 
 def _short_in_bag_leaf(payload):
-    payload["forest"]["in_bag_leaf"][2].pop()
+    payload["qrf"]["in_bag_leaf"][2].pop()
 
 
 def _in_bag_leaf_past_last_leaf(payload):
-    forest = payload["forest"]
+    forest = payload["qrf"]
     n_leaves = forest["trees"][0]["left"].count(-1)
     forest["in_bag_leaf"][0][5] = n_leaves
 
@@ -500,22 +503,6 @@ def _huge_child(payload):
     payload["tree"]["right"][0] = 2**70
 
 
-def _deep_max_depth(payload):
-    payload["tree"]["max_depth"] = "deep"
-
-
-def _null_min_samples_leaf(payload):
-    payload["forest"]["trees"][1]["min_samples_leaf"] = None
-
-
-def _negative_min_samples_split(payload):
-    payload["composite"]["tree"]["min_samples_split"] = -5
-
-
-def _bool_n_features(payload):
-    payload["boosted"]["trees"][2]["n_features"] = True
-
-
 MALFORMED = {  # case -> (model, payload key, edit, what the error says)
     "child_out_of_range": ("decision_tree", "tree", _child_out_of_range, "children must follow"),
     "shared_child": ("decision_tree", "tree", _shared_child, "exactly one parent"),
@@ -526,26 +513,14 @@ MALFORMED = {  # case -> (model, payload key, edit, what the error says)
     "tree_without_feature_subset": (
         "random_forest", "forest", _tree_without_feature_subset, "one feature_subsets list per tree"
     ),
-    "short_in_bag_leaf": ("qrf", "forest", _short_in_bag_leaf, "in_bag_leaf 2 must"),
-    "in_bag_leaf_past_last_leaf": ("qrf", "forest", _in_bag_leaf_past_last_leaf, "in_bag_leaf 0 must"),
+    "short_in_bag_leaf": ("qrf", "qrf", _short_in_bag_leaf, "in_bag_leaf 2 must"),
+    "in_bag_leaf_past_last_leaf": ("qrf", "qrf", _in_bag_leaf_past_last_leaf, "in_bag_leaf 0 must"),
     "nan_leaf_value": ("decision_tree", "tree", _nan_last_leaf, "'value' must be finite"),
     "infinite_threshold": ("random_forest", "forest", _infinite_threshold, "'threshold' must be finite"),
     "half_feature": ("decision_tree", "tree", _half_feature, "'feature' must be a list of JSON integers"),
     "float_leaf_id": ("gradient_boosting", "boosted", _float_leaf_id, "'leaf_id' must be a list"),
     "bool_child": ("quantile_tree", "composite", _bool_child, "'right' must be a list of JSON integers"),
     "huge_child": ("decision_tree", "tree", _huge_child, "ids must fit a machine integer"),
-    "deep_max_depth": (
-        "decision_tree", "tree", _deep_max_depth, "'max_depth' must be a non-negative JSON integer"
-    ),
-    "null_min_samples_leaf": (
-        "random_forest", "forest", _null_min_samples_leaf, "'min_samples_leaf' must be a non-negative"
-    ),
-    "negative_min_samples_split": (
-        "quantile_tree", "composite", _negative_min_samples_split, "'min_samples_split' must be a non"
-    ),
-    "bool_n_features": (
-        "gradient_boosting", "boosted", _bool_n_features, "'n_features' must be a non-negative"
-    ),
 }
 MALFORMED_PARAMS = {
     "decision_tree": {"max_depth": 4, "min_samples_split": 10},
@@ -637,36 +612,6 @@ def test_adjacent_double_predictor_trains_and_predicts(tmp_path, capsys, name):
     assert forecasts.shape == (400, 3) and np.isfinite(forecasts).all()
 
 
-# A composite file's `columns` here: the site_category indicators metro,
-# remote and suburban, then step1_days .. step4_days.
-def _flip_flag(columns):
-    columns[3][2] = True  # step1_days read as an indicator
-
-
-def _rename_source(columns):
-    columns[4][0] = "step9_days"
-
-
-def _rename_level(columns):
-    columns[0][1] = "rural"
-
-
-def _drop_column(columns):
-    columns.pop()
-
-
-def _add_column(columns):
-    columns.append(["step5_days", None, False])
-
-
-def _swap_columns(columns):
-    columns[2], columns[3] = columns[3], columns[2]
-
-
-LAYOUT_EDITS = {
-    edit.__name__[1:]: edit
-    for edit in (_flip_flag, _rename_source, _rename_level, _drop_column, _add_column, _swap_columns)
-}
 COMPOSITE_PARAMS = {
     "quantile_tree": {"lam": 0.1, "max_depth": 2, "min_samples_split": 20},
     "piecewise_qr": {"lam": 0.1, "n_clusters": 2},
@@ -676,9 +621,8 @@ COMPOSITE_PARAMS = {
 
 
 class TestEncodedLayout:
-    """A composite's `columns` key repeats the layout its schema and encoding
-    imply; a file that disagrees must not load, or it would route its rows on
-    other indicator columns than it was fitted on."""
+    """A composite's widths come from the layout its schema and encoding
+    imply; stored tables that disagree must not load."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -699,17 +643,6 @@ class TestEncodedLayout:
         model.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)])
         return code, out
-
-    @pytest.mark.parametrize("name", COMPOSITE_PARAMS)
-    @pytest.mark.parametrize("case", LAYOUT_EDITS)
-    def test_edited_columns_exit_2_at_load(self, tmp_path, files, capsys, name, case):
-        code, out = self.predict_edited(
-            tmp_path, files, name, lambda doc: LAYOUT_EDITS[case](doc["columns"])
-        )
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "error in stage 'load-model': model file key 'columns' must be" in err
-        assert not out.exists()
 
     def test_short_train_values_exit_2_at_load(self, tmp_path, files, capsys):
         def short_rows(doc):

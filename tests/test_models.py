@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from partqr import composite
-from partqr.data import Dataset, EncodedMatrix, encode, encode_row, encoded_columns
+from partqr.data import Dataset, EncodedMatrix, encode, encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.models import MODEL_NAMES, MODELS, fit_model
 from partqr.partition import NODE_ARRAYS
@@ -32,18 +32,18 @@ PARAMS = {
 }
 
 # sha256 of model_to_json for each fit of the `fitted` fixture, recorded when
-# model files moved to format 3: the model file bytes may not move.
+# model files moved to format 4: the model file bytes may not move.
 GOLDEN_DIGESTS = {
-    "ridge": "737a60a12dac97c7e92546e7c87e3d1eee640453a40e1ba6c1d608c152f91f50",
-    "quantile": "2bcdbb63981f664a2efdc4403d3c42538c6890465bfa67cecb6a139409f90c8f",
-    "decision_tree": "64adbc8a1f8fecf41204b8186e547a900c63dab359b308baf8c6a517b0c6a0bb",
-    "random_forest": "a270809de8e3790753499d6ecfc10b39d643f01c8bc8c36070ccf793232e9649",
-    "qrf": "78be21b9848d13e967d51de40b1536f56fe9d0bf2d0a9a08d86e705da064bec3",
-    "gradient_boosting": "4dc3ae0796cb8dd2037cd3dad059b0fda91e6ddd07d3a9a316a9ded5528b8311",
-    "quantile_tree": "2eac3ab7f9cb96435e0a5109ba9d9b3012de6c167e06a8940feadc22c8dfd08e",
-    "piecewise_qr": "fa39cbefa3812397741c165adb1107809fad96f09cee0ab6a7fcd2811f76912d",
-    "piecewise_rr": "bee6b29c08a2773aa62c51523ab6246d7c02f9ed1fccc28bc87eb0ef46f52e1d",
-    "nn_qr": "cdec8bcaa28c5b0e57c02a288949bb88467b2013b4433d8526fc4b022696419a",
+    "ridge": "f542aed354930f2ba527582b7aed4f065a8475988c08b67686084e81d30b3d10",
+    "quantile": "01663f68a9d283514ccbf6660c7a73e6dfe5cbcd58b6ff8fb007273fb19adc24",
+    "decision_tree": "645d2b0ced63c54aac5f0760606f81705288e0358fd253eeac61dc64b00bf9bf",
+    "random_forest": "47e153f4ebeb6753b0eeb718c6c1599fc4481073cc3335a619751ea14badb26b",
+    "qrf": "4b64443568a1f7ca837fc8415a7b46d01d9282533eb39b578929c50079b306ce",
+    "gradient_boosting": "a2b614cd0634cbf24b84a43bdc52a936bb0d9168ff7bec16111a87b28cbd8668",
+    "quantile_tree": "ae00caa98440ec9b88e9ad25fab0523f65818aaf9fa958e50feaea9c56eeb6d0",
+    "piecewise_qr": "4bf5ce461ae26b05b45a3397292606db63d41ea451447e24879e232776b3c62d",
+    "piecewise_rr": "f2a053204da6e77deb6998aea5df3da785a70c3ca9f1a5e0bfeed831bb64fb71",
+    "nn_qr": "f8390ebae4d606df46b1e0498f7c643a461472920804c6497b8bc4fc2f44f5c6",
 }
 
 
@@ -107,21 +107,6 @@ def test_encoded_matrix_equals_raw_rows(fitted, rows, name):
         fit.predict_point(shuffled)
 
 
-@pytest.mark.parametrize("name", MODEL_NAMES)
-def test_columns_key_is_the_layout(fitted, name):
-    # a composite's file repeats its encoded layout; a baseline's holds null
-    fit = fitted[name]
-    written = json.loads(model_to_json(fit))["columns"]
-    if MODELS[name].payload != "composite":
-        assert written is None
-        return
-    layout = encoded_columns(fit.schema, fit.encoding)
-    assert layout == fit.model.train_matrix.columns  # the matrix it was fitted on
-    assert written == [[c.source, c.level, c.from_categorical] for c in layout]
-    assert fit.model.width == len(layout)
-    assert fit.model.categorical_mask.tolist() == [c.from_categorical for c in layout]
-
-
 def test_unknown_hyperparameter_named_before_fitting():
     train = generate_synthetic(SyntheticSpec(n_projects=40, seed=1))
     want = "unknown hyperparameter 'lamda' of 'ridge': it reads only ['lam']"
@@ -147,6 +132,13 @@ def test_wrong_typed_hyperparameter_named_before_fitting(name, params, want):
         fit_model(name, train, params)
 
 
+# keys of format 3 whose values the loader now derives, or which only fitting reads
+DERIVED_KEYS = {
+    "kind", "levels", "alpha", "n_features", "max_depth", "min_samples_split",
+    "min_samples_leaf", "bootstrap", "seed", "feature_fraction",
+}
+
+
 def _keys(doc) -> set:
     """Every key of a parsed JSON document, at any depth."""
     if isinstance(doc, dict):
@@ -163,8 +155,15 @@ def test_registry_entry_and_golden_bytes(fitted, name):
     text = model_to_json(fitted[name])
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DIGESTS[name]
     assert model_to_json(model_from_json(text)) == text
-    # a model file holds what prediction reads: no training-row lists, no fit history
-    assert not _keys(json.loads(text)) & {"rows", "partition_rows", "sample_indices", "sse_history"}
+    # a model file holds what prediction reads: no training-row lists, no fit
+    # history, and no copy of what the loader derives
+    doc = json.loads(text)
+    assert not _keys(doc) & {"rows", "partition_rows", "sample_indices", "sse_history"}
+    assert "columns" not in doc
+    payload = _keys(doc["payload"])
+    assert not payload & DERIVED_KEYS
+    assert ("hyperparams" in payload) == (name == "nn_qr")
+    assert ("y_train" in payload) == ("in_bag_leaf" in payload) == (name == "qrf")
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -172,7 +171,7 @@ def test_file_is_its_own_compact_redump(fitted, name):
     text = model_to_json(fitted[name])
     doc = json.loads(text)
     assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-    assert doc["format_version"] == 3 and doc["fill"] == {}
+    assert doc["format_version"] == 4 and doc["fill"] == {}
 
 
 def _subdocs(doc, has):
@@ -186,14 +185,11 @@ def _subdocs(doc, has):
 
 # what prediction reads of each estimator and tree
 ESTIMATOR_KEYS = {
-    "quantile": {"type", "alpha", "coef", "intercept"},
+    "quantile": {"type", "coef", "intercept"},
     "ridge": {"type", "coef", "intercept"},
     "constant": {"type", "value"},
 }
-TREE_KEYS = {
-    "feature", "threshold", "left", "right", "leaf_id", "value",
-    "n_features", "max_depth", "min_samples_split", "min_samples_leaf",
-}
+TREE_KEYS = set(NODE_ARRAYS)
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -207,7 +203,7 @@ def test_estimators_and_trees_hold_only_what_prediction_reads(fitted, name):
     assert bool(trees) == (name in TREE_MODELS)
     for tree in trees:
         assert set(tree) == TREE_KEYS
-        assert len({len(tree[key]) for key in ("feature", "threshold", "left", "right", "leaf_id", "value")}) == 1
+        assert len({len(tree[key]) for key in NODE_ARRAYS}) == 1
 
 
 def _trees(fit) -> list:
@@ -227,8 +223,12 @@ def test_loaded_trees_equal_fitted_trees(fitted, name):
         for key in NODE_ARRAYS:
             a, b = getattr(own, key), getattr(back, key)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-        settings = ("n_features", "max_depth", "min_samples_split", "min_samples_leaf")
-        assert [getattr(own, key) for key in settings] == [getattr(back, key) for key in settings]
+        # the width is derived from the layout; the growth settings, which only
+        # `prune` reads, stay on the fitted tree
+        assert own.n_features == back.n_features
+        settings = ("max_depth", "min_samples_split", "min_samples_leaf")
+        assert None not in [getattr(own, key) for key in settings]
+        assert [getattr(back, key) for key in settings] == [None] * 3
         # model files keep no training rows; a forest's trees drop theirs when fitted
         assert back.leaf_rows is None
         assert (own.leaf_rows is None) == (name in ("random_forest", "qrf"))
@@ -260,20 +260,9 @@ def test_version_2_file_fails_naming_its_version(fitted):
         model_from_json(_edited(fitted["qrf"], format_version=2))
 
 
-@pytest.mark.parametrize("name", ["decision_tree", "qrf", "gradient_boosting"])
-def test_baseline_columns_must_be_null(fitted, name):
-    columns = json.loads(model_to_json(fitted["ridge"]))["columns"]
-    for edited in ([], columns):
-        with pytest.raises(ValueError, match="model file key 'columns' must be null"):
-            model_from_json(_edited(fitted[name], columns=edited))
-
-
-def test_composite_columns_compared_as_json(fitted):
-    # 1 == True to Python, but the file's flag must be the JSON literal true
-    doc = json.loads(model_to_json(fitted["quantile"]))
-    doc["columns"][0][2] = 1
-    with pytest.raises(ValueError, match="model file key 'columns' must be the encoded layout"):
-        model_from_json(json.dumps(doc))
+def test_version_3_file_fails_naming_its_version(fitted):
+    with pytest.raises(ValueError, match="unsupported model format_version 3"):
+        model_from_json(_edited(fitted["qrf"], format_version=3))
 
 
 def test_unknown_model_name_in_file_fails_naming_it(fitted):
