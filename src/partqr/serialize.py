@@ -16,11 +16,18 @@ estimator's level from its table key, and a tree's width from the encoded
 layout (`data.encoded_columns`) or, in a forest, from its feature subset.
 Training-row lists, growth settings and fit diagnostics stay on the fitted
 object; a loaded one has None there.
+
+A model file is outside input. Loading reads every stored number through
+`_array`, as JSON numbers in the shape the layout gives, checks the schema,
+encoding and tables against what the kind and its partitions need, and
+turns any fault met while reading into one ValueError naming the part of
+the file, so `partqr` exits 2 at `load-model`.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -33,8 +40,49 @@ from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_tree
 
 FORMAT_VERSION = 4
 
-
+# faults that reading a malformed document raises; `model_from_json` turns
+# them into one ValueError naming the part of the file being read
+_FAULTS = (KeyError, TypeError, IndexError, AttributeError, OverflowError)
 _TREE_IDS = ("feature", "left", "right", "leaf_id")
+# the JSON number types a stored array of each dtype holds; a bool is an int
+# to Python, not to JSON
+_JSON_NUMBERS = {float: {int, float}, np.intp: {int}}
+
+
+def _describe(shape: tuple, dtype, finite: bool) -> str:
+    kind = "JSON integers" if dtype is np.intp else ("finite " if finite else "") + "JSON numbers"
+    if not shape:
+        return "a " + kind[:-1]
+    counts = ["" if n < 0 else f"{n} " for n in shape]
+    return "a list of " + "".join(f"{c}lists of " for c in counts[:-1]) + counts[-1] + kind
+
+
+def _nested(value, shape: tuple, types: set) -> bool:
+    """Whether `value` is JSON lists nested as `shape` gives, -1 meaning any
+    length, of values of `types`, or for shape () one such value."""
+    lists = [value]  # the lists along the axis being checked
+    for axis, n in enumerate(shape):
+        if axis:
+            lists = [x for xs in lists for x in xs]
+        if any(type(xs) is not list or n not in (-1, len(xs)) for xs in lists):
+            return False
+    return set(map(type, chain.from_iterable(lists))) <= types if shape else type(value) in types
+
+
+def _array(doc, key, shape: tuple = (), dtype=float, finite: bool = True, name: str = ""):
+    """The stored `doc[key]` as an array of `shape` and `dtype`, or as a
+    Python number for shape (). Only the first axis may have any length
+    (-1). The values must be JSON numbers, integers for intp, and finite
+    unless `finite` is false; else ValueError naming `name` (the quoted key
+    by default)."""
+    value = doc[key]
+    if _nested(value, shape, _JSON_NUMBERS[dtype]):
+        out = np.array(value, dtype=dtype)
+        if out.ndim != len(shape):  # no rows at all: np.array([]) is flat
+            out = out.reshape(0, *shape[1:])
+        if not finite or np.isfinite(out).all():
+            return out if shape else out.item()
+    raise ValueError(f"{name or repr(key)} must be {_describe(shape, dtype, finite)}")
 
 
 def _tree_to_doc(tree: RegressionTree) -> dict:
@@ -42,14 +90,12 @@ def _tree_to_doc(tree: RegressionTree) -> dict:
 
 
 def _tree_from_doc(doc: dict, width: int) -> RegressionTree:
-    for key in _TREE_IDS:  # a float or bool id would be truncated to an int
-        ids = doc[key]
-        if not isinstance(ids, list) or set(map(type, ids)) - {int}:
-            raise ValueError(f"tree key {key!r} must be a list of JSON integers")
-    try:
-        tree = RegressionTree(*(doc[key] for key in NODE_ARRAYS), width)
-    except OverflowError as exc:
-        raise ValueError(f"tree ids must fit a machine integer: {exc}") from exc
+    """A tree over `width` features; `check_tree` checks what its arrays hold."""
+    arrays = [
+        _array(doc, key, (-1,), np.intp if key in _TREE_IDS else float, False, f"tree key {key!r}")
+        for key in NODE_ARRAYS
+    ]
+    tree = RegressionTree(*arrays, width)
     check_tree(tree)
     return tree
 
@@ -62,14 +108,17 @@ def _estimator_to_doc(est) -> dict:
     return {"type": "ridge" if isinstance(est, RidgeModel) else "quantile", **doc}
 
 
-def _estimator_from_doc(doc: dict, alpha: float):
-    """The estimator of level `alpha`, the key of its table."""
-    if doc["type"] == "constant":
-        return ConstantModel(value=doc["value"])
-    coef = np.array(doc["coef"], dtype=float)
-    if doc["type"] == "ridge":
-        return RidgeModel(coef=coef, intercept=doc["intercept"])
-    return LinearQuantileModel(alpha=alpha, coef=coef, intercept=doc["intercept"])
+def _estimator_from_doc(doc: dict, alpha: float, width: int):
+    """The estimator of level `alpha`, its table's key, over `width` columns."""
+    kind = doc["type"]
+    if kind == "constant":
+        return ConstantModel(value=_array(doc, "value"))
+    if kind not in ("ridge", "quantile"):
+        raise ValueError(f"unknown estimator type {kind!r}")
+    coef, intercept = _array(doc, "coef", (width,)), _array(doc, "intercept")
+    if kind == "ridge":
+        return RidgeModel(coef=coef, intercept=intercept)
+    return LinearQuantileModel(alpha=alpha, coef=coef, intercept=intercept)
 
 
 def _composite_to_doc(fit: CompositeFit) -> dict:
@@ -94,34 +143,38 @@ def _composite_to_doc(fit: CompositeFit) -> dict:
 
 
 def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
+    """Its kind comes from the registry, its widths from the encoded layout."""
     model = CompositeQuantileModel(model_spec(name).kind, schema, encoding)
+    width = model.width
     if model.kind == "nn_qr":
-        model.hyperparams = doc["hyperparams"]
+        values = _array(doc, "train_values", (-1, width))
+        model.train_matrix = EncodedMatrix(values, encoded_columns(schema, encoding))
+        model.train_y = _array(doc, "train_y", (len(values),))  # one per training row, in order
+        hyper = doc["hyperparams"]
+        lam, k = _array(hyper, "lam"), _array(hyper, "n_neighbors", dtype=np.intp)
+        if lam < 0 or not 1 <= k <= len(values):
+            raise ValueError(f"'hyperparams' needs lam >= 0 and n_neighbors in 1..{len(values)}")
+        model.hyperparams = {"lam": hyper["lam"], "n_neighbors": k}
+        return CompositeFit(name, params, model)
+    if model.kind == "quantile_tree":
+        model.tree = _tree_from_doc(doc["tree"], width)
+        n = model.tree.n_leaves
     else:
-        model.estimators = {
-            int(p): {float(a): _estimator_from_doc(d, float(a)) for a, d in table.items()}
-            for p, table in doc["estimators"].items()
+        centroids = _array(doc, "centroids", (-1, int(model.categorical_mask.sum())))
+        if not len(centroids):
+            raise ValueError("'centroids' must hold at least one cluster")
+        model.clusters = ClusterPartition(centroids=centroids)
+        n = model.clusters.k
+    # prediction looks up the estimators of the partition id a row falls in
+    tables, levels = doc["estimators"], {repr(a): a for a in model.levels}
+    if set(tables) != set(map(str, range(n))):
+        raise ValueError(f"estimators are keyed {list(tables)}, not by partition ids 0..{n - 1}")
+    for p in range(n):
+        if set(tables[str(p)]) != set(levels):
+            raise ValueError(f"estimators {p} must be keyed by the levels {list(levels)}")
+        model.estimators[p] = {
+            a: _estimator_from_doc(tables[str(p)][r], a, width) for r, a in levels.items()
         }
-    if "tree" in doc:
-        model.tree = _tree_from_doc(doc["tree"], model.width)
-        # prediction looks up the estimators of the leaf id a row routes to
-        if set(model.estimators) != set(range(model.tree.n_leaves)):
-            raise ValueError(
-                f"estimators are keyed {sorted(model.estimators)}, "
-                f"not by the tree's leaf ids 0..{model.tree.n_leaves - 1}"
-            )
-    if "centroids" in doc:
-        model.clusters = ClusterPartition(centroids=np.array(doc["centroids"], dtype=float))
-    if model.kind == "nn_qr":
-        columns, rows = encoded_columns(schema, encoding), doc["train_values"]
-        if not isinstance(rows, list) or any(
-            not isinstance(r, list) or len(r) != len(columns) for r in rows
-        ):
-            raise ValueError(f"'train_values' rows must hold the {len(columns)} encoded columns")
-        model.train_matrix = EncodedMatrix(np.array(rows, dtype=float), columns)
-        model.train_y = np.array(doc["train_y"], dtype=float)
-        if model.train_y.shape != (len(rows),):  # a target per training row, in order
-            raise ValueError(f"'train_y' must hold one target per 'train_values' row ({len(rows)})")
     return CompositeFit(name, params, model)
 
 
@@ -133,10 +186,18 @@ def _forest_to_doc(forest: ForestModel) -> dict:
 
 
 def _forest_from_doc(f: dict, width: int) -> ForestModel:
-    if len(f["feature_subsets"]) != len(f["trees"]):
-        raise ValueError("a forest needs one feature_subsets list per tree")
-    subsets = [np.array(s, dtype=int) for s in f["feature_subsets"]]
-    trees = [_tree_from_doc(t, len(s)) for t, s in zip(f["trees"], subsets)]
+    """Each tree over its feature subset's width."""
+    n_trees = len(f["trees"])
+    if not 1 <= n_trees == len(f["feature_subsets"]):
+        raise ValueError("a forest needs at least one tree and one feature_subsets list per tree")
+    subsets = [
+        _array(f["feature_subsets"], t, (-1,), np.intp, name=f"feature_subsets {t}")
+        for t in range(n_trees)
+    ]
+    for t, cols in enumerate(subsets):
+        if (np.diff(cols) <= 0).any() or ((cols < 0) | (cols >= width)).any():
+            raise ValueError(f"feature_subsets {t} must be ascending, distinct and in [0, {width})")
+    trees = [_tree_from_doc(t, s.size) for t, s in zip(f["trees"], subsets)]
     return ForestModel(trees=trees, feature_subsets=subsets)
 
 
@@ -149,15 +210,22 @@ def _qrf_to_doc(forest: ForestModel) -> dict:
 
 def _qrf_from_doc(f: dict, width: int) -> ForestModel:
     forest = _forest_from_doc(f, width)
-    forest.in_bag_leaf = [np.array(leaf, dtype=np.intp) for leaf in f["in_bag_leaf"]]
-    forest.y_train = np.array(f["y_train"], dtype=float)
-    if len(forest.in_bag_leaf) != forest.n_trees:
+    forest.y_train = _array(f, "y_train", (-1,))
+    if len(f["in_bag_leaf"]) != forest.n_trees:
         raise ValueError("a forest needs one in_bag_leaf list per tree")
+    n = forest.y_train.size
+    forest.in_bag_leaf = [
+        _array(f["in_bag_leaf"], t, (n,), np.intp, name=f"in_bag_leaf {t}")
+        for t in range(forest.n_trees)
+    ]
     for t, (tree, leaf) in enumerate(zip(forest.trees, forest.in_bag_leaf)):
-        if leaf.shape != forest.y_train.shape or ((leaf < -1) | (leaf >= tree.n_leaves)).any():
+        # a leaf's weights are shared among its in-bag rows: it needs one
+        if (leaf < -1).any() or not np.array_equal(
+            np.unique(leaf[leaf >= 0]), np.arange(tree.n_leaves)
+        ):
             raise ValueError(
                 f"in_bag_leaf {t} must hold one entry per y_train row, "
-                f"each in [-1, {tree.n_leaves})"
+                f"each in [-1, {tree.n_leaves}), and a row in every leaf"
             )
     return forest
 
@@ -172,9 +240,9 @@ def _boosted_to_doc(model: BoostedModel) -> dict:
 
 def _boosted_from_doc(b: dict, width: int) -> BoostedModel:
     return BoostedModel(
-        init=b["init"],
+        init=_array(b, "init"),
         trees=[_tree_from_doc(t, width) for t in b["trees"]],
-        learning_rate=b["learning_rate"],
+        learning_rate=_array(b, "learning_rate"),
     )
 
 
@@ -229,7 +297,41 @@ _ENVELOPE = (
 )
 
 
+def _schema_from_doc(doc: dict) -> FeatureSchema:
+    columns = doc["columns"]
+    if not isinstance(columns, list) or any(
+        type(c) is not list or len(c) != 2 or type(c[0]) is not str for c in columns
+    ):
+        raise ValueError("model file key 'schema' must list its columns as [name, kind] pairs")
+    if type(doc["target"]) is not str or type(doc["weight_units"]) is not str:
+        raise ValueError("model file key 'schema' needs a string target and weight_units")
+    return FeatureSchema(
+        tuple(map(tuple, columns)), target=doc["target"], weight_units=doc["weight_units"]
+    )
+
+
+def _encoding_from_doc(levels, schema: FeatureSchema) -> CategoricalEncoding:
+    """The stored `encoding`: each categorical predictor of `schema`, in
+    schema order, with its levels as strings."""
+    wanted = schema.categorical_predictors()
+    names = [
+        pair[0] if type(pair) is list and len(pair) == 2 else None for pair in levels
+    ] if isinstance(levels, list) else None
+    if names != wanted or any(
+        type(lv) is not list or set(map(type, lv)) - {str} for _, lv in levels
+    ):
+        raise ValueError(
+            f"model file key 'encoding' must list the string levels of {wanted}, in that order"
+        )
+    return CategoricalEncoding(tuple((col, tuple(lv)) for col, lv in levels))
+
+
 def model_from_json(text: str):
+    """The fitted model a model file holds. The file is outside input: a
+    defect raises ValueError saying what is wrong, and a fault met while
+    reading the document (a missing key, a value of the wrong JSON type, an
+    index or integer out of range) raises one ValueError naming the part of
+    the model file it was met in."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError(f"a model file holds a JSON object, not a JSON {type(doc).__name__}")
@@ -239,37 +341,37 @@ def model_from_json(text: str):
     missing = [key for key in _ENVELOPE if key not in doc]
     if missing:
         raise ValueError(f"model file lacks the keys {missing}")
-    name = doc["model_name"]
-    key = model_spec(name).payload
-    schema = FeatureSchema(
-        tuple((n, k) for n, k in doc["schema"]["columns"]),
-        target=doc["schema"]["target"],
-        weight_units=doc["schema"]["weight_units"],
-    )
-    encoding = CategoricalEncoding(
-        tuple((col, tuple(levels)) for col, levels in doc["encoding"])
-    )
-    if key not in doc["payload"]:
-        raise ValueError(f"model {name!r} needs a {key!r} payload, which the file lacks")
-    read = _PAYLOADS[key][1]
+    part = "model file"
     try:
-        fit = read(name, doc["params"], schema, encoding, doc["payload"][key])
-    except ValueError as exc:
-        raise ValueError(f"model file payload {key!r}: {exc}") from exc
-    fit.fill = _fill_from_doc(doc["fill"], schema)
+        name = doc["model_name"]
+        key = model_spec(name).payload
+        schema = _schema_from_doc(doc["schema"])
+        encoding = _encoding_from_doc(doc["encoding"], schema)
+        if key not in doc["payload"]:
+            raise ValueError(f"model {name!r} needs a {key!r} payload, which the file lacks")
+        part = f"model file payload {key!r}"
+        try:
+            fit = _PAYLOADS[key][1](name, doc["params"], schema, encoding, doc["payload"][key])
+        except ValueError as exc:
+            raise ValueError(f"{part}: {exc}") from exc
+        part = "model file key 'fill'"
+        fit.fill = _fill_from_doc(doc["fill"], schema)
+    except _FAULTS as exc:
+        raise ValueError(f"{part}: malformed ({type(exc).__name__}: {exc})") from exc
     return fit
 
 
 def _fill_from_doc(fill, schema: FeatureSchema) -> dict:
     """The stored `fill`, checked: a JSON object mapping predictor columns to
-    a number (numeric column) or a string (categorical column)."""
+    a finite number (numeric column) or a string (categorical column)."""
     if not isinstance(fill, dict):
         raise ValueError(f"model file key 'fill' must be a JSON object, not {fill!r}")
     kinds = dict(schema.columns)
     for col, value in fill.items():
         kind = kinds.get(col) if col != schema.target else None
-        want = (int, float) if kind == "numeric" else str
-        if kind is None or isinstance(value, bool) or not isinstance(value, want):
+        if kind == "numeric":
+            _array(fill, col, name=f"model file key 'fill' value {col!r}")
+        elif kind is None or type(value) is not str:
             raise ValueError(
                 f"model file key 'fill' holds {col!r}: {value!r}, which is not "
                 "a predictor column with a value of its kind"

@@ -520,7 +520,7 @@ MALFORMED = {  # case -> (model, payload key, edit, what the error says)
     "half_feature": ("decision_tree", "tree", _half_feature, "'feature' must be a list of JSON integers"),
     "float_leaf_id": ("gradient_boosting", "boosted", _float_leaf_id, "'leaf_id' must be a list"),
     "bool_child": ("quantile_tree", "composite", _bool_child, "'right' must be a list of JSON integers"),
-    "huge_child": ("decision_tree", "tree", _huge_child, "ids must fit a machine integer"),
+    "huge_child": ("decision_tree", "tree", _huge_child, "malformed (OverflowError:"),
 }
 MALFORMED_PARAMS = {
     "decision_tree": {"max_depth": 4, "min_samples_split": 10},
@@ -670,6 +670,27 @@ class TestEncodedLayout:
     def test_unedited_file_predicts(self, tmp_path, files, name):
         code, out = self.predict_edited(tmp_path, files, name, lambda doc: None)
         assert code == 0 and out.exists()
+
+
+EMPTIED_ENCODING_PARAMS = {
+    "quantile_tree": {"lam": 0.1, "max_depth": 2},
+    "quantile": {"lam": 0.1},
+    "decision_tree": {"max_depth": 2},
+}
+
+
+@pytest.mark.parametrize("name", EMPTIED_ENCODING_PARAMS)
+def test_emptied_encoding_exit_2_at_load(tmp_path, capsys, name):
+    # the schema has a categorical predictor that the encoding must list
+    ds = generate_synthetic(SyntheticSpec(n_projects=60, seed=3))
+    doc = json.loads(model_to_json(fit_model(name, ds, EMPTIED_ENCODING_PARAMS[name])))
+    doc["encoding"] = []
+    model, inp, out = tmp_path / "model.json", tmp_path / "in.csv", tmp_path / "out.csv"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    write_dataset_csv(ds.subset(range(5)), inp)
+    assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
+    assert "error in stage 'load-model': model file key 'encoding'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestBenchmarkCommand:

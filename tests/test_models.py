@@ -299,6 +299,174 @@ def test_model_name_payload_mismatch_names_both(fitted):
         model_from_json(_edited(fitted["decision_tree"], model_name="ridge"))
 
 
+def _objects(doc, path=()):
+    """(path, object) of every JSON object in `doc`, at any depth."""
+    if isinstance(doc, dict):
+        yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _objects(value, path + (key,))
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_every_stored_key_is_read(fitted, name):
+    """A file stores no key that loading does not need: deleting any one key
+    of any JSON object in it makes the file fail to load. The entries of
+    `params` and `fill` are exempt: those maps are optional entry by entry."""
+    doc = json.loads(model_to_json(fitted[name]))
+    loaded = []
+    for path, obj in _objects(doc):
+        if path in (("params",), ("fill",)):
+            continue
+        for key in list(obj):
+            value = obj.pop(key)
+            try:
+                model_from_json(json.dumps(doc))
+                loaded.append(path + (key,))
+            except ValueError:
+                pass
+            obj[key] = value
+    assert not loaded, f"files still load without {loaded}"
+
+
+def _set(*path_and_value):
+    """An edit that sets the element at a path of the payload to a value."""
+    *path, value = path_and_value
+
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value(target[path[-1]]) if callable(value) else value
+
+    return edit
+
+
+def _drop(*path):
+    def edit(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+
+    return edit
+
+
+def _empty_a_leaf(doc):
+    # every in-bag row of leaf 0 of tree 0 leaves the bag
+    leaves = doc["payload"]["qrf"]["in_bag_leaf"][0]
+    leaves[:] = [-1 if leaf == 0 else leaf for leaf in leaves]
+
+
+BAD_FILES = {  # case -> (model, edit of the parsed file, what the error says)
+    # FOUND 55: the encoding must list the schema's categorical predictors
+    "empty_encoding_tree": ("decision_tree", _set("encoding", []), "model file key 'encoding'"),
+    "empty_encoding_composite": ("quantile_tree", _set("encoding", []), "model file key 'encoding'"),
+    "int_level": ("quantile", _set("encoding", 0, 1, 0, 7), "model file key 'encoding'"),
+    "unknown_predictor": (
+        "qrf", _set("encoding", 0, 0, "site"), "must list the string levels of ['site_category']"
+    ),
+    "null_column_name": ("ridge", _set("schema", "columns", 1, 0, None), "model file key 'schema'"),
+    "column_triple": (
+        "nn_qr", _set("schema", "columns", 2, lambda c: c + ["x"]), "model file key 'schema'"
+    ),
+    "list_target": ("decision_tree", _set("schema", "target", ["target_days"]), "string target"),
+    # FOUND 56: stored numbers in the shapes the layout gives
+    "short_coef": (
+        "quantile", _set("payload", "composite", "estimators", "0", "0.5", "coef", lambda c: c[:-1]),
+        "'coef' must be a list of 7 finite JSON numbers",
+    ),
+    "bool_intercept": (
+        "piecewise_rr", _set("payload", "composite", "estimators", "1", "0.5", "intercept", True),
+        "'intercept' must be a finite JSON number",
+    ),
+    "nan_constant": (
+        "quantile_tree",
+        lambda doc: [
+            table.update({"0.5": {"type": "constant", "value": float("nan")}})
+            for table in doc["payload"]["composite"]["estimators"].values()
+        ],
+        "'value' must be a finite JSON number",
+    ),
+    "short_centroid": (
+        "piecewise_qr", _set("payload", "composite", "centroids", 0, lambda c: c[:-1]),
+        "'centroids' must be a list of lists of 3 finite JSON numbers",
+    ),
+    "no_centroids": ("piecewise_qr", _set("payload", "composite", "centroids", []), "one cluster"),
+    "string_init": ("gradient_boosting", _set("payload", "boosted", "init", "3.0"), "'init' must"),
+    "inf_learning_rate": (
+        "gradient_boosting", _set("payload", "boosted", "learning_rate", float("inf")),
+        "'learning_rate' must be a finite JSON number",
+    ),
+    "nan_y_train": ("qrf", _set("payload", "qrf", "y_train", 3, float("nan")), "'y_train' must"),
+    "leaf_without_rows": ("qrf", _empty_a_leaf, "and a row in every leaf"),
+    "zero_neighbors": (
+        "nn_qr", _set("payload", "composite", "hyperparams", "n_neighbors", 0), "n_neighbors in 1..160"
+    ),
+    "too_many_neighbors": (
+        "nn_qr", _set("payload", "composite", "hyperparams", "n_neighbors", 161), "n_neighbors in 1..160"
+    ),
+    "float_neighbors": (
+        "nn_qr", _set("payload", "composite", "hyperparams", "n_neighbors", 40.0),
+        "'n_neighbors' must be a JSON integer",
+    ),
+    "negative_lam": ("nn_qr", _set("payload", "composite", "hyperparams", "lam", -0.1), "lam >= 0"),
+    "unsorted_subset": (
+        "random_forest", _set("payload", "forest", "feature_subsets", 0, [1, 0, 2, 3, 4, 5, 6]),
+        "feature_subsets 0 must be ascending, distinct and in [0, 7)",
+    ),
+    "subset_past_width": (
+        "qrf", _set("payload", "qrf", "feature_subsets", 1, lambda s: s[:-1] + [7]),
+        "feature_subsets 1 must be ascending",
+    ),
+    "no_trees": (
+        "random_forest",
+        lambda doc: doc["payload"]["forest"].update(trees=[], feature_subsets=[]),
+        "at least one tree",
+    ),
+    "tree_missing": ("quantile_tree", _drop("payload", "composite", "tree"), "KeyError: 'tree'"),
+    "centroids_missing": (
+        "piecewise_rr", _drop("payload", "composite", "centroids"), "KeyError: 'centroids'"
+    ),
+    "extra_partition": (
+        "piecewise_qr",
+        _set("payload", "composite", "estimators", lambda t: {**t, "3": t["0"]}),
+        "not by partition ids 0..2",
+    ),
+    "missing_level": (
+        "quantile_tree", _drop("payload", "composite", "estimators", "0", "0.05"),
+        "estimators 0 must be keyed by the levels ['0.05', '0.5', '0.95']",
+    ),
+    "other_level": (
+        "ridge",
+        _set("payload", "composite", "estimators", "0", lambda t: {"0.95": t["0.5"]}),
+        "estimators 0 must be keyed by the levels ['0.5']",
+    ),
+    "unknown_estimator": (
+        "quantile", _set("payload", "composite", "estimators", "0", "0.05", "type", "lasso"),
+        "unknown estimator type 'lasso'",
+    ),
+    "nan_fill": ("ridge", _set("fill", {"step1_days": float("nan")}), "key 'fill' value 'step1_days'"),
+    # a fault while reading becomes one ValueError naming where it was met
+    "missing_weight_units": (
+        "ridge", _drop("schema", "weight_units"), "model file: malformed (KeyError: 'weight_units')"
+    ),
+    "list_model_name": ("qrf", _set("model_name", ["qrf"]), "model file: malformed (TypeError:"),
+    "tree_as_list": (
+        "decision_tree", _set("payload", "tree", []), "model file payload 'tree': malformed (TypeError:"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BAD_FILES)
+def test_bad_file_fails_naming_what_is_wrong(fitted, case):
+    name, edit, says = BAD_FILES[case]
+    doc = json.loads(model_to_json(fitted[name]))
+    edit(doc)
+    with pytest.raises(ValueError, match=re.escape(says)):
+        model_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("name", MODEL_NAMES)
 def test_empty_batch_shapes(fitted, name):
     fit = fitted[name]

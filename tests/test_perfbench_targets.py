@@ -111,12 +111,21 @@ def test_workload_hyperparameters_are_ones_the_models_read():
         check_hyperparams(name, params, "in the predict-batch params of")
 
 
-def test_predict_batch_params_fit():
+def test_predict_batch_params_fit(tmp_path):
     """`predict-batch` fits its models with `fit_model`, which refuses a name
-    the model does not read."""
+    the model does not read, saves them and predicts from the loaded files:
+    a model file format change that breaks one of them fails here."""
     from partqr.evaluation import SyntheticSpec, generate_synthetic
     from partqr.models import fit_model
+    from partqr.serialize import load_model, save_model
 
     train = generate_synthetic(SyntheticSpec(n_projects=60, seed=1))
+    rows = list(generate_synthetic(SyntheticSpec(n_projects=20, seed=2)).rows)
     for name, params in _workloads().PREDICT_PARAMS.items():
-        assert fit_model(name, train, params, seed=1).name == name
+        fit = fit_model(name, train, params, seed=1)
+        assert fit.name == name
+        save_model(tmp_path / f"{name}.model.json", fit)
+        loaded = load_model(tmp_path / f"{name}.model.json")
+        assert loaded.predict_point(rows).tobytes() == fit.predict_point(rows).tobytes()
+        want, got = fit.predict_intervals(rows), loaded.predict_intervals(rows)
+        assert got is want is None or got.tobytes() == want.tobytes()
