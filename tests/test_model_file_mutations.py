@@ -35,7 +35,6 @@ SMALL_PARAMS = {
 # what the training data's empty cells became, so that `fill` is edited too
 FILL = {"step1_days": 12.5, "site_category": "metro"}
 HUGE = 2**70  # a JSON integer past any machine integer
-EDITS = ("swap", "nan", "inf", "-inf", "minus_one", "huge", "shorter", "longer", "drop")
 CASES_PER_MODEL = 40
 SEED = 23
 
