@@ -60,6 +60,9 @@ def _describe(shape: tuple, dtype, finite: bool) -> str:
 def _nested(value, shape: tuple, types: set) -> bool:
     """Whether `value` is JSON lists nested as `shape` gives, -1 meaning any
     length, of values of `types`, or for shape () one such value."""
+    if len(shape) == 1:  # most stored arrays, checked without the axis loop
+        n = shape[0]
+        return type(value) is list and n in (-1, len(value)) and set(map(type, value)) <= types
     lists = [value]  # the lists along the axis being checked
     for axis, n in enumerate(shape):
         if axis:
@@ -220,9 +223,8 @@ def _qrf_from_doc(f: dict, width: int) -> ForestModel:
     ]
     for t, (tree, leaf) in enumerate(zip(forest.trees, forest.in_bag_leaf)):
         # a leaf's weights are shared among its in-bag rows: it needs one
-        if (leaf < -1).any() or not np.array_equal(
-            np.unique(leaf[leaf >= 0]), np.arange(tree.n_leaves)
-        ):
+        rows = np.bincount(leaf[leaf >= 0], minlength=tree.n_leaves)
+        if (leaf < -1).any() or rows.size != tree.n_leaves or not rows.all():
             raise ValueError(
                 f"in_bag_leaf {t} must hold one entry per y_train row, "
                 f"each in [-1, {tree.n_leaves}), and a row in every leaf"
