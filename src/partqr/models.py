@@ -231,8 +231,14 @@ def _clusters(dataset, params, seed) -> dict:
     return {"n_clusters": min(params["n_clusters"], distinct), "seed": seed}
 
 
+def neighbor_settings(params: dict, n_rows: int) -> dict:
+    """An nn_qr's neighbour-fit settings on `n_rows` training rows: what it
+    fits with, and what loading derives from a model file's params and rows."""
+    return {"lam": params.get("lam", 0.0), "n_neighbors": min(params["n_neighbors"], n_rows)}
+
+
 def _neighbors(dataset, params, seed) -> dict:
-    return {"n_neighbors": min(params["n_neighbors"], dataset.n_rows)}
+    return neighbor_settings(params, dataset.n_rows)
 
 
 def _baseline(name, dataset, params, seed, fit_cache):

@@ -5,16 +5,17 @@ else, as compact JSON with sorted keys. Floats survive a JSON round-trip
 exactly (repr-based encoding). A tree is stored as the six node arrays
 prediction walks, a linear estimator as its coefficients and intercept,
 centroids verbatim; a qrf forest adds the leaf of each in-bag training row
-and the training targets, and nn_qr stores the training matrix its neighbor
-scans read and its lam and n_neighbors. The envelope keeps the params that
-`inspect` prints, the schema and encoding, and what filled the training
-data's empty cells (`fill`), so `partqr predict` fills its input the same way.
+and the training targets, and nn_qr stores the training matrix and targets
+its neighbour scans read. The envelope keeps the params that `inspect`
+prints, the schema and encoding, and what filled the training data's empty
+cells (`fill`), so `partqr predict` fills its input the same way.
 
 Everything else is derived on load from the one source it was copied from:
 a composite's kind from the registry, its levels from its kind, an
-estimator's level from its table key, and a tree's width from the encoded
-layout (`data.encoded_columns`) or, in a forest, from its feature subset.
-Training-row lists, growth settings and fit diagnostics stay on the fitted
+estimator's level from its table key, nn_qr's lam and n_neighbors from the
+params and the training rows (`models.neighbor_settings`, as at fit time),
+and a tree's width from the encoded layout (`data.encoded_columns`) or, in
+a forest, from its feature subset. Training-row lists, growth settings and fit diagnostics stay on the fitted
 object; a loaded one has None there.
 
 A model file is outside input. Loading reads every stored number through
@@ -27,6 +28,7 @@ the file, so `partqr` exits 2 at `load-model`.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 
 import numpy as np
@@ -35,7 +37,7 @@ from .baselines import BoostedModel, ForestModel
 from .composite import CompositeQuantileModel, ConstantModel
 from .data import CategoricalEncoding, EncodedMatrix, FeatureSchema, encoded_columns
 from .linear import LinearQuantileModel, RidgeModel
-from .models import BaselineFit, CompositeFit, model_spec
+from .models import BaselineFit, CompositeFit, check_hyperparams, model_spec, neighbor_settings
 from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_tree
 
 FORMAT_VERSION = 4
@@ -60,9 +62,6 @@ def _describe(shape: tuple, dtype, finite: bool) -> str:
 def _nested(value, shape: tuple, types: set) -> bool:
     """Whether `value` is JSON lists nested as `shape` gives, -1 meaning any
     length, of values of `types`, or for shape () one such value."""
-    if len(shape) == 1:  # most stored arrays, checked without the axis loop
-        n = shape[0]
-        return type(value) is list and n in (-1, len(value)) and set(map(type, value)) <= types
     lists = [value]  # the lists along the axis being checked
     for axis, n in enumerate(shape):
         if axis:
@@ -126,9 +125,8 @@ def _estimator_from_doc(doc: dict, alpha: float, width: int):
 
 def _composite_to_doc(fit: CompositeFit) -> dict:
     model = fit.model
-    if model.kind == "nn_qr":  # its neighbour fits read lam and n_neighbors
+    if model.kind == "nn_qr":
         return {
-            "hyperparams": {key: model.hyperparams[key] for key in ("lam", "n_neighbors")},
             "train_values": model.train_matrix.values.tolist(),
             "train_y": model.train_y.tolist(),
         }
@@ -153,11 +151,12 @@ def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
         values = _array(doc, "train_values", (-1, width))
         model.train_matrix = EncodedMatrix(values, encoded_columns(schema, encoding))
         model.train_y = _array(doc, "train_y", (len(values),))  # one per training row, in order
-        hyper = doc["hyperparams"]
-        lam, k = _array(hyper, "lam"), _array(hyper, "n_neighbors", dtype=np.intp)
-        if lam < 0 or not 1 <= k <= len(values):
-            raise ValueError(f"'hyperparams' needs lam >= 0 and n_neighbors in 1..{len(values)}")
-        model.hyperparams = {"lam": hyper["lam"], "n_neighbors": k}
+        # its neighbour fits' lam and n_neighbors, set from params as at fit time
+        check_hyperparams(name, params, "in the model file of")
+        model.hyperparams = neighbor_settings(params, len(values))
+        lam, k = model.hyperparams["lam"], model.hyperparams["n_neighbors"]
+        if not (math.isfinite(lam) and lam >= 0 and k >= 1):
+            raise ValueError("'params' needs a finite lam >= 0 and an n_neighbors >= 1")
         return CompositeFit(name, params, model)
     if model.kind == "quantile_tree":
         model.tree = _tree_from_doc(doc["tree"], width)

@@ -43,7 +43,7 @@ GOLDEN_DIGESTS = {
     "quantile_tree": "ae00caa98440ec9b88e9ad25fab0523f65818aaf9fa958e50feaea9c56eeb6d0",
     "piecewise_qr": "4bf5ce461ae26b05b45a3397292606db63d41ea451447e24879e232776b3c62d",
     "piecewise_rr": "f2a053204da6e77deb6998aea5df3da785a70c3ca9f1a5e0bfeed831bb64fb71",
-    "nn_qr": "f8390ebae4d606df46b1e0498f7c643a461472920804c6497b8bc4fc2f44f5c6",
+    "nn_qr": "5f5d24b1d66f98898956e2ba94797708b190c131674d3f03eead59dd4fc0342b",
 }
 
 
@@ -135,7 +135,7 @@ def test_wrong_typed_hyperparameter_named_before_fitting(name, params, want):
 # keys of format 3 whose values the loader now derives, or which only fitting reads
 DERIVED_KEYS = {
     "kind", "levels", "alpha", "n_features", "max_depth", "min_samples_split",
-    "min_samples_leaf", "bootstrap", "seed", "feature_fraction",
+    "min_samples_leaf", "bootstrap", "seed", "feature_fraction", "hyperparams",
 }
 
 
@@ -162,7 +162,6 @@ def test_registry_entry_and_golden_bytes(fitted, name):
     assert "columns" not in doc
     payload = _keys(doc["payload"])
     assert not payload & DERIVED_KEYS
-    assert ("hyperparams" in payload) == (name == "nn_qr")
     assert ("y_train" in payload) == ("in_bag_leaf" in payload) == (name == "qrf")
 
 
@@ -400,17 +399,14 @@ BAD_FILES = {  # case -> (model, edit of the parsed file, what the error says)
     ),
     "nan_y_train": ("qrf", _set("payload", "qrf", "y_train", 3, float("nan")), "'y_train' must"),
     "leaf_without_rows": ("qrf", _empty_a_leaf, "and a row in every leaf"),
-    "zero_neighbors": (
-        "nn_qr", _set("payload", "composite", "hyperparams", "n_neighbors", 0), "n_neighbors in 1..160"
-    ),
-    "too_many_neighbors": (
-        "nn_qr", _set("payload", "composite", "hyperparams", "n_neighbors", 161), "n_neighbors in 1..160"
-    ),
+    "zero_neighbors": ("nn_qr", _set("params", "n_neighbors", 0), "an n_neighbors >= 1"),
     "float_neighbors": (
-        "nn_qr", _set("payload", "composite", "hyperparams", "n_neighbors", 40.0),
-        "'n_neighbors' must be a JSON integer",
+        "nn_qr", _set("params", "n_neighbors", 40.0),
+        "hyperparameter 'n_neighbors' in the model file of 'nn_qr' must be an integer",
     ),
-    "negative_lam": ("nn_qr", _set("payload", "composite", "hyperparams", "lam", -0.1), "lam >= 0"),
+    "no_neighbors": ("nn_qr", _drop("params", "n_neighbors"), "KeyError: 'n_neighbors'"),
+    "negative_lam": ("nn_qr", _set("params", "lam", -0.1), "finite lam >= 0"),
+    "nan_lam": ("nn_qr", _set("params", "lam", float("nan")), "finite lam >= 0"),
     "unsorted_subset": (
         "random_forest", _set("payload", "forest", "feature_subsets", 0, [1, 0, 2, 3, 4, 5, 6]),
         "feature_subsets 0 must be ascending, distinct and in [0, 7)",
@@ -465,6 +461,17 @@ def test_bad_file_fails_naming_what_is_wrong(fitted, case):
     edit(doc)
     with pytest.raises(ValueError, match=re.escape(says)):
         model_from_json(json.dumps(doc))
+
+
+def test_nn_qr_neighbour_settings_follow_params(fitted):
+    """Loading sets lam and n_neighbors from params as fitting does, a count
+    past the training rows clamped to them."""
+    text = model_to_json(fitted["nn_qr"])
+    assert model_from_json(text).model.hyperparams == fitted["nn_qr"].model.hyperparams
+    doc = json.loads(text)
+    doc["params"] = {"n_neighbors": 1000}
+    rows = len(doc["payload"]["composite"]["train_y"])
+    assert model_from_json(json.dumps(doc)).model.hyperparams == {"lam": 0.0, "n_neighbors": rows}
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
