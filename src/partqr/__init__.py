@@ -8,10 +8,8 @@ benchmark harness.
 
 from .composite import (
     CompositeQuantileModel,
-    PredictionInterval,
     count_parameters,
     fit_composite,
-    predict_interval,
     predict_quantile,
 )
 from .data import CategoricalEncoding, Dataset, EncodedMatrix, FeatureSchema, encode, split_kfold
@@ -36,7 +34,6 @@ __all__ = [
     "EvaluationReport",
     "FeatureSchema",
     "LinearQuantileModel",
-    "PredictionInterval",
     "RidgeModel",
     "SyntheticSpec",
     "benchmark",
@@ -51,7 +48,6 @@ __all__ = [
     "interval_coverage",
     "mean_ae",
     "median_ae",
-    "predict_interval",
     "predict_linear",
     "predict_quantile",
     "split_kfold",

@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .data import design_arrays, encoded_stack
+from .data import design_arrays, encoded_batch
 from .partition import (
     RegressionTree,
     _leaf,
@@ -161,18 +161,17 @@ def prune_forest(
     )
 
 
-def predict_rf(forest: ForestModel, x):
-    """Arithmetic mean of the member trees' predictions, for one row or per row of a stack.
+def predict_rf(forest: ForestModel, X) -> np.ndarray:
+    """Arithmetic mean of the member trees' predictions, per row of a batch.
 
-    Each row's predictions sit contiguously, so its mean is summed as the
-    one-row mean is.
+    Each row's predictions sit contiguously, so its mean is summed as it is
+    for the row as a batch of one.
     """
-    X, one = encoded_stack(x)
+    X = encoded_batch(X)
     preds = np.empty((X.shape[0], forest.n_trees))
     for t, (tree, cols) in enumerate(zip(forest.trees, forest.feature_subsets)):
         preds[:, t] = predict_tree_mean(tree, X[:, cols])
-    means = np.mean(preds, axis=1)
-    return float(means[0]) if one else means
+    return np.mean(preds, axis=1)
 
 
 def _leaf_ids(forest: ForestModel, X: np.ndarray) -> np.ndarray:
@@ -203,18 +202,17 @@ def _ranked_weights(forest: ForestModel, leaf_ids: np.ndarray) -> np.ndarray:
     return w
 
 
-def qrf_weights(forest: ForestModel, x) -> np.ndarray:
+def qrf_weights(forest: ForestModel, X) -> np.ndarray:
     """Per-training-row weights: average over trees of 1/leaf-size membership.
 
     Leaf membership is by distinct original row index (bootstrap multiplicity
-    is ignored), so the weights of every query sum to 1. One row gives a
-    vector; a stack gives one row of weights per query. Each weight adds its
-    shares in tree order, for one row as for a stack.
+    is ignored), so the weights of every query sum to 1. A batch gives one
+    row of weights per query; each weight adds its shares in tree order.
     """
-    X, one = encoded_stack(x)
+    X = encoded_batch(X)
     w = np.empty((X.shape[0], forest.y_train.shape[0]))
     w[:, forest.y_order] = _ranked_weights(forest, _leaf_ids(forest, X))
-    return w[0] if one else w
+    return w
 
 
 # weight cells (128 KiB of float64) per block of query rows: bounds the (rows,
@@ -242,17 +240,17 @@ def _blocks(forest: ForestModel, leaf_ids: np.ndarray):
         start = stop
 
 
-def qrf_predict(forest: ForestModel, x, alpha):
+def qrf_predict(forest: ForestModel, X, alpha) -> np.ndarray:
     """Weighted empirical quantile: smallest y whose cumulative weight >= alpha.
 
     `alpha` is one level or a sequence of levels (as `q` in `np.quantile`);
-    the weights are computed once per row. One row and one level give a
-    float; a stack adds a leading row axis, a sequence a trailing level axis.
+    the weights are computed once per row. A batch and one level give one
+    value per row; a sequence adds a trailing level axis.
     """
     levels = np.asarray(alpha, dtype=float)
     if not np.all((levels > 0) & (levels < 1)):
         raise ValueError("alpha must lie in (0, 1)")
-    X, one = encoded_stack(x)
+    X = encoded_batch(X)
     leaf_ids = _leaf_ids(forest, X)
     order = forest.y_order
     out = np.empty((X.shape[0], levels.size))
@@ -265,10 +263,7 @@ def qrf_predict(forest: ForestModel, x, alpha):
             # below the level finds the position np.searchsorted finds
             pos = np.minimum((cum < level - 1e-12).sum(axis=1), order.size - 1)
             out[start:stop, j] = forest.y_train[order[pos]]
-    out = out.reshape(X.shape[:1] + levels.shape)
-    if one:
-        out = out[0]
-    return float(out) if out.ndim == 0 else out
+    return out.reshape(X.shape[:1] + levels.shape)
 
 
 @dataclass
@@ -346,13 +341,13 @@ def first_stages(model: BoostedModel, n_stages: int) -> BoostedModel:
     )
 
 
-def predict_gb(model: BoostedModel, x):
-    """init + lr * sum of the stage trees, for one row (a float) or per row of a stack.
+def predict_gb(model: BoostedModel, X) -> np.ndarray:
+    """init + lr * sum of the stage trees, per row of a batch.
 
-    The stages are added one by one, in the order of the one-row sum.
+    The stages are added one by one, in stage order, for every row.
     """
-    X, one = encoded_stack(x)
+    X = encoded_batch(X)
     out = np.full(X.shape[0], model.init)
     for tree in model.trees:
         out += model.learning_rate * predict_tree_mean(tree, X)
-    return float(out[0]) if one else out
+    return out

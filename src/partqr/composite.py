@@ -40,15 +40,6 @@ PARAM_COUNT_NA = None  # printed as "NA" in reports
 
 
 @dataclass(frozen=True)
-class PredictionInterval:
-    """(5th, 50th, 95th) percentile predictions, rearranged so lower<=median<=upper."""
-
-    lower: float
-    median: float
-    upper: float
-
-
-@dataclass(frozen=True)
 class ConstantModel:
     """Intercept-only fallback for partitions too small for a linear fit."""
 
@@ -203,21 +194,21 @@ def _estimate(estimator, X: np.ndarray):
     return predict_linear(estimator, X)
 
 
-def _partition_ids(model: CompositeQuantileModel, X: np.ndarray):
-    """Tree leaf or cluster id of an encoded row (an int) or stack (a vector)."""
+def _partition_ids(model: CompositeQuantileModel, X: np.ndarray) -> np.ndarray:
+    """Tree leaf or cluster id of each row of an encoded batch."""
     if model.kind == "quantile_tree":
         return route(model.tree, X)
     if model.kind == "nn_qr":
         raise ValueError("nn_qr has no fixed partitions")
-    return assign_cluster(model.clusters, X[..., model.categorical_mask])
+    return assign_cluster(model.clusters, X[:, model.categorical_mask])
 
 
-def resolve_partition(model: CompositeQuantileModel, x) -> int:
-    """Partition id the raw row x falls in (tree leaf or cluster id).
+def resolve_partition(model: CompositeQuantileModel, rows) -> np.ndarray:
+    """Partition id (tree leaf or cluster id) of each row of a batch of raw rows.
 
     A paper artefact for inspecting partitions: only tests call it.
     """
-    return _partition_ids(model, as_encoded(model.schema, model.encoding, x))
+    return _partition_ids(model, as_encoded(model.schema, model.encoding, rows))
 
 
 def _nn_predict(model: CompositeQuantileModel, X: np.ndarray, levels) -> np.ndarray:
@@ -247,13 +238,13 @@ def _fitted_level(model: CompositeQuantileModel, alpha: float) -> float:
     return matches[0]
 
 
-def predict_quantile(model: CompositeQuantileModel, x, alpha):
-    """Quantile prediction for a raw row or a stack of raw rows: the active
-    partition's estimate.
+def predict_quantile(model: CompositeQuantileModel, rows, alpha) -> np.ndarray:
+    """Quantile prediction for each row of a batch of raw rows (or an
+    EncodedMatrix): the active partition's estimate.
 
-    `alpha` is one level or a sequence of levels. One row and one level give
-    a float; a stack adds a leading row axis, a sequence a trailing level
-    axis. Each partition evaluates its block of rows for every level at once.
+    `alpha` is one level or a sequence of levels. One level gives one value
+    per row; a sequence adds a trailing level axis. Each partition evaluates
+    its block of rows for every level at once.
 
     nn_qr fits a fresh quantile regression on the query's neighbors, so it
     accepts any alpha in (0, 1); the pre-fit kinds only answer their fitted
@@ -261,8 +252,7 @@ def predict_quantile(model: CompositeQuantileModel, x, alpha):
     """
     shape = np.shape(alpha)
     levels = [float(a) for a in np.reshape(alpha, -1)]
-    x_enc = as_encoded(model.schema, model.encoding, x)
-    X = np.atleast_2d(x_enc)
+    X = as_encoded(model.schema, model.encoding, rows)
     if model.kind == "nn_qr":
         if not all(0 < a < 1 for a in levels):
             raise ValueError("alpha must lie in (0, 1)")
@@ -277,16 +267,7 @@ def predict_quantile(model: CompositeQuantileModel, x, alpha):
                 block = X[rows]
                 for j, a in enumerate(levels):
                     out[rows, j] = _estimate(table[a], block)
-    out = out.reshape(X.shape[:1] + shape)
-    if x_enc.ndim == 1:
-        out = out[0]
-    return float(out) if out.ndim == 0 else out
-
-
-def predict_interval(model: CompositeQuantileModel, x) -> PredictionInterval:
-    """(0.05, 0.5, 0.95) predictions for one raw row, with crossing repaired by sorting."""
-    lower, median, upper = np.sort(predict_quantile(model, x, INTERVAL_LEVELS)).tolist()
-    return PredictionInterval(lower=lower, median=median, upper=upper)
+    return out.reshape(X.shape[:1] + shape)
 
 
 def _estimator_params(estimator) -> int:

@@ -126,7 +126,7 @@ class EncodedMatrix:
     """Dense design matrix with a map back to the source schema columns.
 
     Its length is its row count, so a prediction method takes it where it
-    takes a stack of raw rows (see `as_encoded`).
+    takes a batch of raw rows (see `as_encoded`).
     """
 
     values: np.ndarray
@@ -231,32 +231,21 @@ def encode_once(
     return shared(cache, "encoded", lambda: encode(dataset))
 
 
-def _is_raw_row(rows) -> bool:
-    """A raw row holds cells (text, numbers, None); a stack holds rows.
-
-    An empty sequence is a stack of no rows: a schema has at least two columns.
-    """
-    return len(rows) > 0 and not isinstance(rows[0], (tuple, list, np.ndarray))
-
-
 def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows: Sequence) -> np.ndarray:
-    """Encode one raw row (ordered per schema) or a stack of them into the
-    design-matrix layout: a vector for one row, an (n, width) matrix for a
-    stack. This is the one place predictors are one-hot encoded; `encode`
-    builds its matrix here. An unseen level encodes to all zeros; a missing
-    or non-numeric cell raises ValueError naming the column.
+    """Encode a batch of raw rows (each ordered per schema) into an (n, width)
+    design matrix. This is the one place predictors are one-hot encoded;
+    `encode` builds its matrix here. An unseen level encodes to all zeros; a
+    missing or non-numeric cell raises ValueError naming the column.
     """
-    one = _is_raw_row(rows)
-    stack = [rows] if one else rows
     expected = len(schema.columns)
-    for row in stack:
+    for row in rows:
         if len(row) != expected:
             raise SchemaError(f"row has {len(row)} values, expected {expected}")
-    values = np.zeros((len(stack), len(encoded_columns(schema, encoding))))
+    values = np.zeros((len(rows), len(encoded_columns(schema, encoding))))
     j = 0
     for name in schema.predictors():
         pos = schema.index_of(name)
-        raw = [row[pos] for row in stack]
+        raw = [row[pos] for row in rows]
         if any(v is None for v in raw):
             raise ValueError(f"missing value in column {name!r}")
         if schema.kind_of(name) == "categorical":
@@ -272,11 +261,11 @@ def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows: Seque
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"non-numeric value in numeric column {name!r}") from exc
             j += 1
-    return values[0] if one else values
+    return values
 
 
 def as_encoded(schema: FeatureSchema, encoding: CategoricalEncoding, rows) -> np.ndarray:
-    """Raw rows (one or a stack) encoded by `encode_row`, or the values of an
+    """A batch of raw rows encoded by `encode_row`, or the values of an
     EncodedMatrix already in the layout of `schema` and `encoding`, as they
     are; a matrix with other columns raises ValueError."""
     if not isinstance(rows, EncodedMatrix):
@@ -286,16 +275,17 @@ def as_encoded(schema: FeatureSchema, encoding: CategoricalEncoding, rows) -> np
     return rows.values
 
 
-def encoded_stack(x) -> tuple[np.ndarray, bool]:
-    """One encoded row (1-D) or a stack of rows (2-D) as a C-contiguous 2-D
-    float array, and whether it was one row.
+def encoded_batch(X) -> np.ndarray:
+    """A batch of encoded rows as a C-contiguous (n, width) float array; one
+    1-D row raises ValueError, as every prediction function takes a batch.
 
-    The prediction functions take either form and answer one row with a
-    scalar, a stack with a vector. C order keeps every row contiguous, which
-    the bit-identity of `np.vecdot` with a one-row dot product relies on.
+    C order keeps every row contiguous, which the bit-identity of
+    `np.vecdot` with a one-row dot product relies on.
     """
-    x = np.asarray(x, dtype=float)
-    return np.ascontiguousarray(np.atleast_2d(x)), x.ndim == 1
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"expected a 2-D batch of encoded rows, got a {X.ndim}-D array")
+    return X
 
 
 def split_kfold(dataset: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -21,7 +21,7 @@ except ImportError as exc:  # pragma: no cover - depends on the installed scipy
         "partqr needs a scipy release that ships scipy.optimize._highspy (1.15 or later)"
     ) from exc
 
-from .data import design_arrays, encoded_stack
+from .data import design_arrays, encoded_batch
 
 
 @dataclass(frozen=True)
@@ -410,18 +410,16 @@ def fit_quantile(X, y, alpha, lam: float):
     return fits[0] if one else fits
 
 
-def predict_linear(model, x):
-    """Evaluate beta0 + x.beta for one encoded row (a float) or each row of a stack.
+def predict_linear(model, X) -> np.ndarray:
+    """Evaluate beta0 + x.beta for each row of a batch of encoded rows.
 
     `np.vecdot` over C-ordered rows gives every row bitwise its one-row dot
     product `x @ coef`; a matrix-vector product (`X @ coef`) can differ from it
     in the last ulp.
     """
-    X, one = encoded_stack(x)
+    X = encoded_batch(X)
     if X.shape[1:] != model.coef.shape:
         raise ValueError(
             f"row width {X.shape[1:]} does not match model width {model.coef.shape}"
         )
-    out = model.intercept + np.vecdot(X, model.coef)
-    return float(out[0]) if one else out
-
+    return model.intercept + np.vecdot(X, model.coef)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import design_arrays, encoded_stack
+from .data import design_arrays, encoded_batch
 
 _MIN_SSE_GAIN = 1e-12
 # a tree's per-node arrays, in the order `RegressionTree` takes them
@@ -350,18 +350,14 @@ def _leaf(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
     return node
 
 
-def route(tree: RegressionTree, x):
-    """Leaf id of one encoded row (an int), or of each row of a stack (an array)."""
-    X, one = encoded_stack(x)
-    ids = tree.leaf_id[_leaf(tree, X)]
-    return int(ids[0]) if one else ids
+def route(tree: RegressionTree, X) -> np.ndarray:
+    """Leaf id of each row of a batch of encoded rows."""
+    return tree.leaf_id[_leaf(tree, encoded_batch(X))]
 
 
-def predict_tree_mean(tree: RegressionTree, x):
-    """Mean training target of the leaf one row falls in (a float), or per row of a stack."""
-    X, one = encoded_stack(x)
-    means = tree.value[_leaf(tree, X)]
-    return float(means[0]) if one else means
+def predict_tree_mean(tree: RegressionTree, X) -> np.ndarray:
+    """Mean training target of the leaf each row of a batch falls in."""
+    return tree.value[_leaf(tree, encoded_batch(X))]
 
 
 @dataclass
@@ -447,17 +443,15 @@ def fit_kmeans(
     return ClusterPartition(centroids=centroids, n_iter=it, objective_history=tuple(history))
 
 
-def assign_cluster(partition: ClusterPartition, x_cat):
-    """Nearest centroid by Euclidean distance; ties go to the lowest index.
-
-    One row gives an int, a stack an array of cluster ids. Each row's
-    distances are bitwise those of its one-row call.
+def assign_cluster(partition: ClusterPartition, X_cat) -> np.ndarray:
+    """Nearest centroid of each row of a batch, by Euclidean distance; ties
+    go to the lowest index. Each row's distances are bitwise those of the
+    row as a batch of one.
     """
-    X, one = encoded_stack(x_cat)
+    X = encoded_batch(X_cat)
     if X.shape[1] != partition.centroids.shape[1]:
         raise ValueError("row width does not match centroid width")
-    ids = np.argmin(_sq_distances(X, partition.centroids), axis=1)
-    return int(ids[0]) if one else ids
+    return np.argmin(_sq_distances(X, partition.centroids), axis=1)
 
 
 def knn_query(points, x_cat, k: int) -> list[tuple[int, float]]:

@@ -16,7 +16,7 @@ import pytest
 from oracles import assert_tree_equals_oracle, cart_oracle, qrf_oracle, quantile_grid_oracle, ridge_oracle
 
 from partqr.baselines import fit_gb, fit_rf, qrf_predict, qrf_weights
-from partqr.composite import fit_composite, predict_interval, predict_quantile, resolve_partition
+from partqr.composite import fit_composite, predict_quantile, resolve_partition
 from partqr.data import Dataset, FeatureSchema, encode, encode_row
 from partqr.evaluation import (
     SyntheticSpec,
@@ -25,6 +25,7 @@ from partqr.evaluation import (
     interval_coverage,
 )
 from partqr.linear import fit_quantile, fit_ridge, predict_linear
+from partqr.models import CompositeFit
 from partqr.partition import build_cart
 
 
@@ -136,18 +137,18 @@ def test_criterion_04_partition_sum_and_degenerate_equivalence():
     ):
         model = fit_composite(kind, ds, hp)
         for row in ds.rows[:25]:
-            pid = resolve_partition(model, row)
-            x_enc = encode_row(schema, model.encoding, row)
+            pid = resolve_partition(model, [row])[0]
+            x_enc = encode_row(schema, model.encoding, [row])
             total = 0.0
             fired = 0
             for p, table in model.estimators.items():
                 indicator = 1 if p == pid else 0
                 fired += indicator
                 est = table[0.5]
-                term = est.value if isinstance(est, ConstantModel) else predict_linear(est, x_enc)
+                term = est.value if isinstance(est, ConstantModel) else predict_linear(est, x_enc)[0]
                 total += indicator * term
             assert fired == 1
-            assert total == predict_quantile(model, row, 0.5)
+            assert total == predict_quantile(model, [row], 0.5)[0]
 
     # degenerate partitions all equal the global quantile regression
     matrix, yv, enc = encode(ds)
@@ -156,11 +157,11 @@ def test_criterion_04_partition_sum_and_degenerate_equivalence():
     pq1 = fit_composite("piecewise_qr", ds, {"n_clusters": 1, "lam": 0.0})
     nn_all = fit_composite("nn_qr", ds, {"n_neighbors": n, "lam": 0.0})
     for row in ds.rows[:25]:
-        x_enc = encode_row(schema, enc, row)
+        x_enc = encode_row(schema, enc, [row])
         for a in (0.05, 0.5, 0.95):
-            want = predict_linear(global_fits[a], x_enc)
+            want = predict_linear(global_fits[a], x_enc)[0]
             for model in (tree0, pq1, nn_all):
-                assert abs(predict_quantile(model, row, a) - want) <= 1e-6
+                assert abs(predict_quantile(model, [row], a)[0] - want) <= 1e-6
     report(4, "partition indicator structure exact; degenerate kinds equal global QR to 1e-6")
 
 
@@ -173,9 +174,8 @@ def test_criterion_05_interval_coverage_on_synthetic():
         train,
         {"max_depth": 2, "min_samples_split": 30, "min_samples_leaf": 10, "lam": 0.1},
     )
-    intervals = np.array(
-        [[iv.lower, iv.upper] for iv in (predict_interval(model, r) for r in test.rows)]
-    )
+    # (lower, median, upper) per row, crossing repaired by sorting
+    intervals = CompositeFit("quantile_tree", {}, model).predict_intervals(test.rows)[:, [0, 2]]
     actual = np.array([r[-1] for r in test.rows])
     cov = interval_coverage(intervals, actual)
     elapsed = time.monotonic() - start
@@ -243,12 +243,12 @@ def test_criterion_08_qrf_oracle():
         )
         for _ in range(5):
             x = rng.normal(size=p)
-            w = qrf_weights(forest, x)
+            w = qrf_weights(forest, x[None])[0]
             assert abs(float(w.sum()) - 1.0) <= 1e-9
             assert (w >= 0).all()
             qs = []
             for alpha in (0.05, 0.25, 0.5, 0.75, 0.95):
-                got = qrf_predict(forest, x, alpha)
+                got = qrf_predict(forest, x[None], alpha)[0]
                 assert got == qrf_oracle(forest, x, alpha)
                 qs.append(got)
             assert all(a <= b for a, b in zip(qs, qs[1:]))

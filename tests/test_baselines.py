@@ -31,19 +31,19 @@ class TestDtMean:
     def test_constant_target(self):
         X = np.arange(6.0).reshape(-1, 1)
         tree = build_cart(X, np.full(6, 4.5), max_depth=3)
-        assert predict_tree_mean(tree, [2.0]) == 4.5
-        assert predict_tree_mean(tree, [99.0]) == 4.5
+        assert predict_tree_mean(tree, [[2.0]])[0] == 4.5
+        assert predict_tree_mean(tree, [[99.0]])[0] == 4.5
 
     def test_step_data(self):
         X = np.arange(10.0).reshape(-1, 1)
         y = np.where(X[:, 0] < 5, 0.0, 10.0)
         tree = build_cart(X, y, max_depth=1)
-        assert predict_tree_mean(tree, [1.0]) == 0.0
-        assert predict_tree_mean(tree, [9.0]) == 10.0
+        assert predict_tree_mean(tree, [[1.0]])[0] == 0.0
+        assert predict_tree_mean(tree, [[9.0]])[0] == 10.0
 
     def test_single_row(self):
         tree = build_cart(np.array([[3.0]]), np.array([7.5]), max_depth=2)
-        assert predict_tree_mean(tree, [0.0]) == 7.5
+        assert predict_tree_mean(tree, [[0.0]])[0] == 7.5
 
 
 class TestRandomForest:
@@ -54,17 +54,18 @@ class TestRandomForest:
         forest = fit_rf(X, y, n_trees=1, seed=0, max_depth=3, bootstrap=False)
         tree = build_cart(X, y, max_depth=3)
         for _ in range(10):
-            x = rng.normal(size=3)
-            assert predict_rf(forest, x) == predict_tree_mean(tree, x)
+            x = rng.normal(size=(1, 3))
+            assert predict_rf(forest, x)[0] == predict_tree_mean(tree, x)[0]
 
     def test_prediction_is_mean_of_trees(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(40, 2))
         y = rng.normal(size=40)
         forest = fit_rf(X, y, n_trees=7, seed=3, max_depth=3)
-        x = rng.normal(size=2)
-        member = [predict_tree_mean(t, x[c]) for t, c in zip(forest.trees, forest.feature_subsets)]
-        assert predict_rf(forest, x) == pytest.approx(float(np.mean(member)))
+        x = rng.normal(size=(1, 2))
+        pairs = zip(forest.trees, forest.feature_subsets)
+        member = [predict_tree_mean(t, x[:, c])[0] for t, c in pairs]
+        assert predict_rf(forest, x)[0] == pytest.approx(float(np.mean(member)))
 
     def test_stack_equals_one_row_calls(self):
         # 37 trees, so the mean's pairwise summation runs past one unrolled block
@@ -72,11 +73,9 @@ class TestRandomForest:
         X = rng.normal(size=(80, 4))
         forest = fit_rf(X, rng.normal(size=80), n_trees=37, seed=2, max_depth=4, feature_fraction=0.75)
         queries = rng.normal(size=(60, 4))
-        want = [
-            float(np.mean([predict_tree_mean(t, x[c]) for t, c in zip(forest.trees, forest.feature_subsets)]))
-            for x in queries
-        ]
-        assert [predict_rf(forest, x) for x in queries] == want
+        pairs = list(zip(forest.trees, forest.feature_subsets))
+        want = [float(np.mean([predict_tree_mean(t, x[None, c])[0] for t, c in pairs])) for x in queries]
+        assert [predict_rf(forest, x[None])[0] for x in queries] == want
         assert predict_rf(forest, queries).tolist() == want
         assert predict_rf(forest, np.zeros((0, 4))).shape == (0,)
 
@@ -181,7 +180,7 @@ class TestGradientBoosting:
         X = rng.normal(size=(20, 2))
         y = rng.normal(size=20)
         model = fit_gb(X, y, n_stages=1, learning_rate=1.0, max_depth=0)
-        assert predict_gb(model, rng.normal(size=2)) == pytest.approx(float(np.mean(y)))
+        assert predict_gb(model, rng.normal(size=(1, 2)))[0] == pytest.approx(float(np.mean(y)))
 
     def test_stack_equals_one_row_calls(self):
         rng = np.random.default_rng(14)
@@ -192,9 +191,9 @@ class TestGradientBoosting:
         for x in queries:
             out = model.init
             for tree in model.trees:
-                out += model.learning_rate * predict_tree_mean(tree, x)
+                out += model.learning_rate * predict_tree_mean(tree, x[None])[0]
             want.append(out)
-        assert [predict_gb(model, x) for x in queries] == want
+        assert [predict_gb(model, x[None])[0] for x in queries] == want
         assert predict_gb(model, queries).tolist() == want
         assert predict_gb(model, np.zeros((0, 3))).shape == (0,)
 
@@ -228,7 +227,7 @@ class TestQrf:
         y = np.array([1.0, 2.0, 3.0, 50.0, 60.0])
         forest = fit_rf(X, y, n_trees=1, seed=0, max_depth=1, bootstrap=False)
         # leaf of x<=... contains {1,2,3}; its weighted median is 2
-        assert qrf_predict(forest, [1.0], 0.5) == 2.0
+        assert qrf_predict(forest, [[1.0]], 0.5)[0] == 2.0
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(9)
@@ -236,7 +235,7 @@ class TestQrf:
         y = rng.normal(size=40)
         forest = fit_rf(X, y, n_trees=6, seed=2, max_depth=3)
         for _ in range(10):
-            w = qrf_weights(forest, rng.normal(size=2))
+            w = qrf_weights(forest, rng.normal(size=(1, 2)))[0]
             assert float(w.sum()) == pytest.approx(1.0)
             assert (w >= 0).all()
 
@@ -248,7 +247,7 @@ class TestQrf:
         for _ in range(15):
             x = rng.normal(size=3)
             for alpha in (0.05, 0.3, 0.5, 0.9):
-                assert qrf_predict(forest, x, alpha) == qrf_oracle(forest, x, alpha)
+                assert qrf_predict(forest, x[None], alpha)[0] == qrf_oracle(forest, x, alpha)
 
     def test_quantile_nondecreasing_in_alpha(self):
         rng = np.random.default_rng(11)
@@ -257,7 +256,7 @@ class TestQrf:
         forest = fit_rf(X, y, n_trees=4, seed=7, max_depth=4)
         for _ in range(10):
             x = rng.normal(size=2)
-            qs = [qrf_predict(forest, x, a) for a in np.linspace(0.05, 0.95, 10)]
+            qs = [qrf_predict(forest, x[None], a)[0] for a in np.linspace(0.05, 0.95, 10)]
             assert all(a <= b for a, b in zip(qs, qs[1:]))
 
     def test_levels_match_oracle(self):
@@ -267,9 +266,9 @@ class TestQrf:
         forest = fit_rf(X, y, n_trees=5, seed=4, max_depth=4)
         for _ in range(15):
             x = np.round(rng.normal(size=3), 1)
-            got = qrf_predict(forest, x, LEVELS)
-            assert got.tolist() == [qrf_oracle(forest, x, a) for a in LEVELS]
-            assert isinstance(qrf_predict(forest, x, 0.5), float)
+            got = qrf_predict(forest, x[None], LEVELS)
+            assert got.tolist() == [[qrf_oracle(forest, x, a) for a in LEVELS]]
+            assert qrf_predict(forest, x[None], 0.5).shape == (1,)
 
     @pytest.mark.parametrize("block_cells", [1 << 20, 100])
     def test_stack_equals_one_row_calls_and_oracle(self, monkeypatch, block_cells):
@@ -282,14 +281,14 @@ class TestQrf:
         weights = qrf_weights(forest, queries)
         assert weights.shape == (31, 50)
         for i, x in enumerate(queries):
-            assert weights[i].tolist() == qrf_weights(forest, x).tolist()
+            assert weights[i].tolist() == qrf_weights(forest, x[None])[0].tolist()
         got = qrf_predict(forest, queries, LEVELS)
         median = qrf_predict(forest, queries, 0.5)
         assert got.shape == (31, 3) and median.shape == (31,)
         for i, x in enumerate(queries):
             want = [qrf_oracle(forest, x, a) for a in LEVELS]
-            assert got[i].tolist() == qrf_predict(forest, x, LEVELS).tolist() == want
-            assert median[i] == qrf_predict(forest, x, 0.5) == want[1]
+            assert got[i].tolist() == qrf_predict(forest, x[None], LEVELS)[0].tolist() == want
+            assert median[i] == qrf_predict(forest, x[None], 0.5)[0] == want[1]
         assert qrf_predict(forest, np.zeros((0, 3)), LEVELS).shape == (0, 3)
 
     def test_baseline_fit_matches_oracle_across_save_load(self, tmp_path):
@@ -301,7 +300,7 @@ class TestQrf:
             point = model.predict_point(rows)
             intervals = model.predict_intervals(rows)
             for i, row in enumerate(rows):
-                x = encode_row(model.schema, model.encoding, row)
+                x = encode_row(model.schema, model.encoding, [row])[0]
                 assert point[i] == qrf_oracle(model.inner, x, 0.5)
                 assert intervals[i].tolist() == [qrf_oracle(model.inner, x, a) for a in LEVELS]
 
@@ -368,6 +367,6 @@ class TestQrf:
         X = np.arange(6.0).reshape(-1, 1)
         forest = fit_rf(X, np.arange(6.0), n_trees=1, seed=0, max_depth=1)
         with pytest.raises(ValueError):
-            qrf_predict(forest, [1.0], 0.0)
+            qrf_predict(forest, [[1.0]], 0.0)
         with pytest.raises(ValueError):
-            qrf_predict(forest, [1.0], (0.5, 1.0))
+            qrf_predict(forest, [[1.0]], (0.5, 1.0))

@@ -260,8 +260,6 @@ class TestPredict:
         assert (tmp_path / "model.json").read_bytes() == before_model
 
     def test_matches_library_predictions(self, tmp_path, synth_csv):
-        from partqr.composite import predict_interval
-
         model_path = self.make_model(tmp_path, synth_csv)
         fitted = load_model(model_path)
         rows = [("metro", 10.0, 20.0, 30.0, 15.0, 0.0), ("remote", 5.0, 12.0, 20.0, 9.0, 0.0)]
@@ -275,8 +273,7 @@ class TestPredict:
         lines = out.read_text(encoding="utf-8").strip().splitlines()[1:]
         for line, row in zip(lines, rows):
             lo, med, hi = map(float, line.split(","))
-            iv = predict_interval(fitted.model, row)
-            assert (lo, med, hi) == (iv.lower, iv.median, iv.upper)
+            assert [lo, med, hi] == fitted.predict_intervals([row])[0].tolist()
 
     def test_schema_mismatch_lists_missing(self, tmp_path, synth_csv, capsys):
         model = self.make_model(tmp_path, synth_csv)

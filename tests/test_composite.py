@@ -3,10 +3,10 @@ import pytest
 
 from partqr import composite
 from partqr.composite import (
+    INTERVAL_LEVELS,
     ConstantModel,
     count_parameters,
     fit_composite,
-    predict_interval,
     predict_quantile,
     resolve_partition,
 )
@@ -14,7 +14,7 @@ from partqr.data import Dataset, FeatureSchema, encode
 from partqr.linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
 from partqr.partition import assign_cluster, route
 from partqr.serialize import model_from_json, model_to_json
-from partqr.models import fit_model
+from partqr.models import CompositeFit, fit_model
 
 
 def toy_dataset(n=60, seed=0, categories=("A", "B", "C")):
@@ -26,6 +26,12 @@ def toy_dataset(n=60, seed=0, categories=("A", "B", "C")):
         (("site", "categorical"), ("dur", "numeric"), ("y", "numeric")), target="y"
     )
     return Dataset(schema, tuple((c, float(a), float(b)) for c, a, b in zip(cat, x, y)))
+
+
+def interval(model, row):
+    """(lower, median, upper) of one raw row scored as a batch of one, with
+    crossing repaired by sorting."""
+    return tuple(CompositeFit(model.kind, {}, model).predict_intervals([row])[0].tolist())
 
 
 def partition_rows(model):
@@ -101,7 +107,7 @@ class TestEqOneStructure:
         ):
             model = fit_composite(kind, ds, hp)
             for row in ds.rows[:20]:
-                pid = resolve_partition(model, row)
+                pid = resolve_partition(model, [row])[0]
                 assert pid in model.estimators
                 indicators = [1 if p == pid else 0 for p in model.estimators]
                 assert sum(indicators) == 1
@@ -112,14 +118,14 @@ class TestEqOneStructure:
         ds = toy_dataset(100, seed=4)
         model = fit_composite("quantile_tree", ds, {"max_depth": 2, "min_samples_split": 10})
         for row in ds.rows[:20]:
-            pid = resolve_partition(model, row)
-            x_enc = encode_row(ds.schema, model.encoding, row)
+            pid = resolve_partition(model, [row])[0]
+            x_enc = encode_row(ds.schema, model.encoding, [row])
             total = 0.0
             for p, table in model.estimators.items():
                 est = table[0.5]
-                term = est.value if isinstance(est, ConstantModel) else predict_linear(est, x_enc)
+                term = est.value if isinstance(est, ConstantModel) else predict_linear(est, x_enc)[0]
                 total += (1 if p == pid else 0) * term
-            assert predict_quantile(model, row, 0.5) == total
+            assert predict_quantile(model, [row], 0.5)[0] == total
 
 
 class TestDegenerateEquivalence:
@@ -135,12 +141,12 @@ class TestDegenerateEquivalence:
         from partqr.data import encode_row
 
         for row in ds.rows[:15]:
-            x_enc = encode_row(ds.schema, enc, row)
+            x_enc = encode_row(ds.schema, enc, [row])
             for a in (0.05, 0.5, 0.95):
-                want = predict_linear(global_fit[a], x_enc)
-                assert predict_quantile(tree0, row, a) == pytest.approx(want, abs=1e-6)
-                assert predict_quantile(pq1, row, a) == pytest.approx(want, abs=1e-6)
-                assert predict_quantile(nn_all, row, a) == pytest.approx(want, abs=1e-6)
+                want = predict_linear(global_fit[a], x_enc)[0]
+                assert predict_quantile(tree0, [row], a)[0] == pytest.approx(want, abs=1e-6)
+                assert predict_quantile(pq1, [row], a)[0] == pytest.approx(want, abs=1e-6)
+                assert predict_quantile(nn_all, [row], a)[0] == pytest.approx(want, abs=1e-6)
 
     def test_two_regime_recovery(self):
         rng = np.random.default_rng(0)
@@ -155,7 +161,7 @@ class TestDegenerateEquivalence:
         model = fit_composite("quantile_tree", ds, {"max_depth": 2, "min_samples_split": 10})
         errs = np.array(
             [
-                abs(predict_quantile(model, r, 0.5) - (r[1] if r[0] == "A" else 10 - r[1]))
+                abs(predict_quantile(model, [r], 0.5)[0] - (r[1] if r[0] == "A" else 10 - r[1]))
                 for r in ds.rows
             ]
         )
@@ -168,23 +174,23 @@ class TestPredict:
     def test_unknown_alpha_rejected(self):
         model = fit_composite("quantile_tree", toy_dataset(), {"max_depth": 1})
         with pytest.raises(ValueError):
-            predict_quantile(model, toy_dataset().rows[0], 0.33)
+            predict_quantile(model, toy_dataset().rows[:1], 0.33)
 
     def test_piecewise_rr_is_point_only(self):
         ds = toy_dataset()
         model = fit_composite("piecewise_rr", ds, {"n_clusters": 2})
-        assert predict_quantile(model, ds.rows[0], 0.5) == pytest.approx(
-            predict_quantile(model, ds.rows[0], 0.5)
+        assert predict_quantile(model, ds.rows[:1], 0.5)[0] == pytest.approx(
+            predict_quantile(model, ds.rows[:1], 0.5)[0]
         )
         with pytest.raises(ValueError):
-            predict_quantile(model, ds.rows[0], 0.95)
+            predict_quantile(model, ds.rows[:1], 0.95)
         with pytest.raises(ValueError):
-            predict_interval(model, ds.rows[0])
+            predict_quantile(model, ds.rows[:1], INTERVAL_LEVELS)
 
     def test_nn_qr_accepts_any_alpha(self):
         ds = toy_dataset(30)
         model = fit_composite("nn_qr", ds, {"n_neighbors": 10})
-        v = predict_quantile(model, ds.rows[0], 0.37)
+        v = predict_quantile(model, ds.rows[:1], 0.37)[0]
         assert np.isfinite(v)
 
     def test_nn_qr_constant_neighbors(self):
@@ -195,12 +201,12 @@ class TestPredict:
         ds = Dataset(schema, rows)
         model = fit_composite("nn_qr", ds, {"n_neighbors": 10})
         for a in (0.05, 0.5, 0.95):
-            assert predict_quantile(model, ("A", 0.0), a) == pytest.approx(7.0, abs=1e-9)
+            assert predict_quantile(model, [("A", 0.0)], a)[0] == pytest.approx(7.0, abs=1e-9)
 
     def test_unseen_category_still_predicts(self):
         ds = toy_dataset(50)
         model = fit_composite("quantile_tree", ds, {"max_depth": 2})
-        v = predict_quantile(model, ("ZZZ", 5.0, 0.0), 0.5)
+        v = predict_quantile(model, [("ZZZ", 5.0, 0.0)], 0.5)[0]
         assert np.isfinite(v)
 
 
@@ -208,8 +214,8 @@ class TestInterval:
     def test_ordered_predictions_kept(self):
         ds = toy_dataset(100, seed=6)
         model = fit_composite("quantile_tree", ds, {"max_depth": 1, "min_samples_split": 20})
-        iv = predict_interval(model, ds.rows[0])
-        assert iv.lower <= iv.median <= iv.upper
+        lower, median, upper = interval(model, ds.rows[0])
+        assert lower <= median <= upper
 
     def test_sorting_repairs_crossing(self):
         # hand-built constant estimators force a crossing
@@ -221,15 +227,14 @@ class TestInterval:
             0.5: ConstantModel(5.0),
             0.95: ConstantModel(9.0),
         }
-        iv = predict_interval(model, ds.rows[0])
-        assert (iv.lower, iv.median, iv.upper) == (5.0, 6.0, 9.0)
+        assert interval(model, ds.rows[0]) == (5.0, 6.0, 9.0)
 
     def test_every_interval_ordered(self):
         ds = toy_dataset(150, seed=7)
         model = fit_composite("piecewise_qr", ds, {"n_clusters": 3, "lam": 0.1})
         for row in ds.rows[:40]:
-            iv = predict_interval(model, row)
-            assert iv.lower <= iv.median <= iv.upper
+            lower, median, upper = interval(model, row)
+            assert lower <= median <= upper
 
     def test_width_grows_with_noise_scale(self):
         from partqr.evaluation import SyntheticSpec, generate_synthetic
@@ -241,8 +246,8 @@ class TestInterval:
         )
         widths = {c: [] for c in spec.categories}
         for row in ds.rows[:600]:
-            iv = predict_interval(model, row)
-            widths[row[0]].append(iv.upper - iv.lower)
+            lower, _, upper = interval(model, row)
+            widths[row[0]].append(upper - lower)
         means = [float(np.mean(widths[c])) for c in spec.categories]  # scales 2 < 4 < 8
         assert means[0] < means[1] < means[2]
 

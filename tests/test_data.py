@@ -122,7 +122,7 @@ class TestEncode:
         ds = make_dataset(rows, columns)
         matrix, _, enc = encode(ds)
         for i, row in enumerate(ds.rows):
-            assert encode_row(ds.schema, enc, row).tolist() == matrix.values[i].tolist()
+            assert encode_row(ds.schema, enc, [row])[0].tolist() == matrix.values[i].tolist()
 
     @given(st.permutations(["A", "B", "C", "A", "B", "D"]))
     def test_levels_insensitive_to_row_order(self, order):

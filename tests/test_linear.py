@@ -439,27 +439,27 @@ class TestPredictLinear:
         model = fit_ridge(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
                           np.array([5.0, 6.0, 4.0, 5.0]), 0.0)
         manual = model.intercept + np.array([2.0, 3.0]) @ model.coef
-        assert predict_linear(model, [2.0, 3.0]) == pytest.approx(manual)
+        assert predict_linear(model, [[2.0, 3.0]])[0] == pytest.approx(manual)
 
     def test_zero_row_returns_intercept(self):
         model = fit_ridge(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 0.1)
-        assert predict_linear(model, [0.0]) == pytest.approx(model.intercept)
+        assert predict_linear(model, [[0.0]])[0] == pytest.approx(model.intercept)
 
     def test_fit_on_line_predicts_line(self):
         x = np.arange(10.0).reshape(-1, 1)
         model = fit_quantile(x, 2 * x[:, 0], 0.5, 0.0)
-        assert predict_linear(model, [7.0]) == pytest.approx(14.0, abs=1e-6)
+        assert predict_linear(model, [[7.0]])[0] == pytest.approx(14.0, abs=1e-6)
 
     def test_dimension_mismatch(self):
         model = fit_ridge(np.array([[1.0], [2.0]]), np.array([1.0, 2.0]), 0.0)
         with pytest.raises(ValueError):
-            predict_linear(model, [1.0, 2.0])
+            predict_linear(model, [[1.0, 2.0]])
         with pytest.raises(ValueError):
             predict_linear(model, np.zeros((3, 2)))
 
     @pytest.mark.parametrize("width", range(1, 13))
     def test_stack_equals_one_row_dot(self, width):
-        # every row of a stack gets bitwise its one-row dot product x @ coef,
+        # every row of a batch gets bitwise its one-row dot product x @ coef,
         # whatever the memory order of the stack
         rng = np.random.default_rng(width)
         X = rng.normal(size=(40, width)) * rng.choice([1e-3, 1.0, 1e3], size=width)
@@ -467,7 +467,7 @@ class TestPredictLinear:
         y = X @ rng.normal(size=width) + rng.normal(size=40)
         for model in (fit_ridge(X, y, 0.1), fit_quantile(X, y, 0.3, 0.1)):
             want = [float(model.intercept + x @ model.coef) for x in X]
-            assert [predict_linear(model, x) for x in X] == want
+            assert [predict_linear(model, x[None])[0] for x in X] == want
             assert predict_linear(model, X).tolist() == want
             assert predict_linear(model, np.asfortranarray(X)).tolist() == want
         assert predict_linear(model, np.zeros((0, width))).shape == (0,)

@@ -1,7 +1,7 @@
 """The batched prediction path of the ten registry models.
 
-A batch must answer every row bitwise as a call with that row alone does,
-before and after a save/load round trip, whatever else is in the batch.
+A batch must answer every row bitwise as the row scored as a batch of one
+does, before and after a save/load round trip, whatever else is in the batch.
 """
 
 import hashlib
@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from partqr import composite
+from partqr.baselines import predict_gb, predict_rf, qrf_predict, qrf_weights
 from partqr.data import Dataset, EncodedMatrix, encode, encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
+from partqr.linear import predict_linear
 from partqr.models import MODEL_NAMES, MODELS, fit_model
-from partqr.partition import NODE_ARRAYS
+from partqr.partition import NODE_ARRAYS, assign_cluster, predict_tree_mean, route
 from partqr.serialize import model_from_json, model_to_json
 
 PARAMS = {
@@ -88,6 +90,33 @@ def test_batch_equals_one_row_calls(fitted, rows, name):
     assert fit.predict_point(rows[::-1]).tolist() == point[::-1].tolist()
     if intervals is not None:
         assert (intervals[:, :-1] <= intervals[:, 1:]).all()
+
+
+# each scoring function of encoded rows, with the registry fit whose part it scores
+BATCH_ONLY = {
+    "route": ("decision_tree", lambda fit, X: route(fit.inner, X)),
+    "predict_tree_mean": ("decision_tree", lambda fit, X: predict_tree_mean(fit.inner, X)),
+    "assign_cluster": (
+        "piecewise_qr",
+        lambda fit, X: assign_cluster(fit.model.clusters, X[..., fit.model.categorical_mask]),
+    ),
+    "predict_linear": ("quantile", lambda fit, X: predict_linear(fit.model.estimators[0][0.5], X)),
+    "predict_rf": ("random_forest", lambda fit, X: predict_rf(fit.inner, X)),
+    "predict_gb": ("gradient_boosting", lambda fit, X: predict_gb(fit.inner, X)),
+    "qrf_weights": ("qrf", lambda fit, X: qrf_weights(fit.inner, X)),
+    "qrf_predict": ("qrf", lambda fit, X: qrf_predict(fit.inner, X, 0.5)),
+}
+
+
+@pytest.mark.parametrize("function", BATCH_ONLY)
+def test_scoring_takes_a_batch_only(fitted, rows, function):
+    # one answer per row of a batch; a 1-D row is refused, not answered with a scalar
+    name, score = BATCH_ONLY[function]
+    fit = fitted[name]
+    X = encode_row(fit.schema, fit.encoding, rows[:1])
+    assert score(fit, X).shape[0] == 1
+    with pytest.raises(ValueError, match="2-D batch"):
+        score(fit, X[0])
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)

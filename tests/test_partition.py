@@ -396,7 +396,7 @@ class TestRoute:
     def test_depth_zero_always_same_leaf(self):
         X = np.arange(5.0).reshape(-1, 1)
         tree = build_cart(X, np.arange(5.0), max_depth=0)
-        assert {route(tree, [v]) for v in (-10.0, 0.0, 99.0)} == {0}
+        assert {route(tree, [[v]])[0] for v in (-10.0, 0.0, 99.0)} == {0}
 
     def test_step_sides(self):
         X = np.arange(10.0).reshape(-1, 1)
@@ -404,21 +404,21 @@ class TestRoute:
         tree = build_cart(X, y, max_depth=1)
         left_id = tree.leaf_id[tree.left[0]]
         right_id = tree.leaf_id[tree.right[0]]
-        assert route(tree, [3.0]) == left_id
-        assert route(tree, [7.0]) == right_id
-        assert route(tree, [4.5]) == left_id  # boundary goes left
+        assert route(tree, [[3.0]])[0] == left_id
+        assert route(tree, [[7.0]])[0] == right_id
+        assert route(tree, [[4.5]])[0] == left_id  # boundary goes left
 
     def test_dimension_mismatch(self):
         tree = build_cart(np.arange(4.0).reshape(-1, 1), np.arange(4.0), max_depth=1)
         with pytest.raises(ValueError):
-            route(tree, [1.0, 2.0])
+            route(tree, [[1.0, 2.0]])
 
     def test_predict_tree_mean_matches_leaf(self):
         X = np.arange(10.0).reshape(-1, 1)
         y = np.where(X[:, 0] < 5, 0.0, 10.0)
         tree = build_cart(X, y, max_depth=1)
-        assert predict_tree_mean(tree, [2.0]) == 0.0
-        assert predict_tree_mean(tree, [8.0]) == 10.0
+        assert predict_tree_mean(tree, [[2.0]])[0] == 0.0
+        assert predict_tree_mean(tree, [[8.0]])[0] == 10.0
 
     def test_stack_equals_one_row_calls_and_node_walk(self):
         rng = np.random.default_rng(16)
@@ -439,8 +439,10 @@ class TestRoute:
                 node = nodes[node.left if x[node.feature] <= node.threshold else node.right]
             walked.append(node)
         ids, means = route(tree, queries), predict_tree_mean(tree, queries)
-        assert ids.tolist() == [route(tree, x) for x in queries] == [nd.leaf_id for nd in walked]
-        assert means.tolist() == [predict_tree_mean(tree, x) for x in queries]
+        ones = [queries[i : i + 1] for i in range(len(queries))]
+        assert ids.tolist() == [route(tree, q)[0] for q in ones] == [nd.leaf_id for nd in walked]
+        singles = np.concatenate([predict_tree_mean(tree, q) for q in ones])
+        assert means.tobytes() == singles.tobytes()
         assert means.tolist() == [nd.value for nd in walked]
         assert route(tree, np.zeros((0, 4))).shape == (0,)
         with pytest.raises(ValueError, match="row width 3"):
@@ -486,7 +488,7 @@ class TestKMeans:
         mine = fit_kmeans(X, 3, seed=0, init_centroids=init)
         ref_centroids, ref_assign = lloyd_oracle(X, init.copy())
         assert mine.centroids == pytest.approx(ref_centroids)
-        got = np.array([assign_cluster(mine, row) for row in X])
+        got = np.concatenate([assign_cluster(mine, row[None]) for row in X])
         assert got.tolist() == ref_assign.tolist()
 
     def test_k_exceeds_distinct_rows(self):
@@ -506,7 +508,7 @@ class TestKMeans:
         rng = np.random.default_rng(10)
         X = rng.normal(size=(40, 2))
         part = fit_kmeans(X, 6, seed=1)
-        assign = np.array([assign_cluster(part, row) for row in X])
+        assign = np.concatenate([assign_cluster(part, row[None]) for row in X])
         assert len(set(assign.tolist())) == 6
 
     def test_deterministic_for_seed(self):
@@ -521,13 +523,13 @@ class TestAssign:
     def test_exact_centroid_match(self):
         part = fit_kmeans(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]), 3, seed=0)
         for cid in range(3):
-            assert assign_cluster(part, part.centroids[cid]) == cid
+            assert assign_cluster(part, part.centroids[cid : cid + 1])[0] == cid
 
     def test_equidistant_tie_goes_low(self):
         from partqr.partition import ClusterPartition
 
         part = ClusterPartition(centroids=np.array([[0.0], [2.0]]))
-        assert assign_cluster(part, [1.0]) == 0
+        assert assign_cluster(part, [[1.0]])[0] == 0
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(15)
@@ -535,12 +537,12 @@ class TestAssign:
         for _ in range(20):
             x = rng.normal(size=4)
             d = ((part.centroids - x) ** 2).sum(axis=1)
-            assert assign_cluster(part, x) == int(np.argmin(d))
+            assert assign_cluster(part, x[None])[0] == int(np.argmin(d))
 
     def test_dimension_mismatch(self):
         part = fit_kmeans(np.array([[1.0, 0.0], [0.0, 1.0]]), 2, seed=0)
         with pytest.raises(ValueError):
-            assign_cluster(part, [1.0])
+            assign_cluster(part, [[1.0]])
         with pytest.raises(ValueError):
             assign_cluster(part, np.zeros((3, 1)))
 
@@ -553,7 +555,7 @@ class TestAssign:
         for k in (1, 2, 3, 5):
             part = fit_kmeans(X, k, seed=k)
             got = assign_cluster(part, X)
-            assert got.tolist() == [assign_cluster(part, x) for x in X]
+            assert got.tolist() == [assign_cluster(part, x[None])[0] for x in X]
         assert assign_cluster(part, np.zeros((0, 7))).shape == (0,)
 
 
