@@ -5,6 +5,7 @@ plain textbook formula, deliberately avoiding the implementation's code path.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import scipy.sparse
@@ -194,11 +195,37 @@ def split_scan_oracle(xs, ys, min_samples_leaf):
     return float(costs[best]), j, cut_between(xs[j, i - 1], xs[j, i])
 
 
+def node_view(X, y, rows):
+    """A node's (xs, ys) as `build_cart` hands them to `_best_split`: each
+    feature's values and targets in ascending value order, ties by row id."""
+    rows = np.sort(rows)
+    sorted_rows = rows[np.argsort(X[rows], axis=0, kind="stable")].T
+    return np.take_along_axis(X.T, sorted_rows, axis=1), y[sorted_rows]
+
+
+def exact_sse(y):
+    """Sum of squared deviations from the mean, in rational arithmetic."""
+    values = [Fraction(v) for v in np.asarray(y, dtype=float).tolist()]
+    if not values:
+        return Fraction(0)
+    total = sum(values)
+    return sum(v * v for v in values) - total * total / len(values)
+
+
 def cart_oracle(X, y, max_depth, min_samples_split=2, min_samples_leaf=1):
-    """Exhaustive split enumeration with naive per-candidate SSE."""
+    """Exhaustive split enumeration with naive per-candidate SSE.
+
+    The candidates whose float cost lies within a relative 1e-9 of the
+    lowest are scored again exactly, in rational arithmetic (`exact_sse`).
+    A node's split is the unique exact best. Where several cuts tie exactly,
+    each is optimal and floats cannot tell them apart, so the split is the
+    one the builder's documented tie rule on float costs picks
+    (`split_scan_oracle`), which must be among them. A split node keeps its
+    tied cuts in "ties" (one cut when the best is unique).
+    """
 
     def best_split(rows):
-        best = None
+        cands = []
         for j in range(X.shape[1]):
             vals = np.sort(np.unique(X[rows, j]))
             for a, b in zip(vals, vals[1:]):
@@ -207,17 +234,28 @@ def cart_oracle(X, y, max_depth, min_samples_split=2, min_samples_leaf=1):
                 right = rows[X[rows, j] > thr]
                 if len(left) < min_samples_leaf or len(right) < min_samples_leaf:
                     continue
-                cost = node_sse(y[left]) + node_sse(y[right])
-                if best is None or cost < best[0]:
-                    best = (cost, j, thr)
-        return best
+                cands.append((node_sse(y[left]) + node_sse(y[right]), j, thr, left, right))
+        if not cands:
+            return None
+        lowest = min(c[0] for c in cands)
+        near = [c for c in cands if c[0] <= lowest + 1e-9 * max(1.0, abs(lowest))]
+        exact = [exact_sse(y[left]) + exact_sse(y[right]) for *_, left, right in near]
+        ties = [(j, thr) for (_, j, thr, _, _), e in zip(near, exact) if e == min(exact)]
+        if len(ties) == 1:
+            j, thr = ties[0]
+        else:
+            xs, ys = node_view(X, y, rows)
+            _, j, thr = split_scan_oracle(xs, ys, min_samples_leaf)
+            assert (j, thr) in ties, f"the tie rule's cut {(j, thr)} is not among {ties}"
+        cost = next(c[0] for c in near if c[1:3] == (j, thr))
+        return cost, j, thr, ties
 
     def grow(rows, depth):
         node = {"rows": sorted(rows.tolist())}
         if depth < max_depth and rows.size >= min_samples_split:
             cand = best_split(rows)
             if cand is not None and node_sse(y[rows]) - cand[0] > 1e-12:
-                _, j, thr = cand
+                _, j, thr, node["ties"] = cand
                 node["feature"] = j
                 node["threshold"] = thr
                 node["left"] = grow(rows[X[rows, j] <= thr], depth + 1)
@@ -235,9 +273,10 @@ def assert_tree_equals_oracle(tree, oracle_node, node_id=0):
         assert tree.leaf_rows[leaf].tolist() == oracle_node["rows"]
         return
     assert left[node_id] >= 0, f"node {node_id}: expected an internal node"
-    assert tree.feature.tolist()[node_id] == oracle_node["feature"]
+    cut = (tree.feature.tolist()[node_id], tree.threshold.tolist()[node_id])
+    assert cut in oracle_node["ties"], f"node {node_id}: {cut} is not an exact best cut"
     # bit for bit: between adjacent doubles any tolerance would hide a wrong side
-    assert tree.threshold.tolist()[node_id] == oracle_node["threshold"]
+    assert cut == (oracle_node["feature"], oracle_node["threshold"])
     assert_tree_equals_oracle(tree, oracle_node["left"], left[node_id])
     assert_tree_equals_oracle(tree, oracle_node["right"], right[node_id])
 

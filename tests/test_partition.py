@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -12,6 +12,7 @@ from oracles import (
     cart_oracle,
     knn_scan,
     node_sse,
+    node_view,
     split_scan_oracle,
 )
 
@@ -185,14 +186,6 @@ class TestCartPresort:
             build_cart(X, np.arange(6.0), max_depth=2, order=np.zeros((6, 2), dtype=int))
 
 
-def node_view(X, y, rows):
-    """A node's (xs, ys) as `build_cart` hands them to `_best_split`: each
-    feature's values and targets in ascending value order, ties by row id."""
-    rows = np.sort(rows)
-    sorted_rows = rows[np.argsort(X[rows], axis=0, kind="stable")].T
-    return np.take_along_axis(X.T, sorted_rows, axis=1), y[sorted_rows]
-
-
 def assert_same_split(got, want):
     """Bit for bit: the cost's bytes, the feature and the threshold's bytes."""
     assert (got is None) == (want is None)
@@ -321,6 +314,12 @@ class TestAdjacentValues:
         base=st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True),
         cells=st.lists(st.tuples(st.integers(0, 4), st.integers(0, 9)), min_size=2, max_size=40),
         min_samples_leaf=st.integers(1, 3),
+    )
+    # the root's two best cuts tie exactly (children's SSE 62 either way)
+    @example(
+        base=0.0,
+        cells=[(0, 2), (0, 5), (0, 5), (0, 6), (0, 7), (0, 9), (1, 0), (1, 2), (2, 8)],
+        min_samples_leaf=1,
     )
     def test_columns_a_few_ulps_apart(self, base, cells, min_samples_leaf):
         steps, targets = zip(*cells)
