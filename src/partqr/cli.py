@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config
-from .data import Dataset, FeatureSchema, dataset_from_csv
+from .data import Dataset, FeatureSchema, dataset_from_csv, nonempty_rows
 from .evaluation import SyntheticSpec, benchmark, generate_synthetic, grid_search
 from .models import MODEL_NAMES, MODELS
 from .pipeline import (
@@ -226,8 +226,9 @@ def cmd_predict(args) -> int:
         bad = np.flatnonzero(~np.isfinite(intervals).all(axis=1))
         if bad.size:
             i = int(bad[0])
+            line = nonempty_rows(args.input)[1][i]  # blank lines were skipped
             raise RuntimeError(
-                f"{args.input}:{i + 2}: non-finite forecast {intervals[i].tolist()} "
+                f"{args.input}:{line}: non-finite forecast {intervals[i].tolist()} "
                 f"for input row {i + 1}"
             )
     with _Stage("write"):

@@ -322,6 +322,19 @@ def read_csv(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def nonempty_rows(path, delimiter: str = ",") -> tuple[list[str], list[int], list[list[str]]]:
+    """A CSV's header, then the line and cells of each row that has a
+    non-empty cell: rows whose cells are all empty are skipped. The header is
+    line 1. These are the rows, and lines, of `dataset_from_csv`."""
+    header, raw_rows = read_csv(path, delimiter=delimiter)
+    lines, raws = [], []
+    for line, raw in enumerate(raw_rows, start=2):
+        if any(raw):
+            lines.append(line)
+            raws.append(raw)
+    return header, lines, raws
+
+
 def dataset_from_csv(
     path,
     target: str,
@@ -342,7 +355,7 @@ def dataset_from_csv(
     so a `nan` cell still makes it numeric and then fails; otherwise it is
     categorical. `overrides` names kinds that win over the inferred ones.
     """
-    header, raw_rows = read_csv(path, delimiter=delimiter)
+    header, lines, raws = nonempty_rows(path, delimiter=delimiter)
     if schema is None:
         overrides = overrides or {}
         columns = [(name, overrides.get(name)) for name in header]  # None: infer
@@ -353,11 +366,6 @@ def dataset_from_csv(
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
         columns = schema.columns
-    lines, raws = [], []
-    for line, raw in enumerate(raw_rows, start=2):  # the header is line 1
-        if any(raw):
-            lines.append(line)
-            raws.append(raw)
 
     def cells_of(name: str) -> list[str]:
         if name not in header:  # an absent target column

@@ -405,19 +405,20 @@ class TestPredict:
                 return out
 
         monkeypatch.setattr("partqr.cli.load_model", lambda path: Broken())
+        header = "site_category,step1_days,step2_days,step3_days,step4_days\n"
         inp = tmp_path / "in.csv"
-        inp.write_text(
-            "site_category,step1_days,step2_days,step3_days,step4_days\n"
-            "metro,10,20,30,15\n"
-            "metro,11,20,30,15\n"
-            "metro,12,20,30,15\n",
-            encoding="utf-8",
-        )
         out = tmp_path / "out.csv"
-        assert main(["predict", "--model", "m.json", "--input", str(inp), "--output", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"{inp}:3: non-finite forecast" in err and "input row 2" in err
-        assert not out.exists()
+        # the line of the second input row, after a skipped all-empty line in the second case
+        for body, line in (
+            ("metro,10,20,30,15\nmetro,11,20,30,15\nmetro,12,20,30,15\n", 3),
+            ("metro,10,20,30,15\n,,,,\nmetro,11,20,30,15\n", 4),
+        ):
+            inp.write_text(header + body, encoding="utf-8")
+            args = ["predict", "--model", "m.json", "--input", str(inp), "--output", str(out)]
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert f"{inp}:{line}: non-finite forecast" in err and "input row 2" in err
+            assert not out.exists()
 
 
 # Model files are outside input: each edit below breaks one tree, or a
