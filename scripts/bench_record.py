@@ -13,8 +13,12 @@ the documented flags, so it cannot change a measured value or a check.
 
 Traced runs (`--trace 1`) at each of the first three seeds, TRACED_SEEDS,
 record the per-layer metrics, among them every `.calls` count; they
-alternate between the checkouts as the timed runs do. Tier-1 then runs once
-per checkout. Each checkout's file holds its commit, nproc, the Python, numpy
+alternate between the checkouts as the timed runs do. Their seconds are
+raw seconds, which follow the machine's speed, so the script times
+perfbench's `ReferenceKernel` (from its own checkout) in its own process
+just before and just after each traced run and stores the mean of the two
+as that run's `kernel_s` metric: read a per-layer `s` as `s / kernel_s`
+across phases of the machine. Tier-1 then runs once per checkout. Each checkout's file holds its commit, nproc, the Python, numpy
 and scipy versions, the per-seed end-to-end metrics and their medians, the
 per-seed traced metrics and their medians, and Tier-1's pass, fail and skip
 counts with its wall time.
@@ -24,7 +28,9 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -42,6 +48,24 @@ _HEADER = re.compile(
     r"nproc (?P<nproc>\d+), python (?P<python>\S+), numpy (?P<numpy>\S+), scipy (?P<scipy>\S+)$"
 )
 _SUMMARY = re.compile(r"(\d+) (passed|failed|skipped|errors?|xfailed|xpassed)")
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "reference.py")
+
+
+@functools.cache
+def _reference_kernel():
+    """perfbench's `ReferenceKernel`, which uses numpy and scipy only."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    kernel = module.ReferenceKernel()
+    kernel.run()  # once, so that the first timing is not a cold one
+    return kernel
+
+
+def kernel_seconds() -> float:
+    """One run of the reference kernel in this process, in seconds."""
+    return _reference_kernel().seconds()
 
 
 def _checkout(text: str) -> tuple[str, str]:
@@ -140,7 +164,9 @@ def record(checkouts, log=print) -> dict:
             docs[tag]["workloads"].setdefault(workload, {"seeds": {}})["seeds"][str(seed)] = run
             log(f"{tag} {workload} {seed}: wall_ref {run['metrics']['wall_ref']:.3f} correct {run['correct']}")
         for seed, tag, root in _alternate(checkouts, TRACED_SEEDS):
+            before = kernel_seconds()
             run = run_perfbench(root, workload, seed, 1)
+            run["metrics"]["kernel_s"] = (before + kernel_seconds()) / 2
             run.pop("machine")
             entry = docs[tag]["workloads"][workload]
             entry.setdefault("traced", {"seeds": {}})["seeds"][str(seed)] = run

@@ -21,15 +21,22 @@ def load_script():
 
 @pytest.fixture
 def recorded(monkeypatch, tmp_path):
-    """The documents `record` makes of two checkouts, "a" and "b", and the
-    (tag, workload, seed, trace) of every perfbench run, in order."""
+    """The documents `record` makes of two checkouts, "a" and "b"; the
+    (tag, workload, seed, trace) of every perfbench run, in order; and every
+    event in order: ("run", tag, workload, seed, trace) or ("kernel", seconds)
+    for a timing of the stubbed reference kernel."""
     script = load_script()
     roots = {"a": str(tmp_path / "a"), "b": str(tmp_path / "b")}
     tags = {root: tag for tag, root in roots.items()}
-    runs = []
+    events = []
+
+    def kernel_seconds():
+        seconds = 0.01 * (len(events) + 1)  # a kernel that slows down, so every timing differs
+        events.append(("kernel", seconds))
+        return seconds
 
     def run_perfbench(root, workload, seed, trace):
-        runs.append((tags[root], workload, seed, trace))
+        events.append(("run", tags[root], workload, seed, trace))
         value = VALUES.get(seed, 0.0) + (0.5 if tags[root] == "b" else 0.0) + 100 * trace
         return {
             "machine": {"nproc": 2, "python": "3", "numpy": "2", "scipy": "1"},
@@ -43,16 +50,18 @@ def recorded(monkeypatch, tmp_path):
         raise AssertionError(f"a child process started: {args}")
 
     monkeypatch.setattr(script, "run_perfbench", run_perfbench)
+    monkeypatch.setattr(script, "kernel_seconds", kernel_seconds)
     monkeypatch.setattr(script, "run_tier1", lambda root: {"passed": 1, "summary": "1 passed"})
     monkeypatch.setattr(script, "_git", lambda root, *args: "")  # reads the commit through git
     for name in ("run", "Popen", "call", "check_call", "check_output"):
         monkeypatch.setattr(subprocess, name, no_child)
     docs = script.record(list(roots.items()), log=lambda line: None)
-    return script, docs, runs
+    runs = [event[1:] for event in events if event[0] == "run"]
+    return script, docs, runs, events
 
 
 def test_runs_alternate_the_checkouts(recorded):
-    script, _, runs = recorded
+    script, _, runs, _ = recorded
     for workload in script.WORKLOADS:
         for trace, seeds in ((0, script.SEEDS), (1, script.TRACED_SEEDS)):
             got = [(tag, seed) for tag, w, seed, t in runs if w == workload and t == trace]
@@ -66,7 +75,7 @@ def test_runs_alternate_the_checkouts(recorded):
 
 
 def test_traced_runs_keep_every_seed_and_their_medians(recorded):
-    script, docs, _ = recorded
+    script, docs, _, _ = recorded
     for tag, shift in (("a", 0.0), ("b", 0.5)):
         for workload in script.WORKLOADS:
             traced = docs[tag]["workloads"][workload]["traced"]
@@ -75,7 +84,8 @@ def test_traced_runs_keep_every_seed_and_their_medians(recorded):
                 assert "machine" not in run and run["correct"]
                 assert run["metrics"]["wall_ref"] == VALUES[int(seed)] + shift + 100
             want = statistics.median(VALUES[s] + shift + 100 for s in (301, 302, 303))
-            assert traced["median"] == {"wall_ref": want, "calls": 10}
+            kernel = statistics.median(run["metrics"]["kernel_s"] for run in traced["seeds"].values())
+            assert traced["median"] == {"wall_ref": want, "calls": 10, "kernel_s": kernel}
             timed = docs[tag]["workloads"][workload]
             assert len(timed["seeds"]) == len(script.SEEDS)
             assert timed["median"]["wall_ref"] == statistics.median(
@@ -83,3 +93,20 @@ def test_traced_runs_keep_every_seed_and_their_medians(recorded):
             )
         assert docs[tag]["tier1"]["passed"] == 1
         assert docs[tag]["nproc"] == 2
+
+
+def test_kernel_is_timed_just_before_and_after_each_traced_run(recorded):
+    script, docs, runs, events = recorded
+    traced = [i for i, event in enumerate(events) if event[0] == "run" and event[4] == 1]
+    assert len(traced) == 2 * len(script.WORKLOADS) * len(script.TRACED_SEEDS)
+    # two timings per traced run, and none around a timed run
+    assert sum(event[0] == "kernel" for event in events) == 2 * len(traced)
+    for i in traced:
+        (before, s_before), (after, s_after) = events[i - 1], events[i + 1]
+        assert before == after == "kernel"
+        _, tag, workload, seed, _ = events[i]
+        metrics = docs[tag]["workloads"][workload]["traced"]["seeds"][str(seed)]["metrics"]
+        assert metrics["kernel_s"] == (s_before + s_after) / 2
+    for tag, workload, seed, trace in runs:
+        if trace == 0:
+            assert "kernel_s" not in docs[tag]["workloads"][workload]["seeds"][str(seed)]["metrics"]
