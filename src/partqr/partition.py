@@ -75,8 +75,8 @@ class RegressionTree:
         return int(depths.max())
 
 
-def check_tree(tree: RegressionTree) -> None:
-    """Raise ValueError unless `tree`'s arrays form a tree that prediction can walk.
+def check_trees(trees) -> None:
+    """Raise ValueError unless each tree's arrays form a tree that prediction can walk.
 
     The six node arrays are one-dimensional, of one length n >= 1. A leaf
     has left == right == -1; an inner node i has both children in (i, n),
@@ -84,29 +84,48 @@ def check_tree(tree: RegressionTree) -> None:
     walk from the root ends at a leaf. Inner nodes split on a feature in
     [0, n_features) at a finite threshold, and the leaves carry leaf ids
     0..L-1 in node order and a finite value.
-    A loaded tree comes from outside input and is checked before use.
+    A loaded tree comes from outside input and is checked before use. All
+    trees of a forest or a boosting run are checked in one pass over their
+    node arrays laid end to end: node i of tree t is node start[t] + i.
     """
-    shapes = {key: getattr(tree, key).shape for key in NODE_ARRAYS}
-    n = tree.value.size
-    if set(shapes.values()) != {(n,)} or n == 0:
-        raise ValueError(f"tree node arrays must be non-empty, flat and of one length: {shapes}")
-    if type(tree.n_features) is not int or tree.n_features < 0:
-        raise ValueError(f"tree n_features must be a count, not {tree.n_features!r}")
-    leaf = tree.left == -1
+    if not trees:
+        return
+    for tree in trees:
+        shapes = {key: getattr(tree, key).shape for key in NODE_ARRAYS}
+        n = tree.value.size
+        if set(shapes.values()) != {(n,)} or n == 0:
+            raise ValueError(f"tree node arrays must be non-empty, flat and of one length: {shapes}")
+        if type(tree.n_features) is not int or tree.n_features < 0:
+            raise ValueError(f"tree n_features must be a count, not {tree.n_features!r}")
+    feature, threshold, left, right, leaf_id, value = (
+        np.concatenate([getattr(tree, key) for tree in trees]) for key in NODE_ARRAYS
+    )
+    sizes = np.array([tree.value.size for tree in trees])
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each node's tree's first node
+    local = np.arange(value.size) - start  # each node's id within its tree
+    leaf = left == -1
     inner = np.flatnonzero(~leaf)
-    children = np.concatenate([tree.left[inner], tree.right[inner]])
+    children = np.concatenate([left[inner], right[inner]])
     parents = np.concatenate([inner, inner])
-    if (tree.right[leaf] != -1).any() or ((children <= parents) | (children >= n)).any():
+    if (right[leaf] != -1).any() or (
+        (children <= local[parents]) | (children >= np.repeat(sizes, sizes)[parents])
+    ).any():
         raise ValueError("tree children must follow their parent within the node arrays")
-    if (np.bincount(children, minlength=n)[1:] != 1).any():
+    if (np.bincount(children + start[parents], minlength=value.size)[local > 0] != 1).any():
         raise ValueError("tree nodes other than the root must each have exactly one parent")
-    if ((tree.feature[inner] < 0) | (tree.feature[inner] >= tree.n_features)).any():
-        raise ValueError(f"tree split features must lie in [0, {tree.n_features})")
-    if not np.array_equal(tree.leaf_id[leaf], np.arange(np.count_nonzero(leaf))):
+    width = np.repeat([tree.n_features for tree in trees], sizes)[inner]
+    split = feature[inner]
+    out = np.flatnonzero((split < 0) | (split >= width))
+    if out.size:
+        raise ValueError(f"tree split features must lie in [0, {width[out[0]]})")
+    leaves = np.count_nonzero(leaf)
+    per_tree = np.bincount(np.repeat(np.arange(len(trees)), sizes)[leaf], minlength=len(trees))
+    first_leaf = np.repeat(np.cumsum(per_tree) - per_tree, per_tree)
+    if not np.array_equal(leaf_id[leaf], np.arange(leaves) - first_leaf):
         raise ValueError("tree leaf ids must number the leaves 0, 1, ... in node order")
-    if not np.isfinite(tree.value[leaf]).all():
+    if not np.isfinite(value[leaf]).all():
         raise ValueError("tree key 'value' must be finite at every leaf")
-    if not np.isfinite(tree.threshold[inner]).all():
+    if not np.isfinite(threshold[inner]).all():
         raise ValueError("tree key 'threshold' must be finite at every inner node")
 
 

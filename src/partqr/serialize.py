@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .composite import CompositeQuantileModel, ConstantModel
 from .data import CategoricalEncoding, EncodedMatrix, FeatureSchema, encoded_columns
 from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit, check_hyperparams, model_spec, neighbor_settings
-from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_tree
+from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_trees
 
 FORMAT_VERSION = 4
 
@@ -91,15 +91,22 @@ def _tree_to_doc(tree: RegressionTree) -> dict:
     return {key: getattr(tree, key).tolist() for key in NODE_ARRAYS}
 
 
-def _tree_from_doc(doc: dict, width: int) -> RegressionTree:
-    """A tree over `width` features; `check_tree` checks what its arrays hold."""
-    arrays = [
-        _array(doc, key, (-1,), np.intp if key in _TREE_IDS else float, False, f"tree key {key!r}")
-        for key in NODE_ARRAYS
+def _trees_from_doc(docs, widths) -> list[RegressionTree]:
+    """Trees over `widths` features each; `check_trees` checks what their
+    arrays hold, all trees at once."""
+    trees = [
+        RegressionTree(*[
+            _array(doc, key, (-1,), np.intp if key in _TREE_IDS else float, False, f"tree key {key!r}")
+            for key in NODE_ARRAYS
+        ], width)
+        for doc, width in zip(docs, widths)
     ]
-    tree = RegressionTree(*arrays, width)
-    check_tree(tree)
-    return tree
+    check_trees(trees)
+    return trees
+
+
+def _tree_from_doc(doc: dict, width: int) -> RegressionTree:
+    return _trees_from_doc([doc], [width])[0]
 
 
 def _estimator_to_doc(est) -> dict:
@@ -199,7 +206,7 @@ def _forest_from_doc(f: dict, width: int) -> ForestModel:
     for t, cols in enumerate(subsets):
         if (np.diff(cols) <= 0).any() or ((cols < 0) | (cols >= width)).any():
             raise ValueError(f"feature_subsets {t} must be ascending, distinct and in [0, {width})")
-    trees = [_tree_from_doc(t, s.size) for t, s in zip(f["trees"], subsets)]
+    trees = _trees_from_doc(f["trees"], [s.size for s in subsets])
     return ForestModel(trees=trees, feature_subsets=subsets)
 
 
@@ -242,7 +249,7 @@ def _boosted_to_doc(model: BoostedModel) -> dict:
 def _boosted_from_doc(b: dict, width: int) -> BoostedModel:
     return BoostedModel(
         init=_array(b, "init"),
-        trees=[_tree_from_doc(t, width) for t in b["trees"]],
+        trees=_trees_from_doc(b["trees"], repeat(width)),
         learning_rate=_array(b, "learning_rate"),
     )
 

@@ -21,7 +21,7 @@ from partqr.partition import (
     _best_split,
     assign_cluster,
     build_cart,
-    check_tree,
+    check_trees,
     fit_kmeans,
     knn_query,
     predict_tree_mean,
@@ -43,9 +43,9 @@ class TestCart:
     def test_check_tree_refuses_a_width_that_is_not_a_count(self, n_features):
         X = np.arange(8.0).reshape(-1, 2)
         tree = build_cart(X, np.arange(4.0), max_depth=2)
-        check_tree(tree)
+        check_trees([tree])
         with pytest.raises(ValueError, match="n_features must be a count"):
-            check_tree(replace(tree, n_features=n_features))
+            check_trees([replace(tree, n_features=n_features)])
 
     def test_constant_target_single_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
