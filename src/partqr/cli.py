@@ -21,7 +21,7 @@ from .models import MODEL_NAMES, MODELS
 from .pipeline import (
     build_gwa_dataset,
     build_milestone_dataset,
-    fill_rows,
+    fill_missing,
     load_climate_table,
     read_milestone_csv,
     select_categorical,
@@ -129,32 +129,20 @@ def _apply_selection(dataset: Dataset, cfg: RunConfig) -> Dataset:
         or kind in ("date", "identifier")
         or name in keep
     )
-    schema = FeatureSchema(columns, dataset.schema.target, dataset.schema.weight_units)
-    idx = [dataset.schema.index_of(name) for name, _ in columns]
-    rows = tuple(tuple(row[i] for i in idx) for row in dataset.rows)
-    return Dataset(schema, rows)
-
-
-def _float_cell(v) -> str:
-    return repr(float(v))
+    return dataset.project(FeatureSchema(columns, dataset.schema.target, dataset.schema.weight_units))
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
     import csv as _csv
 
+    cells = [
+        ["" if v is None else (repr(v) if kind == "numeric" else str(v)) for v in dataset.column(name)]
+        for name, kind in dataset.schema.columns
+    ]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = _csv.writer(fh)
         writer.writerow([name for name, _ in dataset.schema.columns])
-        kinds = [kind for _, kind in dataset.schema.columns]
-        for row in dataset.rows:
-            writer.writerow(
-                [
-                    ""
-                    if v is None
-                    else (_float_cell(v) if kind == "numeric" else str(v))
-                    for v, kind in zip(row, kinds)
-                ]
-            )
+        writer.writerows(zip(*cells))
 
 
 def cmd_train(args) -> int:
@@ -213,30 +201,33 @@ def cmd_predict(args) -> int:
     with _Stage("load-model"):
         fitted = load_model(args.model)
     with _Stage("read-input"):
-        rows = dataset_from_csv(args.input, target=fitted.schema.target, schema=fitted.schema).rows
+        dataset = dataset_from_csv(args.input, target=fitted.schema.target, schema=fitted.schema)
         # empty cells are filled as the training data's were
-        rows = fill_rows(fitted.schema, fitted.fill, rows)
+        dataset = fill_missing(dataset, fitted.fill)
     with _Stage("predict"):
-        intervals = fitted.predict_intervals(rows)
-        if intervals is None:
-            point = fitted.predict_point(rows)
-            intervals = np.column_stack([point, point, point])
+        # (lower, median, upper) per row, or a point forecast that is all three
+        forecasts = fitted.predict_intervals(dataset)
+        if forecasts is None:
+            forecasts = fitted.predict_point(dataset)[:, None]
         # The input is validated at read time, so a non-finite forecast is an
         # internal fault: exit 1 (RuntimeError) before any file is written.
-        bad = np.flatnonzero(~np.isfinite(intervals).all(axis=1))
+        bad = np.flatnonzero(~np.isfinite(forecasts).all(axis=1))
         if bad.size:
             i = int(bad[0])
             line = nonempty_rows(args.input)[1][i]  # blank lines were skipped
             raise RuntimeError(
-                f"{args.input}:{line}: non-finite forecast {intervals[i].tolist()} "
-                f"for input row {i + 1}"
+                f"{args.input}:{line}: non-finite forecast "
+                f"{np.broadcast_to(forecasts[i], 3).tolist()} for input row {i + 1}"
             )
     with _Stage("write"):
         out = args.output or "predictions.csv"
         with open(out, "w", newline="", encoding="utf-8") as fh:
             fh.write("lower,median,upper\n")
-            fh.writelines("%r,%r,%r\n" % tuple(r) for r in intervals.tolist())
-        print(f"{len(rows)} predictions written to {out}")
+            # each forecast is formatted once; a point forecast is written thrice
+            cells = [list(map(repr, column)) for column in forecasts.T.tolist()]
+            lower, median, upper = cells if len(cells) == 3 else cells * 3
+            fh.writelines(map("{},{},{}\n".format, lower, median, upper))
+        print(f"{len(dataset)} predictions written to {out}")
     return 0
 
 

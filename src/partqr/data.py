@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import compress, count, repeat
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,31 +72,170 @@ class FeatureSchema:
         return [n for n in self.predictors() if self.kind_of(n) == "numeric"]
 
 
-@dataclass(frozen=True)
+class NumericColumn:
+    """A numeric column: its cells as a float array and a mask of the missing
+    ones, whose `data` cells hold 0.0. A NaN cell is a value, not a missing
+    cell. Both arrays are read-only."""
+
+    __slots__ = ("data", "missing")
+
+    def __init__(self, data: np.ndarray, missing: np.ndarray):
+        data.flags.writeable = missing.flags.writeable = False
+        self.data, self.missing = data, missing
+
+    @classmethod
+    def of(cls, name: str, cells: Sequence) -> "NumericColumn":
+        """The column of `cells`, None marking a missing one; a cell that is
+        not a number raises SchemaError naming the column `name`."""
+        try:
+            if None not in cells:
+                return cls(np.array(list(map(float, cells)), dtype=float), np.zeros(len(cells), bool))
+            data = np.array([0.0 if v is None else float(v) for v in cells], dtype=float)
+        except (TypeError, ValueError):
+            raise SchemaError(f"non-numeric value in numeric column {name!r}") from None
+        return cls(data, np.array([v is None for v in cells], dtype=bool))
+
+    def __len__(self) -> int:
+        return self.data.size
+
+    def cells(self) -> list:
+        """The cells as Python floats, None where missing."""
+        cells = self.data.tolist()
+        if self.missing.any():
+            return [None if m else v for v, m in zip(cells, self.missing.tolist())]
+        return cells
+
+    def take(self, indices: np.ndarray) -> "NumericColumn":
+        return NumericColumn(self.data[indices], self.missing[indices])
+
+    def filled(self, value: float) -> "NumericColumn":
+        """Its missing cells set to `value`."""
+        if not self.missing.any():
+            return self
+        return NumericColumn(np.where(self.missing, float(value), self.data), np.zeros(len(self), bool))
+
+    def key(self) -> tuple:
+        # + 0.0 makes -0.0 the bytes of 0.0, as the two cells compare equal
+        return self.missing.tobytes(), (self.data + 0.0).tobytes()
+
+
+def _stored(kind: str, name: str, cells):
+    """How a column of `kind` is held: a NumericColumn, or a tuple of cells."""
+    if kind != "numeric":
+        return tuple(cells)
+    return cells if isinstance(cells, NumericColumn) else NumericColumn.of(name, cells)
+
+
+def _take(column, indices: np.ndarray):
+    if isinstance(column, NumericColumn):
+        return column.take(indices)
+    return tuple(map(column.__getitem__, indices.tolist()))
+
+
 class Dataset:
-    """Immutable rows conforming to a schema; None marks a missing value."""
+    """Immutable table conforming to a schema, held one column per schema
+    column (`columns`, in schema order): a numeric column as a
+    NumericColumn, any other column as a tuple of its cells. None marks a
+    missing cell.
 
-    schema: FeatureSchema
-    rows: tuple[tuple, ...]
+    `Dataset(schema, rows)` transposes a batch of rows once; the package
+    builds its datasets column by column (`from_columns`). `rows` is derived
+    on each access, for callers that want rows; the package never reads it.
+    Its length is its row count, so a prediction method takes it where it
+    takes a batch of raw rows (see `encode_row`).
+    """
 
-    def __post_init__(self):
-        width = len(self.schema.columns)
+    __slots__ = ("schema", "columns", "_hash")
+
+    def __init__(self, schema: FeatureSchema, rows: Iterable[Sequence]):
+        rows = tuple(rows)
+        width = len(schema.columns)
         # the widths are checked at C level; the rows are walked only to
         # name the first bad one
-        if set(map(len, self.rows)) - {width}:
-            i, row = next((i, r) for i, r in enumerate(self.rows) if len(r) != width)
+        if set(map(len, rows)) - {width}:
+            i, row = next((i, r) for i, r in enumerate(rows) if len(r) != width)
             raise SchemaError(f"row {i} has {len(row)} values, expected {width}")
+        self._set(schema, list(zip(*rows)) if rows else [()] * width)
+
+    @classmethod
+    def from_columns(cls, schema: FeatureSchema, columns: Sequence) -> "Dataset":
+        """The dataset of `columns`, one per schema column and in schema
+        order: a numeric one a NumericColumn or a sequence of floats and
+        None, any other a sequence of cells."""
+        dataset = cls.__new__(cls)
+        dataset._set(schema, columns)
+        return dataset
+
+    def _set(self, schema: FeatureSchema, columns: Sequence) -> None:
+        stored = tuple(_stored(kind, name, c) for (name, kind), c in zip(schema.columns, columns))
+        if len(stored) != len(schema.columns) or len(set(map(len, stored))) != 1:
+            raise SchemaError("a dataset needs one column per schema column, all of one length")
+        object.__setattr__(self, "schema", schema)
+        object.__setattr__(self, "columns", stored)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a Dataset is immutable")
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.columns[0])
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    @property
+    def rows(self) -> tuple[tuple, ...]:
+        return tuple(zip(*map(_cells, self.columns)))
+
+    def stored(self, name: str):
+        """Column `name` as it is held: a NumericColumn or a tuple."""
+        return self.columns[self.schema.index_of(name)]
+
+    def numeric(self, name: str) -> NumericColumn:
+        column = self.stored(name)
+        if not isinstance(column, NumericColumn):
+            raise ValueError(f"column {name!r} is not numeric")
+        return column
 
     def column(self, name: str) -> list:
-        j = self.schema.index_of(name)
-        return [row[j] for row in self.rows]
+        """The cells of column `name`, None where missing."""
+        return list(_cells(self.stored(name)))
 
     def subset(self, indices: Iterable[int]) -> "Dataset":
-        return Dataset(self.schema, tuple(self.rows[i] for i in indices))
+        if not isinstance(indices, (np.ndarray, Sequence, range)):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset.from_columns(self.schema, [_take(c, idx) for c in self.columns])
+
+    def project(self, schema: FeatureSchema) -> "Dataset":
+        """The columns that `schema` names, in its order, under `schema`."""
+        return Dataset.from_columns(schema, [self.stored(name) for name, _ in schema.columns])
+
+    def _key(self) -> tuple:
+        return self.schema, tuple(
+            c.key() if isinstance(c, NumericColumn) else c for c in self.columns
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._key()))
+        return self._hash
+
+    def __reduce__(self):
+        return Dataset.from_columns, (self.schema, self.columns)
+
+    def __repr__(self) -> str:
+        return f"Dataset({self.n_rows} rows of {[name for name, _ in self.schema.columns]})"
+
+
+def _cells(column) -> Sequence:
+    return column.cells() if isinstance(column, NumericColumn) else column
 
 
 @dataclass(frozen=True)
@@ -154,7 +295,7 @@ def fit_encoding(dataset: Dataset) -> CategoricalEncoding:
     """Learn per-column level lists from observed data (lexicographic order)."""
     levels = []
     for name in dataset.schema.categorical_predictors():
-        observed = {v for v in dataset.column(name) if v is not None}
+        observed = set(dataset.stored(name)) - {None}
         levels.append((name, tuple(sorted(str(v) for v in observed))))
     return CategoricalEncoding(tuple(levels))
 
@@ -199,17 +340,11 @@ def encode(
     if encoding is None:
         encoding = fit_encoding(dataset)
     schema = dataset.schema
-    values = encode_row(schema, encoding, dataset.rows)
-    columns = encoded_columns(schema, encoding)
-
-    target_raw = dataset.column(schema.target)
-    if any(v is None for v in target_raw):
+    values = encode_row(schema, encoding, dataset)
+    target = dataset.numeric(schema.target)
+    if target.missing.any():
         raise ValueError("missing values in target column")
-    try:
-        y = np.array([float(v) for v in target_raw])
-    except (TypeError, ValueError) as exc:
-        raise ValueError("target column is not numeric") from exc
-    return EncodedMatrix(values, columns), y, encoding
+    return EncodedMatrix(values, encoded_columns(schema, encoding)), target.data.copy(), encoding
 
 
 def shared(cache: dict, key, make):
@@ -231,43 +366,83 @@ def encode_once(
     return shared(cache, "encoded", lambda: encode(dataset))
 
 
-def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows: Sequence) -> np.ndarray:
-    """Encode a batch of raw rows (each ordered per schema) into an (n, width)
-    design matrix. This is the one place predictors are one-hot encoded;
-    `encode` builds its matrix here. An unseen level encodes to all zeros; a
-    missing or non-numeric cell raises ValueError naming the column.
+def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows) -> np.ndarray:
+    """Encode a batch of rows into an (n, width) design matrix: a Dataset of
+    `schema`, read column by column, or raw rows (each ordered per schema),
+    transposed once here. This is the one place predictors are one-hot
+    encoded; `encode` builds its matrix here. An unseen level encodes to all
+    zeros; a missing or non-numeric cell raises ValueError naming the column,
+    and so does a single raw row, which is not a batch.
     """
-    expected = len(schema.columns)
-    for row in rows:
-        if len(row) != expected:
-            raise SchemaError(f"row has {len(row)} values, expected {expected}")
+    column = _dataset_columns(schema, rows) if isinstance(rows, Dataset) else _raw_columns(schema, rows)
     values = np.zeros((len(rows), len(encoded_columns(schema, encoding))))
     j = 0
     for name in schema.predictors():
-        pos = schema.index_of(name)
-        raw = [row[pos] for row in rows]
-        if any(v is None for v in raw):
-            raise ValueError(f"missing value in column {name!r}")
+        cells = column(name)
         if schema.kind_of(name) == "categorical":
             levels = encoding.levels_for(name)
             level_index = {lv: idx for idx, lv in enumerate(levels)}
-            codes = np.array([level_index.get(str(v), -1) for v in raw], dtype=np.intp)
+            codes = np.fromiter(map(level_index.get, map(str, cells), repeat(-1)), np.intp, len(cells))
             hit = np.flatnonzero(codes >= 0)
             values[hit, j + codes[hit]] = 1.0
             j += len(levels)
         else:
-            try:
-                values[:, j] = [float(v) for v in raw]
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"non-numeric value in numeric column {name!r}") from exc
+            values[:, j] = cells
             j += 1
     return values
 
 
+def _dataset_columns(schema: FeatureSchema, dataset: Dataset):
+    """What `encode_row` reads of a dataset: each predictor column with no
+    missing cell, a numeric one as its float array."""
+    if dataset.schema != schema:
+        raise ValueError("the dataset's schema is not the one it is encoded by")
+
+    def column(name: str):
+        stored = dataset.stored(name)
+        if isinstance(stored, NumericColumn):
+            if stored.missing.any():
+                raise ValueError(f"missing value in column {name!r}")
+            return stored.data
+        if None in stored:
+            raise ValueError(f"missing value in column {name!r}")
+        return stored
+
+    return column
+
+
+def _raw_columns(schema: FeatureSchema, rows):
+    """What `encode_row` reads of a batch of raw rows, as `_dataset_columns`
+    does of a dataset. The batch is checked, once, to be a batch: a string
+    or a value that is not a sequence, where its first row should be, raises
+    ValueError."""
+    first = next(iter(rows), ())
+    if isinstance(first, (str, bytes)) or not isinstance(first, (Sequence, np.ndarray)):
+        raise ValueError(f"expected a batch of rows, got a single row or cell: {first!r}")
+    expected = len(schema.columns)
+    for row in rows:
+        if len(row) != expected:
+            raise SchemaError(f"row has {len(row)} values, expected {expected}")
+    transposed = list(zip(*rows)) or [()] * expected
+
+    def column(name: str):
+        cells = transposed[schema.index_of(name)]
+        if None in cells:
+            raise ValueError(f"missing value in column {name!r}")
+        if schema.kind_of(name) == "categorical":
+            return cells
+        try:
+            return [float(v) for v in cells]
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"non-numeric value in numeric column {name!r}") from exc
+
+    return column
+
+
 def as_encoded(schema: FeatureSchema, encoding: CategoricalEncoding, rows) -> np.ndarray:
-    """A batch of raw rows encoded by `encode_row`, or the values of an
-    EncodedMatrix already in the layout of `schema` and `encoding`, as they
-    are; a matrix with other columns raises ValueError."""
+    """A batch of rows (a Dataset or raw rows) encoded by `encode_row`, or
+    the values of an EncodedMatrix already in the layout of `schema` and
+    `encoding`, as they are; a matrix with other columns raises ValueError."""
     if not isinstance(rows, EncodedMatrix):
         return encode_row(schema, encoding, rows)
     if rows.columns != encoded_columns(schema, encoding):
@@ -318,7 +493,7 @@ def read_csv(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row")
-        rows = [row for row in reader]
+        rows = list(reader)
     return header, rows
 
 
@@ -327,12 +502,8 @@ def nonempty_rows(path, delimiter: str = ",") -> tuple[list[str], list[int], lis
     non-empty cell: rows whose cells are all empty are skipped. The header is
     line 1. These are the rows, and lines, of `dataset_from_csv`."""
     header, raw_rows = read_csv(path, delimiter=delimiter)
-    lines, raws = [], []
-    for line, raw in enumerate(raw_rows, start=2):
-        if any(raw):
-            lines.append(line)
-            raws.append(raw)
-    return header, lines, raws
+    nonempty = list(map(any, raw_rows))
+    return header, list(compress(count(2), nonempty)), list(compress(raw_rows, nonempty))
 
 
 def dataset_from_csv(
@@ -343,8 +514,8 @@ def dataset_from_csv(
     overrides: dict[str, str] | None = None,
     weight_units: str = "days",
 ) -> Dataset:
-    """Load a CSV into a Dataset; empty cells become missing (None), and rows
-    whose cells are all empty are skipped.
+    """Load a CSV into a Dataset, column by column; empty cells become
+    missing (None), and rows whose cells are all empty are skipped.
 
     A numeric cell that is not a finite number (`nan`, `inf`, text) raises
     SchemaError naming the path, the line and the column.
@@ -367,34 +538,35 @@ def dataset_from_csv(
             raise SchemaError(f"{path}: missing columns {missing}")
         columns = schema.columns
 
+    full = min(map(len, raws), default=0) >= len(header)
+
     def cells_of(name: str) -> list[str]:
         if name not in header:  # an absent target column
             return [""] * len(raws)
         pos = header.index(name)
+        if full:
+            return list(map(itemgetter(pos), raws))
         return [raw[pos] if pos < len(raw) else "" for raw in raws]
 
     # one column at a time: its floats, if every non-empty cell parses
-    floats = {}
+    parsed = {}
     for name, kind in columns:
         if kind in (None, "numeric"):
-            try:
-                floats[name] = [float(c) if c else None for c in cells_of(name)]
-            except ValueError:
-                pass
+            parsed[name] = _parse_floats(cells_of(name))
     if schema is None:  # built, and its errors raised, before any cell's
-        inferred = {name: "numeric" if name in floats else "categorical" for name in header}
+        inferred = {name: "categorical" if parsed.get(name) is None else "numeric" for name in header}
         kinds = [inferred[name] if kind is None else kind for name, kind in columns]
         schema = FeatureSchema(tuple(zip(header, kinds)), target=target, weight_units=weight_units)
-    # back to rows; of several bad cells, the error names the first in
-    # row-major order: lowest line, then leftmost column
-    values, bad = [], []
+    # of several bad cells, the error names the first in row-major order:
+    # lowest line, then leftmost column
+    stored, bad = [], []
     for j, (name, kind) in enumerate(schema.columns):
         if kind != "numeric":
-            values.append([c or None for c in cells_of(name)])
+            stored.append([c or None for c in cells_of(name)])
             continue
-        column = floats.get(name)
-        if column is not None and np.isfinite([v for v in column if v is not None]).all():
-            values.append(column)
+        column = parsed.get(name)
+        if column is not None and np.isfinite(column.data).all():
+            stored.append(column)
             continue
         for i, c in enumerate(cells_of(name)):
             if c:
@@ -405,7 +577,21 @@ def dataset_from_csv(
                     break
     if bad:
         raise min(bad)[2]
-    return Dataset(schema, tuple(zip(*values)))
+    return Dataset.from_columns(schema, stored)
+
+
+def _parse_floats(cells: list[str]) -> NumericColumn | None:
+    """A column of CSV cells as numbers, an empty cell missing; None if a
+    non-empty cell does not parse as a float."""
+    try:
+        if "" not in cells:
+            return NumericColumn(np.array(list(map(float, cells)), dtype=float), np.zeros(len(cells), bool))
+        return NumericColumn(
+            np.array([float(c) if c else 0.0 for c in cells], dtype=float),
+            np.array([not c for c in cells], dtype=bool),
+        )
+    except ValueError:
+        return None
 
 
 def _finite_cell(text: str, path, line: int, column: str) -> float:

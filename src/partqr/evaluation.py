@@ -91,10 +91,11 @@ def _fold_seed(seed: int, fold: int) -> int:
 @dataclass(frozen=True)
 class PreparedFold:
     """One cross-validation fold after fold-local caps and imputation; the
-    refit's dataset, the last entry of `prepare_search`, has no test rows."""
+    refit's dataset, the last entry of `prepare_search`, has no test set
+    (None)."""
 
     train: Dataset
-    test_rows: list
+    test: Dataset | None
     actual: np.ndarray
     seed: int
     detail: FoldDetail
@@ -108,14 +109,14 @@ def _prepare_fold(train: Dataset, test: Dataset | None, caps: dict | None, seed:
         train, cap_removed[col] = prune_tail(train, col, float(cap))
     imputer = fit_imputer(train)
     train = imputer.transform(train)
-    rows = [] if test is None else list(imputer.transform(test).rows)
-    target_j = train.schema.index_of(train.schema.target)
+    test = None if test is None else imputer.transform(test)
+    actual = np.empty(0) if test is None else test.numeric(train.schema.target).data.copy()
     return PreparedFold(
         train=train,
-        test_rows=rows,
-        actual=np.array([float(r[target_j]) for r in rows]),
+        test=test,
+        actual=actual,
         seed=seed,
-        detail=FoldDetail(train.n_rows, len(rows), dict(imputer.numeric_fill), cap_removed),
+        detail=FoldDetail(train.n_rows, actual.size, dict(imputer.numeric_fill), cap_removed),
     )
 
 
@@ -146,15 +147,13 @@ def prepare_search(
 
 
 def _test_matrix(fold: PreparedFold, fit_cache: dict) -> EncodedMatrix:
-    """`fold`'s test rows in the encoding of its training set, encoded once
+    """`fold`'s test set in the encoding of its training set, encoded once
     per fit cache and read by every combination's forecasts."""
     matrix, _, encoding = encode_once(fold.train, fit_cache)
     return shared(
         fit_cache,
         "test",
-        lambda: EncodedMatrix(
-            encode_row(fold.train.schema, encoding, fold.test_rows), matrix.columns
-        ),
+        lambda: EncodedMatrix(encode_row(fold.train.schema, encoding, fold.test), matrix.columns),
     )
 
 
@@ -393,7 +392,7 @@ def synthetic_schema(spec: SyntheticSpec) -> FeatureSchema:
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     rng = np.random.default_rng(spec.seed)
     probs = spec.category_probs
-    rows = []
+    categories, steps, targets = [], [[] for _ in range(spec.n_steps)], []
     for _ in range(spec.n_projects):
         c = int(rng.choice(len(spec.categories), p=probs))
         sigma = spec.noise_scales[c]
@@ -412,8 +411,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         )
         if rng.random() < spec.contamination:
             target += rng.exponential(spec.tail_scale)
-        rows.append((spec.categories[c], *durations, target))
-    return Dataset(synthetic_schema(spec), tuple(rows))
+        categories.append(spec.categories[c])
+        for column, d in zip(steps, durations):
+            column.append(d)
+        targets.append(target)
+    return Dataset.from_columns(synthetic_schema(spec), [categories, *steps, targets])
 
 
 def _emg_cdf(s: float, sigma: float, tau: float) -> float:
@@ -463,9 +465,13 @@ def synthetic_true_quantile(spec: SyntheticSpec, category: str, durations, alpha
 
 
 def synthetic_true_quantile_rows(spec: SyntheticSpec, dataset: Dataset, alpha: float) -> np.ndarray:
+    """`synthetic_true_quantile` of each row of a dataset of `synthetic_schema(spec)`'s layout."""
+    names = [name for name, _ in dataset.schema.columns]
+    category = dataset.column(names[0])
+    steps = [dataset.column(name) for name in names[1 : 1 + spec.n_steps]]
     out = np.empty(dataset.n_rows)
-    for i, row in enumerate(dataset.rows):
-        out[i] = synthetic_true_quantile(spec, row[0], row[1 : 1 + spec.n_steps], alpha)
+    for i, (c, *durations) in enumerate(zip(category, *steps)):
+        out[i] = synthetic_true_quantile(spec, c, durations, alpha)
     return out
 
 

@@ -226,8 +226,8 @@ def _global(dataset, params, seed) -> dict:
 # Cluster and neighbour counts are clamped to what the data admits, so the
 # default grids stay usable on small categorical spaces.
 def _clusters(dataset, params, seed) -> dict:
-    cols = [dataset.column(c) for c in dataset.schema.categorical_predictors()]
-    distinct = len({tuple(str(v) for v in combo) for combo in zip(*cols)}) if cols else 1
+    cols = [map(str, dataset.stored(c)) for c in dataset.schema.categorical_predictors()]
+    distinct = len(set(zip(*cols))) if cols else 1
     return {"n_clusters": min(params["n_clusters"], distinct), "seed": seed}
 
 

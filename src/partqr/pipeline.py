@@ -15,7 +15,7 @@ from datetime import date, datetime, timezone
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import Dataset, FeatureSchema, SchemaError, _finite_cell
+from .data import Dataset, FeatureSchema, NumericColumn, SchemaError, _finite_cell
 
 
 @dataclass(frozen=True)
@@ -154,12 +154,11 @@ def prune_tail(dataset: Dataset, column: str, cap: float) -> tuple[Dataset, int]
     never clipped, so quantile fits stay unbiased)."""
     if cap <= 0:
         raise ValueError("cap must be positive")
-    j = dataset.schema.index_of(column)
-    kept = [row for row in dataset.rows if row[j] is None or float(row[j]) <= cap]
-    removed = dataset.n_rows - len(kept)
-    if not kept:
+    values = dataset.numeric(column)
+    kept = np.flatnonzero(values.missing | (values.data <= cap))
+    if not kept.size:
         warnings.warn(f"prune_tail removed every row of {column!r} (cap={cap})")
-    return Dataset(dataset.schema, tuple(kept)), removed
+    return dataset.subset(kept), dataset.n_rows - kept.size
 
 
 def _average_ranks(values: list[date]) -> list[float]:
@@ -352,13 +351,10 @@ class Imputer:
             if name not in self.dropped_columns
         ]
         new_schema = FeatureSchema(tuple(keep), schema.target, schema.weight_units)
-        target_j = schema.index_of(schema.target)
-        rows = [row for row in dataset.rows if row[target_j] is not None]
-        if self.dropped_columns:
-            cells = [schema.index_of(name) for name, _ in keep]
-            rows = [tuple([row[j] for j in cells]) for row in rows]
-        fill = fill_values(new_schema, self.numeric_fill)
-        return Dataset(new_schema, tuple(fill_rows(new_schema, fill, rows)))
+        target = dataset.numeric(schema.target)
+        if target.missing.any():
+            dataset = dataset.subset(np.flatnonzero(~target.missing))
+        return fill_missing(dataset.project(new_schema), fill_values(new_schema, self.numeric_fill))
 
 
 def fill_values(schema: FeatureSchema, numeric_fill: dict[str, float]) -> dict:
@@ -372,31 +368,38 @@ def fill_values(schema: FeatureSchema, numeric_fill: dict[str, float]) -> dict:
     }
 
 
-def fill_rows(schema: FeatureSchema, fill: dict, rows) -> list[tuple]:
-    """`rows` with each empty cell of a column that `fill` names set to its
-    fill value; cells of other columns stay empty, and no row is dropped."""
-    values = [fill.get(name) for name, _ in schema.columns]
-    return [
-        row if None not in row else tuple([d if v is None else v for v, d in zip(row, values)])
-        for row in rows
-    ]
+def fill_missing(dataset: Dataset, fill: dict) -> Dataset:
+    """`dataset` with each empty cell of a column that `fill` names set to
+    its fill value; cells of other columns stay empty, and no row is dropped."""
+    columns = []
+    for (name, _), column in zip(dataset.schema.columns, dataset.columns):
+        value = fill.get(name)
+        if value is not None and isinstance(column, NumericColumn):
+            column = column.filled(value)
+        elif value is not None and None in column:
+            column = tuple(value if v is None else v for v in column)
+        columns.append(column)
+    return Dataset.from_columns(dataset.schema, columns)
 
 
 def fit_imputer(dataset: Dataset) -> Imputer:
     schema = dataset.schema
     fill: dict[str, float] = {}
     dropped: list[str] = []
-    for name, kind in schema.columns:
+    for (name, kind), column in zip(schema.columns, dataset.columns):
         if name == schema.target:
             continue
-        values = [v for v in dataset.column(name) if v is not None]
-        if not values:
+        if isinstance(column, NumericColumn):
+            present = column.data[~column.missing]
+        else:
+            present = [v for v in column if v is not None]
+        if not len(present):
             dropped.append(name)
             warnings.warn(f"column {name!r} is entirely missing; dropping it")
             continue
         if kind == "numeric":
-            fill[name] = float(np.median([float(v) for v in values]))
-    n_missing_target = sum(1 for v in dataset.column(schema.target) if v is None)
+            fill[name] = float(np.median(present))
+    n_missing_target = int(np.count_nonzero(dataset.numeric(schema.target).missing))
     return Imputer(
         numeric_fill=fill,
         dropped_columns=tuple(dropped),
@@ -481,11 +484,11 @@ def build_milestone_dataset(
     columns += [(f"{m}_days", "numeric") for m in intermediates]
     columns += [("target_days", "numeric")]
     projects, report = _usable_projects(records, source, intermediates, target)
-    rows = []
+    cells: list[list] = [[] for _ in columns]
     for project_id, recs, dates, durations in projects:
         site = recs[0]
         month, quarter, year = derive_date_features(dates[source])
-        row = [
+        row = (
             project_id,
             site.city,
             site.state,
@@ -498,10 +501,12 @@ def build_milestone_dataset(
             str(year),
             site.latitude,
             site.longitude,
-        ]
-        rows.append(tuple(row) + durations)
+            *durations,
+        )
+        for column, cell in zip(cells, row):
+            column.append(cell)
     schema = FeatureSchema(tuple(columns), target="target_days", weight_units="days")
-    return Dataset(schema, tuple(rows)), report
+    return Dataset.from_columns(schema, cells), report
 
 
 GWA_NUMERIC_COLUMNS = (
@@ -546,8 +551,10 @@ def build_gwa_dataset(paths, lag_count: int = 3, delimiter: str = ";") -> Datase
     columns: list[tuple[str, str]] = [("vm", "identifier")]
     columns += [("hour_of_day", "categorical"), ("day_of_week", "categorical")]
     columns += [(GWA_CORES, "categorical")]
+    lag_names = [f"usage_lag_{i}" for i in range(1, lag_count + 1)] + ["usage"]
     numeric_present: list[str] | None = None
-    all_rows = []
+    # each trace's columns by name; a KPI column is kept if every trace has it
+    traces = []
     for path in paths:
         data = read_gwa_trace(path, delimiter=delimiter)
         present = [c for c in GWA_NUMERIC_COLUMNS if c in data]
@@ -558,28 +565,23 @@ def build_gwa_dataset(paths, lag_count: int = 3, delimiter: str = ";") -> Datase
         target_vals = data[GWA_TARGET]
         if len(target_vals) <= lag_count:
             continue
-        stamps = data[GWA_TIMESTAMP]
-        for t, lags in enumerate(lag_features(target_vals, lag_count), start=lag_count):
-            dt = datetime.fromtimestamp(stamps[t] / 1000.0, tz=timezone.utc)
-            row = [
-                str(path),
-                str(dt.hour),
-                str(dt.weekday()),
-                None if data.get(GWA_CORES, [None])[t] is None else str(int(data[GWA_CORES][t])),
-            ]
-            row += [data[c][t] for c in present]
-            all_rows.append((present, tuple(row) + lags))
-    if numeric_present is None or not all_rows:
+        steps = range(lag_count, len(target_vals))
+        stamps = [datetime.fromtimestamp(data[GWA_TIMESTAMP][t] / 1000.0, tz=timezone.utc) for t in steps]
+        cores = data.get(GWA_CORES, [None] * len(target_vals))
+        trace = {
+            "vm": [str(path)] * len(steps),
+            "hour_of_day": [str(dt.hour) for dt in stamps],
+            "day_of_week": [str(dt.weekday()) for dt in stamps],
+            GWA_CORES: [None if cores[t] is None else str(int(cores[t])) for t in steps],
+            **{c: data[c][lag_count:] for c in present},
+            **dict(zip(lag_names, zip(*lag_features(target_vals, lag_count)))),
+        }
+        traces.append(trace)
+    if numeric_present is None or not traces:
         raise ValueError("no usable trace rows")
     columns += [(c, "numeric") for c in numeric_present]
-    columns += [(f"usage_lag_{i}", "numeric") for i in range(1, lag_count + 1)]
-    columns += [("usage", "numeric")]
-    # Re-project rows onto the common numeric column set.
-    fixed_rows = []
-    for present, row in all_rows:
-        head = row[:4]
-        kpis = dict(zip(present, row[4 : 4 + len(present)]))
-        tail = row[4 + len(present) :]
-        fixed_rows.append(head + tuple(kpis[c] for c in numeric_present) + tail)
+    columns += [(name, "numeric") for name in lag_names]
     schema = FeatureSchema(tuple(columns), target="usage", weight_units="MHZ")
-    return Dataset(schema, tuple(fixed_rows))
+    return Dataset.from_columns(
+        schema, [[cell for trace in traces for cell in trace[name]] for name, _ in columns]
+    )

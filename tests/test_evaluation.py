@@ -171,10 +171,10 @@ class TestScore:
             monkeypatch.setattr(cls, "predict_point", counted)
         pred, intervals, _ = evaluation._score(name, params, fold, {})
         once = model_spec(name).median_is_point
-        assert calls == ([] if once else [len(fold.test_rows)])
-        want = fit_model(name, fold.train, params, seed=fold.seed).predict_point(fold.test_rows)
+        assert calls == ([] if once else [len(fold.test)])
+        want = fit_model(name, fold.train, params, seed=fold.seed).predict_point(fold.test)
         assert pred.tobytes() == want.tobytes()
-        assert intervals.shape == (len(fold.test_rows), 3)
+        assert intervals.shape == (len(fold.test), 3)
 
 
 class TestGridSearch:
