@@ -8,14 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .data import design_arrays, encoded_batch
-from .partition import (
-    RegressionTree,
-    _leaf,
-    _prune,
-    build_cart,
-    predict_tree_mean,
-    presort,
-)
+from .partition import RegressionTree, TreeStack, _leaf, _prune, block_rows, build_cart, presort
 
 
 @dataclass
@@ -31,10 +24,12 @@ class ForestModel:
     never serialised. The mean reads the trees and their feature subsets,
     QRF also `in_bag_leaf` and `y_train`; only `prune_forest` reads the
     growth settings. A loaded forest leaves what its model does not read None.
+    `n_features` is the width of the rows the forest reads.
     """
 
     trees: list[RegressionTree]
     feature_subsets: list[np.ndarray]
+    n_features: int
     in_bag_leaf: list[np.ndarray] | None = None
     y_train: np.ndarray | None = None
     bootstrap: bool | None = None
@@ -61,6 +56,11 @@ class ForestModel:
             ((leaf + f) * n + rank)[leaf >= 0] for leaf, f in zip(self.in_bag_leaf, first)
         ]))
         return first, np.searchsorted(keys, np.arange(sizes.sum() + 1) * n), keys % n
+
+    @cached_property
+    def walk(self) -> TreeStack:
+        """All trees as one stack, each over its feature subset."""
+        return TreeStack.of(self.trees, self.n_features, self.feature_subsets)
 
     @property
     def n_trees(self) -> int:
@@ -121,6 +121,7 @@ def fit_rf(
         trees=trees,
         in_bag_leaf=in_bag,
         feature_subsets=subsets,
+        n_features=p,
         y_train=y,
         bootstrap=bootstrap,
         seed=seed,
@@ -154,6 +155,7 @@ def prune_forest(
         trees=trees,
         in_bag_leaf=in_bag,
         feature_subsets=forest.feature_subsets[:n_trees],
+        n_features=forest.n_features,
         y_train=forest.y_train,
         bootstrap=forest.bootstrap,
         seed=forest.seed,
@@ -164,23 +166,18 @@ def prune_forest(
 def predict_rf(forest: ForestModel, X) -> np.ndarray:
     """Arithmetic mean of the member trees' predictions, per row of a batch.
 
-    Each row's predictions sit contiguously, so its mean is summed as it is
-    for the row as a batch of one.
+    One walk takes the rows through every tree. Each row's predictions sit
+    contiguously in a C-contiguous (rows, trees) table, so its mean is summed
+    as it is for the row as a batch of one.
     """
-    X = encoded_batch(X)
-    preds = np.empty((X.shape[0], forest.n_trees))
-    for t, (tree, cols) in enumerate(zip(forest.trees, forest.feature_subsets)):
-        preds[:, t] = predict_tree_mean(tree, X[:, cols])
-    return np.mean(preds, axis=1)
+    walk = forest.walk
+    return np.mean(walk.value[_leaf(walk, encoded_batch(X))], axis=1)
 
 
 def _leaf_ids(forest: ForestModel, X: np.ndarray) -> np.ndarray:
     """Leaf id of each row of the 2-D X in each tree: a (trees, rows) array."""
-    ids = [
-        tree.leaf_id[_leaf(tree, X[:, cols])]
-        for tree, cols in zip(forest.trees, forest.feature_subsets)
-    ]
-    return np.array(ids, dtype=np.intp).reshape(forest.n_trees, X.shape[0])
+    walk = forest.walk
+    return np.ascontiguousarray(walk.leaf_id[_leaf(walk, X)].T)
 
 
 def _ranked_weights(forest: ForestModel, leaf_ids: np.ndarray) -> np.ndarray:
@@ -283,6 +280,11 @@ class BoostedModel:
     def n_stages(self) -> int:
         return len(self.trees)
 
+    @cached_property
+    def walk(self) -> TreeStack:
+        """All stages' trees as one stack."""
+        return TreeStack.of(self.trees, self.trees[0].n_features)
+
     def parameter_count(self) -> int:
         return 1 + sum(t.parameter_count() for t in self.trees)
 
@@ -344,10 +346,17 @@ def first_stages(model: BoostedModel, n_stages: int) -> BoostedModel:
 def predict_gb(model: BoostedModel, X) -> np.ndarray:
     """init + lr * sum of the stage trees, per row of a batch.
 
-    The stages are added one by one, in stage order, for every row.
+    One walk takes a block of rows through every stage's tree; the stages
+    are then added one by one, in stage order, for every row of the block.
+    A block's (rows, stages) table holds the walk's bound of cells.
     """
     X = encoded_batch(X)
+    walk = model.walk
     out = np.full(X.shape[0], model.init)
-    for tree in model.trees:
-        out += model.learning_rate * predict_tree_mean(tree, X)
+    step = block_rows(model.n_stages)
+    for start in range(0, X.shape[0], step):
+        steps = model.learning_rate * walk.value[_leaf(walk, X[start : start + step])]
+        block = out[start : start + step]
+        for t in range(model.n_stages):
+            block += steps[:, t]
     return out

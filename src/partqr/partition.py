@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,16 +26,19 @@ class RegressionTree:
     """CART tree over an encoded design matrix, as parallel arrays indexed by node id.
 
     Nodes are numbered depth first: a node, then its left subtree, then its
-    right one. An inner node splits on x[feature] <= threshold (left) against
-    x > threshold (right); a leaf has left == right == -1, feature -1 and a
-    NaN threshold. `leaf_id` numbers the leaves 0..L-1 in node order and is
-    -1 at inner nodes; `value` is each node's mean training target.
+    right one, so `feature` alone (-1 at a leaf) fixes the tree's shape. An
+    inner node splits on x[feature] <= threshold (left, always the next node)
+    against x > threshold (right); a leaf has left == right == -1 and a NaN
+    threshold. `leaf_id` numbers the leaves 0..L-1 in node order and is -1 at
+    inner nodes; `value` is each node's mean training target.
 
     `n_features` is the tree's width. The growth settings (`max_depth`,
-    `min_samples_split`, `min_samples_leaf`) are read only by `prune`, and
-    `leaf_rows[l]` holds leaf l's ascending training rows. A loaded tree has
-    its width from its model file's layout and none of these (None); a
-    forest's trees keep no leaf rows.
+    `min_samples_split`, `min_samples_leaf`) and the inner nodes' values are
+    read only by `prune`, and `leaf_rows[l]` holds leaf l's ascending
+    training rows. A loaded tree (`unpack_trees`) has its width from its
+    model file's layout, none of these (None, and a NaN value at inner
+    nodes), and NaN leaf values where its file stores none; a forest's trees
+    keep no leaf rows.
     """
 
     feature: np.ndarray
@@ -68,65 +72,160 @@ class RegressionTree:
 
     @property
     def depth(self) -> int:
-        # a child's id exceeds its parent's, so one pass in node order sees each parent first
-        depths = np.zeros(self.left.size, dtype=np.intp)
-        for i in np.flatnonzero(self.left >= 0).tolist():
-            depths[self.left[i]] = depths[self.right[i]] = depths[i] + 1
-        return int(depths.max())
+        return self.walk.depth
+
+    @cached_property
+    def walk(self) -> "TreeStack":
+        """The tree as a stack of one, as `_leaf` walks it."""
+        return TreeStack.of([self], self.n_features)
 
 
-def check_trees(trees) -> None:
-    """Raise ValueError unless each tree's arrays form a tree that prediction can walk.
+@dataclass(frozen=True, eq=False)
+class TreeStack:
+    """Trees laid end to end, in the arrays that one walk of them all reads.
 
-    The six node arrays are one-dimensional, of one length n >= 1. A leaf
-    has left == right == -1; an inner node i has both children in (i, n),
-    and every node but the root is the child of exactly one node, so every
-    walk from the root ends at a leaf. Inner nodes split on a feature in
-    [0, n_features) at a finite threshold, and the leaves carry leaf ids
-    0..L-1 in node order and a finite value.
-    A loaded tree comes from outside input and is checked before use. All
-    trees of a forest or a boosting run are checked in one pass over their
-    node arrays laid end to end: node i of tree t is node start[t] + i.
+    Node i of tree t is node roots[t] + i of the stack. An inner node sends a
+    row whose cell `column` is <= `threshold` to the next node, its left
+    child, and any other row to `right`, its right child. A leaf has a NaN
+    threshold and is its own right child, so a row that reached it stays
+    there, and `depth` steps take every row to its leaf in every tree. The
+    trees read rows of `n_features` cells; `value` and `leaf_id` are the
+    trees' own.
     """
-    if not trees:
-        return
-    for tree in trees:
-        shapes = {key: getattr(tree, key).shape for key in NODE_ARRAYS}
-        n = tree.value.size
-        if set(shapes.values()) != {(n,)} or n == 0:
-            raise ValueError(f"tree node arrays must be non-empty, flat and of one length: {shapes}")
-        if type(tree.n_features) is not int or tree.n_features < 0:
-            raise ValueError(f"tree n_features must be a count, not {tree.n_features!r}")
-    feature, threshold, left, right, leaf_id, value = (
-        np.concatenate([getattr(tree, key) for tree in trees]) for key in NODE_ARRAYS
-    )
-    sizes = np.array([tree.value.size for tree in trees])
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each node's tree's first node
-    local = np.arange(value.size) - start  # each node's id within its tree
-    leaf = left == -1
-    inner = np.flatnonzero(~leaf)
-    children = np.concatenate([left[inner], right[inner]])
-    parents = np.concatenate([inner, inner])
-    if (right[leaf] != -1).any() or (
-        (children <= local[parents]) | (children >= np.repeat(sizes, sizes)[parents])
-    ).any():
-        raise ValueError("tree children must follow their parent within the node arrays")
-    if (np.bincount(children + start[parents], minlength=value.size)[local > 0] != 1).any():
-        raise ValueError("tree nodes other than the root must each have exactly one parent")
-    width = np.repeat([tree.n_features for tree in trees], sizes)[inner]
-    split = feature[inner]
-    out = np.flatnonzero((split < 0) | (split >= width))
+
+    column: np.ndarray
+    threshold: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    leaf_id: np.ndarray
+    roots: np.ndarray
+    depth: int
+    n_features: int
+
+    @classmethod
+    def of(cls, trees, n_features: int, columns=None) -> "TreeStack":
+        """The stack of `trees`, each splitting on the columns of the walked
+        rows that its entry of `columns` lists (a forest's feature subsets),
+        or on the walked rows' own columns."""
+        sizes = [tree.feature.size for tree in trees]
+        roots = np.cumsum(sizes, dtype=np.intp) - sizes
+        feature, threshold, right, value, leaf_id = (
+            np.concatenate([getattr(tree, key) for tree in trees])
+            for key in ("feature", "threshold", "right", "value", "leaf_id")
+        )
+        leaf = feature < 0
+        right = np.where(leaf, -1, right + np.repeat(roots, sizes))
+        if columns is not None:
+            feature = np.concatenate([cols[tree.feature] for tree, cols in zip(trees, columns)])
+        return cls(
+            column=np.where(leaf, 0, feature),
+            threshold=np.where(leaf, np.nan, threshold),
+            right=np.where(leaf, np.arange(leaf.size), right),
+            value=value,
+            leaf_id=leaf_id,
+            roots=roots,
+            depth=int(_depths(right, roots).max()),
+            n_features=n_features,
+        )
+
+
+def _depths(right: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """The depth of each node of trees laid end to end, given each inner
+    node's right child (-1 at a leaf); its left child is the next node. One
+    pass per level."""
+    depth = np.zeros(right.size, dtype=np.intp)
+    level, d = roots, 0
+    while level.size:
+        depth[level] = d
+        inner = level[right[level] >= 0]
+        level = np.concatenate([inner + 1, right[inner]])
+        d += 1
+    return depth
+
+
+def check_trees(feature: np.ndarray, sizes, widths) -> None:
+    """Raise ValueError unless `feature` holds trees of `sizes` nodes laid end
+    to end, each in depth-first order over `widths[t]` features.
+
+    This is the one structural check of a loaded tree. A node's feature is
+    -1 at a leaf and in [0, width) at an inner node. Depth first, the root
+    opens one place and each inner node two, and each node fills one, so a
+    tree's sequence must fill its last open place exactly at its last node:
+    then every inner node has both children within its tree and every node
+    but the root one parent, and every walk from the root ends at a leaf.
+    """
+    for width in widths:
+        if type(width) is not int or width < 0:
+            raise ValueError(f"tree n_features must be a count, not {width!r}")
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if not sizes.size or ((sizes < 1) | (sizes > feature.size)).any() or sizes.sum() != feature.size:
+        raise ValueError(
+            f"tree key 'nodes' must count at least one tree, each of at least one node, "
+            f"and the {feature.size} nodes of tree key 'feature' in all"
+        )
+    width = np.repeat(np.asarray(widths, dtype=np.intp), sizes)
+    out = np.flatnonzero((feature < -1) | (feature >= width))
     if out.size:
-        raise ValueError(f"tree split features must lie in [0, {width[out[0]]})")
-    leaves = np.count_nonzero(leaf)
-    per_tree = np.bincount(np.repeat(np.arange(len(trees)), sizes)[leaf], minlength=len(trees))
-    first_leaf = np.repeat(np.cumsum(per_tree) - per_tree, per_tree)
-    if not np.array_equal(leaf_id[leaf], np.arange(leaves) - first_leaf):
-        raise ValueError("tree leaf ids must number the leaves 0, 1, ... in node order")
-    if not np.isfinite(value[leaf]).all():
-        raise ValueError("tree key 'value' must be finite at every leaf")
-    if not np.isfinite(threshold[inner]).all():
-        raise ValueError("tree key 'threshold' must be finite at every inner node")
+        raise ValueError(f"tree key 'feature' must lie in [-1, {width[out[0]]})")
+    ends = np.cumsum(sizes) - 1
+    # open places after each node, less one, counted within its tree
+    filled = np.cumsum(np.where(feature < 0, -1, 1))
+    filled -= np.repeat(np.concatenate([[0], filled[ends[:-1]]]), sizes)
+    wrong = filled < 0  # closed before the last node ...
+    wrong[ends] = filled[ends] != -1  # ... or not closed at it
+    bad = np.flatnonzero(wrong)
+    if bad.size:
+        at = int(bad[0])
+        t = int(np.searchsorted(ends, at))
+        how = "does not close" if at == ends[t] else f"closes at node {at - ends[t] + sizes[t] - 1}"
+        raise ValueError(
+            f"tree key 'feature' must list each tree depth first, closing at its last "
+            f"node: tree {t} of {sizes[t]} nodes {how}"
+        )
+
+
+def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTree]:
+    """The trees whose depth-first arrays are laid end to end: `feature`
+    (-1 at a leaf), tree t's `sizes[t]` nodes over `widths[t]` features, the
+    inner nodes' `threshold`s and, unless `value` is None, the leaves'
+    values, each in node order. `check_trees` checks the shape first.
+
+    The rest is derived for all trees at once. An inner node's left child is
+    the next node. Its right child follows its left subtree, which ends at
+    the first later node after which one place fewer is open than after the
+    inner node itself. Leaf ids number each tree's leaves in node order.
+    """
+    check_trees(feature, sizes, widths)
+    leaf = feature < 0
+    inner = np.flatnonzero(~leaf)
+    n_leaves = leaf.size - inner.size
+    if threshold.size != inner.size:
+        raise ValueError(f"tree key 'threshold' must hold one number per inner node: {inner.size}")
+    if value is not None and value.size != n_leaves:
+        raise ValueError(f"tree key 'value' must hold one number per leaf: {n_leaves}")
+    n = feature.size
+    sizes = np.asarray(sizes, dtype=np.intp)
+    starts = np.cumsum(sizes) - sizes
+    start = np.repeat(starts, sizes)  # each node's tree's first node
+    opened = np.cumsum(np.where(leaf, -1, 1))
+    # nodes by places open after them, then by id: the right child of inner
+    # node i follows the first later node with opened[i] - 1 places
+    order = np.argsort(opened, kind="stable")
+    keys = opened[order] * (n + 1) + order
+    left, right = np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp)
+    left[inner] = inner + 1 - start[inner]
+    found = np.searchsorted(keys, (opened[inner] - 1) * (n + 1) + inner + 1)
+    right[inner] = order[found] + 1 - start[inner]
+    leaves_before = np.cumsum(leaf) - leaf  # leaves ahead of each node, in any tree
+    leaf_id = np.where(leaf, leaves_before - np.repeat(leaves_before[starts], sizes), -1)
+    thresholds, values = np.full(n, np.nan), np.full(n, np.nan)
+    thresholds[inner] = threshold
+    if value is not None:
+        values[leaf] = value
+    return [
+        RegressionTree(*(a[s : s + m] for a in (feature, thresholds, left, right, leaf_id, values)), w)
+        for s, m, w in zip(starts.tolist(), sizes.tolist(), widths)
+    ]
 
 
 def _add_node(nodes: dict, value: float, feature=-1, threshold=np.nan, leaf_id=-1) -> int:
@@ -351,32 +450,50 @@ def _prune(
     return RegressionTree(*cut.values(), *settings, cut_rows), leaf_map
 
 
-def _leaf(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Node id of the leaf each row of the 2-D X falls in.
+# cells of the (rows, trees) node table that one block of the walk holds:
+# bounds the walk's temporaries, whatever the batch and the number of trees
+_WALK_CELLS = 1 << 14
 
-    x[feature] <= threshold goes left. Every row still at an inner node
-    moves down one level per step, so the loop runs once per tree level.
+
+def block_rows(trees: int) -> int:
+    """Rows per block of a walk through `trees` trees."""
+    return max(1, _WALK_CELLS // trees)
+
+
+def _leaf(stack: TreeStack, X: np.ndarray) -> np.ndarray:
+    """Stack node id of the leaf each row of the 2-D X falls in, in each tree
+    of `stack`: a C-contiguous (rows, trees) array.
+
+    x[column] <= threshold goes left. The walk takes a block of rows through
+    every tree at once, one level per step, `depth` steps per block; a row
+    that reached a leaf stays there. Each row's path is its own, so the
+    blocks do not change any leaf.
     """
-    if X.shape[1] != tree.n_features:
-        raise ValueError(f"row width {X.shape[1]} does not match tree width {tree.n_features}")
-    node = np.zeros(X.shape[0], dtype=np.intp)
-    todo = np.flatnonzero(tree.left[node] >= 0)
-    while todo.size:
-        at = node[todo]
-        goes_left = X[todo, tree.feature[at]] <= tree.threshold[at]
-        node[todo] = np.where(goes_left, tree.left[at], tree.right[at])
-        todo = todo[tree.left[node[todo]] >= 0]
-    return node
+    if X.shape[1] != stack.n_features:
+        raise ValueError(f"row width {X.shape[1]} does not match tree width {stack.n_features}")
+    n, trees = X.shape[0], stack.roots.size
+    cells = np.ascontiguousarray(X).reshape(-1)
+    nodes = np.empty((n, trees), dtype=np.intp)
+    step = block_rows(trees)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        row = (np.arange(start, stop, dtype=np.intp) * X.shape[1])[:, None]  # first cell
+        node = np.repeat(stack.roots[None, :], stop - start, axis=0)
+        for _ in range(stack.depth):
+            goes_left = cells.take(row + stack.column.take(node)) <= stack.threshold.take(node)
+            node = np.where(goes_left, node + 1, stack.right.take(node))
+        nodes[start:stop] = node
+    return nodes
 
 
 def route(tree: RegressionTree, X) -> np.ndarray:
     """Leaf id of each row of a batch of encoded rows."""
-    return tree.leaf_id[_leaf(tree, encoded_batch(X))]
+    return tree.leaf_id[_leaf(tree.walk, encoded_batch(X))[:, 0]]
 
 
 def predict_tree_mean(tree: RegressionTree, X) -> np.ndarray:
     """Mean training target of the leaf each row of a batch falls in."""
-    return tree.value[_leaf(tree, encoded_batch(X))]
+    return tree.value[_leaf(tree.walk, encoded_batch(X))[:, 0]]
 
 
 @dataclass

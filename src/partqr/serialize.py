@@ -2,11 +2,14 @@
 
 A file holds what `partqr predict` and `partqr inspect` read and nothing
 else, as compact JSON with sorted keys. Floats survive a JSON round-trip
-exactly (repr-based encoding). A tree is stored as the six node arrays
-prediction walks, a linear estimator as its coefficients and intercept,
-centroids verbatim; a qrf forest adds the leaf of each in-bag training row
-and the training targets, and nn_qr stores the training matrix and targets
-its neighbour scans read. The envelope keeps the params that `inspect`
+exactly (repr-based encoding). A tree is stored depth first, as its
+`feature` array (-1 at a leaf), its inner nodes' `threshold`s and, where
+prediction reads them, its leaf `value`s; the trees of a forest or a
+boosting run are laid end to end in one array per key, with each tree's
+node count (`nodes`). A linear estimator is stored as its coefficients and
+intercept, centroids verbatim; a qrf forest adds the leaf of each in-bag
+training row and the training targets, and nn_qr stores the training
+matrix and targets its neighbour scans read. The envelope keeps the params that `inspect`
 prints, the schema and encoding, and what filled the training data's empty
 cells (`fill`), so `partqr predict` fills its input the same way.
 
@@ -14,9 +17,11 @@ Everything else is derived on load from the one source it was copied from:
 a composite's kind from the registry, its levels from its kind, an
 estimator's level from its table key, nn_qr's lam and n_neighbors from the
 params and the training rows (`models.neighbor_settings`, as at fit time),
-and a tree's width from the encoded layout (`data.encoded_columns`) or, in
-a forest, from its feature subset. Training-row lists, growth settings and fit diagnostics stay on the fitted
-object; a loaded one has None there.
+a tree's width from the encoded layout (`data.encoded_columns`) or, in
+a forest, from its feature subset, and its children, leaf ids and depth
+from its depth-first `feature` array (`partition.unpack_trees`).
+Training-row lists, growth settings, inner nodes' values and fit
+diagnostics stay on the fitted object; a loaded one has None (NaN) there.
 
 A model file is outside input. Loading reads every stored number through
 `_array`, as JSON numbers in the shape the layout gives, checks the schema,
@@ -29,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -38,14 +43,13 @@ from .composite import CompositeQuantileModel, ConstantModel
 from .data import CategoricalEncoding, EncodedMatrix, FeatureSchema, encoded_columns
 from .linear import LinearQuantileModel, RidgeModel
 from .models import BaselineFit, CompositeFit, check_hyperparams, model_spec, neighbor_settings
-from .partition import NODE_ARRAYS, ClusterPartition, RegressionTree, check_trees
+from .partition import ClusterPartition, RegressionTree, unpack_trees
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 # faults that reading a malformed document raises; `model_from_json` turns
 # them into one ValueError naming the part of the file being read
 _FAULTS = (KeyError, TypeError, IndexError, AttributeError, OverflowError)
-_TREE_IDS = ("feature", "left", "right", "leaf_id")
 # the JSON number types a stored array of each dtype holds; a bool is an int
 # to Python, not to JSON
 _JSON_NUMBERS = {float: {int, float}, np.intp: {int}}
@@ -87,26 +91,39 @@ def _array(doc, key, shape: tuple = (), dtype=float, finite: bool = True, name: 
     raise ValueError(f"{name or repr(key)} must be {_describe(shape, dtype, finite)}")
 
 
-def _tree_to_doc(tree: RegressionTree) -> dict:
-    return {key: getattr(tree, key).tolist() for key in NODE_ARRAYS}
+def _trees_to_doc(trees: list[RegressionTree], values: bool, stacked: bool = True) -> dict:
+    """The trees laid end to end, each depth first: `feature` (-1 at a
+    leaf), the inner nodes' `threshold`s, the leaves' `value`s if `values`,
+    and each tree's node count (`nodes`) if `stacked`."""
+    feature = np.concatenate([tree.feature for tree in trees])
+    leaf = feature < 0
+    doc = {
+        "feature": feature.tolist(),
+        "threshold": np.concatenate([tree.threshold for tree in trees])[~leaf].tolist(),
+    }
+    if values:
+        doc["value"] = np.concatenate([tree.value for tree in trees])[leaf].tolist()
+    if stacked:
+        doc["nodes"] = [tree.feature.size for tree in trees]
+    return doc
 
 
-def _trees_from_doc(docs, widths) -> list[RegressionTree]:
-    """Trees over `widths` features each; `check_trees` checks what their
-    arrays hold, all trees at once."""
-    trees = [
-        RegressionTree(*[
-            _array(doc, key, (-1,), np.intp if key in _TREE_IDS else float, False, f"tree key {key!r}")
-            for key in NODE_ARRAYS
-        ], width)
-        for doc, width in zip(docs, widths)
-    ]
-    check_trees(trees)
-    return trees
+def _trees_from_doc(doc: dict, widths: list[int], values: bool, stacked: bool = True):
+    """The trees `_trees_to_doc` stored, over `widths` features each;
+    `partition.unpack_trees` checks their shape and derives the rest."""
+    feature = _array(doc, "feature", (-1,), np.intp, name="tree key 'feature'")
+    sizes = _array(doc, "nodes", (-1,), np.intp, name="tree key 'nodes'") if stacked else [feature.size]
+    threshold = _array(doc, "threshold", (-1,), name="tree key 'threshold'")
+    value = _array(doc, "value", (-1,), name="tree key 'value'") if values else None
+    return unpack_trees(feature, threshold, value, sizes, widths)
 
 
-def _tree_from_doc(doc: dict, width: int) -> RegressionTree:
-    return _trees_from_doc([doc], [width])[0]
+def _tree_to_doc(tree: RegressionTree, values: bool = True) -> dict:
+    return _trees_to_doc([tree], values, stacked=False)
+
+
+def _tree_from_doc(doc: dict, width: int, values: bool = True) -> RegressionTree:
+    return _trees_from_doc(doc, [width], values, stacked=False)[0]
 
 
 def _estimator_to_doc(est) -> dict:
@@ -144,7 +161,7 @@ def _composite_to_doc(fit: CompositeFit) -> dict:
         }
     }
     if model.tree is not None:
-        doc["tree"] = _tree_to_doc(model.tree)
+        doc["tree"] = _tree_to_doc(model.tree, values=False)  # its estimators predict
     if model.clusters is not None:
         doc["centroids"] = model.clusters.centroids.tolist()
     return doc
@@ -166,7 +183,7 @@ def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
             raise ValueError("'params' needs a finite lam >= 0 and an n_neighbors >= 1")
         return CompositeFit(name, params, model)
     if model.kind == "quantile_tree":
-        model.tree = _tree_from_doc(doc["tree"], width)
+        model.tree = _tree_from_doc(doc["tree"], width, values=False)
         n = model.tree.n_leaves
     else:
         centroids = _array(doc, "centroids", (-1, int(model.categorical_mask.sum())))
@@ -187,16 +204,16 @@ def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
     return CompositeFit(name, params, model)
 
 
-def _forest_to_doc(forest: ForestModel) -> dict:
+def _forest_to_doc(forest: ForestModel, values: bool = True) -> dict:
     return {
-        "trees": [_tree_to_doc(t) for t in forest.trees],
+        "trees": _trees_to_doc(forest.trees, values),
         "feature_subsets": [[int(i) for i in s] for s in forest.feature_subsets],
     }
 
 
-def _forest_from_doc(f: dict, width: int) -> ForestModel:
+def _forest_from_doc(f: dict, width: int, values: bool = True) -> ForestModel:
     """Each tree over its feature subset's width."""
-    n_trees = len(f["trees"])
+    n_trees = len(f["trees"]["nodes"])
     if not 1 <= n_trees == len(f["feature_subsets"]):
         raise ValueError("a forest needs at least one tree and one feature_subsets list per tree")
     subsets = [
@@ -206,19 +223,20 @@ def _forest_from_doc(f: dict, width: int) -> ForestModel:
     for t, cols in enumerate(subsets):
         if (np.diff(cols) <= 0).any() or ((cols < 0) | (cols >= width)).any():
             raise ValueError(f"feature_subsets {t} must be ascending, distinct and in [0, {width})")
-    trees = _trees_from_doc(f["trees"], [s.size for s in subsets])
-    return ForestModel(trees=trees, feature_subsets=subsets)
+    trees = _trees_from_doc(f["trees"], [s.size for s in subsets], values)
+    return ForestModel(trees=trees, feature_subsets=subsets, n_features=width)
 
 
 def _qrf_to_doc(forest: ForestModel) -> dict:
-    """The forest plus what QRF weights read: each training row's leaf id in
-    each tree, or -1 out of bag, and the training targets."""
+    """The forest without leaf values, plus what QRF weights read: each
+    training row's leaf id in each tree, or -1 out of bag, and the training
+    targets."""
     in_bag = [leaf.tolist() for leaf in forest.in_bag_leaf]
-    return _forest_to_doc(forest) | {"in_bag_leaf": in_bag, "y_train": forest.y_train.tolist()}
+    return _forest_to_doc(forest, values=False) | {"in_bag_leaf": in_bag, "y_train": forest.y_train.tolist()}
 
 
 def _qrf_from_doc(f: dict, width: int) -> ForestModel:
-    forest = _forest_from_doc(f, width)
+    forest = _forest_from_doc(f, width, values=False)
     forest.y_train = _array(f, "y_train", (-1,))
     if len(f["in_bag_leaf"]) != forest.n_trees:
         raise ValueError("a forest needs one in_bag_leaf list per tree")
@@ -242,14 +260,14 @@ def _boosted_to_doc(model: BoostedModel) -> dict:
     return {
         "init": model.init,
         "learning_rate": model.learning_rate,
-        "trees": [_tree_to_doc(t) for t in model.trees],
+        "trees": _trees_to_doc(model.trees, values=True),
     }
 
 
 def _boosted_from_doc(b: dict, width: int) -> BoostedModel:
     return BoostedModel(
         init=_array(b, "init"),
-        trees=_trees_from_doc(b["trees"], repeat(width)),
+        trees=_trees_from_doc(b["trees"], [width] * len(b["trees"]["nodes"]), values=True),
         learning_rate=_array(b, "learning_rate"),
     )
 

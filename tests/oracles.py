@@ -287,15 +287,21 @@ def knn_scan(points, x, k):
     return [(int(i), float(d[i])) for i in order]
 
 
-def _forest_leaf(tree, cols, x):
-    """Leaf id of the encoded row x in one forest tree, by a walk from the root."""
+def leaf_node_oracle(tree, x):
+    """Node id of the leaf the encoded row x falls in: a walk from the root,
+    one node at a time, x[feature] <= threshold going left."""
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
     left, right = tree.left.tolist(), tree.right.tolist()
-    xv = np.asarray(x, dtype=float)[cols].tolist()
+    xv = np.asarray(x, dtype=float).tolist()
     node = 0
     while left[node] >= 0:
         node = left[node] if xv[feature[node]] <= threshold[node] else right[node]
-    return tree.leaf_id.tolist()[node]
+    return node
+
+
+def _forest_leaf(tree, cols, x):
+    """Leaf id of the encoded row x in one forest tree, by a walk from the root."""
+    return tree.leaf_id.tolist()[leaf_node_oracle(tree, np.asarray(x, dtype=float)[cols])]
 
 
 def qrf_oracle(forest, x, alpha):

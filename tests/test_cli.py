@@ -373,10 +373,13 @@ class TestPredict:
     def test_version_3_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
         self.check_old_version_refused(tmp_path, synth_csv, capsys, 3)
 
+    def test_version_4_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
+        self.check_old_version_refused(tmp_path, synth_csv, capsys, 4)
+
     def check_old_version_refused(self, tmp_path, synth_csv, capsys, version):
         model = self.make_model(tmp_path, synth_csv)
         doc = json.loads(model.read_text(encoding="utf-8"))
-        assert doc["format_version"] == 4
+        assert doc["format_version"] == 5
         doc["format_version"] = version
         model.write_text(json.dumps(doc), encoding="utf-8")
         inp = tmp_path / "in.csv"
@@ -423,36 +426,56 @@ class TestPredict:
 
 # Model files are outside input: each edit below breaks one tree, or a
 # table indexed by leaf id, of a model file that `partqr predict` must refuse
-# at load time (exit 2) without writing anything.
+# at load time (exit 2) without writing anything. A tree is stored depth
+# first, as its `feature` array (-1 at a leaf), its inner nodes' thresholds
+# and its leaf values; a forest's or boosting run's trees are laid end to end
+# with their node counts (`nodes`).
 def _cycle(payload):
-    """An inner node below the root takes the root, its ancestor, as left child."""
+    """Every node an inner node: the tree a cycle would make, which no walk
+    from the root leaves. A depth-first array cannot hold a cycle itself."""
     tree = payload["tree"]
-    inner = next(i for i in range(1, len(tree["left"])) if tree["left"][i] >= 0)
-    tree["left"][inner] = 0
+    tree["feature"] = [0] * len(tree["feature"])
 
 
 def _child_out_of_range(payload):
-    payload["tree"]["right"][0] = 999
+    # the last leaf becomes an inner node, whose children would lie past the tree
+    payload["tree"]["feature"][-1] = 0
 
 
-def _shared_child(payload):
+def _closes_early(payload):
+    # the root's left child becomes a leaf: the tree closes before its last node
     tree = payload["tree"]
-    tree["right"][0] = tree["left"][0]
+    assert tree["feature"][1] >= 0
+    tree["feature"][1] = -1
+
+
+def _shifted_node_counts(payload):
+    # the counts still sum to the nodes, but tree 0 takes tree 1's root
+    nodes = payload["boosted"]["trees"]["nodes"]
+    nodes[0] += 1
+    nodes[1] -= 1
 
 
 def _feature_out_of_range(payload):
-    tree = payload["forest"]["trees"][1]
-    tree["feature"][0] = 999
+    trees = payload["forest"]["trees"]
+    trees["feature"][trees["nodes"][0]] = 999  # tree 1's root
+
+
+def _feature_below_minus_one(payload):
+    payload["tree"]["feature"][0] = -2
 
 
 def _short_value(payload):
-    payload["boosted"]["trees"][3]["value"].pop()
+    payload["boosted"]["trees"]["value"].pop()
 
 
-def _leaf_ids_out_of_order(payload):
-    ids = payload["boosted"]["trees"][0]["leaf_id"]
-    first, second = [i for i, leaf in enumerate(ids) if leaf >= 0][:2]
-    ids[first], ids[second] = ids[second], ids[first]
+def _short_threshold(payload):
+    payload["forest"]["trees"]["threshold"].pop()
+
+
+def _long_value(payload):
+    values = payload["tree"]["value"]
+    values.append(values[-1])
 
 
 def _leaf_without_estimators(payload):
@@ -470,55 +493,66 @@ def _short_in_bag_leaf(payload):
 
 def _in_bag_leaf_past_last_leaf(payload):
     forest = payload["qrf"]
-    n_leaves = forest["trees"][0]["left"].count(-1)
+    n_leaves = forest["trees"]["feature"][: forest["trees"]["nodes"][0]].count(-1)
     forest["in_bag_leaf"][0][5] = n_leaves
 
 
 def _nan_last_leaf(payload):
-    tree = payload["tree"]
-    tree["value"][max(i for i, left in enumerate(tree["left"]) if left == -1)] = float("nan")
+    payload["tree"]["value"][-1] = float("nan")
 
 
 def _infinite_threshold(payload):
-    payload["forest"]["trees"][2]["threshold"][0] = float("inf")
+    payload["forest"]["trees"]["threshold"][2] = float("inf")
 
 
 def _half_feature(payload):
     payload["tree"]["feature"][0] += 0.5
 
 
-def _float_leaf_id(payload):
-    ids = payload["boosted"]["trees"][1]["leaf_id"]
-    ids[ids.index(0)] = 0.0
+def _float_node_count(payload):
+    nodes = payload["boosted"]["trees"]["nodes"]
+    nodes[1] = float(nodes[1])
 
 
-def _bool_child(payload):
-    tree = payload["composite"]["tree"]
-    tree["right"][0] = True
+def _bool_feature(payload):
+    payload["composite"]["tree"]["feature"][0] = True
 
 
-def _huge_child(payload):
-    payload["tree"]["right"][0] = 2**70
+def _huge_feature(payload):
+    payload["tree"]["feature"][0] = 2**70
 
 
 MALFORMED = {  # case -> (model, payload key, edit, what the error says)
-    "child_out_of_range": ("decision_tree", "tree", _child_out_of_range, "children must follow"),
-    "shared_child": ("decision_tree", "tree", _shared_child, "exactly one parent"),
-    "feature_out_of_range": ("random_forest", "forest", _feature_out_of_range, "features must lie in"),
-    "short_value": ("gradient_boosting", "boosted", _short_value, "of one length"),
-    "leaf_ids_out_of_order": ("gradient_boosting", "boosted", _leaf_ids_out_of_order, "leaf ids must"),
+    "child_out_of_range": (
+        "decision_tree", "tree", _child_out_of_range, "tree key 'feature' must list each tree depth first"
+    ),
+    "closes_early": ("decision_tree", "tree", _closes_early, "tree 0 of 17 nodes closes at node 6"),
+    "shifted_node_counts": ("gradient_boosting", "boosted", _shifted_node_counts, "tree 0 of"),
+    "feature_out_of_range": (
+        "random_forest", "forest", _feature_out_of_range, "tree key 'feature' must lie in [-1, 7)"
+    ),
+    "feature_below_minus_one": (
+        "decision_tree", "tree", _feature_below_minus_one, "tree key 'feature' must lie in [-1, 7)"
+    ),
+    "short_value": ("gradient_boosting", "boosted", _short_value, "tree key 'value' must hold one number per leaf"),
+    "long_value": ("decision_tree", "tree", _long_value, "tree key 'value' must hold one number per leaf"),
+    "short_threshold": (
+        "random_forest", "forest", _short_threshold, "tree key 'threshold' must hold one number per inner node"
+    ),
     "leaf_without_estimators": ("quantile_tree", "composite", _leaf_without_estimators, "estimators are keyed"),
     "tree_without_feature_subset": (
         "random_forest", "forest", _tree_without_feature_subset, "one feature_subsets list per tree"
     ),
     "short_in_bag_leaf": ("qrf", "qrf", _short_in_bag_leaf, "in_bag_leaf 2 must"),
     "in_bag_leaf_past_last_leaf": ("qrf", "qrf", _in_bag_leaf_past_last_leaf, "in_bag_leaf 0 must"),
-    "nan_leaf_value": ("decision_tree", "tree", _nan_last_leaf, "'value' must be finite"),
-    "infinite_threshold": ("random_forest", "forest", _infinite_threshold, "'threshold' must be finite"),
+    "nan_leaf_value": ("decision_tree", "tree", _nan_last_leaf, "tree key 'value' must be a list of finite"),
+    "infinite_threshold": (
+        "random_forest", "forest", _infinite_threshold, "tree key 'threshold' must be a list of finite"
+    ),
     "half_feature": ("decision_tree", "tree", _half_feature, "'feature' must be a list of JSON integers"),
-    "float_leaf_id": ("gradient_boosting", "boosted", _float_leaf_id, "'leaf_id' must be a list"),
-    "bool_child": ("quantile_tree", "composite", _bool_child, "'right' must be a list of JSON integers"),
-    "huge_child": ("decision_tree", "tree", _huge_child, "malformed (OverflowError:"),
+    "float_node_count": ("gradient_boosting", "boosted", _float_node_count, "'nodes' must be a list of JSON integers"),
+    "bool_feature": ("quantile_tree", "composite", _bool_feature, "'feature' must be a list of JSON integers"),
+    "huge_feature": ("decision_tree", "tree", _huge_feature, "malformed (OverflowError:"),
 }
 MALFORMED_PARAMS = {
     "decision_tree": {"max_depth": 4, "min_samples_split": 10},

@@ -17,7 +17,7 @@ from partqr.data import Dataset, EncodedMatrix, encode, encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.linear import predict_linear
 from partqr.models import MODEL_NAMES, MODELS, fit_model
-from partqr.partition import NODE_ARRAYS, assign_cluster, predict_tree_mean, route
+from partqr.partition import assign_cluster, predict_tree_mean, route
 from partqr.serialize import model_from_json, model_to_json
 
 PARAMS = {
@@ -34,18 +34,18 @@ PARAMS = {
 }
 
 # sha256 of model_to_json for each fit of the `fitted` fixture, recorded when
-# model files moved to format 4: the model file bytes may not move.
+# model files moved to format 5: the model file bytes may not move.
 GOLDEN_DIGESTS = {
-    "ridge": "f542aed354930f2ba527582b7aed4f065a8475988c08b67686084e81d30b3d10",
-    "quantile": "01663f68a9d283514ccbf6660c7a73e6dfe5cbcd58b6ff8fb007273fb19adc24",
-    "decision_tree": "645d2b0ced63c54aac5f0760606f81705288e0358fd253eeac61dc64b00bf9bf",
-    "random_forest": "47e153f4ebeb6753b0eeb718c6c1599fc4481073cc3335a619751ea14badb26b",
-    "qrf": "4b64443568a1f7ca837fc8415a7b46d01d9282533eb39b578929c50079b306ce",
-    "gradient_boosting": "a2b614cd0634cbf24b84a43bdc52a936bb0d9168ff7bec16111a87b28cbd8668",
-    "quantile_tree": "ae00caa98440ec9b88e9ad25fab0523f65818aaf9fa958e50feaea9c56eeb6d0",
-    "piecewise_qr": "4bf5ce461ae26b05b45a3397292606db63d41ea451447e24879e232776b3c62d",
-    "piecewise_rr": "f2a053204da6e77deb6998aea5df3da785a70c3ca9f1a5e0bfeed831bb64fb71",
-    "nn_qr": "5f5d24b1d66f98898956e2ba94797708b190c131674d3f03eead59dd4fc0342b",
+    "ridge": "a3fdc753eadfa41a4c0b8ef149630be1a75101f5a27d19a97f42cc0d562663c9",
+    "quantile": "c54954323bce6148ee360077eefe2534fcfd64dfa14fbc13d01b53102136ddfd",
+    "decision_tree": "1bf2e10e3a8548f4de0ccf24ff8251802ff32ff54cf6af09f7e00b78743dcc2c",
+    "random_forest": "46126b845a226e708703951ac747780469c0f640d8a008dd04581084408997db",
+    "qrf": "5c310541080d93bf65907b5591fbe0aac517e2e93b4a0418e1e937e0b0ceb018",
+    "gradient_boosting": "27ffa71b58c8c3d9c5ec31b9c51e1a580d9ed899f894f8db1015f3052f2ec827",
+    "quantile_tree": "d15745a3b8637614fd0e5bf8c29790f529d5da78bd76aa84bdc89d2d7d4bf720",
+    "piecewise_qr": "b4211589fa330b47d631ff408b8d3badd7fbcd375246b8dead0107c81506f976",
+    "piecewise_rr": "5f07a6e5ef107780b7a3943fdd5a05b42d05c6e8fad43359a10ee17ad0b09e5a",
+    "nn_qr": "b81de7909a71397f3ce2dadb7631fde10cd46b059b94d88ecb0bbd6426116b12",
 }
 
 
@@ -161,10 +161,11 @@ def test_wrong_typed_hyperparameter_named_before_fitting(name, params, want):
         fit_model(name, train, params)
 
 
-# keys of format 3 whose values the loader now derives, or which only fitting reads
+# keys of formats 3 and 4 whose values the loader now derives, or which only fitting reads
 DERIVED_KEYS = {
     "kind", "levels", "alpha", "n_features", "max_depth", "min_samples_split",
     "min_samples_leaf", "bootstrap", "seed", "feature_fraction", "hyperparams",
+    "left", "right", "leaf_id",
 }
 
 
@@ -199,7 +200,7 @@ def test_file_is_its_own_compact_redump(fitted, name):
     text = model_to_json(fitted[name])
     doc = json.loads(text)
     assert text == json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
-    assert doc["format_version"] == 4 and doc["fill"] == {}
+    assert doc["format_version"] == 5 and doc["fill"] == {}
 
 
 def _subdocs(doc, has):
@@ -217,7 +218,10 @@ ESTIMATOR_KEYS = {
     "ridge": {"type", "coef", "intercept"},
     "constant": {"type", "value"},
 }
-TREE_KEYS = set(NODE_ARRAYS)
+# the tree models whose prediction reads leaf values, and those whose trees
+# are stacked: laid end to end with their node counts
+VALUE_MODELS = ("decision_tree", "random_forest", "gradient_boosting")
+STACKED_MODELS = ("random_forest", "qrf", "gradient_boosting")
 
 
 @pytest.mark.parametrize("name", MODEL_NAMES)
@@ -227,11 +231,18 @@ def test_estimators_and_trees_hold_only_what_prediction_reads(fitted, name):
     assert bool(estimators) == (MODELS[name].payload == "composite" and name != "nn_qr")
     for est in estimators:
         assert set(est) == ESTIMATOR_KEYS[est["type"]]
-    trees = _subdocs(doc["payload"], "leaf_id")
-    assert bool(trees) == (name in TREE_MODELS)
+    trees = _subdocs(doc["payload"], "feature")
+    assert len(trees) == (name in TREE_MODELS)
     for tree in trees:
-        assert set(tree) == TREE_KEYS
-        assert len({len(tree[key]) for key in NODE_ARRAYS}) == 1
+        want = {"feature", "threshold"}
+        want |= {"value"} if name in VALUE_MODELS else set()
+        want |= {"nodes"} if name in STACKED_MODELS else set()
+        assert set(tree) == want
+        leaves = tree["feature"].count(-1)
+        assert len(tree["threshold"]) == len(tree["feature"]) - leaves
+        assert len(tree.get("value", [0] * leaves)) == leaves
+        assert sum(tree.get("nodes", [len(tree["feature"])])) == len(tree["feature"])
+        assert len(tree.get("nodes", [0])) == len(_trees(fitted[name]))
 
 
 def _trees(fit) -> list:
@@ -248,9 +259,18 @@ def test_loaded_trees_equal_fitted_trees(fitted, name):
     fit = fitted[name]
     pairs = list(zip(_trees(fit), _trees(model_from_json(model_to_json(fit))), strict=True))
     for own, back in pairs:
-        for key in NODE_ARRAYS:
+        inner, leaf = own.feature >= 0, own.feature < 0
+        for key in ("feature", "left", "right", "leaf_id"):
             a, b = getattr(own, key), getattr(back, key)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        # a leaf's threshold, an inner node's value and, where the file stores
+        # none, a leaf's value are NaN: prediction reads none of them
+        assert own.threshold[inner].tobytes() == back.threshold[inner].tobytes()
+        assert np.isnan(back.threshold[leaf]).all() and np.isnan(back.value[inner]).all()
+        if name in VALUE_MODELS:
+            assert own.value[leaf].tobytes() == back.value[leaf].tobytes()
+        else:
+            assert np.isnan(back.value).all()
         # the width is derived from the layout; the growth settings, which only
         # `prune` reads, stay on the fitted tree
         assert own.n_features == back.n_features
@@ -291,6 +311,11 @@ def test_version_2_file_fails_naming_its_version(fitted):
 def test_version_3_file_fails_naming_its_version(fitted):
     with pytest.raises(ValueError, match="unsupported model format_version 3"):
         model_from_json(_edited(fitted["qrf"], format_version=3))
+
+
+def test_version_4_file_fails_naming_its_version(fitted):
+    with pytest.raises(ValueError, match="unsupported model format_version 4"):
+        model_from_json(_edited(fitted["qrf"], format_version=4))
 
 
 def test_unknown_model_name_in_file_fails_naming_it(fitted):
@@ -342,12 +367,14 @@ def test_every_stored_key_is_read(fitted, name):
     of any JSON object in it makes the file fail to load. The entries of
     `params` and `fill` are exempt: those maps are optional entry by entry."""
     doc = json.loads(model_to_json(fitted[name]))
-    loaded = []
+    loaded, tried = [], set()
     for path, obj in _objects(doc):
         if path in (("params",), ("fill",)):
             continue
         for key in list(obj):
             value = obj.pop(key)
+            if path[-1:] in (("tree",), ("trees",)):
+                tried.add(key)
             try:
                 model_from_json(json.dumps(doc))
                 loaded.append(path + (key,))
@@ -355,6 +382,11 @@ def test_every_stored_key_is_read(fitted, name):
                 pass
             obj[key] = value
     assert not loaded, f"files still load without {loaded}"
+    # every tree key a model's files hold was deleted once
+    tree_keys = {"feature", "threshold"}
+    tree_keys |= {"value"} if name in VALUE_MODELS else set()
+    tree_keys |= {"nodes"} if name in STACKED_MODELS else set()
+    assert tried == (tree_keys if name in TREE_MODELS else set())
 
 
 def _set(*path_and_value):
@@ -446,7 +478,9 @@ BAD_FILES = {  # case -> (model, edit of the parsed file, what the error says)
     ),
     "no_trees": (
         "random_forest",
-        lambda doc: doc["payload"]["forest"].update(trees=[], feature_subsets=[]),
+        lambda doc: doc["payload"]["forest"].update(
+            trees={"feature": [], "threshold": [], "value": [], "nodes": []}, feature_subsets=[]
+        ),
         "at least one tree",
     ),
     "tree_missing": ("quantile_tree", _drop("payload", "composite", "tree"), "KeyError: 'tree'"),

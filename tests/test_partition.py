@@ -1,6 +1,5 @@
 import math
 from collections import namedtuple
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -43,9 +42,9 @@ class TestCart:
     def test_check_tree_refuses_a_width_that_is_not_a_count(self, n_features):
         X = np.arange(8.0).reshape(-1, 2)
         tree = build_cart(X, np.arange(4.0), max_depth=2)
-        check_trees([tree])
+        check_trees(tree.feature, [tree.feature.size], [tree.n_features])
         with pytest.raises(ValueError, match="n_features must be a count"):
-            check_trees([replace(tree, n_features=n_features)])
+            check_trees(tree.feature, [tree.feature.size], [n_features])
 
     def test_constant_target_single_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
