@@ -263,14 +263,19 @@ def pearson_r(x, y) -> float:
 
 def select_numeric(dataset: Dataset, target: str, threshold: float) -> list[str]:
     """Keep numeric predictors with |Pearson r| vs target at or above the
-    threshold; zero-variance columns have undefined r and are dropped."""
+    threshold. Each column is screened over the rows where its cell and the
+    target cell are present; a column with fewer than two such rows, or
+    zero variance on them, has undefined r and is dropped."""
     if not 0 <= threshold <= 1:
         raise ValueError("threshold must lie in [0, 1]")
-    y = np.array([float(v) for v in dataset.column(target)])
+    y = dataset.numeric(target)
     kept = []
     for name in dataset.schema.numeric_predictors():
-        col = np.array([float(v) for v in dataset.column(name)])
-        r = pearson_r(col, y)
+        col = dataset.numeric(name)
+        rows = ~(col.missing | y.missing)
+        if np.count_nonzero(rows) < 2:
+            continue
+        r = pearson_r(col.data[rows], y.data[rows])
         if not np.isnan(r) and abs(r) >= threshold:
             kept.append(name)
     return kept
@@ -300,18 +305,21 @@ def quartile_bins(y) -> np.ndarray:
 
 
 def select_categorical(dataset: Dataset, target: str, p_threshold: float = 0.05) -> list[str]:
-    """Chi-square screen of categorical predictors against target quartiles."""
-    y = np.array([float(v) for v in dataset.column(target)])
-    bins = quartile_bins(y)
-    n_bins = int(bins.max()) + 1
+    """Chi-square screen of categorical predictors against target quartiles.
+    Each column is screened over the rows where its cell and the target cell
+    are present, binned by the quartiles of those rows' targets."""
+    y = dataset.numeric(target)
     kept = []
     for name in dataset.schema.categorical_predictors():
-        col = [str(v) for v in dataset.column(name)]
+        cells = dataset.stored(name)
+        rows = [i for i, v in enumerate(cells) if v is not None and not y.missing[i]]
+        col = [cells[i] for i in rows]
         levels = sorted(set(col))
         if len(levels) < 2:
             continue
+        bins = quartile_bins(y.data[rows])
         index = {lv: i for i, lv in enumerate(levels)}
-        table = np.zeros((len(levels), n_bins))
+        table = np.zeros((len(levels), int(bins.max()) + 1))
         for v, b in zip(col, bins):
             table[index[v], b] += 1
         _, dof, p = chi_square_statistic(table)

@@ -162,6 +162,62 @@ class TestTrain:
         columns = [name for name, _ in load_model(tmp_path / "model.json").schema.columns]
         assert "crew" in columns and "vendor" not in columns
 
+    @pytest.mark.parametrize(
+        "body, pipeline",
+        [
+            # an empty numeric predictor cell
+            ("x,z,target_days\n1,2,3\n2,,5\n,1,4\n4,3,9\n5,5,11\n6,2,12\n",
+             {"numeric_r_threshold": 0.1}),
+            # an empty categorical cell and an empty target cell
+            ("site,x,target_days\na,1,3\nb,2,\n,3,4\na,4,9\nb,5,11\na,6,12\nb,7,15\na,8,16\n",
+             {"categorical_p_threshold": 0.5}),
+        ],
+        ids=["numeric", "categorical"],
+    )
+    def test_screens_skip_empty_cells(self, tmp_path, capsys, body, pipeline):
+        data = tmp_path / "gaps.csv"
+        data.write_text(body, encoding="utf-8")
+        config = write_config(
+            tmp_path, data, pipeline=pipeline,
+            model={"name": "ridge", "grid": {"lam": [0.1]}}, cv={"folds": 2, "seed": 1},
+        )
+        assert main(["train", "--config", str(config)]) == 0, capsys.readouterr().err
+        assert (tmp_path / "model.json").exists()
+
+    def test_screens_of_a_complete_dataset_keep_the_row_formula_columns(self, tmp_path):
+        from partqr.pipeline import chi_square_statistic, pearson_r, quartile_bins
+
+        ds = generate_synthetic(SyntheticSpec(n_projects=300, seed=8))
+        data = tmp_path / "full.csv"
+        write_dataset_csv(ds, data)
+        # the screens as they read every row's cells before they skipped empty ones
+        y = np.array([float(v) for v in ds.column("target_days")])
+        numeric = [
+            name for name in ds.schema.numeric_predictors()
+            if abs(pearson_r(np.array([float(v) for v in ds.column(name)]), y)) >= 0.55
+        ]
+        bins, categorical = quartile_bins(y), []
+        for name in ds.schema.categorical_predictors():
+            col = [str(v) for v in ds.column(name)]
+            levels = sorted(set(col))
+            table = np.zeros((len(levels), int(bins.max()) + 1))
+            for v, b in zip(col, bins):
+                table[levels.index(v), b] += 1
+            if chi_square_statistic(table)[2] < 0.05:
+                categorical.append(name)
+        assert numeric and len(numeric) < len(ds.schema.numeric_predictors()) and categorical
+        config = write_config(
+            tmp_path, data, pipeline={"numeric_r_threshold": 0.55, "categorical_p_threshold": 0.05},
+            model={"name": "ridge", "grid": {"lam": [0.1]}},
+        )
+        assert main(["train", "--config", str(config)]) == 0
+        columns = [name for name, _ in load_model(tmp_path / "model.json").schema.columns]
+        assert columns == [
+            name for name, _ in ds.schema.columns
+            if name in numeric + categorical + ["target_days"]
+            or ds.schema.kind_of(name) in ("date", "identifier")
+        ]
+
     @pytest.mark.parametrize("grid", [{}, {"lam": [0.1]}])
     def test_unknown_model_exit_2(self, tmp_path, synth_csv, capsys, grid):
         config = write_config(tmp_path, synth_csv, model={"name": "lasso", "grid": grid})
