@@ -9,17 +9,18 @@ boosting run are laid end to end in one array per key, with each tree's
 node count (`nodes`). A linear estimator is stored as its coefficients and
 intercept, centroids verbatim; a qrf forest adds the leaf of each in-bag
 training row and the training targets, and nn_qr stores the training
-matrix and targets its neighbour scans read. The envelope keeps the params that `inspect`
-prints, the schema and encoding, and what filled the training data's empty
-cells (`fill`), so `partqr predict` fills its input the same way.
+matrix and targets its neighbour scans read. The envelope keeps the params
+that `inspect` prints, the schema and encoding, and what filled the
+training data's empty cells (`fill`), so `partqr predict` fills its input
+the same way.
 
 Everything else is derived on load from the one source it was copied from:
 a composite's kind from the registry, its levels from its kind, an
 estimator's level from its table key, nn_qr's lam and n_neighbors from the
 params and the training rows (`models.neighbor_settings`, as at fit time),
 a tree's width from the encoded layout (`data.encoded_columns`) or, in
-a forest, from its feature subset, and its children, leaf ids and depth
-from its depth-first `feature` array (`partition.unpack_trees`).
+a forest, from its feature subset, and its children and leaf ids from its
+depth-first `feature` array (`partition.unpack_trees`).
 Training-row lists, growth settings, inner nodes' values and fit
 diagnostics stay on the fitted object; a loaded one has None (NaN) there.
 
@@ -232,7 +233,8 @@ def _qrf_to_doc(forest: ForestModel) -> dict:
     training row's leaf id in each tree, or -1 out of bag, and the training
     targets."""
     in_bag = [leaf.tolist() for leaf in forest.in_bag_leaf]
-    return _forest_to_doc(forest, values=False) | {"in_bag_leaf": in_bag, "y_train": forest.y_train.tolist()}
+    extra = {"in_bag_leaf": in_bag, "y_train": forest.y_train.tolist()}
+    return _forest_to_doc(forest, values=False) | extra
 
 
 def _qrf_from_doc(f: dict, width: int) -> ForestModel:
