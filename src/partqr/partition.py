@@ -32,7 +32,8 @@ class RegressionTree:
     threshold. `leaf_id` numbers the leaves 0..L-1 in node order and is -1 at
     inner nodes; `value` is each node's mean training target.
 
-    `n_features` is the tree's width. The growth settings (`max_depth`,
+    `n_features` is the tree's width and `depth` its longest path from the
+    root to a leaf, in splits. The growth settings (`max_depth`,
     `min_samples_split`, `min_samples_leaf`) and the inner nodes' values are
     read only by `prune`, and `leaf_rows[l]` holds leaf l's ascending
     training rows. A loaded tree (`unpack_trees`) has its width from its
@@ -48,6 +49,7 @@ class RegressionTree:
     leaf_id: np.ndarray
     value: np.ndarray
     n_features: int
+    depth: int
     max_depth: int | None = None
     min_samples_split: int | None = None
     min_samples_leaf: int | None = None
@@ -70,10 +72,6 @@ class RegressionTree:
         """Two parameters (feature, threshold) per internal node."""
         return 2 * (self.left.size - self.n_leaves)
 
-    @property
-    def depth(self) -> int:
-        return self.walk.depth
-
     @cached_property
     def walk(self) -> "TreeStack":
         """The tree as a stack of one, as `_leaf` walks it."""
@@ -87,10 +85,11 @@ class TreeStack:
     Node i of tree t is node roots[t] + i of the stack. An inner node sends a
     row whose cell `column` is <= `threshold` to the next node, its left
     child, and any other row to `right`, its right child. A leaf has a NaN
-    threshold and is its own right child, so a row that reached it stays
-    there, and `depth` steps take every row to its leaf in every tree. The
-    trees read rows of `n_features` cells; `value` and `leaf_id` are the
-    trees' own.
+    threshold, which no cell is <= to, and is its own right child, so a row
+    that reached it stays there, and `depth` steps take every row to its
+    leaf in every tree. A leaf's column is any in reach: -1 reads the cell
+    before the row's first. The trees read rows of `n_features` cells;
+    `value` and `leaf_id` are the trees' own.
     """
 
     column: np.ndarray
@@ -107,24 +106,29 @@ class TreeStack:
         """The stack of `trees`, each splitting on the columns of the walked
         rows that its entry of `columns` lists (a forest's feature subsets),
         or on the walked rows' own columns."""
+        if len(trees) == 1 and columns is None:  # the tree's own arrays, uncopied
+            (tree,) = trees
+            right = np.where(tree.right < 0, np.arange(tree.right.size), tree.right)
+            return cls(tree.feature, tree.threshold, right, tree.value, tree.leaf_id,
+                       np.zeros(1, dtype=np.intp), tree.depth, n_features)
         sizes = [tree.feature.size for tree in trees]
         roots = np.cumsum(sizes, dtype=np.intp) - sizes
-        feature, threshold, right, value, leaf_id = (
+        threshold, right, value, leaf_id = (
             np.concatenate([getattr(tree, key) for tree in trees])
-            for key in ("feature", "threshold", "right", "value", "leaf_id")
+            for key in ("threshold", "right", "value", "leaf_id")
         )
-        leaf = feature < 0
-        right = np.where(leaf, -1, right + np.repeat(roots, sizes))
-        if columns is not None:
-            feature = np.concatenate([cols[tree.feature] for tree, cols in zip(trees, columns)])
+        if columns is None:
+            column = np.concatenate([tree.feature for tree in trees])
+        else:  # a leaf reads any column, here its subset's last
+            column = np.concatenate([cols[tree.feature] for tree, cols in zip(trees, columns)])
         return cls(
-            column=np.where(leaf, 0, feature),
-            threshold=np.where(leaf, np.nan, threshold),
-            right=np.where(leaf, np.arange(leaf.size), right),
+            column=column,
+            threshold=threshold,
+            right=np.where(right < 0, np.arange(right.size), right + np.repeat(roots, sizes)),
             value=value,
             leaf_id=leaf_id,
             roots=roots,
-            depth=int(_depths(right, roots).max()),
+            depth=max(tree.depth for tree in trees),
             n_features=n_features,
         )
 
@@ -193,7 +197,8 @@ def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTre
     The rest is derived for all trees at once. An inner node's left child is
     the next node. Its right child follows its left subtree, which ends at
     the first later node after which one place fewer is open than after the
-    inner node itself. Leaf ids number each tree's leaves in node order.
+    inner node itself. Leaf ids number each tree's leaves in node order, and
+    the depths come from one pass per level down all trees.
     """
     check_trees(feature, sizes, widths)
     leaf = feature < 0
@@ -212,10 +217,11 @@ def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTre
     # node i follows the first later node with opened[i] - 1 places
     order = np.argsort(opened, kind="stable")
     keys = opened[order] * (n + 1) + order
-    left, right = np.full(n, -1, dtype=np.intp), np.full(n, -1, dtype=np.intp)
-    left[inner] = inner + 1 - start[inner]
-    found = np.searchsorted(keys, (opened[inner] - 1) * (n + 1) + inner + 1)
-    right[inner] = order[found] + 1 - start[inner]
+    right = np.full(n, -1, dtype=np.intp)  # stack-wide until the trees are cut apart
+    right[inner] = order[np.searchsorted(keys, (opened[inner] - 1) * (n + 1) + inner + 1)] + 1
+    depths = np.maximum.reduceat(_depths(right, starts), starts).tolist()
+    left = np.where(leaf, -1, np.arange(n) + 1 - start)
+    right = np.where(leaf, -1, right - start)
     leaves_before = np.cumsum(leaf) - leaf  # leaves ahead of each node, in any tree
     leaf_id = np.where(leaf, leaves_before - np.repeat(leaves_before[starts], sizes), -1)
     thresholds, values = np.full(n, np.nan), np.full(n, np.nan)
@@ -223,8 +229,8 @@ def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTre
     if value is not None:
         values[leaf] = value
     return [
-        RegressionTree(*(a[s : s + m] for a in (feature, thresholds, left, right, leaf_id, values)), w)
-        for s, m, w in zip(starts.tolist(), sizes.tolist(), widths)
+        RegressionTree(*(a[s : s + m] for a in (feature, thresholds, left, right, leaf_id, values)), w, d)
+        for s, m, w, d in zip(starts.tolist(), sizes.tolist(), widths, depths)
     ]
 
 
@@ -331,6 +337,7 @@ def build_cart(
     nodes = {key: [] for key in NODE_ARRAYS}
     leaf_rows: list[np.ndarray] = []
     goes_left = np.empty(n, dtype=bool)
+    deepest = 0
 
     def splits(size: int, depth: int) -> bool:
         return depth < max_depth and size >= min_samples_split
@@ -338,6 +345,8 @@ def build_cart(
     def grow(
         rows: np.ndarray, sorted_rows: np.ndarray | None, xs: np.ndarray | None, depth: int
     ) -> int:
+        nonlocal deepest
+        deepest = max(deepest, depth)
         ysub = y[rows]
         mean = float(np.add.reduce(ysub) / rows.size)  # bitwise np.mean
         split = None
@@ -371,7 +380,7 @@ def build_cart(
         grow(np.arange(n), order, np.take_along_axis(values.T, order, axis=1), 0)
     else:
         grow(np.arange(n), None, None, 0)
-    settings = (p, max_depth, min_samples_split, min_samples_leaf)
+    settings = (p, deepest, max_depth, min_samples_split, min_samples_leaf)
     return RegressionTree(*nodes.values(), *settings, leaf_rows)
 
 
@@ -428,10 +437,11 @@ def _prune(
     cut = {key: [] for key in NODE_ARRAYS}
     cut_rows = None if rows_of is None else []
     leaf_map = np.empty(tree.n_leaves, dtype=np.intp)
-    n_leaves = 0
+    n_leaves = deepest = 0
 
     def keep(i: int, depth: int) -> int:
-        nonlocal n_leaves
+        nonlocal n_leaves, deepest
+        deepest = max(deepest, depth)
         if left[i] >= 0 and depth < max_depth and size[i] >= min_samples_split:
             idx = _add_node(cut, value[i], feature[i], threshold[i])
             cut["left"][idx] = keep(left[i], depth + 1)
@@ -446,7 +456,7 @@ def _prune(
         return _add_node(cut, value[i], leaf_id=n_leaves - 1)
 
     keep(0, 0)
-    settings = (tree.n_features, max_depth, min_samples_split, tree.min_samples_leaf)
+    settings = (tree.n_features, deepest, max_depth, min_samples_split, tree.min_samples_leaf)
     return RegressionTree(*cut.values(), *settings, cut_rows), leaf_map
 
 
@@ -478,7 +488,7 @@ def _leaf(stack: TreeStack, X: np.ndarray) -> np.ndarray:
     for start in range(0, n, step):
         stop = min(n, start + step)
         row = (np.arange(start, stop, dtype=np.intp) * X.shape[1])[:, None]  # first cell
-        node = np.repeat(stack.roots[None, :], stop - start, axis=0)
+        node = stack.roots  # every row at every root: broadcast to (rows, trees) by the first step
         for _ in range(stack.depth):
             goes_left = cells.take(row + stack.column.take(node)) <= stack.threshold.take(node)
             node = np.where(goes_left, node + 1, stack.right.take(node))

@@ -190,7 +190,7 @@ class TestTrain:
         ds = generate_synthetic(SyntheticSpec(n_projects=300, seed=8))
         data = tmp_path / "full.csv"
         write_dataset_csv(ds, data)
-        # the screens as they read every row's cells before they skipped empty ones
+        # both screens over all cells, row by row: with no empty cell, skipping them changes nothing
         y = np.array([float(v) for v in ds.column("target_days")])
         numeric = [
             name for name in ds.schema.numeric_predictors()

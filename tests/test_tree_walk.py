@@ -87,7 +87,7 @@ def test_forest_walk_equals_node_walk_per_tree(seed, fraction, bound_blocks):
         for q in Q
     ]
     assert _stack_leaves(forest.walk, Q).tolist() == want
-    # today's formula: a (rows, trees) table filled tree by tree, then its row means
+    # the per-tree formula: a (rows, trees) table filled tree by tree, then its row means
     preds = np.empty((Q.shape[0], forest.n_trees))
     for t, tree in enumerate(forest.trees):
         preds[:, t] = tree.value[[row[t] for row in want]]
@@ -103,7 +103,7 @@ def test_boosting_walk_equals_node_walk_per_stage(seed, bound_blocks):
     bound_blocks(model.n_stages)
     want = [[leaf_node_oracle(tree, q) for tree in model.trees] for q in Q]
     assert _stack_leaves(model.walk, Q).tolist() == want
-    # today's formula: the stages added one by one, in stage order
+    # the per-tree formula: the stages added one by one, in stage order
     out = np.full(Q.shape[0], model.init)
     for t, tree in enumerate(model.trees):
         out += model.learning_rate * tree.value[[row[t] for row in want]]
