@@ -312,8 +312,9 @@ def select_categorical(dataset: Dataset, target: str, p_threshold: float = 0.05)
     kept = []
     for name in dataset.schema.categorical_predictors():
         cells = dataset.stored(name)
-        rows = [i for i, v in enumerate(cells) if v is not None and not y.missing[i]]
-        col = [cells[i] for i in rows]
+        present = np.fromiter((v is not None for v in cells), bool, len(cells))
+        rows = np.flatnonzero(present & ~y.missing)
+        col = [cells[i] for i in rows.tolist()]
         levels = sorted(set(col))
         if len(levels) < 2:
             continue

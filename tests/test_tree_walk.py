@@ -34,7 +34,8 @@ def _design(seed, n=90):
 
 
 def _queries(X, seed, n=40):
-    """Fresh rows, training rows, and rows on the training values."""
+    """Fresh rows, some beyond the training range, then training rows in
+    their order and shuffled."""
     rng = np.random.default_rng(seed)
     fresh = np.column_stack([
         np.round(rng.normal(size=n), 1),
