@@ -70,6 +70,11 @@ def test_single_tree_walk_equals_node_walk(seed, bound_blocks):
     Q = _queries(X, seed + 100)
     for depth in (0, 1, 3, 8):
         tree = build_cart(X, y, max_depth=depth, min_samples_split=4)
+        # and rows sitting exactly on each inner node's threshold
+        on = np.repeat(Q[:1], np.count_nonzero(tree.feature >= 0), axis=0)
+        for row, i in zip(on, np.flatnonzero(tree.feature >= 0)):
+            row[tree.feature[i]] = tree.threshold[i]
+        Q = np.vstack([Q, on])
         want = [leaf_node_oracle(tree, q) for q in Q]
         assert _stack_leaves(tree.walk, Q)[:, 0].tolist() == want
         assert route(tree, Q).tolist() == tree.leaf_id[want].tolist()
@@ -81,7 +86,9 @@ def test_single_tree_walk_equals_node_walk(seed, bound_blocks):
 def test_forest_walk_equals_node_walk_per_tree(seed, fraction, bound_blocks):
     X, y = _design(seed)
     Q = _queries(X, seed + 200)
-    forest = fit_rf(X, y, n_trees=7, seed=seed, max_depth=5, feature_fraction=fraction)
+    # at 8 trees and more numpy sums a row's contiguous values pairwise, so
+    # the mean's bits show the (rows, trees) table's layout
+    forest = fit_rf(X, y, n_trees=12, seed=seed, max_depth=5, feature_fraction=fraction)
     bound_blocks(forest.n_trees)
     want = [
         [leaf_node_oracle(tree, q[cols]) for tree, cols in zip(forest.trees, forest.feature_subsets)]
