@@ -234,15 +234,6 @@ def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTre
     ]
 
 
-def _add_node(nodes: dict, value: float, feature=-1, threshold=np.nan, leaf_id=-1) -> int:
-    """Append a node, its children not yet set, to the lists of `nodes`
-    (one per `NODE_ARRAYS` key); its node id."""
-    idx = len(nodes["value"])
-    for key, v in zip(NODE_ARRAYS, (feature, threshold, -1, -1, leaf_id, value)):
-        nodes[key].append(v)
-    return idx
-
-
 def presort(values: np.ndarray) -> np.ndarray:
     """Row ids of each column in ascending value order, ties by row id: a (p, n) array."""
     return np.ascontiguousarray(np.argsort(values, axis=0, kind="stable").T)
@@ -272,19 +263,15 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
     at = valid.ravel().nonzero()[0]  # flat j * n + i, row-major
     if at.size == 0:
         return None
-    csum = ys.cumsum(axis=1)
-    csq = (ys * ys).cumsum(axis=1)
-    cut = at % n + 1  # left child sizes
-    right = n - cut
-    end = at + right  # each pair's row end, where the totals are
+    csum = np.add.accumulate(ys, axis=1)
+    csq = np.add.accumulate(ys * ys, axis=1)
+    end = at // n * n + (n - 1)  # each pair's row end, where the totals are
+    right = end - at  # right child sizes
+    cut = n - right  # left child sizes
     total, total_sq = csum.take(end), csq.take(end)
     sum_l, sq_l = csum.take(at), csq.take(at)
-    sse = (
-        sq_l
-        - sum_l * sum_l / cut
-        + (total_sq - sq_l)
-        - (total - sum_l) * (total - sum_l) / right
-    )
+    rest = total - sum_l
+    sse = sq_l - sum_l * sum_l / cut + (total_sq - sq_l) - rest * rest / right
     best = int(sse.argmin())
     j, i = divmod(int(at[best]), n)
     a, b = float(xs[j, i]), float(xs[j, i + 1])
@@ -313,10 +300,15 @@ def build_cart(
 
     Each column is sorted once, at the root (`presort`; pass `order` to reuse
     one sort across builds on the same X). A node holds its rows per feature
-    in that order, with their feature values (`xs`), and a split hands each
-    child the stable sub-sequence of both, so every node sees each feature
-    sorted by value, ties by row id, exactly as a per-node stable sort of its
-    ascending rows would give. `_best_split` scores only a node's valid cut
+    in that order, with their feature values (`xs`), both (p, m) arrays. A
+    split marks its left rows by row id and reads the marks back in that
+    order; a child that will be searched gets the flat positions of its
+    rows (one `nonzero`) and `take`s both arrays at them, which is their
+    stable sub-sequence. So every node sees each feature sorted by value,
+    ties by row id, exactly as a per-node stable sort of its ascending rows
+    would give. A child that the depth or size limit makes a leaf gets only
+    its ascending rows, and a split with two such children marks nothing.
+    Nodes are numbered depth first. `_best_split` scores only a node's valid cut
     positions, and every tree is bitwise the one a scan of all positions
     grows. Leaf row lists stay ascending.
     """
@@ -334,7 +326,7 @@ def build_cart(
     elif order.shape != (p, n):
         raise ValueError(f"order has shape {order.shape}, expected {(p, n)}")
 
-    nodes = {key: [] for key in NODE_ARRAYS}
+    nodes: list[list] = []  # per node, its entries of NODE_ARRAYS
     leaf_rows: list[np.ndarray] = []
     goes_left = np.empty(n, dtype=bool)
     deepest = 0
@@ -352,28 +344,33 @@ def build_cart(
         split = None
         if sorted_rows is not None:
             parent_sse = float(np.add.reduce(ysub * ysub) - rows.size * mean**2)
-            cand = _best_split(xs, y[sorted_rows], min_samples_leaf)
+            cand = _best_split(xs, y.take(sorted_rows), min_samples_leaf)
             if cand is not None and parent_sse - cand[0] > _MIN_SSE_GAIN:
                 split = cand
+        idx = len(nodes)
         if split is None:
+            nodes.append([-1, np.nan, -1, -1, len(leaf_rows), mean])
             leaf_rows.append(rows)
-            return _add_node(nodes, mean, leaf_id=len(leaf_rows) - 1)
+            return idx
         _, feature, threshold = split
-        idx = _add_node(nodes, mean, feature, threshold)
+        node = [feature, threshold, -1, -1, -1, mean]
+        nodes.append(node)
         mask = values[rows, feature] <= threshold
-        goes_left[rows] = mask  # by row id, read back in each feature's order
-        to_left = goes_left[sorted_rows]
-
-        def child(keep_rows, keep_sorted) -> int:
-            sub = rows[keep_rows]
-            if not splits(sub.size, depth + 1):
-                return grow(sub, None, None, depth + 1)
-            shape = (p, sub.size)
-            sub_sorted = sorted_rows[keep_sorted].reshape(shape)
-            return grow(sub, sub_sorted, xs[keep_sorted].reshape(shape), depth + 1)
-
-        nodes["left"][idx] = child(mask, to_left)
-        nodes["right"][idx] = child(~mask, ~to_left)
+        sides = (rows[mask], rows[~mask])
+        searched = [splits(sub.size, depth + 1) for sub in sides]
+        if any(searched):
+            goes_left[rows] = mask  # by row id, read back in each feature's order
+            to_left = goes_left.take(sorted_rows)
+        for side, (sub, search) in enumerate(zip(sides, searched)):
+            if search:
+                # positions of the child's rows in each feature's row of the parent
+                at = (to_left if side == 0 else ~to_left).ravel().nonzero()[0]
+                shape = (p, sub.size)
+                node[2 + side] = grow(
+                    sub, sorted_rows.take(at).reshape(shape), xs.take(at).reshape(shape), depth + 1
+                )
+            else:
+                node[2 + side] = grow(sub, None, None, depth + 1)
         return idx
 
     if splits(n, 0):
@@ -381,7 +378,7 @@ def build_cart(
     else:
         grow(np.arange(n), None, None, 0)
     settings = (p, deepest, max_depth, min_samples_split, min_samples_leaf)
-    return RegressionTree(*nodes.values(), *settings, leaf_rows)
+    return RegressionTree(*zip(*nodes), *settings, leaf_rows)
 
 
 def prune(tree: RegressionTree, max_depth: int, min_samples_split: int = 2) -> RegressionTree:
@@ -425,16 +422,17 @@ def _prune(
     rows_of = tree.leaf_rows if leaf_sizes is None else None
     if rows_of is not None:
         leaf_sizes = [rows.size for rows in rows_of]
-    # depth-first numbering puts node i's subtree at nodes i..end[i] - 1
-    end = [0] * len(left)
-    size = [0] * len(left)
+    # depth-first numbering keeps each subtree's leaves together: node i's
+    # are leaf ids first[i]..last[i]
+    first, last, size = [0] * len(left), [0] * len(left), [0] * len(left)
     for i in range(len(left) - 1, -1, -1):
         if left[i] < 0:
-            end[i] = i + 1
+            first[i] = last[i] = leaf_id[i]
             size[i] = int(leaf_sizes[leaf_id[i]])
         else:
-            end[i], size[i] = end[right[i]], size[left[i]] + size[right[i]]
-    cut = {key: [] for key in NODE_ARRAYS}
+            first[i], last[i] = first[left[i]], last[right[i]]
+            size[i] = size[left[i]] + size[right[i]]
+    cut: list[list] = []  # per node, its entries of NODE_ARRAYS
     cut_rows = None if rows_of is None else []
     leaf_map = np.empty(tree.n_leaves, dtype=np.intp)
     n_leaves = deepest = 0
@@ -442,22 +440,25 @@ def _prune(
     def keep(i: int, depth: int) -> int:
         nonlocal n_leaves, deepest
         deepest = max(deepest, depth)
+        idx = len(cut)
         if left[i] >= 0 and depth < max_depth and size[i] >= min_samples_split:
-            idx = _add_node(cut, value[i], feature[i], threshold[i])
-            cut["left"][idx] = keep(left[i], depth + 1)
-            cut["right"][idx] = keep(right[i], depth + 1)
+            node = [feature[i], threshold[i], -1, -1, -1, value[i]]
+            cut.append(node)
+            node[2] = keep(left[i], depth + 1)
+            node[3] = keep(right[i], depth + 1)
             return idx
-        below = [leaf_id[d] for d in range(i, end[i]) if left[d] < 0]
+        below = slice(first[i], last[i] + 1)
         leaf_map[below] = n_leaves
         if cut_rows is not None:
-            rows = [rows_of[leaf] for leaf in below]
+            rows = rows_of[below]
             cut_rows.append(rows[0] if left[i] < 0 else np.sort(np.concatenate(rows)))
+        cut.append([-1, np.nan, -1, -1, n_leaves, value[i]])
         n_leaves += 1
-        return _add_node(cut, value[i], leaf_id=n_leaves - 1)
+        return idx
 
     keep(0, 0)
     settings = (tree.n_features, deepest, max_depth, min_samples_split, tree.min_samples_leaf)
-    return RegressionTree(*cut.values(), *settings, cut_rows), leaf_map
+    return RegressionTree(*zip(*cut), *settings, cut_rows), leaf_map
 
 
 # cells of the (rows, trees) node table that one block of the walk holds:
