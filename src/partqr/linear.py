@@ -163,6 +163,14 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
     )
 
 
+# HiGHS stops without a status ("Not Set") on duals whose costs, the
+# targets, pass about 1e9. A target whose largest |y| is 2^24 or more is
+# passed scaled by a power of two into [2^23, 2^24), and the row duals are
+# scaled back: the objective's two terms are both degree-1 homogeneous in
+# (y, coefficients), so the optimum scales with y, and a power of two scales
+# every value HiGHS sees without rounding.
+_COST_EXPONENT = 24
+
 # HiGHS's primal and dual feasibility tolerance: a vertex whose basic values
 # or nonbasic duals come this close to a bound or to zero counts as degenerate.
 _DEGENERATE_TOL = 1e-7
@@ -321,6 +329,10 @@ def fit_quantile(X, y, alpha, lam: float):
     only optimal ones. For the same reason no level starts from the
     previous level's basis: a warm start can stop at another optimal
     vertex, which would make a fit depend on the levels solved before it.
+
+    Targets whose largest |y| is 2^24 or more reach HiGHS as y * 2^-k, with
+    that largest value in [2^23, 2^24), and the row duals are scaled back
+    by 2^k (`_COST_EXPONENT`); smaller targets are passed as they are.
     """
     one = np.ndim(alpha) == 0
     levels = [float(a) for a in np.reshape(alpha, -1)]
@@ -358,13 +370,15 @@ def fit_quantile(X, y, alpha, lam: float):
 
     lam = float(lam)
     nonzero = Xs != 0.0
+    shift = max(0, int(np.frexp(np.max(np.abs(y)))[1]) - _COST_EXPONENT)
+    costs = np.ldexp(y, -shift)
     highs = _instance(presolve=True)
-    model = _dual_model(Xs, nonzero, y, lam, levels[0], ranged=False)
+    model = _dual_model(Xs, nonzero, costs, lam, levels[0], ranged=False)
     _ok(highs.passModel(*model), "passModel")
     ranged = None
     if lam > 0:
         ranged = _instance(presolve=False)
-        model = _dual_model(Xs, nonzero, y, lam, levels[0], ranged=True)
+        model = _dual_model(Xs, nonzero, costs, lam, levels[0], ranged=True)
         _ok(ranged.passModel(*model), "passModel")
     every_col = np.arange(n, dtype=np.int32)
     for i, a in enumerate(levels):
@@ -389,7 +403,7 @@ def fit_quantile(X, y, alpha, lam: float):
         if basis is None:
             _run(highs)
         # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
-        w = np.asarray(highs.getSolution().row_dual)
+        w = np.ldexp(highs.getSolution().row_dual, shift)
         b0_std = -float(w[2 * p_act])
         scaled = w[p_act : 2 * p_act] - w[:p_act]
         coef = np.zeros(p)

@@ -335,6 +335,47 @@ class TestVertexSweep:
             )
 
 
+class TestLargeTargets:
+    """A target past HiGHS's range is solved on a power-of-two scaled copy:
+    the fit of y * 2^k is 2^k times the fit of y, bit for bit, whichever
+    path (confirmed ranged vertex, degenerate fallback, cold at lam = 0)
+    the level takes."""
+
+    @staticmethod
+    def _scaled_bits(fit, k):
+        return TestLevelSequence._bits(
+            np.ldexp(fit.coef, k), np.ldexp(fit.intercept, k), np.ldexp(fit.objective, k)
+        ) + (np.ldexp(fit.scaled_coef, k).tobytes(),)
+
+    @pytest.mark.parametrize("k", [31, 42, 52])
+    def test_fit_scales_with_the_target(self, monkeypatch, k):
+        taken = []
+        full_basis = linear._full_basis
+
+        def spy(*args):
+            basis = full_basis(*args)
+            taken.append("fallback" if basis is None else "confirmed")
+            return basis
+
+        monkeypatch.setattr(linear, "_full_basis", spy)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(45, 2))
+        smooth = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
+        tied = rng.integers(0, 3, size=45).astype(float)
+        levels = (0.1, 0.5, 0.9)
+        for y, lam, path in ((smooth, 0.1, "confirmed"), (tied, 0.1, "fallback"), (smooth, 0.0, None)):
+            # largest |y| in [2^23, 2^24): the largest targets solved unscaled
+            y = np.ldexp(y, 24 - int(np.frexp(np.max(np.abs(y)))[1]))
+            taken.clear()
+            want = fit_quantile(X, y, levels, lam)
+            assert taken == ([path] * 3 if path else [])
+            got = fit_quantile(X, np.ldexp(y, k), levels, lam)
+            assert taken[3:] == taken[:3]
+            for a, w, g in zip(levels, want, got):
+                bits = TestLevelSequence._bits(g.coef, g.intercept, g.objective)
+                assert bits + (g.scaled_coef.tobytes(),) == self._scaled_bits(w, k), (a, lam)
+
+
 def _leaf_design(kind, rng):
     """(X, y) of one seeded design of a grid search's leaf size: n in
     [300, 900], 1-3 columns; two_regime's first column, when it has two or
