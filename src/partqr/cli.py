@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -316,7 +317,10 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `partqr` argument parser, built once per process. It holds no
+    command function: `main` looks each one up by name at every call."""
     parser = argparse.ArgumentParser(
         prog="partqr",
         description="Milestone completion-time forecasting with partitioned quantile regression.",
@@ -325,34 +329,35 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="grid-search one model and write a model file")
     p_train.add_argument("--config", required=True)
-    p_train.set_defaults(func=cmd_train)
 
     p_pred = sub.add_parser("predict", help="prediction intervals for a CSV of rows")
     p_pred.add_argument("--model", required=True)
     p_pred.add_argument("--input", required=True)
     p_pred.add_argument("--output")
-    p_pred.set_defaults(func=cmd_predict)
 
     p_bench = sub.add_parser("benchmark", help="cross-validated model comparison table")
     p_bench.add_argument("--config", required=True)
-    p_bench.set_defaults(func=cmd_benchmark)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic cascading-delay dataset")
     p_synth.add_argument("--spec", required=True)
     p_synth.add_argument("--output")
-    p_synth.set_defaults(func=cmd_synth)
 
     p_inspect = sub.add_parser("inspect", help="print a model file's structure")
     p_inspect.add_argument("--model", required=True)
-    p_inspect.set_defaults(func=cmd_inspect)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = {
+        "train": cmd_train,
+        "predict": cmd_predict,
+        "benchmark": cmd_benchmark,
+        "synth": cmd_synth,
+        "inspect": cmd_inspect,
+    }[args.command]
     try:
-        return args.func(args)
+        return command(args)
     except _StageError as exc:
         print(str(exc), file=sys.stderr)
         return 2 if exc.user else 1

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from partqr import cli
 from partqr.cli import main, write_dataset_csv
 from partqr.evaluation import SyntheticSpec, generate_synthetic, mixture_quantile
 from partqr.models import fit_model
@@ -118,6 +119,22 @@ class TestTrain:
         assert main(["train", "--config", str(config)]) == 1
         assert "quantile LP failed: HiGHS rejected passModel" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
+
+    def test_target_near_1e10_trains(self, tmp_path, synth_csv, capsys):
+        # durations in milliseconds: the leaves' quantile LPs run on scaled targets
+        header, *rows = synth_csv.read_text(encoding="utf-8").splitlines()
+        at = header.split(",").index("target_days")
+        big = tmp_path / "big.csv"
+        lines = [header]
+        for row in rows:
+            cells = row.split(",")
+            cells[at] = repr(float(cells[at]) * 1e8)
+            lines.append(",".join(cells))
+        big.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, big)
+        assert main(["train", "--config", str(config)]) == 0, capsys.readouterr().err
+        fitted = load_model(tmp_path / "model.json")
+        assert np.isfinite(fitted.predict_point([("metro", 10.0, 20.0, 30.0, 15.0, 0.0)])).all()
 
     def test_seed_required(self, tmp_path, synth_csv, capsys):
         doc = {
@@ -944,6 +961,42 @@ class TestSynthCommand:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_projects": 0, "seed": 1}), encoding="utf-8")
         assert main(["synth", "--spec", str(spec)]) == 2
+
+
+class TestParserBuiltOnce:
+    """`build_parser` runs once per process; each `main` call still parses
+    afresh and runs the command function bound in `partqr.cli` at that call."""
+
+    def test_calls_in_a_row_are_fresh(self, tmp_path, capsys, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_projects": 30, "seed": 4}), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(out)]) == 0
+        first = out.read_bytes()
+        model = tmp_path / "model.json"
+        save_model(model, fit_model("ridge", generate_synthetic(SyntheticSpec(40, seed=5)), {"lam": 0.1}))
+        assert main(["inspect", "--model", str(model)]) == 0
+        assert "model: " in capsys.readouterr().out
+        # no --output this time: the default, not the last call's path
+        (tmp_path / "cwd").mkdir()
+        monkeypatch.chdir(tmp_path / "cwd")
+        assert main(["synth", "--spec", str(spec)]) == 0
+        assert "written to synthetic.csv" in capsys.readouterr().out
+        assert (tmp_path / "cwd" / "synthetic.csv").read_bytes() == first
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--model", str(model)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --input" in capsys.readouterr().err
+        assert main(["inspect", "--model", str(model)]) == 0
+
+    def test_rebound_command_runs(self, tmp_path, monkeypatch):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_projects": 0, "seed": 1}), encoding="utf-8")
+        assert main(["synth", "--spec", str(spec)]) == 2  # the parser is built by now
+        seen = []
+        monkeypatch.setattr(cli, "cmd_synth", lambda args: seen.append(args.spec) or 0)
+        assert main(["synth", "--spec", str(spec)]) == 0
+        assert seen == [str(spec)]
 
 
 class TestMilestoneFlow:
