@@ -234,6 +234,15 @@ def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTre
     ]
 
 
+def _add_node(nodes: dict, value: float, feature=-1, threshold=np.nan, leaf_id=-1) -> int:
+    """Append a node, its children not yet set, to the lists of `nodes`
+    (one per `NODE_ARRAYS` key); its node id."""
+    idx = len(nodes["value"])
+    for key, v in zip(NODE_ARRAYS, (feature, threshold, -1, -1, leaf_id, value)):
+        nodes[key].append(v)
+    return idx
+
+
 def presort(values: np.ndarray) -> np.ndarray:
     """Row ids of each column in ascending value order, ties by row id: a (p, n) array."""
     return np.ascontiguousarray(np.argsort(values, axis=0, kind="stable").T)
@@ -326,7 +335,7 @@ def build_cart(
     elif order.shape != (p, n):
         raise ValueError(f"order has shape {order.shape}, expected {(p, n)}")
 
-    nodes: list[list] = []  # per node, its entries of NODE_ARRAYS
+    nodes = {key: [] for key in NODE_ARRAYS}
     leaf_rows: list[np.ndarray] = []
     goes_left = np.empty(n, dtype=bool)
     deepest = 0
@@ -347,30 +356,27 @@ def build_cart(
             cand = _best_split(xs, y.take(sorted_rows), min_samples_leaf)
             if cand is not None and parent_sse - cand[0] > _MIN_SSE_GAIN:
                 split = cand
-        idx = len(nodes)
         if split is None:
-            nodes.append([-1, np.nan, -1, -1, len(leaf_rows), mean])
             leaf_rows.append(rows)
-            return idx
+            return _add_node(nodes, mean, leaf_id=len(leaf_rows) - 1)
         _, feature, threshold = split
-        node = [feature, threshold, -1, -1, -1, mean]
-        nodes.append(node)
+        idx = _add_node(nodes, mean, feature, threshold)
         mask = values[rows, feature] <= threshold
         sides = (rows[mask], rows[~mask])
         searched = [splits(sub.size, depth + 1) for sub in sides]
         if any(searched):
             goes_left[rows] = mask  # by row id, read back in each feature's order
             to_left = goes_left.take(sorted_rows)
-        for side, (sub, search) in enumerate(zip(sides, searched)):
+        for key, sub, search in zip(("left", "right"), sides, searched):
             if search:
                 # positions of the child's rows in each feature's row of the parent
-                at = (to_left if side == 0 else ~to_left).ravel().nonzero()[0]
+                at = (to_left if key == "left" else ~to_left).ravel().nonzero()[0]
                 shape = (p, sub.size)
-                node[2 + side] = grow(
+                nodes[key][idx] = grow(
                     sub, sorted_rows.take(at).reshape(shape), xs.take(at).reshape(shape), depth + 1
                 )
             else:
-                node[2 + side] = grow(sub, None, None, depth + 1)
+                nodes[key][idx] = grow(sub, None, None, depth + 1)
         return idx
 
     if splits(n, 0):
@@ -378,7 +384,7 @@ def build_cart(
     else:
         grow(np.arange(n), None, None, 0)
     settings = (p, deepest, max_depth, min_samples_split, min_samples_leaf)
-    return RegressionTree(*zip(*nodes), *settings, leaf_rows)
+    return RegressionTree(*nodes.values(), *settings, leaf_rows)
 
 
 def prune(tree: RegressionTree, max_depth: int, min_samples_split: int = 2) -> RegressionTree:
@@ -432,7 +438,7 @@ def _prune(
         else:
             first[i], last[i] = first[left[i]], last[right[i]]
             size[i] = size[left[i]] + size[right[i]]
-    cut: list[list] = []  # per node, its entries of NODE_ARRAYS
+    cut = {key: [] for key in NODE_ARRAYS}
     cut_rows = None if rows_of is None else []
     leaf_map = np.empty(tree.n_leaves, dtype=np.intp)
     n_leaves = deepest = 0
@@ -440,25 +446,22 @@ def _prune(
     def keep(i: int, depth: int) -> int:
         nonlocal n_leaves, deepest
         deepest = max(deepest, depth)
-        idx = len(cut)
         if left[i] >= 0 and depth < max_depth and size[i] >= min_samples_split:
-            node = [feature[i], threshold[i], -1, -1, -1, value[i]]
-            cut.append(node)
-            node[2] = keep(left[i], depth + 1)
-            node[3] = keep(right[i], depth + 1)
+            idx = _add_node(cut, value[i], feature[i], threshold[i])
+            cut["left"][idx] = keep(left[i], depth + 1)
+            cut["right"][idx] = keep(right[i], depth + 1)
             return idx
         below = slice(first[i], last[i] + 1)
         leaf_map[below] = n_leaves
         if cut_rows is not None:
             rows = rows_of[below]
             cut_rows.append(rows[0] if left[i] < 0 else np.sort(np.concatenate(rows)))
-        cut.append([-1, np.nan, -1, -1, n_leaves, value[i]])
         n_leaves += 1
-        return idx
+        return _add_node(cut, value[i], leaf_id=n_leaves - 1)
 
     keep(0, 0)
     settings = (tree.n_features, deepest, max_depth, min_samples_split, tree.min_samples_leaf)
-    return RegressionTree(*zip(*cut), *settings, cut_rows), leaf_map
+    return RegressionTree(*cut.values(), *settings, cut_rows), leaf_map
 
 
 # cells of the (rows, trees) node table that one block of the walk holds:
