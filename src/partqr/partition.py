@@ -248,6 +248,16 @@ def presort(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.argsort(values, axis=0, kind="stable").T)
 
 
+def _child_order(sorted_rows: np.ndarray, xs: np.ndarray, to_left: np.ndarray, left: bool):
+    """A searched child's (p, m) `sorted_rows` and `xs`: the parent's where
+    the (p, n) mask `to_left` holds (or, for the right child, does not),
+    `take`n at the flat positions of one `nonzero`, so each feature's row
+    keeps its order."""
+    at = (to_left if left else ~to_left).ravel().nonzero()[0]
+    shape = (to_left.shape[0], at.size // to_left.shape[0])
+    return sorted_rows.take(at).reshape(shape), xs.take(at).reshape(shape)
+
+
 def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
     """Best (cost, feature, threshold) over the valid cuts of every feature, or None.
 
@@ -369,12 +379,8 @@ def build_cart(
             to_left = goes_left.take(sorted_rows)
         for key, sub, search in zip(("left", "right"), sides, searched):
             if search:
-                # positions of the child's rows in each feature's row of the parent
-                at = (to_left if key == "left" else ~to_left).ravel().nonzero()[0]
-                shape = (p, sub.size)
-                nodes[key][idx] = grow(
-                    sub, sorted_rows.take(at).reshape(shape), xs.take(at).reshape(shape), depth + 1
-                )
+                child = _child_order(sorted_rows, xs, to_left, key == "left")
+                nodes[key][idx] = grow(sub, *child, depth + 1)
             else:
                 nodes[key][idx] = grow(sub, None, None, depth + 1)
         return idx
@@ -383,6 +389,7 @@ def build_cart(
         grow(np.arange(n), order, np.take_along_axis(values.T, order, axis=1), 0)
     else:
         grow(np.arange(n), None, None, 0)
+    del grow  # grow's closure holds grow: free this build's arrays now, not at a gc pass
     settings = (p, deepest, max_depth, min_samples_split, min_samples_leaf)
     return RegressionTree(*nodes.values(), *settings, leaf_rows)
 
@@ -460,6 +467,7 @@ def _prune(
         return _add_node(cut, value[i], leaf_id=n_leaves - 1)
 
     keep(0, 0)
+    del keep  # as in build_cart: no cycle left for the gc
     settings = (tree.n_features, deepest, max_depth, min_samples_split, tree.min_samples_leaf)
     return RegressionTree(*cut.values(), *settings, cut_rows), leaf_map
 

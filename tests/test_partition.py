@@ -1,3 +1,4 @@
+import gc
 import math
 from collections import namedtuple
 
@@ -388,6 +389,20 @@ class TestPrune:
             prune(grown, 3, 5)
         with pytest.raises(ValueError, match="invalid tree hyperparameters"):
             prune(grown, 2, 1)
+
+
+def test_build_and_prune_leave_no_reference_cycle():
+    """A build's and a cut's working arrays are freed when they return, not
+    at some later gc pass (they set peak memory over a boosting run)."""
+    X, y = prune_design("normal", np.random.default_rng(34))
+    gc.collect()
+    gc.disable()
+    try:
+        cut = prune(build_cart(X, y, 6, 2), 3, 10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert cut.depth == 3
 
 
 class TestRoute:
