@@ -327,8 +327,8 @@ def build_cart(
     ties by row id, exactly as a per-node stable sort of its ascending rows
     would give. A child that the depth or size limit makes a leaf gets only
     its ascending rows, and a split with two such children marks nothing.
-    Nodes are numbered depth first. `_best_split` scores only a node's valid cut
-    positions, and every tree is bitwise the one a scan of all positions
+    Nodes are numbered depth first. `_best_split` scores only a node's valid
+    cut positions, and every tree is bitwise the one a scan of all positions
     grows. Leaf row lists stay ascending.
     """
     values, _ = design_arrays(X)
