@@ -9,9 +9,7 @@ the parent's, the pairs the change won (ties count for neither side) and
 whether a gain may be claimed: the change won at least nine tenths of the
 pairs, and its median is better than the parent's by more than the parent's
 interquartile range. Whether lower or higher is better comes from the
-`end_to_end` list of a BENCHMARK.json (`--benchmark`, by default the one at
-the root of this repository); a metric it does not list counts lower as
-better.
+`end_to_end` list of the BENCHMARK.json at the root of this repository.
 
 It then prints, per workload, the traced medians of each per-layer
 `<name>.s` over `kernel_s` (each traced seed's ratio, then their median),
@@ -28,7 +26,7 @@ import os
 import statistics
 import sys
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "BENCHMARK.json")
 WIN_SHARE = 0.9
 
 
@@ -39,7 +37,7 @@ def _load(path: str) -> dict:
 
 def directions(benchmark: dict) -> dict[str, str]:
     """Metric name -> "lower" or "higher", from a BENCHMARK.json document."""
-    return {m["name"]: m["better"] for m in benchmark.get("end_to_end", ())}
+    return {m["name"]: m["better"] for m in benchmark["end_to_end"]}
 
 
 def _spread(values: list[float]) -> tuple[float, float, float]:
@@ -50,7 +48,7 @@ def _spread(values: list[float]) -> tuple[float, float, float]:
     return statistics.median(values), q1, q3
 
 
-def compare_metric(base: dict, head: dict, better: str = "lower") -> dict:
+def compare_metric(base: dict, head: dict, better: str) -> dict:
     """One metric's comparison of two {seed: value} maps, over their shared seeds."""
     seeds = sorted(set(base) & set(head), key=int)
     if not seeds:
@@ -75,9 +73,9 @@ def compare_metric(base: dict, head: dict, better: str = "lower") -> dict:
     }
 
 
-def compare(base_doc: dict, head_doc: dict, better: dict[str, str] | None = None) -> dict:
-    """{workload: {metric: compare_metric(...)}} for the workloads both documents hold."""
-    better = better or {}
+def compare(base_doc: dict, head_doc: dict, better: dict[str, str]) -> dict:
+    """{workload: {metric: compare_metric(...)}} for the workloads both
+    documents hold; `better` maps each metric to "lower" or "higher"."""
     out = {}
     for workload, base in base_doc["workloads"].items():
         head = head_doc["workloads"].get(workload)
@@ -88,7 +86,7 @@ def compare(base_doc: dict, head_doc: dict, better: dict[str, str] | None = None
             name: compare_metric(
                 {s: run["metrics"][name] for s, run in base["seeds"].items()},
                 {s: run["metrics"][name] for s, run in head["seeds"].items()},
-                better.get(name, "lower"),
+                better[name],
             )
             for name in names
         }
@@ -111,7 +109,7 @@ def _fmt(value: float) -> str:
     return f"{value:.4g}"
 
 
-def report(base_doc: dict, head_doc: dict, better: dict[str, str] | None = None) -> list[str]:
+def report(base_doc: dict, head_doc: dict, better: dict[str, str]) -> list[str]:
     """The printed lines."""
     base_tag, head_tag = base_doc.get("tag", "base"), head_doc.get("tag", "head")
     lines = [f"{base_tag} -> {head_tag}: median [q1, q3]; ratio = {head_tag} / {base_tag}"]
@@ -139,10 +137,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the parent's BENCH file")
     parser.add_argument("head", help="the change's BENCH file")
-    parser.add_argument("--benchmark", default=os.path.join(ROOT, "BENCHMARK.json"),
-                        help="the BENCHMARK.json whose end_to_end list says which way is better")
     args = parser.parse_args(argv)
-    better = directions(_load(args.benchmark)) if os.path.isfile(args.benchmark) else {}
+    better = directions(_load(BENCHMARK))
     print("\n".join(report(_load(args.base), _load(args.head), better)))
     return 0
 

@@ -17,12 +17,13 @@ def load_script():
     return module
 
 
-def bench(tag, wall, rows, traced=()):
-    """A BENCH document of one workload: per-seed `wall_ref` and `rows_s`
-    (higher is better), and traced seeds of (`build_cart.s`, `kernel_s`)."""
-    seeds = {
-        str(301 + i): {"metrics": {"wall_ref": w, "rows_s": r}} for i, (w, r) in enumerate(zip(wall, rows))
-    }
+def bench(tag, wall, rows=None, traced=()):
+    """A BENCH document of one workload: per-seed `wall_ref`, `rows_s`
+    (higher is better) unless `rows` is None, and traced seeds of
+    (`build_cart.s`, `kernel_s`)."""
+    seeds = {str(301 + i): {"metrics": {"wall_ref": w}} for i, w in enumerate(wall)}
+    for i, r in enumerate(rows or ()):
+        seeds[str(301 + i)]["metrics"]["rows_s"] = r
     doc = {"tag": tag, "workloads": {"grid": {"seeds": seeds}}}
     if traced:
         doc["workloads"]["grid"]["traced"] = {"seeds": {
@@ -55,7 +56,7 @@ def test_medians_quartiles_and_ratio():
 def test_gain_needs_nine_of_ten_pairs_and_more_than_the_parent_iqr():
     script = load_script()
     parent = bench("a", PARENT_WALL, PARENT_WALL)
-    iqr = script.compare(parent, parent)["grid"]["wall_ref"]["base_iqr"]
+    iqr = script.compare(parent, parent, BETTER)["grid"]["wall_ref"]["base_iqr"]
     # eight of ten pairs won by far: no gain
     wall = [w - 3.0 for w in PARENT_WALL[:8]] + [w + 1.0 for w in PARENT_WALL[8:]]
     c = script.compare(parent, bench("b", wall, PARENT_WALL), BETTER)["grid"]["wall_ref"]
@@ -74,11 +75,18 @@ def test_higher_is_better_where_the_benchmark_says_so():
     script = load_script()
     rows = [100.0 + i for i in range(10)]
     faster = [r * 1.5 for r in rows]
-    c = script.compare(bench("a", PARENT_WALL, rows), bench("b", PARENT_WALL, faster), BETTER)
+    base, head = bench("a", PARENT_WALL, rows), bench("b", PARENT_WALL, faster)
+    c = script.compare(base, head, BETTER)
     assert (c["grid"]["rows_s"]["won"], c["grid"]["rows_s"]["gain"]) == (10, True)
-    # without a direction, lower counts as better
-    c = script.compare(bench("a", PARENT_WALL, rows), bench("b", PARENT_WALL, faster))
+    c = script.compare(base, head, {**BETTER, "rows_s": "lower"})
     assert (c["grid"]["rows_s"]["lost"], c["grid"]["rows_s"]["gain"]) == (10, False)
+
+
+def test_a_metric_without_a_direction_is_an_error():
+    script = load_script()
+    doc = bench("a", PARENT_WALL, PARENT_WALL)
+    with pytest.raises(KeyError, match="rows_s"):
+        script.compare(doc, doc, {"wall_ref": "lower"})
 
 
 def test_pairs_only_shared_seeds():
@@ -96,20 +104,11 @@ def test_traced_ratios_are_per_seed_then_median():
     assert got["route.s"] == 0.0
 
 
-def test_main_prints_every_metric_and_the_traced_layers(tmp_path, capsys):
+def test_report_prints_every_metric_and_the_traced_layers():
     script = load_script()
     parent = bench("pr-parent", PARENT_WALL, PARENT_WALL, traced=[(1.0, 0.04)] * 3)
     change = bench("pr", [w - 3.0 for w in PARENT_WALL], PARENT_WALL, traced=[(0.8, 0.04)] * 3)
-    paths = []
-    for doc in (parent, change):
-        paths.append(tmp_path / f"BENCH_{doc['tag']}.json")
-        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
-    marks = tmp_path / "BENCHMARK.json"
-    marks.write_text(json.dumps({"end_to_end": [
-        {"name": "wall_ref", "better": "lower"}, {"name": "rows_s", "better": "higher"},
-    ]}), encoding="utf-8")
-    assert script.main([str(paths[0]), str(paths[1]), "--benchmark", str(marks)]) == 0
-    out = capsys.readouterr().out.splitlines()
+    out = script.report(parent, change, BETTER)
     assert out[0].startswith("pr-parent -> pr")
     (wall,) = [line for line in out if line.strip().startswith("wall_ref:")]
     assert "won 10/10" in wall and "gain yes" in wall and "ratio 0.901" in wall
@@ -118,6 +117,20 @@ def test_main_prints_every_metric_and_the_traced_layers(tmp_path, capsys):
     (cart,) = [line for line in out if "partition.build_cart.s" in line]
     assert cart.split() == ["partition.build_cart.s:", "25.0000", "->", "20.0000", "ratio", "0.800"]
     assert not [line for line in out if "route.s" in line]  # zero on both sides
+
+
+def test_main_reads_the_repository_benchmark(tmp_path, capsys):
+    """`main` takes its directions from the BENCHMARK.json at the root of the
+    repository, which lists `wall_ref` as lower-is-better."""
+    script = load_script()
+    paths = []
+    for doc in (bench("pr-parent", PARENT_WALL), bench("pr", [w + 3.0 for w in PARENT_WALL])):
+        paths.append(tmp_path / f"BENCH_{doc['tag']}.json")
+        paths[-1].write_text(json.dumps(doc), encoding="utf-8")
+    assert script.main([str(p) for p in paths]) == 0
+    out = capsys.readouterr().out.splitlines()
+    (wall,) = [line for line in out if line.strip().startswith("wall_ref:")]
+    assert "won 0/10 (lost 10)" in wall and "gain no" in wall
 
 
 def test_never_imports_partqr():
