@@ -284,9 +284,9 @@ def _best_split(xs: np.ndarray, ys: np.ndarray, min_samples_leaf: int):
         return None
     csum = np.add.accumulate(ys, axis=1)
     csq = np.add.accumulate(ys * ys, axis=1)
-    end = at // n * n + (n - 1)  # each pair's row end, where the totals are
-    right = end - at  # right child sizes
-    cut = n - right  # left child sizes
+    cut = at % n + 1  # left child sizes
+    right = n - cut
+    end = at + right  # each pair's row end, where the totals are
     total, total_sq = csum.take(end), csq.take(end)
     sum_l, sq_l = csum.take(at), csq.take(at)
     rest = total - sum_l
