@@ -317,47 +317,39 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+# Each command's help line, required options and optional ones. `main` runs
+# `cmd_<name>`, looked up by name at each call, so a function rebound in this
+# module after the parser is built is the one that runs.
+COMMANDS = {
+    "train": ("grid-search one model and write a model file", ("--config",), ()),
+    "predict": ("prediction intervals for a CSV of rows", ("--model", "--input"), ("--output",)),
+    "benchmark": ("cross-validated model comparison table", ("--config",), ()),
+    "synth": ("generate a synthetic cascading-delay dataset", ("--spec",), ("--output",)),
+    "inspect": ("print a model file's structure", ("--model",), ()),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The `partqr` argument parser, built once per process. It holds no
-    command function: `main` looks each one up by name at every call."""
+    """The `partqr` argument parser, built once per process from `COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="partqr",
         description="Milestone completion-time forecasting with partitioned quantile regression.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="grid-search one model and write a model file")
-    p_train.add_argument("--config", required=True)
-
-    p_pred = sub.add_parser("predict", help="prediction intervals for a CSV of rows")
-    p_pred.add_argument("--model", required=True)
-    p_pred.add_argument("--input", required=True)
-    p_pred.add_argument("--output")
-
-    p_bench = sub.add_parser("benchmark", help="cross-validated model comparison table")
-    p_bench.add_argument("--config", required=True)
-
-    p_synth = sub.add_parser("synth", help="generate a synthetic cascading-delay dataset")
-    p_synth.add_argument("--spec", required=True)
-    p_synth.add_argument("--output")
-
-    p_inspect = sub.add_parser("inspect", help="print a model file's structure")
-    p_inspect.add_argument("--model", required=True)
+    for name, (help_line, required, optional) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_line)
+        for flag in required:
+            command.add_argument(flag, required=True)
+        for flag in optional:
+            command.add_argument(flag)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    command = {
-        "train": cmd_train,
-        "predict": cmd_predict,
-        "benchmark": cmd_benchmark,
-        "synth": cmd_synth,
-        "inspect": cmd_inspect,
-    }[args.command]
     try:
-        return command(args)
+        return globals()[f"cmd_{args.command}"](args)
     except _StageError as exc:
         print(str(exc), file=sys.stderr)
         return 2 if exc.user else 1

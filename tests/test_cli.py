@@ -998,6 +998,10 @@ class TestParserBuiltOnce:
         assert main(["synth", "--spec", str(spec)]) == 0
         assert seen == [str(spec)]
 
+    def test_every_command_has_its_function(self):
+        for name in cli.COMMANDS:
+            assert callable(getattr(cli, f"cmd_{name}")), name
+
 
 class TestMilestoneFlow:
     def write_inputs(self, tmp_path):
