@@ -164,11 +164,12 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
 
 
 # HiGHS stops without a status ("Not Set") on duals whose costs, the
-# targets, pass about 1e9. A target whose largest |y| is 2^24 or more is
-# passed scaled by a power of two into [2^23, 2^24), and the row duals are
-# scaled back: the objective's two terms are both degree-1 homogeneous in
-# (y, coefficients), so the optimum scales with y, and a power of two scales
-# every value HiGHS sees without rounding.
+# targets, pass about 2^27 on some fits and about 1e9 on others. A target
+# whose largest |y| is 2^24 or more is passed scaled by a power of two into
+# [2^23, 2^24), and the row duals are scaled back: the objective's two terms
+# are both degree-1 homogeneous in (y, coefficients), so the optimum scales
+# with y, and a power of two scales every value HiGHS sees without rounding.
+# A target from 2^24 up that HiGHS solves unscaled gets the same bits scaled.
 _COST_EXPONENT = 24
 
 # HiGHS's primal and dual feasibility tolerance: a vertex whose basic values

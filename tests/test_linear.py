@@ -342,14 +342,16 @@ class TestLargeTargets:
     the level takes."""
 
     @staticmethod
-    def _scaled_bits(fit, k):
+    def _bits(fit, k=0):
+        """The fit's bits, each value first scaled by 2^k."""
         return TestLevelSequence._bits(
             np.ldexp(fit.coef, k), np.ldexp(fit.intercept, k), np.ldexp(fit.objective, k)
         ) + (np.ldexp(fit.scaled_coef, k).tobytes(),)
 
-    @pytest.mark.parametrize("k", [31, 42, 52])
-    def test_fit_scales_with_the_target(self, monkeypatch, k):
-        taken = []
+    @staticmethod
+    def _cases(monkeypatch, taken, top):
+        """X, and (y, lam, path) for each path with the largest |y| in
+        [2^(top - 1), 2^top); each level's path is appended to `taken`."""
         full_basis = linear._full_basis
 
         def spy(*args):
@@ -362,19 +364,44 @@ class TestLargeTargets:
         X = rng.normal(size=(45, 2))
         smooth = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
         tied = rng.integers(0, 3, size=45).astype(float)
+        cases = ((smooth, 0.1, "confirmed"), (tied, 0.1, "fallback"), (smooth, 0.0, None))
+        return X, [
+            (np.ldexp(y, top - int(np.frexp(np.max(np.abs(y)))[1])), lam, path) for y, lam, path in cases
+        ]
+
+    @pytest.mark.parametrize("k", [31, 42, 52])
+    def test_fit_scales_with_the_target(self, monkeypatch, k):
+        taken = []
+        # largest |y| in [2^23, 2^24): the largest targets passed unscaled
+        X, cases = self._cases(monkeypatch, taken, 24)
         levels = (0.1, 0.5, 0.9)
-        for y, lam, path in ((smooth, 0.1, "confirmed"), (tied, 0.1, "fallback"), (smooth, 0.0, None)):
-            # largest |y| in [2^23, 2^24): the largest targets solved unscaled
-            y = np.ldexp(y, 24 - int(np.frexp(np.max(np.abs(y)))[1]))
+        for y, lam, path in cases:
             taken.clear()
             want = fit_quantile(X, y, levels, lam)
             assert taken == ([path] * 3 if path else [])
             got = fit_quantile(X, np.ldexp(y, k), levels, lam)
             assert taken[3:] == taken[:3]
             for a, w, g in zip(levels, want, got):
-                bits = TestLevelSequence._bits(g.coef, g.intercept, g.objective)
-                assert bits + (g.scaled_coef.tobytes(),) == self._scaled_bits(w, k), (a, lam)
+                assert self._bits(g) == self._bits(w, k), (a, lam)
 
+    @pytest.mark.parametrize("top", [28, 30])
+    def test_targets_that_solved_unscaled_keep_their_bits(self, monkeypatch, top):
+        """Targets from 2^24 up are scaled, though some solved unscaled
+        (up to about 1e9 on some fits; others fail from 2^27). Where the
+        unscaled solve succeeds, the scaled one gives the same bits."""
+        exponent = linear._COST_EXPONENT
+        taken = []
+        X, cases = self._cases(monkeypatch, taken, top)  # largest |y| from 2^27, 2^29
+        levels = (0.1, 0.5, 0.9)
+        for y, lam, path in cases:
+            taken.clear()
+            monkeypatch.setattr(linear, "_COST_EXPONENT", 1024)  # nothing is scaled
+            want = fit_quantile(X, y, levels, lam)
+            monkeypatch.setattr(linear, "_COST_EXPONENT", exponent)
+            got = fit_quantile(X, y, levels, lam)
+            assert taken == ([path] * 6 if path else [])
+            for a, w, g in zip(levels, want, got):
+                assert self._bits(g) == self._bits(w), (a, lam)
 
 def _leaf_design(kind, rng):
     """(X, y) of one seeded design of a grid search's leaf size: n in
