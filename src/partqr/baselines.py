@@ -315,7 +315,7 @@ def fit_gb(
             values, residuals, max_depth, min_samples_split, min_samples_leaf, order=order
         )
         # leaf ids follow node order, so the leaves' values come in leaf id order
-        for rows, value in zip(tree.leaf_rows, tree.value[tree.left < 0]):
+        for rows, value in zip(tree.leaf_rows, tree.value[tree.feature < 0]):
             current[rows] += learning_rate * value
         trees.append(tree)
         history.append(float(np.sum((y - current) ** 2)))

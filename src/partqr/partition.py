@@ -17,23 +17,22 @@ import numpy as np
 from .data import design_arrays, encoded_batch
 
 _MIN_SSE_GAIN = 1e-12
-# a tree's per-node arrays, in the order `RegressionTree` takes them
-NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id", "value")
 
 
 @dataclass
 class RegressionTree:
-    """CART tree over an encoded design matrix, as parallel arrays indexed by node id.
+    """CART tree over an encoded design matrix, as its depth-first node arrays.
 
     Nodes are numbered depth first: a node, then its left subtree, then its
     right one, so `feature` alone (-1 at a leaf) fixes the tree's shape. An
     inner node splits on x[feature] <= threshold (left, always the next node)
-    against x > threshold (right); a leaf has left == right == -1 and a NaN
-    threshold. `leaf_id` numbers the leaves 0..L-1 in node order and is -1 at
-    inner nodes; `value` is each node's mean training target.
+    against x > threshold (right); a leaf has a NaN threshold. `value` is
+    each node's mean training target. `left` and `right` (-1 at a leaf),
+    `leaf_id` (the leaves 0..L-1 in node order, -1 at inner nodes) and
+    `depth` (the longest path from the root to a leaf, in splits) are read
+    from the tree's `walk`, whose shape `_shape` derives from `feature`.
 
-    `n_features` is the tree's width and `depth` its longest path from the
-    root to a leaf, in splits. The growth settings (`max_depth`,
+    `n_features` is the tree's width. The growth settings (`max_depth`,
     `min_samples_split`, `min_samples_leaf`) and the inner nodes' values are
     read only by `prune`, and `leaf_rows[l]` holds leaf l's ascending
     training rows. A loaded tree (`unpack_trees`) has its width from its
@@ -44,38 +43,47 @@ class RegressionTree:
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    leaf_id: np.ndarray
     value: np.ndarray
     n_features: int
-    depth: int
     max_depth: int | None = None
     min_samples_split: int | None = None
     min_samples_leaf: int | None = None
     leaf_rows: list[np.ndarray] | None = None
 
     def __post_init__(self):
-        # node ids and features as intp, thresholds and values as float
+        # features as intp, thresholds and values as float
         self.feature = np.asarray(self.feature, dtype=np.intp)
         self.threshold = np.asarray(self.threshold, dtype=float)
-        self.left = np.asarray(self.left, dtype=np.intp)
-        self.right = np.asarray(self.right, dtype=np.intp)
-        self.leaf_id = np.asarray(self.leaf_id, dtype=np.intp)
         self.value = np.asarray(self.value, dtype=float)
 
     @property
     def n_leaves(self) -> int:
-        return int(np.count_nonzero(self.left < 0))
+        return int(np.count_nonzero(self.feature < 0))
 
     def parameter_count(self) -> int:
         """Two parameters (feature, threshold) per internal node."""
-        return 2 * (self.left.size - self.n_leaves)
+        return 2 * (self.feature.size - self.n_leaves)
 
     @cached_property
     def walk(self) -> "TreeStack":
         """The tree as a stack of one, as `_leaf` walks it."""
         return TreeStack.of([self], self.n_features)
+
+    @property
+    def left(self) -> np.ndarray:
+        return np.where(self.feature < 0, -1, np.arange(1, self.feature.size + 1, dtype=np.intp))
+
+    @property
+    def right(self) -> np.ndarray:
+        return np.where(self.feature < 0, -1, self.walk.right)
+
+    @property
+    def leaf_id(self) -> np.ndarray:
+        return self.walk.leaf_id
+
+    @property
+    def depth(self) -> int:
+        return self.walk.depth
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,46 +113,51 @@ class TreeStack:
     def of(cls, trees, n_features: int, columns=None) -> "TreeStack":
         """The stack of `trees`, each splitting on the columns of the walked
         rows that its entry of `columns` lists (a forest's feature subsets),
-        or on the walked rows' own columns."""
-        if len(trees) == 1 and columns is None:  # the tree's own arrays, uncopied
-            (tree,) = trees
-            right = np.where(tree.right < 0, np.arange(tree.right.size), tree.right)
-            return cls(tree.feature, tree.threshold, right, tree.value, tree.leaf_id,
-                       np.zeros(1, dtype=np.intp), tree.depth, n_features)
+        or on the walked rows' own columns. `_shape` derives the rest from
+        the trees' `feature` arrays."""
         sizes = [tree.feature.size for tree in trees]
-        roots = np.cumsum(sizes, dtype=np.intp) - sizes
-        threshold, right, value, leaf_id = (
+        feature, threshold, value = (
             np.concatenate([getattr(tree, key) for tree in trees])
-            for key in ("threshold", "right", "value", "leaf_id")
+            for key in ("feature", "threshold", "value")
         )
-        if columns is None:
-            column = np.concatenate([tree.feature for tree in trees])
-        else:  # a leaf reads any column, here its subset's last
-            column = np.concatenate([cols[tree.feature] for tree, cols in zip(trees, columns)])
-        return cls(
-            column=column,
-            threshold=threshold,
-            right=np.where(right < 0, np.arange(right.size), right + np.repeat(roots, sizes)),
-            value=value,
-            leaf_id=leaf_id,
-            roots=roots,
-            depth=max(tree.depth for tree in trees),
-            n_features=n_features,
-        )
+        right, leaf_id, roots, depth = _shape(feature, sizes)
+        if columns is not None:  # a leaf reads any column, here its subset's last
+            feature = np.concatenate([cols[tree.feature] for tree, cols in zip(trees, columns)])
+        return cls(feature, threshold, right, value, leaf_id, roots, depth, n_features)
 
 
-def _depths(right: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """The depth of each node of trees laid end to end, given each inner
-    node's right child (-1 at a leaf); its left child is the next node. One
-    pass per level."""
-    depth = np.zeros(right.size, dtype=np.intp)
-    level, d = roots, 0
+def _shape(feature: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The shape of trees of `sizes` nodes laid end to end, each depth first
+    in `feature` (-1 at a leaf): each node's right child in the stack (a
+    leaf's is itself), each tree's leaf ids (-1 at inner nodes), each tree's
+    root, and the longest path from a root to a leaf, in splits.
+
+    An inner node's left child is the next node. Its right child follows its
+    left subtree, which ends at the first later node after which one place
+    fewer is open than after the inner node itself. Leaf ids number each
+    tree's leaves in node order, and the depth comes from one pass per level
+    down all trees.
+    """
+    n = feature.size
+    sizes = np.asarray(sizes, dtype=np.intp)
+    roots = np.cumsum(sizes) - sizes
+    leaf = feature < 0
+    inner = np.flatnonzero(~leaf)
+    opened = np.cumsum(np.where(leaf, -1, 1))
+    # nodes by places open after them, then by id: the right child of inner
+    # node i follows the first later node with opened[i] - 1 places
+    order = np.argsort(opened, kind="stable")
+    keys = opened[order] * (n + 1) + order
+    right = np.arange(n, dtype=np.intp)
+    right[inner] = order[np.searchsorted(keys, (opened[inner] - 1) * (n + 1) + inner + 1)] + 1
+    leaves_before = np.cumsum(leaf) - leaf  # leaves ahead of each node, in any tree
+    leaf_id = np.where(leaf, leaves_before - np.repeat(leaves_before[roots], sizes), -1)
+    level, depth = roots, -1
     while level.size:
-        depth[level] = d
-        inner = level[right[level] >= 0]
-        level = np.concatenate([inner + 1, right[inner]])
-        d += 1
-    return depth
+        level = level[~leaf[level]]
+        level = np.concatenate([level + 1, right[level]])
+        depth += 1
+    return right, leaf_id, roots, depth
 
 
 def check_trees(feature: np.ndarray, sizes, widths) -> None:
@@ -192,55 +205,29 @@ def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTre
     """The trees whose depth-first arrays are laid end to end: `feature`
     (-1 at a leaf), tree t's `sizes[t]` nodes over `widths[t]` features, the
     inner nodes' `threshold`s and, unless `value` is None, the leaves'
-    values, each in node order. `check_trees` checks the shape first.
-
-    The rest is derived for all trees at once. An inner node's left child is
-    the next node. Its right child follows its left subtree, which ends at
-    the first later node after which one place fewer is open than after the
-    inner node itself. Leaf ids number each tree's leaves in node order, and
-    the depths come from one pass per level down all trees.
+    values, each in node order. `check_trees` checks the shape and the
+    counts are checked; each tree is then its slice of the three arrays,
+    with a NaN threshold at a leaf and a NaN value at an inner node (and at
+    every node when `value` is None).
     """
     check_trees(feature, sizes, widths)
     leaf = feature < 0
-    inner = np.flatnonzero(~leaf)
-    n_leaves = leaf.size - inner.size
-    if threshold.size != inner.size:
-        raise ValueError(f"tree key 'threshold' must hold one number per inner node: {inner.size}")
+    n_leaves = int(np.count_nonzero(leaf))
+    if threshold.size != leaf.size - n_leaves:
+        raise ValueError(
+            f"tree key 'threshold' must hold one number per inner node: {leaf.size - n_leaves}"
+        )
     if value is not None and value.size != n_leaves:
         raise ValueError(f"tree key 'value' must hold one number per leaf: {n_leaves}")
-    n = feature.size
-    sizes = np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
-    start = np.repeat(starts, sizes)  # each node's tree's first node
-    opened = np.cumsum(np.where(leaf, -1, 1))
-    # nodes by places open after them, then by id: the right child of inner
-    # node i follows the first later node with opened[i] - 1 places
-    order = np.argsort(opened, kind="stable")
-    keys = opened[order] * (n + 1) + order
-    right = np.full(n, -1, dtype=np.intp)  # stack-wide until the trees are cut apart
-    right[inner] = order[np.searchsorted(keys, (opened[inner] - 1) * (n + 1) + inner + 1)] + 1
-    depths = np.maximum.reduceat(_depths(right, starts), starts).tolist()
-    left = np.where(leaf, -1, np.arange(n) + 1 - start)
-    right = np.where(leaf, -1, right - start)
-    leaves_before = np.cumsum(leaf) - leaf  # leaves ahead of each node, in any tree
-    leaf_id = np.where(leaf, leaves_before - np.repeat(leaves_before[starts], sizes), -1)
-    thresholds, values = np.full(n, np.nan), np.full(n, np.nan)
-    thresholds[inner] = threshold
+    thresholds, values = np.full(leaf.size, np.nan), np.full(leaf.size, np.nan)
+    thresholds[~leaf] = threshold
     if value is not None:
         values[leaf] = value
+    ends = np.cumsum(sizes).tolist()
     return [
-        RegressionTree(*(a[s : s + m] for a in (feature, thresholds, left, right, leaf_id, values)), w, d)
-        for s, m, w, d in zip(starts.tolist(), sizes.tolist(), widths, depths)
+        RegressionTree(feature[s:e], thresholds[s:e], values[s:e], w)
+        for s, e, w in zip([0, *ends[:-1]], ends, widths)
     ]
-
-
-def _add_node(nodes: dict, value: float, feature=-1, threshold=np.nan, leaf_id=-1) -> int:
-    """Append a node, its children not yet set, to the lists of `nodes`
-    (one per `NODE_ARRAYS` key); its node id."""
-    idx = len(nodes["value"])
-    for key, v in zip(NODE_ARRAYS, (feature, threshold, -1, -1, leaf_id, value)):
-        nodes[key].append(v)
-    return idx
 
 
 def presort(values: np.ndarray) -> np.ndarray:
@@ -345,21 +332,19 @@ def build_cart(
     elif order.shape != (p, n):
         raise ValueError(f"order has shape {order.shape}, expected {(p, n)}")
 
-    nodes = {key: [] for key in NODE_ARRAYS}
+    features, thresholds, means = [], [], []  # per node, depth first
     leaf_rows: list[np.ndarray] = []
     goes_left = np.empty(n, dtype=bool)
-    deepest = 0
 
     def splits(size: int, depth: int) -> bool:
         return depth < max_depth and size >= min_samples_split
 
     def grow(
         rows: np.ndarray, sorted_rows: np.ndarray | None, xs: np.ndarray | None, depth: int
-    ) -> int:
-        nonlocal deepest
-        deepest = max(deepest, depth)
+    ) -> None:
         ysub = y[rows]
         mean = float(np.add.reduce(ysub) / rows.size)  # bitwise np.mean
+        means.append(mean)
         split = None
         if sorted_rows is not None:
             parent_sse = float(np.add.reduce(ysub * ysub) - rows.size * mean**2)
@@ -367,31 +352,30 @@ def build_cart(
             if cand is not None and parent_sse - cand[0] > _MIN_SSE_GAIN:
                 split = cand
         if split is None:
+            features.append(-1)
+            thresholds.append(np.nan)
             leaf_rows.append(rows)
-            return _add_node(nodes, mean, leaf_id=len(leaf_rows) - 1)
+            return
         _, feature, threshold = split
-        idx = _add_node(nodes, mean, feature, threshold)
+        features.append(feature)
+        thresholds.append(threshold)
         mask = values[rows, feature] <= threshold
         sides = (rows[mask], rows[~mask])
         searched = [splits(sub.size, depth + 1) for sub in sides]
         if any(searched):
             goes_left[rows] = mask  # by row id, read back in each feature's order
             to_left = goes_left.take(sorted_rows)
-        for key, sub, search in zip(("left", "right"), sides, searched):
-            if search:
-                child = _child_order(sorted_rows, xs, to_left, key == "left")
-                nodes[key][idx] = grow(sub, *child, depth + 1)
-            else:
-                nodes[key][idx] = grow(sub, None, None, depth + 1)
-        return idx
+        for left, sub, search in zip((True, False), sides, searched):
+            child = _child_order(sorted_rows, xs, to_left, left) if search else (None, None)
+            grow(sub, *child, depth + 1)
 
     if splits(n, 0):
         grow(np.arange(n), order, np.take_along_axis(values.T, order, axis=1), 0)
     else:
         grow(np.arange(n), None, None, 0)
     del grow  # grow's closure holds grow: free this build's arrays now, not at a gc pass
-    settings = (p, deepest, max_depth, min_samples_split, min_samples_leaf)
-    return RegressionTree(*nodes.values(), *settings, leaf_rows)
+    settings = (p, max_depth, min_samples_split, min_samples_leaf)
+    return RegressionTree(features, thresholds, means, *settings, leaf_rows)
 
 
 def prune(tree: RegressionTree, max_depth: int, min_samples_split: int = 2) -> RegressionTree:
@@ -430,46 +414,48 @@ def _prune(
             f"to depth {tree.max_depth}, split {tree.min_samples_split}"
         )
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-    left, right = tree.left.tolist(), tree.right.tolist()
-    leaf_id, value = tree.leaf_id.tolist(), tree.value.tolist()
+    value = tree.value.tolist()
+    right, leaf_id = tree.walk.right.tolist(), tree.walk.leaf_id.tolist()
     rows_of = tree.leaf_rows if leaf_sizes is None else None
     if rows_of is not None:
         leaf_sizes = [rows.size for rows in rows_of]
     # depth-first numbering keeps each subtree's leaves together: node i's
-    # are leaf ids first[i]..last[i]
-    first, last, size = [0] * len(left), [0] * len(left), [0] * len(left)
-    for i in range(len(left) - 1, -1, -1):
-        if left[i] < 0:
+    # are leaf ids first[i]..last[i]; its left child is node i + 1
+    first, last, size = [0] * len(feature), [0] * len(feature), [0] * len(feature)
+    for i in range(len(feature) - 1, -1, -1):
+        if feature[i] < 0:
             first[i] = last[i] = leaf_id[i]
             size[i] = int(leaf_sizes[leaf_id[i]])
         else:
-            first[i], last[i] = first[left[i]], last[right[i]]
-            size[i] = size[left[i]] + size[right[i]]
-    cut = {key: [] for key in NODE_ARRAYS}
+            first[i], last[i] = first[i + 1], last[right[i]]
+            size[i] = size[i + 1] + size[right[i]]
+    features, thresholds, means = [], [], []  # per kept node, depth first
     cut_rows = None if rows_of is None else []
     leaf_map = np.empty(tree.n_leaves, dtype=np.intp)
-    n_leaves = deepest = 0
+    n_leaves = 0
 
-    def keep(i: int, depth: int) -> int:
-        nonlocal n_leaves, deepest
-        deepest = max(deepest, depth)
-        if left[i] >= 0 and depth < max_depth and size[i] >= min_samples_split:
-            idx = _add_node(cut, value[i], feature[i], threshold[i])
-            cut["left"][idx] = keep(left[i], depth + 1)
-            cut["right"][idx] = keep(right[i], depth + 1)
-            return idx
+    def keep(i: int, depth: int) -> None:
+        nonlocal n_leaves
+        means.append(value[i])
+        if feature[i] >= 0 and depth < max_depth and size[i] >= min_samples_split:
+            features.append(feature[i])
+            thresholds.append(threshold[i])
+            keep(i + 1, depth + 1)
+            keep(right[i], depth + 1)
+            return
+        features.append(-1)
+        thresholds.append(np.nan)
         below = slice(first[i], last[i] + 1)
         leaf_map[below] = n_leaves
         if cut_rows is not None:
             rows = rows_of[below]
-            cut_rows.append(rows[0] if left[i] < 0 else np.sort(np.concatenate(rows)))
+            cut_rows.append(rows[0] if feature[i] < 0 else np.sort(np.concatenate(rows)))
         n_leaves += 1
-        return _add_node(cut, value[i], leaf_id=n_leaves - 1)
 
     keep(0, 0)
     del keep  # as in build_cart: no cycle left for the gc
-    settings = (tree.n_features, deepest, max_depth, min_samples_split, tree.min_samples_leaf)
-    return RegressionTree(*cut.values(), *settings, cut_rows), leaf_map
+    settings = (tree.n_features, max_depth, min_samples_split, tree.min_samples_leaf)
+    return RegressionTree(features, thresholds, means, *settings, cut_rows), leaf_map
 
 
 # cells of the (rows, trees) node table that one block of the walk holds:

@@ -20,7 +20,8 @@ estimator's level from its table key, nn_qr's lam and n_neighbors from the
 params and the training rows (`models.neighbor_settings`, as at fit time),
 a tree's width from the encoded layout (`data.encoded_columns`) or, in
 a forest, from its feature subset, and its children, leaf ids and depth
-from its depth-first `feature` array (`partition.unpack_trees`).
+from its depth-first `feature` array (`partition._shape`, as for a fitted
+tree).
 Training-row lists, growth settings, inner nodes' values and fit
 diagnostics stay on the fitted object; a loaded one has None (NaN) there.
 

@@ -265,20 +265,53 @@ def cart_oracle(X, y, max_depth, min_samples_split=2, min_samples_leaf=1):
     return grow(np.arange(len(y)), 0)
 
 
-def assert_tree_equals_oracle(tree, oracle_node, node_id=0):
-    left, right = tree.left.tolist(), tree.right.tolist()
-    if "feature" not in oracle_node:
-        assert left[node_id] < 0, f"node {node_id}: expected a leaf"
-        leaf = tree.leaf_id.tolist()[node_id]
-        assert tree.leaf_rows[leaf].tolist() == oracle_node["rows"]
-        return
-    assert left[node_id] >= 0, f"node {node_id}: expected an internal node"
-    cut = (tree.feature.tolist()[node_id], tree.threshold.tolist()[node_id])
-    assert cut in oracle_node["ties"], f"node {node_id}: {cut} is not an exact best cut"
-    # bit for bit: between adjacent doubles any tolerance would hide a wrong side
-    assert cut == (oracle_node["feature"], oracle_node["threshold"])
-    assert_tree_equals_oracle(tree, oracle_node["left"], left[node_id])
-    assert_tree_equals_oracle(tree, oracle_node["right"], right[node_id])
+def depth_first_shape_oracle(feature):
+    """The shape of one tree listed depth first in `feature` (-1 at a leaf),
+    by recursive descent: (left, right, leaf_id, depth).
+
+    An inner node's left child is the next node and its right child the node
+    after its left subtree; -1 stands for no child. Leaves are numbered in
+    node order (-1 at inner nodes), and depth is the longest root-to-leaf
+    path, in splits. The sequence must end at the root's subtree's end.
+    """
+    feature = [int(f) for f in feature]
+    left, right, leaf_id = ([-1] * len(feature) for _ in range(3))
+    leaves = deepest = 0
+
+    def subtree(node, depth):
+        """Parse the subtree at `node`; the node after it."""
+        nonlocal leaves, deepest
+        deepest = max(deepest, depth)
+        if feature[node] < 0:
+            leaf_id[node] = leaves
+            leaves += 1
+            return node + 1
+        left[node] = node + 1
+        right[node] = subtree(node + 1, depth + 1)
+        return subtree(right[node], depth + 1)
+
+    assert subtree(0, 0) == len(feature), "the sequence runs past its root's subtree"
+    return left, right, leaf_id, deepest
+
+
+def assert_tree_equals_oracle(tree, oracle_node):
+    left, right, leaf_id, _ = depth_first_shape_oracle(tree.feature)
+    feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+
+    def check(node_id, oracle_node):
+        if "feature" not in oracle_node:
+            assert left[node_id] < 0, f"node {node_id}: expected a leaf"
+            assert tree.leaf_rows[leaf_id[node_id]].tolist() == oracle_node["rows"]
+            return
+        assert left[node_id] >= 0, f"node {node_id}: expected an internal node"
+        cut = (feature[node_id], threshold[node_id])
+        assert cut in oracle_node["ties"], f"node {node_id}: {cut} is not an exact best cut"
+        # bit for bit: between adjacent doubles any tolerance would hide a wrong side
+        assert cut == (oracle_node["feature"], oracle_node["threshold"])
+        check(left[node_id], oracle_node["left"])
+        check(right[node_id], oracle_node["right"])
+
+    check(0, oracle_node)
 
 
 def knn_scan(points, x, k):
@@ -291,7 +324,7 @@ def leaf_node_oracle(tree, x):
     """Node id of the leaf the encoded row x falls in: a walk from the root,
     one node at a time, x[feature] <= threshold going left."""
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-    left, right = tree.left.tolist(), tree.right.tolist()
+    left, right, _, _ = depth_first_shape_oracle(feature)
     xv = np.asarray(x, dtype=float).tolist()
     node = 0
     while left[node] >= 0:
@@ -301,7 +334,8 @@ def leaf_node_oracle(tree, x):
 
 def _forest_leaf(tree, cols, x):
     """Leaf id of the encoded row x in one forest tree, by a walk from the root."""
-    return tree.leaf_id.tolist()[leaf_node_oracle(tree, np.asarray(x, dtype=float)[cols])]
+    leaf_id = depth_first_shape_oracle(tree.feature)[2]
+    return leaf_id[leaf_node_oracle(tree, np.asarray(x, dtype=float)[cols])]
 
 
 def qrf_oracle(forest, x, alpha):

@@ -1,9 +1,9 @@
 """CART's node loop, pinned by digest: the trees `build_cart`, `fit_rf` and
 `fit_gb` grow on one seeded synthetic design must keep every bit.
 
-A digest covers each tree's node arrays (`feature`, `threshold`, `left`,
-`right`, `leaf_id`, `value`), its depth and its leaf rows, in tree order, and
-for a forest also each tree's `in_bag_leaf`. The digests were recorded from
+A digest covers each tree's node arrays, the stored `feature`, `threshold`
+and `value` and the derived `left`, `right` and `leaf_id`, its depth and its
+leaf rows, in tree order, and for a forest also each tree's `in_bag_leaf`. The digests were recorded from
 the node loop that handed a searched child its sorted rows by boolean mask;
 any rewrite of the loop must grow the same trees.
 """
@@ -16,7 +16,10 @@ import pytest
 from partqr.baselines import fit_gb, fit_rf
 from partqr.data import encode
 from partqr.evaluation import SyntheticSpec, generate_synthetic
-from partqr.partition import NODE_ARRAYS, build_cart
+from partqr.partition import build_cart
+
+# the node arrays a digest covers, in the order it reads them
+NODE_ARRAYS = ("feature", "threshold", "left", "right", "leaf_id", "value")
 
 DIGESTS = {
     "build_cart": "115f827b0157c427f30dc53a9fa3148190ff07e8fcf0d2f6cf8974f059968855",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     assert_tree_equals_oracle,
     cart_oracle,
+    depth_first_shape_oracle,
     knn_scan,
     node_sse,
     node_view,
@@ -18,7 +19,9 @@ from oracles import (
 
 from partqr.baselines import fit_gb
 from partqr.partition import (
+    RegressionTree,
     _best_split,
+    _shape,
     assign_cluster,
     build_cart,
     check_trees,
@@ -126,6 +129,54 @@ class TestCart:
             build_cart(X, np.arange(4.0), max_depth=-1)
         with pytest.raises(ValueError):
             build_cart(X, np.arange(4.0), max_depth=2, min_samples_split=1)
+
+
+@st.composite
+def depth_first_features(draw, max_nodes=60):
+    """One tree's `feature` array, depth first: each node is a leaf (-1) or
+    splits on one of four features, and the tree closes within `max_nodes`."""
+    feature, open_places = [], 1
+    while open_places:
+        inner = len(feature) + open_places + 1 < max_nodes and draw(st.booleans())
+        feature.append(draw(st.integers(0, 3)) if inner else -1)
+        open_places += 1 if inner else -1
+    return feature
+
+
+LEFT_CHAIN = [0] * 40 + [-1] * 41
+RIGHT_CHAIN = [0, -1] * 40 + [-1]
+
+
+class TestShape:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(depth_first_features(), min_size=1, max_size=50))
+    @example([[-1]])
+    @example([LEFT_CHAIN])
+    @example([RIGHT_CHAIN, [-1], LEFT_CHAIN])
+    def test_shape_equals_recursive_descent(self, trees):
+        sizes = [len(tree) for tree in trees]
+        right, leaf_id, roots, depth = _shape(np.concatenate(trees).astype(np.intp), sizes)
+        assert roots.tolist() == (np.cumsum(sizes) - sizes).tolist()
+        depths = []
+        for tree, root in zip(trees, roots.tolist()):
+            _, want_right, want_leaf_id, want_depth = depth_first_shape_oracle(tree)
+            nodes = slice(root, root + len(tree))
+            # in the stack a leaf is its own right child
+            own = [i if r < 0 else r for i, r in enumerate(want_right)]
+            assert (right[nodes] - root).tolist() == own
+            assert leaf_id[nodes].tolist() == want_leaf_id
+            depths.append(want_depth)
+        assert depth == max(depths)
+
+    @settings(max_examples=60, deadline=None)
+    @given(depth_first_features())
+    @example(LEFT_CHAIN)
+    @example(RIGHT_CHAIN)
+    def test_a_trees_derived_arrays_equal_recursive_descent(self, feature):
+        tree = RegressionTree(feature, np.full(len(feature), np.nan), np.zeros(len(feature)), 4)
+        left, right, leaf_id, depth = depth_first_shape_oracle(feature)
+        assert (tree.left.tolist(), tree.right.tolist(), tree.leaf_id.tolist()) == (left, right, leaf_id)
+        assert tree.depth == depth and tree.n_leaves == max(leaf_id) + 1
 
 
 def tie_heavy_design(kind, rng):

@@ -1,8 +1,8 @@
 """Trees in model files: each tree depth first, as its `feature` array (-1 at
 a leaf), its inner nodes' thresholds and, where prediction reads them, its
 leaf values; a forest's or boosting run's trees laid end to end with their
-node counts (`nodes`). Loading derives the children, leaf ids and depth, and
-refuses any array that does not hold whole trees.
+node counts (`nodes`). A loaded tree is those arrays, so it keeps every bit
+of the fitted one; loading refuses any array that does not hold whole trees.
 """
 
 import json
@@ -31,13 +31,12 @@ def _round_trip(trees, values: bool, stacked: bool = True):
     assert len(back) == len(trees)
     for own, loaded in zip(trees, back):
         inner, leaf = own.feature >= 0, own.feature < 0
-        for key in ("feature", "left", "right", "leaf_id"):
-            a, b = getattr(own, key), getattr(loaded, key)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        a, b = own.feature, loaded.feature
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         assert own.threshold[inner].tobytes() == loaded.threshold[inner].tobytes()
         if values:
             assert own.value[leaf].tobytes() == loaded.value[leaf].tobytes()
-        assert loaded.n_features == own.n_features and loaded.depth == own.depth
+        assert loaded.n_features == own.n_features
     return back
 
 

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import leaf_node_oracle, qrf_quantiles_by_tree
+from oracles import depth_first_shape_oracle, leaf_node_oracle, qrf_quantiles_by_tree
 
 from partqr import partition
 from partqr.baselines import fit_gb, fit_rf, predict_gb, predict_rf, qrf_predict
@@ -77,7 +77,8 @@ def test_single_tree_walk_equals_node_walk(seed, bound_blocks):
         Q = np.vstack([Q, on])
         want = [leaf_node_oracle(tree, q) for q in Q]
         assert _stack_leaves(tree.walk, Q)[:, 0].tolist() == want
-        assert route(tree, Q).tolist() == tree.leaf_id[want].tolist()
+        leaf_id = depth_first_shape_oracle(tree.feature)[2]
+        assert route(tree, Q).tolist() == [leaf_id[node] for node in want]
         assert predict_tree_mean(tree, Q).tobytes() == tree.value[want].tobytes()
 
 
