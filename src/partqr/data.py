@@ -369,12 +369,18 @@ def encode_once(
 def encode_row(schema: FeatureSchema, encoding: CategoricalEncoding, rows) -> np.ndarray:
     """Encode a batch of rows into an (n, width) design matrix: a Dataset of
     `schema`, read column by column, or raw rows (each ordered per schema),
-    transposed once here. This is the one place predictors are one-hot
-    encoded; `encode` builds its matrix here. An unseen level encodes to all
-    zeros; a missing or non-numeric cell raises ValueError naming the column,
-    and so does a single raw row, which is not a batch.
+    read as `Dataset(schema, rows)`. This is the one place predictors are
+    one-hot encoded; `encode` builds its matrix here. An unseen level
+    encodes to all zeros; a missing predictor cell or a non-numeric cell
+    raises ValueError naming the column, a row of the wrong width names the
+    row, and a single raw row, which is not a batch, raises ValueError.
     """
-    column = _dataset_columns(schema, rows) if isinstance(rows, Dataset) else _raw_columns(schema, rows)
+    if not isinstance(rows, Dataset):
+        first = next(iter(rows), ())
+        if isinstance(first, (str, bytes)) or not isinstance(first, (Sequence, np.ndarray)):
+            raise ValueError(f"expected a batch of rows, got a single row or cell: {first!r}")
+        rows = Dataset(schema, rows)
+    column = _dataset_columns(schema, rows)
     values = np.zeros((len(rows), len(encoded_columns(schema, encoding))))
     j = 0
     for name in schema.predictors():
@@ -407,34 +413,6 @@ def _dataset_columns(schema: FeatureSchema, dataset: Dataset):
         if None in stored:
             raise ValueError(f"missing value in column {name!r}")
         return stored
-
-    return column
-
-
-def _raw_columns(schema: FeatureSchema, rows):
-    """What `encode_row` reads of a batch of raw rows, as `_dataset_columns`
-    does of a dataset. The batch is checked, once, to be a batch: a string
-    or a value that is not a sequence, where its first row should be, raises
-    ValueError."""
-    first = next(iter(rows), ())
-    if isinstance(first, (str, bytes)) or not isinstance(first, (Sequence, np.ndarray)):
-        raise ValueError(f"expected a batch of rows, got a single row or cell: {first!r}")
-    expected = len(schema.columns)
-    for row in rows:
-        if len(row) != expected:
-            raise SchemaError(f"row has {len(row)} values, expected {expected}")
-    transposed = list(zip(*rows)) or [()] * expected
-
-    def column(name: str):
-        cells = transposed[schema.index_of(name)]
-        if None in cells:
-            raise ValueError(f"missing value in column {name!r}")
-        if schema.kind_of(name) == "categorical":
-            return cells
-        try:
-            return [float(v) for v in cells]
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"non-numeric value in numeric column {name!r}") from exc
 
     return column
 

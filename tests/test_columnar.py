@@ -296,3 +296,24 @@ class TestSingleRawRow:
         with pytest.raises(ValueError, match="expected a batch of rows"):
             fit.predict_point(data.rows[0])
         assert fit.predict_point(data.rows[:2]).shape == (2,)
+
+
+class TestRawRowBatch:
+    """`encode_row` reads a batch of raw rows as the Dataset of those rows."""
+
+    ROWS = [("p1", None, "a", 1.5, 2.0, None), ("p2", None, "b", -3.0, 0.25, 7.0)]
+
+    def test_equals_the_rows_dataset_bit_for_bit(self):
+        ds = Dataset(SCHEMA, self.ROWS)
+        encoding = fit_encoding(ds)
+        assert encode_row(SCHEMA, encoding, self.ROWS).tobytes() == encode_row(SCHEMA, encoding, ds).tobytes()
+
+    def test_a_width_fault_names_its_row(self):
+        encoding = fit_encoding(Dataset(SCHEMA, self.ROWS))
+        with pytest.raises(SchemaError, match="row 1 has 5 values, expected 6"):
+            encode_row(SCHEMA, encoding, [self.ROWS[0], self.ROWS[1][:5]])
+
+    def test_a_non_numeric_target_cell_fails_as_in_a_csv(self):
+        encoding = fit_encoding(Dataset(SCHEMA, self.ROWS))
+        with pytest.raises(SchemaError, match="non-numeric value in numeric column 'y'"):
+            encode_row(SCHEMA, encoding, [self.ROWS[0][:5] + ("late",)])
