@@ -129,6 +129,11 @@ def prepare_folds(
     come from the training fold and are applied to its test fold.
     """
     _check_caps(dataset.schema, caps)
+    return _prepare_split(dataset, k, seed, caps)
+
+
+def _prepare_split(dataset: Dataset, k: int, seed: int, caps: dict | None) -> list[PreparedFold]:
+    """`prepare_folds`' k folds, its tail caps already checked."""
     return [
         _prepare_fold(dataset.subset(train), dataset.subset(test), caps, _fold_seed(seed, i))
         for i, (train, test) in enumerate(split_kfold(dataset, k, seed))
@@ -140,10 +145,11 @@ def prepare_search(
 ) -> list[PreparedFold]:
     """`prepare_folds`' k folds, then the whole dataset capped and imputed
     the same way: a fold with no test rows, for the winner's refit. Every
-    tail cap is checked against the schema before any fold is prepared."""
+    tail cap is checked against the schema, once, before any fold is
+    prepared."""
     _check_caps(dataset.schema, caps)
     refit = _prepare_fold(dataset, None, caps, _fold_seed(seed, k))
-    return prepare_folds(dataset, k, seed, caps) + [refit]
+    return _prepare_split(dataset, k, seed, caps) + [refit]
 
 
 def _test_matrix(fold: PreparedFold, fit_cache: dict) -> EncodedMatrix:
@@ -202,12 +208,12 @@ def cross_validate(
     per-fold averages. `folds`, when given, must come from
     `prepare_folds(dataset, k, seed, caps)`. `scores`, each fold's `_score`
     (`grid_search` passes those of `_score_folds`), are only pooled here;
-    without them each fold is fitted and scored on its own, with a fresh cache.
+    without them `_score_folds` scores `params` as a grid of one.
     """
     if folds is None:
         folds = prepare_folds(dataset, k, seed, caps)
     if scores is None:
-        scores = [_score(name, params, fold, {}) for fold in folds]
+        scores = _score_folds({name: [params]}, folds)[name][0]
     preds, intervals, param_counts = zip(*scores)
     pooled_pred = np.concatenate(preds)
     pooled_actual = np.concatenate([fold.actual for fold in folds])
