@@ -165,12 +165,7 @@ def fit_composite(
             model.estimators[leaf] = _fit_quantile_table(matrix, y, rows, levels, lam, fit_cache)
     elif kind in ("piecewise_qr", "piecewise_rr"):
         k = int(_require(hyperparams, "n_clusters"))
-        clusters = fit_kmeans(
-            matrix.categorical_submatrix(),
-            k,
-            seed=int(hyperparams.get("seed", 0)),
-            max_iter=int(hyperparams.get("max_iter", 300)),
-        )
+        clusters = fit_kmeans(matrix.categorical_submatrix(), k, seed=int(hyperparams.get("seed", 0)))
         model.clusters = clusters
         assignments = assign_cluster(clusters, matrix.categorical_submatrix())
         for cid in range(clusters.k):
