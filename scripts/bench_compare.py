@@ -11,9 +11,11 @@ pairs, and its median is better than the parent's by more than the parent's
 interquartile range. Whether lower or higher is better comes from the
 `end_to_end` list of the BENCHMARK.json at the root of this repository.
 
-It then prints, per workload, the traced medians of each per-layer
-`<name>.s` over `kernel_s` (each traced seed's ratio, then their median),
-for the layers where either side is nonzero. The script reads the two files
+It also prints each side's line count of the `.py` files under `src/`
+(`src_lines`; "n/a" in a file recorded before it was kept) and, per
+workload, the traced medians of each per-layer `<name>.s` over `kernel_s`
+(each traced seed's ratio, then their median), for the layers where either
+side is nonzero. The script reads the two files
 only and never imports partqr.
 """
 
@@ -112,7 +114,10 @@ def _fmt(value: float) -> str:
 def report(base_doc: dict, head_doc: dict, better: dict[str, str]) -> list[str]:
     """The printed lines."""
     base_tag, head_tag = base_doc.get("tag", "base"), head_doc.get("tag", "head")
-    lines = [f"{base_tag} -> {head_tag}: median [q1, q3]; ratio = {head_tag} / {base_tag}"]
+    lines = [
+        f"{base_tag} -> {head_tag}: median [q1, q3]; ratio = {head_tag} / {base_tag}",
+        f"src lines: {base_doc.get('src_lines', 'n/a')} -> {head_doc.get('src_lines', 'n/a')}",
+    ]
     for workload, metrics in compare(base_doc, head_doc, better).items():
         lines.append(f"{workload}")
         for name, c in metrics.items():

@@ -19,8 +19,8 @@ perfbench's `ReferenceKernel` (from its own checkout) in its own process
 just before and just after each traced run and stores the mean of the two
 as that run's `kernel_s` metric: read a per-layer `s` as `s / kernel_s`
 across phases of the machine. Tier-1 then runs once per checkout. Each
-checkout's file holds its commit, nproc, the Python, numpy and scipy
-versions, the per-seed end-to-end metrics and their medians, the
+checkout's file holds its commit, the line count of the `.py` files under
+its `src/` (`src_lines`), nproc, the Python, numpy and scipy versions, the per-seed end-to-end metrics and their medians, the
 per-seed traced metrics and their medians, and Tier-1's pass, fail and skip
 counts with its wall time.
 """
@@ -81,18 +81,30 @@ def _git(root: str, *args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else ""
 
 
-def _source_sha256(root: str) -> str:
-    """One digest of every file under src/ but __pycache__, by relative path and content."""
-    digest = hashlib.sha256()
+def _source_files(root: str):
+    """Every file under src/ but __pycache__, in a fixed order, as (its path
+    relative to src/, its contents)."""
     src = os.path.join(root, "src")
     for folder, dirs, files in os.walk(src):
         dirs[:] = sorted(d for d in dirs if d != "__pycache__")  # in place, so walk skips them
         for name in sorted(files):
             path = os.path.join(folder, name)
-            digest.update(os.path.relpath(path, src).encode() + b"\0")
             with open(path, "rb") as fh:
-                digest.update(fh.read())
+                yield os.path.relpath(path, src), fh.read()
+
+
+def _source_sha256(root: str) -> str:
+    """One digest of every file under src/ but __pycache__, by relative path and content."""
+    digest = hashlib.sha256()
+    for rel, data in _source_files(root):
+        digest.update(rel.encode() + b"\0")
+        digest.update(data)
     return digest.hexdigest()
+
+
+def _src_lines(root: str) -> int:
+    """The line count of the .py files under src/."""
+    return sum(data.count(b"\n") for rel, data in _source_files(root) if rel.endswith(".py"))
 
 
 def run_perfbench(root: str, workload: str, seed: int, trace: int) -> dict:
@@ -153,6 +165,7 @@ def record(checkouts, log=print) -> dict:
             "commit": _git(root, "rev-parse", "HEAD"),
             "dirty": bool(_git(root, "status", "--porcelain", "--", "src")),
             "source_sha256": _source_sha256(root),
+            "src_lines": _src_lines(root),
             "recorded_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
             "paired_with": next(t for t, _ in checkouts if t != tag),
             "command": f"perfbench/run.py --seconds {SECONDS}",

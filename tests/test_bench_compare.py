@@ -110,6 +110,10 @@ def test_report_prints_every_metric_and_the_traced_layers():
     change = bench("pr", [w - 3.0 for w in PARENT_WALL], PARENT_WALL, traced=[(0.8, 0.04)] * 3)
     out = script.report(parent, change, BETTER)
     assert out[0].startswith("pr-parent -> pr")
+    assert out[1] == "src lines: n/a -> n/a"
+    assert script.report({**parent, "src_lines": 4930}, {**change, "src_lines": 4890}, BETTER)[1] == (
+        "src lines: 4930 -> 4890"
+    )
     (wall,) = [line for line in out if line.strip().startswith("wall_ref:")]
     assert "won 10/10" in wall and "gain yes" in wall and "ratio 0.901" in wall
     (rows,) = [line for line in out if line.strip().startswith("rows_s:")]

@@ -110,3 +110,26 @@ def test_kernel_is_timed_just_before_and_after_each_traced_run(recorded):
     for tag, workload, seed, trace in runs:
         if trace == 0:
             assert "kernel_s" not in docs[tag]["workloads"][workload]["seeds"][str(seed)]["metrics"]
+
+
+def test_src_lines_counts_the_py_files_under_src(tmp_path):
+    script = load_script()
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__pycache__").mkdir()
+    (package / "a.py").write_text("one\ntwo\nthree\n", encoding="utf-8")
+    (package / "sub" / "b.py").write_text("four\n", encoding="utf-8")
+    (package / "notes.txt").write_text("not\ncode\n", encoding="utf-8")
+    (package / "__pycache__" / "c.py").write_text("cached\n", encoding="utf-8")
+    (tmp_path / "setup.py").write_text("outside\n", encoding="utf-8")
+    assert script._src_lines(str(tmp_path)) == 4
+    digest = script._source_sha256(str(tmp_path))
+    (package / "__pycache__" / "c.py").write_text("cached again\n", encoding="utf-8")
+    assert script._source_sha256(str(tmp_path)) == digest
+    (package / "notes.txt").write_text("changed\n", encoding="utf-8")
+    assert script._source_sha256(str(tmp_path)) != digest
+
+
+def test_each_checkout_records_its_src_lines(recorded):
+    _, docs, _, _ = recorded
+    assert docs["a"]["src_lines"] == docs["b"]["src_lines"] == 0  # the stub roots hold no src/
