@@ -205,10 +205,10 @@ def unpack_trees(feature, threshold, value, sizes, widths) -> list[RegressionTre
     """The trees whose depth-first arrays are laid end to end: `feature`
     (-1 at a leaf), tree t's `sizes[t]` nodes over `widths[t]` features, the
     inner nodes' `threshold`s and, unless `value` is None, the leaves'
-    values, each in node order. `check_trees` checks the shape and the
-    counts are checked; each tree is then its slice of the three arrays,
-    with a NaN threshold at a leaf and a NaN value at an inner node (and at
-    every node when `value` is None).
+    values, each in node order. After `check_trees` checks the shape and
+    the threshold and value counts are checked, each tree is its slice of
+    the three arrays, with a NaN threshold at a leaf and a NaN value at an
+    inner node (and at every node when `value` is None).
     """
     check_trees(feature, sizes, widths)
     leaf = feature < 0
