@@ -132,25 +132,27 @@ def _shape(feature: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarr
     leaf's is itself), each tree's leaf ids (-1 at inner nodes), each tree's
     root, and the longest path from a root to a leaf, in splits.
 
-    An inner node's left child is the next node. Its right child follows its
-    left subtree, which ends at the first later node after which one place
-    fewer is open than after the inner node itself. Leaf ids number each
-    tree's leaves in node order, and the depth comes from one pass per level
-    down all trees.
+    Let before[i] be the inner nodes ahead of node i less the leaves ahead of
+    it. An inner node's left child is the next node, and its left subtree
+    fills the one extra place the node opens, so its right child is the
+    first later node with as many places open before it: with the same
+    `before`. A stable sort by `before` lists each such pair next to each
+    other. The leaves ahead of node i are (i - before[i]) / 2, which numbers
+    each tree's leaves in node order, and the depth comes from one pass per
+    level down all trees.
     """
     n = feature.size
     sizes = np.asarray(sizes, dtype=np.intp)
-    roots = np.cumsum(sizes) - sizes
+    roots = np.add.accumulate(sizes) - sizes
     leaf = feature < 0
-    inner = np.flatnonzero(~leaf)
-    opened = np.cumsum(np.where(leaf, -1, 1))
-    # nodes by places open after them, then by id: the right child of inner
-    # node i follows the first later node with opened[i] - 1 places
-    order = np.argsort(opened, kind="stable")
-    keys = opened[order] * (n + 1) + order
-    right = np.arange(n, dtype=np.intp)
-    right[inner] = order[np.searchsorted(keys, (opened[inner] - 1) * (n + 1) + inner + 1)] + 1
-    leaves_before = np.cumsum(leaf) - leaf  # leaves ahead of each node, in any tree
+    before = np.zeros(n + 1, dtype=np.intp)
+    np.add.accumulate(np.where(leaf, -1, 1), out=before[1:])
+    order = np.argsort(before, kind="stable")
+    after = np.empty(n + 1, dtype=np.intp)  # the next node with the same `before`
+    after[order[:-1]] = order[1:]
+    node = np.arange(n, dtype=np.intp)
+    right = np.where(leaf, node, after[:-1])
+    leaves_before = (node - before[:-1]) // 2
     leaf_id = np.where(leaf, leaves_before - np.repeat(leaves_before[roots], sizes), -1)
     level, depth = roots, -1
     while level.size:
