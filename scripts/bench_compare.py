@@ -15,8 +15,8 @@ It also prints each side's line count of the `.py` files under `src/`
 (`src_lines`; "n/a" in a file recorded before it was kept) and, per
 workload, the traced medians of each per-layer `<name>.s` over `kernel_s`
 (each traced seed's ratio, then their median), for the layers where either
-side is nonzero. The script reads the two files
-only and never imports partqr.
+side is nonzero. The script reads the two files only and never imports
+partqr.
 """
 
 from __future__ import annotations

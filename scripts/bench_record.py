@@ -20,9 +20,10 @@ just before and just after each traced run and stores the mean of the two
 as that run's `kernel_s` metric: read a per-layer `s` as `s / kernel_s`
 across phases of the machine. Tier-1 then runs once per checkout. Each
 checkout's file holds its commit, the line count of the `.py` files under
-its `src/` (`src_lines`), nproc, the Python, numpy and scipy versions, the per-seed end-to-end metrics and their medians, the
-per-seed traced metrics and their medians, and Tier-1's pass, fail and skip
-counts with its wall time.
+its `src/` (`src_lines`), nproc, the Python, numpy and scipy versions, the
+per-seed end-to-end metrics and their medians, the per-seed traced metrics
+and their medians, and Tier-1's pass, fail and skip counts with its wall
+time.
 """
 
 from __future__ import annotations
