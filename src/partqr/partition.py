@@ -132,34 +132,35 @@ def _shape(feature: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarr
     leaf's is itself), each tree's leaf ids (-1 at inner nodes), each tree's
     root, and the longest path from a root to a leaf, in splits.
 
-    Let before[i] be the inner nodes ahead of node i less the leaves ahead of
-    it. An inner node's left child is the next node, and its left subtree
+    Let before[i] be the inner nodes ahead of node i less the leaves ahead
+    of it. An inner node's left child is the next node, and its left subtree
     fills the one extra place the node opens, so its right child is the
-    first later node with as many places open before it: with the same
-    `before`. A stable sort by `before` lists each such pair next to each
-    other. The leaves ahead of node i are (i - before[i]) / 2, which numbers
-    each tree's leaves in node order, and the depth comes from one pass per
-    level down all trees.
+    first later node with the same `before`: a stable sort by `before` puts
+    each right child just after its parent. A node's subtree so ends after
+    the first leaf at or after it in that order, the foot of its chain of
+    right children, and a node's depth is the number of nodes ahead of it
+    whose subtrees have not ended. The leaves ahead of node i are
+    (i - before[i]) / 2, which numbers each tree's leaves in node order.
     """
     n = feature.size
     sizes = np.asarray(sizes, dtype=np.intp)
     roots = np.add.accumulate(sizes) - sizes
     leaf = feature < 0
-    before = np.zeros(n + 1, dtype=np.intp)
-    np.add.accumulate(np.where(leaf, -1, 1), out=before[1:])
-    order = np.argsort(before, kind="stable")
-    after = np.empty(n + 1, dtype=np.intp)  # the next node with the same `before`
-    after[order[:-1]] = order[1:]
     node = np.arange(n, dtype=np.intp)
-    right = np.where(leaf, node, after[:-1])
-    leaves_before = (node - before[:-1]) // 2
+    before = np.zeros(n, dtype=np.intp)
+    np.add.accumulate(np.where(leaf[:-1], -1, 1), out=before[1:])
+    order = np.argsort(before, kind="stable")
+    after = np.empty(n, dtype=np.intp)  # the next node in that order
+    after[order[:-1]] = order[1:]
+    right = np.where(leaf, node, after)
+    # each position of `order`: the first at or after it that holds a leaf
+    foot = np.minimum.accumulate(np.where(leaf[order], node, n)[::-1])[::-1]
+    end = np.empty(n, dtype=np.intp)  # one past each node's subtree
+    end[order] = order[foot] + 1
+    ended = np.add.accumulate(np.bincount(end, minlength=n + 1)[:n])
+    leaves_before = (node - before) // 2
     leaf_id = np.where(leaf, leaves_before - np.repeat(leaves_before[roots], sizes), -1)
-    level, depth = roots, -1
-    while level.size:
-        level = level[~leaf[level]]
-        level = np.concatenate([level + 1, right[level]])
-        depth += 1
-    return right, leaf_id, roots, depth
+    return right, leaf_id, roots, int((node - ended).max())
 
 
 def check_trees(feature: np.ndarray, sizes, widths) -> None:
