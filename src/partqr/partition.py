@@ -136,7 +136,7 @@ def _shape(feature: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, np.ndarr
     of it. An inner node's left child is the next node, and its left subtree
     fills the one extra place the node opens, so its right child is the
     first later node with the same `before`: a stable sort by `before` puts
-    each right child just after its parent. A node's subtree so ends after
+    each right child just after its parent. So a node's subtree ends after
     the first leaf at or after it in that order, the foot of its chain of
     right children, and a node's depth is the number of nodes ahead of it
     whose subtrees have not ended. The leaves ahead of node i are
