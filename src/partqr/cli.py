@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, load_config
-from .data import Dataset, FeatureSchema, dataset_from_csv, nonempty_rows
+from .data import Dataset, FeatureSchema, dataset_from_csv, record_lines
 from .evaluation import SyntheticSpec, benchmark, generate_synthetic, grid_search
 from .models import MODEL_NAMES, MODELS
 from .pipeline import (
@@ -215,7 +215,7 @@ def cmd_predict(args) -> int:
         bad = np.flatnonzero(~np.isfinite(forecasts).all(axis=1))
         if bad.size:
             i = int(bad[0])
-            line = nonempty_rows(args.input)[1][i]  # blank lines were skipped
+            line = record_lines(args.input)[i]  # the line its record starts on
             raise RuntimeError(
                 f"{args.input}:{line}: non-finite forecast "
                 f"{np.broadcast_to(forecasts[i], 3).tolist()} for input row {i + 1}"

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import compress, count, repeat
+from itertools import repeat
 from operator import itemgetter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -464,24 +464,74 @@ def split_kfold(dataset: Dataset, k: int, seed: int) -> list[tuple[np.ndarray, n
 
 
 def read_csv(path, delimiter: str = ",") -> tuple[list[str], list[list[str]]]:
-    """Read an RFC 4180 CSV; first row is the header."""
+    """An RFC 4180 CSV's header and its records that have a non-empty cell:
+    records whose cells are all empty, blank lines among them, are skipped.
+    This is the one CSV reader of every input file; an empty file raises
+    SchemaError naming the path, and `record_lines` gives the line each
+    record starts on."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, expected a header row")
-        rows = list(reader)
-    return header, rows
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file, expected a header row")
+        return header, list(filter(any, reader))
 
 
-def nonempty_rows(path, delimiter: str = ",") -> tuple[list[str], list[int], list[list[str]]]:
-    """A CSV's header, then the line and cells of each row that has a
-    non-empty cell: rows whose cells are all empty are skipped. The header is
-    line 1. These are the rows, and lines, of `dataset_from_csv`."""
-    header, raw_rows = read_csv(path, delimiter=delimiter)
-    nonempty = list(map(any, raw_rows))
-    return header, list(compress(count(2), nonempty)), list(compress(raw_rows, nonempty))
+def record_lines(path, delimiter: str = ",") -> list[int]:
+    """The line each record of `read_csv(path, delimiter)` starts on, the
+    header's being line 1; a quoted cell may span lines. The file is read
+    again, so only an error message should ask."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        next(reader, None)
+        lines, start = [], reader.line_num + 1
+        for record in reader:
+            if any(record):
+                lines.append(start)
+            start = reader.line_num + 1
+    return lines
+
+
+def csv_columns(header: list[str], records: list[list[str]], names) -> dict[str, list[str]]:
+    """The cells of each of `names` in `records`: a short record reads as
+    empty trailing cells, and a name the header lacks as all empty cells."""
+    width = len(header)
+    if min(map(len, records), default=width) < width:
+        records = [r + [""] * (width - len(r)) for r in records]
+    return {
+        name: list(map(itemgetter(header.index(name)), records)) if name in header else [""] * len(records)
+        for name in names
+    }
+
+
+def parse_floats(cells: list[str]) -> NumericColumn | None:
+    """A column of CSV cells as numbers, an empty cell missing; None if a
+    non-empty cell does not parse as a float."""
+    try:
+        if "" not in cells:
+            return NumericColumn(np.array(list(map(float, cells)), dtype=float), np.zeros(len(cells), bool))
+        return NumericColumn(
+            np.array([float(c) if c else 0.0 for c in cells], dtype=float),
+            np.array([not c for c in cells], dtype=bool),
+        )
+    except ValueError:
+        return None
+
+
+def check_finite(path, delimiter: str, cells: dict[str, list[str]], parsed: dict) -> None:
+    """Raise SchemaError unless every non-empty cell of each column `name`
+    of `parsed`, which holds `parse_floats(cells[name])` or of its leading
+    cells, is a finite number. The error names the path, the line the bad
+    cell's record starts on and the column; of several bad cells, the first
+    in row-major order: lowest line, then leftmost column of `parsed`."""
+    bad = [
+        next((i, j, name, fault) for i, c in enumerate(cells[name]) if c and (fault := _cell_fault(c)))
+        for j, (name, column) in enumerate(parsed.items())
+        if column is None or not np.isfinite(column.data).all()
+    ]
+    if bad:
+        i, _, name, fault = min(bad)
+        raise SchemaError(f"{path}:{record_lines(path, delimiter)[i]}: column {name!r}: {fault}")
 
 
 def dataset_from_csv(
@@ -504,7 +554,7 @@ def dataset_from_csv(
     so a `nan` cell still makes it numeric and then fails; otherwise it is
     categorical. `overrides` names kinds that win over the inferred ones.
     """
-    header, lines, raws = nonempty_rows(path, delimiter=delimiter)
+    header, records = read_csv(path, delimiter=delimiter)
     if schema is None:
         overrides = overrides or {}
         columns = [(name, overrides.get(name)) for name in header]  # None: infer
@@ -515,69 +565,25 @@ def dataset_from_csv(
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}")
         columns = schema.columns
-
-    full = min(map(len, raws), default=0) >= len(header)
-
-    def cells_of(name: str) -> list[str]:
-        if name not in header:  # an absent target column
-            return [""] * len(raws)
-        pos = header.index(name)
-        if full:
-            return list(map(itemgetter(pos), raws))
-        return [raw[pos] if pos < len(raw) else "" for raw in raws]
-
+    cells = csv_columns(header, records, [name for name, _ in columns])
     # one column at a time: its floats, if every non-empty cell parses
-    parsed = {}
-    for name, kind in columns:
-        if kind in (None, "numeric"):
-            parsed[name] = _parse_floats(cells_of(name))
+    parsed = {name: parse_floats(cells[name]) for name, kind in columns if kind in (None, "numeric")}
     if schema is None:  # built, and its errors raised, before any cell's
         inferred = {name: "categorical" if parsed.get(name) is None else "numeric" for name in header}
         kinds = [inferred[name] if kind is None else kind for name, kind in columns]
         schema = FeatureSchema(tuple(zip(header, kinds)), target=target, weight_units=weight_units)
-    # of several bad cells, the error names the first in row-major order:
-    # lowest line, then leftmost column
-    stored, bad = [], []
-    for j, (name, kind) in enumerate(schema.columns):
-        if kind != "numeric":
-            stored.append([c or None for c in cells_of(name)])
-            continue
-        column = parsed.get(name)
-        if column is not None and np.isfinite(column.data).all():
-            stored.append(column)
-            continue
-        for i, c in enumerate(cells_of(name)):
-            if c:
-                try:
-                    _finite_cell(c, path, lines[i], name)
-                except SchemaError as exc:
-                    bad.append((i, j, exc))
-                    break
-    if bad:
-        raise min(bad)[2]
-    return Dataset.from_columns(schema, stored)
+    numeric = {name: parsed[name] for name, kind in schema.columns if kind == "numeric"}
+    check_finite(path, delimiter, cells, numeric)
+    return Dataset.from_columns(schema, [
+        numeric[name] if kind == "numeric" else [c or None for c in cells[name]]
+        for name, kind in schema.columns
+    ])
 
 
-def _parse_floats(cells: list[str]) -> NumericColumn | None:
-    """A column of CSV cells as numbers, an empty cell missing; None if a
-    non-empty cell does not parse as a float."""
-    try:
-        if "" not in cells:
-            return NumericColumn(np.array(list(map(float, cells)), dtype=float), np.zeros(len(cells), bool))
-        return NumericColumn(
-            np.array([float(c) if c else 0.0 for c in cells], dtype=float),
-            np.array([not c for c in cells], dtype=bool),
-        )
-    except ValueError:
-        return None
-
-
-def _finite_cell(text: str, path, line: int, column: str) -> float:
-    """A numeric cell as a float; `nan`, `inf` and non-numbers raise SchemaError."""
+def _cell_fault(text: str) -> str | None:
+    """What is wrong with a numeric cell, or None if it is a finite number."""
     try:
         value = float(text)
     except ValueError:
-        raise SchemaError(f"{path}:{line}: column {column!r}: {text!r} is not a number") from None
-    if not math.isfinite(value):
-        raise SchemaError(f"{path}:{line}: column {column!r}: non-finite value {text!r}")
-    return value
+        return f"{text!r} is not a number"
+    return None if math.isfinite(value) else f"non-finite value {text!r}"

@@ -7,15 +7,16 @@ caps) are learned from training rows only and applied elsewhere.
 
 from __future__ import annotations
 
-import csv
 import warnings
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 
 import numpy as np
 from scipy.special import chdtrc
 
-from .data import Dataset, FeatureSchema, NumericColumn, SchemaError, _finite_cell
+from .data import Dataset, FeatureSchema, NumericColumn, SchemaError
+from .data import check_finite, csv_columns, parse_floats, read_csv, record_lines
 
 
 @dataclass(frozen=True)
@@ -62,18 +63,15 @@ def zip_region(zip_code: str) -> str:
 
 
 def load_climate_table(path) -> dict[str, str]:
-    """CSV with header region,climate (extra columns rejected as malformed)."""
-    table = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header] != ["region", "climate"]:
-            raise ValueError(f"{path}: expected header 'region,climate'")
-        for row in reader:
-            if len(row) != 2:
-                raise ValueError(f"{path}:{reader.line_num}: malformed row {row!r}")
-            table[row[0]] = row[1]
-    return table
+    """CSV with header region,climate and two cells per row (a short or a
+    long row is malformed)."""
+    header, records = read_csv(path)
+    if [h.strip().lower() for h in header] != ["region", "climate"]:
+        raise ValueError(f"{path}: expected header 'region,climate'")
+    if set(map(len, records)) - {2}:
+        i = next(i for i, r in enumerate(records) if len(r) != 2)
+        raise ValueError(f"{path}:{record_lines(path)[i]}: malformed row {records[i]!r}")
+    return dict(records)
 
 
 def attach_climate(region: str | None, table: dict[str, str]) -> str:
@@ -422,6 +420,11 @@ def impute(dataset: Dataset) -> Dataset:
     return fit_imputer(dataset).transform(dataset)
 
 
+# each MilestoneRecord field's CSV column, in field order
+MILESTONE_COLUMNS = ("project_id", "site_id", "milestone", "phase", "actual_date", "city", "state",
+                     "region", "market", "latitude", "longitude", "zip")
+
+
 def read_milestone_csv(path, delimiter: str = ",") -> list[MilestoneRecord]:
     """Load milestone records; only project_id/site_id/milestone are mandatory,
     and columns that no record field reads are ignored.
@@ -429,51 +432,30 @@ def read_milestone_csv(path, delimiter: str = ",") -> list[MilestoneRecord]:
     A bad `actual_date`, `latitude` or `longitude` cell raises SchemaError
     naming the path, the line and the column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, delimiter=delimiter)
-        required = {"project_id", "site_id", "milestone"}
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"{path}: missing columns {sorted(missing)}")
-        records = []
-        for row in reader:
-            def get(key):
-                v = row.get(key, "")
-                return v if v not in ("", None) else None
-
-            def coordinate(key):
-                v = get(key)
-                return None if v is None else _finite_cell(v, path, reader.line_num, key)
-
-            def actual_date():
-                v = get("actual_date")
-                if v is None:
-                    return None
-                try:
-                    return parse_date(v)
-                except ValueError:
-                    raise SchemaError(
-                        f"{path}:{reader.line_num}: column 'actual_date': "
-                        f"{v!r} is not a YYYY-MM-DD date"
-                    ) from None
-
-            records.append(
-                MilestoneRecord(
-                    project_id=row["project_id"],
-                    site_id=row["site_id"],
-                    milestone=row["milestone"],
-                    phase=get("phase"),
-                    actual_date=actual_date(),
-                    city=get("city"),
-                    state=get("state"),
-                    region=get("region"),
-                    market=get("market"),
-                    latitude=coordinate("latitude"),
-                    longitude=coordinate("longitude"),
-                    zip_code=get("zip"),
-                )
-            )
-    return records
+    header, records = read_csv(path, delimiter=delimiter)
+    missing = {"project_id", "site_id", "milestone"} - set(header)
+    if missing:
+        raise ValueError(f"{path}: missing columns {sorted(missing)}")
+    cells = csv_columns(header, records, MILESTONE_COLUMNS)
+    dates = []
+    with suppress(ValueError):  # the dates before the first bad one
+        for text in cells["actual_date"]:
+            dates.append(parse_date(text) if text else None)
+    # a bad coordinate on a record before the first bad date is named first
+    n = len(dates)
+    coordinates = {k: parse_floats(cells[k][:n]) for k in ("latitude", "longitude")}
+    check_finite(path, delimiter, cells, coordinates)
+    if n < len(records):
+        raise SchemaError(
+            f"{path}:{record_lines(path, delimiter)[n]}: column 'actual_date': "
+            f"{cells['actual_date'][n]!r} is not a YYYY-MM-DD date"
+        )
+    fields = {k: [c or None for c in column] for k, column in cells.items()}
+    fields.update(  # the mandatory cells as they are, and the parsed ones
+        project_id=cells["project_id"], site_id=cells["site_id"], milestone=cells["milestone"],
+        actual_date=dates, **{k: column.cells() for k, column in coordinates.items()},
+    )
+    return list(map(MilestoneRecord, *fields.values()))
 
 
 def build_milestone_dataset(
@@ -535,22 +517,21 @@ GWA_CORES = "CPU cores"
 def read_gwa_trace(path, delimiter: str = ";") -> dict[str, list]:
     """One VM KPI trace as {column: values}; numeric columns parsed to float.
 
-    A cell that is not a finite number raises SchemaError naming the path,
-    the line and the column.
+    Header names and cells are stripped (Materna files put a tab after each
+    delimiter), and a row that is blank after the strip is skipped. A cell
+    that is not a finite number raises SchemaError naming the path, the line
+    and the column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        header = [h.strip() for h in next(reader)]
-        if GWA_TIMESTAMP not in header or GWA_TARGET not in header:
-            raise ValueError(f"{path}: not a KPI trace (missing timestamp or target)")
-        data: dict[str, list] = {h: [] for h in header}
-        for row in reader:
-            if not row or all(v.strip() == "" for v in row):
-                continue
-            for h, v in zip(header, row):
-                v = v.strip()
-                data[h].append(_finite_cell(v, path, reader.line_num, h) if v else None)
-    return data
+    header, records = read_csv(path, delimiter=delimiter)
+    header = [h.strip() for h in header]
+    if GWA_TIMESTAMP not in header or GWA_TARGET not in header:
+        raise ValueError(f"{path}: not a KPI trace (missing timestamp or target)")
+    records = [list(map(str.strip, r)) for r in records]
+    cells = csv_columns(header, records, header)
+    parsed = {h: parse_floats(column) for h, column in cells.items()}
+    check_finite(path, delimiter, cells, parsed)
+    kept = np.flatnonzero(list(map(any, records)))
+    return {h: column.take(kept).cells() for h, column in parsed.items()}
 
 
 def build_gwa_dataset(paths, lag_count: int = 3, delimiter: str = ";") -> Dataset:

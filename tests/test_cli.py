@@ -165,6 +165,20 @@ class TestTrain:
         assert "'ingest'" in err and f"{synth_csv}:5: column 'step2_days'" in err
         assert not (tmp_path / "model.json").exists()
 
+    def test_bad_cell_after_a_multi_line_record_names_its_own_line(self, tmp_path, synth_csv, capsys):
+        lines = synth_csv.read_text(encoding="utf-8").splitlines()
+        column = lines[0].split(",").index("step2_days")
+        cells = lines[1].split(",")
+        cells[0] = f'"{cells[0]}\nnorth"'  # record 1 spans lines 2 and 3
+        lines[1] = ",".join(cells)
+        cells = lines[3].split(",")
+        cells[column] = "inf"  # record 3 starts on line 5
+        lines[3] = ",".join(cells)
+        synth_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = write_config(tmp_path, synth_csv)
+        assert main(["train", "--config", str(config)]) == 2
+        assert f"{synth_csv}:5: column 'step2_days'" in capsys.readouterr().err
+
     def test_chi_square_screen_keeps_determinant_drops_independent(self, tmp_path):
         # crew sets the target quartile; every (crew, vendor) pair occurs 10
         # times, so vendor's table against the quartiles is uniform (p = 1)
@@ -437,6 +451,21 @@ class TestPredict:
         assert f"{inp}:3: column 'step2_days'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_cell_after_a_multi_line_record_names_its_own_line(self, tmp_path, synth_csv, capsys):
+        model = self.make_model(tmp_path, synth_csv)
+        inp = tmp_path / "in.csv"
+        inp.write_text(
+            "site_category,step1_days,step2_days,step3_days,step4_days\n"
+            '"metro\nnorth",10,20,30,15\n'
+            "metro,10,20,30,15\n"
+            "metro,10,nan,30,15\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.csv"
+        assert main(["predict", "--model", str(model), "--input", str(inp), "--output", str(out)]) == 2
+        assert f"{inp}:5: column 'step2_days'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_version_1_model_exit_2_writes_nothing(self, tmp_path, synth_csv, capsys):
         self.check_old_version_refused(tmp_path, synth_csv, capsys, 1)
 
@@ -495,6 +524,32 @@ class TestPredict:
             err = capsys.readouterr().err
             assert f"{inp}:{line}: non-finite forecast" in err and "input row 2" in err
             assert not out.exists()
+
+    def test_non_finite_forecast_after_a_multi_line_record_names_its_own_line(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        class Broken:
+            """A fitted model whose forecast for the second row is NaN."""
+
+            schema = generate_synthetic(SyntheticSpec(n_projects=10, seed=3)).schema
+            fill = {}
+
+            def predict_intervals(self, rows):
+                out = np.ones((len(rows), 3))
+                out[1, 1] = np.nan
+                return out
+
+        monkeypatch.setattr("partqr.cli.load_model", lambda path: Broken())
+        inp = tmp_path / "in.csv"
+        inp.write_text(
+            "site_category,step1_days,step2_days,step3_days,step4_days\n"
+            '"metro\nnorth",10,20,30,15\n'
+            "metro,11,20,30,15\n",
+            encoding="utf-8",
+        )
+        args = ["predict", "--model", "m.json", "--input", str(inp), "--output", str(tmp_path / "o.csv")]
+        assert main(args) == 1
+        assert f"{inp}:4: non-finite forecast" in capsys.readouterr().err
 
 
 # Model files are outside input: each edit below breaks one tree, or a
@@ -898,6 +953,21 @@ class TestGwaBenchmark:
         assert report["n_rows"] == sum(n - 3 for n in lengths.values())
         assert report["weight_units"] == "MHZ"
 
+
+    def test_empty_trace_exit_2_names_the_file(self, tmp_path, capsys):
+        trace_dir, _ = self.write_traces(tmp_path)
+        (trace_dir / "vm_c.csv").write_text("", encoding="utf-8")
+        config = {
+            "data": {"path": str(trace_dir), "format": "gwa-trace"},
+            "models": ["ridge"],
+            "model": {"name": "ridge", "grid": {"lam": [0.1]}},
+            "cv": {"folds": 3, "seed": 1},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["benchmark", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"error in stage 'ingest': {trace_dir / 'vm_c.csv'}: empty file" in err
 
 class TestSynthCommand:
     def test_writes_rows_and_sidecar(self, tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from partqr.data import (
     encode_once,
     encode_row,
     fit_encoding,
+    read_csv,
+    record_lines,
     shared,
     split_kfold,
 )
@@ -311,3 +314,35 @@ class TestCsv:
             with pytest.raises(SchemaError) as info:
                 dataset_from_csv(path, target="y", overrides=overrides)
             assert str(info.value) == error
+
+
+class TestReadCsv:
+    """The one reader of every input file: blank records skipped, an empty
+    file refused, and each record's line the one it starts on."""
+
+    def test_records_with_a_non_empty_cell(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('a,b\n1,2\n\n,\n"x\ny",\n3\n', encoding="utf-8")
+        assert read_csv(path) == (["a", "b"], [["1", "2"], ["x\ny", ""], ["3"]])
+        assert record_lines(path) == [2, 5, 7]
+
+    def test_empty_file_names_the_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: empty file")):
+            read_csv(path)
+
+    def test_multi_line_header_and_delimiter(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('"a\nb";c\n1;2\n', encoding="utf-8")
+        assert read_csv(path, delimiter=";") == (["a\nb", "c"], [["1", "2"]])
+        assert record_lines(path, delimiter=";") == [3]
+
+    def test_bad_cell_after_a_multi_line_record_names_its_own_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text('site,days\n"a\nb",5\nc,6\nd,inf\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:5: column 'days'")):
+            dataset_from_csv(path, target="days")
+        path.write_text('site,days\nc,6\n"a\nb",x\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:3: column 'days'")):
+            dataset_from_csv(path, target="days", overrides={"days": "numeric"})

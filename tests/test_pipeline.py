@@ -96,6 +96,17 @@ class TestClimate:
             load_climate_table(path)
 
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "climate.csv"
+        path.write_text("region,climate\nTX,hot-arid\n\nWA,marine\n\n", encoding="utf-8")
+        assert load_climate_table(path) == {"TX": "hot-arid", "WA": "marine"}
+
+    def test_short_row_is_malformed(self, tmp_path):
+        path = tmp_path / "climate.csv"
+        path.write_text('region,climate\n"T\nX",hot\nWA\n', encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:4: malformed row ['WA']")):
+            load_climate_table(path)
+
 class TestIntermediateDurations:
     def test_date_arithmetic(self):
         records = [
@@ -431,6 +442,40 @@ class TestReadGwaTrace:
         assert read_gwa_trace(path)["CPU usage [MHZ]"] == [100.5]
 
 
+    def test_short_row_reads_as_missing_cells(self, tmp_path):
+        path = tmp_path / "vm.csv"
+        path.write_text(
+            "Timestamp [ms];CPU usage [MHZ];CPU cores\n1600000000000;100;4\n1600000300000;90\n",
+            encoding="utf-8",
+        )
+        assert read_gwa_trace(path) == {
+            "Timestamp [ms]": [1600000000000.0, 1600000300000.0],
+            "CPU usage [MHZ]": [100.0, 90.0],
+            "CPU cores": [4.0, None],
+        }
+
+    def test_row_blank_after_strip_is_skipped(self, tmp_path):
+        path = tmp_path / "vm.csv"
+        path.write_text(
+            "Timestamp [ms];\tCPU usage [MHZ]\n1600000000000;\t100\n\t;\t\n1600000300000;\tbusy\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:4: column 'CPU usage [MHZ]'")):
+            read_gwa_trace(path)
+        path.write_text(
+            "Timestamp [ms];\tCPU usage [MHZ]\n1600000000000;\t100\n\t;\t\n1600000300000;\t90\n",
+            encoding="utf-8",
+        )
+        assert read_gwa_trace(path) == {
+            "Timestamp [ms]": [1600000000000.0, 1600000300000.0], "CPU usage [MHZ]": [100.0, 90.0]
+        }
+
+    def test_empty_trace_names_the_file(self, tmp_path):
+        path = tmp_path / "vm.csv"
+        path.write_text("", encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}: empty file")):
+            read_gwa_trace(path)
+
 class TestImpute:
     def make(self, values, kind="numeric"):
         schema = FeatureSchema(
@@ -556,6 +601,38 @@ class TestMilestoneCsv:
         )
         with pytest.raises(SchemaError, match=re.escape(f"{path}:3: column 'actual_date'")):
             read_milestone_csv(path)
+
+    def test_bad_cell_names_the_line_its_record_starts_on(self, tmp_path):
+        path = tmp_path / "m.csv"
+        header = "project_id,site_id,milestone,actual_date,latitude\n"
+        path.write_text(header + 'p1,"s\n1",start,2021-01-01,north\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: column 'latitude'")):
+            read_milestone_csv(path)
+        path.write_text(header + 'p1,"s\n1",start,2021-13-01,1\n', encoding="utf-8")
+        with pytest.raises(SchemaError, match=re.escape(f"{path}:2: column 'actual_date'")):
+            read_milestone_csv(path)
+
+    def test_first_bad_cell_in_row_order(self, tmp_path):
+        """Of a bad date and a bad coordinate, the one on the earlier record
+        is named; on one record, the date."""
+        path = tmp_path / "m.csv"
+        header = "project_id,site_id,milestone,latitude,actual_date\n"
+        for body, line, column in (
+            ("p1,s1,a,x,2021-01-01\np1,s1,b,1,bad\n", 2, "latitude"),
+            ("p1,s1,a,1,bad\np1,s1,b,x,2021-01-01\n", 2, "actual_date"),
+            ("p1,s1,a,x,bad\n", 2, "actual_date"),
+        ):
+            path.write_text(header + body, encoding="utf-8")
+            with pytest.raises(SchemaError, match=re.escape(f"{path}:{line}: column {column!r}")):
+                read_milestone_csv(path)
+
+    def test_blank_and_short_records(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text(
+            "project_id,site_id,milestone,actual_date,latitude\n,,,,\n\np1,s1,start\n",
+            encoding="utf-8",
+        )
+        assert read_milestone_csv(path) == [MilestoneRecord("p1", "s1", "start")]
 
     def test_unread_columns_are_not_parsed(self, tmp_path):
         path = tmp_path / "m.csv"
