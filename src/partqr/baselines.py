@@ -144,11 +144,14 @@ def prune_forest(
     if not 1 <= n_trees <= forest.n_trees:
         raise ValueError(f"cannot cut {n_trees} trees from a forest of {forest.n_trees}")
     n = forest.y_train.shape[0]
+    walk = forest.walk  # every tree's shape, derived once
     trees, in_bag = [], []
     for t, (tree, leaf) in enumerate(zip(forest.trees[:n_trees], forest.in_bag_leaf)):
         _, sample = _bootstrap(forest.seed, t, n, forest.bootstrap)
         sizes = np.bincount(leaf[sample], minlength=tree.n_leaves)
-        cut, leaf_map = _prune(tree, max_depth, min_samples_split, sizes)
+        s, e = walk.roots[t], walk.roots[t] + tree.feature.size
+        right, leaf_id = walk.right[s:e] - s, walk.leaf_id[s:e]  # tree t's own node numbers
+        cut, leaf_map = _prune(tree, right, leaf_id, max_depth, min_samples_split, sizes)
         trees.append(cut)
         in_bag.append(np.where(leaf >= 0, leaf_map[leaf], -1))
     return ForestModel(

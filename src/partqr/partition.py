@@ -395,17 +395,21 @@ def prune(tree: RegressionTree, max_depth: int, min_samples_split: int = 2) -> R
     with the same min_samples_leaf, at least this deep and with at most this
     split size; it is not changed.
     """
-    return _prune(tree, max_depth, min_samples_split)[0]
+    return _prune(tree, tree.walk.right, tree.walk.leaf_id, max_depth, min_samples_split)[0]
 
 
 def _prune(
     tree: RegressionTree,
+    right: np.ndarray,
+    leaf_id: np.ndarray,
     max_depth: int,
     min_samples_split: int,
     leaf_sizes: np.ndarray | None = None,
 ):
     """`prune`, and the new leaf id of each of `tree`'s leaf ids.
 
+    `right` and `leaf_id` are the tree's right children and leaf ids, as
+    its `walk` derives them (a forest's walk derives every tree's at once).
     A tree whose leaves keep no rows (a forest's) gives its row count per
     leaf id in `leaf_sizes`, and its cut leaves keep no rows either.
     """
@@ -418,7 +422,7 @@ def _prune(
         )
     feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
     value = tree.value.tolist()
-    right, leaf_id = tree.walk.right.tolist(), tree.walk.leaf_id.tolist()
+    right, leaf_id = right.tolist(), leaf_id.tolist()
     rows_of = tree.leaf_rows if leaf_sizes is None else None
     if rows_of is not None:
         leaf_sizes = [rows.size for rows in rows_of]
@@ -512,12 +516,14 @@ class ClusterPartition:
     """k-means centroids in the one-hot categorical subspace."""
 
     centroids: np.ndarray
-    n_iter: int = 0
     objective_history: tuple[float, ...] = field(default=(), repr=False)
 
     @property
     def k(self) -> int:
         return self.centroids.shape[0]
+
+
+KMEANS_MAX_ITER = 300
 
 
 def _sq_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -531,13 +537,13 @@ def fit_kmeans(
     X_cat,
     k: int,
     seed: int,
-    max_iter: int = 300,
     init_centroids: np.ndarray | None = None,
 ) -> ClusterPartition:
     """Lloyd's algorithm from seeded k-means++ starts.
 
     Empty clusters are reseeded to the point farthest from its assigned
-    centroid; iteration stops at an assignment fixpoint or after max_iter.
+    centroid; iteration stops at an assignment fixpoint or after
+    KMEANS_MAX_ITER iterations.
     """
     X = np.atleast_2d(np.asarray(X_cat, dtype=float))
     n = X.shape[0]
@@ -562,8 +568,7 @@ def fit_kmeans(
 
     history = []
     assign = None
-    it = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(KMEANS_MAX_ITER):
         d2 = _sq_distances(X, centroids)
         new_assign = np.argmin(d2, axis=1)
 
@@ -587,7 +592,7 @@ def fit_kmeans(
             if members.shape[0]:
                 centroids[cid] = members.mean(axis=0)
 
-    return ClusterPartition(centroids=centroids, n_iter=it, objective_history=tuple(history))
+    return ClusterPartition(centroids=centroids, objective_history=tuple(history))
 
 
 def assign_cluster(partition: ClusterPartition, X_cat) -> np.ndarray:
