@@ -15,8 +15,10 @@ It also prints each side's line count of the `.py` files under `src/`
 (`src_lines`; "n/a" in a file recorded before it was kept) and, per
 workload, the traced medians of each per-layer `<name>.s` over `kernel_s`
 (each traced seed's ratio, then their median), for the layers where either
-side is nonzero. The script reads the two files only and never imports
-partqr.
+side is nonzero. Next to each it prints both sides' min-max of that ratio
+over the traced seeds, and marks the layer `inside spread` when the two
+ranges overlap: a median ratio away from 1 on such a layer is no change. The
+script reads the two files only and never imports partqr.
 """
 
 from __future__ import annotations
@@ -95,8 +97,8 @@ def compare(base_doc: dict, head_doc: dict, better: dict[str, str]) -> dict:
     return out
 
 
-def traced_ratios(doc: dict, workload: str) -> dict[str, float]:
-    """Median over the traced seeds of each `<layer>.s / kernel_s`."""
+def _traced(doc: dict, workload: str) -> dict[str, list[float]]:
+    """Each traced seed's `<layer>.s / kernel_s`, per layer."""
     seeds = doc["workloads"][workload].get("traced", {}).get("seeds", {})
     ratios: dict[str, list[float]] = {}
     for run in seeds.values():
@@ -104,7 +106,17 @@ def traced_ratios(doc: dict, workload: str) -> dict[str, float]:
         for name, value in metrics.items():
             if name.endswith(".s"):
                 ratios.setdefault(name, []).append(value / metrics["kernel_s"])
-    return {name: statistics.median(values) for name, values in ratios.items()}
+    return ratios
+
+
+def traced_ratios(doc: dict, workload: str) -> dict[str, float]:
+    """Median over the traced seeds of each `<layer>.s / kernel_s`."""
+    return {name: statistics.median(values) for name, values in _traced(doc, workload).items()}
+
+
+def traced_ranges(doc: dict, workload: str) -> dict[str, tuple[float, float]]:
+    """(min, max) over the traced seeds of each `<layer>.s / kernel_s`."""
+    return {name: (min(values), max(values)) for name, values in _traced(doc, workload).items()}
 
 
 def _fmt(value: float) -> str:
@@ -132,9 +144,15 @@ def report(base_doc: dict, head_doc: dict, better: dict[str, str]) -> list[str]:
         shown = [name for name in sorted(set(a) & set(b)) if a[name] or b[name]]
         if shown:
             lines.append("  traced s / kernel_s (median over traced seeds):")
+        ra, rb = traced_ranges(base_doc, workload), traced_ranges(head_doc, workload)
         for name in shown:
             ratio = f"{b[name] / a[name]:.3f}" if a[name] else "n/a"
-            lines.append(f"    {name}: {a[name]:.4f} -> {b[name]:.4f}  ratio {ratio}")
+            (lo_a, hi_a), (lo_b, hi_b) = ra[name], rb[name]
+            inside = "  inside spread" if lo_a <= hi_b and lo_b <= hi_a else ""
+            lines.append(
+                f"    {name}: {a[name]:.4f} -> {b[name]:.4f}  ratio {ratio}  "
+                f"min-max {lo_a:.4f}-{hi_a:.4f} -> {lo_b:.4f}-{hi_b:.4f}{inside}"
+            )
     return lines
 
 

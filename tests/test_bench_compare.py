@@ -119,9 +119,28 @@ def test_report_prints_every_metric_and_the_traced_layers():
     (rows,) = [line for line in out if line.strip().startswith("rows_s:")]
     assert "won 0/10" in rows and "gain no" in rows
     (cart,) = [line for line in out if "partition.build_cart.s" in line]
-    assert cart.split() == ["partition.build_cart.s:", "25.0000", "->", "20.0000", "ratio", "0.800"]
+    assert cart.split() == [
+        "partition.build_cart.s:", "25.0000", "->", "20.0000", "ratio", "0.800",
+        "min-max", "25.0000-25.0000", "->", "20.0000-20.0000",
+    ]
     assert not [line for line in out if "route.s" in line]  # zero on both sides
 
+
+def test_traced_layers_print_both_min_max_and_mark_overlap():
+    """A median ratio of 0.75 on a layer whose seeds spread over each other
+    is marked `inside spread`; one whose ranges are apart is not."""
+    script = load_script()
+    parent = bench("pr-parent", PARENT_WALL, traced=[(1.0, 0.04), (1.6, 0.04), (1.2, 0.04)])
+    change = bench("pr", PARENT_WALL, traced=[(0.9, 0.04), (1.1, 0.04), (0.8, 0.04)])
+    assert script.traced_ranges(parent, "grid")["partition.build_cart.s"] == (1.0 / 0.04, 1.6 / 0.04)
+    (cart,) = [line for line in script.report(parent, change, BETTER) if "build_cart" in line]
+    assert cart.split() == [
+        "partition.build_cart.s:", "30.0000", "->", "22.5000", "ratio", "0.750",
+        "min-max", "25.0000-40.0000", "->", "20.0000-27.5000", "inside", "spread",
+    ]
+    apart = bench("pr", PARENT_WALL, traced=[(0.9, 0.04), (0.95, 0.04), (0.8, 0.04)])
+    (cart,) = [line for line in script.report(parent, apart, BETTER) if "build_cart" in line]
+    assert cart.split()[-4:] == ["min-max", "25.0000-40.0000", "->", "20.0000-23.7500"]
 
 def test_main_reads_the_repository_benchmark(tmp_path, capsys):
     """`main` takes its directions from the BENCHMARK.json at the root of the
