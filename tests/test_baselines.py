@@ -20,7 +20,7 @@ from partqr.baselines import (
 from partqr.data import encode_row
 from partqr.evaluation import SyntheticSpec, generate_synthetic
 from partqr.models import fit_model
-from partqr.partition import build_cart, predict_tree_mean, route
+from partqr.partition import TreeStack, build_cart, predict_tree_mean, route
 from partqr.serialize import load_model, save_model
 from test_partition import assert_equal_trees, tie_heavy_design
 
@@ -157,6 +157,22 @@ class TestPrefixes:
             assert [a.tolist() for a in got.leaf_members] == [b.tolist() for b in want.leaf_members]
         with pytest.raises(ValueError, match="cannot cut 7 trees"):
             prune_forest(grown, 7, 6, 4)
+
+    def test_pruned_forest_derives_its_shape_once(self, monkeypatch):
+        """Cutting a forest reads every tree's shape from the forest's own
+        walk: it derives no shape of a single tree."""
+        rng = np.random.default_rng(43)
+        X, y = tie_heavy_design("rounded", rng)
+        grown = fit_rf(X, y, 5, seed=3, max_depth=5, min_samples_split=4)
+        stacks, of = [], TreeStack.of.__func__
+
+        def counted(cls, trees, *args):
+            stacks.append(len(trees))
+            return of(cls, trees, *args)
+
+        monkeypatch.setattr(TreeStack, "of", classmethod(counted))
+        prune_forest(grown, 4, 3, 6)
+        assert stacks == [5]
 
     def test_boosting_prefix_equals_fit_gb(self):
         rng = np.random.default_rng(42)

@@ -288,7 +288,7 @@ class TestCsv:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([header] + raw_rows)
         with open(path, newline="", encoding="utf-8") as fh:
-            header, *raw_rows = list(csv.reader(fh))  # what read_csv sees
+            header, *raw_rows = list(csv.reader(fh))  # what read_csv reads, blank records too
         want, error = csv_cells_oracle(header, raw_rows, schema, path)
         if error is None:
             assert dataset_from_csv(path, target="y", schema=schema).rows == want
