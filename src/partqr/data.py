@@ -520,10 +520,11 @@ def parse_floats(cells: list[str]) -> NumericColumn | None:
 
 def check_finite(path, delimiter: str, cells: dict[str, list[str]], parsed: dict) -> None:
     """Raise SchemaError unless every non-empty cell of each column `name`
-    of `parsed`, which holds `parse_floats(cells[name])` or of its leading
-    cells, is a finite number. The error names the path, the line the bad
-    cell's record starts on and the column; of several bad cells, the first
-    in row-major order: lowest line, then leftmost column of `parsed`."""
+    of `parsed` is a finite number; `parsed[name]` is `parse_floats` of
+    `cells[name]` or of its leading cells. The error names the path, the
+    line the bad cell's record starts on and the column; of several bad
+    cells, the first in row-major order: lowest line, then leftmost column
+    of `parsed`."""
     bad = [
         next((i, j, name, fault) for i, c in enumerate(cells[name]) if c and (fault := _cell_fault(c)))
         for j, (name, column) in enumerate(parsed.items())

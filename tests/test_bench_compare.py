@@ -142,6 +142,7 @@ def test_traced_layers_print_both_min_max_and_mark_overlap():
     (cart,) = [line for line in script.report(parent, apart, BETTER) if "build_cart" in line]
     assert cart.split()[-4:] == ["min-max", "25.0000-40.0000", "->", "20.0000-23.7500"]
 
+
 def test_main_reads_the_repository_benchmark(tmp_path, capsys):
     """`main` takes its directions from the BENCHMARK.json at the root of the
     repository, which lists `wall_ref` as lower-is-better."""

@@ -953,7 +953,6 @@ class TestGwaBenchmark:
         assert report["n_rows"] == sum(n - 3 for n in lengths.values())
         assert report["weight_units"] == "MHZ"
 
-
     def test_empty_trace_exit_2_names_the_file(self, tmp_path, capsys):
         trace_dir, _ = self.write_traces(tmp_path)
         (trace_dir / "vm_c.csv").write_text("", encoding="utf-8")
@@ -968,6 +967,7 @@ class TestGwaBenchmark:
         assert main(["benchmark", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert f"error in stage 'ingest': {trace_dir / 'vm_c.csv'}: empty file" in err
+
 
 class TestSynthCommand:
     def test_writes_rows_and_sidecar(self, tmp_path):

@@ -95,7 +95,6 @@ class TestClimate:
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: malformed row")):
             load_climate_table(path)
 
-
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "climate.csv"
         path.write_text("region,climate\nTX,hot-arid\n\nWA,marine\n\n", encoding="utf-8")
@@ -106,6 +105,7 @@ class TestClimate:
         path.write_text('region,climate\n"T\nX",hot\nWA\n', encoding="utf-8")
         with pytest.raises(ValueError, match=re.escape(f"{path}:4: malformed row ['WA']")):
             load_climate_table(path)
+
 
 class TestIntermediateDurations:
     def test_date_arithmetic(self):
@@ -441,7 +441,6 @@ class TestReadGwaTrace:
         assert read_gwa_trace(path)["CPU cores"] == [None]
         assert read_gwa_trace(path)["CPU usage [MHZ]"] == [100.5]
 
-
     def test_short_row_reads_as_missing_cells(self, tmp_path):
         path = tmp_path / "vm.csv"
         path.write_text(
@@ -475,6 +474,7 @@ class TestReadGwaTrace:
         path.write_text("", encoding="utf-8")
         with pytest.raises(SchemaError, match=re.escape(f"{path}: empty file")):
             read_gwa_trace(path)
+
 
 class TestImpute:
     def make(self, values, kind="numeric"):
