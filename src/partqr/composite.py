@@ -92,14 +92,16 @@ def _require(hyperparams: dict, key: str):
 
 def _fit_quantile_table(matrix, y, rows: np.ndarray, levels, lam, fit_cache: dict):
     """{alpha: estimator} of the partition `rows` of `matrix` and `y`; its fits
-    are keyed by `rows`, since `fit_cache` serves one training set."""
+    and its ranged-dual bases are keyed by `rows`, since `fit_cache` serves
+    one training set."""
     if rows.size < matrix.width + 2:
         return {a: ConstantModel(pinball_quantile(y[rows], a)) for a in levels}
     leaf = rows.tobytes()
     # a tuple, not a list: perfbench's tracer hashes the levels it is passed
     missing = tuple(a for a in levels if (leaf, a, lam) not in fit_cache)
     if missing:
-        fits = fit_quantile(matrix.subset(rows), y[rows], missing, lam)
+        bases = fit_cache.setdefault((leaf, "bases"), {})
+        fits = fit_quantile(matrix.subset(rows), y[rows], missing, lam, bases=bases)
         for a, fit in zip(missing, fits):
             fit_cache[leaf, a, lam] = fit
     return {a: fit_cache[leaf, a, lam] for a in levels}
@@ -125,7 +127,11 @@ def fit_composite(
     (one fold's, see `evaluation._score_folds`, or the refit's): it encodes
     the dataset once and memoises the partition quantile fits by partition
     rows, alpha and lam, so a grid search solves each partition once per
-    fold. Without one, the fit gets a fresh dict.
+    fold and lam. Beside the fits it keeps each partition's ranged-dual
+    bases by level (`fit_quantile`'s `bases`), so a partition's level is
+    solved cold at the search's first lam > 0 and starts from its basis at
+    the lam before at every later one; no level starts from another
+    level's basis. Without a cache, the fit gets a fresh dict.
     `tree`, when given, is quantile_tree's CART tree of that encoding under
     hyperparams' tree settings (a grid search cuts it from a deeper tree,
     see `models`); otherwise it is grown here.

@@ -284,7 +284,7 @@ def _full_basis(ranged, a: float, lam: float):
     return basis
 
 
-def fit_quantile(X, y, alpha, lam: float):
+def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
     """Fit pinball loss + lam*L1 by linear programming (exact optimum).
 
     `alpha` is one level or a sequence of levels: one level gives a
@@ -306,12 +306,19 @@ def fit_quantile(X, y, alpha, lam: float):
     Both duals are passed once per call, as arrays with the first level's
     column bounds (`_dual_model`), to the thread's two reused HiGHS instances
     (`_instance`), and later levels only move their column bounds. Each
-    level with lam > 0 runs two solves, both from a cleared basis, so a
-    level's answer is the one a call for that level alone gives:
+    level with lam > 0 runs two solves, and its answer is the one a cold
+    call for that level alone gives:
 
     1. The ranged dual, with one row -lam <= Xs_j'd <= lam per column pair
        and HiGHS's presolve off, finds the optimal vertex. It is the LP that
        presolve makes of the full dual, at the cost of its simplex alone.
+       `bases`, when given, is the caller's dict of ranged-dual bases of
+       these rows, keyed by level: a level found in it starts from that
+       basis, otherwise from a cleared one, and its optimal basis is filed
+       under it. A grid search passes the basis of the same rows and level
+       at the lam solved before (Friedman, Hastie & Tibshirani 2010): only
+       the ranged rows' bounds differ, so that basis stays dual feasible
+       and the dual simplex starts close to the optimum.
     2. The full dual is run from that vertex's basis (`_full_basis`). HiGHS
        skips presolve for a valid basis and confirms it without an
        iteration, and the row duals are read from this solve. A
@@ -327,9 +334,14 @@ def fit_quantile(X, y, alpha, lam: float):
     solved cold, without a basis. At lam = 0 every level takes that path
     without the ranged solve: both rows of each pair then sit at their
     bound for every feasible d, so the full dual's row duals are never the
-    only optimal ones. For the same reason no level starts from the
-    previous level's basis: a warm start can stop at another optimal
-    vertex, which would make a fit depend on the levels solved before it.
+    only optimal ones. A warm-started ranged solve ends at the same basis
+    as a cold one when the vertex is nondegenerate, and a degenerate one
+    falls back whatever the start, so a fit never depends on the basis it
+    started from. The full dual starts only from the ranged vertex's own
+    basis or, falling back, from a cleared one, and no level starts from
+    another level's basis: there a warm start could stop at another
+    optimal vertex, which would make a fit depend on the levels solved
+    before it.
 
     Targets whose largest |y| is 2^24 or more reach HiGHS as y * 2^-k, with
     that largest value in [2^23, 2^24), and the row duals are scaled back
@@ -392,7 +404,11 @@ def fit_quantile(X, y, alpha, lam: float):
                 ranged.clearSolver()
         basis = None
         if ranged is not None:
+            if bases is not None and a in bases:
+                _ok(ranged.setBasis(bases[a]), "setBasis")
             _run(ranged)
+            if bases is not None:
+                bases[a] = ranged.getBasis()
             basis = _full_basis(ranged, a, lam)
         if basis is not None:
             _ok(highs.setBasis(basis), "setBasis")

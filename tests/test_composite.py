@@ -346,10 +346,10 @@ class TestHashableLevels:
     def test_fit_quantile_gets_hashable_alpha(self, monkeypatch, name, params):
         seen = []
 
-        def hashing(X, y, alpha, lam):
+        def hashing(X, y, alpha, lam, *, bases):
             hash(alpha)  # raises TypeError for a list
             seen.append(alpha)
-            return fit_quantile(X, y, alpha, lam)
+            return fit_quantile(X, y, alpha, lam, bases=bases)
 
         monkeypatch.setattr(composite, "fit_quantile", hashing)
         fitted = fit_model(name, toy_dataset(80, seed=9), params, seed=3)

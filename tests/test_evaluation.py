@@ -377,6 +377,8 @@ class TestGridSearchSharing:
         "name,grid",
         [
             ("quantile_tree", {"lam": [0.0, 0.1], "max_depth": [1, 2], "min_samples_split": [10, 60]}),
+            # every λ > 0: a partition's later λ start from its basis at the first
+            ("quantile_tree", {"lam": [0.01, 0.1, 1.0], "max_depth": [1, 2], "min_samples_split": [10]}),
             ("piecewise_qr", {"lam": [0.01, 1.0], "n_clusters": [1, 2, 3]}),
             *TREE_GRIDS.items(),
         ],
@@ -425,6 +427,24 @@ class TestGridSearchSharing:
         benchmark(self.dataset(), list(grids), grids=grids, k=4, seed=6)
         # one partition of every row: one fit per fold and one for the shared refit
         assert len(calls) == 4 + 1
+
+    def test_later_lams_of_a_partition_start_warm(self, monkeypatch):
+        from partqr import composite
+
+        warm = []
+        original = composite.fit_quantile
+
+        def spy(X, y, alpha, lam, *, bases):
+            warm.append(all(a in bases for a in alpha))
+            return original(X, y, alpha, lam, bases=bases)
+
+        monkeypatch.setattr(composite, "fit_quantile", spy)
+        grid = {"lam": [0.01, 0.1, 1.0], "max_depth": [1, 2], "min_samples_split": [10]}
+        final = grid_search("quantile_tree", grid, self.dataset(), 4, seed=6).final_model.model
+        refit = sum(not isinstance(t[0.5], composite.ConstantModel) for t in final.estimators.values())
+        # on each fold a partition is solved cold at its first λ and warm at
+        # the other two; the refit, at one λ, solves each partition cold
+        assert warm.count(True) == 2 * (warm.count(False) - refit) > 0
 
     def test_combinations_cut_to_one_tree_share_its_leaf_fits(self, monkeypatch):
         calls = count_quantile_fits(monkeypatch)

@@ -502,6 +502,130 @@ class TestReusedSolvers:
         assert len(taken) == 48 and True in taken and False in taken
 
 
+PATH_LAMS = (0.01, 0.1, 1.0)
+
+
+def _path_designs():
+    """(id, X, y) of the seeded leaf-size and sweep designs of every kind."""
+    rng = np.random.default_rng(71)
+    for kind in ("continuous", "tied_y", "two_regime"):
+        yield f"leaf-{kind}", *_leaf_design(kind, rng)
+    for kind in SWEEP_KINDS:
+        X, y = _sweep_design(kind, rng)
+        if np.any(np.std(X.values if isinstance(X, EncodedMatrix) else X, axis=0) > 0):
+            yield f"sweep-{kind}", X, y
+
+
+class TestLambdaPath:
+    """Fits of one design that share a `bases` dict start each level's ranged
+    solve from its optimal basis at the λ solved before. The guard and the
+    confirming solve keep every fit at the bits of its cold solve, whatever
+    the λ order and whatever basis the dict holds."""
+
+    LEVELS = (0.05, 0.5, 0.95)
+
+    @staticmethod
+    def _ranged_iterations(monkeypatch) -> list:
+        """Simplex iterations of each ranged solve, by a `_run` spy."""
+        counts = []
+        run = linear._run
+
+        def spy(highs):
+            run(highs)
+            if highs is linear._instance(presolve=False):
+                counts.append(highs.getInfoValue("simplex_iteration_count")[1])
+
+        monkeypatch.setattr(linear, "_run", spy)
+        return counts
+
+    @pytest.mark.parametrize("X, y", [pytest.param(*d[1:], id=d[0]) for d in _path_designs()])
+    def test_shared_bases_give_cold_bits_in_either_order(self, monkeypatch, X, y):
+        taken = []
+        full_basis = linear._full_basis
+
+        def spy(*args):
+            basis = full_basis(*args)
+            taken.append(basis is not None)
+            return basis
+
+        values = X.values if isinstance(X, EncodedMatrix) else X
+        indicator = X.categorical_mask if isinstance(X, EncodedMatrix) else None
+        want = {
+            (a, lam): TestLevelSequence._bits(*quantile_dual_linprog(values, y, a, lam, indicator))
+            for lam in PATH_LAMS for a in self.LEVELS
+        }
+        for lam in PATH_LAMS:
+            for a, fit in zip(self.LEVELS, fit_quantile(X, y, self.LEVELS, lam)):
+                assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == want[a, lam]
+        monkeypatch.setattr(linear, "_full_basis", spy)
+        for order in (PATH_LAMS, PATH_LAMS[::-1]):
+            bases = {}
+            for lam in order:
+                for a, fit in zip(self.LEVELS, fit_quantile(X, y, self.LEVELS, lam, bases=bases)):
+                    got = TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective)
+                    assert got == want[a, lam], (order, lam, a)
+            assert sorted(bases) == sorted(self.LEVELS)
+        assert len(taken) == 2 * len(PATH_LAMS) * len(self.LEVELS)
+
+    def test_tied_targets_reach_the_fallback_from_a_warm_start(self, monkeypatch):
+        taken = []
+        full_basis = linear._full_basis
+
+        def spy(*args):
+            basis = full_basis(*args)
+            taken.append(basis is not None)
+            return basis
+
+        monkeypatch.setattr(linear, "_full_basis", spy)
+        X, y = _leaf_design("tied_y", np.random.default_rng(71))
+        bases = {}
+        for lam in PATH_LAMS:
+            fit_quantile(X, y, self.LEVELS, lam, bases=bases)
+        assert False in taken[len(self.LEVELS):]  # a warm-started level fell back
+
+    def test_basis_under_the_wrong_level_gives_the_cold_bits(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(300, 2))
+        y = X @ np.array([1.0, -2.0]) + rng.normal(size=300)
+        bases = {}
+        fit_quantile(X, y, self.LEVELS, 0.1, bases=bases)
+        lower, median, upper = (bases[a] for a in self.LEVELS)
+        wrong = dict(zip(self.LEVELS, (upper, lower, median)))
+        for a, fit in zip(self.LEVELS, fit_quantile(X, y, self.LEVELS, 1.0, bases=wrong)):
+            want = quantile_dual_linprog(X, y, a, 1.0)
+            assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
+                TestLevelSequence._bits(*want)
+            ), a
+
+    def test_rejected_warm_start_raises_and_the_next_fit_is_clean(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(45, 2))
+        y = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
+        bases = {}
+        fit_quantile(X[:40], y[:40], 0.5, 0.1, bases=bases)
+        # a basis of 40 columns: HiGHS rejects it for an LP of 45
+        with pytest.raises(RuntimeError, match="HiGHS rejected setBasis"):
+            fit_quantile(X, y, 0.5, 1.0, bases=bases)
+        want = TestLevelSequence._bits(*quantile_dual_linprog(X, y, 0.5, 1.0))
+        for fresh in (None, {}):
+            fit = fit_quantile(X, y, 0.5, 1.0, bases=fresh)
+            assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == want
+
+    def test_warm_start_takes_fewer_ranged_iterations(self, monkeypatch):
+        counts = self._ranged_iterations(monkeypatch)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(600, 3))
+        y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(3, size=600)
+        fit_quantile(X, y, self.LEVELS, 1.0)
+        cold = sum(counts)
+        bases = {}
+        fit_quantile(X, y, self.LEVELS, 0.1, bases=bases)
+        counts.clear()
+        fit_quantile(X, y, self.LEVELS, 1.0, bases=bases)
+        assert len(counts) == len(self.LEVELS)
+        assert sum(counts) < cold
+
+
 class TestPredictLinear:
     def test_arithmetic(self):
         model = fit_ridge(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
