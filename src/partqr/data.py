@@ -12,6 +12,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 COLUMN_KINDS = ("numeric", "categorical", "date", "identifier")
+# The largest magnitude of a numeric input cell: the squares and sums of
+# squares that fits take of any realistic row count stay finite below it.
+MAX_MAGNITUDE = 1e150
 
 
 class SchemaError(ValueError):
@@ -520,7 +523,8 @@ def parse_floats(cells: list[str]) -> NumericColumn | None:
 
 def check_finite(path, delimiter: str, cells: dict[str, list[str]], parsed: dict) -> None:
     """Raise SchemaError unless every non-empty cell of each column `name`
-    of `parsed` is a finite number; `parsed[name]` is `parse_floats` of
+    of `parsed` is a finite number of magnitude at most `MAX_MAGNITUDE`;
+    `parsed[name]` is `parse_floats` of
     `cells[name]` or of its leading cells. The error names the path, the
     line the bad cell's record starts on and the column; of several bad
     cells, the first in row-major order: lowest line, then leftmost column
@@ -528,7 +532,7 @@ def check_finite(path, delimiter: str, cells: dict[str, list[str]], parsed: dict
     bad = [
         next((i, j, name, fault) for i, c in enumerate(cells[name]) if c and (fault := _cell_fault(c)))
         for j, (name, column) in enumerate(parsed.items())
-        if column is None or not np.isfinite(column.data).all()
+        if column is None or not (np.abs(column.data) <= MAX_MAGNITUDE).all()
     ]
     if bad:
         i, _, name, fault = min(bad)
@@ -546,8 +550,9 @@ def dataset_from_csv(
     """Load a CSV into a Dataset, column by column; empty cells become
     missing (None), and rows whose cells are all empty are skipped.
 
-    A numeric cell that is not a finite number (`nan`, `inf`, text) raises
-    SchemaError naming the path, the line and the column.
+    A numeric cell that is not a finite number (`nan`, `inf`, text) or
+    whose magnitude passes `MAX_MAGNITUDE` raises SchemaError naming the
+    path, the line and the column.
 
     With a schema (a prediction input), every schema column but the target
     must be present; an absent target column reads as empty cells. Without
@@ -582,9 +587,14 @@ def dataset_from_csv(
 
 
 def _cell_fault(text: str) -> str | None:
-    """What is wrong with a numeric cell, or None if it is a finite number."""
+    """What is wrong with a numeric cell, or None if it is a finite number
+    of magnitude at most `MAX_MAGNITUDE`."""
     try:
         value = float(text)
     except ValueError:
         return f"{text!r} is not a number"
-    return None if math.isfinite(value) else f"non-finite value {text!r}"
+    if not math.isfinite(value):
+        return f"non-finite value {text!r}"
+    if abs(value) > MAX_MAGNITUDE:
+        return f"value {text!r} is out of range (|value| > {MAX_MAGNITUDE:g})"
+    return None

@@ -420,7 +420,7 @@ def csv_cells_oracle(header, raw_rows, schema, path):
     """A CSV's dataset rows, read one cell at a time: rows whose cells are all
     empty are skipped, an empty or absent cell is None, a numeric cell is a
     float. Returns (rows, None), or (None, message) for the first cell, in
-    row-major order, that is not a finite number."""
+    row-major order, that is not a finite number of magnitude at most 1e150."""
     import math
 
     rows = []
@@ -442,6 +442,8 @@ def csv_cells_oracle(header, raw_rows, schema, path):
                     return None, f"{path}:{line}: column {name!r}: {v!r} is not a number"
                 if not math.isfinite(x):
                     return None, f"{path}:{line}: column {name!r}: non-finite value {v!r}"
+                if abs(x) > 1e150:
+                    return None, f"{path}:{line}: column {name!r}: value {v!r} is out of range (|value| > 1e+150)"
                 vals.append(x)
         rows.append(tuple(vals))
     return tuple(rows), None

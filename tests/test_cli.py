@@ -772,6 +772,63 @@ def test_adjacent_double_predictor_trains_and_predicts(tmp_path, capsys, name):
     assert forecasts.shape == (400, 3) and np.isfinite(forecasts).all()
 
 
+RANGE_GRIDS = {
+    "decision_tree": {"max_depth": [2]},
+    "random_forest": {"max_depth": [2], "n_trees": [3]},
+    "gradient_boosting": {"n_stages": [5], "learning_rate": [0.1]},
+}
+
+
+class TestInputRange:
+    """Numeric cells hold |value| <= 1e150: training and prediction accept
+    the bound, and a cell beyond it exits 2 at ingest, naming its cell."""
+
+    @staticmethod
+    def write(path, cells: dict[int, tuple[str, str]] | None = None):
+        """A 120-row generic CSV; `cells` maps a record to its (x, target)."""
+        rng = np.random.default_rng(9)
+        lines = ["site,x,target_days"]
+        for i, x in enumerate(rng.uniform(0, 8, 120)):
+            x, target = (cells or {}).get(i, (repr(float(x)), repr(float(2 * x + rng.normal()))))
+            lines.append(f"{'ab'[i % 2]},{x},{target}")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def train(self, tmp_path, name, data):
+        config = write_config(
+            tmp_path, data, model={"name": name, "grid": RANGE_GRIDS[name]}, cv={"folds": 3, "seed": 1}
+        )
+        return main(["train", "--config", str(config)])
+
+    @pytest.mark.parametrize("name", RANGE_GRIDS)
+    def test_bound_trains_and_predicts(self, tmp_path, capsys, name):
+        data = self.write(tmp_path / "edge.csv", {7: ("1.5", "1e150"), 9: ("-1e150", "3.0")})
+        assert self.train(tmp_path, name, data) == 0, capsys.readouterr().err
+        out = tmp_path / "out.csv"
+        args = ["predict", "--model", str(tmp_path / "model.json"), "--input", str(data)]
+        assert main(args + ["--output", str(out)]) == 0, capsys.readouterr().err
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+
+    @pytest.mark.parametrize("name", RANGE_GRIDS)
+    @pytest.mark.parametrize("column, cell", [("target_days", ("1.5", "1e200")), ("x", ("-1e200", "3.0"))])
+    def test_beyond_the_bound_exits_2_at_ingest(self, tmp_path, capsys, name, column, cell):
+        data = self.write(tmp_path / "far.csv", {7: cell})
+        assert self.train(tmp_path, name, data) == 2
+        value = cell[1] if column == "target_days" else cell[0]
+        err = capsys.readouterr().err
+        assert f"'ingest': {data}:9: column '{column}': value '{value}' is out of range" in err
+        assert not (tmp_path / "model.json").exists()
+
+    def test_predict_refuses_a_predictor_beyond_the_bound(self, tmp_path, capsys):
+        assert self.train(tmp_path, "decision_tree", self.write(tmp_path / "train.csv")) == 0
+        data = self.write(tmp_path / "in.csv", {3: ("1e200", "")})
+        out = tmp_path / "out.csv"
+        args = ["predict", "--model", str(tmp_path / "model.json"), "--input", str(data)]
+        assert main(args + ["--output", str(out)]) == 2
+        assert f"{data}:5: column 'x': value '1e200' is out of range" in capsys.readouterr().err
+        assert not out.exists()
+
+
 COMPOSITE_PARAMS = {
     "quantile_tree": {"lam": 0.1, "max_depth": 2, "min_samples_split": 20},
     "piecewise_qr": {"lam": 0.1, "n_clusters": 2},

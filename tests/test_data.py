@@ -276,10 +276,10 @@ class TestCsv:
         header = [str(h) for h in rng.permutation(["s", "a", "b", "y", "extra"])[: rng.integers(3, 6)]]
         if not {"s", "a", "b"} <= set(header):
             header += [h for h in ("s", "a", "b") if h not in header]
-        cells = ["", "", "1.5", "-2", "1e3", "7", "x", "nan", "inf"]
-        weights = np.array([4, 4, 6, 6, 6, 6, 1, 1, 1], dtype=float)
+        cells = ["", "", "1.5", "-2", "1e3", "-1e150", "7", "x", "nan", "inf", "1e200"]
+        weights = np.array([4, 4, 6, 6, 6, 2, 6, 1, 1, 1, 1], dtype=float)
         if seed % 2:
-            weights[-3:] = 0  # half the files hold numbers only
+            weights[-4:] = 0  # half the files hold numbers within the range only
         raw_rows = [  # short, full and overlong rows
             [str(c) for c in rng.choice(cells, size=rng.integers(0, len(header) + 3), p=weights / weights.sum())]
             for _ in range(rng.integers(0, 12))
