@@ -443,7 +443,8 @@ def csv_cells_oracle(header, raw_rows, schema, path):
                 if not math.isfinite(x):
                     return None, f"{path}:{line}: column {name!r}: non-finite value {v!r}"
                 if abs(x) > 1e150:
-                    return None, f"{path}:{line}: column {name!r}: value {v!r} is out of range (|value| > 1e+150)"
+                    fault = f"value {v!r} is out of range (|value| > 1e+150)"
+                    return None, f"{path}:{line}: column {name!r}: {fault}"
                 vals.append(x)
         rows.append(tuple(vals))
     return tuple(rows), None

@@ -524,30 +524,8 @@ class TestLambdaPath:
 
     LEVELS = (0.05, 0.5, 0.95)
 
-    @staticmethod
-    def _ranged_iterations(monkeypatch) -> list:
-        """Simplex iterations of each ranged solve, by a `_run` spy."""
-        counts = []
-        run = linear._run
-
-        def spy(highs):
-            run(highs)
-            if highs is linear._instance(presolve=False):
-                counts.append(highs.getInfoValue("simplex_iteration_count")[1])
-
-        monkeypatch.setattr(linear, "_run", spy)
-        return counts
-
     @pytest.mark.parametrize("X, y", [pytest.param(*d[1:], id=d[0]) for d in _path_designs()])
-    def test_shared_bases_give_cold_bits_in_either_order(self, monkeypatch, X, y):
-        taken = []
-        full_basis = linear._full_basis
-
-        def spy(*args):
-            basis = full_basis(*args)
-            taken.append(basis is not None)
-            return basis
-
+    def test_shared_bases_give_cold_bits_in_either_order(self, X, y):
         values = X.values if isinstance(X, EncodedMatrix) else X
         indicator = X.categorical_mask if isinstance(X, EncodedMatrix) else None
         want = {
@@ -557,7 +535,6 @@ class TestLambdaPath:
         for lam in PATH_LAMS:
             for a, fit in zip(self.LEVELS, fit_quantile(X, y, self.LEVELS, lam)):
                 assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == want[a, lam]
-        monkeypatch.setattr(linear, "_full_basis", spy)
         for order in (PATH_LAMS, PATH_LAMS[::-1]):
             bases = {}
             for lam in order:
@@ -565,7 +542,6 @@ class TestLambdaPath:
                     got = TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective)
                     assert got == want[a, lam], (order, lam, a)
             assert sorted(bases) == sorted(self.LEVELS)
-        assert len(taken) == 2 * len(PATH_LAMS) * len(self.LEVELS)
 
     def test_tied_targets_reach_the_fallback_from_a_warm_start(self, monkeypatch):
         taken = []
@@ -612,7 +588,15 @@ class TestLambdaPath:
             assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == want
 
     def test_warm_start_takes_fewer_ranged_iterations(self, monkeypatch):
-        counts = self._ranged_iterations(monkeypatch)
+        counts = []
+        run = linear._run
+
+        def spy(highs):
+            run(highs)
+            if highs is linear._instance(presolve=False):
+                counts.append(highs.getInfoValue("simplex_iteration_count")[1])
+
+        monkeypatch.setattr(linear, "_run", spy)
         rng = np.random.default_rng(5)
         X = rng.normal(size=(600, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(3, size=600)
