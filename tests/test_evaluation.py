@@ -377,10 +377,10 @@ class TestGridSearchSharing:
         "name,grid",
         [
             ("quantile_tree", {"lam": [0.0, 0.1], "max_depth": [1, 2], "min_samples_split": [10, 60]}),
-            # every λ > 0: a partition's later λ start from its basis at the first
-            ("quantile_tree", {"lam": [0.01, 0.1, 1.0], "max_depth": [1, 2], "min_samples_split": [10]}),
             ("piecewise_qr", {"lam": [0.01, 1.0], "n_clusters": [1, 2, 3]}),
             *TREE_GRIDS.items(),
+            # every λ > 0: a partition's later λ start from its basis at the first
+            ("quantile_tree", {"lam": [0.01, 0.1, 1.0], "max_depth": [1, 2], "min_samples_split": [10]}),
         ],
     )
     def test_matches_standalone_cross_validate(self, name, grid):
