@@ -93,20 +93,17 @@ def _standardize(values: np.ndarray, is_indicator: np.ndarray):
     Returns (Xs, active, center, scale) where Xs holds only active columns.
     `center` is zero for indicator columns so predictions map back without an
     intercept shift from them.
+
+    The moments are reduced along the rows of a contiguous copy of values.T,
+    so each column is summed as one contiguous run, pairwise, with the bits
+    of `np.std` and `np.mean` of that column alone.
     """
-    n, p = values.shape
-    center = np.zeros(p)
-    scale = np.ones(p)
-    active = np.zeros(p, dtype=bool)
-    for j in range(p):
-        col = values[:, j]
-        sd = float(np.std(col))
-        if sd == 0.0:
-            continue
-        active[j] = True
-        if not is_indicator[j]:
-            center[j] = float(np.mean(col))
-            scale[j] = sd
+    columns = np.ascontiguousarray(values.T)
+    sd = np.std(columns, axis=1)
+    active = sd != 0.0
+    numeric = active & ~np.asarray(is_indicator, dtype=bool)
+    center = np.where(numeric, np.mean(columns, axis=1), 0.0)
+    scale = np.where(numeric, sd, 1.0)
     Xs = (values[:, active] - center[active]) / scale[active]
     return Xs, active, center, scale
 
@@ -213,7 +210,10 @@ _instances = threading.local()
 def _instance(presolve: bool):
     """This thread's silent HiGHS instance with presolve on or off, made on
     first use and reused by every later fit: each fit passes it a new model,
-    which clears the last one's LP, basis and solution.
+    which clears the last one's LP, basis and solution. Within a fit
+    `fit_quantile` clears the presolve-off instance never, so each level
+    starts hot from the last one's solve, and the presolve one right before
+    each cold run.
 
     An instance of a class other than `_highs._Highs` (replaced by a test
     double) is made again.
@@ -314,11 +314,14 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
        presolve makes of the full dual, at the cost of its simplex alone.
        `bases`, when given, is the caller's dict of ranged-dual bases of
        these rows, keyed by level: a level found in it starts from that
-       basis, otherwise from a cleared one, and its optimal basis is filed
-       under it. A grid search passes the basis of the same rows and level
-       at the lam solved before (Friedman, Hastie & Tibshirani 2010): only
-       the ranged rows' bounds differ, so that basis stays dual feasible
-       and the dual simplex starts close to the optimum.
+       basis, and its optimal basis is filed under it. A grid search passes
+       the basis of the same rows and level at the lam solved before
+       (Friedman, Hastie & Tibshirani 2010): only the ranged rows' bounds
+       differ, so that basis stays dual feasible and the dual simplex
+       starts close to the optimum. This instance is never cleared within
+       a call, so any other level after the first starts hot from the
+       optimal basis, factorization and scaled LP of the level before it:
+       only the column bounds move, so that basis too stays dual feasible.
     2. The full dual is run from that vertex's basis (`_full_basis`). HiGHS
        skips presolve for a valid basis and confirms it without an
        iteration, and the row duals are read from this solve. A
@@ -334,12 +337,14 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
     solved cold, without a basis. At lam = 0 every level takes that path
     without the ranged solve: both rows of each pair then sit at their
     bound for every feasible d, so the full dual's row duals are never the
-    only optimal ones. A warm-started ranged solve ends at the same basis
-    as a cold one when the vertex is nondegenerate, and a degenerate one
-    falls back whatever the start, so a fit never depends on the basis it
-    started from. The full dual starts only from the ranged vertex's own
-    basis or, falling back, from a cleared one, and no level starts from
-    another level's basis: there a warm start could stop at another
+    only optimal ones. A warm- or hot-started ranged solve ends at the same
+    basis as a cold one when the vertex is nondegenerate, and a degenerate
+    one falls back whatever the start, so a fit never depends on the basis
+    its ranged solve started from. The full dual starts only from the
+    ranged vertex's own basis, which `setBasis` puts in place of the last
+    level's, or, falling back, from a cleared one: that instance is
+    cleared right before every cold run, so no full-dual solve starts
+    from another level's basis. There a warm start could stop at another
     optimal vertex, which would make a fit depend on the levels solved
     before it.
 
@@ -398,10 +403,8 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
         if i > 0:  # the first level's bounds came with the models
             lower, upper = np.full(n, a - 1.0), np.full(n, a)
             _ok(highs.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
-            highs.clearSolver()
             if ranged is not None:
                 _ok(ranged.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
-                ranged.clearSolver()
         basis = None
         if ranged is not None:
             if bases is not None and a in bases:
@@ -414,10 +417,9 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
             _ok(highs.setBasis(basis), "setBasis")
             _run(highs)
             if highs.getInfoValue("simplex_iteration_count")[1] != 0:
-                # the basis was not the optimal one: solve the full dual cold
-                highs.clearSolver()
-                basis = None
+                basis = None  # not the optimal basis: solve the full dual cold
         if basis is None:
+            highs.clearSolver()
             _run(highs)
         # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
         w = np.ldexp(highs.getSolution().row_dual, shift)

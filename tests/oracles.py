@@ -98,11 +98,29 @@ def quantile_objective(model, X, y):
     return float(pinball) + model.lam * float(np.sum(np.abs(model.scaled_coef)))
 
 
+def standardize_oracle(values, is_indicator):
+    """`linear._standardize` column by column: (Xs, active, center, scale).
+
+    Each column's `np.std` and `np.mean` are taken on its own; a column with
+    zero spread is dropped, an indicator keeps center 0 and scale 1.
+    """
+    n, p = values.shape
+    center, scale, active = np.zeros(p), np.ones(p), np.zeros(p, dtype=bool)
+    for j in range(p):
+        sd = float(np.std(values[:, j]))
+        if sd > 0:
+            active[j] = True
+            if not is_indicator[j]:
+                center[j], scale[j] = float(np.mean(values[:, j])), sd
+    Xs = (values[:, active] - center[active]) / scale[active]
+    return Xs, active, center, scale
+
+
 def quantile_dual_linprog(X, y, alpha, lam, indicator=None):
     """`fit_quantile`'s dual LP solved by `scipy.optimize.linprog`, one level
     per call: returns (coef, intercept, objective).
 
-    Standardizes column by column as `fit_quantile` does (numeric columns
+    Standardizes column by column (`standardize_oracle`: numeric columns
     centered and scaled to unit population variance, indicators 0/1,
     zero-variance columns dropped) and maps the dual's constraint marginals
     back to the original units by the same arithmetic, so on the same vertex
@@ -112,14 +130,7 @@ def quantile_dual_linprog(X, y, alpha, lam, indicator=None):
     y = np.asarray(y, dtype=float)
     n, p = X.shape
     indicator = np.zeros(p, dtype=bool) if indicator is None else np.asarray(indicator)
-    center, scale, active = np.zeros(p), np.ones(p), np.zeros(p, dtype=bool)
-    for j in range(p):
-        sd = float(np.std(X[:, j]))
-        if sd > 0:
-            active[j] = True
-            if not indicator[j]:
-                center[j], scale[j] = float(np.mean(X[:, j])), sd
-    Xs = (X[:, active] - center[active]) / scale[active]
+    Xs, active, center, scale = standardize_oracle(X, indicator)
     k = Xs.shape[1]
     res = linprog(
         -y,

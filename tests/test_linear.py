@@ -9,6 +9,7 @@ from oracles import (
     quantile_objective,
     quantile_primal_oracle,
     ridge_oracle,
+    standardize_oracle,
 )
 from test_composite import toy_dataset
 
@@ -600,7 +601,8 @@ class TestLambdaPath:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(600, 3))
         y = X @ np.array([1.0, -2.0, 0.5]) + rng.standard_t(3, size=600)
-        fit_quantile(X, y, self.LEVELS, 1.0)
+        for a in self.LEVELS:  # one level per call: each ranged solve starts cold
+            fit_quantile(X, y, a, 1.0)
         cold = sum(counts)
         bases = {}
         fit_quantile(X, y, self.LEVELS, 0.1, bases=bases)
@@ -608,6 +610,125 @@ class TestLambdaPath:
         fit_quantile(X, y, self.LEVELS, 1.0, bases=bases)
         assert len(counts) == len(self.LEVELS)
         assert sum(counts) < cold
+
+
+class TestHotLevels:
+    """Within one fit the ranged instance is never cleared, so every level
+    after the first starts hot from the optimal basis of the level before
+    it; the full-dual instance is cleared right before each cold run. Either
+    way each level keeps the bits of its cold presolved solve."""
+
+    ORDERS = ((0.95, 0.05, 0.5), (0.5, 0.95, 0.05), (0.05, 0.5, 0.95))
+
+    @pytest.mark.parametrize(
+        "kind, lam, paths",
+        [("continuous", 0.1, {True}), ("tied_y", 0.1, {False}), ("continuous", 0.0, set())],
+        ids=["continuous", "tied_y-fallback", "lam0"],
+    )
+    def test_shuffled_levels_after_another_design_give_cold_bits(self, monkeypatch, kind, lam, paths):
+        taken = []
+        full_basis = linear._full_basis
+
+        def spy(*args):
+            basis = full_basis(*args)
+            taken.append(basis is not None)
+            return basis
+
+        monkeypatch.setattr(linear, "_full_basis", spy)
+        rng = np.random.default_rng(83)
+        X, y = _leaf_design(kind, rng)
+        n = y.shape[0]
+        other = rng.normal(size=(n, 2))
+        other_y = other @ np.array([0.5, 3.0]) + rng.standard_t(3, size=n)
+        want = {a: TestLevelSequence._bits(*quantile_dual_linprog(X, y, a, lam)) for a in self.ORDERS[0]}
+        for order in self.ORDERS:
+            # another LP of n columns solved on the same instances just before
+            fit_quantile(other, other_y, order, 0.1)
+            taken.clear()
+            for a, fit in zip(order, fit_quantile(X, y, order, lam)):
+                assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == want[a], (
+                    order, a,
+                )
+            assert set(taken) == paths
+
+    def test_ranged_instance_is_never_cleared_and_full_one_before_each_cold_run(self, monkeypatch):
+        highs = linear._highs
+        log = []
+
+        class Logged(highs._Highs):
+            def clearSolver(self):
+                log.append((self, "clear"))
+                return super().clearSolver()
+
+            def setBasis(self, *args):
+                log.append((self, "setBasis"))
+                return super().setBasis(*args)
+
+            def run(self):
+                log.append((self, "run"))
+                return super().run()
+
+        monkeypatch.setattr(highs, "_Highs", Logged)
+        full_basis = linear._full_basis
+        first = []
+
+        def stale_after(*args):
+            # when stale, every level is confirmed from the first level's
+            # basis, so the confirmations of the later two iterate and are
+            # solved cold
+            basis = full_basis(*args)
+            first.append(basis)
+            return first[0] if stale else basis
+
+        monkeypatch.setattr(linear, "_full_basis", stale_after)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(300, 2))
+        smooth = X @ np.array([1.0, -2.0]) + rng.normal(size=300)
+        tied = rng.integers(0, 3, size=300).astype(float)
+        levels = (0.95, 0.05, 0.5)
+        for stale, y, lam, cold_runs in (
+            (False, smooth, 0.1, 0), (False, tied, 0.1, 3), (True, smooth, 0.1, 2), (False, smooth, 0.0, 3),
+        ):
+            log.clear()
+            first.clear()
+            fit_quantile(X, y, levels, lam)
+            ranged, full = linear._instance(presolve=False), linear._instance(presolve=True)
+            assert type(ranged) is type(full) is Logged
+            assert (ranged, "clear") not in log
+            assert [e for h, e in log if h is ranged] == (["run"] * 3 if lam > 0 else [])
+            events = [e for h, e in log if h is full]
+            runs = [i for i, e in enumerate(events) if e == "run"]
+            # every full-dual run follows a setBasis (a confirmation) or a clear (a cold run)
+            assert all(i > 0 and events[i - 1] in ("setBasis", "clear") for i in runs)
+            assert sum(events[i - 1] == "clear" for i in runs) == cold_runs
+            assert events.count("clear") == cold_runs
+
+
+class TestStandardize:
+    """`_standardize` reduces all columns at once and keeps the bits of the
+    column-by-column loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 8191, 8192, 8193, 20001])
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bits_equal_the_column_loop(self, n, layout):
+        rng = np.random.default_rng(n)
+        p = 6
+        X = rng.normal(size=(n, p)) * rng.uniform(0.1, 1e6, size=p) + rng.uniform(-1e7, 1e7, size=p)
+        X[:, 1] = -2.5  # constant
+        X[:, 2] = rng.integers(0, 2, size=n)  # an indicator
+        X[:, 3] = rng.integers(0, 2, size=n)  # 0/1, but numeric
+        X[:, 5] = 1.0  # a constant indicator
+        indicator = np.array([False, False, True, False, False, True])
+        if layout == "F":
+            X = np.asfortranarray(X)
+        elif layout == "strided":
+            big = np.zeros((2 * n, 2 * p))
+            big[::2, ::2] = X
+            X = big[::2, ::2]
+        got, want = linear._standardize(X, indicator), standardize_oracle(X, indicator)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        assert not got[1][1] and not got[1][5] and (n == 1 or got[1][0])
 
 
 class TestPredictLinear:
