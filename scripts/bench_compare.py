@@ -13,12 +13,16 @@ interquartile range. Whether lower or higher is better comes from the
 
 It also prints each side's line count of the `.py` files under `src/`
 (`src_lines`; "n/a" in a file recorded before it was kept) and, per
-workload, the traced medians of each per-layer `<name>.s` over `kernel_s`
-(each traced seed's ratio, then their median), for the layers where either
-side is nonzero. Next to each it prints both sides' min-max of that ratio
-over the traced seeds, and marks the layer `inside spread` when the two
-ranges overlap: a median ratio away from 1 on such a layer is no change. The
-script reads the two files only and never imports partqr.
+workload, every traced `.calls` count that differs between the two files
+at a seed both traced, or "traced counts equal". Then it prints the traced
+medians of each per-layer `<name>.s` over `kernel_s` (each traced seed's
+ratio, the median over its repeats, then the median over the seeds), for
+the layers where either side is nonzero. Next to each it prints both
+sides' min-max of that ratio over the traced seeds, and marks the layer
+`inside spread` when the two ranges overlap: a median ratio away from 1 on
+such a layer is no change. A file recorded before traced seeds were
+repeated holds one run per seed, read as a single repeat. The script reads
+the two files only and never imports partqr.
 """
 
 from __future__ import annotations
@@ -97,16 +101,37 @@ def compare(base_doc: dict, head_doc: dict, better: dict[str, str]) -> dict:
     return out
 
 
-def _traced(doc: dict, workload: str) -> dict[str, list[float]]:
-    """Each traced seed's `<layer>.s / kernel_s`, per layer."""
+def _repeats(doc: dict, workload: str) -> dict[str, list[dict]]:
+    """{seed: its traced runs}; a run stored alone is one repeat."""
     seeds = doc["workloads"][workload].get("traced", {}).get("seeds", {})
+    return {seed: runs if isinstance(runs, list) else [runs] for seed, runs in seeds.items()}
+
+
+def _traced(doc: dict, workload: str) -> dict[str, list[float]]:
+    """Each traced seed's `<layer>.s / kernel_s`, the median over its
+    repeats, per layer."""
     ratios: dict[str, list[float]] = {}
-    for run in seeds.values():
-        metrics = run["metrics"]
-        for name, value in metrics.items():
-            if name.endswith(".s"):
-                ratios.setdefault(name, []).append(value / metrics["kernel_s"])
+    for runs in _repeats(doc, workload).values():
+        names = [name for name in runs[0]["metrics"] if name.endswith(".s")]
+        for name in names:
+            ratios.setdefault(name, []).append(
+                statistics.median(r["metrics"][name] / r["metrics"]["kernel_s"] for r in runs)
+            )
     return ratios
+
+
+def calls_differences(base_doc: dict, head_doc: dict, workload: str) -> list[tuple]:
+    """(name, seed, base count, head count) of every traced `.calls` count
+    that differs at a seed both files traced; a count one file lacks is None.
+    A seed's repeats agree on their counts, so its first run stands for it."""
+    base, head = _repeats(base_doc, workload), _repeats(head_doc, workload)
+    out = []
+    for seed in sorted(set(base) & set(head), key=int):
+        a, b = base[seed][0]["metrics"], head[seed][0]["metrics"]
+        for name in sorted(n for n in set(a) | set(b) if n.endswith(".calls")):
+            if a.get(name) != b.get(name):
+                out.append((name, seed, a.get(name), b.get(name)))
+    return out
 
 
 def traced_ratios(doc: dict, workload: str) -> dict[str, float]:
@@ -140,6 +165,12 @@ def report(base_doc: dict, head_doc: dict, better: dict[str, str]) -> list[str]:
                 f"(lost {c['lost']})  parent IQR {_fmt(c['base_iqr'])}  "
                 f"gain {'yes' if c['gain'] else 'no'}"
             )
+        if set(_repeats(base_doc, workload)) & set(_repeats(head_doc, workload)):
+            differences = calls_differences(base_doc, head_doc, workload)
+            for name, seed, count_a, count_b in differences:
+                lines.append(f"  traced count differs: {name} seed {seed}: {count_a} -> {count_b}")
+            if not differences:
+                lines.append("  traced counts equal")
         a, b = traced_ratios(base_doc, workload), traced_ratios(head_doc, workload)
         shown = [name for name in sorted(set(a) & set(b)) if a[name] or b[name]]
         if shown:

@@ -12,18 +12,21 @@ JSON result). It never imports partqr and never passes a run anything but
 the documented flags, so it cannot change a measured value or a check.
 
 Traced runs (`--trace 1`) at each of the first three seeds, TRACED_SEEDS,
-record the per-layer metrics, among them every `.calls` count; they
-alternate between the checkouts as the timed runs do. Their seconds are
-raw seconds, which follow the machine's speed, so the script times
-perfbench's `ReferenceKernel` (from its own checkout) in its own process
-just before and just after each traced run and stores the mean of the two
-as that run's `kernel_s` metric: read a per-layer `s` as `s / kernel_s`
-across phases of the machine. Tier-1 then runs once per checkout. Each
-checkout's file holds its commit, the line count of the `.py` files under
-its `src/` (`src_lines`), nproc, the Python, numpy and scipy versions, the
-per-seed end-to-end metrics and their medians, the per-seed traced metrics
-and their medians, and Tier-1's pass, fail and skip counts with its wall
-time.
+record the per-layer metrics, among them every `.calls` count. Each traced
+seed runs TRACED_REPEATS times per checkout, and the repeats alternate
+between the checkouts as the timed runs do; every repeat is kept, as a
+list under its seed, and a seed whose repeats disagree on any `.calls`
+count stops the script. Their seconds are raw seconds, which follow the
+machine's speed, so the script times perfbench's `ReferenceKernel` (from
+its own checkout) in its own process just before and just after each
+traced run and stores the mean of the two as that run's `kernel_s` metric:
+read a per-layer `s` as `s / kernel_s` across phases of the machine, and
+a seed's as the median over its repeats. Tier-1 then runs once per
+checkout. Each checkout's file holds its commit, the line count of the
+`.py` files under its `src/` (`src_lines`), nproc, the Python, numpy and
+scipy versions, the per-seed end-to-end metrics and their medians, the
+per-seed traced repeats and the median over seeds of each seed's median,
+and Tier-1's pass, fail and skip counts with its wall time.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import time
 WORKLOADS = ("qtree-grid", "ensemble-grid", "predict-batch")
 SEEDS = tuple(range(301, 311))
 TRACED_SEEDS = SEEDS[:3]
+TRACED_REPEATS = 3
 SECONDS = 15
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 _HEADER = re.compile(
@@ -144,9 +148,14 @@ def run_tier1(root: str) -> dict:
     return {**counts, "exit_code": done.returncode, "wall_s": round(wall_s, 2), "summary": summary}
 
 
-def _medians(seeds: dict) -> dict:
-    names = next(iter(seeds.values()))["metrics"]
-    return {name: statistics.median(s["metrics"][name] for s in seeds.values()) for name in names}
+def _medians(runs) -> dict:
+    """Each metric's median over the runs."""
+    runs = list(runs)
+    return {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
+
+
+def _calls(run: dict) -> dict:
+    return {name: value for name, value in run["metrics"].items() if name.endswith(".calls")}
 
 
 def _alternate(checkouts, seeds):
@@ -178,18 +187,26 @@ def record(checkouts, log=print) -> dict:
             docs[tag].update(run.pop("machine"))
             docs[tag]["workloads"].setdefault(workload, {"seeds": {}})["seeds"][str(seed)] = run
             log(f"{tag} {workload} {seed}: wall_ref {run['metrics']['wall_ref']:.3f} correct {run['correct']}")
-        for seed, tag, root in _alternate(checkouts, TRACED_SEEDS):
+        repeated = [seed for seed in TRACED_SEEDS for _ in range(TRACED_REPEATS)]
+        for seed, tag, root in _alternate(checkouts, repeated):
             before = kernel_seconds()
             run = run_perfbench(root, workload, seed, 1)
             run["metrics"]["kernel_s"] = (before + kernel_seconds()) / 2
             run.pop("machine")
             entry = docs[tag]["workloads"][workload]
-            entry.setdefault("traced", {"seeds": {}})["seeds"][str(seed)] = run
-            log(f"{tag} {workload} {seed} traced: correct {run['correct']}")
+            runs = entry.setdefault("traced", {"seeds": {}})["seeds"].setdefault(str(seed), [])
+            runs.append(run)
+            if _calls(run) != _calls(runs[0]):
+                raise RuntimeError(
+                    f"{tag} {workload} seed {seed}: traced .calls differ between repeats: "
+                    f"{_calls(runs[0])} then {_calls(run)}"
+                )
+            log(f"{tag} {workload} {seed} traced repeat {len(runs)}: correct {run['correct']}")
         for tag, _ in checkouts:
             entry = docs[tag]["workloads"][workload]
-            entry["median"] = _medians(entry["seeds"])
-            entry["traced"]["median"] = _medians(entry["traced"]["seeds"])
+            entry["median"] = _medians(entry["seeds"].values())
+            traced = entry["traced"]
+            traced["median"] = _medians({"metrics": _medians(runs)} for runs in traced["seeds"].values())
     for tag, root in checkouts:
         docs[tag]["tier1"] = run_tier1(root)
         log(f"{tag} tier-1: {docs[tag]['tier1']['summary']}")

@@ -162,3 +162,49 @@ def test_never_imports_partqr():
     assert "partqr" not in "".join(
         line for line in source.splitlines() if line.startswith(("import", "from"))
     )
+
+
+def traced_run(s, kernel, **calls):
+    return {"metrics": {"partition.build_cart.s": s, "kernel_s": kernel, **calls}}
+
+
+def test_traced_ratios_take_each_seeds_median_over_its_repeats():
+    """A seed holds a list of repeats; one stored alone, as in a file recorded
+    before repeats, is a single repeat."""
+    script = load_script()
+    doc = bench("a", PARENT_WALL)
+    doc["workloads"]["grid"]["traced"] = {"seeds": {
+        "301": [traced_run(1.0, 0.04), traced_run(3.0, 0.04), traced_run(0.9, 0.03)],
+        "302": [traced_run(0.8, 0.04)],
+        "303": traced_run(1.2, 0.04),
+    }}
+    per_seed = [statistics.median([1.0 / 0.04, 3.0 / 0.04, 0.9 / 0.03]), 0.8 / 0.04, 1.2 / 0.04]
+    assert script.traced_ratios(doc, "grid")["partition.build_cart.s"] == statistics.median(per_seed)
+    assert script.traced_ranges(doc, "grid")["partition.build_cart.s"] == (min(per_seed), max(per_seed))
+
+
+def test_report_prints_each_traced_count_that_differs():
+    script = load_script()
+    counts = {"linear.fit_quantile.calls": 64, "partition.route.calls": 5}
+
+    def doc(tag, changed):
+        d = bench(tag, PARENT_WALL)
+        d["workloads"]["grid"]["traced"] = {"seeds": {
+            seed: [traced_run(1.0, 0.04, **{**counts, **changed.get(seed, {})})] * 3
+            for seed in ("301", "302", "303")
+        }}
+        return d
+
+    parent = doc("pr-parent", {})
+    out = script.report(parent, parent, BETTER)
+    assert [line for line in out if "traced count" in line] == ["  traced counts equal"]
+    change = doc("pr", {"302": {"linear.fit_quantile.calls": 60}, "303": {"partition.route.calls": 0}})
+    del change["workloads"]["grid"]["traced"]["seeds"]["301"][0]["metrics"]["partition.route.calls"]
+    change["workloads"]["grid"]["traced"]["seeds"]["304"] = [traced_run(1.0, 0.04, extra_calls=1)]
+    assert [line for line in script.report(parent, change, BETTER) if "traced count" in line] == [
+        "  traced count differs: partition.route.calls seed 301: 5 -> None",
+        "  traced count differs: linear.fit_quantile.calls seed 302: 64 -> 60",
+        "  traced count differs: partition.route.calls seed 303: 5 -> 0",
+    ]
+    # without a traced seed on both sides there is nothing to compare
+    assert not [line for line in script.report(bench("a", PARENT_WALL), change, BETTER) if "traced count" in line]
