@@ -159,8 +159,8 @@ def _calls(run: dict) -> dict:
 
 
 def _alternate(checkouts, seeds):
-    """(seed, tag, root) for every seed and checkout, in turn order A B, then
-    B A for the next seed."""
+    """(seed, tag, root) for every entry of `seeds` (a seed may repeat) and
+    checkout, in turn order A B, then B A for the next entry."""
     for i, seed in enumerate(seeds):
         for tag, root in checkouts if i % 2 == 0 else checkouts[::-1]:
             yield seed, tag, root

@@ -101,7 +101,7 @@ def _standardize(values: np.ndarray, is_indicator: np.ndarray):
     columns = np.ascontiguousarray(values.T)
     sd = np.std(columns, axis=1)
     active = sd != 0.0
-    numeric = active & ~np.asarray(is_indicator, dtype=bool)
+    numeric = active & ~is_indicator
     center = np.where(numeric, np.mean(columns, axis=1), 0.0)
     scale = np.where(numeric, sd, 1.0)
     Xs = (values[:, active] - center[active]) / scale[active]
@@ -210,10 +210,10 @@ _instances = threading.local()
 def _instance(presolve: bool):
     """This thread's silent HiGHS instance with presolve on or off, made on
     first use and reused by every later fit: each fit passes it a new model,
-    which clears the last one's LP, basis and solution. Within a fit
-    `fit_quantile` clears the presolve-off instance never, so each level
-    starts hot from the last one's solve, and the presolve one right before
-    each cold run.
+    which clears the last one's LP, basis and solution. Within a fit,
+    `fit_quantile` never clears the presolve-off instance, so each level
+    starts hot from the last one's solve, and clears the presolve one only
+    right before each cold run.
 
     An instance of a class other than `_highs._Highs` (replaced by a test
     double) is made again.

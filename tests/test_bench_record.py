@@ -81,7 +81,7 @@ def test_runs_alternate_the_checkouts(recorded):
     assert script.TRACED_SEEDS == (301, 302, 303) and script.TRACED_REPEATS == 3
 
 
-def test_traced_runs_keep_every_repeat_and_their_medians(recorded):
+def test_traced_runs_keep_every_seed_and_their_medians(recorded):
     script, docs, _, _ = recorded
     for tag, shift in (("a", 0.0), ("b", 0.5)):
         for workload in script.WORKLOADS:
