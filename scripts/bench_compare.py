@@ -13,8 +13,8 @@ interquartile range. Whether lower or higher is better comes from the
 
 It also prints each side's line count of the `.py` files under `src/`
 (`src_lines`; "n/a" in a file recorded before it was kept) and, per
-workload, every traced `.calls` count that differs between the two files
-at a seed both traced, or "traced counts equal". Then it prints the traced
+workload, every traced `.calls` count and `.distinct_ratio` that differs
+between the two files at a seed both traced, or "traced counts equal". Then it prints the traced
 medians of each per-layer `<name>.s` over `kernel_s` (each traced seed's
 ratio, the median over its repeats, then the median over the seeds), for
 the layers where either side is nonzero. Next to each it prints both
@@ -120,15 +120,16 @@ def _traced(doc: dict, workload: str) -> dict[str, list[float]]:
     return ratios
 
 
-def calls_differences(base_doc: dict, head_doc: dict, workload: str) -> list[tuple]:
-    """(name, seed, base count, head count) of every traced `.calls` count
-    that differs at a seed both files traced; a count one file lacks is None.
-    A seed's repeats agree on their counts, so its first run stands for it."""
+def count_differences(base_doc: dict, head_doc: dict, workload: str) -> list[tuple]:
+    """(name, seed, base count, head count) of every traced `.calls` count or
+    `.distinct_ratio` that differs at a seed both files traced; a count one
+    file lacks is None. A seed's repeats agree on their counts, so its first
+    run stands for it."""
     base, head = _repeats(base_doc, workload), _repeats(head_doc, workload)
     out = []
     for seed in sorted(set(base) & set(head), key=int):
         a, b = base[seed][0]["metrics"], head[seed][0]["metrics"]
-        for name in sorted(n for n in set(a) | set(b) if n.endswith(".calls")):
+        for name in sorted(n for n in set(a) | set(b) if n.endswith((".calls", ".distinct_ratio"))):
             if a.get(name) != b.get(name):
                 out.append((name, seed, a.get(name), b.get(name)))
     return out
@@ -166,7 +167,7 @@ def report(base_doc: dict, head_doc: dict, better: dict[str, str]) -> list[str]:
                 f"gain {'yes' if c['gain'] else 'no'}"
             )
         if set(_repeats(base_doc, workload)) & set(_repeats(head_doc, workload)):
-            differences = calls_differences(base_doc, head_doc, workload)
+            differences = count_differences(base_doc, head_doc, workload)
             for name, seed, count_a, count_b in differences:
                 lines.append(f"  traced count differs: {name} seed {seed}: {count_a} -> {count_b}")
             if not differences:

@@ -12,11 +12,12 @@ JSON result). It never imports partqr and never passes a run anything but
 the documented flags, so it cannot change a measured value or a check.
 
 Traced runs (`--trace 1`) at each of the first three seeds, TRACED_SEEDS,
-record the per-layer metrics, among them every `.calls` count. Each traced
-seed runs TRACED_REPEATS times per checkout, and the repeats alternate
-between the checkouts as the timed runs do; every repeat is kept, as a
-list under its seed, and a seed whose repeats disagree on any `.calls`
-count stops the script. Their seconds are raw seconds, which follow the
+record the per-layer metrics, among them every `.calls` count and
+`.distinct_ratio`, which repeat exactly (COUNTS). Each traced seed runs
+TRACED_REPEATS times per checkout, and the repeats alternate between the
+checkouts as the timed runs do; every repeat is kept, as a list under its
+seed, and a seed whose repeats disagree on any of those counts stops the
+script. Their seconds are raw seconds, which follow the
 machine's speed, so the script times perfbench's `ReferenceKernel` (from
 its own checkout) in its own process just before and just after each
 traced run and stores the mean of the two as that run's `kernel_s` metric:
@@ -154,8 +155,12 @@ def _medians(runs) -> dict:
     return {name: statistics.median(r["metrics"][name] for r in runs) for name in runs[0]["metrics"]}
 
 
-def _calls(run: dict) -> dict:
-    return {name: value for name, value in run["metrics"].items() if name.endswith(".calls")}
+# the traced metrics that repeat exactly from run to run
+COUNTS = (".calls", ".distinct_ratio")
+
+
+def _counts(run: dict) -> dict:
+    return {name: value for name, value in run["metrics"].items() if name.endswith(COUNTS)}
 
 
 def _alternate(checkouts, seeds):
@@ -196,10 +201,10 @@ def record(checkouts, log=print) -> dict:
             entry = docs[tag]["workloads"][workload]
             runs = entry.setdefault("traced", {"seeds": {}})["seeds"].setdefault(str(seed), [])
             runs.append(run)
-            if _calls(run) != _calls(runs[0]):
+            if _counts(run) != _counts(runs[0]):
                 raise RuntimeError(
-                    f"{tag} {workload} seed {seed}: traced .calls differ between repeats: "
-                    f"{_calls(runs[0])} then {_calls(run)}"
+                    f"{tag} {workload} seed {seed}: traced counts differ between repeats: "
+                    f"{_counts(runs[0])} then {_counts(run)}"
                 )
             log(f"{tag} {workload} {seed} traced repeat {len(runs)}: correct {run['correct']}")
         for tag, _ in checkouts:

@@ -9,8 +9,9 @@ a laptop run under a minute or two.
 import argparse
 import sys
 
-from partqr.evaluation import SyntheticSpec, benchmark, generate_synthetic
+from partqr.evaluation import benchmark
 from partqr.models import MODEL_NAMES
+from partqr.synthetic import SyntheticSpec, generate_synthetic
 
 TRIMMED_GRIDS = {
     "ridge": {"lam": [0.01, 0.1, 1.0]},

@@ -15,16 +15,15 @@ from .composite import (
 from .data import CategoricalEncoding, Dataset, EncodedMatrix, FeatureSchema, encode, split_kfold
 from .evaluation import (
     EvaluationReport,
-    SyntheticSpec,
     benchmark,
     cross_validate,
-    generate_synthetic,
     grid_search,
     interval_coverage,
     mean_ae,
     median_ae,
 )
 from .linear import LinearQuantileModel, RidgeModel, fit_quantile, fit_ridge, predict_linear
+from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = [
     "CategoricalEncoding",

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .data import Dataset, FeatureSchema, dataset_from_csv, record_lines
-from .evaluation import SyntheticSpec, benchmark, generate_synthetic, grid_search
+from .evaluation import benchmark, grid_search
 from .models import MODEL_NAMES, MODELS
 from .pipeline import (
     build_gwa_dataset,
@@ -29,6 +29,7 @@ from .pipeline import (
     select_numeric,
 )
 from .serialize import load_model, save_model
+from .synthetic import generate_synthetic, spec_from_json
 
 
 class UserError(Exception):
@@ -283,13 +284,10 @@ def cmd_synth(args) -> int:
             raise UserError(str(exc))
         except json.JSONDecodeError as exc:
             raise UserError(f"{args.spec}: invalid JSON ({exc})")
-        for key in ("categories", "category_effects", "noise_scales", "base_durations", "target_coeffs", "category_probs"):
-            if key in doc and doc[key] is not None:
-                doc[key] = tuple(doc[key])
-        if "cascade_weights" in doc:
-            doc["cascade_weights"] = tuple(tuple(row) for row in doc["cascade_weights"])
+        if not isinstance(doc, dict):
+            raise UserError(f"{args.spec}: a synthetic spec must be a JSON object")
         try:
-            spec = SyntheticSpec(**doc)
+            spec = spec_from_json(doc)
         except (TypeError, ValueError) as exc:
             raise UserError(f"invalid synthetic spec: {exc}")
     with _Stage("generate"):

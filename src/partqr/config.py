@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
+from .data import is_int, is_number
 from .models import MODEL_NAMES
 
 DATA_FORMATS = ("milestone-csv", "gwa-trace", "generic-csv")
@@ -98,12 +99,12 @@ def _build(cls, doc: dict, where: str):
 
 
 def _require_int(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise ConfigError(f"{where} must be an integer, not {value!r}")
 
 
 def _require_number(value, where: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ConfigError(f"{where} must be a number, not {value!r}")
 
 

@@ -21,6 +21,16 @@ class SchemaError(ValueError):
     """A schema or dataset violates its structural contract."""
 
 
+def is_int(value) -> bool:
+    """A JSON integer: an int, and a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, and a bool is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class FeatureSchema:
     """Column names/kinds plus the numeric prediction target.
@@ -117,10 +127,6 @@ class NumericColumn:
             return self
         return NumericColumn(np.where(self.missing, float(value), self.data), np.zeros(len(self), bool))
 
-    def key(self) -> tuple:
-        # + 0.0 makes -0.0 the bytes of 0.0, as the two cells compare equal
-        return self.missing.tobytes(), (self.data + 0.0).tobytes()
-
 
 def _stored(kind: str, name: str, cells):
     """How a column of `kind` is held: a NumericColumn, or a tuple of cells."""
@@ -148,7 +154,7 @@ class Dataset:
     takes a batch of raw rows (see `encode_row`).
     """
 
-    __slots__ = ("schema", "columns", "_hash")
+    __slots__ = ("schema", "columns")
 
     def __init__(self, schema: FeatureSchema, rows: Iterable[Sequence]):
         rows = tuple(rows)
@@ -175,7 +181,6 @@ class Dataset:
             raise SchemaError("a dataset needs one column per schema column, all of one length")
         object.__setattr__(self, "schema", schema)
         object.__setattr__(self, "columns", stored)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("a Dataset is immutable")
@@ -214,24 +219,6 @@ class Dataset:
     def project(self, schema: FeatureSchema) -> "Dataset":
         """The columns that `schema` names, in its order, under `schema`."""
         return Dataset.from_columns(schema, [self.stored(name) for name, _ in schema.columns])
-
-    def _key(self) -> tuple:
-        return self.schema, tuple(
-            c.key() if isinstance(c, NumericColumn) else c for c in self.columns
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Dataset):
-            return NotImplemented
-        return self is other or self._key() == other._key()
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash(self._key()))
-        return self._hash
-
-    def __reduce__(self):
-        return Dataset.from_columns, (self.schema, self.columns)
 
     def __repr__(self) -> str:
         return f"Dataset({self.n_rows} rows of {[name for name, _ in self.schema.columns]})"

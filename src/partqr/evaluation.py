@@ -1,5 +1,5 @@
-"""Cross-validated benchmarking: metrics, grid search, interval scoring, the
-synthetic cascading-delay generator, and the comparison report."""
+"""Cross-validated benchmarking: metrics, grid search, interval scoring and
+the comparison report. The synthetic generator lives in `synthetic`."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import log_ndtr, ndtr, ndtri
 
 from .data import (
     Dataset,
@@ -22,6 +20,7 @@ from .data import (
 )
 from .models import check_hyperparams, fit_model, model_spec, record_grid
 from .pipeline import fill_values, fit_imputer, prune_tail
+from .synthetic import SyntheticSpec, generate_synthetic  # perfbench's workloads call them here
 
 
 def median_ae(pred, actual) -> float:
@@ -334,151 +333,6 @@ def grid_search(
         evaluations=evaluations,
         final_model=final_model,
     )
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Cascading-delay generator: intermediate durations feed later ones, the
-    target is linear in all of them plus a site-category effect, noise scales
-    vary by category, and a long-tail exponential delay hits with probability
-    `contamination`. Every parameter is recorded so the true conditional
-    quantiles stay computable."""
-
-    n_projects: int
-    seed: int
-    categories: tuple[str, ...] = ("metro", "suburban", "remote")
-    category_probs: tuple[float, ...] | None = None
-    category_effects: tuple[float, ...] = (0.0, 6.0, 14.0)
-    noise_scales: tuple[float, ...] = (2.0, 4.0, 8.0)
-    base_durations: tuple[float, ...] = (12.0, 18.0, 25.0, 15.0)
-    cascade_weights: tuple[tuple[float, ...], ...] = (
-        (),
-        (0.4,),
-        (0.2, 0.3),
-        (0.1, 0.0, 0.5),
-    )
-    target_coeffs: tuple[float, ...] = (0.6, 0.9, 0.5, 0.8)
-    target_intercept: float = 8.0
-    contamination: float = 0.0
-    tail_scale: float = 40.0
-
-    def __post_init__(self):
-        if self.n_projects < 1:
-            raise ValueError("n_projects must be positive")
-        if not 0 <= self.contamination < 1:
-            raise ValueError("contamination must lie in [0, 1)")
-        if len(self.category_effects) != len(self.categories) or len(
-            self.noise_scales
-        ) != len(self.categories):
-            raise ValueError("per-category parameter lengths must match categories")
-        J = len(self.base_durations)
-        if len(self.cascade_weights) != J or any(
-            len(w) != j for j, w in enumerate(self.cascade_weights)
-        ):
-            raise ValueError("cascade_weights must be lower-triangular with one row per step")
-        if any(w < 0 for row in self.cascade_weights for w in row):
-            raise ValueError("cascade weights must be nonnegative")
-        if len(self.target_coeffs) != J:
-            raise ValueError("target_coeffs length must match base_durations")
-        if self.category_probs is not None and len(self.category_probs) != len(self.categories):
-            raise ValueError("category_probs length must match categories")
-
-    @property
-    def n_steps(self) -> int:
-        return len(self.base_durations)
-
-
-def synthetic_schema(spec: SyntheticSpec) -> FeatureSchema:
-    columns = [("site_category", "categorical")]
-    columns += [(f"step{j + 1}_days", "numeric") for j in range(spec.n_steps)]
-    columns += [("target_days", "numeric")]
-    return FeatureSchema(tuple(columns), target="target_days", weight_units="days")
-
-
-def generate_synthetic(spec: SyntheticSpec) -> Dataset:
-    rng = np.random.default_rng(spec.seed)
-    probs = spec.category_probs
-    categories, steps, targets = [], [[] for _ in range(spec.n_steps)], []
-    for _ in range(spec.n_projects):
-        c = int(rng.choice(len(spec.categories), p=probs))
-        sigma = spec.noise_scales[c]
-        durations = []
-        for j in range(spec.n_steps):
-            d = spec.base_durations[j] + sum(
-                w * durations[i] for i, w in enumerate(spec.cascade_weights[j])
-            )
-            d += rng.standard_normal() * sigma
-            durations.append(d)
-        target = (
-            spec.target_intercept
-            + sum(g * d for g, d in zip(spec.target_coeffs, durations))
-            + spec.category_effects[c]
-            + rng.standard_normal() * sigma
-        )
-        if rng.random() < spec.contamination:
-            target += rng.exponential(spec.tail_scale)
-        categories.append(spec.categories[c])
-        for column, d in zip(steps, durations):
-            column.append(d)
-        targets.append(target)
-    return Dataset.from_columns(synthetic_schema(spec), [categories, *steps, targets])
-
-
-def _emg_cdf(s: float, sigma: float, tau: float) -> float:
-    """CDF of Normal(0, sigma^2) + Exponential(mean tau) at s."""
-    if sigma == 0.0:
-        return float(max(0.0, 1.0 - np.exp(-s / tau))) if s > 0 else 0.0
-    u = s / sigma
-    v = sigma / tau
-    log_term = log_ndtr(u - v) + 0.5 * v * v - s / tau
-    return float(ndtr(u) - np.exp(log_term))
-
-
-def mixture_cdf(s: float, sigma: float, rho: float, tau: float) -> float:
-    """CDF of the target noise: Normal plus, with probability rho, an
-    exponential long-tail delay."""
-    base = (1.0 if s >= 0 else 0.0) if sigma == 0.0 else float(ndtr(s / sigma))
-    if rho == 0.0:
-        return base
-    return (1.0 - rho) * base + rho * _emg_cdf(s, sigma, tau)
-
-
-def mixture_quantile(alpha: float, sigma: float, rho: float, tau: float) -> float:
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
-    if rho == 0.0:
-        return 0.0 if sigma == 0.0 else float(sigma * ndtri(alpha))
-    if sigma == 0.0:
-        if alpha <= 1.0 - rho:
-            return 0.0
-        return float(-tau * np.log((1.0 - alpha) / rho))
-    lo = float(sigma * ndtri(alpha)) - 1.0
-    hi = max(1.0, float(sigma * ndtri(alpha))) + tau
-    while mixture_cdf(hi, sigma, rho, tau) < alpha:
-        hi = hi * 2 + tau
-    return float(brentq(lambda s: mixture_cdf(s, sigma, rho, tau) - alpha, lo, hi, xtol=1e-12))
-
-
-def synthetic_true_quantile(spec: SyntheticSpec, category: str, durations, alpha: float) -> float:
-    """True conditional alpha-quantile of the target given the observed row."""
-    c = spec.categories.index(category)
-    mu = (
-        spec.target_intercept
-        + sum(g * float(d) for g, d in zip(spec.target_coeffs, durations))
-        + spec.category_effects[c]
-    )
-    return mu + mixture_quantile(alpha, spec.noise_scales[c], spec.contamination, spec.tail_scale)
-
-
-def synthetic_true_quantile_rows(spec: SyntheticSpec, dataset: Dataset, alpha: float) -> np.ndarray:
-    """`synthetic_true_quantile` of each row of a dataset of `synthetic_schema(spec)`'s layout."""
-    names = [name for name, _ in dataset.schema.columns]
-    category = dataset.column(names[0])
-    steps = [dataset.column(name) for name in names[1 : 1 + spec.n_steps]]
-    out = np.empty(dataset.n_rows)
-    for i, (c, *durations) in enumerate(zip(category, *steps)):
-        out[i] = synthetic_true_quantile(spec, c, durations, alpha)
-    return out
 
 
 @dataclass

@@ -30,7 +30,7 @@ from .composite import (
     fit_composite,
     predict_quantile,
 )
-from .data import CategoricalEncoding, Dataset, as_encoded, encode_once, shared
+from .data import CategoricalEncoding, Dataset, as_encoded, encode_once, is_int, is_number, shared
 from .partition import build_cart, predict_tree_mean, prune
 
 
@@ -348,22 +348,14 @@ def model_spec(name: str) -> ModelSpec:
     return MODELS[name]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 # the JSON type of each hyperparameter's values; a bool is an int to Python, not to JSON
 _HYPERPARAM_TYPES = {
     **dict.fromkeys(
         ("max_depth", "min_samples_split", "min_samples_leaf", "n_trees", "n_stages",
          "n_clusters", "n_neighbors"),
-        ("an integer", _is_int),
+        ("an integer", is_int),
     ),
-    **dict.fromkeys(("lam", "learning_rate", "feature_fraction"), ("a number", _is_number)),
+    **dict.fromkeys(("lam", "learning_rate", "feature_fraction"), ("a number", is_number)),
     "bootstrap": ("true or false", lambda value: isinstance(value, bool)),
 }
 

@@ -27,10 +27,9 @@ class RegressionTree:
     right one, so `feature` alone (-1 at a leaf) fixes the tree's shape. An
     inner node splits on x[feature] <= threshold (left, always the next node)
     against x > threshold (right); a leaf has a NaN threshold. `value` is
-    each node's mean training target. `left` and `right` (-1 at a leaf),
-    `leaf_id` (the leaves 0..L-1 in node order, -1 at inner nodes) and
-    `depth` (the longest path from the root to a leaf, in splits) are read
-    from the tree's `walk`, whose shape `_shape` derives from `feature`.
+    each node's mean training target. `leaf_id` (the leaves 0..L-1 in node
+    order, -1 at inner nodes) is read from the tree's `walk`, whose shape
+    `_shape` derives from `feature`.
 
     `n_features` is the tree's width. The growth settings (`max_depth`,
     `min_samples_split`, `min_samples_leaf`) and the inner nodes' values are
@@ -70,20 +69,8 @@ class RegressionTree:
         return TreeStack.of([self], self.n_features)
 
     @property
-    def left(self) -> np.ndarray:
-        return np.where(self.feature < 0, -1, np.arange(1, self.feature.size + 1, dtype=np.intp))
-
-    @property
-    def right(self) -> np.ndarray:
-        return np.where(self.feature < 0, -1, self.walk.right)
-
-    @property
     def leaf_id(self) -> np.ndarray:
         return self.walk.leaf_id
-
-    @property
-    def depth(self) -> int:
-        return self.walk.depth
 
 
 @dataclass(frozen=True, eq=False)

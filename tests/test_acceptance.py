@@ -18,15 +18,11 @@ from oracles import assert_tree_equals_oracle, cart_oracle, qrf_oracle, quantile
 from partqr.baselines import fit_gb, fit_rf, qrf_predict, qrf_weights
 from partqr.composite import fit_composite, predict_quantile, resolve_partition
 from partqr.data import Dataset, FeatureSchema, encode, encode_row
-from partqr.evaluation import (
-    SyntheticSpec,
-    generate_synthetic,
-    grid_search,
-    interval_coverage,
-)
+from partqr.evaluation import grid_search, interval_coverage
 from partqr.linear import fit_quantile, fit_ridge, predict_linear
 from partqr.models import CompositeFit
 from partqr.partition import build_cart
+from partqr.synthetic import SyntheticSpec, generate_synthetic
 
 
 def report(criterion: int, detail: str) -> None:

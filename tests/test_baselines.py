@@ -18,7 +18,7 @@ from partqr.baselines import (
     qrf_weights,
 )
 from partqr.data import encode_row
-from partqr.evaluation import SyntheticSpec, generate_synthetic
+from partqr.synthetic import SyntheticSpec, generate_synthetic
 from partqr.models import fit_model
 from partqr.partition import TreeStack, build_cart, predict_tree_mean, route
 from partqr.serialize import load_model, save_model
@@ -87,8 +87,9 @@ class TestRandomForest:
         b = fit_rf(X, y, n_trees=5, seed=11, max_depth=4)
         for ta, tb in zip(a.trees, b.trees):
             assert len(ta.value) == len(tb.value)
-            for key in ("feature", "left", "right", "leaf_id"):
+            for key in ("feature", "leaf_id"):
                 assert getattr(ta, key).tolist() == getattr(tb, key).tolist()
+            assert ta.walk.right.tolist() == tb.walk.right.tolist()
             for na, nb in zip(ta.threshold.tolist(), tb.threshold.tolist()):
                 assert na == nb or (np.isnan(na) and np.isnan(nb))
         for la, lb in zip(a.in_bag_leaf, b.in_bag_leaf):

@@ -208,3 +208,25 @@ def test_report_prints_each_traced_count_that_differs():
     ]
     # without a traced seed on both sides there is nothing to compare
     assert not [line for line in script.report(bench("a", PARENT_WALL), change, BETTER) if "traced count" in line]
+
+
+def test_report_prints_each_traced_distinct_ratio_that_differs():
+    """A `.distinct_ratio` is compared like a `.calls` count: a ratio that
+    moves at a seed both files traced is printed, and equal ratios are not."""
+    script = load_script()
+
+    def doc(tag, ratio):
+        d = bench(tag, PARENT_WALL)
+        d["workloads"]["grid"]["traced"] = {"seeds": {
+            seed: [traced_run(1.0, 0.04, **{"data.encode.calls": 6, "data.encode.distinct_ratio": r})] * 3
+            for seed, r in zip(("301", "302", "303"), ratio)
+        }}
+        return d
+
+    parent = doc("pr-parent", (1.0, 1.0, 0.2))
+    out = script.report(parent, doc("pr", (1.0, 1.0, 0.2)), BETTER)
+    assert [line for line in out if "traced count" in line] == ["  traced counts equal"]
+    out = script.report(parent, doc("pr", (1.0, 0.5, 0.2)), BETTER)
+    assert [line for line in out if "traced count" in line] == [
+        "  traced count differs: data.encode.distinct_ratio seed 302: 1.0 -> 0.5",
+    ]

@@ -19,12 +19,13 @@ def load_script():
     return module
 
 
-def record(monkeypatch, tmp_path, calls=lambda run, trace: 10 * trace):
+def record(monkeypatch, tmp_path, calls=lambda run, trace: 10 * trace, ratio=None):
     """The documents `record` makes of two checkouts, "a" and "b"; the
     (tag, workload, seed, trace) of every perfbench run, in order; and every
     event in order: ("run", tag, workload, seed, trace) or ("kernel", seconds)
     for a timing of the stubbed reference kernel. A run's `layer.calls` is
-    `calls(i, trace)`, i counting the runs from 0."""
+    `calls(i, trace)`, i counting the runs from 0, and its
+    `layer.distinct_ratio`, if `ratio` is given, `ratio(i, trace)`."""
     script = load_script()
     roots = {"a": str(tmp_path / "a"), "b": str(tmp_path / "b")}
     tags = {root: tag for tag, root in roots.items()}
@@ -36,15 +37,18 @@ def record(monkeypatch, tmp_path, calls=lambda run, trace: 10 * trace):
         return seconds
 
     def run_perfbench(root, workload, seed, trace):
-        count = calls(sum(event[0] == "run" for event in events), trace)
+        i = sum(event[0] == "run" for event in events)
         events.append(("run", tags[root], workload, seed, trace))
         value = VALUES.get(seed, 0.0) + (0.5 if tags[root] == "b" else 0.0) + 100 * trace
+        metrics = {"wall_ref": value, "layer.calls": calls(i, trace)}
+        if ratio is not None:
+            metrics["layer.distinct_ratio"] = ratio(i, trace)
         return {
             "machine": {"nproc": 2, "python": "3", "numpy": "2", "scipy": "1"},
             "correct": True,
             "failed": 0,
             "attempted": 1,
-            "metrics": {"wall_ref": value, "layer.calls": count},
+            "metrics": metrics,
         }
 
     def no_child(*args, **kwargs):
@@ -155,5 +159,14 @@ def test_repeats_that_disagree_on_a_count_stop_the_script(monkeypatch, tmp_path)
     the second repeat of checkout "b" at seed 301, the repeats going A B,
     then B A. Its count differs from the first repeat's, and the script
     raises."""
-    with pytest.raises(RuntimeError, match=r"b qtree-grid seed 301: traced \.calls differ between repeats"):
+    with pytest.raises(RuntimeError, match=r"b qtree-grid seed 301: traced counts differ between repeats"):
         record(monkeypatch, tmp_path, calls=lambda i, trace: 11 if i == 22 else 10 * trace)
+
+
+def test_repeats_that_disagree_on_a_distinct_ratio_stop_the_script(monkeypatch, tmp_path):
+    """The same run 22 with equal `.calls` but another `.distinct_ratio`
+    stops the script too; ratios that agree across repeats do not."""
+    record(monkeypatch, tmp_path, ratio=lambda i, trace: 0.2)
+    with pytest.raises(RuntimeError, match=r"b qtree-grid seed 301: traced counts differ between repeats: "
+                                           r".*'layer\.distinct_ratio': 0\.2.* then .*'layer\.distinct_ratio': 0\.4"):
+        record(monkeypatch, tmp_path, ratio=lambda i, trace: 0.4 if i == 22 else 0.2)

@@ -2,8 +2,9 @@
 `fit_gb` grow on one seeded synthetic design must keep every bit.
 
 A digest covers each tree's node arrays, the stored `feature`, `threshold`
-and `value` and the derived `left`, `right` and `leaf_id`, its depth and its
-leaf rows, in tree order, and for a forest also each tree's `in_bag_leaf`. The digests were recorded from
+and `value`, the derived `leaf_id`, and `left` and `right` (-1 at a leaf)
+as the recursive-descent oracle derives them from `feature`, its depth and
+its leaf rows, in tree order, and for a forest also each tree's `in_bag_leaf`. The digests were recorded from
 the node loop that handed a searched child its sorted rows by boolean mask;
 any rewrite of the loop must grow the same trees.
 """
@@ -12,10 +13,11 @@ import hashlib
 
 import numpy as np
 import pytest
+from oracles import depth_first_shape_oracle
 
 from partqr.baselines import fit_gb, fit_rf
 from partqr.data import encode
-from partqr.evaluation import SyntheticSpec, generate_synthetic
+from partqr.synthetic import SyntheticSpec, generate_synthetic
 from partqr.partition import build_cart
 
 # the node arrays a digest covers, in the order it reads them
@@ -60,9 +62,11 @@ def tree_digest(fit) -> str:
     digest = hashlib.sha256()
     trees = fit if isinstance(fit, list) else fit.trees
     for tree in trees:
+        left, right, _, _ = depth_first_shape_oracle(tree.feature)
+        shape = {"left": np.array(left, dtype=np.intp), "right": np.array(right, dtype=np.intp)}
         for key in NODE_ARRAYS:
-            _update(digest, getattr(tree, key))
-        digest.update(str(tree.depth).encode())
+            _update(digest, shape[key] if key in shape else getattr(tree, key))
+        digest.update(str(tree.walk.depth).encode())
         for rows in tree.leaf_rows or ():
             _update(digest, rows)
     for leaf in getattr(fit, "in_bag_leaf", None) or ():

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,9 +12,9 @@ import pytest
 
 from partqr import cli
 from partqr.cli import main, write_dataset_csv
-from partqr.evaluation import SyntheticSpec, generate_synthetic, mixture_quantile
 from partqr.models import fit_model
 from partqr.serialize import load_model, model_to_json, save_model
+from partqr.synthetic import SyntheticSpec, generate_synthetic, mixture_quantile, spec_from_json
 
 
 @pytest.fixture
@@ -1026,6 +1027,23 @@ class TestGwaBenchmark:
         assert f"error in stage 'ingest': {trace_dir / 'vm_c.csv'}: empty file" in err
 
 
+# a synth spec that sets every field of SyntheticSpec, none to its default
+FULL_SPEC = {
+    "n_projects": 30,
+    "seed": 7,
+    "categories": ["north", "south"],
+    "category_probs": [0.25, 0.75],
+    "category_effects": [1.5, -2.0],
+    "noise_scales": [0.0, 3.0],
+    "base_durations": [5.0, 9.0, 2.5],
+    "cascade_weights": [[], [0.7], [0.1, 0.2]],
+    "target_coeffs": [1.0, 0.5, 2.0],
+    "target_intercept": -3.0,
+    "contamination": 0.2,
+    "tail_scale": 12.0,
+}
+
+
 class TestSynthCommand:
     def test_writes_rows_and_sidecar(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -1046,6 +1064,19 @@ class TestSynthCommand:
         main(["synth", "--spec", str(spec), "--output", str(out)])
         assert out.read_bytes() == first
 
+    @pytest.mark.parametrize("doc", [{"n_projects": 40, "seed": 4}, FULL_SPEC], ids=["defaults", "every-field"])
+    def test_sidecar_as_spec_writes_the_same_bytes(self, tmp_path, doc):
+        assert set(FULL_SPEC) == {f.name for f in dataclasses.fields(SyntheticSpec)}
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc), encoding="utf-8")
+        first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(first)]) == 0
+        sidecar = Path(f"{first}.truth.json")
+        assert json.loads(sidecar.read_text(encoding="utf-8"))["category_probs"] == doc.get("category_probs")
+        assert main(["synth", "--spec", str(sidecar), "--output", str(again)]) == 0
+        assert again.read_bytes() == first.read_bytes()
+        assert Path(f"{again}.truth.json").read_bytes() == sidecar.read_bytes()
+
     def test_sidecar_reproduces_true_medians(self, tmp_path):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(
@@ -1055,22 +1086,10 @@ class TestSynthCommand:
         main(["synth", "--spec", str(spec_path), "--output", str(out)])
         side = json.loads((tmp_path / "s.csv.truth.json").read_text(encoding="utf-8"))
 
-        from partqr.evaluation import SyntheticSpec, synthetic_true_quantile_rows
         from partqr.data import dataset_from_csv
+        from partqr.synthetic import synthetic_true_quantile_rows
 
-        spec = SyntheticSpec(
-            n_projects=side["n_projects"],
-            seed=side["seed"],
-            categories=tuple(side["categories"]),
-            category_effects=tuple(side["category_effects"]),
-            noise_scales=tuple(side["noise_scales"]),
-            base_durations=tuple(side["base_durations"]),
-            cascade_weights=tuple(tuple(r) for r in side["cascade_weights"]),
-            target_coeffs=tuple(side["target_coeffs"]),
-            target_intercept=side["target_intercept"],
-            contamination=side["contamination"],
-            tail_scale=side["tail_scale"],
-        )
+        spec = spec_from_json(side)  # the rule `partqr synth` reads a spec by
         ds = dataset_from_csv(out, target="target_days", overrides={"site_category": "categorical"})
         want = synthetic_true_quantile_rows(spec, ds, 0.5)
 
@@ -1088,6 +1107,45 @@ class TestSynthCommand:
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"n_projects": 0, "seed": 1}), encoding="utf-8")
         assert main(["synth", "--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("categories", 5),
+            ("categories", ["a", "a", "b"]),
+            ("cascade_weights", [1, 2]),
+            ("cascade_weights", [[], [0.4], [0.2, "x"], [0.1, 0.0, 0.5]]),
+            ("n_projects", 1.5),
+            ("n_projects", True),
+            ("seed", "x"),
+            ("seed", -1),
+            ("seed", False),
+            ("noise_scales", [-1, 2, 3]),
+            ("noise_scales", [1, 2]),
+            ("category_effects", [0.0, float("nan"), 1.0]),
+            ("base_durations", [12.0, float("inf"), 25.0, 15.0]),
+            ("target_coeffs", [0.6, None, 0.5, 0.8]),
+            ("category_probs", [-0.5, 1.0, 0.5]),
+            ("tail_scale", 0),
+            ("tail_scale", -40.0),
+            ("target_intercept", "8"),
+            ("contamination", "0.1"),
+        ],
+    )
+    def test_invalid_field_exit_2_at_spec_naming_it(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_projects": 10, "seed": 1, key: value}), encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error in stage 'spec': invalid synthetic spec: {key} " in err
+        assert not out.exists()
+
+    def test_spec_that_is_no_object_exit_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[1, 2]", encoding="utf-8")
+        assert main(["synth", "--spec", str(spec)]) == 2
+        assert "a synthetic spec must be a JSON object" in capsys.readouterr().err
 
 
 class TestParserBuiltOnce:
@@ -1227,6 +1285,26 @@ class TestInspect:
         assert "Quantile Tree" in out
         assert "parameter count:" in out
         assert "partitions:" in out
+
+    @pytest.mark.parametrize(
+        "name, display, params",
+        [
+            ("decision_tree", "Decision Tree Regressor", {"max_depth": 2, "min_samples_split": 10}),
+            ("qrf", "QRF", {"max_depth": 3, "min_samples_split": 10, "n_trees": 4}),
+        ],
+    )
+    def test_baseline_prints_no_structure_line(self, tmp_path, capsys, name, display, params):
+        fit = fit_model(name, generate_synthetic(SyntheticSpec(n_projects=60, seed=3)), params, seed=1)
+        path = tmp_path / "model.json"
+        save_model(path, fit)
+        count = fit.parameter_count()
+        assert main(["inspect", "--model", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"model: {display} ({name})",
+            "target: target_days [days]",
+            f"params: {json.dumps(params, sort_keys=True)}",
+            f"parameter count: {'NA' if count is None else count}",
+        ]
 
     def test_payload_mismatch_exit_2(self, tmp_path, synth_csv, capsys):
         grid = {"max_depth": [2], "min_samples_split": [10]}

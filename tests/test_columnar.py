@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from partqr.cli import _apply_selection, main, write_dataset_csv
 from partqr.composite import fit_composite, predict_quantile
 from partqr.data import Dataset, FeatureSchema, SchemaError, encode, encode_row, fit_encoding
-from partqr.evaluation import SyntheticSpec, generate_synthetic, grid_search
+from partqr.evaluation import grid_search
 from partqr.models import MODEL_NAMES, fit_model
 from partqr.pipeline import fill_values, fit_imputer, prune_tail
 from partqr.serialize import load_model, save_model
+from partqr.synthetic import SyntheticSpec, generate_synthetic
 
 COLUMNS = (
     ("id", "identifier"),
@@ -58,7 +59,7 @@ def test_rows_round_trip_with_types_and_none(rows):
     assert ds.rows == tuple(rows)
     assert bits(ds.rows) == bits(rows)
     assert len(ds) == ds.n_rows == len(rows)
-    assert Dataset(SCHEMA, rows) == ds and hash(Dataset(SCHEMA, rows)) == hash(ds)
+    assert bits(Dataset(SCHEMA, rows).rows) == bits(ds.rows)
 
 
 def test_nan_cell_is_a_value_and_float_cells_come_back_as_python_floats():

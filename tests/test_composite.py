@@ -237,7 +237,7 @@ class TestInterval:
             assert lower <= median <= upper
 
     def test_width_grows_with_noise_scale(self):
-        from partqr.evaluation import SyntheticSpec, generate_synthetic
+        from partqr.synthetic import SyntheticSpec, generate_synthetic
 
         spec = SyntheticSpec(n_projects=1500, seed=23, contamination=0.0)
         ds = generate_synthetic(spec)
@@ -286,7 +286,7 @@ class TestCountParameters:
             tuple(tuple(map(float, row)) + (float(t),) for row, t in zip(X, y)),
         )
         model = fit_composite("quantile_tree", ds, {"max_depth": 2, "min_samples_split": 10})
-        assert np.count_nonzero(model.tree.left >= 0) == 3 and model.tree.n_leaves == 4
+        assert np.count_nonzero(model.tree.feature >= 0) == 3 and model.tree.n_leaves == 4
         assert count_parameters(model) == 3 * 2 + 4 * 3 * 6
 
     def test_fallback_counts_one_per_level(self):

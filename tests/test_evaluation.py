@@ -12,23 +12,25 @@ from partqr.data import Dataset, FeatureSchema
 from partqr.evaluation import (
     CVResult,
     EvaluationReport,
-    SyntheticSpec,
     _fold_seed,
     _selection_key,
     benchmark,
     cross_validate,
-    generate_synthetic,
     grid_combinations,
     grid_search,
     interval_coverage,
     mean_ae,
     median_ae,
+)
+from partqr.models import MODELS, fit_model, model_spec
+from partqr.pipeline import fit_imputer, prune_tail
+from partqr.synthetic import (
+    SyntheticSpec,
+    generate_synthetic,
     mixture_cdf,
     mixture_quantile,
     synthetic_true_quantile_rows,
 )
-from partqr.models import MODELS, fit_model, model_spec
-from partqr.pipeline import fit_imputer, prune_tail
 from partqr.data import split_kfold
 
 

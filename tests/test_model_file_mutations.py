@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from partqr.cli import main, write_dataset_csv
-from partqr.evaluation import SyntheticSpec, generate_synthetic
+from partqr.synthetic import SyntheticSpec, generate_synthetic
 from partqr.models import MODEL_NAMES, fit_model
 from partqr.serialize import model_to_json
 

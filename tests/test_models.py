@@ -14,7 +14,7 @@ import pytest
 from partqr import composite
 from partqr.baselines import predict_gb, predict_rf, qrf_predict, qrf_weights
 from partqr.data import Dataset, EncodedMatrix, encode, encode_row
-from partqr.evaluation import SyntheticSpec, generate_synthetic
+from partqr.synthetic import SyntheticSpec, generate_synthetic
 from partqr.linear import predict_linear
 from partqr.models import MODEL_NAMES, MODELS, fit_model
 from partqr.partition import assign_cluster, predict_tree_mean, route
@@ -260,8 +260,8 @@ def test_loaded_trees_equal_fitted_trees(fitted, name):
     pairs = list(zip(_trees(fit), _trees(model_from_json(model_to_json(fit))), strict=True))
     for own, back in pairs:
         inner, leaf = own.feature >= 0, own.feature < 0
-        for key in ("feature", "left", "right", "leaf_id"):
-            a, b = getattr(own, key), getattr(back, key)
+        for a, b in ((own.feature, back.feature), (own.walk.right, back.walk.right),
+                     (own.leaf_id, back.leaf_id)):
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
         # a leaf's threshold, an inner node's value and, where the file stores
         # none, a leaf's value are NaN: prediction reads none of them

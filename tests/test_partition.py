@@ -33,12 +33,16 @@ from partqr.partition import (
 )
 
 
-Node = namedtuple("Node", "feature threshold left right leaf_id value")
+Node = namedtuple("Node", "feature threshold right leaf_id value")
 
 
 def nodes_of(tree):
-    """Each node of a tree as a Node of plain Python values, read from its arrays."""
-    return [Node(*node) for node in zip(*(getattr(tree, key).tolist() for key in Node._fields))]
+    """Each node of a tree as a Node of plain Python values, read from its
+    arrays and from its walk's `right`. A node is a leaf when its feature is
+    < 0 (and is then its own right child); inner node i's left child is
+    node i + 1."""
+    arrays = (tree.feature, tree.threshold, tree.walk.right, tree.leaf_id, tree.value)
+    return [Node(*node) for node in zip(*(array.tolist() for array in arrays))]
 
 
 class TestCart:
@@ -53,7 +57,7 @@ class TestCart:
     def test_constant_target_single_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
         tree = build_cart(X, np.full(8, 3.0), max_depth=5)
-        assert tree.n_leaves == 1 and np.count_nonzero(tree.left >= 0) == 0
+        assert tree.n_leaves == 1 and np.count_nonzero(tree.feature >= 0) == 0
 
     def test_depth_zero_root_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
@@ -67,7 +71,7 @@ class TestCart:
         tree = build_cart(X, y, max_depth=1)
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(4.5)
-        left, right = (tree.leaf_rows[tree.leaf_id[child]] for child in (tree.left[0], tree.right[0]))
+        left, right = (tree.leaf_rows[tree.leaf_id[child]] for child in (1, tree.walk.right[0]))
         assert node_sse(y[left]) == 0.0 and node_sse(y[right]) == 0.0
 
     def test_matches_exhaustive_oracle(self):
@@ -99,15 +103,15 @@ class TestCart:
 
         def rows_of(node_id):
             node = nodes[node_id]
-            if node.left < 0:
+            if node.feature < 0:
                 return tree.leaf_rows[node.leaf_id]
-            return np.concatenate([rows_of(node.left), rows_of(node.right)])
+            return np.concatenate([rows_of(node_id + 1), rows_of(node.right)])
 
         for node_id, node in enumerate(nodes):
-            if node.left < 0:
+            if node.feature < 0:
                 continue
             parent = rows_of(node_id)
-            left, right = rows_of(node.left), rows_of(node.right)
+            left, right = rows_of(node_id + 1), rows_of(node.right)
             assert node_sse(y[parent]) - (node_sse(y[left]) + node_sse(y[right])) > 1e-12
 
     def test_min_samples_leaf_honored(self):
@@ -121,7 +125,7 @@ class TestCart:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(100, 2))
         y = rng.normal(size=100)
-        assert build_cart(X, y, max_depth=2).depth <= 2
+        assert build_cart(X, y, max_depth=2).walk.depth <= 2
 
     def test_invalid_hyperparams(self):
         X = np.arange(4.0).reshape(-1, 1)
@@ -175,8 +179,11 @@ class TestShape:
     def test_a_trees_derived_arrays_equal_recursive_descent(self, feature):
         tree = RegressionTree(feature, np.full(len(feature), np.nan), np.zeros(len(feature)), 4)
         left, right, leaf_id, depth = depth_first_shape_oracle(feature)
-        assert (tree.left.tolist(), tree.right.tolist(), tree.leaf_id.tolist()) == (left, right, leaf_id)
-        assert tree.depth == depth and tree.n_leaves == max(leaf_id) + 1
+        # an inner node's left child is the next node, and in the walk a leaf is its own right child
+        assert left == [i + 1 if f >= 0 else -1 for i, f in enumerate(feature)]
+        own = [i if r < 0 else r for i, r in enumerate(right)]
+        assert (tree.walk.right.tolist(), tree.leaf_id.tolist()) == (own, leaf_id)
+        assert tree.walk.depth == depth and tree.n_leaves == max(leaf_id) + 1
 
 
 def tie_heavy_design(kind, rng):
@@ -196,7 +203,7 @@ def assert_same_tree(a, b):
     nodes_a, nodes_b = nodes_of(a), nodes_of(b)
     assert len(nodes_a) == len(nodes_b)
     for na, nb in zip(nodes_a, nodes_b):
-        assert (na.feature, na.left, na.right, na.leaf_id) == (nb.feature, nb.left, nb.right, nb.leaf_id)
+        assert (na.feature, na.right, na.leaf_id) == (nb.feature, nb.right, nb.leaf_id)
         assert na.value == nb.value
         assert na.threshold == nb.threshold or (np.isnan(na.threshold) and np.isnan(nb.threshold))
     assert (a.leaf_rows is None) == (b.leaf_rows is None)
@@ -228,7 +235,7 @@ class TestCartPresort:
             fresh = build_cart(X, y - current, 3, 2, 2)
             assert_same_tree(tree, fresh)
             for nd in nodes_of(fresh):
-                if nd.left < 0:
+                if nd.feature < 0:
                     current[fresh.leaf_rows[nd.leaf_id]] += 0.3 * nd.value
 
     def test_order_shape_checked(self):
@@ -294,13 +301,13 @@ def assert_cuts_separate(tree, X, min_samples_leaf=1):
 
     def walk(node_id, rows):
         node = nodes[node_id]
-        if node.left < 0:
+        if node.feature < 0:
             assert tree.leaf_rows[node.leaf_id].tolist() == rows.tolist()
             assert np.isfinite(node.value)
             return
         goes_left = X[rows, node.feature] <= node.threshold
         assert min(goes_left.sum(), (~goes_left).sum()) >= min_samples_leaf
-        walk(node.left, rows[goes_left])
+        walk(node_id + 1, rows[goes_left])
         walk(node.right, rows[~goes_left])
 
     walk(0, np.arange(X.shape[0]))
@@ -355,7 +362,7 @@ class TestAdjacentValues:
         assert tree.n_leaves == column.size
         assert_cuts_separate(tree, X, min_samples_leaf)
         assert_tree_equals_oracle(tree, cart_oracle(X, y, **params))
-        assert np.isfinite(tree.threshold[tree.left >= 0]).all()
+        assert np.isfinite(tree.threshold[tree.feature >= 0]).all()
         xs, ys = node_view(X, y, np.arange(X.shape[0]))
         got = _best_split(xs, ys, min_samples_leaf)
         assert_same_split(got, split_scan_oracle(xs, ys, min_samples_leaf))
@@ -453,7 +460,7 @@ def test_build_and_prune_leave_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
-    assert cut.depth == 3
+    assert cut.walk.depth == 3
 
 
 class TestRoute:
@@ -466,8 +473,8 @@ class TestRoute:
         X = np.arange(10.0).reshape(-1, 1)
         y = np.where(X[:, 0] < 5, 0.0, 10.0)
         tree = build_cart(X, y, max_depth=1)
-        left_id = tree.leaf_id[tree.left[0]]
-        right_id = tree.leaf_id[tree.right[0]]
+        left_id = tree.leaf_id[1]
+        right_id = tree.leaf_id[tree.walk.right[0]]
         assert route(tree, [[3.0]])[0] == left_id
         assert route(tree, [[7.0]])[0] == right_id
         assert route(tree, [[4.5]])[0] == left_id  # boundary goes left
@@ -492,16 +499,16 @@ class TestRoute:
         queries = np.vstack([np.round(rng.normal(size=(100, 4)), 1), X[:50]])
         nodes = nodes_of(tree)
         for nd in nodes[:5]:
-            if nd.left >= 0:
+            if nd.feature >= 0:
                 q = queries[0].copy()
                 q[nd.feature] = nd.threshold
                 queries = np.vstack([queries, q])
         walked = []
         for x in queries:
-            node = nodes[0]
-            while node.left >= 0:
-                node = nodes[node.left if x[node.feature] <= node.threshold else node.right]
-            walked.append(node)
+            i = 0
+            while nodes[i].feature >= 0:
+                i = i + 1 if x[nodes[i].feature] <= nodes[i].threshold else nodes[i].right
+            walked.append(nodes[i])
         ids, means = route(tree, queries), predict_tree_mean(tree, queries)
         ones = [queries[i : i + 1] for i in range(len(queries))]
         assert ids.tolist() == [route(tree, q)[0] for q in ones] == [nd.leaf_id for nd in walked]

@@ -49,7 +49,7 @@ def test_single_trees_of_every_depth_round_trip_bit_for_bit(seed):
     for depth in range(9):
         split = int(rng.integers(2, 12))
         tree = build_cart(X, y, depth, split, int(rng.integers(1, 4)))
-        depths.add(tree.depth)
+        depths.add(tree.walk.depth)
         for values in (True, False):
             _round_trip([tree], values, stacked=False)
     # a constant target grows a single leaf at any depth
