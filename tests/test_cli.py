@@ -14,7 +14,13 @@ from partqr import cli
 from partqr.cli import main, write_dataset_csv
 from partqr.models import fit_model
 from partqr.serialize import load_model, model_to_json, save_model
-from partqr.synthetic import SyntheticSpec, generate_synthetic, mixture_quantile, spec_from_json
+from partqr.synthetic import (
+    SyntheticSpec,
+    generate_synthetic,
+    mixture_quantile,
+    spec_from_json,
+    synthetic_true_quantile_rows,
+)
 
 
 @pytest.fixture
@@ -1087,7 +1093,6 @@ class TestSynthCommand:
         side = json.loads((tmp_path / "s.csv.truth.json").read_text(encoding="utf-8"))
 
         from partqr.data import dataset_from_csv
-        from partqr.synthetic import synthetic_true_quantile_rows
 
         spec = spec_from_json(side)  # the rule `partqr synth` reads a spec by
         ds = dataset_from_csv(out, target="target_days", overrides={"site_category": "categorical"})
