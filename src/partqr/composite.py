@@ -22,7 +22,7 @@ from .data import (
     encode_once,
     encoded_columns,
 )
-from .linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
+from .linear import check_lam, fit_quantile, fit_ridge, pinball_quantile, predict_linear
 from .partition import (
     ClusterPartition,
     RegressionTree,
@@ -90,20 +90,31 @@ def _require(hyperparams: dict, key: str):
     return hyperparams[key]
 
 
-def _fit_quantile_table(matrix, y, rows: np.ndarray, levels, lam, fit_cache: dict):
-    """{alpha: estimator} of the partition `rows` of `matrix` and `y`; its fits
-    and its ranged-dual bases are keyed by `rows`, since `fit_cache` serves
-    one training set."""
+def _fit_quantile_table(matrix, y, rows: np.ndarray, levels, lam, fit_cache: dict, path=None):
+    """{alpha: estimator} at `lam` of the partition `rows` of `matrix` and
+    `y`; its fits are keyed by `rows`, since `fit_cache` serves one training
+    set.
+
+    `path`, when given and holding `lam`, is the λ path of the fits that
+    share `fit_cache`: a partition not yet fit at `lam` is fit at every λ of
+    the path it lacks, in one `fit_quantile` call. Otherwise the partition is
+    fit at `lam` alone.
+    """
     if rows.size < matrix.width + 2:
         return {a: ConstantModel(pinball_quantile(y[rows], a)) for a in levels}
     leaf = rows.tobytes()
-    # a tuple, not a list: perfbench's tracer hashes the levels it is passed
-    missing = tuple(a for a in levels if (leaf, a, lam) not in fit_cache)
-    if missing:
-        bases = fit_cache.setdefault((leaf, "bases"), {})
-        fits = fit_quantile(matrix.subset(rows), y[rows], missing, lam, bases=bases)
-        for a, fit in zip(missing, fits):
-            fit_cache[leaf, a, lam] = fit
+    # tuples, not lists: perfbench's tracer hashes the levels and λ path it is passed
+    levels = tuple(levels)
+    if any((leaf, a, lam) not in fit_cache for a in levels):
+        X, target = matrix.subset(rows), y[rows]
+        if path is None or lam not in path:
+            solved = {lam: fit_quantile(X, target, levels, lam)}
+        else:
+            lams = tuple(v for v in path if any((leaf, a, v) not in fit_cache for a in levels))
+            solved = dict(zip(lams, fit_quantile(X, target, levels, lams)))
+        for v, fits in solved.items():
+            for a, fit in zip(levels, fits):
+                fit_cache[leaf, a, v] = fit
     return {a: fit_cache[leaf, a, lam] for a in levels}
 
 
@@ -114,6 +125,7 @@ def fit_composite(
     fit_cache: dict | None = None,
     *,
     tree: RegressionTree | None = None,
+    lams: tuple | None = None,
 ) -> CompositeQuantileModel:
     """Fit one of the four partitioned models on a preprocessed dataset.
 
@@ -127,11 +139,13 @@ def fit_composite(
     (one fold's, see `evaluation._score_folds`, or the refit's): it encodes
     the dataset once and memoises the partition quantile fits by partition
     rows, alpha and lam, so a grid search solves each partition once per
-    fold and lam. Beside the fits it keeps each partition's ranged-dual
-    bases by level (`fit_quantile`'s `bases`), so a partition's level is
-    solved cold at the search's first lam > 0 and starts from its basis at
-    the lam before at every later one; no level starts from another
-    level's basis. Without a cache, the fit gets a fresh dict.
+    fold and lam. `lams`, when given, is the λ path of the fits that share
+    the cache, the distinct λ of a fold's scored combinations in grid
+    order: the first fit that needs a partition fits it at every λ of the
+    path in one `fit_quantile` call, each λ's solves starting from the
+    bases of the λ before, and the later fits read the cache. Without
+    `lams`, or when it does not hold this fit's λ, a partition is fit at
+    its own λ alone.
     `tree`, when given, is quantile_tree's CART tree of that encoding under
     hyperparams' tree settings (a grid search cuts it from a deeper tree,
     see `models`); otherwise it is grown here.
@@ -142,8 +156,7 @@ def fit_composite(
         raise ValueError("empty dataset")
     hyperparams = dict(hyperparams)
     lam = float(hyperparams.get("lam", 0.0))
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_lam(lam)  # nn_qr fits only when it predicts
 
     fit_cache = {} if fit_cache is None else fit_cache
     matrix, y, encoding = encode_once(dataset, fit_cache)
@@ -168,7 +181,9 @@ def fit_composite(
             )
         model.tree = tree
         for leaf, rows in enumerate(tree.leaf_rows):
-            model.estimators[leaf] = _fit_quantile_table(matrix, y, rows, levels, lam, fit_cache)
+            model.estimators[leaf] = _fit_quantile_table(
+                matrix, y, rows, levels, lam, fit_cache, lams
+            )
     elif kind in ("piecewise_qr", "piecewise_rr"):
         k = int(_require(hyperparams, "n_clusters"))
         clusters = fit_kmeans(matrix.categorical_submatrix(), k, seed=int(hyperparams.get("seed", 0)))
@@ -177,7 +192,9 @@ def fit_composite(
         for cid in range(clusters.k):
             rows = np.flatnonzero(assignments == cid)
             if kind == "piecewise_qr":
-                model.estimators[cid] = _fit_quantile_table(matrix, y, rows, levels, lam, fit_cache)
+                model.estimators[cid] = _fit_quantile_table(
+                    matrix, y, rows, levels, lam, fit_cache, lams
+                )
             elif rows.size < matrix.width + 2:
                 model.estimators[cid] = {0.5: ConstantModel(float(np.mean(y[rows])))}
             else:

@@ -18,7 +18,7 @@ from .data import (
     shared,
     split_kfold,
 )
-from .models import check_hyperparams, fit_model, model_spec, record_grid
+from .models import check_hyperparams, fit_model, model_spec, record_grid, record_scored
 from .pipeline import fill_values, fit_imputer, prune_tail
 from .synthetic import SyntheticSpec, generate_synthetic  # perfbench's workloads call them here
 
@@ -165,7 +165,9 @@ def _test_matrix(fold: PreparedFold, fit_cache: dict) -> EncodedMatrix:
 def _score(name: str, params: dict, fold: PreparedFold, fit_cache: dict):
     """Fit `name` on `fold` and score its test rows: (point forecasts,
     intervals or None, parameter count). A model whose interval median is
-    its point forecast (`ModelSpec.median_is_point`) predicts once."""
+    its point forecast (`ModelSpec.median_is_point`) predicts once, and so
+    does a quantile-capable composite: its `predict_point` reads the median
+    column of the table its `predict_intervals` of the same rows made."""
     spec = model_spec(name)
     fitted = fit_model(name, fold.train, params, seed=fold.seed, fit_cache=fit_cache)
     test = _test_matrix(fold, fit_cache)
@@ -184,7 +186,7 @@ def _score_folds(searches: dict[str, list[dict]], folds: list[PreparedFold]) -> 
     for fold in folds:
         fit_cache: dict = {}
         for name, combos in searches.items():
-            record_grid(fit_cache, name, combos)
+            record_scored(fit_cache, name, combos)
             for params, per_fold in zip(combos, scores[name]):
                 per_fold.append(_score(name, params, fold, fit_cache))
     return scores

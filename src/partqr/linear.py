@@ -108,6 +108,12 @@ def _standardize(values: np.ndarray, is_indicator: np.ndarray):
     return Xs, active, center, scale
 
 
+def check_lam(lam: float) -> None:
+    """Raise ValueError unless the penalty `lam` is a finite number >= 0."""
+    if not (np.isfinite(lam) and lam >= 0):
+        raise ValueError("lam must be a finite number >= 0")
+
+
 def fit_ridge(X, y, lam: float) -> RidgeModel:
     """Closed-form ridge fit with unpenalized intercept.
 
@@ -121,8 +127,7 @@ def fit_ridge(X, y, lam: float) -> RidgeModel:
         raise ValueError("empty data")
     if values.shape[0] != y.shape[0]:
         raise ValueError("X and y row counts differ")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    check_lam(lam)
 
     Xs, active, center, scale = _standardize(values, indicator)
     y_mean = float(np.mean(y))
@@ -209,11 +214,11 @@ _instances = threading.local()
 
 def _instance(presolve: bool):
     """This thread's silent HiGHS instance with presolve on or off, made on
-    first use and reused by every later fit: each fit passes it a new model,
-    which clears the last one's LP, basis and solution. Within a fit,
-    `fit_quantile` never clears the presolve-off instance, so each level
-    starts hot from the last one's solve, and clears the presolve one only
-    right before each cold run.
+    first use and reused by every later fit: each call passes it a new model,
+    which clears the last one's LP, basis and solution. Within a call,
+    `fit_quantile` never clears the presolve-off instance, so each solve
+    starts hot from the last one, and clears the presolve one only right
+    before each cold run.
 
     An instance of a class other than `_highs._Highs` (replaced by a test
     double) is made again.
@@ -263,7 +268,6 @@ def _full_basis(ranged, a: float, lam: float):
     """
     solution = ranged.getSolution()
     d = np.asarray(solution.col_value)
-    reduced = np.asarray(solution.col_dual)
     p = ranged.getNumRow() - 1
     activity = np.asarray(solution.row_value)[:p]
     row_dual = np.asarray(solution.row_dual)[:p]
@@ -272,7 +276,10 @@ def _full_basis(ranged, a: float, lam: float):
     row_inside = (activity > -lam + tol) & (activity < lam - tol)
     if np.count_nonzero(col_inside) + np.count_nonzero(row_inside) != p + 1:
         return None
-    if np.any(np.abs(reduced[~col_inside]) <= tol) or np.any(np.abs(row_dual[~row_inside]) <= tol):
+    if np.any(np.abs(row_dual[~row_inside]) <= tol):
+        return None
+    # the n reduced costs are read last, once the cheaper checks have passed
+    if np.any(np.abs(np.asarray(solution.col_dual)[~col_inside]) <= tol):
         return None
     basic, upper = _highs.HighsBasisStatus.kBasic, _highs.HighsBasisStatus.kUpper
     # a ranged row at a bound keeps Xs_j'd <= lam nonbasic when its dual is
@@ -284,11 +291,21 @@ def _full_basis(ranged, a: float, lam: float):
     return basis
 
 
-def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
+def _move_rows(highs, rows: int, lower: float, upper: float) -> None:
+    """Give rows 0..rows-1 of the instance's LP the bounds [lower, upper],
+    one call per row: scipy's binding has no call for many rows."""
+    for j in range(rows):
+        _ok(highs.changeRowBounds(j, lower, upper), "changeRowBounds")
+
+
+def fit_quantile(X, y, alpha, lam):
     """Fit pinball loss + lam*L1 by linear programming (exact optimum).
 
     `alpha` is one level or a sequence of levels: one level gives a
     LinearQuantileModel, a sequence gives a list with one model per level.
+    `lam` is one penalty or a sequence of them, a λ path: one penalty gives
+    what a level or levels give, a sequence gives a list with that per
+    penalty. Every penalty must be a finite number >= 0.
 
     The primal problem min sum_i rho_alpha(y_i - b0 - x_i b) + lam*||b||_1 is
     an LP with n equality rows and 2n+2p+1 columns. HiGHS solves its dual
@@ -303,25 +320,26 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
     makes the dual's optimum the primal's, so the returned objective sits at
     the true minimum rather than a smoothed proxy.
 
-    Both duals are passed once per call, as arrays with the first level's
-    column bounds (`_dual_model`), to the thread's two reused HiGHS instances
-    (`_instance`), and later levels only move their column bounds. Each
-    level with lam > 0 runs two solves, and its answer is the one a cold
-    call for that level alone gives:
+    The design is standardized once, and both duals are passed once per
+    call, as arrays with the first level's column bounds and the first
+    penalty's row bounds (`_dual_model`), to the thread's two reused HiGHS
+    instances (`_instance`). Later levels only move the column bounds and
+    later penalties only the row bounds. The penalties are solved in the
+    order given, each at every level in the order given. Each level with
+    lam > 0 runs two solves, and its answer is the one a cold call for that
+    level and penalty alone gives:
 
     1. The ranged dual, with one row -lam <= Xs_j'd <= lam per column pair
        and HiGHS's presolve off, finds the optimal vertex. It is the LP that
        presolve makes of the full dual, at the cost of its simplex alone.
-       `bases`, when given, is the caller's dict of ranged-dual bases of
-       these rows, keyed by level: a level found in it starts from that
-       basis, and its optimal basis is filed under it. A grid search passes
-       the basis of the same rows and level at the lam solved before
-       (Friedman, Hastie & Tibshirani 2010): only the ranged rows' bounds
+       A level solved at an earlier penalty > 0 of the path starts from its
+       optimal basis at the last such penalty (the pathwise warm start of
+       Friedman, Hastie & Tibshirani 2010): only the ranged rows' bounds
        differ, so that basis stays dual feasible and the dual simplex
        starts close to the optimum. This instance is never cleared within
-       a call, so any other level after the first starts hot from the
-       optimal basis, factorization and scaled LP of the level before it:
-       only the column bounds move, so that basis too stays dual feasible.
+       a call, so any other level starts hot from the optimal basis,
+       factorization and scaled LP of the solve before it: only bounds
+       move, so that basis too stays dual feasible.
     2. The full dual is run from that vertex's basis (`_full_basis`). HiGHS
        skips presolve for a valid basis and confirms it without an
        iteration, and the row duals are read from this solve. A
@@ -342,11 +360,11 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
     one falls back whatever the start, so a fit never depends on the basis
     its ranged solve started from. The full dual starts only from the
     ranged vertex's own basis, which `setBasis` puts in place of the last
-    level's, or, falling back, from a cleared one: that instance is
+    solve's, or, falling back, from a cleared one: that instance is
     cleared right before every cold run, so no full-dual solve starts
-    from another level's basis. There a warm start could stop at another
-    optimal vertex, which would make a fit depend on the levels solved
-    before it.
+    from another level's or penalty's basis. There a warm start could stop
+    at another optimal vertex, which would make a fit depend on what was
+    solved before it.
 
     Targets whose largest |y| is 2^24 or more reach HiGHS as y * 2^-k, with
     that largest value in [2^23, 2^24), and the row duals are scaled back
@@ -354,6 +372,8 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
     """
     one = np.ndim(alpha) == 0
     levels = [float(a) for a in np.reshape(alpha, -1)]
+    one_lam = np.ndim(lam) == 0
+    lams = [float(v) for v in np.reshape(lam, -1)]
     values, indicator = design_arrays(X)
     y = np.asarray(y, dtype=float)
     n = y.shape[0]
@@ -363,84 +383,107 @@ def fit_quantile(X, y, alpha, lam: float, *, bases: dict | None = None):
         raise ValueError("X and y row counts differ")
     if not all(0.0 < a < 1.0 for a in levels):
         raise ValueError("alpha must lie in (0, 1)")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    for v in lams:
+        check_lam(v)
 
     Xs, active, center, scale = _standardize(values, indicator)
-    p_act = Xs.shape[1]
-    p = values.shape[1]
-    fits = []
-    if p_act == 0:
-        for a in levels:
-            b0 = pinball_quantile(y, a)
-            fits.append(
+    if Xs.shape[1] == 0:
+        b0 = {a: pinball_quantile(y, a) for a in levels}
+        paths = [
+            [
                 LinearQuantileModel(
                     alpha=a,
-                    coef=np.zeros(p),
-                    intercept=float(b0),
-                    lam=float(lam),
-                    objective=pinball_total(y - b0, a),
+                    coef=np.zeros(values.shape[1]),
+                    intercept=float(b0[a]),
+                    lam=v,
+                    objective=pinball_total(y - b0[a], a),
                     scaled_coef=np.zeros(0),
                     feature_scale=scale,
                 )
-            )
-        return fits[0] if one else fits
+                for a in levels
+            ]
+            for v in lams
+        ]
+    else:
+        paths = _solve_path(values, y, Xs, active, center, scale, levels, lams)
+    paths = [fits[0] if one else fits for fits in paths]
+    return paths[0] if one_lam else paths
 
-    lam = float(lam)
+
+def _solve_path(values, y, Xs, active, center, scale, levels, lams) -> list[list]:
+    """`fit_quantile`'s LP solves: a list per penalty of `lams` with one
+    LinearQuantileModel per level of `levels`, for the standardized design
+    `Xs` with at least one active column."""
+    n, p_act = Xs.shape
+    p = values.shape[1]
     nonzero = Xs != 0.0
     shift = max(0, int(np.frexp(np.max(np.abs(y)))[1]) - _COST_EXPONENT)
     costs = np.ldexp(y, -shift)
     highs = _instance(presolve=True)
-    model = _dual_model(Xs, nonzero, costs, lam, levels[0], ranged=False)
-    _ok(highs.passModel(*model), "passModel")
+    full_lam = lams[0]  # the penalty whose row bounds each instance holds
+    _ok(highs.passModel(*_dual_model(Xs, nonzero, costs, full_lam, levels[0], ranged=False)),
+        "passModel")
     ranged = None
-    if lam > 0:
+    ranged_lam = next((v for v in lams if v > 0), None)
+    if ranged_lam is not None:
         ranged = _instance(presolve=False)
-        model = _dual_model(Xs, nonzero, costs, lam, levels[0], ranged=True)
+        model = _dual_model(Xs, nonzero, costs, ranged_lam, levels[0], ranged=True)
         _ok(ranged.passModel(*model), "passModel")
     every_col = np.arange(n, dtype=np.int32)
-    for i, a in enumerate(levels):
-        if i > 0:  # the first level's bounds came with the models
-            lower, upper = np.full(n, a - 1.0), np.full(n, a)
-            _ok(highs.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
-            if ranged is not None:
-                _ok(ranged.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
-        basis = None
-        if ranged is not None:
-            if bases is not None and a in bases:
-                _ok(ranged.setBasis(bases[a]), "setBasis")
-            _run(ranged)
-            if bases is not None:
+    at = levels[0]  # the level whose column bounds both instances hold
+    bases = {}  # each level's optimal ranged basis at the last penalty > 0 solved
+    paths = []
+    for v in lams:
+        if v != full_lam:
+            _move_rows(highs, 2 * p_act, -_highs.kHighsInf, v)
+            full_lam = v
+        if v > 0 and v != ranged_lam:
+            _move_rows(ranged, p_act, -v, v)
+            ranged_lam = v
+        fits = []
+        for a in levels:
+            if a != at:
+                lower, upper = np.full(n, a - 1.0), np.full(n, a)
+                _ok(highs.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
+                if ranged is not None:
+                    _ok(ranged.changeColsBounds(n, every_col, lower, upper), "changeColsBounds")
+                at = a
+            basis = None
+            if v > 0:
+                if a in bases:
+                    _ok(ranged.setBasis(bases[a]), "setBasis")
+                _run(ranged)
                 bases[a] = ranged.getBasis()
-            basis = _full_basis(ranged, a, lam)
-        if basis is not None:
-            _ok(highs.setBasis(basis), "setBasis")
-            _run(highs)
-            if highs.getInfoValue("simplex_iteration_count")[1] != 0:
-                basis = None  # not the optimal basis: solve the full dual cold
-        if basis is None:
-            highs.clearSolver()
-            _run(highs)
-        # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
-        w = np.ldexp(highs.getSolution().row_dual, shift)
-        b0_std = -float(w[2 * p_act])
-        scaled = w[p_act : 2 * p_act] - w[:p_act]
-        coef = np.zeros(p)
-        coef[active] = scaled / scale[active]
-        intercept = b0_std - float(np.dot(center[active] / scale[active], scaled))
-        residuals = y - intercept - values @ coef
-        fits.append(
-            LinearQuantileModel(
-                alpha=a,
-                coef=coef,
-                intercept=float(intercept),
-                lam=float(lam),
-                objective=pinball_total(residuals, a) + lam * float(np.sum(np.abs(scaled))),
-                scaled_coef=scaled,
-                feature_scale=scale,
+                basis = _full_basis(ranged, a, v)
+            if basis is not None:
+                _ok(highs.setBasis(basis), "setBasis")
+                _run(highs)
+                if highs.getInfoValue("simplex_iteration_count")[1] != 0:
+                    basis = None  # not the optimal basis: solve the full dual cold
+            if basis is None:
+                highs.clearSolver()
+                _run(highs)
+            # HiGHS minimizes -y'd, so each row dual is the negated primal variable.
+            w = np.ldexp(highs.getSolution().row_dual, shift)
+            b0_std = -float(w[2 * p_act])
+            scaled = w[p_act : 2 * p_act] - w[:p_act]
+            coef = np.zeros(p)
+            coef[active] = scaled / scale[active]
+            intercept = b0_std - float(np.dot(center[active] / scale[active], scaled))
+            residuals = y - intercept - values @ coef
+            fits.append(
+                LinearQuantileModel(
+                    alpha=a,
+                    coef=coef,
+                    intercept=float(intercept),
+                    lam=v,
+                    objective=pinball_total(residuals, a) + v * float(np.sum(np.abs(scaled))),
+                    scaled_coef=scaled,
+                    feature_scale=scale,
+                )
             )
-        )
-    return fits[0] if one else fits
+        paths.append(fits)
+    return paths
 
 
 def predict_linear(model, X) -> np.ndarray:

@@ -9,6 +9,7 @@ instead of failing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +31,17 @@ from .composite import (
     fit_composite,
     predict_quantile,
 )
-from .data import CategoricalEncoding, Dataset, as_encoded, encode_once, is_int, is_number, shared
+from .data import (
+    CategoricalEncoding,
+    Dataset,
+    EncodedMatrix,
+    as_encoded,
+    encode_once,
+    encoded_columns,
+    is_int,
+    is_number,
+    shared,
+)
 from .partition import build_cart, predict_tree_mean, prune
 
 
@@ -96,10 +107,16 @@ class _RegistryFit:
 
 @dataclass
 class CompositeFit(_RegistryFit):
+    """A composite's fit. `predict_intervals` keeps its batch's encoded rows
+    and unsorted median column until the next `predict_point`, which takes
+    them (`_median`): a point forecast of the same rows reads that column
+    and predicts nothing again."""
+
     name: str
     params: dict
     model: CompositeQuantileModel
     fill: dict = field(default_factory=dict)
+    _median: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def schema(self):
@@ -109,14 +126,30 @@ class CompositeFit(_RegistryFit):
     def encoding(self) -> CategoricalEncoding:
         return self.model.encoding
 
+    def _encoded(self, rows) -> EncodedMatrix:
+        """`rows` in the model's encoded layout; another layout raises ValueError."""
+        values = as_encoded(self.schema, self.encoding, rows)
+        return EncodedMatrix(values, encoded_columns(self.schema, self.encoding))
+
     def predict_point(self, rows) -> np.ndarray:
+        """The level-0.5 forecast per row: the median column of the last
+        `predict_intervals` table, before its sort, when that was of the
+        same rows; otherwise level 0.5 alone is predicted."""
+        median, self._median = self._median, None
+        if median is not None:
+            rows = self._encoded(rows)
+            if np.array_equal(rows.values, median[0]):
+                return median[1]
         return predict_quantile(self.model, rows, 0.5)
 
     def predict_intervals(self, rows) -> np.ndarray | None:
         """(lower, median, upper) per row, with crossing repaired by sorting."""
         if not self.quantile_capable:
             return None
-        return np.sort(predict_quantile(self.model, rows, INTERVAL_LEVELS), axis=1)
+        rows = self._encoded(rows)
+        table = predict_quantile(self.model, rows, INTERVAL_LEVELS)
+        self._median = (rows.values, table[:, INTERVAL_LEVELS.index(0.5)])
+        return np.sort(table, axis=1)
 
     def parameter_count(self) -> int | None:
         return count_parameters(self.model)
@@ -162,6 +195,24 @@ def record_grid(fit_cache: dict, name: str, combos) -> None:
     cache, which `evaluation` drops when the fold is done.
     """
     fit_cache.setdefault("grids", {})[name] = tuple(combos)
+
+
+def record_scored(fit_cache: dict, name: str, combos) -> None:
+    """`record_grid`, for a fold on which every one of `combos` is fit and
+    scored: a composite then fits each partition along the combinations'
+    whole λ path in one call (`_lam_path`). The refit, which fits one of
+    them, records its grid with `record_grid` alone, so its partitions are
+    fit at the winner's λ only."""
+    record_grid(fit_cache, name, combos)
+    fit_cache.setdefault("scored", set()).add(name)
+
+
+def _lam_path(name: str, fit_cache: dict) -> tuple | None:
+    """The distinct λ, in grid order, of the combinations of `name` scored
+    on `fit_cache`'s fold (`record_scored`); None for any other fit."""
+    if name not in fit_cache.get("scored", ()):
+        return None
+    return tuple(dict.fromkeys(float(c.get("lam", 0.0)) for c in fit_cache["grids"][name]))
 
 
 def _widest(growth: _Growth, combos) -> dict:
@@ -213,7 +264,10 @@ def _composite(settings: Callable) -> Callable:
         tree = None
         if MODELS[name].growth is not None:
             tree, _ = _grown(name, dataset, params, seed, fit_cache)
-        model = fit_composite(MODELS[name].kind, dataset, hyperparams, fit_cache, tree=tree)
+        model = fit_composite(
+            MODELS[name].kind, dataset, hyperparams, fit_cache, tree=tree,
+            lams=_lam_path(name, fit_cache),
+        )
         return CompositeFit(name, params, model)
 
     return build
@@ -355,7 +409,9 @@ _HYPERPARAM_TYPES = {
          "n_clusters", "n_neighbors"),
         ("an integer", is_int),
     ),
-    **dict.fromkeys(("lam", "learning_rate", "feature_fraction"), ("a number", is_number)),
+    **dict.fromkeys(("learning_rate", "feature_fraction"), ("a number", is_number)),
+    # JSON configs admit NaN and Infinity, which no fit and no model file takes
+    "lam": ("a finite number >= 0", lambda value: is_number(value) and 0 <= value < math.inf),
     "bootstrap": ("true or false", lambda value: isinstance(value, bool)),
 }
 

@@ -35,7 +35,6 @@ the file, so `partqr` exits 2 at `load-model`.
 from __future__ import annotations
 
 import json
-import math
 from itertools import chain
 
 import numpy as np
@@ -177,12 +176,12 @@ def _composite_from_doc(name, params, schema, encoding, doc) -> CompositeFit:
         values = _array(doc, "train_values", (-1, width))
         model.train_matrix = EncodedMatrix(values, encoded_columns(schema, encoding))
         model.train_y = _array(doc, "train_y", (len(values),))  # one per training row, in order
-        # its neighbour fits' lam and n_neighbors, set from params as at fit time
+        # its neighbour fits' lam and n_neighbors, set from params as at fit time;
+        # check_hyperparams refuses a lam that is not a finite number >= 0
         check_hyperparams(name, params, "in the model file of")
         model.hyperparams = neighbor_settings(params, len(values))
-        lam, k = model.hyperparams["lam"], model.hyperparams["n_neighbors"]
-        if not (math.isfinite(lam) and lam >= 0 and k >= 1):
-            raise ValueError("'params' needs a finite lam >= 0 and an n_neighbors >= 1")
+        if not model.hyperparams["n_neighbors"] >= 1:
+            raise ValueError("'params' needs an n_neighbors >= 1")
         return CompositeFit(name, params, model)
     if model.kind == "quantile_tree":
         model.tree = _tree_from_doc(doc["tree"], width, values=False)

@@ -53,6 +53,9 @@ class SyntheticSpec:
         _numbers("noise_scales", self.noise_scales, len(cats), "categories", low=0.0)
         if self.category_probs is not None:
             _numbers("category_probs", self.category_probs, len(cats), "categories", low=0.0)
+            total = math.fsum(self.category_probs)
+            if abs(total - 1.0) > _PROBS_TOL:
+                raise ValueError(f"category_probs must sum to 1, not {total!r}")
         _numbers("base_durations", self.base_durations)
         _numbers("target_coeffs", self.target_coeffs, self.n_steps, "base_durations")
         rows = self.cascade_weights
@@ -71,6 +74,10 @@ class SyntheticSpec:
     @property
     def n_steps(self) -> int:
         return len(self.base_durations)
+
+
+# how far from 1 numpy's `Generator.choice` lets a sequence of probabilities sum
+_PROBS_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 def _finite(value, low=-math.inf) -> bool:

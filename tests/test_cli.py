@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -99,7 +100,7 @@ class TestTrain:
             ("random_forest", {"max_depth": [2], "n_trees": [2.9]}, "n_trees", "2.9", "an integer"),
             ("gradient_boosting", {"n_stages": [5.5], "learning_rate": [0.1]}, "n_stages", "5.5",
              "an integer"),
-            ("ridge", {"lam": ["0.1"]}, "lam", "'0.1'", "a number"),
+            ("ridge", {"lam": ["0.1"]}, "lam", "'0.1'", "a finite number >= 0"),
             ("nn_qr", {"lam": [0.1], "n_neighbors": [True]}, "n_neighbors", "True", "an integer"),
         ],
     )
@@ -110,6 +111,29 @@ class TestTrain:
         err = capsys.readouterr().err
         assert (f"error in stage 'grid-search': hyperparameter {key!r} in the grid of {name!r} "
                 f"must be {kind}, not {value}") in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("lam", ["NaN", "Infinity", "-Infinity", "-0.5"])
+    @pytest.mark.parametrize(
+        "name, grid",
+        [
+            ("quantile_tree", {"max_depth": [2], "min_samples_split": [10]}),
+            ("ridge", {}),
+            ("nn_qr", {"n_neighbors": [10]}),
+        ],
+    )
+    def test_lam_that_is_not_finite_and_nonnegative_exit_2(self, tmp_path, synth_csv, capsys,
+                                                             monkeypatch, name, grid, lam):
+        from partqr import evaluation
+
+        # JSON configs admit NaN and Infinity: no fold may be prepared for them
+        monkeypatch.setattr(evaluation, "prepare_search", None)
+        config = write_config(tmp_path, synth_csv, model={"name": name, "grid": {"lam": [0.1], **grid}})
+        config.write_text(config.read_text().replace("[0.1]", f"[0.1, {lam}]"))
+        assert main(["train", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert (f"error in stage 'grid-search': hyperparameter 'lam' in the grid of {name!r} "
+                f"must be a finite number >= 0, not {float(lam)!r}") in err
         assert not (tmp_path / "model.json").exists()
 
     def test_rejected_quantile_lp_exit_1(self, tmp_path, synth_csv, capsys, monkeypatch):
@@ -1131,6 +1155,8 @@ class TestSynthCommand:
             ("base_durations", [12.0, float("inf"), 25.0, 15.0]),
             ("target_coeffs", [0.6, None, 0.5, 0.8]),
             ("category_probs", [-0.5, 1.0, 0.5]),
+            ("category_probs", [0.2, 0.2, 0.2]),
+            ("category_probs", [0, 0, 0]),
             ("tail_scale", 0),
             ("tail_scale", -40.0),
             ("target_intercept", "8"),
@@ -1145,6 +1171,19 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert f"error in stage 'spec': invalid synthetic spec: {key} " in err
         assert not out.exists()
+
+    def test_probabilities_that_sum_to_1_keep_their_bytes(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"n_projects": 40, "seed": 5, "category_probs": [0.5, 0.5, 0.0]}),
+                        encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(out)]) == 0
+        digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (out, Path(f"{out}.truth.json"))]
+        assert digests == [
+            "a6bd85dabc3ce4febdb27f64dde60bf00d4183371ac32fe350395c00f513a399",
+            "db2aa578f30d63335bf09a0d614e1fb4735d8e4e87b034d37577163b49afdba9",
+        ]
 
     def test_spec_that_is_no_object_exit_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"

@@ -14,6 +14,7 @@ from partqr.data import Dataset, FeatureSchema, encode
 from partqr.linear import fit_quantile, fit_ridge, pinball_quantile, predict_linear
 from partqr.partition import assign_cluster, route
 from partqr.serialize import model_from_json, model_to_json
+from partqr.evaluation import grid_search
 from partqr.models import CompositeFit, fit_model
 
 
@@ -331,8 +332,8 @@ class TestSerialization:
 
 class TestHashableLevels:
     """perfbench's tracer keys each `fit_quantile` call by a hash of its
-    arguments, so the levels it is passed must be hashable: a tuple or a
-    float, never a list."""
+    arguments, so the levels and the λ path it is passed must be hashable:
+    a tuple or a float, never a list."""
 
     @pytest.mark.parametrize(
         "name,params",
@@ -346,10 +347,11 @@ class TestHashableLevels:
     def test_fit_quantile_gets_hashable_alpha(self, monkeypatch, name, params):
         seen = []
 
-        def hashing(X, y, alpha, lam, *, bases):
+        def hashing(X, y, alpha, lam):
             hash(alpha)  # raises TypeError for a list
-            seen.append(alpha)
-            return fit_quantile(X, y, alpha, lam, bases=bases)
+            hash(lam)
+            seen.append(lam)
+            return fit_quantile(X, y, alpha, lam)
 
         monkeypatch.setattr(composite, "fit_quantile", hashing)
         fitted = fit_model(name, toy_dataset(80, seed=9), params, seed=3)
@@ -359,3 +361,8 @@ class TestHashableLevels:
         fitted.predict_intervals(rows)
         # nn_qr solves its LPs when it predicts, the others when they fit
         assert (len(seen) > fitted_calls) if name == "nn_qr" else (fitted_calls > 0)
+        # a grid search fits each partition of a fold along the grid's λ path
+        seen.clear()
+        grid = {key: [value] for key, value in params.items() if key != "lam"}
+        grid_search(name, {**grid, "lam": [0.01, 1.0]}, toy_dataset(80, seed=9), 3, seed=3)
+        assert all(np.ndim(lam) == 0 for lam in seen) if name == "nn_qr" else (0.01, 1.0) in seen

@@ -259,7 +259,8 @@ class TestGridSearch:
              "'decision_tree' must be an integer, not 2.5"),
             ("qrf", {"max_depth": [2], "bootstrap": [True, 0]}, "'bootstrap' in the grid of "
              "'qrf' must be true or false, not 0"),
-            ("ridge", {"lam": [0.1, "1"]}, "'lam' in the grid of 'ridge' must be a number, not '1'"),
+            ("ridge", {"lam": [0.1, "1"]}, "'lam' in the grid of 'ridge' must be a finite number >= 0, "
+             "not '1'"),
         ],
     )
     def test_wrong_typed_hyperparameter_named_before_any_fold(self, monkeypatch, name, grid, want):
@@ -433,20 +434,36 @@ class TestGridSearchSharing:
     def test_later_lams_of_a_partition_start_warm(self, monkeypatch):
         from partqr import composite
 
-        warm = []
+        calls = []
         original = composite.fit_quantile
 
-        def spy(X, y, alpha, lam, *, bases):
-            warm.append(all(a in bases for a in alpha))
-            return original(X, y, alpha, lam, bases=bases)
+        def spy(X, y, alpha, lam):
+            calls.append((X.values.tobytes() + y.tobytes(), lam))
+            return original(X, y, alpha, lam)
 
         monkeypatch.setattr(composite, "fit_quantile", spy)
-        grid = {"lam": [0.01, 0.1, 1.0], "max_depth": [1, 2], "min_samples_split": [10]}
-        final = grid_search("quantile_tree", grid, self.dataset(), 4, seed=6).final_model.model
-        refit = sum(not isinstance(t[0.5], composite.ConstantModel) for t in final.estimators.values())
-        # on each fold a partition is solved cold at its first λ and warm at
-        # the other two; the refit, at one λ, solves each partition cold
-        assert warm.count(True) == 2 * (warm.count(False) - refit) > 0
+        trees = {"max_depth": [1, 2], "min_samples_split": [10]}
+
+        def search(lams):
+            """grid_search at `lams`, and its refit's partition fits."""
+            result = grid_search("quantile_tree", {"lam": lams, **trees}, self.dataset(), 4, seed=6)
+            estimators = result.final_model.model.estimators.values()
+            return result, sum(not isinstance(t[0.5], composite.ConstantModel) for t in estimators)
+
+        # the (fold, partition) pairs that a search at one λ fits
+        refit = search([0.1])[1]
+        pairs = len(calls) - refit
+        calls.clear()
+        path = (0.01, 0.1, 1.0)
+        result, refit = search(list(path))
+        # on each fold one call per partition solves the grid's whole λ path
+        # (each λ's solves start from the bases of the λ before); the refit
+        # solves each of its partitions at the winner's λ alone
+        folds, refits = calls[:-refit], calls[-refit:]
+        assert len(folds) == pairs > 0
+        assert all(lam == path for _, lam in folds)
+        assert len({partition for partition, _ in folds}) == pairs
+        assert [lam for _, lam in refits] == [float(result.best_params["lam"])] * refit
 
     def test_combinations_cut_to_one_tree_share_its_leaf_fits(self, monkeypatch):
         calls = count_quantile_fits(monkeypatch)

@@ -431,7 +431,7 @@ class TestReusedSolvers:
     that HiGHS rejects or a fit that leaves state behind must not reach the
     next fit's answer."""
 
-    @pytest.mark.parametrize("call", ["passModel", "changeColsBounds", "setBasis"])
+    @pytest.mark.parametrize("call", ["passModel", "changeColsBounds", "changeRowBounds", "setBasis"])
     def test_rejected_call_raises(self, monkeypatch, call):
         highs = linear._highs
 
@@ -444,7 +444,7 @@ class TestReusedSolvers:
         X = rng.normal(size=(45, 2))
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
         with pytest.raises(RuntimeError, match=f"HiGHS rejected {call}"):
-            fit_quantile(X, y, (0.1, 0.5), 0.1)
+            fit_quantile(X, y, (0.1, 0.5), (0.1, 1.0))
         monkeypatch.undo()  # the real class again: the rejecting instances are replaced
         want = quantile_dual_linprog(X, y, 0.5, 0.1)
         fit = fit_quantile(X, y, 0.5, 0.1)
@@ -518,12 +518,28 @@ def _path_designs():
 
 
 class TestLambdaPath:
-    """Fits of one design that share a `bases` dict start each level's ranged
-    solve from its optimal basis at the λ solved before. The guard and the
-    confirming solve keep every fit at the bits of its cold solve, whatever
-    the λ order and whatever basis the dict holds."""
+    """A fit along a λ path starts each level's ranged solve from its
+    optimal basis at the λ solved before. The guard and the confirming
+    solve keep every fit at the bits of its cold solve, whatever the λ order
+    and whatever basis the ranged solve starts from."""
 
     LEVELS = (0.05, 0.5, 0.95)
+
+    @staticmethod
+    def _ranged_double(monkeypatch, set_basis):
+        """Replace HiGHS's class by a double whose `setBasis` on the ranged
+        (presolve-off) instance is `set_basis(instance, basis)`."""
+        highs = linear._highs
+        real = highs._Highs.setBasis
+
+        class Double(highs._Highs):
+            def setBasis(self, basis):
+                if self is linear._instance(presolve=False):
+                    return set_basis(self, basis, real)
+                return real(self, basis)
+
+        monkeypatch.setattr(highs, "_Highs", Double)
+        return Double
 
     @pytest.mark.parametrize("X, y", [pytest.param(*d[1:], id=d[0]) for d in _path_designs()])
     def test_shared_bases_give_cold_bits_in_either_order(self, X, y):
@@ -537,12 +553,31 @@ class TestLambdaPath:
             for a, fit in zip(self.LEVELS, fit_quantile(X, y, self.LEVELS, lam)):
                 assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == want[a, lam]
         for order in (PATH_LAMS, PATH_LAMS[::-1]):
-            bases = {}
-            for lam in order:
-                for a, fit in zip(self.LEVELS, fit_quantile(X, y, self.LEVELS, lam, bases=bases)):
+            path = fit_quantile(X, y, self.LEVELS, order)
+            assert len(path) == len(order)
+            for lam, fits in zip(order, path):
+                for a, fit in zip(self.LEVELS, fits):
+                    assert (fit.alpha, fit.lam) == (a, lam)
                     got = TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective)
                     assert got == want[a, lam], (order, lam, a)
-            assert sorted(bases) == sorted(self.LEVELS)
+
+    def test_return_shapes(self):
+        X = np.arange(12.0).reshape(-1, 1)
+        y = np.arange(12.0) % 5
+        for lams in ((0.0, 0.1), (0.1, 0.0, 1.0)):
+            path = fit_quantile(X, y, 0.5, lams)
+            assert [f.lam for f in path] == list(lams)
+            assert all(isinstance(f, LinearQuantileModel) for f in path)
+            for lam, fits in zip(lams, fit_quantile(X, y, self.LEVELS, lams)):
+                assert [(f.alpha, f.lam) for f in fits] == [(a, lam) for a in self.LEVELS]
+                one = fit_quantile(X, y, self.LEVELS, lam)
+                assert [TestLevelSequence._bits(f.coef, f.intercept, f.objective) for f in fits] == [
+                    TestLevelSequence._bits(f.coef, f.intercept, f.objective) for f in one
+                ]
+        constant = fit_quantile(np.zeros((12, 1)), y, (0.2, 0.8), (0.0, 1.0))
+        assert [[(f.intercept, f.lam) for f in fits] for fits in constant] == [
+            [(pinball_quantile(y, a), lam) for a in (0.2, 0.8)] for lam in (0.0, 1.0)
+        ]
 
     def test_tied_targets_reach_the_fallback_from_a_warm_start(self, monkeypatch):
         taken = []
@@ -555,37 +590,45 @@ class TestLambdaPath:
 
         monkeypatch.setattr(linear, "_full_basis", spy)
         X, y = _leaf_design("tied_y", np.random.default_rng(71))
-        bases = {}
-        for lam in PATH_LAMS:
-            fit_quantile(X, y, self.LEVELS, lam, bases=bases)
+        fit_quantile(X, y, self.LEVELS, PATH_LAMS)
+        assert len(taken) == len(self.LEVELS) * len(PATH_LAMS)
         assert False in taken[len(self.LEVELS):]  # a warm-started level fell back
 
-    def test_basis_under_the_wrong_level_gives_the_cold_bits(self):
+    def test_basis_under_the_wrong_level_gives_the_cold_bits(self, monkeypatch):
+        handed = []
+
+        def misfiled(instance, basis, real):
+            # each warm start gets the basis handed over at the one before:
+            # another level's, or another λ's
+            handed.append(basis)
+            return real(instance, handed[-2] if len(handed) > 1 else basis)
+
+        self._ranged_double(monkeypatch, misfiled)
         rng = np.random.default_rng(8)
         X = rng.normal(size=(300, 2))
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=300)
-        bases = {}
-        fit_quantile(X, y, self.LEVELS, 0.1, bases=bases)
-        lower, median, upper = (bases[a] for a in self.LEVELS)
-        wrong = dict(zip(self.LEVELS, (upper, lower, median)))
-        for a, fit in zip(self.LEVELS, fit_quantile(X, y, self.LEVELS, 1.0, bases=wrong)):
-            want = quantile_dual_linprog(X, y, a, 1.0)
-            assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
-                TestLevelSequence._bits(*want)
-            ), a
+        for lam, fits in zip(PATH_LAMS, fit_quantile(X, y, self.LEVELS, PATH_LAMS)):
+            for a, fit in zip(self.LEVELS, fits):
+                want = quantile_dual_linprog(X, y, a, lam)
+                assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == (
+                    TestLevelSequence._bits(*want)
+                ), (lam, a)
+        # one warm start per level at each λ after the first
+        assert len(handed) == len(self.LEVELS) * (len(PATH_LAMS) - 1)
 
-    def test_rejected_warm_start_raises_and_the_next_fit_is_clean(self):
+    def test_rejected_warm_start_raises_and_the_next_fit_is_clean(self, monkeypatch):
+        self._ranged_double(monkeypatch, lambda instance, basis, real: linear._highs.HighsStatus.kError)
         rng = np.random.default_rng(8)
         X = rng.normal(size=(45, 2))
         y = X @ np.array([1.0, -2.0]) + rng.normal(size=45)
-        bases = {}
-        fit_quantile(X[:40], y[:40], 0.5, 0.1, bases=bases)
-        # a basis of 40 columns: HiGHS rejects it for an LP of 45
+        fit_quantile(X, y, 0.5, 0.1)  # no warm start: nothing to reject
         with pytest.raises(RuntimeError, match="HiGHS rejected setBasis"):
-            fit_quantile(X, y, 0.5, 1.0, bases=bases)
+            fit_quantile(X, y, 0.5, (0.1, 1.0))
+        monkeypatch.undo()  # the real class again: the doubles are replaced
         want = TestLevelSequence._bits(*quantile_dual_linprog(X, y, 0.5, 1.0))
-        for fresh in (None, {}):
-            fit = fit_quantile(X, y, 0.5, 1.0, bases=fresh)
+        for lam in (1.0, (0.1, 1.0)):
+            fit = fit_quantile(X, y, 0.5, lam)
+            fit = fit if lam == 1.0 else fit[-1]
             assert TestLevelSequence._bits(fit.coef, fit.intercept, fit.objective) == want
 
     def test_warm_start_takes_fewer_ranged_iterations(self, monkeypatch):
@@ -604,12 +647,20 @@ class TestLambdaPath:
         for a in self.LEVELS:  # one level per call: each ranged solve starts cold
             fit_quantile(X, y, a, 1.0)
         cold = sum(counts)
-        bases = {}
-        fit_quantile(X, y, self.LEVELS, 0.1, bases=bases)
         counts.clear()
-        fit_quantile(X, y, self.LEVELS, 1.0, bases=bases)
-        assert len(counts) == len(self.LEVELS)
-        assert sum(counts) < cold
+        fit_quantile(X, y, self.LEVELS, (0.1, 1.0))
+        assert len(counts) == 2 * len(self.LEVELS)
+        assert sum(counts[len(self.LEVELS):]) < cold
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_a_penalty_that_is_not_finite_and_nonnegative(self, lam):
+        X = np.arange(12.0).reshape(-1, 1)
+        y = np.arange(12.0) % 5
+        for bad in (lam, (0.1, lam), [lam, 1.0]):
+            with pytest.raises(ValueError, match="lam must be a finite number >= 0"):
+                fit_quantile(X, y, (0.25, 0.75), bad)
+        with pytest.raises(ValueError, match="lam must be a finite number >= 0"):
+            fit_ridge(X, y, lam)
 
 
 class TestHotLevels:

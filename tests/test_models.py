@@ -4,6 +4,7 @@ A batch must answer every row bitwise as the row scored as a batch of one
 does, before and after a save/load round trip, whatever else is in the batch.
 """
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -11,7 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from partqr import composite
+from partqr import composite, models
 from partqr.baselines import predict_gb, predict_rf, qrf_predict, qrf_weights
 from partqr.data import Dataset, EncodedMatrix, encode, encode_row
 from partqr.synthetic import SyntheticSpec, generate_synthetic
@@ -466,8 +467,9 @@ BAD_FILES = {  # case -> (model, edit of the parsed file, what the error says)
         "hyperparameter 'n_neighbors' in the model file of 'nn_qr' must be an integer",
     ),
     "no_neighbors": ("nn_qr", _drop("params", "n_neighbors"), "KeyError: 'n_neighbors'"),
-    "negative_lam": ("nn_qr", _set("params", "lam", -0.1), "finite lam >= 0"),
-    "nan_lam": ("nn_qr", _set("params", "lam", float("nan")), "finite lam >= 0"),
+    "negative_lam": ("nn_qr", _set("params", "lam", -0.1), "hyperparameter 'lam' in the model file of 'nn_qr' must be a finite number >= 0, not -0.1"),
+    "nan_lam": ("nn_qr", _set("params", "lam", float("nan")), "hyperparameter 'lam' in the model file of 'nn_qr' must be a finite number >= 0, not nan"),
+    "infinite_lam": ("nn_qr", _set("params", "lam", float("inf")), "hyperparameter 'lam' in the model file of 'nn_qr' must be a finite number >= 0, not inf"),
     "unsorted_subset": (
         "random_forest", _set("payload", "forest", "feature_subsets", 0, [1, 0, 2, 3, 4, 5, 6]),
         "feature_subsets 0 must be ascending, distinct and in [0, 7)",
@@ -582,8 +584,44 @@ def test_nn_qr_fits_once_per_pattern(fitted, rows, monkeypatch):
     monkeypatch.setattr(composite, "fit_quantile", counted)
     patterns = len({r[0] for r in rows})  # three seen levels and one unseen
     assert patterns == 4
-    fitted["nn_qr"].predict_intervals(rows)
+    fit = dataclasses.replace(fitted["nn_qr"])  # a copy that predicted nothing yet
+    fit.predict_point(rows)
+    assert calls == [(0.5,)] * patterns
+    calls.clear()
+    fit.predict_intervals(rows)
     assert calls == [composite.INTERVAL_LEVELS] * patterns
     calls.clear()
-    fitted["nn_qr"].predict_point(rows)
-    assert calls == [(0.5,)] * patterns
+    # the point forecast of the same batch reads the intervals' median column
+    fit.predict_point(rows)
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", [n for n in MODEL_NAMES if MODELS[n].kind and MODELS[n].quantile_capable])
+def test_point_after_intervals_of_the_batch_reads_their_median(fitted, rows, name, monkeypatch):
+    fit = dataclasses.replace(fitted[name])  # a copy that predicted nothing yet
+    other = rows[: len(rows) // 2]
+    want = {id(batch): fit.predict_point(batch).tobytes() for batch in (rows, other)}
+    predicted = []
+    predict_quantile = composite.predict_quantile
+
+    def counted(model, batch, alpha):
+        predicted.append(alpha)
+        return predict_quantile(model, batch, alpha)
+
+    monkeypatch.setattr(models, "predict_quantile", counted)
+    fit.predict_intervals(rows)
+    assert fit.predict_point(rows).tobytes() == want[id(rows)]
+    assert predicted == [composite.INTERVAL_LEVELS]
+    # the fit keeps neither the batch nor its table once the point forecast took them
+    assert fit._median is None
+    assert fit.predict_point(rows).tobytes() == want[id(rows)]
+    assert predicted[1:] == [0.5]
+    predicted.clear()
+    fit.predict_intervals(rows)
+    assert fit.predict_point(other).tobytes() == want[id(other)]  # another batch: predicted
+    assert predicted == [composite.INTERVAL_LEVELS, 0.5]
+    changed = [list(row) for row in rows]
+    changed[0][1] = changed[0][1] + 1.0  # the same list, with other values, is another batch
+    fit.predict_intervals(changed)
+    changed[0][1] = rows[0][1]
+    assert fit.predict_point(changed).tobytes() == want[id(rows)]

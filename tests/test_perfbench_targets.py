@@ -40,6 +40,47 @@ def test_every_tracer_target_exists():
     assert not missing, f"traced benchmark targets missing: {missing}"
 
 
+def _tracer():
+    """perfbench's tracer module, loaded from its file as `_workloads` loads its workloads."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_counted_argument_binds_by_name():
+    """The tracer keys distinct inputs by argument name; a renamed parameter
+    fails a traced run only."""
+    unbound = []
+    for module_name, qualname, key_args, _ in _tracer().TARGETS:
+        owner = importlib.import_module(f"partqr.{module_name}")
+        for part in qualname.split("."):
+            owner = getattr(owner, part)
+        params = inspect.signature(owner).parameters
+        unbound += [f"partqr.{module_name}.{qualname}({name})" for name in key_args or () if name not in params]
+    assert not unbound, f"traced argument names the functions do not take: {unbound}"
+
+
+def test_traced_search_and_nn_qr_prediction_run():
+    """The tracer hashes every counted argument, so a list where a tuple
+    belongs (a level sequence, a λ path) fails a traced run only."""
+    import partqr.cli  # noqa: F401  every module the tracer wraps
+    from partqr import evaluation, models  # called through the modules the tracer rebinds
+    from partqr.synthetic import SyntheticSpec, generate_synthetic
+
+    train = generate_synthetic(SyntheticSpec(n_projects=200, seed=1))
+    rows = list(generate_synthetic(SyntheticSpec(n_projects=20, seed=2)).rows)
+    grid = {"lam": [0.01, 1.0], "max_depth": [1, 2], "min_samples_split": [10]}
+    with _tracer().Tracer() as tracer:
+        evaluation.grid_search("quantile_tree", grid, train, 3, seed=1)
+        nn_qr = models.fit_model("nn_qr", train, {"lam": 0.1, "n_neighbors": 20}, seed=1)
+        assert nn_qr.predict_intervals(rows).shape == (len(rows), 3)
+    counts = tracer.counts()
+    assert counts["evaluation.grid_search.calls"] == 1
+    assert counts["linear.fit_quantile.calls"] > 0
+    assert counts["models.CompositeFit.predict_intervals.calls"] == 3 * 4 + 1
+
+
 # The benchmark's workloads drive the program through a config file and a
 # library call; a stricter config check or a changed signature must fail here,
 # not silently inside a benchmark run.
