@@ -528,7 +528,8 @@ class TestLambdaPath:
     @staticmethod
     def _ranged_double(monkeypatch, set_basis):
         """Replace HiGHS's class by a double whose `setBasis` on the ranged
-        (presolve-off) instance is `set_basis(instance, basis)`."""
+        (presolve-off) instance returns `set_basis(instance, basis, real)`,
+        `real` being HiGHS's own `setBasis`."""
         highs = linear._highs
         real = highs._Highs.setBasis
 
@@ -539,7 +540,6 @@ class TestLambdaPath:
                 return real(self, basis)
 
         monkeypatch.setattr(highs, "_Highs", Double)
-        return Double
 
     @pytest.mark.parametrize("X, y", [pytest.param(*d[1:], id=d[0]) for d in _path_designs()])
     def test_shared_bases_give_cold_bits_in_either_order(self, X, y):
