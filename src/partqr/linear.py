@@ -381,6 +381,8 @@ def fit_quantile(X, y, alpha, lam):
         raise ValueError("empty data")
     if values.shape[0] != n:
         raise ValueError("X and y row counts differ")
+    if not levels or not lams:
+        raise ValueError("alpha and lam must each hold at least one value")
     if not all(0.0 < a < 1.0 for a in levels):
         raise ValueError("alpha must lie in (0, 1)")
     for v in lams:

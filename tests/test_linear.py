@@ -578,6 +578,10 @@ class TestLambdaPath:
         assert [[(f.intercept, f.lam) for f in fits] for fits in constant] == [
             [(pinball_quantile(y, a), lam) for a in (0.2, 0.8)] for lam in (0.0, 1.0)
         ]
+        for design in (X, np.zeros((12, 1))):
+            for alpha, lam in (((), 0.1), (0.5, ()), ((), ())):
+                with pytest.raises(ValueError, match="must each hold at least one value"):
+                    fit_quantile(design, y, alpha, lam)
 
     def test_tied_targets_reach_the_fallback_from_a_warm_start(self, monkeypatch):
         taken = []
